@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import random
 import sys
 from fractions import Fraction
 
@@ -199,7 +198,7 @@ def _pick_ideal(m: MetricLieAlgebra, raw: str):
 
     if raw == "auto":
         ideal = central_isotropic_ideal(m)
-        if ideal is None or ideal.dim == 0:
+        if ideal is None:
             raise PreconditionError(
                 "no central isotropic ideal available for automatic reduction"
             )
@@ -440,8 +439,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.seed is not None:
-        random.seed(args.seed)
     try:
         results, code = args.handler(args)
     except (PreconditionError, DocumentError) as exc:

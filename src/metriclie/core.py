@@ -225,24 +225,25 @@ class SeriesReport:
 
 def series(alg: LieAlgebra) -> SeriesReport:
     full = alg.full_space()
+    # [g, g] opens both series
+    first = bracket_spans(alg, full, full)
 
     derived = [full]
-    while derived[-1].dim > 0:
-        nxt = bracket_spans(alg, derived[-1], derived[-1])
-        if nxt.dim == derived[-1].dim:
-            break
+    nxt = first
+    while nxt.dim < derived[-1].dim:
         derived.append(nxt)
+        nxt = bracket_spans(alg, nxt, nxt)
 
     lower = [full]
-    while lower[-1].dim > 0:
-        nxt = bracket_spans(alg, full, lower[-1])
-        if nxt.dim == lower[-1].dim:
-            break
+    nxt = first
+    while nxt.dim < lower[-1].dim:
         lower.append(nxt)
+        nxt = bracket_spans(alg, full, nxt)
 
     is_solvable = derived[-1].dim == 0
     is_nilpotent = lower[-1].dim == 0
-    is_abelian = alg.dim == 0 or bracket_spans(alg, full, full).dim == 0
+    # exact: LieAlgebra keeps only the non-zero brackets
+    is_abelian = not alg.brackets
     return SeriesReport(tuple(derived), tuple(lower), is_solvable, is_nilpotent, is_abelian)
 
 

@@ -37,6 +37,7 @@ from .forms import (
     is_invariant,
     is_totally_isotropic,
     isotropic_vector,
+    j0_ideal,
     signature,
 )
 from .linalg import Mat, Vec
@@ -170,9 +171,7 @@ def eigenvalue_condition(m: MetricLieAlgebra, element: Vec) -> TraceIdentityRepo
 def skewness_check(a: Mat, b: SymBilinearForm | Mat) -> tuple[bool, Mat]:
     """Is a skew with respect to b? Returns (flag, residual a^T b + b a)."""
     bm = b.matrix if isinstance(b, SymBilinearForm) else la.mat(b)
-    residual = la.mat_add(
-        la.mat_mul(la.transpose(la.mat(a)), bm), la.mat_mul(bm, la.mat(a))
-    )
+    residual = la.skew_residual(la.mat(a), bm)
     return la.is_zero_mat(residual), residual
 
 
@@ -329,10 +328,8 @@ def bounds_certificate(m: MetricLieAlgebra) -> BoundsCertificate:
             f"image of the semisimple part has dimension {w1.dim}, expected even >= 4"
         )
 
-    from .forms import central_isotropic_ideal
-
-    ideal = central_isotropic_ideal(m)
-    if ideal is None or ideal.dim == 0:
+    ideal = j0_ideal(m).intersect(center(alg))
+    if ideal.dim == 0:
         raise CertificateError("no central isotropic ideal available")
     w1_form = form.restrict(w1.vectors)
     iso_coords = isotropic_vector(w1_form)

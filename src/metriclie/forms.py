@@ -8,6 +8,7 @@ roots would leave the rationals).
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -187,10 +188,7 @@ def is_invariant(m: MetricLieAlgebra) -> InvarianceReport:
     ads = [ad(alg, la.unit_vec(n, i)).matrix for i in range(n)]
     for x in range(n):
         # invariance of the form under ad(b_x): ad^T B + B ad = 0
-        lhs = la.mat_add(
-            la.mat_mul(la.transpose(ads[x]), form.matrix),
-            la.mat_mul(form.matrix, ads[x]),
-        )
+        lhs = la.skew_residual(ads[x], form.matrix)
         for y1 in range(n):
             for y2 in range(n):
                 if lhs[y1][y2] != 0:
@@ -219,10 +217,7 @@ def nilinvariance_probe(m: MetricLieAlgebra, samples: int = 25, seed: int = 0) -
     checked = 0
     for y in candidates:
         phi_n = jordan_chevalley(ad(alg, y)).nilpotent.matrix
-        residual = la.mat_add(
-            la.mat_mul(la.transpose(phi_n), form.matrix),
-            la.mat_mul(form.matrix, phi_n),
-        )
+        residual = la.skew_residual(phi_n, form.matrix)
         checked += 1
         if not la.is_zero_mat(residual):
             i, j = next(
@@ -334,23 +329,41 @@ def _lift(coords: Vec, basis: tuple[Vec, ...], n: int) -> Vec:
 
 
 def central_isotropic_ideal(m: MetricLieAlgebra) -> SubspaceBasis | None:
-    """A non-zero totally isotropic central ideal inside j0, or None for
-    an abelian algebra.
+    """The central ideal z(g) ∩ [g, g] of a solvable algebra, or None
+    for an abelian one.
+
+    It is central, so it is an ideal. It is totally isotropic: for z
+    central, <z, [x, y]> = -<[x, z], y> = 0 by invariance, so
+    z(g) ⊥ [g, g]. It is non-zero for a non-abelian g with a
+    non-degenerate form: then x ⊥ [g, g] gives <[y, x], w> =
+    -<x, [y, w]> = 0 for all y, w, so [g, x] = 0 and z(g) = [g, g]^⊥.
+    A zero intersection would make g = [g, g] ⊕ z(g), hence
+    [g, g] = [[g, g], [g, g]], which a solvable algebra allows only
+    for [g, g] = 0.
 
     Non-degeneracy of the form is not required: the computation only
     uses invariance, and degenerate invariant forms are accepted (some
     small nilpotent algebras admit no invariant scalar product at all).
+    A zero intersection can only come from a degenerate form.
     """
     rep = series(m.algebra)
     if not rep.is_solvable:
         raise PreconditionError("central isotropic ideal requires a solvable algebra")
     if rep.is_abelian:
         return None
-    j0 = j0_ideal(m)
-    cand = j0.intersect(center(m.algebra))
+    inv = is_invariant(m)
+    if not inv.passed:
+        raise PreconditionError(f"form is not invariant; witness triple {inv.witness}")
+    cand = center(m.algebra).intersect(rep.derived_series[1])
     if cand.dim == 0:
+        raise PreconditionError(
+            "z(g) ∩ [g, g] is zero for a non-abelian solvable algebra, so the "
+            "invariant form is degenerate"
+        )
+    ok, witness = is_totally_isotropic(m.form, cand)
+    if not ok:
         raise CertificateError(
-            "no central isotropic ideal found inside j0 for a non-abelian solvable algebra"
+            f"z(g) ∩ [g, g] not totally isotropic under an invariant form; witness {witness}"
         )
     return cand
 
@@ -408,8 +421,5 @@ def isotropic_vector(form: SymBilinearForm) -> Vec | None:
 def _isqrt_exact(x: int) -> int | None:
     if x < 0:
         return None
-    r = int(x**0.5)
-    for cand in (r - 1, r, r + 1):
-        if cand >= 0 and cand * cand == x:
-            return cand
-    return None
+    r = math.isqrt(x)
+    return r if r * r == x else None

@@ -139,6 +139,11 @@ def bilinear(b: Mat, u: Vec, v: Vec) -> Fraction:
     return vec_dot(u, mat_vec(b, v))
 
 
+def skew_residual(a: Mat, b: Mat) -> Mat:
+    """a^T b + b a: zero exactly when a is skew for the bilinear form b."""
+    return mat_add(mat_mul(transpose(a), b), mat_mul(b, a))
+
+
 def rref(a: Mat) -> tuple[Mat, tuple[int, ...]]:
     """Reduced row echelon form with the list of pivot columns."""
     rows = [list(r) for r in a]

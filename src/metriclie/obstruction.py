@@ -23,7 +23,7 @@ from mpmath import floor as mp_floor
 
 from . import linalg as la
 from .core import LinearMap, SubspaceBasis, ad, jordan_chevalley
-from .einstein import EigenvalueData, trace_identity
+from .einstein import EigenvalueData, _poly_to_sympy, trace_identity
 from .errors import CertificateError, PreconditionError
 from .forms import MetricLieAlgebra
 from .linalg import Mat, Vec
@@ -143,11 +143,7 @@ def exact_eigenvalues(a: LinearMap | Mat) -> tuple[AlgebraicNumber, ...]:
     m = a.matrix if isinstance(a, LinearMap) else la.mat(a)
     if la.nrows(m) != la.ncols(m):
         raise PreconditionError("eigenvalues of a non-square matrix")
-    cp = sp.Poly(
-        [sp.Rational(c.numerator, c.denominator) for c in la.charpoly(m)],
-        _X,
-        domain="QQ",
-    )
+    cp = _poly_to_sympy(la.charpoly(m), _X)
     # factor_list pulls rational content into the lead coefficient; the
     # monic-rebuild certificate below makes it irrelevant
     _, factors = cp.factor_list()

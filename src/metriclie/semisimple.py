@@ -22,6 +22,7 @@ from .core import (
     killing_matrix,
     subspace_from_spanning,
 )
+from .einstein import _poly_to_sympy
 from .errors import CertificateError, PreconditionError
 from .forms import MetricLieAlgebra, SymBilinearForm, metric_radical, signature
 from .linalg import Mat, Vec
@@ -65,10 +66,6 @@ def _commutant_of_adjoint(alg: LieAlgebra) -> tuple[Mat, ...]:
     )
 
 
-def _poly_from_fractions(p: la.Poly) -> sp.Poly:
-    return sp.Poly([sp.Rational(c.numerator, c.denominator) for c in p], _X, domain="QQ")
-
-
 def simple_decomposition(alg: LieAlgebra) -> tuple[SubspaceBasis, ...]:
     """Minimal ideals of a semisimple Lie algebra, pairwise orthogonal
     for the Killing form and summing to the whole algebra.
@@ -89,7 +86,7 @@ def simple_decomposition(alg: LieAlgebra) -> tuple[SubspaceBasis, ...]:
             break
     if generic is None:
         raise CertificateError("could not find a generating element of the centroid")
-    minpoly = _poly_from_fractions(la.minimal_polynomial(generic))
+    minpoly = _poly_to_sympy(la.minimal_polynomial(generic), _X)
     _, factors = minpoly.factor_list()
     ideals: list[SubspaceBasis] = []
     for fac, mult in factors:
@@ -165,9 +162,7 @@ def split_form_report(m: MetricLieAlgebra) -> SplitFormReport:
     # s-invariance: <[x,y], z> + <y, [x,z]> = 0 for x in s
     for x in s.vectors:
         phi = ad(alg, x).matrix
-        resid = la.mat_add(
-            la.mat_mul(la.transpose(phi), form.matrix), la.mat_mul(form.matrix, phi)
-        )
+        resid = la.skew_residual(phi, form.matrix)
         if not la.is_zero_mat(resid):
             i, j = next(
                 (i, j) for i in range(n) for j in range(n) if resid[i][j] != 0

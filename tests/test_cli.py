@@ -3,11 +3,14 @@ from fractions import Fraction
 
 import pytest
 
+from metriclie import linalg as la
 from metriclie.cli import main
+from metriclie.core import LieAlgebra
 from metriclie.documents import (
     algebra_to_document,
     emit_document,
 )
+from metriclie.forms import SymBilinearForm
 from metriclie.reduction import build_example42
 
 
@@ -220,3 +223,25 @@ def test_global_flags_accepted_before_subcommand(capsys):
     code, out, err = run(capsys, "--format", "json", "signature", "sl2")
     assert code == 0
     assert json.loads(out)["results"]["signature"] == [2, 1, 0]
+
+
+def _write_doc(tmp_path, name, alg, form):
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(emit_document(algebra_to_document(alg, form, name=name))))
+    return str(path)
+
+
+def test_reduction_preconditions_exit_2(capsys, tmp_path):
+    # [a, b] = b with the zero form: invariant, but z(g) ∩ [g, g] = 0
+    alg = LieAlgebra(2, ("a", "b"), {(0, 1): (0, 1)})
+    zero = _write_doc(tmp_path, "zero", alg, SymBilinearForm(la.zeros(2, 2)))
+    for argv in (("complete-reduce", zero), ("reduce", zero)):
+        code, out, err = run(capsys, *argv)
+        assert code == 2, err
+        assert "certificate failure" not in err
+    ex = build_example42()
+    ident = _write_doc(tmp_path, "ident", ex.algebra, SymBilinearForm(la.identity(6)))
+    for argv in (("complete-reduce", ident), ("reduce", ident)):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert "not invariant; witness triple" in err

@@ -180,3 +180,15 @@ def test_nilinvariance_probe_passes_on_invariant_form():
     ex = build_example42()
     rep = nilinvariance_probe(ex, seed=5)
     assert rep.passed
+
+
+def test_isqrt_exact_large_squares():
+    from metriclie.forms import _isqrt_exact
+
+    big = 10**30 + 7
+    assert _isqrt_exact(big**2) == big
+    assert _isqrt_exact((2**70 + 3) ** 2) == 2**70 + 3
+    assert _isqrt_exact(10**400) == 10**200
+    form = SymBilinearForm(((Fraction(1), Fraction(0)), (Fraction(0), Fraction(-big**2))))
+    v = isotropic_vector(form)
+    assert v is not None and not la.is_zero_vec(v) and form.apply(v, v) == 0

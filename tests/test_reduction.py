@@ -182,3 +182,28 @@ def test_change_basis_preserves_structure():
     assert is_invariant(renamed).passed
     s1, s2 = signature(m.form), signature(renamed.form)
     assert (s1.p, s1.q, s1.r) == (s2.p, s2.q, s2.r)
+
+
+def test_reduction_path_never_computes_the_nilradical(monkeypatch, capsys):
+    import metriclie.cli
+    import metriclie.core
+    import metriclie.einstein
+    import metriclie.forms
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("nilradical called on the reduction path")
+
+    for module in (metriclie.core, metriclie.forms, metriclie.einstein, metriclie.cli):
+        monkeypatch.setattr(module, "nilradical", refuse)
+    ex = build_example42()
+    assert len(complete_reduction(ex).steps) == 2
+    # the criterion-3 family
+    rng = random.Random(1003)
+    for _ in range(20):
+        m = random_abelian_base(rng, max_dim=4)
+        for _ in range(rng.randint(1, 2)):
+            m = random_double_extension(rng, m)
+        chain = complete_reduction(m)
+        assert len(chain.steps) == signature(m.form).witt_index
+    assert metriclie.cli.main(["reduce", "example42"]) == 0
+    capsys.readouterr()
