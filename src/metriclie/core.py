@@ -118,15 +118,29 @@ class LieAlgebra:
         return la.vec_scale(-1, self.brackets.get((j, i), la.zeros_vec(self.dim)))
 
     def bracket(self, x: Vec, y: Vec) -> Vec:
-        out = la.zeros_vec(self.dim)
+        """sum_ij x_i y_j [b_i, b_j], over the non-zero x_i, y_j and
+        the non-zero stored coefficients only."""
+        out = [la.ZERO] * self.dim
+        brackets = self.brackets
+        y_support = [(j, yj) for j, yj in enumerate(y) if yj]
         for i, xi in enumerate(x):
-            if xi == 0:
+            if not xi:
                 continue
-            for j, yj in enumerate(y):
-                if yj == 0 or i == j:
+            for j, yj in y_support:
+                if i < j:
+                    coeffs = brackets.get((i, j))
+                    c = xi * yj
+                elif i > j:
+                    coeffs = brackets.get((j, i))
+                    c = -xi * yj
+                else:
                     continue
-                out = la.vec_add(out, la.vec_scale(xi * yj, self.basis_bracket(i, j)))
-        return out
+                if coeffs is None:
+                    continue
+                for k, ck in enumerate(coeffs):
+                    if ck:
+                        out[k] += c * ck
+        return tuple(out)
 
     def name_index(self, name: str) -> int:
         try:
@@ -249,15 +263,14 @@ def series(alg: LieAlgebra) -> SeriesReport:
 
 def killing_matrix(alg: LieAlgebra) -> Mat:
     """Gram matrix of the Killing form kappa(x,y) = tr(ad x ad y)."""
-    ads = [ad(alg, la.unit_vec(alg.dim, i)).matrix for i in range(alg.dim)]
     n = alg.dim
-    rows = []
+    ads = [ad(alg, la.unit_vec(n, i)).matrix for i in range(n)]
+    # kappa is symmetric: pair j >= i only and mirror
+    rows = [[la.ZERO] * n for _ in range(n)]
     for i in range(n):
-        row = []
-        for j in range(n):
-            row.append(la.trace(la.mat_mul(ads[i], ads[j])))
-        rows.append(tuple(row))
-    return tuple(rows)
+        for j in range(i, n):
+            rows[i][j] = rows[j][i] = la.trace_product(ads[i], ads[j])
+    return tuple(tuple(row) for row in rows)
 
 
 def killing_form(alg: LieAlgebra):
@@ -319,8 +332,16 @@ def _associative_closure(generators: Sequence[Mat]) -> tuple[Mat, ...]:
         return out if any(any(r) for r in out) else None
 
     def int_mul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
-        bt = list(zip(*b))
-        return [[sum(x * y for x, y in zip(r, c)) for c in bt] for r in a]
+        b_support = [[(j, y) for j, y in enumerate(row) if y] for row in b]
+        out = []
+        for r in a:
+            acc = [0] * n
+            for x, support in zip(r, b_support):
+                if x:
+                    for j, y in support:
+                        acc[j] += x * y
+            out.append(acc)
+        return out
 
     basis: list[list[list[int]]] = []
     tracker = la.SpanTracker()
@@ -373,7 +394,7 @@ def nilradical(alg: LieAlgebra, hint: SubspaceBasis | None = None) -> SubspaceBa
         ads = [ad(alg, la.unit_vec(n, i)).matrix for i in range(n)]
         assoc = _associative_closure(ads)
         rows = tuple(
-            tuple(la.trace(la.mat_mul(adi, b)) for adi in ads) for b in assoc
+            tuple(la.trace_product(adi, b) for adi in ads) for b in assoc
         )
         result = SubspaceBasis(n, la.kernel(rows))
 

@@ -11,9 +11,8 @@ symmetric-function computation on the characteristic polynomial.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
 import sympy as sp
 
@@ -153,7 +152,7 @@ def trace_identity(data: EigenvalueData | Mat | LinearMap) -> TraceIdentityRepor
     m = data.matrix if isinstance(data, LinearMap) else la.mat(data)
     if la.nrows(m) != la.ncols(m):
         raise PreconditionError("trace identity needs a square matrix")
-    direct = la.trace(la.mat_mul(m, m))
+    direct = la.trace_product(m, m)
     from_spectrum = _trace_square_from_charpoly(m)
     if direct != from_spectrum:
         raise CertificateError(
@@ -213,7 +212,7 @@ def nested_trace_square(node: TriangularNode | TorusLeaf):
         rat = sp.Rational(total)
         return Fraction(int(rat.p), int(rat.q))
     a = node.a_block
-    head = 2 * la.trace(la.mat_mul(a, a))
+    head = 2 * la.trace_product(a, a)
     tail = nested_trace_square(node.inner)
     if isinstance(tail, Fraction):
         return head + tail
@@ -519,7 +518,7 @@ def sharpness_search(
             delta = random_skew_map(rng, base.form)
             # cheap exact prefilter: for a one-step extension of an
             # abelian base the Killing form vanishes iff tr(delta^2) = 0
-            if la.trace(la.mat_mul(delta, delta)) != 0:
+            if la.trace_product(delta, delta) != 0:
                 continue
             try:
                 g = double_extend(DoubleExtensionSpec(base=base, deltas=(delta,)))

@@ -78,7 +78,7 @@ def vec_scale(c, v: Vec) -> Vec:
 
 
 def vec_dot(u: Vec, v: Vec) -> Fraction:
-    return sum((x * y for x, y in zip(u, v)), ZERO)
+    return sum((x * y for x, y in zip(u, v) if x and y), ZERO)
 
 
 def is_zero_vec(v: Vec) -> bool:
@@ -103,10 +103,21 @@ def mat_scale(c, a: Mat) -> Mat:
 
 
 def mat_mul(a: Mat, b: Mat) -> Mat:
+    """Row i of the product is sum_k a_ik (row k of b), skipping the zero
+    a_ik and the zero entries of b."""
     if ncols(a) != nrows(b):
         raise ValueError("dimension mismatch in matrix product")
-    bt = transpose(b)
-    return tuple(tuple(vec_dot(r, c) for c in bt) for r in a)
+    nc = ncols(b)
+    b_support = [[(j, y) for j, y in enumerate(row) if y] for row in b]
+    out = []
+    for r in a:
+        acc = [ZERO] * nc
+        for x, support in zip(r, b_support):
+            if x:
+                for j, y in support:
+                    acc[j] += x * y
+        out.append(tuple(acc))
+    return tuple(out)
 
 
 def mat_vec(a: Mat, v: Vec) -> Vec:
@@ -129,6 +140,20 @@ def mat_pow(a: Mat, k: int) -> Mat:
 
 def trace(a: Mat) -> Fraction:
     return sum((a[i][i] for i in range(nrows(a))), ZERO)
+
+
+def trace_product(a: Mat, b: Mat) -> Fraction:
+    """tr(a b) = sum_ij a_ij b_ji, without forming the product."""
+    if ncols(a) != nrows(b) or nrows(a) != ncols(b):
+        raise ValueError("dimension mismatch in trace of a product")
+    total = ZERO
+    for i, row in enumerate(a):
+        for j, x in enumerate(row):
+            if x:
+                y = b[j][i]
+                if y:
+                    total += x * y
+    return total
 
 
 def is_zero_mat(a: Mat) -> bool:
@@ -156,11 +181,14 @@ def rref(a: Mat) -> tuple[Mat, tuple[int, ...]]:
             continue
         rows[r], rows[pr] = rows[pr], rows[r]
         inv = 1 / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
+        rows[r] = [x * inv if x else ZERO for x in rows[r]]
+        support = [(k, y) for k, y in enumerate(rows[r]) if y]
         for i in range(nr):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+            f = rows[i][c]
+            if i != r and f:
+                row = rows[i]
+                for k, y in support:
+                    row[k] -= f * y
         pivots.append(c)
         r += 1
         if r == nr:
@@ -398,11 +426,11 @@ def minimal_polynomial(a: Mat) -> Poly:
     among the flattened powers I, A, A^2, ..."""
     n = nrows(a)
     powers: list[Vec] = []
+    tracker = SpanTracker()
     cur = identity(n)
     for d in range(n * n + 1):
         flat = tuple(x for row in cur for x in row)
-        stacked = tuple(powers) + (flat,)
-        if rank(stacked) < len(stacked):
+        if not tracker.add(flat):
             coords = coords_in(powers, flat)
             assert coords is not None
             # x^d - sum coords_i x^i, descending order
@@ -415,11 +443,14 @@ def minimal_polynomial(a: Mat) -> Poly:
 
 class SpanTracker:
     """Incrementally maintained row space in reduced form, so repeated
-    membership tests and insertions stay linear in the current rank."""
+    membership tests and insertions stay linear in the current rank.
+    Each row keeps the list of its non-zero columns, and every update
+    loops over that support only."""
 
     def __init__(self):
         self.rows: list[list[Fraction]] = []
         self.pivots: list[int] = []
+        self.supports: list[list[int]] = []
 
     @property
     def dim(self) -> int:
@@ -427,31 +458,32 @@ class SpanTracker:
 
     def _reduce(self, v: Vec) -> list[Fraction]:
         w = list(v)
-        for row, p in zip(self.rows, self.pivots):
+        for row, p, support in zip(self.rows, self.pivots, self.supports):
             c = w[p]
-            if c != 0:
-                for k in range(len(w)):
-                    if row[k] != 0:
-                        w[k] -= c * row[k]
+            if c:
+                for k in support:
+                    w[k] -= c * row[k]
         return w
 
     def contains(self, v: Vec) -> bool:
-        return all(x == 0 for x in self._reduce(v))
+        return not any(self._reduce(v))
 
     def add(self, v: Vec) -> bool:
         """Insert v; returns True if it enlarged the span."""
         w = self._reduce(v)
-        p = next((i for i, x in enumerate(w) if x != 0), None)
-        if p is None:
+        support = [k for k, x in enumerate(w) if x]
+        if not support:
             return False
+        p = support[0]
         inv = 1 / w[p]
-        w = [x * inv for x in w]
-        for row in self.rows:
+        w = [x * inv if x else ZERO for x in w]
+        for idx, row in enumerate(self.rows):
             c = row[p]
-            if c != 0:
-                for k in range(len(w)):
-                    if w[k] != 0:
-                        row[k] -= c * w[k]
+            if c:
+                for k in support:
+                    row[k] -= c * w[k]
+                self.supports[idx] = [k for k, x in enumerate(row) if x]
         self.rows.append(w)
         self.pivots.append(p)
+        self.supports.append(support)
         return True

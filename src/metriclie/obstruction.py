@@ -505,7 +505,9 @@ def default_precision() -> int:
     try:
         return max(int(raw), 16)
     except ValueError:
-        return 256
+        raise PreconditionError(
+            f"METRIC_LIE_PRECISION must be an integer number of bits, got {raw!r}"
+        ) from None
 
 
 def integer_exponential_probe(

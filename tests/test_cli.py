@@ -164,6 +164,16 @@ def test_probe_command(capsys):
     assert r["points"][0]["trivially_integral"]
 
 
+def test_probe_non_integer_precision_exits_2(capsys, monkeypatch):
+    monkeypatch.setenv("METRIC_LIE_PRECISION", "abc")
+    code, out, err = run(
+        capsys, "probe", "example42", "--element", "a", "--times", "0,1"
+    )
+    assert code == 2
+    assert out == ""
+    assert "METRIC_LIE_PRECISION" in err and "'abc'" in err
+
+
 def test_split_semisimple(capsys):
     code, report, _ = run_json(capsys, "split-semisimple", "sl2")
     assert code == 0
