@@ -19,6 +19,7 @@ from . import linalg as la
 from . import catalog, documents
 from .core import (
     LieAlgebra,
+    _require_jacobi,
     ad,
     center,
     derived_subalgebra,
@@ -150,12 +151,7 @@ def cmd_validate(args) -> tuple[dict, int]:
 
 def cmd_analyze(args) -> tuple[dict, int]:
     alg, form, hint, _ = _load_algebra(args.algebra)
-    rep = validate_structure(alg)
-    if not rep.passed:
-        raise PreconditionError(
-            f"structure constants violate the Jacobi identity "
-            f"({len(rep.violations)} basis triples)"
-        )
+    _require_jacobi(alg)
     kappa = killing_matrix(alg)
     ser = series(alg)
     results = {

@@ -18,7 +18,7 @@ from .linalg import Mat, Vec
 
 @dataclass(frozen=True)
 class LinearMap:
-    """A matrix with designated source/target dimensions.
+    """A matrix of a linear map.
 
     ``matrix[i][j]`` is the coefficient of the i-th target basis vector
     in the image of the j-th source basis vector.
@@ -29,19 +29,8 @@ class LinearMap:
     def __post_init__(self):
         object.__setattr__(self, "matrix", la.mat(self.matrix))
 
-    @property
-    def target_dim(self) -> int:
-        return la.nrows(self.matrix)
-
-    @property
-    def source_dim(self) -> int:
-        return la.ncols(self.matrix)
-
     def __call__(self, v: Vec) -> Vec:
         return la.mat_vec(self.matrix, v)
-
-    def compose(self, other: "LinearMap") -> "LinearMap":
-        return LinearMap(la.mat_mul(self.matrix, other.matrix))
 
     def is_zero(self) -> bool:
         return la.is_zero_mat(self.matrix)
@@ -71,9 +60,6 @@ class SubspaceBasis:
 
     def contains_subspace(self, other: "SubspaceBasis") -> bool:
         return all(self.contains(v) for v in other.vectors)
-
-    def canonical(self) -> "SubspaceBasis":
-        return SubspaceBasis(self.ambient_dim, la.row_space_basis(self.vectors))
 
     def same_span(self, other: "SubspaceBasis") -> bool:
         return la.span_eq(self.vectors, other.vectors)
@@ -194,6 +180,17 @@ def validate_structure(alg: LieAlgebra) -> ValidationReport:
                 if not la.is_zero_vec(residual):
                     violations.append((i, j, k, residual))
     return ValidationReport(not violations, tuple(violations))
+
+
+def _require_jacobi(alg: LieAlgebra) -> None:
+    """Raise ``PreconditionError`` unless the structure constants
+    satisfy the Jacobi identity."""
+    rep = validate_structure(alg)
+    if not rep.passed:
+        raise PreconditionError(
+            f"structure constants violate the Jacobi identity "
+            f"({len(rep.violations)} basis triples)"
+        )
 
 
 def ad(alg: LieAlgebra, x: Vec) -> LinearMap:
@@ -318,6 +315,12 @@ def _associative_closure(generators: Sequence[Mat]) -> tuple[Mat, ...]:
     Each generator is rescaled to integer entries first (this does not
     change the spanned algebra) so the product chains run on plain
     integers instead of normalized rationals.
+
+    The algebra is spanned by the words in the generators, and a word
+    g w is a generator times a shorter word. So a span that contains
+    the kept generators and is closed under left multiplication by
+    them is the whole algebra: each new element is multiplied on the
+    left by the kept generators only.
     """
     if not generators:
         return ()
@@ -356,14 +359,15 @@ def _associative_closure(generators: Sequence[Mat]) -> tuple[Mat, ...]:
 
     for g in generators:
         try_add(to_int(g))
+    kept = list(basis)
     frontier = list(basis)
     while frontier:
         new: list[list[list[int]]] = []
         for b in frontier:
-            for c in list(basis):
-                for prod in (int_mul(b, c), int_mul(c, b)):
-                    if try_add(prod):
-                        new.append(prod)
+            for g in kept:
+                prod = int_mul(g, b)
+                if try_add(prod):
+                    new.append(prod)
             if len(basis) == n * n:
                 return tuple(la.mat(b_) for b_ in basis)
         frontier = new
@@ -421,36 +425,6 @@ def is_ideal(alg: LieAlgebra, sub: SubspaceBasis) -> tuple[bool, tuple[Vec, Vec]
             if not sub.contains(w):
                 return False, (ei, v)
     return True, None
-
-
-def quotient_by_ideal(
-    alg: LieAlgebra, ideal: SubspaceBasis
-) -> tuple[LieAlgebra, LinearMap]:
-    """Quotient algebra on the first ambient basis vectors completing
-    the ideal to a basis (in index order), plus the projection map."""
-    ok, witness = is_ideal(alg, ideal)
-    if not ok:
-        raise PreconditionError(f"not an ideal; witness bracket on {witness}")
-    n = alg.dim
-    comp_idx = la.extend_to_basis(ideal.vectors, n)
-    comp = [la.unit_vec(n, i) for i in comp_idx]
-    m = len(comp)
-    # change of basis: columns are complement vectors then ideal vectors
-    t = la.transpose(tuple(comp) + ideal.vectors)
-    t_inv = la.inverse(t)
-
-    def project(v: Vec) -> Vec:
-        return la.mat_vec(t_inv, v)[:m]
-
-    brackets = {}
-    for a_ in range(m):
-        for b_ in range(a_ + 1, m):
-            w = project(alg.bracket(comp[a_], comp[b_]))
-            brackets[(a_, b_)] = w
-    names = tuple(alg.basis_names[i] for i in comp_idx)
-    quotient = LieAlgebra(m, names, brackets)
-    proj_cols = [project(la.unit_vec(n, j)) for j in range(n)]
-    return quotient, LinearMap(la.transpose(tuple(proj_cols)))
 
 
 def subalgebra_on(alg: LieAlgebra, sub: SubspaceBasis, names: Sequence[str] | None = None) -> LieAlgebra:

@@ -22,6 +22,7 @@ from .core import (
     LinearMap,
     SubspaceBasis,
     ad,
+    bracket_spans,
     center,
     jordan_chevalley,
     killing_matrix,
@@ -33,10 +34,9 @@ from .errors import CertificateError, PreconditionError
 from .forms import (
     MetricLieAlgebra,
     SymBilinearForm,
-    is_invariant,
+    _require_invariant,
     is_totally_isotropic,
     isotropic_vector,
-    j0_ideal,
     signature,
 )
 from .linalg import Mat, Vec
@@ -289,9 +289,7 @@ def bounds_certificate(m: MetricLieAlgebra) -> BoundsCertificate:
         raise PreconditionError("certificate applies to solvable algebras")
     if rep.is_nilpotent:
         raise PreconditionError("certificate applies to non-nilpotent algebras")
-    inv = is_invariant(m)
-    if not inv.passed:
-        raise PreconditionError(f"form is not invariant; witness {inv.witness}")
+    _require_invariant(m)
     sig = signature(form)
     if not sig.is_nondegenerate:
         raise PreconditionError("certificate requires a non-degenerate form")
@@ -327,7 +325,10 @@ def bounds_certificate(m: MetricLieAlgebra) -> BoundsCertificate:
             f"image of the semisimple part has dimension {w1.dim}, expected even >= 4"
         )
 
-    ideal = j0_ideal(m).intersect(center(alg))
+    # j0 ∩ z(g) for j0 = z(n) ∩ [g, n]: z(g) is an abelian ideal, so
+    # z(g) ⊆ n and then z(g) ⊆ z(n), which leaves [g, n] ∩ z(g); its
+    # isotropy is certified below with u_space
+    ideal = bracket_spans(alg, alg.full_space(), nil).intersect(center(alg))
     if ideal.dim == 0:
         raise CertificateError("no central isotropic ideal available")
     w1_form = form.restrict(w1.vectors)

@@ -93,12 +93,6 @@ class MetricLieAlgebra:
     def dim(self) -> int:
         return self.algebra.dim
 
-    def is_invariant(self) -> bool:
-        return is_invariant(self).passed
-
-    def is_nondegenerate(self) -> bool:
-        return signature(self.form).is_nondegenerate
-
 
 @dataclass(frozen=True)
 class WittBasis:
@@ -122,7 +116,7 @@ class InvarianceReport:
 
 
 @dataclass(frozen=True)
-class ProbeReport:
+class NilInvarianceReport:
     passed: bool
     witness: tuple[Vec, Vec, Vec] | None
     samples_checked: int
@@ -196,13 +190,20 @@ def is_invariant(m: MetricLieAlgebra) -> InvarianceReport:
     return InvarianceReport(True, None)
 
 
+def _require_invariant(m: MetricLieAlgebra) -> None:
+    """Raise ``PreconditionError`` unless the form is invariant."""
+    inv = is_invariant(m)
+    if not inv.passed:
+        raise PreconditionError(f"form is not invariant; witness triple {inv.witness}")
+
+
 def _random_rational_vec(rng: random.Random, n: int) -> Vec:
     return tuple(
         Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(n)
     )
 
 
-def nilinvariance_probe(m: MetricLieAlgebra, samples: int = 25, seed: int = 0) -> ProbeReport:
+def nilinvariance_probe(m: MetricLieAlgebra, samples: int = 25, seed: int = 0) -> NilInvarianceReport:
     """Semi-decision for nil-invariance: checks the skewness identity for
     the nilpotent Jordan parts of ad(y), for every basis y and for
     ``samples`` random rational y. A failure is conclusive; a pass is
@@ -226,8 +227,8 @@ def nilinvariance_probe(m: MetricLieAlgebra, samples: int = 25, seed: int = 0) -
                 for j in range(n)
                 if residual[i][j] != 0
             )
-            return ProbeReport(False, (y, la.unit_vec(n, i), la.unit_vec(n, j)), checked)
-    return ProbeReport(True, None, checked)
+            return NilInvarianceReport(False, (y, la.unit_vec(n, i), la.unit_vec(n, j)), checked)
+    return NilInvarianceReport(True, None, checked)
 
 
 def is_totally_isotropic(form: SymBilinearForm, sub: SubspaceBasis) -> tuple[bool, tuple[Vec, Vec] | None]:
@@ -249,9 +250,8 @@ def orthogonal_complement(form: SymBilinearForm, sub: SubspaceBasis) -> Subspace
 def witt_basis(m: MetricLieAlgebra | SymBilinearForm, isotropic: SubspaceBasis) -> WittBasis:
     """Witt decomposition relative to a totally isotropic subspace.
 
-    Dual vectors are the lexicographically-smallest pivot solutions of
-    the pairing system, then corrected to be isotropic and mutually
-    orthogonal. The complement w is orthogonalized exactly.
+    Dual vectors come from ``_pairing_duals``. The complement w is
+    orthogonalized exactly.
     """
     form = m.form if isinstance(m, MetricLieAlgebra) else m
     n = form.dim
@@ -263,6 +263,21 @@ def witt_basis(m: MetricLieAlgebra | SymBilinearForm, isotropic: SubspaceBasis) 
             f"subspace is not totally isotropic; witness pair {witness}"
         )
     u = isotropic.vectors
+    duals = _pairing_duals(form, u)
+    span = subspace_from_spanning(n, u + duals)
+    w_space = orthogonal_complement(form, span)
+    w_form = form.restrict(w_space.vectors)
+    w_coord_vecs, w_diag = diagonalize_symmetric(w_form)
+    if any(d == 0 for d in w_diag):
+        raise CertificateError("degenerate complement in Witt decomposition")
+    w_vectors = tuple(_lift(cv, w_space.vectors, n) for cv in w_coord_vecs)
+    return WittBasis(u, w_vectors, duals, w_diag)
+
+
+def _pairing_duals(form: SymBilinearForm, u: tuple[Vec, ...]) -> tuple[Vec, ...]:
+    """Isotropic, mutually orthogonal duals <u_i, v*_j> = d_ij of a
+    totally isotropic u: lexicographically-smallest pivot solutions of
+    the pairing system, corrected to be isotropic."""
     k = len(u)
     duals: list[Vec] = []
     for i in range(k):
@@ -275,19 +290,7 @@ def witt_basis(m: MetricLieAlgebra | SymBilinearForm, isotropic: SubspaceBasis) 
         # make the dual isotropic without disturbing the pairings
         y = la.vec_sub(y, la.vec_scale(form.apply(y, y) / 2, u[i]))
         duals.append(y)
-    span = subspace_from_spanning(n, u + tuple(duals))
-    w_space = orthogonal_complement(form, span)
-    w_form = form.restrict(w_space.vectors)
-    w_coord_vecs, w_diag = diagonalize_symmetric(w_form)
-    if any(d == 0 for d in w_diag):
-        raise CertificateError("degenerate complement in Witt decomposition")
-    w_vectors = []
-    for cv in w_coord_vecs:
-        vect = la.zeros_vec(n)
-        for c, basis_vec in zip(cv, w_space.vectors):
-            vect = la.vec_add(vect, la.vec_scale(c, basis_vec))
-        w_vectors.append(vect)
-    return WittBasis(u, tuple(w_vectors), tuple(duals), w_diag)
+    return tuple(duals)
 
 
 def j0_ideal(m: MetricLieAlgebra) -> SubspaceBasis:
@@ -297,9 +300,7 @@ def j0_ideal(m: MetricLieAlgebra) -> SubspaceBasis:
     rep = series(m.algebra)
     if not rep.is_solvable:
         raise PreconditionError("j0 is defined here for solvable algebras only")
-    inv = is_invariant(m)
-    if not inv.passed:
-        raise PreconditionError(f"form is not invariant; witness triple {inv.witness}")
+    _require_invariant(m)
     alg = m.algebra
     nil = nilradical(alg)
     nil_alg = subalgebra_on(alg, nil)
@@ -351,9 +352,7 @@ def central_isotropic_ideal(m: MetricLieAlgebra) -> SubspaceBasis | None:
         raise PreconditionError("central isotropic ideal requires a solvable algebra")
     if rep.is_abelian:
         return None
-    inv = is_invariant(m)
-    if not inv.passed:
-        raise PreconditionError(f"form is not invariant; witness triple {inv.witness}")
+    _require_invariant(m)
     cand = center(m.algebra).intersect(rep.derived_series[1])
     if cand.dim == 0:
         raise PreconditionError(

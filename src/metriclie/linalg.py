@@ -290,25 +290,6 @@ def intersect_spans(u: Sequence[Vec], v: Sequence[Vec]) -> tuple[Vec, ...]:
     return row_space_basis(out)
 
 
-def extend_to_basis(vectors: Sequence[Vec], n: int) -> tuple[int, ...]:
-    """Indices of standard basis vectors completing the span to all of
-    Q^n, greedily in index order."""
-    current = list(vectors)
-    chosen = []
-    r = rank(tuple(current)) if current else 0
-    for i in range(n):
-        if r == n:
-            break
-        cand = current + [unit_vec(n, i)]
-        if rank(tuple(cand)) > r:
-            current = cand
-            chosen.append(i)
-            r += 1
-    if r != n:
-        raise ValueError("could not complete to a basis")
-    return tuple(chosen)
-
-
 def column_space_basis(a: Mat) -> tuple[Vec, ...]:
     return row_space_basis(transpose(a))
 

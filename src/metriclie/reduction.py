@@ -1,8 +1,9 @@
 """Reduction by central isotropic ideals and its inverse, the double
 extension construction.
 
-Every reduction step certifies itself by rebuilding the input from the
-extracted data and comparing structure constants exactly.
+The public functions certify their input once. Every reduction step
+then certifies itself by rebuilding the input from the extracted data
+and comparing structure constants exactly.
 """
 
 from __future__ import annotations
@@ -16,7 +17,10 @@ from . import linalg as la
 from .core import (
     LieAlgebra,
     SubspaceBasis,
+    _require_jacobi,
     center,
+    derived_subalgebra,
+    series,
     subspace_from_spanning,
     validate_structure,
 )
@@ -24,12 +28,13 @@ from .errors import CertificateError, PreconditionError
 from .forms import (
     MetricLieAlgebra,
     SymBilinearForm,
-    central_isotropic_ideal,
+    _pairing_duals,
+    _require_invariant,
     is_invariant,
+    is_totally_isotropic,
     isotropic_vector,
     orthogonal_complement,
     signature,
-    witt_basis,
 )
 from .linalg import Mat, Vec
 
@@ -79,7 +84,6 @@ class ReductionStep:
     complement: tuple[Vec, ...]
     base: MetricLieAlgebra
     spec: DoubleExtensionSpec
-    witt: object  # WittBasis of the original form relative to the ideal
 
 
 @dataclass(frozen=True)
@@ -121,6 +125,24 @@ def double_extend(spec: DoubleExtensionSpec) -> MetricLieAlgebra:
     part (the coadjoint term; it vanishes for abelian a). The output is
     validated for the Jacobi identity and invariance.
     """
+    out = _assemble(spec)
+    rep = validate_structure(out.algebra)
+    if not rep.passed:
+        i, j, k, _ = rep.violations[0]
+        raise CertificateError(
+            f"double extension violates the Jacobi identity on triple ({i},{j},{k}); "
+            "check that the deltas commute compatibly with the extending algebra"
+        )
+    inv = is_invariant(out)
+    if not inv.passed:
+        raise CertificateError(
+            f"double extension form is not invariant; witness triple {inv.witness}"
+        )
+    return out
+
+
+def _assemble(spec: DoubleExtensionSpec) -> MetricLieAlgebra:
+    """``double_extend`` without its output certificates."""
     base = spec.base
     s = spec.a_dim
     m = base.dim
@@ -189,21 +211,7 @@ def double_extend(spec: DoubleExtensionSpec) -> MetricLieAlgebra:
         for l in range(m):
             gram[x_idx(k)][x_idx(l)] = b[k][l]
     form = SymBilinearForm(tuple(tuple(r) for r in gram))
-
-    rep = validate_structure(alg)
-    if not rep.passed:
-        i, j, k, _ = rep.violations[0]
-        raise CertificateError(
-            f"double extension violates the Jacobi identity on triple ({i},{j},{k}); "
-            "check that the deltas commute compatibly with the extending algebra"
-        )
-    out = MetricLieAlgebra(alg, form)
-    inv = is_invariant(out)
-    if not inv.passed:
-        raise CertificateError(
-            f"double extension form is not invariant; witness triple {inv.witness}"
-        )
-    return out
+    return MetricLieAlgebra(alg, form)
 
 
 def reduce_by_ideal(m: MetricLieAlgebra, ideal: SubspaceBasis) -> ReductionStep:
@@ -213,23 +221,42 @@ def reduce_by_ideal(m: MetricLieAlgebra, ideal: SubspaceBasis) -> ReductionStep:
     The complement carrying the base algebra is the deterministic
     kernel-basis orthogonal complement of j + j*, so reducing a freshly
     built double extension returns the base with identical structure
-    constants. The step is certified by rebuilding the input.
+    constants. The input is certified once: Jacobi identity,
+    non-degeneracy, invariance, then total isotropy, centrality and
+    non-vanishing of j. The step is certified by rebuilding the input.
     """
+    _certify_metric(m)
+    ok, witness = is_totally_isotropic(m.form, ideal)
+    if not ok:
+        raise PreconditionError(
+            f"subspace is not totally isotropic; witness pair {witness}"
+        )
+    # a central subspace is an ideal
+    if not center(m.algebra).contains_subspace(ideal):
+        raise PreconditionError("ideal is not central")
+    if ideal.dim == 0:
+        raise PreconditionError("reduction by the zero ideal is trivial")
+    return _reduce_step(m, ideal)
+
+
+def _certify_metric(m: MetricLieAlgebra) -> None:
+    """Jacobi identity, non-degeneracy and invariance of the input."""
+    _require_jacobi(m.algebra)
+    if not signature(m.form).is_nondegenerate:
+        raise PreconditionError("reduction requires a non-degenerate form")
+    _require_invariant(m)
+
+
+def _reduce_step(m: MetricLieAlgebra, ideal: SubspaceBasis) -> ReductionStep:
+    """``reduce_by_ideal`` on certified input. The rebuild needs no
+    Jacobi or invariance certificate of its own, and the complement no
+    diagonalization: the round trip shows the rebuild equals the
+    certified input in another basis, so the base form is
+    non-degenerate."""
     alg, form = m.algebra, m.form
     n = alg.dim
-    # checks that the form is non-degenerate and the ideal totally isotropic
-    wb = witt_basis(form, ideal)
-    inv = is_invariant(m)
-    if not inv.passed:
-        raise PreconditionError(f"form is not invariant; witness triple {inv.witness}")
-    # a central subspace is an ideal
-    if not center(alg).contains_subspace(ideal):
-        raise PreconditionError("ideal is not central")
     s = ideal.dim
-    if s == 0:
-        raise PreconditionError("reduction by the zero ideal is trivial")
-
-    duals = wb.v_star
+    duals = _pairing_duals(form, ideal.vectors)
     span_aj = subspace_from_spanning(n, ideal.vectors + duals)
     w_space = orthogonal_complement(form, span_aj)
     w = w_space.vectors
@@ -298,7 +325,7 @@ def reduce_by_ideal(m: MetricLieAlgebra, ideal: SubspaceBasis) -> ReductionStep:
                     )
 
     spec = DoubleExtensionSpec(base=base, deltas=tuple(deltas), xi=xi)
-    rebuilt = double_extend(spec)
+    rebuilt = _assemble(spec)
     original_in_split_basis = change_basis(
         m, cols, rebuilt.algebra.basis_names
     )
@@ -315,7 +342,6 @@ def reduce_by_ideal(m: MetricLieAlgebra, ideal: SubspaceBasis) -> ReductionStep:
         complement=w,
         base=base,
         spec=spec,
-        witt=wb,
     )
 
 
@@ -323,11 +349,21 @@ def complete_reduction(m: MetricLieAlgebra, max_steps: int | None = None) -> Red
     """Reduce by one-dimensional central isotropic ideals until the base
     is abelian with a definite form.
 
-    Solvable algebras with invariant non-degenerate forms always admit a
-    step while non-abelian (see ``central_isotropic_ideal``, which also
-    rejects a non-solvable input); abelian indefinite bases are reduced
-    along a rational isotropic vector when one can be found.
+    While non-abelian, the line comes from z(g) ∩ [g, g], non-zero and
+    totally isotropic for these algebras (see ``central_isotropic_ideal``).
+    Abelian indefinite bases are reduced along a rational isotropic
+    vector when one can be found.
+
+    The input is certified once (Jacobi, non-degeneracy, invariance,
+    solvability) and each base inherits all four. A step's round trip
+    shows the rebuild equals the certified input in the split basis;
+    the base is its x-block with the z's central, and its Gram matrix
+    [[0, 0, 1], [0, B, 0], [1, 0, 0]] is non-degenerate only if B is.
+    The base is a subquotient, so it is solvable.
     """
+    _certify_metric(m)
+    if not series(m.algebra).is_solvable:
+        raise PreconditionError("complete reduction requires a solvable algebra")
     if max_steps is None:
         max_steps = m.dim // 2 + 1
     steps: list[ReductionStep] = []
@@ -345,9 +381,18 @@ def complete_reduction(m: MetricLieAlgebra, max_steps: int | None = None) -> Red
                 )
             line = subspace_from_spanning(current.dim, (v,))
         else:
-            j = central_isotropic_ideal(current)
-            line = SubspaceBasis(current.dim, j.vectors[:1])
-        step = reduce_by_ideal(current, line)
+            alg = current.algebra
+            cand = center(alg).intersect(derived_subalgebra(alg))
+            if cand.dim == 0:
+                raise CertificateError(
+                    "z(g) ∩ [g, g] is zero for a non-abelian solvable algebra "
+                    "with a non-degenerate invariant form"
+                )
+            line = SubspaceBasis(current.dim, cand.vectors[:1])
+        ok, witness = is_totally_isotropic(current.form, line)
+        if not ok:
+            raise CertificateError(f"reduction line not totally isotropic; witness {witness}")
+        step = _reduce_step(current, line)
         steps.append(step)
         current = step.base
     else:

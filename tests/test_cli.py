@@ -255,3 +255,30 @@ def test_reduction_preconditions_exit_2(capsys, tmp_path):
         code, out, err = run(capsys, *argv)
         assert code == 2
         assert "not invariant; witness triple" in err
+    # solvable with an invariant form, but Jacobi fails on (0, 2, 3)
+    e = lambda *terms: tuple(sum(c for c, k in terms if k == i) for i in range(6))
+    non_jacobi = LieAlgebra(
+        6,
+        tuple(f"e{i}" for i in range(6)),
+        {
+            (0, 1): e((2, 0)),
+            (0, 5): e((-2, 4)),
+            (1, 2): e((1, 3)),
+            (1, 3): e((-1, 2)),
+            (1, 5): e((2, 5)),
+            (2, 3): e((-2, 0), (1, 4)),
+            (2, 5): e((2, 3)),
+            (3, 5): e((-2, 2)),
+        },
+    )
+    gram = [[0] * 6 for _ in range(6)]
+    for i, j in ((0, 5), (5, 0), (1, 4), (4, 1), (2, 2), (3, 3)):
+        gram[i][j] = 1
+    bad = _write_doc(tmp_path, "non_jacobi", non_jacobi, SymBilinearForm(la.mat(gram)))
+    code, out, err = run(capsys, "analyze", bad)
+    assert code == 2
+    for argv in (("complete-reduce", bad), ("reduce", bad)):
+        code, out, err = run(capsys, *argv)
+        assert code == 2, err
+        assert "certificate failure" not in err
+        assert "Jacobi identity" in err

@@ -207,3 +207,49 @@ def test_reduction_path_never_computes_the_nilradical(monkeypatch, capsys):
         assert len(chain.steps) == signature(m.form).witt_index
     assert metriclie.cli.main(["reduce", "example42"]) == 0
     capsys.readouterr()
+
+
+def _count_calls(monkeypatch, *names):
+    """Wrap each named function in every metriclie module that binds it;
+    returns the call counts by name."""
+    import sys
+
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+        for mod_name, module in list(sys.modules.items()):
+            if not mod_name.startswith("metriclie"):
+                continue
+            original = getattr(module, name, None)
+            if original is None:
+                continue
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                counts[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+    return counts
+
+
+def test_each_fact_is_certified_once(monkeypatch):
+    from metriclie.einstein import bounds_certificate
+
+    names = ("is_invariant", "validate_structure", "nilradical")
+    counts = _count_calls(monkeypatch, *names)
+    assert len(complete_reduction(build_example42()).steps) == 2
+    assert (counts["is_invariant"], counts["validate_structure"]) == (1, 1)
+    # a member of the criterion-3 family with more steps
+    rng = random.Random(1003)
+    while True:
+        m = random_abelian_base(rng, max_dim=4)
+        for _ in range(rng.randint(1, 2)):
+            m = random_double_extension(rng, m)
+        if signature(m.form).witt_index >= 2:
+            break
+    counts.update(dict.fromkeys(names, 0))
+    assert len(complete_reduction(m).steps) >= 2
+    assert (counts["is_invariant"], counts["validate_structure"]) == (1, 1)
+
+    counts.update(dict.fromkeys(names, 0))
+    bounds_certificate(build_example42())
+    assert (counts["nilradical"], counts["is_invariant"]) == (1, 1)
