@@ -33,7 +33,7 @@ from .errors import CertificateError, DocumentError, PreconditionError
 from .forms import (
     MetricLieAlgebra,
     SymBilinearForm,
-    central_isotropic_ideal,
+    _central_derived,
     is_invariant,
     signature,
 )
@@ -190,15 +190,18 @@ def cmd_signature(args) -> tuple[dict, int]:
 
 
 def _pick_ideal(m: MetricLieAlgebra, raw: str):
+    """The ideal to reduce along. ``auto`` takes the first line of
+    z(g) ∩ [g, g], the line ``complete_reduction`` starts with, and
+    leaves every certificate to ``reduce_by_ideal``."""
     from .core import SubspaceBasis
 
     if raw == "auto":
-        ideal = central_isotropic_ideal(m)
+        ideal = _central_derived(m.algebra)
         if ideal is None:
             raise PreconditionError(
                 "no central isotropic ideal available for automatic reduction"
             )
-        return ideal
+        return SubspaceBasis(m.dim, ideal.vectors[:1])
     return SubspaceBasis(m.dim, (_element(m.algebra, raw),))
 
 

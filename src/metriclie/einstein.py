@@ -42,6 +42,8 @@ from .forms import (
 from .linalg import Mat, Vec
 from .reduction import DoubleExtensionSpec, build_ab, double_extend, random_skew_map
 
+_X = sp.Symbol("x")
+
 
 @dataclass(frozen=True)
 class EinsteinReport:
@@ -97,8 +99,8 @@ class EigenvalueData:
 
 @dataclass(frozen=True)
 class TraceIdentityReport:
-    value: object  # Fraction for exact input, sympy expression otherwise
-    holds: bool | None
+    value: object  # Fraction for rational input, sympy expression otherwise
+    holds: bool
     spectrum_value: object | None = None
 
 
@@ -106,12 +108,34 @@ def _poly_to_sympy(p: la.Poly, x: sp.Symbol) -> sp.Poly:
     return sp.Poly([sp.Rational(c.numerator, c.denominator) for c in p], x, domain="QQ")
 
 
+def _rational_value(expr) -> Fraction | None:
+    """The value of an algebraic number if it is rational, else None.
+
+    Exact: the number is rational iff its minimal polynomial over Q is
+    linear, and then it is that polynomial's root. Anything that is not
+    an algebraic number raises ``PreconditionError``.
+    """
+    expr = sp.sympify(expr)
+    if expr.is_Rational:
+        return Fraction(int(expr.p), int(expr.q))
+    if expr.free_symbols:
+        raise PreconditionError(f"{expr} is not an algebraic number: it has free symbols")
+    try:
+        mp = sp.minimal_polynomial(expr, _X, polys=True)
+    except Exception as exc:  # sympy raises various types here
+        raise PreconditionError(f"{expr} is not an algebraic number: {exc}") from None
+    if mp.degree() != 1:
+        return None
+    c1, c0 = mp.all_coeffs()
+    root = -c0 / c1
+    return Fraction(int(root.p), int(root.q))
+
+
 def _trace_square_from_charpoly(a: Mat) -> Fraction:
     """tr(A^2) recovered purely from the factored characteristic
     polynomial: the second power sum of each irreducible factor is
     e1^2 - 2 e2, summed with multiplicities."""
-    x = sp.Symbol("x")
-    poly = _poly_to_sympy(la.charpoly(a), x)
+    poly = _poly_to_sympy(la.charpoly(a), _X)
     _, factors = poly.factor_list()
     total = sp.Integer(0)
     for fac, mult in factors:
@@ -131,24 +155,22 @@ def trace_identity(data: EigenvalueData | Mat | LinearMap) -> TraceIdentityRepor
 
     For an exact matrix the value is tr(A^2), computed both directly and
     through the characteristic polynomial's symmetric functions; the two
-    must agree. For symbolic spectra the test is a sympy zero-check and
-    may return ``holds=None`` when undecidable.
+    must agree. A spectrum of rationals is summed in ``Fraction``. Any
+    other spectrum is summed in sympy and decided exactly: an algebraic
+    number is zero iff its minimal polynomial is x. A spectrum that is
+    not algebraic raises ``PreconditionError``.
     """
     if isinstance(data, EigenvalueData):
-        expr = sp.Integer(0)
-        for lam in data.reals:
-            expr += sp.sympify(lam) ** 2
+        entries = (*data.reals, *(v for pair in data.complex_pairs for v in pair))
+        exact = all(isinstance(v, (int, Fraction, sp.Rational)) for v in entries)
+        conv = Fraction if exact else sp.sympify
+        value = sum((conv(lam) ** 2 for lam in data.reals), conv(0))
         for alpha, beta in data.complex_pairs:
-            expr += 2 * sp.sympify(alpha) ** 2 - 2 * sp.sympify(beta) ** 2
-        expr = sp.expand(sp.simplify(expr))
-        if expr == 0:
-            return TraceIdentityReport(expr, True)
-        verdict = expr.equals(0)
-        if verdict is True:
-            return TraceIdentityReport(expr, True)
-        if verdict is False:
-            return TraceIdentityReport(expr, False)
-        return TraceIdentityReport(expr, None)
+            value += 2 * conv(alpha) ** 2 - 2 * conv(beta) ** 2
+        if exact:
+            return TraceIdentityReport(value, value == 0)
+        value = sp.expand(value)
+        return TraceIdentityReport(value, _rational_value(value) == 0)
     m = data.matrix if isinstance(data, LinearMap) else la.mat(data)
     if la.nrows(m) != la.ncols(m):
         raise PreconditionError("trace identity needs a square matrix")

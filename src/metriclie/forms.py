@@ -329,6 +329,17 @@ def _lift(coords: Vec, basis: tuple[Vec, ...], n: int) -> Vec:
     return out
 
 
+def _central_derived(alg) -> SubspaceBasis | None:
+    """z(g) ∩ [g, g] of a solvable algebra, uncertified, or None for an
+    abelian one."""
+    rep = series(alg)
+    if not rep.is_solvable:
+        raise PreconditionError("central isotropic ideal requires a solvable algebra")
+    if rep.is_abelian:
+        return None
+    return center(alg).intersect(rep.derived_series[1])
+
+
 def central_isotropic_ideal(m: MetricLieAlgebra) -> SubspaceBasis | None:
     """The central ideal z(g) ∩ [g, g] of a solvable algebra, or None
     for an abelian one.
@@ -347,13 +358,10 @@ def central_isotropic_ideal(m: MetricLieAlgebra) -> SubspaceBasis | None:
     small nilpotent algebras admit no invariant scalar product at all).
     A zero intersection can only come from a degenerate form.
     """
-    rep = series(m.algebra)
-    if not rep.is_solvable:
-        raise PreconditionError("central isotropic ideal requires a solvable algebra")
-    if rep.is_abelian:
+    cand = _central_derived(m.algebra)
+    if cand is None:
         return None
     _require_invariant(m)
-    cand = center(m.algebra).intersect(rep.derived_series[1])
     if cand.dim == 0:
         raise PreconditionError(
             "z(g) ∩ [g, g] is zero for a non-abelian solvable algebra, so the "

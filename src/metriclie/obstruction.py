@@ -23,7 +23,7 @@ from mpmath import floor as mp_floor
 
 from . import linalg as la
 from .core import LinearMap, SubspaceBasis, ad, jordan_chevalley
-from .einstein import EigenvalueData, _poly_to_sympy, trace_identity
+from .einstein import EigenvalueData, _poly_to_sympy, _rational_value
 from .errors import CertificateError, PreconditionError
 from .forms import MetricLieAlgebra
 from .linalg import Mat, Vec
@@ -189,37 +189,48 @@ def spectrum_data(a: LinearMap | Mat) -> EigenvalueData:
     return EigenvalueData(reals=tuple(reals), complex_pairs=tuple(pairs))
 
 
-def _is_zero(expr) -> bool:
-    expr = sp.sympify(expr)
-    if expr.is_zero is not None:
-        return bool(expr.is_zero)
-    verdict = sp.simplify(expr).equals(0)
-    if verdict is None:
-        raise PreconditionError(f"could not decide whether {expr} vanishes")
-    return verdict
-
-
-def _equal(a, b) -> bool:
-    return _is_zero(sp.sympify(a) - sp.sympify(b))
-
-
-def _full_spectrum(data: EigenvalueData) -> list:
-    out = [sp.sympify(r) for r in data.reals]
+def _spectrum_poly(data: EigenvalueData) -> sp.Poly:
+    """prod (x - lam) * prod (x^2 - 2 alpha x + alpha^2 + beta^2), which
+    must lie in Q[x]. The spectrum is read as a multiset of eigenvalues,
+    so a pair with beta = 0 is the double real eigenvalue alpha."""
+    product = sp.Integer(1)
+    for lam in data.reals:
+        product *= _X - sp.sympify(lam)
     for alpha, beta in data.complex_pairs:
-        z = sp.sympify(alpha) + sp.I * sp.sympify(beta)
-        out.extend([z, sp.conjugate(z)])
-    return out
+        a, b = sp.sympify(alpha), sp.sympify(beta)
+        product *= _X**2 - 2 * a * _X + a**2 + b**2
+    coeffs = [_rational_value(c) for c in sp.Poly(sp.expand(product), _X).all_coeffs()]
+    if None in coeffs:
+        raise PreconditionError(
+            "not the spectrum of a rational matrix: its characteristic "
+            "polynomial has an irrational coefficient"
+        )
+    return _poly_to_sympy(tuple(coeffs), _X)
 
 
-def _closed_under_negation(data: EigenvalueData) -> bool:
-    spectrum = _full_spectrum(data)
-    remaining = list(spectrum)
-    for e in spectrum:
-        match = next((i for i, f in enumerate(remaining) if _equal(f, -e)), None)
-        if match is None:
-            return False
-        remaining.pop(match)
-    return True
+def _graeffe(p: sp.Poly) -> sp.Poly:
+    """The root-squaring transform prod (y - z^2) over the roots z of
+    the monic p. Writing p(x) = E(x^2) + x O(x^2), it is
+    (-1)^n p(sqrt y) p(-sqrt y) = (-1)^n (E(y)^2 - y O(y)^2)."""
+    ascending = p.all_coeffs()[::-1]
+    even = sp.Poly(ascending[0::2][::-1], _X, domain="QQ")
+    odd = sp.Poly(ascending[1::2][::-1] or [0], _X, domain="QQ")
+    g = even**2 - sp.Poly(_X, _X, domain="QQ") * odd**2
+    return -g if p.degree() % 2 else g
+
+
+def _has_root(p: sp.Poly, sign: int) -> bool:
+    """Whether p has a real root of the given sign, by an exact Sturm
+    count over Q on its square-free part."""
+    q = p.sqf_part()
+    at_zero = 1 if q.all_coeffs()[-1] == 0 else 0
+    closed = q.count_roots(0, None) if sign > 0 else q.count_roots(None, 0)
+    return closed - at_zero > 0
+
+
+def _all_roots_real(p: sp.Poly) -> bool:
+    q = p.sqf_part()
+    return q.count_roots() == q.degree()
 
 
 _CASE1_PATTERNS = (
@@ -230,21 +241,72 @@ _CASE1_PATTERNS = (
 )
 _CASE2_PATTERNS = ("e^{lambda}", "e^{-lambda}", "e^{i lambda}", "e^{-i lambda}")
 
-
-def _pattern_exponents(case_tag: str):
-    t = sp.Symbol("t", positive=True)
-    if case_tag == "case1_nonzero_real_part":
-        return {t * (1 + sp.I), t * (1 - sp.I), t * (-1 + sp.I), t * (-1 - sp.I)}
-    return {t, -t, sp.I * t, -sp.I * t}
+# the formal exponents of each pattern as Gaussian integers (re, im), in
+# units of the positive parameter alpha or lambda
+_PATTERN_EXPONENTS = {
+    "case1_nonzero_real_part": frozenset({(1, 1), (1, -1), (-1, 1), (-1, -1)}),
+    "case2_imaginary_pair": frozenset({(1, 0), (-1, 0), (0, 1), (0, -1)}),
+}
 
 
 def _power_i_closed(case_tag: str) -> bool:
     """Closure property of the exponential spectrum: raising to the
     i-th power permutes the pattern (checked on the formal exponents:
-    multiplication by i permutes the exponent set)."""
-    exps = _pattern_exponents(case_tag)
-    rotated = {sp.expand(sp.I * e) for e in exps}
-    return {sp.expand(e) for e in exps} == rotated
+    multiplication by i, (a, b) -> (-b, a), permutes the exponent set)."""
+    exps = _PATTERN_EXPONENTS[case_tag]
+    return {(-b, a) for a, b in exps} == exps
+
+
+# verdict, cited rule and exponential patterns of each case tag
+_OUTCOMES = {
+    "nilpotent": ("inapplicable", "", ()),
+    "out_of_scope_n_gt_5": ("schanuel_conditional", RULE_SCHANUEL, ()),
+    "case1_nonzero_real_part": ("obstructed", RULE_GS, _CASE1_PATTERNS),
+    "case2_imaginary_pair": ("obstructed", RULE_GS, _CASE2_PATTERNS),
+}
+
+
+def _decide(p: sp.Poly, n: int) -> tuple[str, dict[str, bool]]:
+    """The case tag and hypothesis checks of the spectrum whose monic
+    polynomial over Q is p, in acting dimension n."""
+    # descending, padded so that e1 = -c[1] and e2 = c[2]
+    c = [_fraction(k) for k in p.all_coeffs()] + [Fraction(0)] * 2
+    checks = {"non_nilpotent": any(c[1:])}
+    if not checks["non_nilpotent"]:
+        return "nilpotent", checks
+
+    residual = c[1] ** 2 - 2 * c[2]
+    if residual != 0:
+        raise PreconditionError(
+            f"eigenvalue trace identity violated (residual {residual})"
+        )
+    checks["trace_identity"] = True
+    if n >= 6:
+        return "out_of_scope_n_gt_5", checks
+
+    # the coefficients of x^(deg - k) for odd k
+    checks["closed_under_negation"] = not any(c[1 : p.degree() + 1 : 2])
+    if not checks["closed_under_negation"]:
+        raise CertificateError(
+            "spectrum not closed under negation; no certified case applies"
+        )
+
+    squares = _graeffe(p)
+    if _has_root(_graeffe(squares), -1):
+        checks["real_part_squared_equals_imaginary_part_squared"] = True
+        tag = "case1_nonzero_real_part"
+    elif _all_roots_real(squares) and _has_root(
+        squares.gcd(squares.compose(sp.Poly(-_X, _X, domain="QQ"))), 1
+    ):
+        checks["real_eigenvalue_squared_equals_rotation_squared"] = True
+        tag = "case2_imaginary_pair"
+    else:
+        raise CertificateError(
+            "spectrum satisfies the trace identity in dimension <= 5 but matches "
+            "no certified case; this should not happen for valid inputs"
+        )
+    checks["exp_pattern_power_i_closed"] = _power_i_closed(tag)
+    return tag, checks
 
 
 def obstruction_verdict(
@@ -258,103 +320,42 @@ def obstruction_verdict(
     verdict "obstructed". For n >= 6 the same argument needs Schanuel's
     conjecture: verdict "schanuel_conditional". A nilpotent spectrum is
     "inapplicable". Every claimed hypothesis is machine-checked first.
+
+    Each check is decided exactly on one polynomial p in Q[x] with the
+    spectrum as its roots: the characteristic polynomial of a matrix,
+    or the product of the spectrum's linear and quadratic factors
+    (``PreconditionError`` unless that lies in Q[x]). Let g = prod
+    (y - z^2) be its root-squaring transform.
+
+    - nilpotent: p = x^n
+    - trace identity: sum z^2 = e1^2 - 2 e2 = 0
+    - closed under negation: p(-x) = (-1)^n p(x)
+    - case 1, a pair alpha(+-1 +- i): some z^2 is non-zero and purely
+      imaginary, i.e. the transform of g has a negative real root
+    - case 2, a pair +-i lambda next to the reals +-lambda: g has only
+      real roots (every non-real z is purely imaginary) and g(y) and
+      g(-y) share a positive real root
+
+    Real roots are counted by Sturm sequences over Q, so no float takes
+    part in a verdict.
     """
     if isinstance(data, EigenvalueData):
-        spec = data
-        if n is None:
-            n = len(spec.reals) + 2 * len(spec.complex_pairs)
+        p = _spectrum_poly(data)
     else:
         m = data.matrix if isinstance(data, LinearMap) else la.mat(data)
-        spec = spectrum_data(m)
-        if n is None:
-            n = la.nrows(m)
-
-    checks: dict[str, bool] = {}
-    all_zero = all(_is_zero(r) for r in spec.reals) and all(
-        _is_zero(a) and _is_zero(b) for a, b in spec.complex_pairs
-    )
-    checks["non_nilpotent"] = not all_zero
-    if all_zero:
-        return ObstructionReport(
-            input_spectrum=spec,
-            n=n,
-            case_tag="nilpotent",
-            exp_eigenvalue_patterns=(),
-            verdict="inapplicable",
-            rule_cited="",
-            hypothesis_checks=checks,
-        )
-
-    ti = trace_identity(spec)
-    if ti.holds is not True:
-        raise PreconditionError(
-            f"eigenvalue trace identity violated (residual {ti.value})"
-        )
-    checks["trace_identity"] = True
-
-    if n >= 6:
-        return ObstructionReport(
-            input_spectrum=spec,
-            n=n,
-            case_tag="out_of_scope_n_gt_5",
-            exp_eigenvalue_patterns=(),
-            verdict="schanuel_conditional",
-            rule_cited=RULE_SCHANUEL,
-            hypothesis_checks=checks,
-        )
-
-    checks["closed_under_negation"] = _closed_under_negation(spec)
-    if not checks["closed_under_negation"]:
-        raise CertificateError(
-            "spectrum not closed under negation; no certified case applies"
-        )
-
-    case1_pair = next(
-        (
-            (a, b)
-            for a, b in spec.complex_pairs
-            if not _is_zero(a) and _equal(sp.sympify(a) ** 2, sp.sympify(b) ** 2)
-        ),
-        None,
-    )
-    if case1_pair is not None:
-        checks["real_part_squared_equals_imaginary_part_squared"] = True
-        checks["exp_pattern_power_i_closed"] = _power_i_closed("case1_nonzero_real_part")
-        return ObstructionReport(
-            input_spectrum=spec,
-            n=n,
-            case_tag="case1_nonzero_real_part",
-            exp_eigenvalue_patterns=_CASE1_PATTERNS,
-            verdict="obstructed",
-            rule_cited=RULE_GS,
-            hypothesis_checks=checks,
-        )
-
-    case2 = next(
-        (
-            (lam, beta)
-            for lam in spec.reals
-            if not _is_zero(lam)
-            for _, beta in spec.complex_pairs
-            if _equal(sp.sympify(lam) ** 2, sp.sympify(beta) ** 2)
-        ),
-        None,
-    )
-    if case2 is not None and all(_is_zero(a) for a, _ in spec.complex_pairs):
-        checks["real_eigenvalue_squared_equals_rotation_squared"] = True
-        checks["exp_pattern_power_i_closed"] = _power_i_closed("case2_imaginary_pair")
-        return ObstructionReport(
-            input_spectrum=spec,
-            n=n,
-            case_tag="case2_imaginary_pair",
-            exp_eigenvalue_patterns=_CASE2_PATTERNS,
-            verdict="obstructed",
-            rule_cited=RULE_GS,
-            hypothesis_checks=checks,
-        )
-    raise CertificateError(
-        "spectrum satisfies the trace identity in dimension <= 5 but matches "
-        "no certified case; this should not happen for valid inputs"
+        p = _poly_to_sympy(la.charpoly(m), _X)
+    if n is None:
+        n = p.degree()
+    case_tag, checks = _decide(p, n)
+    verdict, rule, patterns = _OUTCOMES[case_tag]
+    return ObstructionReport(
+        input_spectrum=data if isinstance(data, EigenvalueData) else spectrum_data(m),
+        n=n,
+        case_tag=case_tag,
+        exp_eigenvalue_patterns=patterns,
+        verdict=verdict,
+        rule_cited=rule,
+        hypothesis_checks=checks,
     )
 
 
@@ -388,6 +389,36 @@ def restricted_obstruction(
 # ---------------------------------------------------------------------------
 
 
+def _radical(e: AlgebraicNumber):
+    """A root of a monic irreducible x^2 + bx + c as (-b +- sqrt(D))/2
+    with D = b^2 - 4c, returned as (u, v, g) with root = u + v g, where
+    g is sqrt(D) stripped of its rational factor: the field generator.
+
+    The sign is that of the root the certified enclosure isolates: the
+    root's offset from -b/2 is +-sqrt(|D|)/2, along the real axis for
+    D > 0 and along the imaginary axis for D < 0, and exactly one of
+    the two offsets lies in the enclosure's interval on that axis.
+    """
+    _, b, c = (_fraction(k) for k in e.minpoly.all_coeffs())
+    d = b * b - 4 * c
+    if d > 0:
+        lo, hi = (x + b / 2 for x in e.enclosure[0])
+    else:
+        lo, hi = e.enclosure[1]
+    square = abs(d) / 4
+
+    def holds_root(lo: Fraction, hi: Fraction) -> bool:
+        # does [lo, hi] contain +sqrt(square)?
+        return hi >= 0 and hi * hi >= square and (lo <= 0 or lo * lo <= square)
+
+    plus, minus = holds_root(lo, hi), holds_root(-hi, -lo)
+    if plus == minus:
+        raise CertificateError("enclosure does not isolate one root of a quadratic factor")
+    scale, gen = sp.sqrt(sp.Rational(d.numerator, d.denominator)).as_coeff_Mul()
+    half = sp.Rational(1, 2) if plus else sp.Rational(-1, 2)
+    return sp.Rational(-b.numerator, 2 * b.denominator), half * scale, gen
+
+
 def qlinear_relations(
     eigs: Sequence[AlgebraicNumber | object], degree_bound: int = 64
 ) -> RelationBasis:
@@ -395,21 +426,29 @@ def qlinear_relations(
     algebraic numbers, computed in a common number field built by
     successive primitive elements.
 
+    Each number is u + v g for rationals u, v and a generator g: a root
+    of a quadratic minimal polynomial is the radical (-b +- sqrt(D))/2
+    with g = sqrt(D) up to a rational factor; any other irrational
+    number is its own generator. Only the generators are converted into
+    the field; the numbers are built from them by field arithmetic.
+
     Fails loudly if the common field degree exceeds ``degree_bound``.
     Also verifies the quadratic trace relation sum xi^2 = 0 in the field
     and reports whether it holds for this spectrum.
     """
-    exprs = [
-        sp.sympify(e.expr if isinstance(e, AlgebraicNumber) else e) for e in eigs
-    ]
-    if not exprs:
+    terms = []
+    gens = {}  # each generator once, in order of appearance
+    for e in eigs:
+        if isinstance(e, AlgebraicNumber) and e.minpoly.degree() == 2:
+            term = _radical(e)
+        else:
+            expr = sp.sympify(e.expr if isinstance(e, AlgebraicNumber) else e)
+            term = (expr, 0, None) if expr.is_rational else (0, 1, expr)
+        terms.append(term)
+        if term[2] is not None:
+            gens.setdefault(term[2])
+    if not terms:
         return RelationBasis((), 1, True)
-    gens = []
-    for e in exprs:
-        if e.is_rational:
-            continue
-        if not any(g == e for g in gens):
-            gens.append(e)
     if gens:
         try:
             field = sp.QQ.algebraic_field(*gens)
@@ -424,8 +463,14 @@ def qlinear_relations(
             f"common field degree {degree} exceeds bound {degree_bound}"
         )
 
-    def coords(e) -> tuple[Fraction, ...]:
-        el = field.from_sympy(e)
+    for g in gens:
+        gens[g] = field.from_sympy(g)
+    elements = [
+        field.from_sympy(u) if g is None else field.from_sympy(u) + field.from_sympy(v) * gens[g]
+        for u, v, g in terms
+    ]
+
+    def coords(el) -> tuple[Fraction, ...]:
         if field == sp.QQ:
             return (Fraction(int(el.numerator), int(el.denominator)),)
         rep = el.rep.rep if hasattr(el.rep, "rep") else list(el.rep)
@@ -434,20 +479,18 @@ def qlinear_relations(
             vec[i] = Fraction(int(sp.QQ.numer(c)), int(sp.QQ.denom(c)))
         return tuple(vec)
 
-    columns = [coords(e) for e in exprs]
-    matrix = la.transpose(tuple(columns))
+    matrix = la.transpose(tuple(coords(el) for el in elements))
     relations = la.kernel(matrix)
     # certify each relation by direct evaluation in the field
     for rel in relations:
         total = field.zero
-        for c, e in zip(rel, exprs):
-            total += field.from_sympy(sp.Rational(c.numerator, c.denominator)) * field.from_sympy(e)
+        for c, el in zip(rel, elements):
+            total += field.from_sympy(sp.Rational(c.numerator, c.denominator)) * el
         if total != field.zero:
             raise CertificateError("relation fails to annihilate the spectrum")
     quad = field.zero
-    for e in exprs:
-        fe = field.from_sympy(e)
-        quad += fe * fe
+    for el in elements:
+        quad += el * el
     return RelationBasis(relations, degree, quad == field.zero)
 
 

@@ -1,8 +1,11 @@
+import gzip
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from metriclie import cli
 from metriclie import linalg as la
 from metriclie.cli import main
 from metriclie.core import LieAlgebra
@@ -10,7 +13,7 @@ from metriclie.documents import (
     algebra_to_document,
     emit_document,
 )
-from metriclie.forms import SymBilinearForm
+from metriclie.forms import SymBilinearForm, _central_derived, central_isotropic_ideal
 from metriclie.reduction import build_example42
 
 
@@ -82,6 +85,37 @@ def test_reduce_by_named_ideal(capsys):
     assert r["base"]["dim"] == 4
     assert r["base"]["brackets"] == []  # abelian quotient
     assert len(r["delta"]) == 1 and len(r["delta"][0]) == 4
+
+
+def test_auto_reduce_on_pool_documents(capsys, monkeypatch, tmp_path):
+    # every fifth reduce-pool document of each dimension, and the abelian ones
+    with gzip.open(Path(__file__).parents[1] / "perfbench" / "pool" / "reduce.json.gz") as fh:
+        pool = json.load(fh)
+    by_dim = {}
+    for entry in pool:
+        by_dim.setdefault(entry["dim"], []).append(entry)
+    picked = [e for _, entries in sorted(by_dim.items()) for e in entries[::5]]
+    picked += [e for e in pool if not e["doc"]["brackets"] and e not in picked]
+    assert len(picked) >= 40
+    lines = {1: 0, 2: 0}
+    for entry in picked:
+        path = tmp_path / f"{entry['id']}.json"
+        path.write_text(json.dumps(entry["doc"]))
+        code, out, err = run(capsys, "reduce", str(path), "--format", "json")
+        alg = cli._load_algebra(str(path))[0]
+        if not entry["doc"]["brackets"]:
+            assert code == 2 and "no central isotropic ideal" in err, entry["id"]
+            continue
+        assert code == 0, (entry["id"], err)
+        dim = _central_derived(alg).dim
+        lines[min(dim, 2)] += 1
+        if dim == 1:
+            # reducing along all of z(g) ∩ [g, g] is the same reduction
+            with monkeypatch.context() as mp:
+                mp.setattr(cli, "_pick_ideal", lambda m, raw: central_isotropic_ideal(m))
+                assert run(capsys, "reduce", str(path), "--format", "json") == (0, out, err)
+    # both kinds of intersection occur in the sample
+    assert lines[1] and lines[2]
 
 
 def test_reduce_bad_ideal_is_precondition_error(capsys):

@@ -102,6 +102,27 @@ def test_trace_identity_symbolic():
     assert rep.holds is True
 
 
+def test_trace_identity_decides_algebraic_spectra_exactly():
+    # rational entries stay in Fraction
+    rep = trace_identity(
+        EigenvalueData(reals=(1, Fraction(-1)), complex_pairs=((0, sp.Integer(1)),))
+    )
+    assert rep.holds is True and rep.value == 0 and isinstance(rep.value, Fraction)
+    rep = trace_identity(EigenvalueData(reals=(Fraction(1, 2),)))
+    assert rep.holds is False and rep.value == Fraction(1, 4)
+    # sqrt(3 + 2 sqrt 2) - sqrt 2 = 1: zero, though not syntactically
+    one = sp.sqrt(3 + 2 * sp.sqrt(2)) - sp.sqrt(2)
+    rep = trace_identity(EigenvalueData(reals=(one, 1), complex_pairs=((0, 1),)))
+    assert rep.value != 0 and rep.holds is True
+    rep = trace_identity(
+        EigenvalueData(reals=(sp.sqrt(2), sp.sqrt(3)), complex_pairs=((0, sp.sqrt(2)),))
+    )
+    assert rep.holds is False
+    for bad in (sp.pi, sp.Symbol("t")):
+        with pytest.raises(PreconditionError):
+            trace_identity(EigenvalueData(reals=(bad,)))
+
+
 def test_eigenvalue_condition_tracks_einstein_for_extensions():
     # one-step extensions of a definite abelian base: Einstein iff the
     # trace condition vanishes on the extending direction

@@ -1,15 +1,23 @@
+import contextlib
+import gzip
+import io
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 import sympy as sp
 
 from metriclie import linalg as la
-from metriclie.einstein import EigenvalueData
+from metriclie.cli import main
+from metriclie.einstein import EigenvalueData, _poly_to_sympy
 from metriclie.errors import CertificateError, PreconditionError
 from metriclie.obstruction import (
+    _OUTCOMES,
     RULE_GS,
     RULE_SCHANUEL,
+    _decide,
     exact_eigenvalues,
     integer_exponential_probe,
     obstruction_verdict,
@@ -240,6 +248,39 @@ def test_qlinear_quadratic_identity_detection():
     assert basis.quadratic_identity_holds is True
 
 
+def _blockdiag(*blocks):
+    n = sum(len(b) for b in blocks)
+    m = [[Fraction(0)] * n for _ in range(n)]
+    at = 0
+    for b in blocks:
+        for i, row in enumerate(b):
+            for j, x in enumerate(row):
+                m[at + i][at + j] = Fraction(x)
+        at += len(b)
+    return la.mat(m)
+
+
+def test_qlinear_relations_pick_each_radical_sign_from_its_enclosure():
+    # +-sqrt 2, +-2 sqrt 2, 1 +- sqrt 3, 1 +- 2i, +-i, +-3i: the
+    # relations tie roots of different factors, so each root's sign counts
+    m = _blockdiag(
+        _companion([1, 0, -2]),
+        _companion([1, 0, -8]),
+        _companion([1, -2, -2]),
+        _companion([1, -2, 5]),
+        ((0, -1), (1, 0)),
+        ((0, -3), (3, 0)),
+    )
+    eigs = exact_eigenvalues(m)
+    basis = qlinear_relations(eigs)
+    assert basis.field_degree == 8
+    assert len(basis.relations) == len(eigs) - 4
+    for rel in basis.relations:
+        for axis in (0, 1):
+            mids = [sum(e.enclosure[axis]) / 2 for e in eigs]
+            assert abs(sum(c * x for c, x in zip(rel, mids))) < Fraction(1, 10**6)
+
+
 # --- certified probe ---------------------------------------------------------
 
 
@@ -268,3 +309,268 @@ def test_probe_precision_env_override(monkeypatch):
     rep = integer_exponential_probe(m, la.unit_vec(6, 0), (Fraction(1),))
     assert rep.precision_bits == 128
     assert rep.points[0].integrality_excluded
+
+
+# --- differential test against the element-wise decider ---------------------
+#
+# The reference below is the decider obstruction_verdict used before the
+# verdicts moved onto the rational characteristic polynomial. It compares
+# eigenvalues one by one with sympy's zero tests, whose fallback
+# Expr.equals samples the expression at random float points.
+
+
+def _ref_is_zero(expr) -> bool:
+    expr = sp.sympify(expr)
+    if expr.is_zero is not None:
+        return bool(expr.is_zero)
+    verdict = sp.simplify(expr).equals(0)
+    if verdict is None:
+        raise PreconditionError(f"could not decide whether {expr} vanishes")
+    return verdict
+
+
+def _ref_equal(a, b) -> bool:
+    return _ref_is_zero(sp.sympify(a) - sp.sympify(b))
+
+
+def _ref_closed_under_negation(data: EigenvalueData) -> bool:
+    spectrum = [sp.sympify(r) for r in data.reals]
+    for alpha, beta in data.complex_pairs:
+        z = sp.sympify(alpha) + sp.I * sp.sympify(beta)
+        spectrum.extend([z, sp.conjugate(z)])
+    remaining = list(spectrum)
+    for e in spectrum:
+        match = next((i for i, f in enumerate(remaining) if _ref_equal(f, -e)), None)
+        if match is None:
+            return False
+        remaining.pop(match)
+    return True
+
+
+def _reference_verdict(spec: EigenvalueData):
+    """(verdict, case_tag, hypothesis_checks) by element-wise comparison."""
+    n = len(spec.reals) + 2 * len(spec.complex_pairs)
+    checks = {}
+    all_zero = all(_ref_is_zero(r) for r in spec.reals) and all(
+        _ref_is_zero(a) and _ref_is_zero(b) for a, b in spec.complex_pairs
+    )
+    checks["non_nilpotent"] = not all_zero
+    if all_zero:
+        return "inapplicable", "nilpotent", checks
+    residual = sum(sp.sympify(lam) ** 2 for lam in spec.reals) + sum(
+        2 * sp.sympify(a) ** 2 - 2 * sp.sympify(b) ** 2 for a, b in spec.complex_pairs
+    )
+    if not _ref_is_zero(sp.expand(sp.simplify(residual))):
+        raise PreconditionError("eigenvalue trace identity violated")
+    checks["trace_identity"] = True
+    if n >= 6:
+        return "schanuel_conditional", "out_of_scope_n_gt_5", checks
+    checks["closed_under_negation"] = _ref_closed_under_negation(spec)
+    if not checks["closed_under_negation"]:
+        raise CertificateError("spectrum not closed under negation")
+    if any(
+        not _ref_is_zero(a) and _ref_equal(sp.sympify(a) ** 2, sp.sympify(b) ** 2)
+        for a, b in spec.complex_pairs
+    ):
+        checks["real_part_squared_equals_imaginary_part_squared"] = True
+        checks["exp_pattern_power_i_closed"] = True
+        return "obstructed", "case1_nonzero_real_part", checks
+    case2 = any(
+        _ref_equal(sp.sympify(lam) ** 2, sp.sympify(beta) ** 2)
+        for lam in spec.reals
+        if not _ref_is_zero(lam)
+        for _, beta in spec.complex_pairs
+    )
+    if case2 and all(_ref_is_zero(a) for a, _ in spec.complex_pairs):
+        checks["real_eigenvalue_squared_equals_rotation_squared"] = True
+        checks["exp_pattern_power_i_closed"] = True
+        return "obstructed", "case2_imaginary_pair", checks
+    raise CertificateError("no certified case")
+
+
+def _outcome(decide, arg):
+    try:
+        rep = decide(arg)
+    except (PreconditionError, CertificateError) as exc:
+        return type(exc)
+    if isinstance(rep, tuple):
+        return rep
+    return rep.verdict, rep.case_tag, rep.hypothesis_checks
+
+
+def _block(kind, *params):
+    """A block of D with its eigenvalues as (reals, complex pairs):
+    a rational real, a rotation [[a, -b], [b, a]] with b != 0, or the
+    companion matrix of x^2 - d."""
+    if kind == "real":
+        (r,) = params
+        return ((r,),), (r,), ()
+    if kind == "rot":
+        a, b = params
+        return ((a, -b), (b, a)), (), ((a, b),)
+    (d,) = params
+    root = sp.sqrt(sp.Rational(d.numerator, d.denominator))
+    eigs = ((root, -root), ()) if d >= 0 else ((), ((0, sp.im(root)),))
+    return _companion([1, 0, -d]), *eigs
+
+
+def _random_blocks(rng: random.Random, shape: str):
+    def q():
+        return Fraction(rng.randint(1, 4), rng.randint(1, 3))
+
+    def zeros(n_now, cap):
+        # pad with zero reals or nilpotent companion blocks up to cap
+        out = []
+        while n_now < cap and rng.random() < 0.5:
+            if n_now + 2 <= cap and rng.random() < 0.5:
+                out.append(_block("comp", Fraction(0)))
+                n_now += 2
+            else:
+                out.append(_block("real", Fraction(0)))
+                n_now += 1
+        return out
+
+    if shape == "case1":
+        a = q() * rng.choice((1, -1))
+        blocks = [_block("rot", a, a), _block("rot", -a, a * rng.choice((1, -1)))]
+        return blocks + zeros(4, rng.choice((5, 7)))
+    if shape == "case2":
+        if rng.random() < 0.5:
+            lam = q()
+            blocks = [_block("real", lam), _block("real", -lam), _block("rot", 0, lam)]
+        else:
+            d = Fraction(rng.choice((2, 3, 5, 6, 7)), rng.choice((1, 2, 3)))
+            blocks = [_block("comp", d), _block("comp", -d)]
+        return blocks + zeros(4, rng.choice((5, 7)))
+    if shape == "spiral":
+        b1, b2 = q(), q()
+        blocks = [_block("rot", 0, b1), _block("rot", 0, b2), _block("comp", b1 * b1 + b2 * b2)]
+        return blocks + zeros(6, 7)
+    if shape == "nilpotent":
+        return zeros(0, rng.randint(0, 7)) or [_block("comp", Fraction(0))]
+    if shape == "unclosed":
+        lam = q()
+        return [_block("real", lam), _block("real", lam), _block("rot", 0, lam)] + zeros(4, 5)
+    # an arbitrary spectrum, which mostly breaks the trace identity
+    blocks, n = [], 0
+    for _ in range(rng.randint(1, 4)):
+        kind = rng.choice(("real", "rot", "comp"))
+        if kind == "real" and n + 1 <= 7:
+            blocks.append(_block("real", q() * rng.choice((1, -1, 0))))
+            n += 1
+        elif n + 2 <= 7:
+            if kind == "rot":
+                blocks.append(_block("rot", q() * rng.choice((1, -1, 0)), q()))
+            else:
+                blocks.append(_block("comp", q() * rng.choice((1, -1))))
+            n += 2
+    return blocks
+
+
+def _conjugated(rng: random.Random, blocks):
+    """P D P^-1 for D = blockdiag(blocks) and a random invertible integer
+    P, with the spectrum of D."""
+    d = _blockdiag(*(mat for mat, _, _ in blocks))
+    n = la.nrows(d)
+    while True:
+        p = tuple(
+            tuple(Fraction(rng.randint(-2, 2)) for _ in range(n)) for _ in range(n)
+        )
+        if la.rank(p) == n:
+            break
+    m = la.mat_mul(la.mat_mul(p, d), la.inverse(p))
+    spec = EigenvalueData(
+        reals=tuple(r for _, reals, _ in blocks for r in reals),
+        complex_pairs=tuple(c for _, _, pairs in blocks for c in pairs),
+    )
+    return m, spec
+
+
+def _decide_matrix(m):
+    """The decider on the characteristic polynomial of m. It skips the
+    spectrum listing of the report, whose sympy root isolation does not
+    terminate on some quadratic factors (9x^2 + 12x + 8 among them)."""
+    tag, checks = _decide(_poly_to_sympy(la.charpoly(m), sp.Symbol("x")), la.nrows(m))
+    return _OUTCOMES[tag][0], tag, checks
+
+
+def test_polynomial_decider_matches_elementwise_reference():
+    rng = random.Random(6006)
+    shapes = ("case1", "case2", "spiral", "nilpotent", "unclosed", "arbitrary")
+    seen = set()
+    for i in range(240):
+        m, spec = _conjugated(rng, _random_blocks(rng, shapes[i % len(shapes)]))
+        expected = _outcome(_reference_verdict, spec)
+        assert _outcome(_decide_matrix, m) == expected, (m, spec)
+        assert _outcome(obstruction_verdict, spec) == expected, spec
+        seen.add(expected if isinstance(expected, type) else expected[1])
+    assert seen == {
+        "nilpotent",
+        "case1_nonzero_real_part",
+        "case2_imaginary_pair",
+        "out_of_scope_n_gt_5",
+        PreconditionError,
+        CertificateError,
+    }
+
+
+def test_irrational_spectrum_must_have_rational_charpoly():
+    with pytest.raises(PreconditionError, match="not the spectrum of a rational matrix"):
+        obstruction_verdict(EigenvalueData(reals=(sp.sqrt(2), sp.sqrt(2))))
+    with pytest.raises(PreconditionError):
+        obstruction_verdict(EigenvalueData(reals=(sp.pi, -sp.pi)))
+
+
+# --- no float decides anything ----------------------------------------------
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("a float evaluation took part in an exact decision")
+
+
+def test_verdicts_and_relations_never_evaluate_numerically(monkeypatch, tmp_path):
+    from sympy.core.cache import clear_cache
+    from sympy.polys.rootoftools import ComplexRootOf
+
+    clear_cache()
+    monkeypatch.setattr(sp.Expr, "equals", _refuse)
+    monkeypatch.setattr(ComplexRootOf, "_eval_evalf", _refuse)
+    pool_file = Path(__file__).parents[1] / "perfbench" / "pool" / "spectra.json.gz"
+    with gzip.open(pool_file) as fh:
+        docs = {e["id"]: e["doc"] for e in json.load(fh) if e["id"] in ("rb6-3", "rb8-2")}
+    targets = [("example42", "a")]
+    for name, doc in sorted(docs.items()):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(doc))
+        targets.append((str(path), "a0"))
+    assert len(targets) == 3
+    outputs = {}
+    for target, element in targets:
+        for command in ("obstruct", "relations"):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                assert main([command, target, "--element", element, "--format", "json"]) == 0
+            outputs[command, Path(target).stem] = json.loads(out.getvalue())["results"]
+    # the vectors a field generated by the CRootOf roots themselves gives;
+    # the roots +-6i and +-8i of the two factors are tied with signs
+    rb8 = outputs["relations", "rb8-2"]
+    assert rb8["field_degree"] == 2 and rb8["quadratic_identity_holds"]
+    assert rb8["relations"] == [
+        ["1", "1", "0", "0", "0", "0", "0", "0"],
+        ["0", "0", "1", "0", "0", "0", "0", "0"],
+        ["0", "0", "0", "1", "0", "0", "0", "0"],
+        ["0", "0", "0", "0", "1", "1", "0", "0"],
+        ["0", "0", "0", "0", "-4/3", "0", "1", "0"],
+        ["0", "0", "0", "0", "4/3", "0", "0", "1"],
+    ]
+    assert outputs["obstruct", "rb8-2"]["case_tag"] == "out_of_scope_n_gt_5"
+    assert outputs["obstruct", "rb6-3"]["case_tag"] == "case2_imaginary_pair"
+    lam = sp.sqrt(3**2 + 4**2)
+    fixtures = {
+        ((), ((1, 1), (-1, 1))): "case1_nonzero_real_part",
+        ((1, -1), ((0, 1),)): "case2_imaginary_pair",
+        ((lam, -lam), ((0, 3), (0, 4))): "out_of_scope_n_gt_5",
+        ((0,), ((0, 0),)): "nilpotent",
+    }
+    for (reals, pairs), tag in fixtures.items():
+        assert obstruction_verdict(EigenvalueData(reals, pairs)).case_tag == tag

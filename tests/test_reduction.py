@@ -253,3 +253,12 @@ def test_each_fact_is_certified_once(monkeypatch):
     counts.update(dict.fromkeys(names, 0))
     bounds_certificate(build_example42())
     assert (counts["nilradical"], counts["is_invariant"]) == (1, 1)
+
+
+def test_auto_reduce_certifies_invariance_once(monkeypatch, capsys):
+    from metriclie.cli import main
+
+    counts = _count_calls(monkeypatch, "is_invariant")
+    assert main(["reduce", "example42", "--format", "json"]) == 0
+    capsys.readouterr()
+    assert counts["is_invariant"] == 1
