@@ -99,7 +99,7 @@ class EigenvalueData:
 
 @dataclass(frozen=True)
 class TraceIdentityReport:
-    value: object  # Fraction for rational input, sympy expression otherwise
+    value: object
     holds: bool
     spectrum_value: object | None = None
 
@@ -108,14 +108,38 @@ def _poly_to_sympy(p: la.Poly, x: sp.Symbol) -> sp.Poly:
     return sp.Poly([sp.Rational(c.numerator, c.denominator) for c in p], x, domain="QQ")
 
 
+def _quadratic_radical(r: sp.CRootOf) -> sp.Expr:
+    """A root of an irreducible quadratic x^2 + bx + c written as
+    (-b +- sqrt(D))/2, D = b^2 - 4c. sympy indexes real roots in
+    increasing order and a conjugate pair lower root first, so index 1
+    is the + root in both cases (sqrt(D) = i sqrt(-D) for D < 0)."""
+    _, b, c = r.poly.monic().all_coeffs()
+    sign = 1 if r.index == 1 else -1
+    return (-b + sign * sp.sqrt(b * b - 4 * c)) / 2
+
+
+def _in_radicals(expr) -> sp.Expr:
+    """expr expanded, with each quadratic ``CRootOf`` in radicals."""
+    return sp.expand(
+        sp.sympify(expr).replace(
+            lambda e: isinstance(e, sp.CRootOf) and e.poly.degree() == 2,
+            _quadratic_radical,
+        )
+    )
+
+
 def _rational_value(expr) -> Fraction | None:
     """The value of an algebraic number if it is rational, else None.
 
-    Exact: the number is rational iff its minimal polynomial over Q is
-    linear, and then it is that polynomial's root. Anything that is not
-    an algebraic number raises ``PreconditionError``.
+    Each ``CRootOf`` of a quadratic is first written in radicals, so a
+    spectrum of rationals and quadratic roots mostly expands to a
+    rational outright. Anything else is decided by its minimal
+    polynomial over Q, which is linear iff the number is rational; note
+    that ``sympy.minimal_polynomial`` picks among candidate factors by
+    evaluating them numerically. Anything that is not an algebraic
+    number raises ``PreconditionError``.
     """
-    expr = sp.sympify(expr)
+    expr = _in_radicals(expr)
     if expr.is_Rational:
         return Fraction(int(expr.p), int(expr.q))
     if expr.free_symbols:
@@ -155,21 +179,17 @@ def trace_identity(data: EigenvalueData | Mat | LinearMap) -> TraceIdentityRepor
 
     For an exact matrix the value is tr(A^2), computed both directly and
     through the characteristic polynomial's symmetric functions; the two
-    must agree. A spectrum of rationals is summed in ``Fraction``. Any
-    other spectrum is summed in sympy and decided exactly: an algebraic
-    number is zero iff its minimal polynomial is x. A spectrum that is
-    not algebraic raises ``PreconditionError``.
+    must agree. A spectrum is summed in sympy, with quadratic roots
+    written in radicals, and the sum decided by ``_rational_value``:
+    exactly when it expands to a rational, and otherwise by its
+    minimal polynomial, whose factor choice in sympy is numerical. A
+    spectrum that is not algebraic raises ``PreconditionError``.
     """
     if isinstance(data, EigenvalueData):
-        entries = (*data.reals, *(v for pair in data.complex_pairs for v in pair))
-        exact = all(isinstance(v, (int, Fraction, sp.Rational)) for v in entries)
-        conv = Fraction if exact else sp.sympify
-        value = sum((conv(lam) ** 2 for lam in data.reals), conv(0))
+        value = sum((sp.sympify(lam) ** 2 for lam in data.reals), sp.Integer(0))
         for alpha, beta in data.complex_pairs:
-            value += 2 * conv(alpha) ** 2 - 2 * conv(beta) ** 2
-        if exact:
-            return TraceIdentityReport(value, value == 0)
-        value = sp.expand(value)
+            value += 2 * sp.sympify(alpha) ** 2 - 2 * sp.sympify(beta) ** 2
+        value = _in_radicals(value)
         return TraceIdentityReport(value, _rational_value(value) == 0)
     m = data.matrix if isinstance(data, LinearMap) else la.mat(data)
     if la.nrows(m) != la.ncols(m):

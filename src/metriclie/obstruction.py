@@ -193,13 +193,14 @@ def _spectrum_poly(data: EigenvalueData) -> sp.Poly:
     """prod (x - lam) * prod (x^2 - 2 alpha x + alpha^2 + beta^2), which
     must lie in Q[x]. The spectrum is read as a multiset of eigenvalues,
     so a pair with beta = 0 is the double real eigenvalue alpha."""
+    x = sp.Dummy("x")  # CRootOf entries carry the symbol _X themselves
     product = sp.Integer(1)
     for lam in data.reals:
-        product *= _X - sp.sympify(lam)
+        product *= x - sp.sympify(lam)
     for alpha, beta in data.complex_pairs:
         a, b = sp.sympify(alpha), sp.sympify(beta)
-        product *= _X**2 - 2 * a * _X + a**2 + b**2
-    coeffs = [_rational_value(c) for c in sp.Poly(sp.expand(product), _X).all_coeffs()]
+        product *= x**2 - 2 * a * x + a**2 + b**2
+    coeffs = [_rational_value(c) for c in sp.Poly(sp.expand(product), x).all_coeffs()]
     if None in coeffs:
         raise PreconditionError(
             "not the spectrum of a rational matrix: its characteristic "
@@ -337,7 +338,11 @@ def obstruction_verdict(
       g(-y) share a positive real root
 
     Real roots are counted by Sturm sequences over Q, so no float takes
-    part in a verdict.
+    part in the verdict on a matrix. An ``EigenvalueData`` is expanded
+    with each quadratic ``CRootOf`` written in radicals; a coefficient
+    that does not then reduce to a rational goes to
+    ``sympy.minimal_polynomial``, whose choice among candidate factors
+    is numerical.
     """
     if isinstance(data, EigenvalueData):
         p = _spectrum_poly(data)
@@ -443,7 +448,8 @@ def qlinear_relations(
             term = _radical(e)
         else:
             expr = sp.sympify(e.expr if isinstance(e, AlgebraicNumber) else e)
-            term = (expr, 0, None) if expr.is_rational else (0, 1, expr)
+            zero, one = sp.Integer(0), sp.Integer(1)
+            term = (expr, zero, None) if expr.is_rational else (zero, one, expr)
         terms.append(term)
         if term[2] is not None:
             gens.setdefault(term[2])

@@ -9,6 +9,7 @@ from metriclie.catalog import sl2
 from metriclie.core import LieAlgebra, ad, killing_matrix
 from metriclie.einstein import (
     EigenvalueData,
+    _quadratic_radical,
     TorusLeaf,
     TriangularNode,
     assemble_nested,
@@ -103,13 +104,12 @@ def test_trace_identity_symbolic():
 
 
 def test_trace_identity_decides_algebraic_spectra_exactly():
-    # rational entries stay in Fraction
     rep = trace_identity(
         EigenvalueData(reals=(1, Fraction(-1)), complex_pairs=((0, sp.Integer(1)),))
     )
-    assert rep.holds is True and rep.value == 0 and isinstance(rep.value, Fraction)
+    assert rep.holds is True and rep.value == 0
     rep = trace_identity(EigenvalueData(reals=(Fraction(1, 2),)))
-    assert rep.holds is False and rep.value == Fraction(1, 4)
+    assert rep.holds is False and rep.value == sp.Rational(1, 4)
     # sqrt(3 + 2 sqrt 2) - sqrt 2 = 1: zero, though not syntactically
     one = sp.sqrt(3 + 2 * sp.sqrt(2)) - sp.sqrt(2)
     rep = trace_identity(EigenvalueData(reals=(one, 1), complex_pairs=((0, 1),)))
@@ -121,6 +121,16 @@ def test_trace_identity_decides_algebraic_spectra_exactly():
     for bad in (sp.pi, sp.Symbol("t")):
         with pytest.raises(PreconditionError):
             trace_identity(EigenvalueData(reals=(bad,)))
+
+
+def test_quadratic_roots_are_written_in_radicals():
+    x = sp.Symbol("x")
+    for f in (x**2 + 1, x**2 - 2, x**2 - 2 * x + 5, 3 * x**2 - 5 * x + 1, 9 * x**2 + 12 * x + 8):
+        lower, upper = (_quadratic_radical(sp.CRootOf(f, k)) for k in (0, 1))
+        assert sp.expand(f.subs(x, lower)) == 0 and sp.expand(f.subs(x, upper)) == 0
+        # the + root is the larger real root, or the upper one of a pair
+        diff = sp.expand(upper - lower)
+        assert diff != 0 and (diff > 0 if diff.is_real else sp.im(diff) > 0)
 
 
 def test_eigenvalue_condition_tracks_einstein_for_extensions():

@@ -11,7 +11,8 @@ import sympy as sp
 
 from metriclie import linalg as la
 from metriclie.cli import main
-from metriclie.einstein import EigenvalueData, _poly_to_sympy
+from metriclie.core import ad
+from metriclie.einstein import EigenvalueData, _poly_to_sympy, trace_identity
 from metriclie.errors import CertificateError, PreconditionError
 from metriclie.obstruction import (
     _OUTCOMES,
@@ -281,6 +282,37 @@ def test_qlinear_relations_pick_each_radical_sign_from_its_enclosure():
             assert abs(sum(c * x for c, x in zip(rel, mids))) < Fraction(1, 10**6)
 
 
+def test_qlinear_relations_keep_cubic_and_raw_generators():
+    # a cubic root stays a CRootOf generator and a raw irrational is its
+    # own; the expected relations and degrees are those of converting
+    # every number into the field one by one. The cubic is cyclic, so
+    # its splitting field has degree 3 (that of x^3 - 2 has degree 6 and
+    # takes minutes to build).
+    cubic = _companion([1, 0, -3, 1])  # x^3 - 3x + 1
+    r = sp.CRootOf(sp.Symbol("x") ** 3 - 2, 0)
+    cases = [
+        (exact_eigenvalues(cubic), [["1", "1", "1"]], 3),
+        (
+            exact_eigenvalues(_blockdiag(_companion([1, 0, -2]), cubic)),
+            [["1", "1", "0", "0", "0"], ["0", "0", "1", "1", "1"]],
+            6,
+        ),
+        ([sp.sqrt(2), -sp.sqrt(2)], [["1", "1"]], 2),
+        ([sp.sqrt(2), 3, sp.sqrt(8), sp.Rational(1, 2)], [["-2", "0", "1", "0"], ["0", "-1/6", "0", "1"]], 2),
+        ([r, 2 * r, 1, r**2], [["-2", "1", "0", "0"]], 3),
+        (
+            [r, sp.sqrt(2), -3 * r, sp.sqrt(2) / 2, 5],
+            [["3", "0", "1", "0", "0"], ["0", "-1/2", "0", "1", "0"]],
+            6,
+        ),
+    ]
+    for eigs, relations, degree in cases:
+        basis = qlinear_relations(eigs)
+        assert [[str(c) for c in rel] for rel in basis.relations] == relations
+        assert basis.field_degree == degree
+        assert basis.quadratic_identity_holds is False
+
+
 # --- certified probe ---------------------------------------------------------
 
 
@@ -528,6 +560,17 @@ def _refuse(*args, **kwargs):
     raise AssertionError("a float evaluation took part in an exact decision")
 
 
+def _rationals_only(evalf):
+    # sympy evaluates rationals internally (sign tests in sqrt, say);
+    # those are exact, so only an irrational argument is refused
+    def guarded(self, *args, **kwargs):
+        if not self.is_Rational:
+            _refuse()
+        return evalf(self, *args, **kwargs)
+
+    return guarded
+
+
 def test_verdicts_and_relations_never_evaluate_numerically(monkeypatch, tmp_path):
     from sympy.core.cache import clear_cache
     from sympy.polys.rootoftools import ComplexRootOf
@@ -535,6 +578,8 @@ def test_verdicts_and_relations_never_evaluate_numerically(monkeypatch, tmp_path
     clear_cache()
     monkeypatch.setattr(sp.Expr, "equals", _refuse)
     monkeypatch.setattr(ComplexRootOf, "_eval_evalf", _refuse)
+    monkeypatch.setattr(sp.Expr, "evalf", _rationals_only(sp.Expr.evalf))
+    monkeypatch.setattr(sp.Expr, "n", _rationals_only(sp.Expr.n))
     pool_file = Path(__file__).parents[1] / "perfbench" / "pool" / "spectra.json.gz"
     with gzip.open(pool_file) as fh:
         docs = {e["id"]: e["doc"] for e in json.load(fh) if e["id"] in ("rb6-3", "rb8-2")}
@@ -574,3 +619,24 @@ def test_verdicts_and_relations_never_evaluate_numerically(monkeypatch, tmp_path
     }
     for (reals, pairs), tag in fixtures.items():
         assert obstruction_verdict(EigenvalueData(reals, pairs)).case_tag == tag
+    # the listed spectrum of ad(a), whose pair is (0, -I*CRootOf(x**2 + 1, 1))
+    listed = spectrum_data(ad(build_example42().algebra, la.unit_vec(6, 0)))
+    assert obstruction_verdict(listed).case_tag == "out_of_scope_n_gt_5"
+    assert trace_identity(listed).holds is True
+
+
+def test_verdict_on_listed_spectra_of_matrices():
+    # spectrum_data lists quadratic roots as CRootOf(..., k) in the symbol
+    # x, and the pair 1 + i as (re(CRootOf(x**2 - 2*x + 2, 1)), im(...))
+    cases = (
+        _blockdiag(((1, -1), (1, 1)), ((-1, -1), (1, -1))),  # +-1 +- i
+        _blockdiag(((0, 2), (1, 0)), ((0, -2), (1, 0))),  # +-sqrt 2, +-i sqrt 2
+        _blockdiag(((2,),), ((-2,),), ((0, -2), (2, 0))),  # +-2, +-2i
+    )
+    for m in cases:
+        listed, direct = obstruction_verdict(spectrum_data(m)), obstruction_verdict(m)
+        assert listed.case_tag == direct.case_tag != "out_of_scope_n_gt_5"
+        assert listed.hypothesis_checks == direct.hypothesis_checks
+        assert trace_identity(spectrum_data(m)).value == 0
+    with pytest.raises(PreconditionError, match="trace identity violated"):
+        obstruction_verdict(spectrum_data(((0, -4), (1, 0))))
