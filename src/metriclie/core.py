@@ -6,6 +6,7 @@ All operations here are pure; every returned object is immutable.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -96,6 +97,25 @@ class LieAlgebra:
                 clean[(i, j)] = v
         object.__setattr__(self, "brackets", clean)
 
+    @functools.cached_property
+    def int_table(self) -> tuple[int, tuple[tuple[la.IntRow, ...], ...]]:
+        """(L, rows): L the least common denominator of the structure
+        constants and ``rows[i][j]`` the pairs (k, L c_{ij}^k) with
+        non-zero entry, for every i and j (empty for i = j).
+
+        Jacobi, invariance and the Killing form are homogeneous in the
+        constants, so they are decided in ``int`` on these rows and
+        scaled back by a power of L where a value is returned.
+        """
+        n = self.dim
+        den = math.lcm(*(c.denominator for v in self.brackets.values() for c in v))
+        rows = [[()] * n for _ in range(n)]
+        for (i, j), v in self.brackets.items():
+            row = tuple((k, int(c * den)) for k, c in enumerate(v) if c)
+            rows[i][j] = row
+            rows[j][i] = tuple((k, -t) for k, t in row)
+        return den, tuple(map(tuple, rows))
+
     def basis_bracket(self, i: int, j: int) -> Vec:
         if i == j:
             return la.zeros_vec(self.dim)
@@ -161,24 +181,26 @@ class JordanPair:
 
 
 def validate_structure(alg: LieAlgebra) -> ValidationReport:
-    """Check the Jacobi identity on all basis triples i<j<k."""
+    """Check the Jacobi identity on all basis triples i<j<k.
+
+    The residual [[e_i,e_j],e_k] + [[e_j,e_k],e_i] + [[e_k,e_i],e_j] is
+    quadratic in the constants, so L^2 times it is summed in ``int`` on
+    the structure table and divided by L^2 only when it is non-zero.
+    """
     violations = []
     n = alg.dim
+    den, rows = alg.int_table
+    den2 = den * den
     for i in range(n):
-        ei = la.unit_vec(n, i)
         for j in range(i + 1, n):
-            ej = la.unit_vec(n, j)
             for k in range(j + 1, n):
-                ek = la.unit_vec(n, k)
-                residual = la.vec_add(
-                    la.vec_add(
-                        alg.bracket(alg.bracket(ei, ej), ek),
-                        alg.bracket(alg.bracket(ej, ek), ei),
-                    ),
-                    alg.bracket(alg.bracket(ek, ei), ej),
-                )
-                if not la.is_zero_vec(residual):
-                    violations.append((i, j, k, residual))
+                acc = [0] * n
+                for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+                    for m, t in rows[a][b]:
+                        for l, u in rows[m][c]:
+                            acc[l] += t * u
+                if any(acc):
+                    violations.append((i, j, k, tuple(Fraction(x, den2) for x in acc)))
     return ValidationReport(not violations, tuple(violations))
 
 
@@ -194,14 +216,24 @@ def _require_jacobi(alg: LieAlgebra) -> None:
 
 
 def ad(alg: LieAlgebra, x: Vec) -> LinearMap:
-    """Matrix of y -> [x, y] on the defining basis."""
+    """Matrix of y -> [x, y] on the defining basis: entry (p, q) is
+    sum_i x_i c_{iq}^p, read off the structure table."""
     x = la.vec(x)
-    if len(x) != alg.dim:
+    n = alg.dim
+    if len(x) != n:
         raise PreconditionError(
-            f"ad argument has length {len(x)}, algebra dimension is {alg.dim}"
+            f"ad argument has length {len(x)}, algebra dimension is {n}"
         )
-    cols = [alg.bracket(x, la.unit_vec(alg.dim, j)) for j in range(alg.dim)]
-    return LinearMap(la.transpose(tuple(cols)))
+    den, rows = alg.int_table
+    out = [[la.ZERO] * n for _ in range(n)]
+    for i, xi in enumerate(x):
+        if not xi:
+            continue
+        xi /= den
+        for q, row in enumerate(rows[i]):
+            for p, t in row:
+                out[p][q] += xi * t
+    return LinearMap(tuple(tuple(r) for r in out))
 
 
 def bracket_spans(alg: LieAlgebra, u: SubspaceBasis, v: SubspaceBasis) -> SubspaceBasis:
@@ -259,15 +291,24 @@ def series(alg: LieAlgebra) -> SeriesReport:
 
 
 def killing_matrix(alg: LieAlgebra) -> Mat:
-    """Gram matrix of the Killing form kappa(x,y) = tr(ad x ad y)."""
+    """Gram matrix of the Killing form kappa(x,y) = tr(ad x ad y).
+
+    kappa_ij = sum_{m,l} c_{im}^l c_{jl}^m, summed in ``int`` on the
+    structure table and divided by L^2.
+    """
     n = alg.dim
-    ads = [ad(alg, la.unit_vec(n, i)).matrix for i in range(n)]
+    den, rows = alg.int_table
+    den2 = den * den
+    # ads[i][(m, l)] = L c_{im}^l, the non-zero entries of ad(e_i)^T
+    ads = [{(m, l): t for m in range(n) for l, t in rows[i][m]} for i in range(n)]
     # kappa is symmetric: pair j >= i only and mirror
-    rows = [[la.ZERO] * n for _ in range(n)]
+    kappa = [[la.ZERO] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
-            rows[i][j] = rows[j][i] = la.trace_product(ads[i], ads[j])
-    return tuple(tuple(row) for row in rows)
+            ad_j = ads[j]
+            total = sum(t * ad_j.get((l, m), 0) for (m, l), t in ads[i].items())
+            kappa[i][j] = kappa[j][i] = Fraction(total, den2)
+    return tuple(tuple(row) for row in kappa)
 
 
 def killing_form(alg: LieAlgebra):
@@ -303,7 +344,7 @@ def jordan_chevalley(a: LinearMap | Mat) -> JordanPair:
     else:
         raise CertificateError("Jordan-Chevalley Newton iteration did not terminate")
     nilp = la.mat_sub(m, s)
-    if not la.is_zero_mat(la.mat_pow(nilp, n)):
+    if not la.is_nilpotent(nilp):
         raise CertificateError("Jordan-Chevalley produced a non-nilpotent remainder")
     return JordanPair(LinearMap(s), LinearMap(nilp))
 
@@ -404,7 +445,7 @@ def nilradical(alg: LieAlgebra, hint: SubspaceBasis | None = None) -> SubspaceBa
 
     # exact certificates
     for x in result.vectors:
-        if not la.is_zero_mat(la.mat_pow(ad(alg, x).matrix, n)):
+        if not la.is_nilpotent(ad(alg, x).matrix):
             raise CertificateError("nilradical candidate vector is not ad-nilpotent")
     if not result.contains_subspace(derived_subalgebra(alg)):
         raise CertificateError("nilradical candidate does not contain [g, g]")

@@ -7,6 +7,7 @@ roots would leave the rationals).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -55,6 +56,22 @@ class SymBilinearForm:
 
     def is_zero(self) -> bool:
         return la.is_zero_mat(self.matrix)
+
+    @functools.cached_property
+    def int_rows(self) -> tuple[int, tuple[la.IntRow, ...]]:
+        """(M, rows) with M the least common denominator of the entries
+        and ``rows[p]`` the pairs (q, M B_pq) with non-zero entry."""
+        den = math.lcm(*(x.denominator for row in self.matrix for x in row))
+        rows = tuple(
+            tuple((q, int(x * den)) for q, x in enumerate(row) if x)
+            for row in self.matrix
+        )
+        return den, rows
+
+    @functools.cached_property
+    def inverse(self) -> Mat:
+        """B^{-1}; ``ValueError`` for a degenerate form."""
+        return la.inverse(self.matrix)
 
 
 @dataclass(frozen=True)
@@ -176,16 +193,29 @@ def metric_radical(m: MetricLieAlgebra | SymBilinearForm) -> SubspaceBasis:
 
 
 def is_invariant(m: MetricLieAlgebra) -> InvarianceReport:
-    """Check <[x,y1],y2> = -<y1,[x,y2]> on all basis triples."""
+    """Check <[x,y1],y2> = -<y1,[x,y2]> on all basis triples.
+
+    With v[y1][y2] = <[x,y1],y2> the condition is v + v^T = 0; it is
+    bilinear in the constants and the form, so L M v is summed in
+    ``int`` on the structure table and the integer form rows.
+    """
     alg, form = m.algebra, m.form
     n = alg.dim
-    ads = [ad(alg, la.unit_vec(n, i)).matrix for i in range(n)]
+    _, rows = alg.int_table
+    _, b_rows = form.int_rows
     for x in range(n):
-        # invariance of the form under ad(b_x): ad^T B + B ad = 0
-        lhs = la.skew_residual(ads[x], form.matrix)
+        row_x = rows[x]
+        v = []
         for y1 in range(n):
+            acc = [0] * n
+            for p, t in row_x[y1]:
+                for y2, u in b_rows[p]:
+                    acc[y2] += t * u
+            v.append(acc)
+        for y1 in range(n):
+            v1 = v[y1]
             for y2 in range(n):
-                if lhs[y1][y2] != 0:
+                if v1[y2] + v[y2][y1]:
                     return InvarianceReport(False, (x, y1, y2))
     return InvarianceReport(True, None)
 

@@ -9,11 +9,14 @@ degree order (the convention of ``sympy.Poly.all_coeffs``).
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 Vec = tuple[Fraction, ...]
 Mat = tuple[Vec, ...]
+# a sparse integer row: its (column, non-zero value) pairs
+IntRow = tuple[tuple[int, int], ...]
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -138,6 +141,17 @@ def mat_pow(a: Mat, k: int) -> Mat:
     return result
 
 
+def is_nilpotent(a: Mat) -> bool:
+    """A^k = 0 for some k <= n: powers A, A^2, ... up to A^n, stopping
+    at the first zero one. Equivalent to A^n = 0."""
+    power = a
+    for _ in range(1, nrows(a)):
+        if is_zero_mat(power):
+            return True
+        power = mat_mul(power, a)
+    return is_zero_mat(power)
+
+
 def trace(a: Mat) -> Fraction:
     return sum((a[i][i] for i in range(nrows(a))), ZERO)
 
@@ -224,6 +238,57 @@ def kernel(a: Mat) -> tuple[Vec, ...]:
         v[fc] = ONE
         for i, pc in enumerate(pivots):
             v[pc] = -reduced[i][fc]
+        basis.append(tuple(v))
+    return tuple(basis)
+
+
+def sparse_kernel(rows: Iterable[Mapping[int, int]], nc: int) -> tuple[Vec, ...]:
+    """``kernel`` of the system whose rows are given sparsely as
+    {column: integer coefficient}, with the same basis.
+
+    Fraction-free Gauss-Jordan: each row is reduced against the pivot
+    rows by integer cross-multiplication and divided by its content, and
+    the pivot rows are kept reduced against each other. They then have
+    distinct leading columns and vanish on each other's pivot columns,
+    so scaled to leading 1 they are the unique RREF of the row space,
+    and the kernel basis read off them equals ``kernel``'s.
+    """
+    pivots: dict[int, dict[int, int]] = {}
+
+    def combine(r: dict[int, int], p: int, pivot_row: dict[int, int]) -> dict[int, int]:
+        # r[p] * pivot_row[p] cancels; the result has no entry at p
+        a, b = pivot_row[p], r[p]
+        out = {c: a * x for c, x in r.items()}
+        for c, y in pivot_row.items():
+            x = out.get(c, 0) - b * y
+            if x:
+                out[c] = x
+            else:
+                out.pop(c, None)
+        g = math.gcd(*out.values())
+        return {c: x // g for c, x in out.items()} if g > 1 else out
+
+    for row in rows:
+        r = {c: x for c, x in row.items() if x}
+        for p in [c for c in r if c in pivots]:
+            r = combine(r, p, pivots[p])
+        if not r:
+            continue
+        lead = min(r)
+        for p, pivot_row in pivots.items():
+            if lead in pivot_row:
+                pivots[p] = combine(pivot_row, lead, r)
+        pivots[lead] = r
+    basis = []
+    for fc in range(nc):
+        if fc in pivots:
+            continue
+        v = [ZERO] * nc
+        v[fc] = ONE
+        for pc, r in pivots.items():
+            x = r.get(fc)
+            if x:
+                v[pc] = Fraction(-x, r[pc])
         basis.append(tuple(v))
     return tuple(basis)
 

@@ -294,10 +294,7 @@ def _reduce_step(m: MetricLieAlgebra, ideal: SubspaceBasis) -> ReductionStep:
         for k in range(mdim):
             a_part, x_part, z_part = split(alg.bracket(duals[i], w[k]))
             if not la.is_zero_vec(a_part) or not la.is_zero_vec(z_part):
-                raise CertificateError(
-                    "dual action does not preserve the complement; reduce by a "
-                    "one-dimensional central ideal instead"
-                )
+                _extraction_failed(s, "dual action does not preserve the complement")
             cols_i.append(x_part)
         deltas.append(la.transpose(tuple(cols_i)))
 
@@ -306,10 +303,7 @@ def _reduce_step(m: MetricLieAlgebra, ideal: SubspaceBasis) -> ReductionStep:
         for j in range(i + 1, s):
             a_part, x_part, z_part = split(alg.bracket(duals[i], duals[j]))
             if not la.is_zero_vec(a_part) or not la.is_zero_vec(x_part):
-                raise CertificateError(
-                    "dual vectors do not close up to the ideal; reduce by a "
-                    "one-dimensional central ideal instead"
-                )
+                _extraction_failed(s, "dual vectors do not close up to the ideal")
             if not la.is_zero_vec(z_part):
                 xi[(i, j)] = z_part
 
@@ -343,6 +337,22 @@ def _reduce_step(m: MetricLieAlgebra, ideal: SubspaceBasis) -> ReductionStep:
         base=base,
         spec=spec,
     )
+
+
+def _extraction_failed(ideal_dim: int, reason: str) -> None:
+    """Raise for a split that is not a double extension with abelian a.
+
+    A line always extracts, so there the failure is a bug. An ideal of
+    dimension >= 2 need not split this way: reducing by it in one step
+    needs the general quadratic extension (Kath-Olbrich 2006), so the
+    input is outside what this step handles."""
+    if ideal_dim >= 2:
+        raise PreconditionError(
+            f"{reason}: reducing by a central isotropic ideal of dimension "
+            f"{ideal_dim} needs the general quadratic extension (Kath-Olbrich "
+            "2006); reduce by a one-dimensional central ideal instead"
+        )
+    raise CertificateError(f"{reason}; this is a bug")
 
 
 def complete_reduction(m: MetricLieAlgebra, max_steps: int | None = None) -> ReductionChain:
@@ -483,43 +493,53 @@ def random_skew_map(
             c = Fraction(rng.randint(-bound * den, bound * den), den)
             k[i][j] = c
             k[j][i] = -c
-    return la.mat_mul(la.inverse(form.matrix), tuple(tuple(r) for r in k))
+    return la.mat_mul(form.inverse, tuple(tuple(r) for r in k))
 
 
 def skew_derivation_space(base: MetricLieAlgebra) -> tuple[Mat, ...]:
     """Basis of the derivations of the base algebra that are skew with
-    respect to the base form (the valid one-dimensional extension data)."""
+    respect to the base form (the valid one-dimensional extension data).
+
+    The unknowns are the entries d_pq, column p n + q. The equations are
+    built as sparse integer rows from the form's integer rows (scaled by
+    M) and the structure table (scaled by L), and solved by
+    ``la.sparse_kernel``, which returns ``la.kernel``'s basis.
+    """
     n = base.dim
-    b = base.form.matrix
-    alg = base.algebra
-    rows: list[Vec] = []
+    _, b_rows = base.form.int_rows
+    _, table = base.algebra.int_table
+    eqs: list[dict[int, int]] = []
 
-    def entry(p: int, q: int) -> int:
-        return p * n + q
+    def add(row: dict[int, int], col: int, x: int) -> None:
+        row[col] = row.get(col, 0) + x
 
-    # skewness: sum_p d_{pk} B_{pl} + B_{kp} d_{pl} = 0
+    # skewness: sum_p d_{pk} B_{pl} + B_{kp} d_{pl} = 0; symmetric in
+    # (k, l), so k <= l only
     for k in range(n):
-        for l in range(n):
-            row = [la.ZERO] * (n * n)
-            for p in range(n):
-                row[entry(p, k)] += b[p][l]
-                row[entry(p, l)] += b[k][p]
-            rows.append(tuple(row))
-    # derivation: d([e_i,e_j]) = [d e_i, e_j] + [e_i, d e_j]
+        for l in range(k, n):
+            row: dict[int, int] = {}
+            for p, x in b_rows[l]:
+                add(row, p * n + k, x)
+            for p, x in b_rows[k]:
+                add(row, p * n + l, x)
+            eqs.append(row)
+    # derivation: d([e_i,e_j]) = [d e_i, e_j] + [e_i, d e_j], component k
     for i in range(n):
         for j in range(i + 1, n):
-            cij = alg.basis_bracket(i, j)
-            for k in range(n):
-                row = [la.ZERO] * (n * n)
-                for mth in range(n):
-                    row[entry(k, mth)] += cij[mth]
-                for p in range(n):
-                    row[entry(p, i)] -= alg.basis_bracket(p, j)[k]
-                    row[entry(p, j)] -= alg.basis_bracket(i, p)[k]
-                rows.append(tuple(row))
-    sols = la.kernel(tuple(rows))
+            # only the components k that some term reaches get a row
+            rows: dict[int, dict[int, int]] = {}
+            for mth, c in table[i][j]:
+                for k in range(n):
+                    add(rows.setdefault(k, {}), k * n + mth, c)
+            for p in range(n):
+                for k, c in table[p][j]:
+                    add(rows.setdefault(k, {}), p * n + i, -c)
+                for k, c in table[i][p]:
+                    add(rows.setdefault(k, {}), p * n + j, -c)
+            eqs.extend(rows.values())
+    sols = la.sparse_kernel(eqs, n * n)
     return tuple(
-        tuple(tuple(sol[entry(p, q)] for q in range(n)) for p in range(n))
+        tuple(tuple(sol[p * n + q] for q in range(n)) for p in range(n))
         for sol in sols
     )
 

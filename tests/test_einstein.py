@@ -10,6 +10,7 @@ from metriclie.core import LieAlgebra, ad, killing_matrix
 from metriclie.einstein import (
     EigenvalueData,
     _quadratic_radical,
+    _trace_square_from_charpoly,
     TorusLeaf,
     TriangularNode,
     assemble_nested,
@@ -22,7 +23,7 @@ from metriclie.einstein import (
     skewness_check,
     trace_identity,
 )
-from metriclie.errors import PreconditionError
+from metriclie.errors import CertificateError, PreconditionError
 from metriclie.forms import MetricLieAlgebra, SymBilinearForm
 from metriclie.reduction import build_ab, build_example42, build_ko1
 
@@ -245,3 +246,61 @@ def test_search_small_smoke():
         assert 3 <= hit["dim"] <= 4
         # dims 3-5 admit no non-nilpotent Einstein solvable metric algebra
         assert hit["nilpotent"]
+
+
+def test_search_propagates_certificate_failures(monkeypatch):
+    """Every sample is Lie and invariant by construction, so a failed
+    certificate is a bug and must not be dropped as a non-hit."""
+    import metriclie.reduction
+    from metriclie.core import ValidationReport
+
+    def broken(alg):
+        return ValidationReport(False, ((0, 1, 2, la.zeros_vec(alg.dim)),))
+
+    assert sharpness_search((3, 8), (1, 2), 200, seed=7).examined == 200
+    monkeypatch.setattr(metriclie.reduction, "validate_structure", broken)
+    with pytest.raises(CertificateError, match="Jacobi"):
+        sharpness_search((3, 8), (1, 2), 200, seed=7)
+
+
+def _factored_trace_square(a):
+    """The e1^2 - 2 e2 sum over the sympy factors of the charpoly."""
+    x = sp.Symbol("x")
+    poly = sp.Poly([sp.Rational(c.numerator, c.denominator) for c in la.charpoly(a)], x)
+    total = sp.Integer(0)
+    for fac, mult in poly.factor_list()[1]:
+        coeffs = fac.all_coeffs()
+        d = fac.degree()
+        e1 = -coeffs[1] / coeffs[0] if d >= 1 else 0
+        e2 = coeffs[2] / coeffs[0] if d >= 2 else 0
+        total += mult * (e1 * e1 - 2 * e2)
+    total = sp.nsimplify(total)
+    return Fraction(int(sp.numer(total)), int(sp.denom(total)))
+
+
+def _companion(coeffs):
+    """Companion matrix of the monic x^n + c_1 x^(n-1) + ... + c_n."""
+    n = len(coeffs)
+    rows = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(1, n):
+        rows[i][i - 1] = Fraction(1)
+    for i, c in enumerate(coeffs):
+        rows[n - 1 - i][n - 1] = -Fraction(c)
+    return tuple(tuple(r) for r in rows)
+
+
+def test_trace_square_from_charpoly_matches_factored_sum():
+    rng = random.Random(61)
+    mats = [rand_matrix(rng, rng.randint(1, 6)) for _ in range(25)]
+    # irreducible cubics (x^3 - 2 has Galois group S3), alone and in blocks
+    cubics = [(0, 0, -2), (0, -3, 1), (Fraction(1, 2), -1, Fraction(-1, 3))]
+    mats += [_companion(c) for c in cubics]
+    mats.append(assemble_nested(TriangularNode(_companion((0, 0, -2)), TorusLeaf((1, 2)))))
+    mats.append(_companion((1, 0, -2, Fraction(3, 5), 1)))
+    mats.append(())  # the 0 x 0 matrix
+    for a in mats:
+        value = _trace_square_from_charpoly(a)
+        assert isinstance(value, Fraction)
+        assert value == la.trace_product(a, a)
+        if a:
+            assert value == _factored_trace_square(a)

@@ -1,11 +1,15 @@
-"""Differential tests of the zero-skipping exact kernels.
+"""Differential tests of the zero-skipping and integer exact kernels.
 
 Each kernel is compared with a naive reference written here from its
 definition: the triple sum for products, the trace of the full product
 for pairings, dense elimination for row spaces, and the basis-pair sum
-for the bracket.
+for the bracket. The certificates that run on the integer structure
+table (Jacobi, invariance, Killing, ad, the skew-derivation system and
+its sparse kernel) are compared with the dense ``Fraction`` versions
+they replaced, copied here.
 """
 
+import math
 import random
 from fractions import Fraction
 
@@ -21,8 +25,16 @@ from metriclie.core import (
     killing_matrix,
     nilradical,
     series,
+    validate_structure,
 )
-from metriclie.reduction import random_double_extension
+from metriclie.forms import MetricLieAlgebra, SymBilinearForm, is_invariant
+from metriclie.reduction import (
+    build_example42,
+    change_basis,
+    iterated_double_extension,
+    random_double_extension,
+    skew_derivation_space,
+)
 
 from conftest import rand_fraction, random_abelian_base
 
@@ -337,3 +349,322 @@ def test_killing_and_nilradical_match_trace_of_products():
         old_rows = tuple(tuple(naive_trace_product(adi, b) for adi in ads) for b in assoc)
         assert nilradical(alg).vectors == la.kernel(old_rows)
     assert non_nilpotent >= 5
+
+
+# ---------------------------------------------------------------------------
+# certificates on the integer structure table, against the Fraction code
+# ---------------------------------------------------------------------------
+
+
+def fraction_validate_structure(alg):
+    """Jacobi residuals by nested Fraction brackets of unit vectors."""
+    violations = []
+    n = alg.dim
+    for i in range(n):
+        ei = la.unit_vec(n, i)
+        for j in range(i + 1, n):
+            ej = la.unit_vec(n, j)
+            for k in range(j + 1, n):
+                ek = la.unit_vec(n, k)
+                residual = la.vec_add(
+                    la.vec_add(
+                        alg.bracket(alg.bracket(ei, ej), ek),
+                        alg.bracket(alg.bracket(ej, ek), ei),
+                    ),
+                    alg.bracket(alg.bracket(ek, ei), ej),
+                )
+                if not la.is_zero_vec(residual):
+                    violations.append((i, j, k, residual))
+    return not violations, tuple(violations)
+
+
+def fraction_ad(alg, x):
+    cols = [alg.bracket(x, la.unit_vec(alg.dim, j)) for j in range(alg.dim)]
+    return la.transpose(tuple(cols))
+
+
+def fraction_is_invariant(m):
+    alg, form = m.algebra, m.form
+    n = alg.dim
+    ads = [fraction_ad(alg, la.unit_vec(n, i)) for i in range(n)]
+    for x in range(n):
+        lhs = la.skew_residual(ads[x], form.matrix)
+        for y1 in range(n):
+            for y2 in range(n):
+                if lhs[y1][y2] != 0:
+                    return False, (x, y1, y2)
+    return True, None
+
+
+def fraction_killing_matrix(alg):
+    n = alg.dim
+    ads = [fraction_ad(alg, la.unit_vec(n, i)) for i in range(n)]
+    return tuple(
+        tuple(la.trace_product(ads[i], ads[j]) for j in range(n)) for i in range(n)
+    )
+
+
+def dense_skew_derivation_system(base):
+    """The dense Fraction system: every (k, l) skewness row and every
+    derivation row, zero or not."""
+    n = base.dim
+    b = base.form.matrix
+    alg = base.algebra
+    rows = []
+
+    def entry(p, q):
+        return p * n + q
+
+    for k in range(n):
+        for l in range(n):
+            row = [ZERO] * (n * n)
+            for p in range(n):
+                row[entry(p, k)] += b[p][l]
+                row[entry(p, l)] += b[k][p]
+            rows.append(tuple(row))
+    for i in range(n):
+        for j in range(i + 1, n):
+            cij = alg.basis_bracket(i, j)
+            for k in range(n):
+                row = [ZERO] * (n * n)
+                for mth in range(n):
+                    row[entry(k, mth)] += cij[mth]
+                for p in range(n):
+                    row[entry(p, i)] -= alg.basis_bracket(p, j)[k]
+                    row[entry(p, j)] -= alg.basis_bracket(i, p)[k]
+                rows.append(tuple(row))
+    return tuple(rows)
+
+
+def fraction_skew_derivation_space(base):
+    n = base.dim
+    sols = la.kernel(dense_skew_derivation_system(base))
+    return tuple(
+        tuple(tuple(sol[p * n + q] for q in range(n)) for p in range(n))
+        for sol in sols
+    )
+
+
+def iterated_family(count, seed=1010, max_dim=10):
+    """Iterated double extensions of abelian bases, up to dimension 10."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        base = random_abelian_base(rng, max_dim=4)
+        steps = rng.randint(1, (max_dim - base.dim) // 2)
+        out.append(iterated_double_extension(rng, base, steps))
+    return out
+
+
+def random_metric_algebra(rng, n, density=0.4, max_denominator=6):
+    """Random structure constants and a random symmetric form with mixed
+    denominators: almost never Jacobi, almost never invariant."""
+    brackets = {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            if rng.random() < density:
+                brackets[(i, j)] = tuple(
+                    rand_fraction(rng, 3, max_denominator) if rng.random() < 0.5 else ZERO
+                    for _ in range(n)
+                )
+    gram = [[ZERO] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            if i == j or rng.random() < 0.3:
+                gram[i][j] = gram[j][i] = rand_fraction(rng, 3, max_denominator)
+    alg = LieAlgebra(n, tuple(f"e{i}" for i in range(n)), brackets)
+    return MetricLieAlgebra(alg, SymBilinearForm(gram))
+
+
+def rebased(rng, m):
+    """m on a random rational basis: Jacobi and invariant, with mixed
+    denominators in the constants and the form."""
+    n = m.dim
+    while True:
+        cols = tuple(tuple(rand_fraction(rng, 2, 4) for _ in range(n)) for _ in range(n))
+        if la.rank(cols) == n:
+            return change_basis(m, cols, [f"v{i}" for i in range(n)])
+
+
+def certificate_inputs():
+    rng = random.Random(47)
+    valid = criterion3_family(10) + iterated_family(8) + [build_example42()]
+    valid += [rebased(rng, m) for m in valid[:6]]
+    failing = [random_metric_algebra(rng, rng.randint(3, 7)) for _ in range(20)]
+    # a valid algebra under a perturbed form: Jacobi, not invariant
+    for m in valid[:6]:
+        gram = [list(row) for row in m.form.matrix]
+        i, j = rng.randrange(m.dim), rng.randrange(m.dim)
+        gram[i][j] += Fraction(1, 3)
+        if i != j:
+            gram[j][i] += Fraction(1, 3)
+        failing.append(MetricLieAlgebra(m.algebra, SymBilinearForm(gram)))
+    return valid, failing
+
+
+def test_structure_table_rows_match_brackets():
+    valid, failing = certificate_inputs()
+    for m in valid + failing:
+        alg = m.algebra
+        table = alg.int_table
+        assert alg.int_table is table  # derived once per algebra
+        den, rows = table
+        n = alg.dim
+        for i in range(n):
+            for j in range(n):
+                dense = [ZERO] * n
+                for k, t in rows[i][j]:
+                    assert isinstance(t, int) and t != 0
+                    dense[k] = Fraction(t, den)
+                assert tuple(dense) == alg.basis_bracket(i, j)
+
+
+def test_integer_certificates_match_fraction_code():
+    valid, failing = certificate_inputs()
+    non_jacobi = non_invariant = 0
+    for m in valid + failing:
+        alg = m.algebra
+        rep = validate_structure(alg)
+        passed, violations = fraction_validate_structure(alg)
+        assert (rep.passed, rep.violations) == (passed, violations)
+        for *_, residual in rep.violations:
+            assert all(isinstance(x, Fraction) for x in residual)
+        non_jacobi += not passed
+        inv = is_invariant(m)
+        assert (inv.passed, inv.witness) == fraction_is_invariant(m)
+        non_invariant += not inv.passed
+        assert killing_matrix(alg) == fraction_killing_matrix(alg)
+        n = alg.dim
+        for i in range(n):
+            assert ad(alg, la.unit_vec(n, i)).matrix == fraction_ad(alg, la.unit_vec(n, i))
+    for m in valid:
+        assert validate_structure(m.algebra).passed and is_invariant(m).passed
+    assert non_jacobi >= 15 and non_invariant >= 20
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**6), st.integers(2, 6))
+def test_integer_certificates_match_fraction_code_hypothesis(seed, n):
+    rng = random.Random(seed)
+    m = random_metric_algebra(rng, n, density=rng.choice((0.2, 0.5, 1.0)))
+    rep = validate_structure(m.algebra)
+    assert (rep.passed, rep.violations) == fraction_validate_structure(m.algebra)
+    inv = is_invariant(m)
+    assert (inv.passed, inv.witness) == fraction_is_invariant(m)
+    assert killing_matrix(m.algebra) == fraction_killing_matrix(m.algebra)
+    x = tuple(rand_fraction(rng, 3, 5) if rng.random() < 0.6 else ZERO for _ in range(n))
+    assert ad(m.algebra, x).matrix == fraction_ad(m.algebra, x)
+
+
+def test_skew_derivation_space_matches_dense_system():
+    rng = random.Random(48)
+    bases = criterion3_family(10) + iterated_family(6, max_dim=8)
+    bases += [build_example42(), rebased(rng, build_example42())]
+    bases += [random_abelian_base(rng, max_dim=8) for _ in range(8)]
+    for base in bases:
+        assert skew_derivation_space(base) == fraction_skew_derivation_space(base)
+
+
+def test_cached_inverse_matches_inverse():
+    rng = random.Random(49)
+    forms = [m.form for m in criterion3_family(8)]
+    forms += [rebased(rng, build_example42()).form]
+    for form in forms:
+        assert form.inverse == la.inverse(form.matrix)
+        assert form.inverse is form.inverse
+        m, rows = form.int_rows
+        assert all(
+            Fraction(dict(rows[p]).get(q, 0), m) == form.matrix[p][q]
+            for p in range(form.dim)
+            for q in range(form.dim)
+        )
+
+
+# ---------------------------------------------------------------------------
+# sparse_kernel and is_nilpotent
+# ---------------------------------------------------------------------------
+
+
+def sparse_rows(rng, r, c, density, bound=6):
+    return [
+        {j: rng.randint(-bound, bound) for j in range(c) if rng.random() < density}
+        for _ in range(r)
+    ]
+
+
+def dense_kernel(rows, c):
+    """``la.kernel`` of the dense system; a system without rows has no
+    column count as a dense matrix, and its kernel is all of Q^c."""
+    if not rows:
+        return la.identity(c)
+    return la.kernel(tuple(tuple(Fraction(row.get(j, 0)) for j in range(c)) for row in rows))
+
+
+def test_sparse_kernel_matches_kernel_seeded():
+    rng = random.Random(50)
+    for _ in range(150):
+        r, c = rng.randint(0, 12), rng.randint(1, 12)
+        rows = sparse_rows(rng, r, c, rng.choice((0.0, 0.15, 0.4, 1.0)))
+        if rows and rng.random() < 0.3:
+            # dependent rows: a combination of two earlier ones
+            a, b = rng.choice(rows), rng.choice(rows)
+            rows.append({j: 2 * a.get(j, 0) - 3 * b.get(j, 0) for j in range(c)})
+        assert la.sparse_kernel(rows, c) == dense_kernel(rows, c)
+    # every skew-derivation system of the families, dense against sparse
+    for base in criterion3_family(6) + iterated_family(4, max_dim=8):
+        system = dense_skew_derivation_system(base)
+        nc = base.dim ** 2
+        den = math.lcm(*(x.denominator for row in system for x in row))
+        rows = [{j: int(x * den) for j, x in enumerate(row) if x} for row in system]
+        assert la.sparse_kernel(rows, nc) == la.kernel(system)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(1, 9).flatmap(
+        lambda c: st.tuples(
+            st.just(c),
+            st.lists(
+                st.dictionaries(st.integers(0, c - 1), st.integers(-20, 20), max_size=c),
+                max_size=10,
+            ),
+        )
+    )
+)
+def test_sparse_kernel_matches_kernel(system):
+    c, rows = system
+    assert la.sparse_kernel(rows, c) == dense_kernel(rows, c)
+
+
+def test_is_nilpotent_matches_power():
+    rng = random.Random(51)
+    cases = []
+    for _ in range(60):
+        n = rng.randint(0, 7)
+        # strictly upper triangular, conjugated: nilpotent
+        u = tuple(
+            tuple(rand_fraction(rng, 3, 3) if j > i and rng.random() < 0.7 else ZERO for j in range(n))
+            for i in range(n)
+        )
+        p = seeded_matrix(rng, n, n, 1.0)
+        if n and la.rank(p) == n:
+            u = la.mat_mul(la.mat_mul(p, u), la.inverse(p))
+        cases.append(u)
+        # a random matrix, or a nilpotent one plus a small diagonal
+        cases.append(seeded_matrix(rng, n, n, rng.choice((0.2, 0.5, 1.0))))
+        if n:
+            k = rng.randrange(n)
+            cases.append(
+                tuple(
+                    tuple(x + (Fraction(1, 2) if i == j == k else ZERO) for j, x in enumerate(row))
+                    for i, row in enumerate(u)
+                )
+            )
+    # a full Jordan block needs all n powers
+    cases.append(tuple(tuple(la.ONE if j == i + 1 else ZERO for j in range(6)) for i in range(6)))
+    nilpotent = 0
+    for a in cases:
+        expected = la.is_zero_mat(la.mat_pow(a, la.nrows(a)))
+        assert la.is_nilpotent(a) == expected
+        nilpotent += expected
+    assert 60 <= nilpotent < len(cases)

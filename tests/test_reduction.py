@@ -262,3 +262,29 @@ def test_auto_reduce_certifies_invariance_once(monkeypatch, capsys):
     assert main(["reduce", "example42", "--format", "json"]) == 0
     capsys.readouterr()
     assert counts["is_invariant"] == 1
+
+
+def test_reduce_by_higher_ideal_is_a_precondition_failure():
+    """r05-05's whole z(g) ∩ [g, g] is 2-dimensional, central and
+    isotropic, but does not split as a double extension with abelian a;
+    that is the caller's input, not a bug. Its first line reduces."""
+    import gzip
+    import json
+    from pathlib import Path
+
+    from metriclie.documents import document_to_algebra, parse_document
+    from metriclie.errors import CertificateError
+    from metriclie.forms import MetricLieAlgebra, _central_derived
+
+    pool = Path(__file__).resolve().parent.parent / "perfbench" / "pool" / "reduce.json.gz"
+    with gzip.open(pool, "rt") as fh:
+        entry = next(e for e in json.load(fh) if e["id"] == "r05-05")
+    alg, form, _ = document_to_algebra(parse_document(entry["doc"]))
+    m = MetricLieAlgebra(alg, form)
+    ideal = _central_derived(alg)
+    assert ideal.dim == 2
+    with pytest.raises(PreconditionError, match="general quadratic extension") as info:
+        reduce_by_ideal(m, ideal)
+    assert not isinstance(info.value, CertificateError)
+    step = reduce_by_ideal(m, SubspaceBasis(m.dim, ideal.vectors[:1]))
+    assert step.base.dim == m.dim - 2
