@@ -10,6 +10,7 @@ certificate failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -22,10 +23,8 @@ from .core import (
     _require_jacobi,
     ad,
     center,
-    derived_subalgebra,
     killing_matrix,
     nilradical,
-    series,
     validate_structure,
 )
 from .einstein import bounds_certificate, einstein_check, sharpness_search
@@ -153,7 +152,7 @@ def cmd_analyze(args) -> tuple[dict, int]:
     alg, form, hint, _ = _load_algebra(args.algebra)
     _require_jacobi(alg)
     kappa = killing_matrix(alg)
-    ser = series(alg)
+    ser = alg.series_report
     results = {
         "dim": alg.dim,
         "basis": list(alg.basis_names),
@@ -163,7 +162,7 @@ def cmd_analyze(args) -> tuple[dict, int]:
         "nilpotent": ser.is_nilpotent,
         "abelian": ser.is_abelian,
         "center_dim": center(alg).dim,
-        "derived_dim": derived_subalgebra(alg).dim,
+        "derived_dim": ser.derived.dim,
         "semisimple": signature(SymBilinearForm(kappa)).is_nondegenerate,
     }
     if ser.is_solvable:
@@ -236,7 +235,8 @@ def cmd_complete_reduce(args) -> tuple[dict, int]:
         "isotropic_rank": chain.isotropic_rank,
         "final": documents.emit_document(final_doc),
         "final_signature": [sig.p, sig.q, sig.r],
-        "final_abelian": series(chain.final.algebra).is_abelian,
+        # exact: LieAlgebra keeps only the non-zero brackets
+        "final_abelian": not chain.final.algebra.brackets,
     }
     return results, 0
 
@@ -435,9 +435,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: ``parse_args`` keeps no state
+    between calls, and every call starts from a fresh namespace."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         results, code = args.handler(args)
     except (PreconditionError, DocumentError) as exc:

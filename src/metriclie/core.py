@@ -49,21 +49,36 @@ class SubspaceBasis:
         object.__setattr__(self, "vectors", vecs)
         if any(len(v) != self.ambient_dim for v in vecs):
             raise ValueError("vector length does not match ambient dimension")
-        if vecs and la.rank(vecs) != len(vecs):
+        if self.int_span.dim != len(vecs):
             raise ValueError("basis vectors are linearly dependent")
+
+    @functools.cached_property
+    def int_span(self) -> la.IntSpan:
+        """The span as integer rows: every vector scaled to integers
+        (``la.int_row``) and eliminated fraction-free. Its pivot rows
+        span the subspace, so spans and brackets can be formed on them."""
+        span = la.IntSpan(self.ambient_dim)
+        for v in self.vectors:
+            span.add(la.int_row(v))
+        return span
 
     @property
     def dim(self) -> int:
         return len(self.vectors)
 
     def contains(self, v: Vec) -> bool:
-        return la.in_span(self.vectors, la.vec(v))
+        return not self.int_span.reduce(la.int_row(la.vec(v)))
 
     def contains_subspace(self, other: "SubspaceBasis") -> bool:
-        return all(self.contains(v) for v in other.vectors)
+        span = self.int_span
+        return all(not span.reduce(r) for r in other.int_span.pivots.values())
 
     def same_span(self, other: "SubspaceBasis") -> bool:
-        return la.span_eq(self.vectors, other.vectors)
+        return (
+            self.ambient_dim == other.ambient_dim
+            and self.dim == other.dim
+            and self.contains_subspace(other)
+        )
 
     def intersect(self, other: "SubspaceBasis") -> "SubspaceBasis":
         return SubspaceBasis(
@@ -116,6 +131,12 @@ class LieAlgebra:
             rows[j][i] = tuple((k, -t) for k, t in row)
         return den, tuple(map(tuple, rows))
 
+    @functools.cached_property
+    def series_report(self) -> "SeriesReport":
+        """``series(self)``, computed on first use and kept, so every
+        caller that needs the series or [g, g] reads the same report."""
+        return series(self)
+
     def basis_bracket(self, i: int, j: int) -> Vec:
         if i == j:
             return la.zeros_vec(self.dim)
@@ -156,9 +177,6 @@ class LieAlgebra:
 
     def full_space(self) -> SubspaceBasis:
         return SubspaceBasis(self.dim, la.identity(self.dim))
-
-    def zero_space(self) -> SubspaceBasis:
-        return SubspaceBasis(self.dim, ())
 
 
 @dataclass(frozen=True)
@@ -236,10 +254,33 @@ def ad(alg: LieAlgebra, x: Vec) -> LinearMap:
     return LinearMap(tuple(tuple(r) for r in out))
 
 
+def _int_bracket(
+    rows: tuple[tuple[la.IntRow, ...], ...], x: dict[int, int], y: dict[int, int]
+) -> dict[int, int]:
+    """L [x, y] for integer vectors x, y given sparsely, on the rows of
+    the structure table."""
+    acc: dict[int, int] = {}
+    for i, xi in x.items():
+        row_i = rows[i]
+        for j, yj in y.items():
+            c = xi * yj
+            for k, t in row_i[j]:
+                acc[k] = acc.get(k, 0) + c * t
+    return acc
+
+
 def bracket_spans(alg: LieAlgebra, u: SubspaceBasis, v: SubspaceBasis) -> SubspaceBasis:
-    """Span of [u, v]."""
-    products = [alg.bracket(x, y) for x in u.vectors for y in v.vectors]
-    return subspace_from_spanning(alg.dim, products)
+    """Span of [u, v], spanned by the brackets of the integer pivot
+    rows of u and v on the structure table (for u = v, one bracket per
+    unordered pair)."""
+    _, rows = alg.int_table
+    xs = list(u.int_span.pivots.values())
+    ys = list(v.int_span.pivots.values())
+    span = la.IntSpan(alg.dim)
+    for a, x in enumerate(xs):
+        for y in ys[a + 1 :] if u is v else ys:
+            span.add(_int_bracket(rows, x, y))
+    return SubspaceBasis(alg.dim, span.basis())
 
 
 def derived_subalgebra(alg: LieAlgebra) -> SubspaceBasis:
@@ -248,13 +289,18 @@ def derived_subalgebra(alg: LieAlgebra) -> SubspaceBasis:
 
 
 def center(alg: LieAlgebra) -> SubspaceBasis:
-    """{x : [x, g] = 0}, the kernel of all ad(b_i) stacked."""
-    if alg.dim == 0:
-        return alg.zero_space()
-    stacked: list[Vec] = []
-    for i in range(alg.dim):
-        stacked.extend(ad(alg, la.unit_vec(alg.dim, i)).matrix)
-    return SubspaceBasis(alg.dim, la.kernel(tuple(stacked)))
+    """{x : [b_i, x] = 0 for all i}: the ``sparse_kernel`` of the rows
+    x -> [b_i, x]_p of the structure table."""
+    n = alg.dim
+    _, rows = alg.int_table
+    eqs = []
+    for row_i in rows:
+        by_p: dict[int, dict[int, int]] = {}
+        for q, row in enumerate(row_i):
+            for p, t in row:
+                by_p.setdefault(p, {})[q] = t
+        eqs.extend(by_p.values())
+    return SubspaceBasis(n, la.sparse_kernel(eqs, n))
 
 
 @dataclass(frozen=True)
@@ -265,11 +311,18 @@ class SeriesReport:
     is_nilpotent: bool
     is_abelian: bool
 
+    @property
+    def derived(self) -> SubspaceBasis:
+        """[g, g]; both series stop at g itself when g = [g, g]."""
+        return self.derived_series[min(1, len(self.derived_series) - 1)]
+
 
 def series(alg: LieAlgebra) -> SeriesReport:
+    """Derived and lower central series. Callers read the report kept
+    on the algebra, ``alg.series_report``, which calls this once."""
     full = alg.full_space()
     # [g, g] opens both series
-    first = bracket_spans(alg, full, full)
+    first = derived_subalgebra(alg)
 
     derived = [full]
     nxt = first
@@ -349,31 +402,20 @@ def jordan_chevalley(a: LinearMap | Mat) -> JordanPair:
     return JordanPair(LinearMap(s), LinearMap(nilp))
 
 
-def _associative_closure(generators: Sequence[Mat]) -> tuple[Mat, ...]:
+def _associative_closure(generators: Sequence[list[list[int]]]) -> list[list[list[int]]]:
     """Basis of the (non-unital) associative matrix algebra generated by
-    the given matrices.
-
-    Each generator is rescaled to integer entries first (this does not
-    change the spanned algebra) so the product chains run on plain
-    integers instead of normalized rationals.
+    the given integer matrices.
 
     The algebra is spanned by the words in the generators, and a word
     g w is a generator times a shorter word. So a span that contains
     the kept generators and is closed under left multiplication by
     them is the whole algebra: each new element is multiplied on the
-    left by the kept generators only.
+    left by the kept generators only. Membership is decided on the
+    flattened matrices by ``la.IntSpan``.
     """
     if not generators:
-        return ()
-    n = la.nrows(generators[0])
-
-    def to_int(mm: Mat) -> list[list[int]] | None:
-        den = 1
-        for row in mm:
-            for x in row:
-                den = den * x.denominator // math.gcd(den, x.denominator)
-        out = [[int(x * den) for x in row] for row in mm]
-        return out if any(any(r) for r in out) else None
+        return []
+    n = len(generators[0])
 
     def int_mul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
         b_support = [[(j, y) for j, y in enumerate(row) if y] for row in b]
@@ -388,18 +430,17 @@ def _associative_closure(generators: Sequence[Mat]) -> tuple[Mat, ...]:
         return out
 
     basis: list[list[list[int]]] = []
-    tracker = la.SpanTracker()
+    tracker = la.IntSpan(n * n)
 
-    def try_add(mm: list[list[int]] | None) -> bool:
-        if mm is None or not any(any(r) for r in mm):
-            return False
-        if not tracker.add(tuple(Fraction(x) for row in mm for x in row)):
+    def try_add(mm: list[list[int]]) -> bool:
+        flat = {p * n + q: x for p, row in enumerate(mm) for q, x in enumerate(row) if x}
+        if not tracker.add(flat):
             return False
         basis.append(mm)
         return True
 
     for g in generators:
-        try_add(to_int(g))
+        try_add(g)
     kept = list(basis)
     frontier = list(basis)
     while frontier:
@@ -410,9 +451,9 @@ def _associative_closure(generators: Sequence[Mat]) -> tuple[Mat, ...]:
                 if try_add(prod):
                     new.append(prod)
             if len(basis) == n * n:
-                return tuple(la.mat(b_) for b_ in basis)
+                return basis
         frontier = new
-    return tuple(la.mat(b_) for b_ in basis)
+    return basis
 
 
 def nilradical(alg: LieAlgebra, hint: SubspaceBasis | None = None) -> SubspaceBasis:
@@ -426,28 +467,45 @@ def nilradical(alg: LieAlgebra, hint: SubspaceBasis | None = None) -> SubspaceBa
 
         x in n  <=>  tr(ad(x) B) = 0 for every B in a basis of A.
 
+    A is generated by the integer matrices L ad(b_i) of the structure
+    table, and the trace rows are solved in ``int`` by
+    ``la.sparse_kernel``.
+
     The result is re-certified exactly: each basis vector x satisfies
     ad(x)^n = 0, the subspace is an ideal, and it contains [g, g].
     """
-    rep = series(alg)
+    rep = alg.series_report
     if not rep.is_solvable:
         raise PreconditionError("nilradical requires a solvable Lie algebra")
     n = alg.dim
     if rep.is_nilpotent:
         result = alg.full_space()
     else:
-        ads = [ad(alg, la.unit_vec(n, i)).matrix for i in range(n)]
-        assoc = _associative_closure(ads)
-        rows = tuple(
-            tuple(la.trace_product(adi, b) for adi in ads) for b in assoc
-        )
-        result = SubspaceBasis(n, la.kernel(rows))
+        _, rows = alg.int_table
+        # ads[i][p][q] = L c_{iq}^p, the matrix of L ad(b_i)
+        ads = []
+        for row_i in rows:
+            m = [[0] * n for _ in range(n)]
+            for q, row in enumerate(row_i):
+                for p, t in row:
+                    m[p][q] = t
+            ads.append(m)
+        eqs = []
+        for b in _associative_closure(ads):
+            # tr(L ad(b_i) B) = sum_q sum_p L c_{iq}^p B_qp
+            eqs.append(
+                {
+                    i: sum(t * b[q][p] for q, row in enumerate(row_i) for p, t in row)
+                    for i, row_i in enumerate(rows)
+                }
+            )
+        result = SubspaceBasis(n, la.sparse_kernel(eqs, n))
 
     # exact certificates
     for x in result.vectors:
         if not la.is_nilpotent(ad(alg, x).matrix):
             raise CertificateError("nilradical candidate vector is not ad-nilpotent")
-    if not result.contains_subspace(derived_subalgebra(alg)):
+    if not result.contains_subspace(rep.derived):
         raise CertificateError("nilradical candidate does not contain [g, g]")
     if not result.contains_subspace(bracket_spans(alg, alg.full_space(), result)):
         raise CertificateError("nilradical candidate is not an ideal")

@@ -27,7 +27,6 @@ from .core import (
     jordan_chevalley,
     killing_matrix,
     nilradical,
-    series,
     subspace_from_spanning,
 )
 from .errors import CertificateError, PreconditionError
@@ -318,7 +317,7 @@ def bounds_certificate(m: MetricLieAlgebra) -> BoundsCertificate:
     """
     alg, form = m.algebra, m.form
     n = alg.dim
-    rep = series(alg)
+    rep = alg.series_report
     if not rep.is_solvable:
         raise PreconditionError("certificate applies to solvable algebras")
     if rep.is_nilpotent:
@@ -448,7 +447,7 @@ def _record(m: MetricLieAlgebra, kind: str) -> dict | None:
     rep = einstein_check(m)
     if not rep.einstein:
         return None
-    s = series(m.algebra)
+    s = m.algebra.series_report
     if not s.is_solvable:
         return None
     sig = signature(m.form)

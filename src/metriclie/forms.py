@@ -23,7 +23,6 @@ from .core import (
     center,
     jordan_chevalley,
     nilradical,
-    series,
     subalgebra_on,
     subspace_from_spanning,
 )
@@ -70,8 +69,17 @@ class SymBilinearForm:
 
     @functools.cached_property
     def inverse(self) -> Mat:
-        """B^{-1}; ``ValueError`` for a degenerate form."""
-        return la.inverse(self.matrix)
+        """B^{-1}; ``ValueError`` for a degenerate form. A diagonal form
+        is inverted entry by entry, without elimination."""
+        m = self.matrix
+        n = len(m)
+        if any(m[i][j] for i in range(n) for j in range(n) if i != j):
+            return la.inverse(m)
+        if not all(m[i][i] for i in range(n)):
+            raise ValueError("matrix is singular")
+        return tuple(
+            tuple(1 / m[i][i] if i == j else la.ZERO for j in range(n)) for i in range(n)
+        )
 
 
 @dataclass(frozen=True)
@@ -179,12 +187,66 @@ def diagonalize_symmetric(b: SymBilinearForm) -> tuple[tuple[Vec, ...], tuple[Fr
     return tuple(out_vecs), tuple(out_diag)
 
 
+def _congruence_pivots(b: SymBilinearForm) -> list[int]:
+    """Diagonal of a congruence diagonalization of B, up to positive
+    factors, by fraction-free elimination on the integer rows M B.
+
+    With pivot d = A_kk != 0 and c = row k, the complement of e_k is
+    spanned by d e_i - c_i e_k, on which the form is d (d A - c c^T);
+    dividing by |d| leaves sgn(d) (d A_ij - c_i c_j). Without a non-zero
+    diagonal entry, the hyperbolic step e_k <- e_k + e_j of
+    ``diagonalize_symmetric`` makes A_kk = 2 A_kj non-zero. After each
+    step the remaining matrix is divided by its (positive) content.
+    None of these changes the signs by Sylvester's law of inertia; an
+    entry 0 is returned for each vector of the radical.
+    """
+    n = b.dim
+    _, rows = b.int_rows
+    a = [[0] * n for _ in range(n)]
+    for p, row in enumerate(rows):
+        for q, x in row:
+            a[p][q] = x
+    rest = list(range(n))
+    pivots: list[int] = []
+    while rest:
+        k = next((i for i in rest if a[i][i]), None)
+        if k is None:
+            pair = next(
+                ((i, j) for t, i in enumerate(rest) for j in rest[t + 1 :] if a[i][j]),
+                None,
+            )
+            if pair is None:
+                pivots.extend([0] * len(rest))
+                break
+            k, j = pair
+            d = 2 * a[k][j] + a[j][j]
+            for c in rest:
+                a[k][c] = a[c][k] = a[k][c] + a[j][c]
+            a[k][k] = d
+        rest.remove(k)
+        d = a[k][k]
+        col = a[k]
+        for t, i in enumerate(rest):
+            row_i = a[i]
+            for j in rest[t:]:
+                x = d * row_i[j] - col[i] * col[j]
+                row_i[j] = a[j][i] = x if d > 0 else -x
+        g = math.gcd(*(a[i][j] for t, i in enumerate(rest) for j in rest[t:]))
+        if g > 1:
+            for i in rest:
+                row_i = a[i]
+                for j in rest:
+                    row_i[j] //= g
+        pivots.append(d)
+    return pivots
+
+
 def signature(b: SymBilinearForm) -> Signature:
-    _, diag = diagonalize_symmetric(b)
-    p = sum(1 for d in diag if d > 0)
-    q = sum(1 for d in diag if d < 0)
-    r = sum(1 for d in diag if d == 0)
-    return Signature(p, q, r)
+    """Inertia (p, q, r): the signs of ``_congruence_pivots``."""
+    pivots = _congruence_pivots(b)
+    p = sum(1 for d in pivots if d > 0)
+    q = sum(1 for d in pivots if d < 0)
+    return Signature(p, q, len(pivots) - p - q)
 
 
 def metric_radical(m: MetricLieAlgebra | SymBilinearForm) -> SubspaceBasis:
@@ -327,7 +389,7 @@ def j0_ideal(m: MetricLieAlgebra) -> SubspaceBasis:
     """The characteristic ideal z(n) ∩ [g, n] for the nilradical n.
 
     Totally isotropic whenever the form is invariant (asserted)."""
-    rep = series(m.algebra)
+    rep = m.algebra.series_report
     if not rep.is_solvable:
         raise PreconditionError("j0 is defined here for solvable algebras only")
     _require_invariant(m)
@@ -362,12 +424,12 @@ def _lift(coords: Vec, basis: tuple[Vec, ...], n: int) -> Vec:
 def _central_derived(alg) -> SubspaceBasis | None:
     """z(g) ∩ [g, g] of a solvable algebra, uncertified, or None for an
     abelian one."""
-    rep = series(alg)
+    rep = alg.series_report
     if not rep.is_solvable:
         raise PreconditionError("central isotropic ideal requires a solvable algebra")
     if rep.is_abelian:
         return None
-    return center(alg).intersect(rep.derived_series[1])
+    return center(alg).intersect(rep.derived)
 
 
 def central_isotropic_ideal(m: MetricLieAlgebra) -> SubspaceBasis | None:

@@ -96,10 +96,6 @@ def mat_sub(a: Mat, b: Mat) -> Mat:
     return tuple(vec_sub(r, s) for r, s in zip(a, b))
 
 
-def mat_neg(a: Mat) -> Mat:
-    return tuple(tuple(-x for x in r) for r in a)
-
-
 def mat_scale(c, a: Mat) -> Mat:
     c = frac(c)
     return tuple(tuple(c * x for x in r) for r in a)
@@ -215,20 +211,25 @@ def rank(a: Mat) -> int:
 
 
 def row_space_basis(vectors: Sequence[Vec]) -> tuple[Vec, ...]:
-    """Canonical (RREF) basis of the span of the given vectors."""
+    """Canonical (RREF) basis of the span of the given vectors, found on
+    their integer multiples (``int_row``) by ``IntSpan``."""
     if not vectors:
         return ()
-    reduced, pivots = rref(tuple(vectors))
-    return reduced[: len(pivots)]
+    span = IntSpan(len(vectors[0]))
+    for v in vectors:
+        span.add(int_row(v))
+    return span.basis()
 
 
 def kernel(a: Mat) -> tuple[Vec, ...]:
-    """Basis of the right null space, deterministic via RREF."""
+    """Basis of the right null space, deterministic via RREF.
+
+    A dense matrix without rows has no column count, so the kernel of an
+    empty system is ``()``; a caller whose system can be empty uses
+    ``sparse_kernel``, which takes the column count."""
     nc = ncols(a)
     if nc == 0:
         return ()
-    if nrows(a) == 0:
-        return identity(nc)
     reduced, pivots = rref(a)
     pivot_set = set(pivots)
     free = [c for c in range(nc) if c not in pivot_set]
@@ -242,55 +243,113 @@ def kernel(a: Mat) -> tuple[Vec, ...]:
     return tuple(basis)
 
 
-def sparse_kernel(rows: Iterable[Mapping[int, int]], nc: int) -> tuple[Vec, ...]:
-    """``kernel`` of the system whose rows are given sparsely as
-    {column: integer coefficient}, with the same basis.
+def int_row(v: Vec) -> dict[int, int]:
+    """v scaled by the least common denominator of its entries, as the
+    sparse integer row {column: non-zero value}; it spans the same line."""
+    den = math.lcm(*(x.denominator for x in v if x))
+    return {c: x.numerator * (den // x.denominator) for c, x in enumerate(v) if x}
 
-    Fraction-free Gauss-Jordan: each row is reduced against the pivot
-    rows by integer cross-multiplication and divided by its content, and
-    the pivot rows are kept reduced against each other. They then have
-    distinct leading columns and vanish on each other's pivot columns,
-    so scaled to leading 1 they are the unique RREF of the row space,
-    and the kernel basis read off them equals ``kernel``'s.
+
+def _combine(r: dict[int, int], p: int, pivot_row: dict[int, int]) -> dict[int, int]:
+    """pivot_row[p] r - r[p] pivot_row divided by its content; it has no
+    entry at p."""
+    a, b = pivot_row[p], r[p]
+    out = {c: a * x for c, x in r.items()}
+    for c, y in pivot_row.items():
+        x = out.get(c, 0) - b * y
+        if x:
+            out[c] = x
+        else:
+            out.pop(c, None)
+    g = math.gcd(*out.values())
+    return {c: x // g for c, x in out.items()} if g > 1 else out
+
+
+class IntSpan:
+    """Incrementally maintained span of sparse integer rows
+    {column: int} in Q^nc, by fraction-free Gauss-Jordan.
+
+    Each row is reduced against the pivot rows by integer
+    cross-multiplication and divided by its content, and the pivot rows
+    are kept reduced against each other. They then have distinct leading
+    columns and vanish on each other's pivot columns, so scaled to
+    leading 1 they are the unique RREF of the span: ``basis`` equals
+    ``rref``'s rows and ``kernel`` equals ``kernel``'s basis on any
+    system with the same row space.
     """
-    pivots: dict[int, dict[int, int]] = {}
 
-    def combine(r: dict[int, int], p: int, pivot_row: dict[int, int]) -> dict[int, int]:
-        # r[p] * pivot_row[p] cancels; the result has no entry at p
-        a, b = pivot_row[p], r[p]
-        out = {c: a * x for c, x in r.items()}
-        for c, y in pivot_row.items():
-            x = out.get(c, 0) - b * y
-            if x:
-                out[c] = x
-            else:
-                out.pop(c, None)
-        g = math.gcd(*out.values())
-        return {c: x // g for c, x in out.items()} if g > 1 else out
+    def __init__(self, nc: int):
+        self.nc = nc
+        # leading column -> pivot row
+        self.pivots: dict[int, dict[int, int]] = {}
 
-    for row in rows:
+    @property
+    def dim(self) -> int:
+        return len(self.pivots)
+
+    def reduce(self, row: Mapping[int, int]) -> dict[int, int]:
+        """The row reduced against the pivot rows, up to a non-zero
+        factor: empty exactly when the row lies in the span."""
         r = {c: x for c, x in row.items() if x}
+        pivots = self.pivots
+        # the pivot rows vanish on each other's pivot columns, so no
+        # step brings in a pivot column the list misses
         for p in [c for c in r if c in pivots]:
-            r = combine(r, p, pivots[p])
+            r = _combine(r, p, pivots[p])
+        return r
+
+    def add(self, row: Mapping[int, int]) -> bool:
+        """Insert the row; returns True if it enlarged the span."""
+        r = self.reduce(row)
         if not r:
-            continue
+            return False
+        g = math.gcd(*r.values())
+        if g > 1:
+            r = {c: x // g for c, x in r.items()}
         lead = min(r)
+        pivots = self.pivots
         for p, pivot_row in pivots.items():
             if lead in pivot_row:
-                pivots[p] = combine(pivot_row, lead, r)
+                pivots[p] = _combine(pivot_row, lead, r)
         pivots[lead] = r
-    basis = []
-    for fc in range(nc):
-        if fc in pivots:
-            continue
-        v = [ZERO] * nc
-        v[fc] = ONE
-        for pc, r in pivots.items():
-            x = r.get(fc)
-            if x:
-                v[pc] = Fraction(-x, r[pc])
-        basis.append(tuple(v))
-    return tuple(basis)
+        return True
+
+    def basis(self) -> tuple[Vec, ...]:
+        """The RREF basis of the span, by leading column."""
+        out = []
+        for lead in sorted(self.pivots):
+            r = self.pivots[lead]
+            v = [ZERO] * self.nc
+            for c, x in r.items():
+                v[c] = Fraction(x, r[lead])
+            out.append(tuple(v))
+        return tuple(out)
+
+    def kernel(self) -> tuple[Vec, ...]:
+        """Basis of the vectors orthogonal to every row, one per free
+        column, read off the RREF as ``kernel`` does."""
+        basis = []
+        for fc in range(self.nc):
+            if fc in self.pivots:
+                continue
+            v = [ZERO] * self.nc
+            v[fc] = ONE
+            for pc, r in self.pivots.items():
+                x = r.get(fc)
+                if x:
+                    v[pc] = Fraction(-x, r[pc])
+            basis.append(tuple(v))
+        return tuple(basis)
+
+
+def sparse_kernel(rows: Iterable[Mapping[int, int]], nc: int) -> tuple[Vec, ...]:
+    """``kernel`` of the system whose rows are given sparsely as
+    {column: integer coefficient}, with the same basis (see ``IntSpan``).
+    A system without rows has all of Q^nc as its kernel."""
+    span = IntSpan(nc)
+    for row in rows:
+        span.add(row)
+    return span.kernel()
 
 
 def solve_lex(a: Mat, b: Vec) -> Vec | None:
@@ -340,19 +399,24 @@ def span_eq(u: Sequence[Vec], v: Sequence[Vec]) -> bool:
 
 
 def intersect_spans(u: Sequence[Vec], v: Sequence[Vec]) -> tuple[Vec, ...]:
-    """Basis of span(u) ∩ span(v) via the kernel of the stacked system."""
+    """RREF basis of span(u) ∩ span(v), by Zassenhaus on integer rows:
+    in the span of (x, x) for x in u and (y, 0) for y in v, the pivot
+    rows that lead in the second half are (0, w), and the w span the
+    intersection, already reduced against each other."""
     if not u or not v:
         return ()
-    a = transpose(tuple(u) + tuple(mat_neg(tuple(v))))
-    combined = kernel(a)
-    du = len(u)
-    out = []
-    for k in combined:
-        w = zeros_vec(len(u[0]))
-        for c, basis_vec in zip(k[:du], u):
-            w = vec_add(w, vec_scale(c, basis_vec))
-        out.append(w)
-    return row_space_basis(out)
+    n = len(u[0])
+    span = IntSpan(2 * n)
+    for x in u:
+        r = int_row(x)
+        span.add({**r, **{c + n: t for c, t in r.items()}})
+    for y in v:
+        span.add(int_row(y))
+    meet = IntSpan(n)
+    for lead, r in span.pivots.items():
+        if lead >= n:
+            meet.add({c - n: t for c, t in r.items()})
+    return meet.basis()
 
 
 def column_space_basis(a: Mat) -> tuple[Vec, ...]:

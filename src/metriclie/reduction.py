@@ -20,7 +20,6 @@ from .core import (
     _require_jacobi,
     center,
     derived_subalgebra,
-    series,
     subspace_from_spanning,
     validate_structure,
 )
@@ -372,7 +371,7 @@ def complete_reduction(m: MetricLieAlgebra, max_steps: int | None = None) -> Red
     The base is a subquotient, so it is solvable.
     """
     _certify_metric(m)
-    if not series(m.algebra).is_solvable:
+    if not m.algebra.series_report.is_solvable:
         raise PreconditionError("complete reduction requires a solvable algebra")
     if max_steps is None:
         max_steps = m.dim // 2 + 1

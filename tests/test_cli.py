@@ -1,4 +1,5 @@
 import gzip
+import hashlib
 import json
 from fractions import Fraction
 from pathlib import Path
@@ -9,6 +10,7 @@ from metriclie import cli
 from metriclie import linalg as la
 from metriclie.cli import main
 from metriclie.core import LieAlgebra
+from metriclie.einstein import SearchResult
 from metriclie.documents import (
     algebra_to_document,
     emit_document,
@@ -267,6 +269,77 @@ def test_global_flags_accepted_before_subcommand(capsys):
     code, out, err = run(capsys, "--format", "json", "signature", "sl2")
     assert code == 0
     assert json.loads(out)["results"]["signature"] == [2, 1, 0]
+
+
+def test_successive_main_calls_share_one_parser_without_leaks(capsys, monkeypatch):
+    seen = []
+
+    def fake_search(dims, index, budget, seed):
+        seen.append((dims, budget, seed))
+        return SearchResult(0, ())
+
+    monkeypatch.setattr(cli, "sharpness_search", fake_search)
+    # (argv, format the report must come in, dims, budget and seed the
+    # search must get); the flags go before and after the subcommand
+    search = [
+        (("--format", "json", "--seed", "5", "search", "--budget", "2"), "json", (3, 8), 2, 5),
+        (("search",), "text", (3, 8), 1000, 0),
+        (("search", "--min-dim", "4", "--seed", "7", "--format", "json"), "json", (4, 8), 1000, 7),
+        (("search", "--budget", "3"), "text", (3, 8), 3, 0),
+        (("--seed", "3", "search"), "text", (3, 8), 1000, 3),
+        (("--format", "json", "search"), "json", (3, 8), 1000, 0),
+    ]
+    for argv, fmt, dims, budget, seed in search:
+        seen.clear()
+        code, out, err = run(capsys, *argv)
+        assert code == 0, (argv, err)
+        assert seen == [(dims, budget, seed)], argv
+        if fmt == "json":
+            assert json.loads(out)["command"] == "search"
+        else:
+            assert out.startswith("command: search"), argv
+    for argv, fmt in (
+        (("signature", "sl2", "--format", "json"), "json"),
+        (("signature", "sl2"), "text"),
+        (("--format", "json", "signature", "sl2"), "json"),
+        (("--format", "text", "signature", "sl2"), "text"),
+        (("--format", "text", "signature", "sl2", "--format", "json"), "json"),
+        (("signature", "sl2"), "text"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 0, (argv, err)
+        if fmt == "json":
+            assert json.loads(out)["results"]["signature"] == [2, 1, 0]
+        else:
+            assert out.startswith("command: signature"), argv
+    assert cli._parser() is cli._parser()
+
+
+def test_reduce_outputs_match_reference_digests(capsys, tmp_path):
+    # analyze and complete-reduce on three reduce-pool documents per
+    # dimension 4-10, against the benchmark's reference digests
+    root = Path(__file__).parents[1] / "perfbench"
+    with gzip.open(root / "pool" / "reduce.json.gz") as fh:
+        pool = json.load(fh)
+    reference = json.loads((root / "reference" / "digests.json").read_text())["reduce"]
+    by_dim = {}
+    for entry in pool:
+        if entry["id"] != "example42":
+            by_dim.setdefault(entry["dim"], []).append(entry)
+    assert sorted(by_dim) == list(range(4, 11))
+    checked = 0
+    for dim, entries in sorted(by_dim.items()):
+        for entry in entries[::10][:3]:
+            path = tmp_path / f"{entry['id']}.json"
+            path.write_text(json.dumps(entry["doc"]))
+            for kind in ("analyze", "complete-reduce"):
+                code, report, err = run_json(capsys, kind, str(path))
+                assert code == 0, (entry["id"], err)
+                text = json.dumps(report["results"], sort_keys=True, separators=(",", ":"))
+                digest = hashlib.sha256(text.encode()).hexdigest()[:16]
+                assert digest == reference[f"{kind}:{entry['id']}"], (kind, entry["id"])
+                checked += 1
+    assert checked == 42
 
 
 def _write_doc(tmp_path, name, alg, form):

@@ -107,6 +107,12 @@ def old_minimal_polynomial(a):
     raise AssertionError("unreachable")
 
 
+def int_matrix(a):
+    """a scaled by the least common denominator of its entries."""
+    den = math.lcm(*(x.denominator for row in a for x in row))
+    return [[int(x * den) for x in row] for row in a]
+
+
 def naive_closure_span(generators):
     """Span of the associative algebra generated by the matrices, by
     multiplying every pair until the flattened span stops growing."""
@@ -340,10 +346,10 @@ def test_killing_and_nilradical_match_trace_of_products():
         if series(alg).is_nilpotent:
             continue
         non_nilpotent += 1
-        assoc = _associative_closure(ads)
+        assoc = _associative_closure([int_matrix(a) for a in ads])
         if n <= 6:
             assert la.span_eq(
-                tuple(tuple(x for row in b for x in row) for b in assoc),
+                tuple(la.vec(x for row in b for x in row) for b in assoc),
                 naive_closure_span(ads),
             )
         old_rows = tuple(tuple(naive_trace_product(adi, b) for adi in ads) for b in assoc)
