@@ -444,16 +444,25 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
+    # the one handler that writes (search, its hits) has finished its
+    # work by then, and returns 0
+    code = 0
     try:
-        results, code = args.handler(args)
-    except (PreconditionError, DocumentError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except CertificateError as exc:
-        print(f"certificate failure: {exc}", file=sys.stderr)
-        return 3
-    report = {"command": args.command, "results": results}
-    _emit(report, args.format)
+        try:
+            results, code = args.handler(args)
+        except (PreconditionError, DocumentError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        except CertificateError as exc:
+            print(f"certificate failure: {exc}", file=sys.stderr)
+            return 3
+        _emit({"command": args.command, "results": results}, args.format)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout early (`| head`); point stdout at
+        # devnull so the flush at exit cannot raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
     return code
 
 

@@ -7,7 +7,7 @@ nothing is ever rounded through floats.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg as la

@@ -33,6 +33,7 @@ from .errors import CertificateError, PreconditionError
 from .forms import (
     MetricLieAlgebra,
     SymBilinearForm,
+    _lift,
     _require_invariant,
     is_totally_isotropic,
     isotropic_vector,
@@ -368,10 +369,7 @@ def bounds_certificate(m: MetricLieAlgebra) -> BoundsCertificate:
     iso_coords = isotropic_vector(w1_form)
     if iso_coords is None:
         raise CertificateError("no rational isotropic line found in the image")
-    line_vec = la.zeros_vec(n)
-    for c, bvec in zip(iso_coords, w1.vectors):
-        line_vec = la.vec_add(line_vec, la.vec_scale(c, bvec))
-    line = subspace_from_spanning(n, (line_vec,))
+    line = subspace_from_spanning(n, (_lift(iso_coords, w1.vectors, n),))
     u_space = subspace_from_spanning(n, ideal.vectors + line.vectors)
     ok, wit = is_totally_isotropic(form, u_space)
     if not ok:

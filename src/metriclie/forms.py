@@ -342,8 +342,8 @@ def orthogonal_complement(form: SymBilinearForm, sub: SubspaceBasis) -> Subspace
 def witt_basis(m: MetricLieAlgebra | SymBilinearForm, isotropic: SubspaceBasis) -> WittBasis:
     """Witt decomposition relative to a totally isotropic subspace.
 
-    Dual vectors come from ``_pairing_duals``. The complement w is
-    orthogonalized exactly.
+    Dual vectors and the complement w come from
+    ``_duals_and_complement``; w is orthogonalized exactly.
     """
     form = m.form if isinstance(m, MetricLieAlgebra) else m
     n = form.dim
@@ -355,15 +355,22 @@ def witt_basis(m: MetricLieAlgebra | SymBilinearForm, isotropic: SubspaceBasis) 
             f"subspace is not totally isotropic; witness pair {witness}"
         )
     u = isotropic.vectors
-    duals = _pairing_duals(form, u)
-    span = subspace_from_spanning(n, u + duals)
-    w_space = orthogonal_complement(form, span)
-    w_form = form.restrict(w_space.vectors)
-    w_coord_vecs, w_diag = diagonalize_symmetric(w_form)
+    duals, w = _duals_and_complement(form, u)
+    w_coord_vecs, w_diag = diagonalize_symmetric(form.restrict(w))
     if any(d == 0 for d in w_diag):
         raise CertificateError("degenerate complement in Witt decomposition")
-    w_vectors = tuple(_lift(cv, w_space.vectors, n) for cv in w_coord_vecs)
+    w_vectors = tuple(_lift(cv, w, n) for cv in w_coord_vecs)
     return WittBasis(u, w_vectors, duals, w_diag)
+
+
+def _duals_and_complement(
+    form: SymBilinearForm, u: tuple[Vec, ...]
+) -> tuple[tuple[Vec, ...], tuple[Vec, ...]]:
+    """The duals u* of a totally isotropic u (``_pairing_duals``) and
+    the kernel-basis orthogonal complement of u + u*."""
+    duals = _pairing_duals(form, u)
+    span = subspace_from_spanning(form.dim, u + duals)
+    return duals, orthogonal_complement(form, span).vectors
 
 
 def _pairing_duals(form: SymBilinearForm, u: tuple[Vec, ...]) -> tuple[Vec, ...]:
@@ -510,10 +517,7 @@ def isotropic_vector(form: SymBilinearForm) -> Vec | None:
                     for c, idx in zip(coeffs, combo)
                 )
                 if val == 0:
-                    out = la.zeros_vec(n)
-                    for c, idx in zip(coeffs, combo):
-                        out = la.vec_add(out, la.vec_scale(c, nonzero[idx][0]))
-                    return out
+                    return _lift(coeffs, [nonzero[idx][0] for idx in combo], n)
     return None
 
 

@@ -27,12 +27,11 @@ from .errors import CertificateError, PreconditionError
 from .forms import (
     MetricLieAlgebra,
     SymBilinearForm,
-    _pairing_duals,
+    _duals_and_complement,
     _require_invariant,
     is_invariant,
     is_totally_isotropic,
     isotropic_vector,
-    orthogonal_complement,
     signature,
 )
 from .linalg import Mat, Vec
@@ -109,10 +108,7 @@ def change_basis(m: MetricLieAlgebra, columns: Sequence[Vec], names: Sequence[st
         for j in range(i + 1, n):
             w = m.algebra.bracket(cols[i], cols[j])
             brackets[(i, j)] = la.mat_vec(t_inv, w)
-    gram = tuple(tuple(m.form.apply(cols[i], cols[j]) for j in range(n)) for i in range(n))
-    return MetricLieAlgebra(
-        LieAlgebra(n, tuple(names), brackets), SymBilinearForm(gram)
-    )
+    return MetricLieAlgebra(LieAlgebra(n, tuple(names), brackets), m.form.restrict(cols))
 
 
 def double_extend(spec: DoubleExtensionSpec) -> MetricLieAlgebra:
@@ -154,46 +150,27 @@ def _assemble(spec: DoubleExtensionSpec) -> MetricLieAlgebra:
         if not la.is_zero_mat(la.skew_residual(d, b)):
             raise PreconditionError("delta is not skew with respect to the base form")
 
+    # the blocks (a | x | z) start at the offsets 0, s and s + m
     n = 2 * s + m
-    a_idx = lambda i: i
-    x_idx = lambda k: s + k
-    z_idx = lambda j: s + m + j
-
-    def embed(a_part: Vec | None, x_part: Vec | None, z_part: Vec | None) -> Vec:
-        out = [la.ZERO] * n
-        if a_part is not None:
-            for i, c in enumerate(a_part):
-                out[a_idx(i)] = c
-        if x_part is not None:
-            for k, c in enumerate(x_part):
-                out[x_idx(k)] = c
-        if z_part is not None:
-            for j, c in enumerate(z_part):
-                out[z_idx(j)] = c
-        return tuple(out)
-
+    zs, zm = la.zeros_vec(s), la.zeros_vec(m)
     omegas = [la.mat_mul(la.transpose(d), b) for d in spec.deltas]
     brackets: dict[tuple[int, int], Vec] = {}
     for i in range(s):
         for j in range(i + 1, s):
-            brackets[(a_idx(i), a_idx(j))] = embed(
-                spec.a_bracket(i, j), None, spec.xi.get((i, j))
-            )
+            brackets[(i, j)] = spec.a_bracket(i, j) + zm + spec.xi.get((i, j), zs)
     for i in range(s):
         for k in range(m):
             col = tuple(spec.deltas[i][l][k] for l in range(m))
-            brackets[(a_idx(i), x_idx(k))] = embed(None, col, None)
+            brackets[(i, s + k)] = zs + col + zs
+        # coadjoint term [a_i, z_j]; a_i comes first in the basis
         for j in range(s):
             coad = tuple(-spec.a_bracket(i, k)[j] for k in range(s))
             if not la.is_zero_vec(coad):
-                lo, hi = sorted((a_idx(i), z_idx(j)))
-                sign = 1 if lo == a_idx(i) else -1
-                brackets[(lo, hi)] = embed(None, None, la.vec_scale(sign, coad))
+                brackets[(i, s + m + j)] = zs + zm + coad
     for k in range(m):
         for l in range(k + 1, m):
-            xy = base.algebra.basis_bracket(k, l)
             z_part = tuple(om[k][l] for om in omegas)
-            brackets[(x_idx(k), x_idx(l))] = embed(None, xy, z_part)
+            brackets[(s + k, s + l)] = zs + base.algebra.basis_bracket(k, l) + z_part
 
     a_names = tuple(f"a{i}" for i in range(s))
     z_names = tuple(f"z{j}" for j in range(s))
@@ -204,11 +181,9 @@ def _assemble(spec: DoubleExtensionSpec) -> MetricLieAlgebra:
 
     gram = [[la.ZERO] * n for _ in range(n)]
     for i in range(s):
-        gram[a_idx(i)][z_idx(i)] = la.ONE
-        gram[z_idx(i)][a_idx(i)] = la.ONE
+        gram[i][s + m + i] = gram[s + m + i][i] = la.ONE
     for k in range(m):
-        for l in range(m):
-            gram[x_idx(k)][x_idx(l)] = b[k][l]
+        gram[s + k][s : s + m] = b[k]
     form = SymBilinearForm(tuple(tuple(r) for r in gram))
     return MetricLieAlgebra(alg, form)
 
@@ -252,37 +227,33 @@ def _reduce_step(m: MetricLieAlgebra, ideal: SubspaceBasis) -> ReductionStep:
     diagonalization: the round trip shows the rebuild equals the
     certified input in another basis, so the base form is
     non-degenerate."""
-    alg, form = m.algebra, m.form
-    n = alg.dim
     s = ideal.dim
-    duals = _pairing_duals(form, ideal.vectors)
-    span_aj = subspace_from_spanning(n, ideal.vectors + duals)
-    w_space = orthogonal_complement(form, span_aj)
-    w = w_space.vectors
-    mdim = n - 2 * s
+    mdim = m.dim - 2 * s
+    duals, w = _duals_and_complement(m.form, ideal.vectors)
+    base_names = tuple(f"x{k}" for k in range(mdim))
+    names = (
+        tuple(f"a{i}" for i in range(s)) + base_names + tuple(f"z{j}" for j in range(s))
+    )
+    # the input on the basis a_i = u*_i, x_k = w_k, z_j = u_j; every
+    # bracket below is read off it and split into its (a | x | z) blocks
+    split = change_basis(m, duals + w + ideal.vectors, names)
 
-    cols = duals + w + ideal.vectors
-    t_inv = la.inverse(la.transpose(cols))
-
-    def split(v: Vec) -> tuple[Vec, Vec, Vec]:
-        c = la.mat_vec(t_inv, v)
+    def blocks(i: int, j: int) -> tuple[Vec, Vec, Vec]:
+        c = split.algebra.basis_bracket(i, j)
         return c[:s], c[s : s + mdim], c[s + mdim :]
 
     base_brackets: dict[tuple[int, int], Vec] = {}
     omega: dict[tuple[int, int], Vec] = {}
     for k in range(mdim):
         for l in range(k + 1, mdim):
-            a_part, x_part, z_part = split(alg.bracket(w[k], w[l]))
+            a_part, x_part, z_part = blocks(s + k, s + l)
             if not la.is_zero_vec(a_part):
                 raise CertificateError(
                     "bracket of complement vectors leaves the coisotropic subspace"
                 )
             base_brackets[(k, l)] = x_part
             omega[(k, l)] = z_part
-    base_gram = tuple(
-        tuple(form.apply(w[k], w[l]) for l in range(mdim)) for k in range(mdim)
-    )
-    base_names = tuple(f"x{k}" for k in range(mdim))
+    base_gram = tuple(row[s : s + mdim] for row in split.form.matrix[s : s + mdim])
     base = MetricLieAlgebra(
         LieAlgebra(mdim, base_names, base_brackets), SymBilinearForm(base_gram)
     )
@@ -291,7 +262,7 @@ def _reduce_step(m: MetricLieAlgebra, ideal: SubspaceBasis) -> ReductionStep:
     for i in range(s):
         cols_i = []
         for k in range(mdim):
-            a_part, x_part, z_part = split(alg.bracket(duals[i], w[k]))
+            a_part, x_part, z_part = blocks(i, s + k)
             if not la.is_zero_vec(a_part) or not la.is_zero_vec(z_part):
                 _extraction_failed(s, "dual action does not preserve the complement")
             cols_i.append(x_part)
@@ -300,7 +271,7 @@ def _reduce_step(m: MetricLieAlgebra, ideal: SubspaceBasis) -> ReductionStep:
     xi: dict[tuple[int, int], Vec] = {}
     for i in range(s):
         for j in range(i + 1, s):
-            a_part, x_part, z_part = split(alg.bracket(duals[i], duals[j]))
+            a_part, x_part, z_part = blocks(i, j)
             if not la.is_zero_vec(a_part) or not la.is_zero_vec(x_part):
                 _extraction_failed(s, "dual vectors do not close up to the ideal")
             if not la.is_zero_vec(z_part):
@@ -319,12 +290,9 @@ def _reduce_step(m: MetricLieAlgebra, ideal: SubspaceBasis) -> ReductionStep:
 
     spec = DoubleExtensionSpec(base=base, deltas=tuple(deltas), xi=xi)
     rebuilt = _assemble(spec)
-    original_in_split_basis = change_basis(
-        m, cols, rebuilt.algebra.basis_names
-    )
     if (
-        rebuilt.algebra.brackets != original_in_split_basis.algebra.brackets
-        or rebuilt.form.matrix != original_in_split_basis.form.matrix
+        rebuilt.algebra.brackets != split.algebra.brackets
+        or rebuilt.form.matrix != split.form.matrix
     ):
         raise CertificateError("reduction round-trip failed to rebuild the input")
 

@@ -19,7 +19,7 @@ from .core import (
     LieAlgebra,
     SubspaceBasis,
     ad,
-    killing_matrix,
+    killing_form,
     subspace_from_spanning,
 )
 from .einstein import _poly_to_sympy
@@ -35,6 +35,7 @@ class SplitResult:
     simple_ideals: tuple[SubspaceBasis, ...]
     compact_part: SubspaceBasis
     noncompact_part: SubspaceBasis
+    killing: SymBilinearForm  # the Killing form the split was decided on
 
 
 @dataclass(frozen=True)
@@ -70,9 +71,13 @@ def simple_decomposition(alg: LieAlgebra) -> tuple[SubspaceBasis, ...]:
     """Minimal ideals of a semisimple Lie algebra, pairwise orthogonal
     for the Killing form and summing to the whole algebra.
     """
+    return _simple_ideals(alg, killing_form(alg))
+
+
+def _simple_ideals(alg: LieAlgebra, kappa: SymBilinearForm) -> tuple[SubspaceBasis, ...]:
+    """``simple_decomposition`` with the Killing form already computed."""
     n = alg.dim
-    kappa = killing_matrix(alg)
-    if not signature(SymBilinearForm(kappa)).is_nondegenerate:
+    if not signature(kappa).is_nondegenerate:
         raise PreconditionError("Killing form degenerate - not semisimple")
     commutant = _commutant_of_adjoint(alg)
     d = len(commutant)
@@ -115,27 +120,20 @@ def simple_decomposition(alg: LieAlgebra) -> tuple[SubspaceBasis, ...]:
                 for v in ideals[j].vectors:
                     if not la.is_zero_vec(alg.bracket(u, v)):
                         raise CertificateError("distinct minimal ideals do not commute")
-                    if la.bilinear(kappa, u, v) != 0:
+                    if kappa.apply(u, v) != 0:
                         raise CertificateError("minimal ideals are not Killing-orthogonal")
     return tuple(ideals)
-
-
-def _killing_restricted(alg: LieAlgebra, ideal: SubspaceBasis) -> SymBilinearForm:
-    kappa = killing_matrix(alg)
-    gram = tuple(
-        tuple(la.bilinear(kappa, u, v) for v in ideal.vectors) for u in ideal.vectors
-    )
-    return SymBilinearForm(gram)
 
 
 def compact_split(alg: LieAlgebra) -> SplitResult:
     """Partition the minimal ideals by Killing-form definiteness: the
     compact part collects the ideals with negative definite restriction."""
-    ideals = simple_decomposition(alg)
+    kappa = killing_form(alg)
+    ideals = _simple_ideals(alg, kappa)
     compact: list[Vec] = []
     noncompact: list[Vec] = []
     for ideal in ideals:
-        sig = signature(_killing_restricted(alg, ideal))
+        sig = signature(kappa.restrict(ideal.vectors))
         if sig.p == 0 and sig.r == 0:
             compact.extend(ideal.vectors)
         else:
@@ -144,6 +142,7 @@ def compact_split(alg: LieAlgebra) -> SplitResult:
         ideals,
         subspace_from_spanning(alg.dim, compact),
         subspace_from_spanning(alg.dim, noncompact),
+        kappa,
     )
 
 
@@ -184,7 +183,7 @@ def split_form_report(m: MetricLieAlgebra) -> SplitFormReport:
     ]
     constants: list[Fraction | None] = []
     for ideal in noncompact_ideals:
-        kappa_i = _killing_restricted(alg, ideal).matrix
+        kappa_i = split.killing.restrict(ideal.vectors).matrix
         form_i = form.restrict(ideal.vectors).matrix
         c: Fraction | None = None
         for i in range(len(kappa_i)):

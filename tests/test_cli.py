@@ -41,24 +41,62 @@ def test_analyze_example42(capsys):
     assert r["solvable"] and not r["nilpotent"]
 
 
+# [x, y] = z, [x, z] = x violates the Jacobi identity
+NON_JACOBI_DOC = {
+    "name": "bad",
+    "dim": 3,
+    "basis": ["x", "y", "z"],
+    "brackets": [
+        {"i": 0, "j": 1, "coeffs": {"2": "1"}},
+        {"i": 0, "j": 2, "coeffs": {"0": "1"}},
+    ],
+}
+
+
 def test_validate_exit_codes(capsys, tmp_path):
     code, report, _ = run_json(capsys, "validate", "heis3")
     assert code == 0 and report["results"]["passed"]
-    bad = {
-        "name": "bad",
-        "dim": 3,
-        "basis": ["x", "y", "z"],
-        "brackets": [
-            {"i": 0, "j": 1, "coeffs": {"2": "1"}},
-            {"i": 0, "j": 2, "coeffs": {"0": "1"}},
-        ],
-    }
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps(bad))
+    path.write_text(json.dumps(NON_JACOBI_DOC))
     code, report, _ = run_json(capsys, "validate", str(path))
     assert code == 2
     assert not report["results"]["passed"]
     assert report["results"]["violations"]
+
+
+def test_closed_stdout_keeps_the_exit_code(tmp_path):
+    """A reader that closes the pipe before the CLI writes (as `| head`
+    may) gets no traceback on stderr, and the exit code is the
+    command's own; search writes its hits from its handler."""
+    import os
+    import subprocess
+    import sys
+
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(NON_JACOBI_DOC))
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+    search = ("search", "--min-dim", "3", "--max-dim", "3", "--budget", "30", "--seed", "9")
+    for argv, expected in (
+        (("signature", "example42"), 0),
+        (("validate", str(bad)), 2),
+        (search, 0),
+        (("--format", "json", *search), 0),
+    ):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "metriclie.cli", *argv],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                env=env,
+                text=True,
+                timeout=300,
+            )
+        finally:
+            os.close(write_end)
+        assert "Traceback" not in proc.stderr, (argv, proc.stderr)
+        assert proc.returncode == expected, (argv, proc.stderr)
 
 
 def test_signature_command(capsys):

@@ -231,6 +231,18 @@ def _count_calls(monkeypatch, *names):
     return counts
 
 
+def _criterion3_member_with_two_steps():
+    """The first member of the criterion-3 family (seed 1003) whose
+    complete reduction takes at least two steps."""
+    rng = random.Random(1003)
+    while True:
+        m = random_abelian_base(rng, max_dim=4)
+        for _ in range(rng.randint(1, 2)):
+            m = random_double_extension(rng, m)
+        if signature(m.form).witt_index >= 2:
+            return m
+
+
 def test_each_fact_is_certified_once(monkeypatch):
     from metriclie.einstein import bounds_certificate
 
@@ -239,13 +251,7 @@ def test_each_fact_is_certified_once(monkeypatch):
     assert len(complete_reduction(build_example42()).steps) == 2
     assert (counts["is_invariant"], counts["validate_structure"]) == (1, 1)
     # a member of the criterion-3 family with more steps
-    rng = random.Random(1003)
-    while True:
-        m = random_abelian_base(rng, max_dim=4)
-        for _ in range(rng.randint(1, 2)):
-            m = random_double_extension(rng, m)
-        if signature(m.form).witt_index >= 2:
-            break
+    m = _criterion3_member_with_two_steps()
     counts.update(dict.fromkeys(names, 0))
     assert len(complete_reduction(m).steps) >= 2
     assert (counts["is_invariant"], counts["validate_structure"]) == (1, 1)
@@ -253,6 +259,16 @@ def test_each_fact_is_certified_once(monkeypatch):
     counts.update(dict.fromkeys(names, 0))
     bounds_certificate(build_example42())
     assert (counts["nilradical"], counts["is_invariant"]) == (1, 1)
+
+
+def test_each_step_rewrites_the_input_once(monkeypatch):
+    # one change of basis per step, and its inverse is the only one
+    counts = _count_calls(monkeypatch, "change_basis", "inverse")
+    for alg in (build_example42(), _criterion3_member_with_two_steps()):
+        counts.update(change_basis=0, inverse=0)
+        steps = len(complete_reduction(alg).steps)
+        assert steps >= 2
+        assert counts == {"change_basis": steps, "inverse": steps}
 
 
 def test_auto_reduce_certifies_invariance_once(monkeypatch, capsys):
