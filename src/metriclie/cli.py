@@ -309,7 +309,10 @@ def cmd_relations(args) -> tuple[dict, int]:
 def cmd_probe(args) -> tuple[dict, int]:
     alg, form, _, name = _load_algebra(args.algebra)
     m = _metric(alg, form, name)
-    grid = tuple(Fraction(t.strip()) for t in args.times.split(","))
+    try:
+        grid = tuple(Fraction(t.strip()) for t in args.times.split(","))
+    except (ValueError, ZeroDivisionError) as exc:
+        raise PreconditionError(f"bad --times value: {exc}")
     rep = integer_exponential_probe(m, _element(alg, args.element), grid)
     return {
         "precision_bits": rep.precision_bits,

@@ -57,10 +57,7 @@ class SubspaceBasis:
         """The span as integer rows: every vector scaled to integers
         (``la.int_row``) and eliminated fraction-free. Its pivot rows
         span the subspace, so spans and brackets can be formed on them."""
-        span = la.IntSpan(self.ambient_dim)
-        for v in self.vectors:
-            span.add(la.int_row(v))
-        return span
+        return la.rational_span(self.vectors, self.ambient_dim)
 
     @property
     def dim(self) -> int:

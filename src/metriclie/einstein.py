@@ -479,10 +479,16 @@ def sharpness_search(
     bases by random skew maps, plus a sparse targeted family pairing a
     rotation block with a hyperbolic boost of matched weight (Einstein
     by the trace identity). Every Einstein hit is recorded, including
-    nilpotent and abelian ones. Deterministic for a fixed seed.
+    nilpotent and abelian ones. Deterministic for a fixed seed. An
+    empty range or a negative budget raises ``PreconditionError``.
     """
     dim_lo, dim_hi = dim_range
     idx_lo, idx_hi = index_range
+    if dim_lo > dim_hi or idx_lo > idx_hi or budget < 0:
+        raise PreconditionError(
+            f"empty search: dimensions {dim_lo}..{dim_hi}, "
+            f"index {idx_lo}..{idx_hi}, budget {budget}"
+        )
     rng = random.Random(seed)
     hits: list[dict] = []
     examined = 0

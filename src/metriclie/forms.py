@@ -48,10 +48,16 @@ class SymBilinearForm:
         return la.bilinear(self.matrix, la.vec(u), la.vec(v))
 
     def restrict(self, vectors: tuple[Vec, ...]) -> "SymBilinearForm":
-        gram = tuple(
-            tuple(self.apply(u, v) for v in vectors) for u in vectors
-        )
-        return SymBilinearForm(gram)
+        """The Gram matrix B(v_i, v_j): B v_j is formed once per vector,
+        and the upper triangle is mirrored, as B is symmetric."""
+        vecs = [la.vec(v) for v in vectors]
+        images = [la.mat_vec(self.matrix, v) for v in vecs]
+        k = len(vecs)
+        gram = [[la.ZERO] * k for _ in range(k)]
+        for i, u in enumerate(vecs):
+            for j in range(i, k):
+                gram[i][j] = gram[j][i] = la.vec_dot(u, images[j])
+        return SymBilinearForm(tuple(map(tuple, gram)))
 
     def is_zero(self) -> bool:
         return la.is_zero_mat(self.matrix)

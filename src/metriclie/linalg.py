@@ -1,7 +1,9 @@
 """Exact linear algebra over the rationals.
 
 Vectors are tuples of ``Fraction``, matrices are tuples of row tuples.
-Everything here is pure and exact; no floating point anywhere.
+Everything here is pure and exact; no floating point anywhere. Every
+row reduction runs on one fraction-free integer elimination,
+``IntSpan``, whose pivot rows are the unique RREF of their span.
 
 Polynomials are represented as tuples of coefficients in *descending*
 degree order (the convention of ``sympy.Poly.all_coeffs``).
@@ -179,70 +181,6 @@ def skew_residual(a: Mat, b: Mat) -> Mat:
     return mat_add(mat_mul(transpose(a), b), mat_mul(b, a))
 
 
-def rref(a: Mat) -> tuple[Mat, tuple[int, ...]]:
-    """Reduced row echelon form with the list of pivot columns."""
-    rows = [list(r) for r in a]
-    nr, nc = len(rows), (len(rows[0]) if rows else 0)
-    pivots: list[int] = []
-    r = 0
-    for c in range(nc):
-        pr = next((i for i in range(r, nr) if rows[i][c] != 0), None)
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        inv = 1 / rows[r][c]
-        rows[r] = [x * inv if x else ZERO for x in rows[r]]
-        support = [(k, y) for k, y in enumerate(rows[r]) if y]
-        for i in range(nr):
-            f = rows[i][c]
-            if i != r and f:
-                row = rows[i]
-                for k, y in support:
-                    row[k] -= f * y
-        pivots.append(c)
-        r += 1
-        if r == nr:
-            break
-    return tuple(tuple(r) for r in rows), tuple(pivots)
-
-
-def rank(a: Mat) -> int:
-    return len(rref(a)[1])
-
-
-def row_space_basis(vectors: Sequence[Vec]) -> tuple[Vec, ...]:
-    """Canonical (RREF) basis of the span of the given vectors, found on
-    their integer multiples (``int_row``) by ``IntSpan``."""
-    if not vectors:
-        return ()
-    span = IntSpan(len(vectors[0]))
-    for v in vectors:
-        span.add(int_row(v))
-    return span.basis()
-
-
-def kernel(a: Mat) -> tuple[Vec, ...]:
-    """Basis of the right null space, deterministic via RREF.
-
-    A dense matrix without rows has no column count, so the kernel of an
-    empty system is ``()``; a caller whose system can be empty uses
-    ``sparse_kernel``, which takes the column count."""
-    nc = ncols(a)
-    if nc == 0:
-        return ()
-    reduced, pivots = rref(a)
-    pivot_set = set(pivots)
-    free = [c for c in range(nc) if c not in pivot_set]
-    basis = []
-    for fc in free:
-        v = [ZERO] * nc
-        v[fc] = ONE
-        for i, pc in enumerate(pivots):
-            v[pc] = -reduced[i][fc]
-        basis.append(tuple(v))
-    return tuple(basis)
-
-
 def int_row(v: Vec) -> dict[int, int]:
     """v scaled by the least common denominator of its entries, as the
     sparse integer row {column: non-zero value}; it spans the same line."""
@@ -273,9 +211,10 @@ class IntSpan:
     cross-multiplication and divided by its content, and the pivot rows
     are kept reduced against each other. They then have distinct leading
     columns and vanish on each other's pivot columns, so scaled to
-    leading 1 they are the unique RREF of the span: ``basis`` equals
-    ``rref``'s rows and ``kernel`` equals ``kernel``'s basis on any
-    system with the same row space.
+    leading 1 they are the unique RREF of the span, whatever the order
+    of insertion. It is the one elimination of the package: ranks,
+    kernels, solutions, inverses, row bases, membership and the minimal
+    polynomial are all read off its pivot rows.
     """
 
     def __init__(self, nc: int):
@@ -327,7 +266,8 @@ class IntSpan:
 
     def kernel(self) -> tuple[Vec, ...]:
         """Basis of the vectors orthogonal to every row, one per free
-        column, read off the RREF as ``kernel`` does."""
+        column fc of the RREF: e_fc minus the RREF entries in column fc
+        at their pivot positions."""
         basis = []
         for fc in range(self.nc):
             if fc in self.pivots:
@@ -352,30 +292,66 @@ def sparse_kernel(rows: Iterable[Mapping[int, int]], nc: int) -> tuple[Vec, ...]
     return span.kernel()
 
 
+def rational_span(rows: Iterable[Vec], nc: int) -> IntSpan:
+    """The ``IntSpan`` of the given rational rows of width nc, each fed
+    as its integer multiple ``int_row``."""
+    span = IntSpan(nc)
+    for r in rows:
+        span.add(int_row(r))
+    return span
+
+
+def row_space_basis(vectors: Sequence[Vec]) -> tuple[Vec, ...]:
+    """The RREF basis of the span of the given vectors."""
+    if not vectors:
+        return ()
+    return rational_span(vectors, len(vectors[0])).basis()
+
+
+def kernel(a: Mat) -> tuple[Vec, ...]:
+    """Basis of the right null space, one vector per free column of the
+    RREF (see ``IntSpan.kernel``).
+
+    A dense matrix without rows has no column count, so the kernel of an
+    empty system is ``()``; a caller whose system can be empty uses
+    ``sparse_kernel``, which takes the column count."""
+    nc = ncols(a)
+    if nc == 0:
+        return ()
+    return rational_span(a, nc).kernel()
+
+
+def rank(a: Mat) -> int:
+    return rational_span(a, ncols(a)).dim
+
+
 def solve_lex(a: Mat, b: Vec) -> Vec | None:
     """A particular solution of ``a x = b`` with free variables set to
     zero, so the support sits on the earliest possible pivot columns.
     Returns None if the system is inconsistent."""
     nc = ncols(a)
-    aug = tuple(row + (bi,) for row, bi in zip(a, b))
-    reduced, pivots = rref(aug)
-    if nc in pivots:
+    span = rational_span((row + (bi,) for row, bi in zip(a, b)), nc + 1)
+    if nc in span.pivots:
         return None
     x = [ZERO] * nc
-    for i, pc in enumerate(pivots):
-        x[pc] = reduced[i][nc]
+    for pc, r in span.pivots.items():
+        x[pc] = Fraction(r.get(nc, 0), r[pc])
     return tuple(x)
 
 
 def inverse(a: Mat) -> Mat:
+    """The right half of the RREF of [a | I]; ``ValueError`` unless its
+    pivots are exactly the columns of a."""
     n = nrows(a)
     if n != ncols(a):
         raise ValueError("inverse of non-square matrix")
-    aug = tuple(row + unit_vec(n, i) for i, row in enumerate(a))
-    reduced, pivots = rref(aug)
-    if len(pivots) < n or any(p >= n for p in pivots):
+    span = rational_span((row + unit_vec(n, i) for i, row in enumerate(a)), 2 * n)
+    if set(span.pivots) != set(range(n)):
         raise ValueError("matrix is singular")
-    return tuple(r[n:] for r in reduced[:n])
+    return tuple(
+        tuple(Fraction(r.get(n + j, 0), r[i]) for j in range(n))
+        for i, r in sorted(span.pivots.items())
+    )
 
 
 def in_span(vectors: Sequence[Vec], v: Vec) -> bool:
@@ -383,7 +359,7 @@ def in_span(vectors: Sequence[Vec], v: Vec) -> bool:
         return True
     if not vectors:
         return False
-    return rank(tuple(vectors)) == rank(tuple(vectors) + (v,))
+    return not rational_span(vectors, len(v)).reduce(int_row(v))
 
 
 def coords_in(vectors: Sequence[Vec], v: Vec) -> Vec | None:
@@ -532,68 +508,22 @@ def charpoly(a: Mat) -> Poly:
 
 
 def minimal_polynomial(a: Mat) -> Poly:
-    """Monic minimal polynomial, found as the first linear dependency
-    among the flattened powers I, A, A^2, ..."""
+    """Monic minimal polynomial, from the first linear dependency among
+    the flattened powers I, A, A^2, ... (degree at most n).
+
+    Power d is spanned with the tag e_d in n + 1 extra columns. The
+    first power that lies in the span of the earlier ones reduces to a
+    row that vanishes on the n*n power columns, and its tags are the
+    coefficients of the dependency: x^k has coefficient tag_k / tag_d."""
     n = nrows(a)
-    powers: list[Vec] = []
-    tracker = SpanTracker()
+    nn = n * n
+    span = IntSpan(nn + n + 1)
     cur = identity(n)
-    for d in range(n * n + 1):
-        flat = tuple(x for row in cur for x in row)
-        if not tracker.add(flat):
-            coords = coords_in(powers, flat)
-            assert coords is not None
-            # x^d - sum coords_i x^i, descending order
-            desc = [ONE] + [-coords[d - 1 - i] for i in range(d)]
-            return tuple(desc)
-        powers.append(flat)
+    for d in range(n + 1):
+        span.add(int_row(tuple(x for row in cur for x in row) + unit_vec(n + 1, d)))
+        lead = max(span.pivots)
+        if lead >= nn:
+            r = span.pivots[lead]
+            return tuple(Fraction(r.get(nn + k, 0), r[nn + d]) for k in range(d, -1, -1))
         cur = mat_mul(cur, a)
     raise AssertionError("unreachable: minimal polynomial not found")
-
-
-class SpanTracker:
-    """Incrementally maintained row space in reduced form, so repeated
-    membership tests and insertions stay linear in the current rank.
-    Each row keeps the list of its non-zero columns, and every update
-    loops over that support only."""
-
-    def __init__(self):
-        self.rows: list[list[Fraction]] = []
-        self.pivots: list[int] = []
-        self.supports: list[list[int]] = []
-
-    @property
-    def dim(self) -> int:
-        return len(self.rows)
-
-    def _reduce(self, v: Vec) -> list[Fraction]:
-        w = list(v)
-        for row, p, support in zip(self.rows, self.pivots, self.supports):
-            c = w[p]
-            if c:
-                for k in support:
-                    w[k] -= c * row[k]
-        return w
-
-    def contains(self, v: Vec) -> bool:
-        return not any(self._reduce(v))
-
-    def add(self, v: Vec) -> bool:
-        """Insert v; returns True if it enlarged the span."""
-        w = self._reduce(v)
-        support = [k for k, x in enumerate(w) if x]
-        if not support:
-            return False
-        p = support[0]
-        inv = 1 / w[p]
-        w = [x * inv if x else ZERO for x in w]
-        for idx, row in enumerate(self.rows):
-            c = row[p]
-            if c:
-                for k in support:
-                    row[k] -= c * w[k]
-                self.supports[idx] = [k for k, x in enumerate(row) if x]
-        self.rows.append(w)
-        self.pivots.append(p)
-        self.supports.append(support)
-        return True

@@ -50,6 +50,90 @@ def random_vector(rng: random.Random, n: int, bound: int = 3) -> la.Vec:
     return v
 
 
+# ---------------------------------------------------------------------------
+# dense Fraction elimination: the reference for every ``la`` elimination
+# ---------------------------------------------------------------------------
+
+
+def naive_rref(a):
+    """Dense Gauss-Jordan elimination, every entry updated."""
+    rows = [list(r) for r in a]
+    nr, nc = len(rows), (len(rows[0]) if rows else 0)
+    pivots = []
+    r = 0
+    for c in range(nc):
+        pr = next((i for i in range(r, nr) if rows[i][c] != 0), None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        inv = 1 / rows[r][c]
+        rows[r] = [x * inv for x in rows[r]]
+        for i in range(nr):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == nr:
+            break
+    return tuple(tuple(x) for x in rows), tuple(pivots)
+
+
+def naive_rank(a):
+    return len(naive_rref(a)[1])
+
+
+def naive_row_space_basis(vectors):
+    """The non-zero rows of the RREF."""
+    if not vectors:
+        return ()
+    reduced, pivots = naive_rref(tuple(vectors))
+    return reduced[: len(pivots)]
+
+
+def naive_kernel(a):
+    """One null vector per free column of the RREF; a dense matrix
+    without rows has no column count, and its kernel is ()."""
+    nc = len(a[0]) if a else 0
+    reduced, pivots = naive_rref(a)
+    out = []
+    for fc in (c for c in range(nc) if c not in pivots):
+        v = [Fraction(0)] * nc
+        v[fc] = Fraction(1)
+        for i, pc in enumerate(pivots):
+            v[pc] = -reduced[i][fc]
+        out.append(tuple(v))
+    return tuple(out)
+
+
+def naive_solve_lex(a, b):
+    """The solution of a x = b with free variables zero, read off the
+    RREF of [a | b]; None if the last column is a pivot."""
+    nc = len(a[0]) if a else 0
+    reduced, pivots = naive_rref(tuple(tuple(row) + (bi,) for row, bi in zip(a, b)))
+    if nc in pivots:
+        return None
+    x = [Fraction(0)] * nc
+    for i, pc in enumerate(pivots):
+        x[pc] = reduced[i][nc]
+    return tuple(x)
+
+
+def naive_inverse(a):
+    """The right half of the RREF of [a | I]; None if a is singular."""
+    n = len(a)
+    reduced, pivots = naive_rref(tuple(tuple(row) + la.unit_vec(n, i) for i, row in enumerate(a)))
+    if pivots != tuple(range(n)):
+        return None
+    return tuple(row[n:] for row in reduced)
+
+
+def naive_in_span(vectors, v):
+    if not any(v):
+        return True
+    return bool(vectors) and naive_rank(tuple(vectors)) == naive_rank(tuple(vectors) + (v,))
+
+
 @pytest.fixture
 def rng():
     return random.Random(20260823)

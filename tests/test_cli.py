@@ -248,6 +248,16 @@ def test_probe_non_integer_precision_exits_2(capsys, monkeypatch):
     assert "METRIC_LIE_PRECISION" in err and "'abc'" in err
 
 
+@pytest.mark.parametrize("times", ["1/0", "abc", ""])
+def test_probe_malformed_times_exits_2(capsys, times):
+    code, out, err = run(
+        capsys, "probe", "example42", "--element", "a", "--times", times
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: bad --times value") and "Traceback" not in err
+
+
 def test_split_semisimple(capsys):
     code, report, _ = run_json(capsys, "split-semisimple", "sl2")
     assert code == 0
@@ -283,6 +293,21 @@ def test_search_emits_json_lines(capsys):
     for hit in hits:
         assert hit["einstein"]
         assert isinstance(hit["einstein_constant"], str)
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ("--min-dim", "9", "--max-dim", "3"),
+        ("--min-index", "3", "--max-index", "1"),
+        ("--budget", "-1"),
+    ],
+)
+def test_search_empty_range_or_negative_budget_exits_2(capsys, flags):
+    code, out, err = run(capsys, "search", *flags)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: empty search") and "Traceback" not in err
 
 
 def test_document_input_path(capsys, tmp_path):

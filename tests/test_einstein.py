@@ -248,6 +248,15 @@ def test_search_small_smoke():
         assert hit["nilpotent"]
 
 
+def test_search_rejects_empty_ranges_and_negative_budget():
+    for dims, index, budget in (((9, 3), (1, 2), 10), ((3, 8), (3, 1), 10), ((3, 8), (1, 2), -1)):
+        with pytest.raises(PreconditionError, match="empty search"):
+            sharpness_search(dims, index, budget, seed=1)
+    # one-point ranges and a zero budget are valid
+    assert sharpness_search((6, 6), (2, 2), 0, seed=1).examined == 0
+    assert sharpness_search((3, 3), (1, 1), 5, seed=1).examined == 5
+
+
 def test_search_propagates_certificate_failures(monkeypatch):
     """Every sample is Lie and invariant by construction, so a failed
     certificate is a bug and must not be dropped as a non-hit."""

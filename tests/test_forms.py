@@ -192,3 +192,21 @@ def test_isqrt_exact_large_squares():
     form = SymBilinearForm(((Fraction(1), Fraction(0)), (Fraction(0), Fraction(-big**2))))
     v = isotropic_vector(form)
     assert v is not None and not la.is_zero_vec(v) and form.apply(v, v) == 0
+
+
+def test_restrict_matches_pairwise_gram():
+    rng = random.Random(31)
+    for _ in range(60):
+        n = rng.randint(0, 8)
+        form = SymBilinearForm(_rand_symmetric(rng, n))
+        k = rng.randint(0, n + 2)
+        vectors = [
+            tuple(rand_fraction(rng, 4, 7) if rng.random() < 0.6 else 0 for _ in range(n))
+            for _ in range(k)
+        ]
+        if k > 1:
+            vectors[-1] = vectors[0]  # a repeated vector
+        gram = tuple(tuple(form.apply(u, v) for v in vectors) for u in vectors)
+        restricted = form.restrict(tuple(vectors))
+        assert restricted.matrix == gram
+        assert all(isinstance(x, Fraction) for row in restricted.matrix for x in row)

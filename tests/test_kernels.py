@@ -36,7 +36,17 @@ from metriclie.reduction import (
     skew_derivation_space,
 )
 
-from conftest import rand_fraction, random_abelian_base
+from conftest import (
+    naive_in_span,
+    naive_inverse,
+    naive_kernel,
+    naive_rank,
+    naive_row_space_basis,
+    naive_rref,
+    naive_solve_lex,
+    rand_fraction,
+    random_abelian_base,
+)
 
 ZERO = Fraction(0)
 
@@ -59,30 +69,6 @@ def naive_trace_product(a, b):
     return la.trace(naive_mat_mul(a, b))
 
 
-def naive_rref(a):
-    """Dense Gauss-Jordan elimination, every entry updated."""
-    rows = [list(r) for r in a]
-    nr, nc = len(rows), (len(rows[0]) if rows else 0)
-    pivots = []
-    r = 0
-    for c in range(nc):
-        pr = next((i for i in range(r, nr) if rows[i][c] != 0), None)
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        inv = 1 / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(nr):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == nr:
-            break
-    return tuple(tuple(x) for x in rows), tuple(pivots)
-
-
 def naive_bracket(alg, x, y):
     out = la.zeros_vec(alg.dim)
     for i, xi in enumerate(x):
@@ -92,15 +78,15 @@ def naive_bracket(alg, x, y):
 
 
 def old_minimal_polynomial(a):
-    """The rank-of-all-powers search, one full rank per degree."""
+    """The rank-of-all-powers search, one full dense rank per degree."""
     n = la.nrows(a)
     powers = []
     cur = la.identity(n)
     for d in range(n * n + 1):
         flat = tuple(x for row in cur for x in row)
         stacked = tuple(powers) + (flat,)
-        if la.rank(stacked) < len(stacked):
-            coords = la.coords_in(powers, flat)
+        if naive_rank(stacked) < len(stacked):
+            coords = naive_solve_lex(la.transpose(tuple(powers)), flat)
             return tuple([la.ONE] + [-coords[d - 1 - i] for i in range(d)])
         powers.append(flat)
         cur = naive_mat_mul(cur, a)
@@ -116,7 +102,7 @@ def int_matrix(a):
 def naive_closure_span(generators):
     """Span of the associative algebra generated by the matrices, by
     multiplying every pair until the flattened span stops growing."""
-    flats = la.row_space_basis(
+    flats = naive_row_space_basis(
         tuple(tuple(x for row in g for x in row) for g in generators)
     )
     n = la.nrows(generators[0])
@@ -131,7 +117,7 @@ def naive_closure_span(generators):
             for p in mats
             for q in mats
         ]
-        grown = la.row_space_basis(tuple(flats) + tuple(prods))
+        grown = naive_row_space_basis(tuple(flats) + tuple(prods))
         if len(grown) == len(flats):
             return flats
         flats = grown
@@ -240,40 +226,123 @@ def test_trace_product_seeded_square():
 
 
 # ---------------------------------------------------------------------------
-# rref, kernel, SpanTracker
+# IntSpan and the eliminations on it, against dense Fraction elimination
 # ---------------------------------------------------------------------------
 
 
-def test_rref_kernel_span_tracker_agree():
+def test_kernel_rank_and_int_span_agree():
     rng = random.Random(44)
     for _ in range(80):
         r, c = rng.randint(1, 8), rng.randint(1, 8)
         a = seeded_matrix(rng, r, c, rng.choice((0.0, 0.2, 0.5, 1.0)))
-        reduced, pivots = la.rref(a)
-        assert (reduced, pivots) == naive_rref(a)
+        reduced, pivots = naive_rref(a)
+        span = la.IntSpan(c)
+        grew = [span.add(la.int_row(row)) for row in a]
+        assert span.dim == la.rank(a) == len(pivots)
+        # a row enlarges the span exactly when the rank goes up
+        assert grew == [naive_rank(a[: i + 1]) > naive_rank(a[:i]) for i in range(r)]
+        assert span.basis() == la.row_space_basis(a) == reduced[: len(pivots)]
+        assert tuple(sorted(span.pivots)) == pivots
+        # the pivot rows stay reduced against each other's pivots
+        for lead, row in span.pivots.items():
+            assert min(row) == lead
+            assert all(lead not in other for p, other in span.pivots.items() if p != lead)
         ker = la.kernel(a)
+        assert ker == naive_kernel(a)
         assert len(pivots) + len(ker) == c
         for v in ker:
             assert la.is_zero_vec(la.mat_vec(a, v))
-        tracker = la.SpanTracker()
-        grew = [tracker.add(row) for row in a]
-        assert tracker.dim == len(pivots)
-        # a row enlarges the span exactly when the rank goes up
-        assert grew == [la.rank(a[: i + 1]) > la.rank(a[:i]) for i in range(r)]
-        assert la.span_eq(tuple(tuple(x) for x in tracker.rows), reduced[: len(pivots)])
-        # the tracker's rows stay reduced against each other's pivots
-        for row, p in zip(tracker.rows, tracker.pivots):
-            assert row[p] == 1
-            assert all(other[p] == 0 for other in tracker.rows if other is not row)
-        for support, row in zip(tracker.supports, tracker.rows):
-            assert support == [k for k, x in enumerate(row) if x]
-        for v in ker:
             # kernel vectors are orthogonal to the row space
-            for row in tracker.rows:
-                assert la.vec_dot(row, v) == 0
+            assert all(la.vec_dot(row, v) == 0 for row in span.basis())
         for _ in range(5):
             probe = seeded_matrix(rng, 1, c, 0.5)[0]
-            assert tracker.contains(probe) == la.in_span(reduced[: len(pivots)], probe)
+            expected = naive_in_span(reduced[: len(pivots)], probe)
+            assert (not span.reduce(la.int_row(probe))) == expected
+            assert la.in_span(a, probe) == expected
+
+
+def elimination_cases():
+    """Seeded rational matrices: random shapes and densities, zero rows,
+    dependent rows, all-zero matrices, 1 x 1 matrices and entries with
+    numerators and denominators up to 10^9."""
+    rng = random.Random(52)
+    out = [la.zeros(3, 3), la.zeros(1, 4), la.zeros(4, 1), la.zeros(1, 1)]
+    out += [((Fraction(7, 3),),), ((Fraction(-10**9, 10**9 - 1),),), la.identity(5)]
+    for _ in range(160):
+        r, c = rng.randint(1, 7), rng.randint(1, 7)
+        if rng.random() < 0.4:
+            c = r
+        bound = rng.choice((4, 10**9))
+        den = rng.choice((1, 5, 10**9))
+        density = rng.choice((0.2, 0.5, 1.0))
+        a = [
+            [
+                Fraction(rng.randint(-bound, bound), rng.randint(1, den))
+                if rng.random() < density
+                else ZERO
+                for _ in range(c)
+            ]
+            for _ in range(r)
+        ]
+        if r > 1 and rng.random() < 0.3:
+            a[rng.randrange(r)] = [ZERO] * c
+        if r > 2 and rng.random() < 0.3:
+            x, y = rng.sample(range(r), 2)
+            a[rng.randrange(r)] = [Fraction(2, 3) * s - t for s, t in zip(a[x], a[y])]
+        out.append(tuple(map(tuple, a)))
+    return out
+
+
+def test_elimination_matches_naive_rref():
+    rng = random.Random(53)
+    seen = dict.fromkeys(
+        ("inconsistent", "singular", "regular", "non_square", "one_by_one", "outside"), 0
+    )
+    for a in elimination_cases():
+        r, c = len(a), len(a[0])
+        assert la.kernel(a) == naive_kernel(a)
+        assert la.rank(a) == naive_rank(a)
+        # a consistent system, and a right-hand side that may not be
+        x = tuple(rand_fraction(rng, 5, 9) for _ in range(c))
+        b = la.mat_vec(a, x)
+        sol = la.solve_lex(a, b)
+        assert sol == naive_solve_lex(a, b)
+        assert sol is not None and la.mat_vec(a, sol) == b
+        b = tuple(rand_fraction(rng, 5, 9) for _ in range(r))
+        assert la.solve_lex(a, b) == naive_solve_lex(a, b)
+        seen["inconsistent"] += naive_solve_lex(a, b) is None
+        if r != c:
+            seen["non_square"] += 1
+            with pytest.raises(ValueError, match="^inverse of non-square matrix$"):
+                la.inverse(a)
+        elif naive_inverse(a) is None:
+            seen["singular"] += 1
+            with pytest.raises(ValueError, match="^matrix is singular$"):
+                la.inverse(a)
+        else:
+            seen["regular"] += 1
+            seen["one_by_one"] += r == 1
+            assert la.inverse(a) == naive_inverse(a)
+        # membership of the rows and of random vectors, in every prefix
+        probes = list(a) + [tuple(rand_fraction(rng, 3, 4) for _ in range(c)) for _ in range(2)]
+        for k in range(r):
+            for v in probes:
+                assert la.in_span(a[:k], v) == naive_in_span(a[:k], v)
+        basis = naive_row_space_basis(a)
+        for v in probes:
+            coords = la.coords_in(basis, v)
+            expected = naive_solve_lex(la.transpose(basis), v) if basis else None
+            if not basis and la.is_zero_vec(v):
+                expected = ()
+            assert coords == expected
+            seen["outside"] += coords is None
+        if r == c and r <= 5:
+            assert la.minimal_polynomial(a) == old_minimal_polynomial(a)
+    assert la.coords_in((), la.zeros_vec(3)) == ()
+    assert la.coords_in((), la.unit_vec(3, 1)) is None
+    assert la.in_span((), la.zeros_vec(2)) and not la.in_span((), la.unit_vec(2, 0))
+    assert la.minimal_polynomial(()) == (1,)
+    assert all(count >= 2 for count in seen.values()), seen
 
 
 # ---------------------------------------------------------------------------
@@ -348,12 +417,11 @@ def test_killing_and_nilradical_match_trace_of_products():
         non_nilpotent += 1
         assoc = _associative_closure([int_matrix(a) for a in ads])
         if n <= 6:
-            assert la.span_eq(
-                tuple(la.vec(x for row in b for x in row) for b in assoc),
-                naive_closure_span(ads),
-            )
+            assert naive_row_space_basis(
+                tuple(la.vec(x for row in b for x in row) for b in assoc)
+            ) == naive_closure_span(ads)
         old_rows = tuple(tuple(naive_trace_product(adi, b) for adi in ads) for b in assoc)
-        assert nilradical(alg).vectors == la.kernel(old_rows)
+        assert nilradical(alg).vectors == naive_kernel(old_rows)
     assert non_nilpotent >= 5
 
 
@@ -444,7 +512,7 @@ def dense_skew_derivation_system(base):
 
 def fraction_skew_derivation_space(base):
     n = base.dim
-    sols = la.kernel(dense_skew_derivation_system(base))
+    sols = naive_kernel(dense_skew_derivation_system(base))
     return tuple(
         tuple(tuple(sol[p * n + q] for q in range(n)) for p in range(n))
         for sol in sols
@@ -576,7 +644,7 @@ def test_cached_inverse_matches_inverse():
     forms = [m.form for m in criterion3_family(8)]
     forms += [rebased(rng, build_example42()).form]
     for form in forms:
-        assert form.inverse == la.inverse(form.matrix)
+        assert form.inverse == la.inverse(form.matrix) == naive_inverse(form.matrix)
         assert form.inverse is form.inverse
         m, rows = form.int_rows
         assert all(
@@ -599,11 +667,11 @@ def sparse_rows(rng, r, c, density, bound=6):
 
 
 def dense_kernel(rows, c):
-    """``la.kernel`` of the dense system; a system without rows has no
+    """``naive_kernel`` of the dense system; a system without rows has no
     column count as a dense matrix, and its kernel is all of Q^c."""
     if not rows:
         return la.identity(c)
-    return la.kernel(tuple(tuple(Fraction(row.get(j, 0)) for j in range(c)) for row in rows))
+    return naive_kernel(tuple(tuple(Fraction(row.get(j, 0)) for j in range(c)) for row in rows))
 
 
 def test_sparse_kernel_matches_kernel_seeded():
@@ -622,7 +690,7 @@ def test_sparse_kernel_matches_kernel_seeded():
         nc = base.dim ** 2
         den = math.lcm(*(x.denominator for row in system for x in row))
         rows = [{j: int(x * den) for j, x in enumerate(row) if x} for row in system]
-        assert la.sparse_kernel(rows, nc) == la.kernel(system)
+        assert la.sparse_kernel(rows, nc) == naive_kernel(system)
 
 
 @settings(max_examples=150, deadline=None)

@@ -3,14 +3,18 @@ from fractions import Fraction
 
 from metriclie import linalg as la
 
-from conftest import rand_matrix, rand_fraction
+from conftest import naive_in_span, naive_rank, naive_rref, rand_matrix, rand_fraction
 
 
 def test_rref_identity():
     m = la.identity(4)
-    rows, pivots = la.rref(m)
-    assert rows == m
-    assert pivots == (0, 1, 2, 3)
+    assert naive_rref(m) == (m, (0, 1, 2, 3))
+    span = la.IntSpan(4)
+    for row in m:
+        span.add(la.int_row(row))
+    assert span.basis() == la.row_space_basis(m) == m
+    assert sorted(span.pivots) == [0, 1, 2, 3]
+    assert la.inverse(m) == m and la.kernel(m) == ()
 
 
 def test_kernel_and_rank_are_complementary():
@@ -82,20 +86,23 @@ def test_squarefree_part_has_no_repeated_factors():
     assert la.poly_deg(g) == 0
 
 
-def test_span_tracker_matches_row_space():
+def test_int_span_matches_row_space():
     rng = random.Random(6)
     for _ in range(20):
         n = rng.randint(1, 6)
         vectors = [tuple(rand_fraction(rng) for _ in range(n)) for _ in range(8)]
-        tracker = la.SpanTracker()
+        span = la.IntSpan(n)
         kept = []
         for v in vectors:
-            if tracker.add(v):
+            if span.add(la.int_row(v)):
                 kept.append(v)
-        basis = la.row_space_basis(tuple(vectors))
-        assert len(kept) == len(basis)
+        assert len(kept) == span.dim == naive_rank(tuple(vectors))
+        assert la.row_space_basis(kept) == la.row_space_basis(vectors) == span.basis()
         for v in vectors:
-            assert tracker.contains(v)
+            assert not span.reduce(la.int_row(v))
+        for _ in range(3):
+            probe = tuple(rand_fraction(rng) for _ in range(n))
+            assert (not span.reduce(la.int_row(probe))) == naive_in_span(vectors, probe)
 
 
 def test_intersect_spans():

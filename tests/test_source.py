@@ -1,6 +1,7 @@
 """Static checks on the library source, standard library only."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "metriclie"
@@ -28,3 +29,42 @@ def test_no_unused_module_imports():
     assert len(modules) >= 10
     unused = {p.name: _unused_imports(p) for p in modules}
     assert {name: found for name, found in unused.items() if found} == {}
+
+
+def _names(node: ast.AST) -> Counter:
+    """Every identifier the node reads: bare names, attributes (``la._span``)
+    and names imported with ``from ... import``."""
+    found: Counter = Counter()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            found[sub.id] += 1
+        elif isinstance(sub, ast.Attribute):
+            found[sub.attr] += 1
+        elif isinstance(sub, ast.ImportFrom):
+            found.update(alias.name for alias in sub.names)
+    return found
+
+
+def _unreferenced_private_definitions() -> list[tuple[str, int, str]]:
+    """(module, line, name) of each module-level private (``_``-prefixed,
+    not dunder) function or class that no module of the package reads
+    outside its own body."""
+    trees = {p.name: ast.parse(p.read_text()) for p in sorted(SRC.glob("*.py"))}
+    used: Counter = Counter()
+    for tree in trees.values():
+        used.update(_names(tree))
+    out = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            name = node.name
+            if not name.startswith("_") or name.startswith("__"):
+                continue
+            if used[name] - _names(node)[name] == 0:
+                out.append((module, node.lineno, name))
+    return out
+
+
+def test_no_unreferenced_private_definitions():
+    assert _unreferenced_private_definitions() == []
