@@ -20,11 +20,13 @@ from . import linalg as la
 from . import catalog, documents
 from .core import (
     LieAlgebra,
+    SubspaceBasis,
     _require_jacobi,
     ad,
     center,
     killing_matrix,
     nilradical,
+    subspace_from_spanning,
     validate_structure,
 )
 from .einstein import bounds_certificate, einstein_check, sharpness_search
@@ -34,6 +36,7 @@ from .forms import (
     SymBilinearForm,
     _central_derived,
     is_invariant,
+    isotropic_vector,
     signature,
 )
 from .obstruction import (
@@ -189,18 +192,28 @@ def cmd_signature(args) -> tuple[dict, int]:
 
 
 def _pick_ideal(m: MetricLieAlgebra, raw: str):
-    """The ideal to reduce along. ``auto`` takes the first line of
-    z(g) ∩ [g, g], the line ``complete_reduction`` starts with, and
-    leaves every certificate to ``reduce_by_ideal``."""
-    from .core import SubspaceBasis
-
+    """The ideal to reduce along. ``auto`` takes the line
+    ``complete_reduction`` starts with: the first line of z(g) ∩ [g, g],
+    or on an abelian algebra the line of a rational isotropic vector.
+    Every certificate is left to ``reduce_by_ideal``."""
     if raw == "auto":
         ideal = _central_derived(m.algebra)
-        if ideal is None:
+        if ideal is not None:
+            return SubspaceBasis(m.dim, ideal.vectors[:1])
+        sig = signature(m.form)
+        if not sig.is_nondegenerate:
+            raise PreconditionError("reduction requires a non-degenerate form")
+        if sig.is_definite:
             raise PreconditionError(
-                "no central isotropic ideal available for automatic reduction"
+                "abelian algebra with a definite form: no isotropic line to reduce along"
             )
-        return SubspaceBasis(m.dim, ideal.vectors[:1])
+        v = isotropic_vector(m.form)
+        if v is None:
+            raise PreconditionError(
+                "abelian algebra with an indefinite form but no rational isotropic "
+                "vector was found; the form may be anisotropic over Q"
+            )
+        return subspace_from_spanning(m.dim, (v,))
     return SubspaceBasis(m.dim, (_element(m.algebra, raw),))
 
 

@@ -40,7 +40,13 @@ from .forms import (
     signature,
 )
 from .linalg import Mat, Vec
-from .reduction import DoubleExtensionSpec, build_ab, double_extend, random_skew_map
+from .reduction import (
+    DoubleExtensionSpec,
+    build_ab,
+    double_extend,
+    random_double_extension,
+    random_skew_numerators,
+)
 
 _X = sp.Symbol("x")
 
@@ -440,6 +446,21 @@ def _rotation_boost_delta4(b: int, lam: int) -> Mat:
     )
 
 
+def _traceless_skew_map(rng: random.Random, form: SymBilinearForm) -> Mat | None:
+    """The map ``random_skew_map(rng, form)`` draws if tr(delta^2) = 0,
+    else None, with the same draws from rng.
+
+    For a one-step extension of an abelian base the Killing form
+    vanishes iff tr(delta^2) = 0. With delta = R / D drawn in integers
+    by ``random_skew_numerators``, that is sum_ij R_ij R_ji = 0, so the
+    test runs in int and a rejected draw builds no Fraction.
+    """
+    den, rows = random_skew_numerators(rng, form)
+    if sum(x * rows[j][i] for i, row in enumerate(rows) for j, x in enumerate(row) if x):
+        return None
+    return la.mat_over(rows, den)
+
+
 def _record(m: MetricLieAlgebra, kind: str) -> dict | None:
     """A JSON-friendly record for an Einstein hit (None otherwise)."""
     rep = einstein_check(m)
@@ -481,6 +502,11 @@ def sharpness_search(
     by the trace identity). Every Einstein hit is recorded, including
     nilpotent and abelian ones. Deterministic for a fixed seed. An
     empty range or a negative budget raises ``PreconditionError``.
+
+    A one-step sample is drawn in integers and kept only if tr(delta^2)
+    = 0, decided in int before any Fraction is built
+    (``_traceless_skew_map``). The abelian bases come from the memoised
+    ``build_ab``, so they and their cached data are shared across calls.
     """
     dim_lo, dim_hi = dim_range
     idx_lo, idx_hi = index_range
@@ -492,12 +518,6 @@ def sharpness_search(
     rng = random.Random(seed)
     hits: list[dict] = []
     examined = 0
-    bases: dict[tuple[int, int], MetricLieAlgebra] = {}
-
-    def cached_ab(d: int, s: int) -> MetricLieAlgebra:
-        if (d, s) not in bases:
-            bases[(d, s)] = build_ab(d, s)
-        return bases[(d, s)]
 
     def feasible_minus_counts(d: int) -> list[int]:
         # extensions carry at least one hyperbolic plane: 1 <= s <= d-1
@@ -517,7 +537,7 @@ def sharpness_search(
             b = rng.randint(1, 9)
             g = double_extend(
                 DoubleExtensionSpec(
-                    base=cached_ab(4, 1), deltas=(_rotation_boost_delta4(b, b),)
+                    base=build_ab(4, 1), deltas=(_rotation_boost_delta4(b, b),)
                 )
             )
             rec = _record(g, "rotation-boost dim 6")
@@ -526,7 +546,7 @@ def sharpness_search(
             k = rng.randint(1, 3)
             g = double_extend(
                 DoubleExtensionSpec(
-                    base=cached_ab(6, 1),
+                    base=build_ab(6, 1),
                     deltas=(_rotation_boost_delta(3 * k, 4 * k, 5 * k),),
                 )
             )
@@ -538,9 +558,7 @@ def sharpness_search(
             if not choices:
                 continue
             s = rng.choice(choices)
-            from .reduction import random_double_extension
-
-            g = random_double_extension(rng, cached_ab(d - 4, s - 2))
+            g = random_double_extension(rng, build_ab(d - 4, s - 2))
             g = random_double_extension(rng, g)
             rec = _record(g, f"iterated-2 dim {d}")
         else:
@@ -549,11 +567,9 @@ def sharpness_search(
             if d < 2 or not choices:
                 continue
             s = rng.choice(choices)
-            base = cached_ab(d - 2, s - 1)
-            delta = random_skew_map(rng, base.form)
-            # cheap exact prefilter: for a one-step extension of an
-            # abelian base the Killing form vanishes iff tr(delta^2) = 0
-            if la.trace_product(delta, delta) != 0:
+            base = build_ab(d - 2, s - 1)
+            delta = _traceless_skew_map(rng, base.form)
+            if delta is None:
                 continue
             g = double_extend(DoubleExtensionSpec(base=base, deltas=(delta,)))
             rec = _record(g, f"random one-step dim {d} minus {s}")

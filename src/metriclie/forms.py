@@ -30,6 +30,17 @@ from .errors import CertificateError, PreconditionError
 from .linalg import Mat, Vec
 
 
+def _scaled_rows(m: Mat) -> tuple[int, tuple[la.IntRow, ...]]:
+    """(D, rows): D the least common denominator of the entries of m and
+    ``rows[p]`` the pairs (q, D m_pq) with non-zero entry."""
+    den = math.lcm(*(x.denominator for row in m for x in row))
+    rows = tuple(
+        tuple((q, x.numerator * (den // x.denominator)) for q, x in enumerate(row) if x)
+        for row in m
+    )
+    return den, rows
+
+
 @dataclass(frozen=True)
 class SymBilinearForm:
     matrix: Mat
@@ -66,12 +77,13 @@ class SymBilinearForm:
     def int_rows(self) -> tuple[int, tuple[la.IntRow, ...]]:
         """(M, rows) with M the least common denominator of the entries
         and ``rows[p]`` the pairs (q, M B_pq) with non-zero entry."""
-        den = math.lcm(*(x.denominator for row in self.matrix for x in row))
-        rows = tuple(
-            tuple((q, int(x * den)) for q, x in enumerate(row) if x)
-            for row in self.matrix
-        )
-        return den, rows
+        return _scaled_rows(self.matrix)
+
+    @functools.cached_property
+    def int_inverse(self) -> tuple[int, tuple[la.IntRow, ...]]:
+        """``inverse`` as ``int_rows`` holds B: (M, rows) with ``rows[p]``
+        the pairs (q, M (B^{-1})_pq) with non-zero entry."""
+        return _scaled_rows(self.inverse)
 
     @functools.cached_property
     def inverse(self) -> Mat:

@@ -41,6 +41,11 @@ def mat(rows: Iterable[Iterable]) -> Mat:
     return m
 
 
+def mat_over(rows: Iterable[Iterable[int]], den: int) -> Mat:
+    """The rational matrix rows / den of integer rows."""
+    return tuple(tuple(Fraction(x, den) if x else ZERO for x in r) for r in rows)
+
+
 def zeros_vec(n: int) -> Vec:
     return (ZERO,) * n
 

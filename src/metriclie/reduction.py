@@ -8,9 +8,10 @@ and comparing structure constants exactly.
 
 from __future__ import annotations
 
+import functools
+import math
 import random
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Mapping, Sequence
 
 from . import linalg as la
@@ -382,8 +383,13 @@ def complete_reduction(m: MetricLieAlgebra, max_steps: int | None = None) -> Red
 # ---------------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=64)
 def build_ab(n: int, s: int) -> MetricLieAlgebra:
-    """Abelian algebra of dimension n with diagonal form of index s."""
+    """Abelian algebra of dimension n with diagonal form of index s.
+
+    Memoised: each (n, s) is built once per process and the same frozen
+    object is returned on every call, so the integer rows, inverse and
+    structure table it derives on first use are shared by all callers."""
     if not (0 <= s <= n):
         raise PreconditionError("index must satisfy 0 <= s <= n")
     diag = [la.ONE] * (n - s) + [-la.ONE] * s
@@ -443,6 +449,42 @@ def build_example42() -> MetricLieAlgebra:
 # ---------------------------------------------------------------------------
 
 
+def random_skew_numerators(
+    rng: random.Random,
+    form: SymBilinearForm,
+    bound: int = 2,
+    max_denominator: int = 4,
+) -> tuple[int, list[list[int]]]:
+    """The draw of ``random_skew_map`` in integers: (D, R) with R an
+    integer matrix and B^{-1} K = R / D.
+
+    K is skew-symmetric. For each i < j in turn, a denominator den is
+    drawn from [1, max_denominator], then a numerator from [-bound den,
+    bound den], and K_ij is their quotient. Over L = lcm(1..
+    max_denominator) every L K_ij is an integer; with (M, rows) =
+    ``form.int_inverse``, R is the product of the rows M B^{-1} with
+    L K, and D = L M.
+    """
+    n = form.dim
+    lcm = math.lcm(*range(1, max_denominator + 1))
+    k = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            den = rng.randint(1, max_denominator)
+            c = rng.randint(-bound * den, bound * den) * (lcm // den)
+            k[i][j] = c
+            k[j][i] = -c
+    m, inv_rows = form.int_inverse
+    out = []
+    for inv_row in inv_rows:
+        acc = [0] * n
+        for r, x in inv_row:
+            for q, y in enumerate(k[r]):
+                acc[q] += x * y
+        out.append(acc)
+    return lcm * m, out
+
+
 def random_skew_map(
     rng: random.Random,
     form: SymBilinearForm,
@@ -451,16 +493,10 @@ def random_skew_map(
 ) -> Mat:
     """A random map skew with respect to the given non-degenerate form,
     built as B^{-1} K with K skew-symmetric and entries in [-bound,
-    bound] with bounded denominator."""
-    n = form.dim
-    k = [[la.ZERO] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            den = rng.randint(1, max_denominator)
-            c = Fraction(rng.randint(-bound * den, bound * den), den)
-            k[i][j] = c
-            k[j][i] = -c
-    return la.mat_mul(form.inverse, tuple(tuple(r) for r in k))
+    bound] with bounded denominator: the integer draw
+    ``random_skew_numerators`` over D = L M, read as rationals."""
+    den, rows = random_skew_numerators(rng, form, bound, max_denominator)
+    return la.mat_over(rows, den)
 
 
 def skew_derivation_space(base: MetricLieAlgebra) -> tuple[Mat, ...]:
@@ -513,13 +549,19 @@ def skew_derivation_space(base: MetricLieAlgebra) -> tuple[Mat, ...]:
 
 def random_double_extension(rng: random.Random, base: MetricLieAlgebra) -> MetricLieAlgebra:
     """One-dimensional double extension of the base by a random skew
-    derivation (the zero map if the base admits no other)."""
-    space = skew_derivation_space(base)
-    delta = la.zeros(base.dim, base.dim)
-    for d in space:
-        c = Fraction(rng.randint(-2, 2))
+    derivation: the basis of ``skew_derivation_space`` combined, in one
+    pass, with coefficients drawn from [-2, 2] (the zero map if the base
+    admits no other)."""
+    n = base.dim
+    acc = [[la.ZERO] * n for _ in range(n)]
+    for d in skew_derivation_space(base):
+        c = rng.randint(-2, 2)
         if c:
-            delta = la.mat_add(delta, la.mat_scale(c, d))
+            for acc_row, row in zip(acc, d):
+                for q, x in enumerate(row):
+                    if x:
+                        acc_row[q] += c * x
+    delta = tuple(map(tuple, acc))
     return double_extend(DoubleExtensionSpec(base=base, deltas=(delta,)))
 
 

@@ -12,8 +12,10 @@ import pytest
 
 from metriclie import linalg as la
 from metriclie.core import LieAlgebra
+from metriclie.forms import SymBilinearForm
 from metriclie.reduction import (
     build_ab,
+    build_example42,
     iterated_double_extension,
     random_double_extension,
 )
@@ -137,3 +139,30 @@ def naive_in_span(vectors, v):
 @pytest.fixture
 def rng():
     return random.Random(20260823)
+
+
+def reference_random_skew_map(rng, form, bound=2, max_denominator=4):
+    """The Fraction draw of random_skew_map before it drew in integers:
+    K built entry by entry as Fractions, then B^{-1} K as a product."""
+    n = form.dim
+    k = [[la.ZERO] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            den = rng.randint(1, max_denominator)
+            c = Fraction(rng.randint(-bound * den, bound * den), den)
+            k[i][j] = c
+            k[j][i] = -c
+    return la.mat_mul(form.inverse, tuple(tuple(r) for r in k))
+
+
+def draw_forms():
+    """Diagonal ±1 forms of dimension 1-8, the non-diagonal forms of
+    example42 and of a hyperbolic plane, and forms with non-unit and
+    non-integer entries."""
+    forms = [build_ab(n, s).form for n in range(1, 9) for s in range(n + 1)]
+    forms.append(build_example42().form)
+    forms.append(SymBilinearForm(((0, 1), (1, 0))))
+    forms.append(SymBilinearForm(((2, 0), (0, -3))))
+    half = Fraction(1, 2)
+    forms.append(SymBilinearForm(((half, 1, 0), (1, 0, 0), (0, 0, Fraction(-5, 3)))))
+    return forms

@@ -15,8 +15,13 @@ from metriclie.documents import (
     algebra_to_document,
     emit_document,
 )
-from metriclie.forms import SymBilinearForm, _central_derived, central_isotropic_ideal
-from metriclie.reduction import build_example42
+from metriclie.forms import (
+    MetricLieAlgebra,
+    SymBilinearForm,
+    _central_derived,
+    central_isotropic_ideal,
+)
+from metriclie.reduction import build_example42, complete_reduction
 
 
 def run(capsys, *argv):
@@ -138,15 +143,21 @@ def test_auto_reduce_on_pool_documents(capsys, monkeypatch, tmp_path):
     picked += [e for e in pool if not e["doc"]["brackets"] and e not in picked]
     assert len(picked) >= 40
     lines = {1: 0, 2: 0}
+    abelian = 0
     for entry in picked:
         path = tmp_path / f"{entry['id']}.json"
         path.write_text(json.dumps(entry["doc"]))
         code, out, err = run(capsys, "reduce", str(path), "--format", "json")
-        alg = cli._load_algebra(str(path))[0]
-        if not entry["doc"]["brackets"]:
-            assert code == 2 and "no central isotropic ideal" in err, entry["id"]
-            continue
+        alg, form = cli._load_algebra(str(path))[:2]
         assert code == 0, (entry["id"], err)
+        if not entry["doc"]["brackets"]:
+            # abelian and indefinite: the line complete_reduction takes first
+            results = json.loads(out)["results"]
+            assert results["base"]["dim"] == entry["dim"] - 2, entry["id"]
+            first = complete_reduction(MetricLieAlgebra(alg, form)).steps[0]
+            assert results["ideal"] == [[str(x) for x in v] for v in first.ideal.vectors]
+            abelian += 1
+            continue
         dim = _central_derived(alg).dim
         lines[min(dim, 2)] += 1
         if dim == 1:
@@ -154,8 +165,20 @@ def test_auto_reduce_on_pool_documents(capsys, monkeypatch, tmp_path):
             with monkeypatch.context() as mp:
                 mp.setattr(cli, "_pick_ideal", lambda m, raw: central_isotropic_ideal(m))
                 assert run(capsys, "reduce", str(path), "--format", "json") == (0, out, err)
-    # both kinds of intersection occur in the sample
-    assert lines[1] and lines[2]
+    # both kinds of intersection occur in the sample, and abelian documents
+    assert lines[1] and lines[2] and abelian
+
+
+def test_auto_reduce_abelian_without_isotropic_line_exits_2(capsys, tmp_path):
+    code, _, err = run(capsys, "reduce", "ab(4,0)")
+    assert code == 2 and "definite form" in err
+    # x^2 + y^2 - 3 z^2 is indefinite but anisotropic over Q
+    form = SymBilinearForm(((1, 0, 0), (0, 1, 0), (0, 0, -3)))
+    doc = algebra_to_document(LieAlgebra(3, ("e0", "e1", "e2"), {}), form, name="aniso")
+    path = tmp_path / "aniso.json"
+    path.write_text(json.dumps(emit_document(doc)))
+    code, _, err = run(capsys, "reduce", str(path))
+    assert code == 2 and "no rational isotropic vector" in err
 
 
 def test_reduce_bad_ideal_is_precondition_error(capsys):

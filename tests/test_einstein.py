@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 from fractions import Fraction
 
@@ -10,6 +12,7 @@ from metriclie.core import LieAlgebra, ad, killing_matrix
 from metriclie.einstein import (
     EigenvalueData,
     _quadratic_radical,
+    _traceless_skew_map,
     _trace_square_from_charpoly,
     TorusLeaf,
     TriangularNode,
@@ -27,7 +30,13 @@ from metriclie.errors import CertificateError, PreconditionError
 from metriclie.forms import MetricLieAlgebra, SymBilinearForm
 from metriclie.reduction import build_ab, build_example42, build_ko1
 
-from conftest import rand_matrix, random_solvable_metric, random_vector
+from conftest import (
+    draw_forms,
+    rand_matrix,
+    random_solvable_metric,
+    random_vector,
+    reference_random_skew_map,
+)
 
 
 def _rotation_boost():
@@ -255,6 +264,56 @@ def test_search_rejects_empty_ranges_and_negative_budget():
     # one-point ranges and a zero budget are valid
     assert sharpness_search((6, 6), (2, 2), 0, seed=1).examined == 0
     assert sharpness_search((3, 3), (1, 1), 5, seed=1).examined == 5
+
+
+def test_integer_prefilter_matches_fraction_trace(monkeypatch):
+    """The one-step prefilter keeps a draw iff tr(delta^2) = 0 on the
+    reference Fraction map, draws the same stream, and converts only
+    the draws it keeps."""
+    converted = []
+    mat_over = la.mat_over
+
+    def counted_mat_over(rows, den):
+        converted.append(den)
+        return mat_over(rows, den)
+
+    monkeypatch.setattr(la, "mat_over", counted_mat_over)
+    # non-zero maps with tr(delta^2) = 0 are rare; the small indefinite
+    # diagonal forms give the most of them
+    samples = [(form, 4) for form in draw_forms()]
+    samples += [(build_ab(3, 1).form, 60), (build_ab(4, 2).form, 60)]
+    kept = nonzero_kept = rejected = 0
+    for form, seeds in samples:
+        for seed in range(seeds):
+            rng, ref_rng = random.Random(seed), random.Random(seed)
+            for _ in range(5):
+                got = _traceless_skew_map(rng, form)
+                ref = reference_random_skew_map(ref_rng, form)
+                assert rng.getstate() == ref_rng.getstate()
+                if la.trace_product(ref, ref) == 0:
+                    assert got == ref
+                    kept += 1
+                    nonzero_kept += not la.is_zero_mat(ref)
+                else:
+                    assert got is None
+                    rejected += 1
+    assert len(converted) == kept
+    assert nonzero_kept > 10 and rejected > 100
+
+
+# sha256 over the JSON outputs of sharpness_search((3, 8), (1, 2), 20,
+# seed=s) for s = 0..49, recorded when skew maps were still drawn as
+# Fractions; it pins the random stream of the search
+SEARCH_STREAM_SHA256 = "4480d8ad422163b20f8e272199e75ae163cb28620b3eebbbc09e2fd34c3e8255"
+
+
+def test_search_outputs_are_pinned():
+    h = hashlib.sha256()
+    for seed in range(50):
+        r = sharpness_search((3, 8), (1, 2), 20, seed=seed)
+        h.update(json.dumps({"examined": r.examined, "hits": list(r.hits)}, sort_keys=True).encode())
+        h.update(b"\n")
+    assert h.hexdigest() == SEARCH_STREAM_SHA256
 
 
 def test_search_propagates_certificate_failures(monkeypatch):

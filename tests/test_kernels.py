@@ -646,12 +646,13 @@ def test_cached_inverse_matches_inverse():
     for form in forms:
         assert form.inverse == la.inverse(form.matrix) == naive_inverse(form.matrix)
         assert form.inverse is form.inverse
-        m, rows = form.int_rows
-        assert all(
-            Fraction(dict(rows[p]).get(q, 0), m) == form.matrix[p][q]
-            for p in range(form.dim)
-            for q in range(form.dim)
-        )
+        for (m, rows), target in ((form.int_rows, form.matrix), (form.int_inverse, form.inverse)):
+            assert all(x for row in rows for _, x in row)
+            assert all(
+                Fraction(dict(rows[p]).get(q, 0), m) == target[p][q]
+                for p in range(form.dim)
+                for q in range(form.dim)
+            )
 
 
 # ---------------------------------------------------------------------------

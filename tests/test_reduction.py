@@ -7,6 +7,7 @@ from metriclie import linalg as la
 from metriclie.core import SubspaceBasis, series, validate_structure
 from metriclie.errors import PreconditionError
 from metriclie.forms import (
+    SymBilinearForm,
     central_isotropic_ideal,
     is_invariant,
     signature,
@@ -22,11 +23,17 @@ from metriclie.reduction import (
     iterated_double_extension,
     random_double_extension,
     random_skew_map,
+    random_skew_numerators,
     reduce_by_ideal,
     skew_derivation_space,
 )
 
-from conftest import random_abelian_base, random_solvable_metric
+from conftest import (
+    draw_forms,
+    random_abelian_base,
+    random_solvable_metric,
+    reference_random_skew_map,
+)
 
 
 def _rotation_boost():
@@ -46,6 +53,68 @@ def test_build_ab_basics():
     assert series(m.algebra).is_abelian
     sig = signature(m.form)
     assert (sig.p, sig.q, sig.r) == (3, 2, 0)
+
+
+def test_build_ab_is_memoised():
+    assert build_ab(4, 1) is build_ab(4, 1)
+    assert build_ab(4, 1) is not build_ab(4, 2)
+    with pytest.raises(PreconditionError):
+        build_ab(3, 4)
+
+
+def test_random_skew_map_matches_fraction_reference():
+    for form in draw_forms():
+        for bound, max_den in ((2, 4), (1, 1), (3, 6), (5, 7)):
+            for seed in range(3):
+                rng, ref_rng = random.Random(seed), random.Random(seed)
+                for _ in range(3):
+                    delta = random_skew_map(rng, form, bound, max_den)
+                    assert delta == reference_random_skew_map(ref_rng, form, bound, max_den)
+                    assert rng.getstate() == ref_rng.getstate()
+                    assert all(type(x) is Fraction for row in delta for x in row)
+                    assert la.is_zero_mat(la.skew_residual(delta, form.matrix))
+
+
+def test_random_skew_numerators_scale_to_the_draw():
+    rng, ref_rng = random.Random(3), random.Random(3)
+    form = SymBilinearForm(((2, 0), (0, -3)))
+    den, rows = random_skew_numerators(rng, form, 2, 4)
+    # L = lcm(1..4) = 12 and M = 6 for B^{-1} = diag(1/2, -1/3)
+    assert den == 72
+    assert all(type(x) is int for row in rows for x in row)
+    ref = reference_random_skew_map(ref_rng, form, 2, 4)
+    assert tuple(tuple(Fraction(x, den) for x in row) for row in rows) == ref
+    # the draw consumes the stream before a degenerate form is rejected
+    rng, ref_rng = random.Random(4), random.Random(4)
+    degenerate = SymBilinearForm(((1, 1), (1, 1)))
+    for draw, stream in ((random_skew_map, rng), (reference_random_skew_map, ref_rng)):
+        with pytest.raises(ValueError, match="singular"):
+            draw(stream, degenerate)
+    assert rng.getstate() == ref_rng.getstate()
+
+
+def reference_random_double_extension(rng, base):
+    """random_double_extension with one mat_scale and mat_add per basis
+    element, as it was before the single accumulation pass."""
+    delta = la.zeros(base.dim, base.dim)
+    for d in skew_derivation_space(base):
+        c = Fraction(rng.randint(-2, 2))
+        if c:
+            delta = la.mat_add(delta, la.mat_scale(c, d))
+    return double_extend(DoubleExtensionSpec(base=base, deltas=(delta,)))
+
+
+def test_random_double_extension_matches_reference():
+    for seed in range(12):
+        base = build_ab(2 + seed % 5, 1 + seed % 2)
+        rng, ref_rng = random.Random(seed), random.Random(seed)
+        for _ in range(2):
+            got = random_double_extension(rng, base)
+            ref = reference_random_double_extension(ref_rng, base)
+            assert got.algebra.brackets == ref.algebra.brackets
+            assert got.form.matrix == ref.form.matrix
+            assert rng.getstate() == ref_rng.getstate()
+            base = got
 
 
 def test_double_extend_produces_metric_algebra():

@@ -68,3 +68,35 @@ def _unreferenced_private_definitions() -> list[tuple[str, int, str]]:
 
 def test_no_unreferenced_private_definitions():
     assert _unreferenced_private_definitions() == []
+
+
+def _relative_sources(node: ast.ImportFrom) -> set[str]:
+    """The package modules a relative ``from`` import reads: ``.X`` for
+    ``from .X import ...`` and each ``.name`` for ``from . import name``."""
+    dots = "." * node.level
+    if node.module:
+        return {dots + node.module}
+    return {dots + alias.name for alias in node.names}
+
+
+def _redundant_local_imports(path: Path) -> list[tuple[int, str]]:
+    """(line, source) of each relative import inside a function body
+    from a module that the file already imports from at module level."""
+    tree = ast.parse(path.read_text())
+    top: set[str] = set()
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.level:
+            top |= _relative_sources(node)
+    out = []
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for node in ast.walk(fn):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                out.extend((node.lineno, src) for src in _relative_sources(node) & top)
+    return sorted(set(out))
+
+
+def test_no_function_local_import_of_a_module_level_source():
+    found = {p.name: _redundant_local_imports(p) for p in sorted(SRC.glob("*.py"))}
+    assert {name: lines for name, lines in found.items() if lines} == {}
