@@ -122,10 +122,6 @@ def load_delta_file(path: str, expected_dim: int) -> la.Mat:
     )
 
 
-def catalog_names() -> tuple[str, ...]:
-    return _BARE_NAMES + tuple(f"{p}(...)" for p in _PARAM_NAMES)
-
-
 def _suggest(name: str) -> str:
     pool = list(_BARE_NAMES) + list(_PARAM_NAMES)
     close = difflib.get_close_matches(name, pool, n=3, cutoff=0.4)

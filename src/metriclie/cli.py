@@ -352,7 +352,7 @@ def cmd_split_semisimple(args) -> tuple[dict, int]:
         "noncompact_part": [_vec_out(v) for v in split.noncompact_part.vectors],
     }
     if form is not None:
-        rep = split_form_report(MetricLieAlgebra(alg, form))
+        rep = split_form_report(MetricLieAlgebra(alg, form), split)
         results["form_report"] = {
             "s_invariant": rep.s_invariant,
             "k_perp_s": rep.k_perp_s,

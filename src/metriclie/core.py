@@ -129,6 +129,22 @@ class LieAlgebra:
         return den, tuple(map(tuple, rows))
 
     @functools.cached_property
+    def int_ad(self) -> tuple[tuple[dict[int, int], ...], ...]:
+        """The structure table by output index: ``int_ad[i][p]`` is
+        {q: L c_{iq}^p} over the non-zero entries, row p of the integer
+        matrix L ad(b_i). Every reader of ad(b_i) by rows reads this."""
+        n = self.dim
+        _, rows = self.int_table
+        out = []
+        for row_i in rows:
+            by_p: list[dict[int, int]] = [{} for _ in range(n)]
+            for q, row in enumerate(row_i):
+                for p, t in row:
+                    by_p[p][q] = t
+            out.append(tuple(by_p))
+        return tuple(out)
+
+    @functools.cached_property
     def series_report(self) -> "SeriesReport":
         """``series(self)``, computed on first use and kept, so every
         caller that needs the series or [g, g] reads the same report."""
@@ -142,29 +158,20 @@ class LieAlgebra:
         return la.vec_scale(-1, self.brackets.get((j, i), la.zeros_vec(self.dim)))
 
     def bracket(self, x: Vec, y: Vec) -> Vec:
-        """sum_ij x_i y_j [b_i, b_j], over the non-zero x_i, y_j and
-        the non-zero stored coefficients only."""
+        """sum_ij x_i y_j [b_i, b_j], summed over the non-zero x_i, y_j
+        on the rows of the structure table and divided by L once."""
+        den, rows = self.int_table
         out = [la.ZERO] * self.dim
-        brackets = self.brackets
         y_support = [(j, yj) for j, yj in enumerate(y) if yj]
         for i, xi in enumerate(x):
             if not xi:
                 continue
+            row_i = rows[i]
             for j, yj in y_support:
-                if i < j:
-                    coeffs = brackets.get((i, j))
-                    c = xi * yj
-                elif i > j:
-                    coeffs = brackets.get((j, i))
-                    c = -xi * yj
-                else:
-                    continue
-                if coeffs is None:
-                    continue
-                for k, ck in enumerate(coeffs):
-                    if ck:
-                        out[k] += c * ck
-        return tuple(out)
+                c = xi * yj
+                for k, t in row_i[j]:
+                    out[k] += c * t
+        return tuple(v / den if v else v for v in out)
 
     def name_index(self, name: str) -> int:
         try:
@@ -173,6 +180,11 @@ class LieAlgebra:
             raise KeyError(f"no basis vector named {name!r}") from None
 
     def full_space(self) -> SubspaceBasis:
+        """All of Q^dim, built once per algebra."""
+        return self._full_space
+
+    @functools.cached_property
+    def _full_space(self) -> SubspaceBasis:
         return SubspaceBasis(self.dim, la.identity(self.dim))
 
 
@@ -287,17 +299,9 @@ def derived_subalgebra(alg: LieAlgebra) -> SubspaceBasis:
 
 def center(alg: LieAlgebra) -> SubspaceBasis:
     """{x : [b_i, x] = 0 for all i}: the ``sparse_kernel`` of the rows
-    x -> [b_i, x]_p of the structure table."""
+    of every L ad(b_i)."""
     n = alg.dim
-    _, rows = alg.int_table
-    eqs = []
-    for row_i in rows:
-        by_p: dict[int, dict[int, int]] = {}
-        for q, row in enumerate(row_i):
-            for p, t in row:
-                by_p.setdefault(p, {})[q] = t
-        eqs.extend(by_p.values())
-    return SubspaceBasis(n, la.sparse_kernel(eqs, n))
+    return SubspaceBasis(n, la.sparse_kernel((r for ad_i in alg.int_ad for r in ad_i), n))
 
 
 @dataclass(frozen=True)
@@ -347,16 +351,18 @@ def killing_matrix(alg: LieAlgebra) -> Mat:
     structure table and divided by L^2.
     """
     n = alg.dim
-    den, rows = alg.int_table
+    den, _ = alg.int_table
     den2 = den * den
-    # ads[i][(m, l)] = L c_{im}^l, the non-zero entries of ad(e_i)^T
-    ads = [{(m, l): t for m in range(n) for l, t in rows[i][m]} for i in range(n)]
+    ads = alg.int_ad
     # kappa is symmetric: pair j >= i only and mirror
     kappa = [[la.ZERO] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
             ad_j = ads[j]
-            total = sum(t * ad_j.get((l, m), 0) for (m, l), t in ads[i].items())
+            # tr(A_i A_j) = sum_{l,m} (A_i)_lm (A_j)_ml
+            total = sum(
+                t * ad_j[m].get(l, 0) for l, row in enumerate(ads[i]) for m, t in row.items()
+            )
             kappa[i][j] = kappa[j][i] = Fraction(total, den2)
     return tuple(tuple(row) for row in kappa)
 
@@ -478,22 +484,15 @@ def nilradical(alg: LieAlgebra, hint: SubspaceBasis | None = None) -> SubspaceBa
     if rep.is_nilpotent:
         result = alg.full_space()
     else:
-        _, rows = alg.int_table
-        # ads[i][p][q] = L c_{iq}^p, the matrix of L ad(b_i)
-        ads = []
-        for row_i in rows:
-            m = [[0] * n for _ in range(n)]
-            for q, row in enumerate(row_i):
-                for p, t in row:
-                    m[p][q] = t
-            ads.append(m)
+        ads = alg.int_ad
+        dense = [[[row.get(q, 0) for q in range(n)] for row in ad_i] for ad_i in ads]
         eqs = []
-        for b in _associative_closure(ads):
-            # tr(L ad(b_i) B) = sum_q sum_p L c_{iq}^p B_qp
+        for b in _associative_closure(dense):
+            # tr(L ad(b_i) B) = sum_p sum_q (L ad(b_i))_pq B_qp
             eqs.append(
                 {
-                    i: sum(t * b[q][p] for q, row in enumerate(row_i) for p, t in row)
-                    for i, row_i in enumerate(rows)
+                    i: sum(t * b[q][p] for p, row in enumerate(ad_i) for q, t in row.items())
+                    for i, ad_i in enumerate(ads)
                 }
             )
         result = SubspaceBasis(n, la.sparse_kernel(eqs, n))

@@ -416,34 +416,17 @@ class SearchResult:
         return min(dims) if dims else None
 
 
-def _rotation_boost_delta(b1: int, b2: int, lam: int) -> Mat:
-    """blockdiag(rot b1, rot b2, boost lam), skew for diag(1,1,1,1,1,-1);
-    spectrum {±i b1, ±i b2, ±lam}, so tr = 2 lam^2 - 2 b1^2 - 2 b2^2."""
-    z = la.ZERO
-    f = Fraction
-    return la.mat(
-        [
-            [z, -f(b1), z, z, z, z],
-            [f(b1), z, z, z, z, z],
-            [z, z, z, -f(b2), z, z],
-            [z, z, f(b2), z, z, z],
-            [z, z, z, z, z, f(lam)],
-            [z, z, z, z, f(lam), z],
-        ]
-    )
-
-
-def _rotation_boost_delta4(b: int, lam: int) -> Mat:
-    z = la.ZERO
-    f = Fraction
-    return la.mat(
-        [
-            [z, -f(b), z, z],
-            [f(b), z, z, z],
-            [z, z, z, f(lam)],
-            [z, z, f(lam), z],
-        ]
-    )
+def _rotation_boost_delta(rotations: tuple[int, ...], boost: int) -> Mat:
+    """blockdiag(rot b for b in rotations, boost block), skew for
+    diag(1, ..., 1, -1); spectrum {±i b} ∪ {±boost}, so
+    tr = 2 boost^2 - 2 sum b^2."""
+    m = 2 * len(rotations) + 2
+    d = [[la.ZERO] * m for _ in range(m)]
+    for i, b in enumerate(rotations):
+        d[2 * i][2 * i + 1] = Fraction(-b)
+        d[2 * i + 1][2 * i] = Fraction(b)
+    d[m - 2][m - 1] = d[m - 1][m - 2] = Fraction(boost)
+    return la.mat(d)
 
 
 def _traceless_skew_map(rng: random.Random, form: SymBilinearForm) -> Mat | None:
@@ -537,7 +520,7 @@ def sharpness_search(
             b = rng.randint(1, 9)
             g = double_extend(
                 DoubleExtensionSpec(
-                    base=build_ab(4, 1), deltas=(_rotation_boost_delta4(b, b),)
+                    base=build_ab(4, 1), deltas=(_rotation_boost_delta((b,), b),)
                 )
             )
             rec = _record(g, "rotation-boost dim 6")
@@ -547,7 +530,7 @@ def sharpness_search(
             g = double_extend(
                 DoubleExtensionSpec(
                     base=build_ab(6, 1),
-                    deltas=(_rotation_boost_delta(3 * k, 4 * k, 5 * k),),
+                    deltas=(_rotation_boost_delta((3 * k, 4 * k), 5 * k),),
                 )
             )
             rec = _record(g, "rotation-boost dim 8")

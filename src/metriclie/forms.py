@@ -87,17 +87,8 @@ class SymBilinearForm:
 
     @functools.cached_property
     def inverse(self) -> Mat:
-        """B^{-1}; ``ValueError`` for a degenerate form. A diagonal form
-        is inverted entry by entry, without elimination."""
-        m = self.matrix
-        n = len(m)
-        if any(m[i][j] for i in range(n) for j in range(n) if i != j):
-            return la.inverse(m)
-        if not all(m[i][i] for i in range(n)):
-            raise ValueError("matrix is singular")
-        return tuple(
-            tuple(1 / m[i][i] if i == j else la.ZERO for j in range(n)) for i in range(n)
-        )
+        """B^{-1}; ``ValueError`` for a degenerate form."""
+        return la.inverse(self.matrix)
 
 
 @dataclass(frozen=True)

@@ -375,10 +375,6 @@ def coords_in(vectors: Sequence[Vec], v: Vec) -> Vec | None:
     return solve_lex(a, v)
 
 
-def span_eq(u: Sequence[Vec], v: Sequence[Vec]) -> bool:
-    return row_space_basis(u) == row_space_basis(v)
-
-
 def intersect_spans(u: Sequence[Vec], v: Sequence[Vec]) -> tuple[Vec, ...]:
     """RREF basis of span(u) ∩ span(v), by Zassenhaus on integer rows:
     in the span of (x, x) for x in u and (y, 0) for y in v, the pivot

@@ -48,20 +48,22 @@ class SplitFormReport:
 
 
 def _commutant_of_adjoint(alg: LieAlgebra) -> tuple[Mat, ...]:
-    """Basis of {M : M ad(x) = ad(x) M for all x}."""
+    """Basis of {M : M ad(x) = ad(x) M for all x}, the ``sparse_kernel``
+    of the integer rows (M A - A M)_kl for A = L ad(b_i), M flattened
+    row by row."""
     n = alg.dim
-    ads = [ad(alg, la.unit_vec(n, i)).matrix for i in range(n)]
-    rows: list[Vec] = []
-    for a in ads:
-        # (M a - a M)_{kl} = sum_p M_{kp} a_{pl} - a_{kp} M_{pl}
+    _, rows = alg.int_table
+    eqs = []
+    for row_i, ad_i in zip(rows, alg.int_ad):
+        # (M A - A M)_kl = sum_p M_kp A_pl - A_kp M_pl; column l of A is
+        # rows[i][l] and row k of A is int_ad[i][k]
         for k in range(n):
             for l in range(n):
-                row = [la.ZERO] * (n * n)
-                for p in range(n):
-                    row[k * n + p] += a[p][l]
-                    row[p * n + l] -= a[k][p]
-                rows.append(tuple(row))
-    sols = la.kernel(tuple(rows))
+                eq = {k * n + p: t for p, t in row_i[l]}
+                for p, t in ad_i[k].items():
+                    eq[p * n + l] = eq.get(p * n + l, 0) - t
+                eqs.append(eq)
+    sols = la.sparse_kernel(eqs, n * n)
     return tuple(
         tuple(tuple(s[i * n + j] for j in range(n)) for i in range(n)) for s in sols
     )
@@ -86,12 +88,13 @@ def _simple_ideals(alg: LieAlgebra, kappa: SymBilinearForm) -> tuple[SubspaceBas
         cand = la.zeros(n, n)
         for i, c in enumerate(commutant):
             cand = la.mat_add(cand, la.mat_scale(Fraction((attempt * (i + 1)) % 11 + i), c))
-        if la.poly_deg(la.minimal_polynomial(cand)) == d:
+        cand_minpoly = la.minimal_polynomial(cand)
+        if la.poly_deg(cand_minpoly) == d:
             generic = cand
             break
     if generic is None:
         raise CertificateError("could not find a generating element of the centroid")
-    minpoly = _poly_to_sympy(la.minimal_polynomial(generic), _X)
+    minpoly = _poly_to_sympy(cand_minpoly, _X)
     _, factors = minpoly.factor_list()
     ideals: list[SubspaceBasis] = []
     for fac, mult in factors:
@@ -146,14 +149,14 @@ def compact_split(alg: LieAlgebra) -> SplitResult:
     )
 
 
-def split_form_report(m: MetricLieAlgebra) -> SplitFormReport:
+def split_form_report(m: MetricLieAlgebra, split: SplitResult) -> SplitFormReport:
     """Compatibility of an s-invariant form with the compact/noncompact
-    split: orthogonality of the parts, triviality of the noncompact
-    intersection with the form's radical, and exact proportionality of
-    the form to the Killing form on each noncompact ideal.
+    split ``split = compact_split(m.algebra)``: orthogonality of the
+    parts, triviality of the noncompact intersection with the form's
+    radical, and exact proportionality of the form to the Killing form
+    on each noncompact ideal.
     """
     alg, form = m.algebra, m.form
-    split = compact_split(alg)
     s = split.noncompact_part
     k = split.compact_part
     n = alg.dim

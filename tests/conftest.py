@@ -11,7 +11,7 @@ from fractions import Fraction
 import pytest
 
 from metriclie import linalg as la
-from metriclie.core import LieAlgebra
+from metriclie.core import LieAlgebra, ad
 from metriclie.forms import SymBilinearForm
 from metriclie.reduction import (
     build_ab,
@@ -166,3 +166,54 @@ def draw_forms():
     half = Fraction(1, 2)
     forms.append(SymBilinearForm(((half, 1, 0), (1, 0, 0), (0, 0, Fraction(-5, 3)))))
     return forms
+
+
+# ---------------------------------------------------------------------------
+# Fraction structure-constant code: the reference for ``bracket`` and the
+# centroid system, which now run on the integer structure table
+# ---------------------------------------------------------------------------
+
+
+def reference_bracket(alg, x, y):
+    """sum_ij x_i y_j [b_i, b_j] on the Fraction ``brackets`` dict."""
+    out = [la.ZERO] * alg.dim
+    y_support = [(j, yj) for j, yj in enumerate(y) if yj]
+    for i, xi in enumerate(x):
+        if not xi:
+            continue
+        for j, yj in y_support:
+            if i < j:
+                coeffs = alg.brackets.get((i, j))
+                c = xi * yj
+            elif i > j:
+                coeffs = alg.brackets.get((j, i))
+                c = -xi * yj
+            else:
+                continue
+            if coeffs is None:
+                continue
+            for k, ck in enumerate(coeffs):
+                if ck:
+                    out[k] += c * ck
+    return tuple(out)
+
+
+def reference_commutant_of_adjoint(alg):
+    """{M : M ad(x) = ad(x) M} from dense Fraction rows of the ``ad``
+    matrices, n^2 rows of width n^2 per basis vector."""
+    n = alg.dim
+    ads = [ad(alg, la.unit_vec(n, i)).matrix for i in range(n)]
+    rows = []
+    for a in ads:
+        # (M a - a M)_{kl} = sum_p M_{kp} a_{pl} - a_{kp} M_{pl}
+        for k in range(n):
+            for l in range(n):
+                row = [la.ZERO] * (n * n)
+                for p in range(n):
+                    row[k * n + p] += a[p][l]
+                    row[p * n + l] -= a[k][p]
+                rows.append(tuple(row))
+    sols = la.kernel(tuple(rows))
+    return tuple(
+        tuple(tuple(s[i * n + j] for j in range(n)) for i in range(n)) for s in sols
+    )

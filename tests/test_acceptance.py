@@ -306,7 +306,7 @@ def test_criterion_9_semisimple_split():
                 for j in range(3, 6):
                     row[j] = c * ksl2[i - 3][j - 3]
             rows.append(tuple(row))
-        rep = split_form_report(MetricLieAlgebra(g, SymBilinearForm(tuple(rows))))
+        rep = split_form_report(MetricLieAlgebra(g, SymBilinearForm(tuple(rows))), split)
         assert rep.s_invariant and rep.k_perp_s and rep.s_cap_radical_zero
         assert rep.ideal_constants == (c,)
         assert rep.uniform_constant == c

@@ -21,7 +21,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from metriclie import linalg as la
+from metriclie.catalog import direct_sum, heis3, sl2, su2
 from metriclie.core import (
+    LieAlgebra,
     SubspaceBasis,
     _associative_closure,
     bracket_spans,
@@ -40,6 +42,7 @@ from metriclie.forms import (
     signature,
 )
 from metriclie.reduction import build_example42
+from metriclie.semisimple import _commutant_of_adjoint
 
 from conftest import (
     naive_in_span,
@@ -48,6 +51,8 @@ from conftest import (
     naive_rank,
     naive_row_space_basis,
     rand_fraction,
+    reference_bracket,
+    reference_commutant_of_adjoint,
 )
 from test_kernels import criterion3_family, int_matrix, iterated_family, naive_trace_product
 
@@ -362,6 +367,22 @@ def test_subspace_operations_match_fraction_code():
         SubspaceBasis(3, ((1, 2, 3), (Fraction(1, 2), 1, Fraction(3, 2))))
 
 
+def test_full_space_is_eliminated_once(monkeypatch):
+    alg = LieAlgebra(3, ("x", "y", "z"), {(0, 1): (0, 0, 1)})
+    eliminations = []
+    real = la.rational_span
+
+    def counted(rows, nc):
+        eliminations.append(nc)
+        return real(rows, nc)
+
+    monkeypatch.setattr(la, "rational_span", counted)
+    full = alg.full_space()
+    assert full.vectors == la.identity(3)
+    assert all(alg.full_space() is full for _ in range(3))
+    assert eliminations == [3]
+
+
 # ---------------------------------------------------------------------------
 # core: series, center, brackets of subspaces, closure, nilradical
 # ---------------------------------------------------------------------------
@@ -409,6 +430,41 @@ def test_associative_closure_and_nilradical_match_fraction_code():
         rows = tuple(tuple(naive_trace_product(a, b) for a in ads) for b in assoc)
         assert nilradical(alg).vectors == naive_kernel(rows)
     assert non_nilpotent >= 15
+
+
+def tiny_algebras():
+    """The zero algebra and the one-dimensional algebra."""
+    return [LieAlgebra(0, (), {}), LieAlgebra(1, ("x",), {})]
+
+
+def semisimple_sums():
+    """sl2, su2, their four sums of two summands and two sums of three."""
+    simple = {"sl2": sl2(), "su2": su2()}
+    algs = [m.algebra for m in simple.values()]
+    algs += [direct_sum(simple[a], simple[b]).algebra for a in simple for b in simple]
+    for a, b, c in (("sl2", "su2", "sl2"), ("su2", "su2", "su2")):
+        algs.append(direct_sum(direct_sum(simple[a], simple[b]), simple[c]).algebra)
+    return algs
+
+
+def test_bracket_matches_fraction_code():
+    rng = random.Random(5113)
+    for alg in algebra_family() + semisimple_sums() + tiny_algebras():
+        n = alg.dim
+        vecs = random_vectors(rng, 4, n) + [la.zeros_vec(n)]
+        vecs += [la.unit_vec(n, i) for i in range(n)]
+        for x in vecs:
+            for y in vecs:
+                got = alg.bracket(x, y)
+                assert got == reference_bracket(alg, x, y)
+                assert all(type(c) is Fraction for c in got)
+
+
+def test_commutant_of_adjoint_matches_fraction_code():
+    algs = semisimple_sums() + tiny_algebras() + [heis3()]
+    algs += [alg for alg, _ in pool_algebras(per_dim=1) if alg.dim <= 7]
+    for alg in algs:
+        assert _commutant_of_adjoint(alg) == reference_commutant_of_adjoint(alg)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,10 @@
+import json
+import sys
 from fractions import Fraction
 
 import pytest
 
+from metriclie import cli, core, semisimple
 from metriclie import linalg as la
 from metriclie.catalog import direct_sum, heis3, sl2, su2
 from metriclie.core import killing_matrix
@@ -64,7 +67,8 @@ def test_direct_sum_splits_into_both_ideals():
 
 @pytest.mark.parametrize("c", [Fraction(1, 2), Fraction(2), Fraction(-3)])
 def test_split_form_report_recovers_constant(c):
-    rep = split_form_report(_sum_with_form(c))
+    m = _sum_with_form(c)
+    rep = split_form_report(m, compact_split(m.algebra))
     assert rep.s_invariant
     assert rep.k_perp_s
     assert rep.s_cap_radical_zero
@@ -78,7 +82,7 @@ def test_split_form_report_rejects_non_invariant_form():
     bad[3][4] = bad[4][3] = Fraction(1)
     broken = MetricLieAlgebra(m.algebra, SymBilinearForm(tuple(tuple(r) for r in bad)))
     with pytest.raises(PreconditionError):
-        split_form_report(broken)
+        split_form_report(broken, compact_split(broken.algebra))
 
 
 def test_split_form_report_flags_radical_overlap():
@@ -90,5 +94,32 @@ def test_split_form_report_flags_radical_overlap():
         if i < 3:
             row[i] = Fraction(1)
         rows.append(tuple(row))
-    rep = split_form_report(MetricLieAlgebra(g, SymBilinearForm(tuple(rows))))
+    rep = split_form_report(MetricLieAlgebra(g, SymBilinearForm(tuple(rows))), compact_split(g))
     assert not rep.s_cap_radical_zero
+
+
+def test_split_semisimple_decomposes_once(monkeypatch, capsys):
+    calls = []
+    real = semisimple.compact_split
+
+    def counted(alg):
+        calls.append(alg.dim)
+        return real(alg)
+
+    monkeypatch.setattr(semisimple, "compact_split", counted)
+    monkeypatch.setattr(cli, "compact_split", counted)
+    assert cli.main(["split-semisimple", "sl2", "--format", "json"]) == 0
+    assert "form_report" in json.loads(capsys.readouterr().out)["results"]
+    assert calls == [3]
+
+
+def test_compact_split_forms_no_ad_matrix(monkeypatch):
+    def no_ad(*args):
+        raise AssertionError("ad called inside compact_split")
+
+    real = core.ad
+    for module in list(sys.modules.values()):
+        if module.__name__.startswith("metriclie") and getattr(module, "ad", None) is real:
+            monkeypatch.setattr(module, "ad", no_ad)
+    split = compact_split(direct_sum(su2(), sl2()).algebra)
+    assert split.compact_part.dim == 3 and split.noncompact_part.dim == 3

@@ -100,3 +100,32 @@ def _redundant_local_imports(path: Path) -> list[tuple[int, str]]:
 def test_no_function_local_import_of_a_module_level_source():
     found = {p.name: _redundant_local_imports(p) for p in sorted(SRC.glob("*.py"))}
     assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def _unread_public_definitions() -> list[tuple[str, int, str]]:
+    """(module, line, name) of each module-level public function or class
+    of the package that no module of ``src``, ``tests`` or ``perfbench``
+    reads outside its own body. The package ``__init__`` imports in order
+    to re-export, so its imports are not reads."""
+    root = SRC.parents[1]
+    used: Counter = Counter()
+    for folder in (SRC, root / "tests", root / "perfbench"):
+        for path in sorted(folder.glob("*.py")):
+            tree = ast.parse(path.read_text())
+            if path == SRC / "__init__.py":
+                tree.body = [n for n in tree.body if not isinstance(n, (ast.Import, ast.ImportFrom))]
+            used.update(_names(tree))
+    out = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            if node.name.startswith("_"):
+                continue
+            if used[node.name] - _names(node)[node.name] == 0:
+                out.append((path.name, node.lineno, node.name))
+    return out
+
+
+def test_no_unread_public_definitions():
+    assert _unread_public_definitions() == []
