@@ -34,8 +34,9 @@ from .forms import (
     MetricLieAlgebra,
     SymBilinearForm,
     _lift,
+    _map_pairing,
     _require_invariant,
-    is_totally_isotropic,
+    _require_isotropic,
     isotropic_vector,
     signature,
 )
@@ -64,29 +65,16 @@ class EinsteinReport:
 def ricci_biinvariant(alg: LieAlgebra) -> Mat:
     """Ricci tensor of a bi-invariant metric: -1/4 of the Killing form
     (independent of the chosen invariant scalar product)."""
-    return la.mat_scale(Fraction(-1, 4), killing_matrix(alg))
+    return tuple(tuple(x / -4 for x in row) for row in killing_matrix(alg))
 
 
 def einstein_check(m: MetricLieAlgebra) -> EinsteinReport:
-    """Exact test for Ric = lam <.,.> with a rational constant lam."""
+    """Exact test for Ric = lam <.,.> with a rational constant lam, the
+    ``la.proportionality`` of Ric to the form. On the zero form lam is
+    0 when Ric vanishes and None otherwise."""
     ric = ricci_biinvariant(m.algebra)
-    b = m.form.matrix
-    n = m.dim
-    lam: Fraction | None = None
-    for i in range(n):
-        for j in range(n):
-            if b[i][j] != 0:
-                lam = ric[i][j] / b[i][j]
-                break
-        if lam is not None:
-            break
-    if lam is None:
-        # zero form (degenerate edge case); Einstein iff Ricci vanishes
-        return EinsteinReport(ric, la.is_zero_mat(ric), Fraction(0))
-    residual = la.mat_sub(ric, la.mat_scale(lam, b))
-    if la.is_zero_mat(residual):
-        return EinsteinReport(ric, True, lam)
-    return EinsteinReport(ric, False, None)
+    lam = la.proportionality(ric, m.form.matrix)
+    return EinsteinReport(ric, lam is not None, lam)
 
 
 # ---------------------------------------------------------------------------
@@ -205,13 +193,6 @@ def eigenvalue_condition(m: MetricLieAlgebra, element: Vec) -> TraceIdentityRepo
     """The Einstein trace condition tr(ad(a)^2) = 0 for an element a of
     a solvable metric Lie algebra with vanishing Einstein constant."""
     return trace_identity(ad(m.algebra, element))
-
-
-def skewness_check(a: Mat, b: SymBilinearForm | Mat) -> tuple[bool, Mat]:
-    """Is a skew with respect to b? Returns (flag, residual a^T b + b a)."""
-    bm = b.matrix if isinstance(b, SymBilinearForm) else la.mat(b)
-    residual = la.skew_residual(la.mat(a), bm)
-    return la.is_zero_mat(residual), residual
 
 
 # ---------------------------------------------------------------------------
@@ -349,8 +330,7 @@ def bounds_certificate(m: MetricLieAlgebra) -> BoundsCertificate:
     sigma = jordan_chevalley(ad(alg, a_vec)).semisimple.matrix
     if la.is_zero_mat(sigma):
         raise CertificateError("semisimple part vanishes for an element outside n")
-    ok, _ = skewness_check(sigma, form)
-    if not ok:
+    if _map_pairing(sigma, form)[2] is not None:
         raise CertificateError("semisimple part of ad(a) is not skew")
     w1 = subspace_from_spanning(n, la.column_space_basis(sigma))
     w0 = SubspaceBasis(n, la.kernel(sigma))
@@ -377,9 +357,9 @@ def bounds_certificate(m: MetricLieAlgebra) -> BoundsCertificate:
         raise CertificateError("no rational isotropic line found in the image")
     line = subspace_from_spanning(n, (_lift(iso_coords, w1.vectors, n),))
     u_space = subspace_from_spanning(n, ideal.vectors + line.vectors)
-    ok, wit = is_totally_isotropic(form, u_space)
-    if not ok:
-        raise CertificateError(f"certificate subspace not totally isotropic: {wit}")
+    _require_isotropic(
+        form, u_space, CertificateError, "certificate subspace not totally isotropic"
+    )
     if u_space.dim < 2:
         raise CertificateError("isotropic subspace collapsed below dimension 2")
     witt = sig.witt_index

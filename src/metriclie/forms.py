@@ -263,31 +263,52 @@ def metric_radical(m: MetricLieAlgebra | SymBilinearForm) -> SubspaceBasis:
     return SubspaceBasis(form.dim, la.kernel(form.matrix))
 
 
+def _skew_pairing(cols, b_rows: tuple[la.IntRow, ...]) -> tuple[list[list[int]], tuple[int, int] | None]:
+    """The one skewness kernel: P = A^T (M B) and the first (y, z) in
+    row-major order with P[y][z] + P[z][y] != 0, or None when A is skew.
+
+    A is an integer map by its sparse columns, ``cols[y]`` the pairs
+    (p, A_py), and (M, ``b_rows``) is ``form.int_rows``: P[y][z] is
+    <A y, z> up to a positive scale. P + P^T is symmetric, so its first
+    non-zero entry has z >= y.
+    """
+    n = len(b_rows)
+    pairing = []
+    for col in cols:
+        acc = [0] * n
+        for p, a in col:
+            for z, u in b_rows[p]:
+                acc[z] += a * u
+        pairing.append(acc)
+    for y, row in enumerate(pairing):
+        for z in range(y, n):
+            if row[z] + pairing[z][y]:
+                return pairing, (y, z)
+    return pairing, None
+
+
+def _map_pairing(a: Mat, form: SymBilinearForm) -> tuple[int, list[list[int]], tuple[int, int] | None]:
+    """``_skew_pairing`` of a rational map: (D, P, witness) with
+    P / D = a^T B, the columns of a scaled to integers first."""
+    den, cols = _scaled_rows(la.transpose(a))
+    m, b_rows = form.int_rows
+    pairing, witness = _skew_pairing(cols, b_rows)
+    return den * m, pairing, witness
+
+
 def is_invariant(m: MetricLieAlgebra) -> InvarianceReport:
     """Check <[x,y1],y2> = -<y1,[x,y2]> on all basis triples.
 
-    With v[y1][y2] = <[x,y1],y2> the condition is v + v^T = 0; it is
-    bilinear in the constants and the form, so L M v is summed in
-    ``int`` on the structure table and the integer form rows.
+    For each basis x, ``int_table[x]`` holds the columns of L ad(b_x),
+    whose skewness ``_skew_pairing`` decides in ``int``; the witness is
+    the first (x, y1, y2) in lexicographic order.
     """
-    alg, form = m.algebra, m.form
-    n = alg.dim
-    _, rows = alg.int_table
-    _, b_rows = form.int_rows
-    for x in range(n):
-        row_x = rows[x]
-        v = []
-        for y1 in range(n):
-            acc = [0] * n
-            for p, t in row_x[y1]:
-                for y2, u in b_rows[p]:
-                    acc[y2] += t * u
-            v.append(acc)
-        for y1 in range(n):
-            v1 = v[y1]
-            for y2 in range(n):
-                if v1[y2] + v[y2][y1]:
-                    return InvarianceReport(False, (x, y1, y2))
+    _, rows = m.algebra.int_table
+    _, b_rows = m.form.int_rows
+    for x, cols in enumerate(rows):
+        _, witness = _skew_pairing(cols, b_rows)
+        if witness is not None:
+            return InvarianceReport(False, (x, *witness))
     return InvarianceReport(True, None)
 
 
@@ -319,16 +340,10 @@ def nilinvariance_probe(m: MetricLieAlgebra, samples: int = 25, seed: int = 0) -
     checked = 0
     for y in candidates:
         phi_n = jordan_chevalley(ad(alg, y)).nilpotent.matrix
-        residual = la.skew_residual(phi_n, form.matrix)
+        _, _, witness = _map_pairing(phi_n, form)
         checked += 1
-        if not la.is_zero_mat(residual):
-            i, j = next(
-                (i, j)
-                for i in range(n)
-                for j in range(n)
-                if residual[i][j] != 0
-            )
-            return NilInvarianceReport(False, (y, la.unit_vec(n, i), la.unit_vec(n, j)), checked)
+        if witness is not None:
+            return NilInvarianceReport(False, (y, *(la.unit_vec(n, i) for i in witness)), checked)
     return NilInvarianceReport(True, None, checked)
 
 
@@ -338,6 +353,15 @@ def is_totally_isotropic(form: SymBilinearForm, sub: SubspaceBasis) -> tuple[boo
             if form.apply(u, v) != 0:
                 return False, (u, v)
     return True, None
+
+
+def _require_isotropic(form: SymBilinearForm, sub: SubspaceBasis, error: type, what: str) -> None:
+    """Raise ``error`` unless sub is totally isotropic, naming the first
+    pair that is not orthogonal as rationals."""
+    ok, pair = is_totally_isotropic(form, sub)
+    if not ok:
+        u, v = map(la.vec_text, pair)
+        raise error(f"{what}; witness pair ({u}, {v})")
 
 
 def orthogonal_complement(form: SymBilinearForm, sub: SubspaceBasis) -> SubspaceBasis:
@@ -358,11 +382,7 @@ def witt_basis(m: MetricLieAlgebra | SymBilinearForm, isotropic: SubspaceBasis) 
     n = form.dim
     if not signature(form).is_nondegenerate:
         raise PreconditionError("Witt decomposition requires a non-degenerate form")
-    ok, witness = is_totally_isotropic(form, isotropic)
-    if not ok:
-        raise PreconditionError(
-            f"subspace is not totally isotropic; witness pair {witness}"
-        )
+    _require_isotropic(form, isotropic, PreconditionError, "subspace is not totally isotropic")
     u = isotropic.vectors
     duals, w = _duals_and_complement(form, u)
     w_coord_vecs, w_diag = diagonalize_symmetric(form.restrict(w))
@@ -422,11 +442,9 @@ def j0_ideal(m: MetricLieAlgebra) -> SubspaceBasis:
     )
     gn = bracket_spans(alg, alg.full_space(), nil)
     j0 = zn.intersect(gn)
-    ok, witness = is_totally_isotropic(m.form, j0)
-    if not ok:
-        raise CertificateError(
-            f"j0 not totally isotropic under an invariant form; witness {witness}"
-        )
+    _require_isotropic(
+        m.form, j0, CertificateError, "j0 not totally isotropic under an invariant form"
+    )
     return j0
 
 
@@ -475,11 +493,8 @@ def central_isotropic_ideal(m: MetricLieAlgebra) -> SubspaceBasis | None:
             "z(g) ∩ [g, g] is zero for a non-abelian solvable algebra, so the "
             "invariant form is degenerate"
         )
-    ok, witness = is_totally_isotropic(m.form, cand)
-    if not ok:
-        raise CertificateError(
-            f"z(g) ∩ [g, g] not totally isotropic under an invariant form; witness {witness}"
-        )
+    what = "z(g) ∩ [g, g] not totally isotropic under an invariant form"
+    _require_isotropic(m.form, cand, CertificateError, what)
     return cand
 
 

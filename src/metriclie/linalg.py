@@ -181,9 +181,17 @@ def bilinear(b: Mat, u: Vec, v: Vec) -> Fraction:
     return vec_dot(u, mat_vec(b, v))
 
 
-def skew_residual(a: Mat, b: Mat) -> Mat:
-    """a^T b + b a: zero exactly when a is skew for the bilinear form b."""
-    return mat_add(mat_mul(transpose(a), b), mat_mul(b, a))
+def proportionality(a: Mat, b: Mat) -> Fraction | None:
+    """The c with a = c b, read off the first non-zero entry of b, or
+    None if there is none. For b = 0 it is 0 when a = 0 as well."""
+    pairs = [(x, y) for ra, rb in zip(a, b) for x, y in zip(ra, rb)]
+    c = next((frac(x) / y for x, y in pairs if y), ZERO)
+    return c if all(x == c * y if y else not x for x, y in pairs) else None
+
+
+def vec_text(v: Vec) -> str:
+    """v as a list of rationals, for messages: [1, -1/2, 0]."""
+    return "[" + ", ".join(str(x) for x in v) + "]"
 
 
 def int_row(v: Vec) -> dict[int, int]:

@@ -12,6 +12,7 @@ import functools
 import math
 import random
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Mapping, Sequence
 
 from . import linalg as la
@@ -29,9 +30,10 @@ from .forms import (
     MetricLieAlgebra,
     SymBilinearForm,
     _duals_and_complement,
+    _map_pairing,
     _require_invariant,
+    _require_isotropic,
     is_invariant,
-    is_totally_isotropic,
     isotropic_vector,
     signature,
 )
@@ -145,16 +147,20 @@ def _assemble(spec: DoubleExtensionSpec) -> MetricLieAlgebra:
     b = base.form.matrix
     if s == 0:
         raise PreconditionError("double extension needs at least one extending vector")
+    # omega_i(x, y) = <delta_i x, y> is the pairing P / D that decides
+    # the skewness of delta_i
+    pairings = []
     for d in spec.deltas:
         if la.nrows(d) != m or la.ncols(d) != m:
             raise PreconditionError("delta matrix size does not match the base")
-        if not la.is_zero_mat(la.skew_residual(d, b)):
+        den, pairing, witness = _map_pairing(d, base.form)
+        if witness is not None:
             raise PreconditionError("delta is not skew with respect to the base form")
+        pairings.append((den, pairing))
 
     # the blocks (a | x | z) start at the offsets 0, s and s + m
     n = 2 * s + m
     zs, zm = la.zeros_vec(s), la.zeros_vec(m)
-    omegas = [la.mat_mul(la.transpose(d), b) for d in spec.deltas]
     brackets: dict[tuple[int, int], Vec] = {}
     for i in range(s):
         for j in range(i + 1, s):
@@ -170,7 +176,7 @@ def _assemble(spec: DoubleExtensionSpec) -> MetricLieAlgebra:
                 brackets[(i, s + m + j)] = zs + zm + coad
     for k in range(m):
         for l in range(k + 1, m):
-            z_part = tuple(om[k][l] for om in omegas)
+            z_part = tuple(Fraction(p[k][l], den) for den, p in pairings)
             brackets[(s + k, s + l)] = zs + base.algebra.basis_bracket(k, l) + z_part
 
     a_names = tuple(f"a{i}" for i in range(s))
@@ -201,11 +207,7 @@ def reduce_by_ideal(m: MetricLieAlgebra, ideal: SubspaceBasis) -> ReductionStep:
     non-vanishing of j. The step is certified by rebuilding the input.
     """
     _certify_metric(m)
-    ok, witness = is_totally_isotropic(m.form, ideal)
-    if not ok:
-        raise PreconditionError(
-            f"subspace is not totally isotropic; witness pair {witness}"
-        )
+    _require_isotropic(m.form, ideal, PreconditionError, "subspace is not totally isotropic")
     # a central subspace is an ideal
     if not center(m.algebra).contains_subspace(ideal):
         raise PreconditionError("ideal is not central")
@@ -279,12 +281,11 @@ def _reduce_step(m: MetricLieAlgebra, ideal: SubspaceBasis) -> ReductionStep:
                 xi[(i, j)] = z_part
 
     # pairing certificate: omega(x, y)(a_i) = <delta_i x, y> on the base
-    bbar = base.form.matrix
     for i, d in enumerate(deltas):
-        om = la.mat_mul(la.transpose(d), bbar)
+        den, pairing, _ = _map_pairing(d, base.form)
         for k in range(mdim):
             for l in range(k + 1, mdim):
-                if omega.get((k, l), la.zeros_vec(s))[i] != om[k][l]:
+                if omega.get((k, l), la.zeros_vec(s))[i] * den != pairing[k][l]:
                     raise CertificateError(
                         "cocycle does not match the pairing of delta with the base form"
                     )
@@ -367,9 +368,9 @@ def complete_reduction(m: MetricLieAlgebra, max_steps: int | None = None) -> Red
                     "with a non-degenerate invariant form"
                 )
             line = SubspaceBasis(current.dim, cand.vectors[:1])
-        ok, witness = is_totally_isotropic(current.form, line)
-        if not ok:
-            raise CertificateError(f"reduction line not totally isotropic; witness {witness}")
+        _require_isotropic(
+            current.form, line, CertificateError, "reduction line not totally isotropic"
+        )
         step = _reduce_step(current, line)
         steps.append(step)
         current = step.base

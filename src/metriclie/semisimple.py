@@ -18,13 +18,13 @@ from . import linalg as la
 from .core import (
     LieAlgebra,
     SubspaceBasis,
-    ad,
+    _int_bracket,
     killing_form,
     subspace_from_spanning,
 )
 from .einstein import _poly_to_sympy
 from .errors import CertificateError, PreconditionError
-from .forms import MetricLieAlgebra, SymBilinearForm, metric_radical, signature
+from .forms import MetricLieAlgebra, SymBilinearForm, _skew_pairing, metric_radical, signature
 from .linalg import Mat, Vec
 
 _X = sp.Symbol("x")
@@ -161,16 +161,18 @@ def split_form_report(m: MetricLieAlgebra, split: SplitResult) -> SplitFormRepor
     k = split.compact_part
     n = alg.dim
 
-    # s-invariance: <[x,y], z> + <y, [x,z]> = 0 for x in s
+    # s-invariance: <[x,y], z> + <y, [x,z]> = 0 for x in s, decided on
+    # the columns L [x', b_y] of ad(x), for x' = x scaled to integers
+    _, rows = alg.int_table
+    _, b_rows = form.int_rows
     for x in s.vectors:
-        phi = ad(alg, x).matrix
-        resid = la.skew_residual(phi, form.matrix)
-        if not la.is_zero_mat(resid):
-            i, j = next(
-                (i, j) for i in range(n) for j in range(n) if resid[i][j] != 0
-            )
+        xi = la.int_row(x)
+        cols = [_int_bracket(rows, xi, {y: 1}).items() for y in range(n)]
+        _, witness = _skew_pairing(cols, b_rows)
+        if witness is not None:
+            i, j = witness
             raise PreconditionError(
-                f"form not s-invariant; witness (x, e{i}, e{j}) with x = {x}"
+                f"form not s-invariant; witness (x, e{i}, e{j}) with x = {la.vec_text(x)}"
             )
 
     k_perp_s = all(
@@ -179,27 +181,14 @@ def split_form_report(m: MetricLieAlgebra, split: SplitResult) -> SplitFormRepor
     radical = metric_radical(form)
     s_cap_radical_zero = s.intersect(radical).dim == 0
 
-    noncompact_ideals = [
-        ideal
+    constants = tuple(
+        la.proportionality(
+            form.restrict(ideal.vectors).matrix,
+            split.killing.restrict(ideal.vectors).matrix,
+        )
         for ideal in split.simple_ideals
         if s.contains_subspace(ideal)
-    ]
-    constants: list[Fraction | None] = []
-    for ideal in noncompact_ideals:
-        kappa_i = split.killing.restrict(ideal.vectors).matrix
-        form_i = form.restrict(ideal.vectors).matrix
-        c: Fraction | None = None
-        for i in range(len(kappa_i)):
-            for j in range(len(kappa_i)):
-                if kappa_i[i][j] != 0:
-                    c = form_i[i][j] / kappa_i[i][j]
-                    break
-            if c is not None:
-                break
-        if c is None or form_i != la.mat_scale(c, kappa_i):
-            constants.append(None)
-        else:
-            constants.append(c)
+    )
     uniform = None
     if constants and all(c is not None for c in constants) and len(set(constants)) == 1:
         uniform = constants[0]
@@ -207,6 +196,6 @@ def split_form_report(m: MetricLieAlgebra, split: SplitResult) -> SplitFormRepor
         s_invariant=True,
         k_perp_s=k_perp_s,
         s_cap_radical_zero=s_cap_radical_zero,
-        ideal_constants=tuple(constants),
+        ideal_constants=constants,
         uniform_constant=uniform,
     )

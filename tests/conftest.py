@@ -136,6 +136,13 @@ def naive_in_span(vectors, v):
     return bool(vectors) and naive_rank(tuple(vectors)) == naive_rank(tuple(vectors) + (v,))
 
 
+def reference_skew_residual(a, b):
+    """a^T b + b a as two dense Fraction products: zero exactly when a
+    is skew for the bilinear form b. The reference for the integer
+    skewness kernel ``forms._skew_pairing``."""
+    return la.mat_add(la.mat_mul(la.transpose(a), b), la.mat_mul(b, a))
+
+
 @pytest.fixture
 def rng():
     return random.Random(20260823)

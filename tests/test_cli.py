@@ -8,6 +8,7 @@ import pytest
 
 from metriclie import cli
 from metriclie import linalg as la
+from metriclie.catalog import sl2
 from metriclie.cli import main
 from metriclie.core import LieAlgebra
 from metriclie.einstein import SearchResult
@@ -219,6 +220,32 @@ def test_einstein_command(capsys):
     assert code == 0
     assert report["results"]["einstein"] is True
     assert report["results"]["constant"] == "0"
+
+
+def _doc_path(tmp_path, alg, form, name):
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(emit_document(algebra_to_document(alg, form, name=name))))
+    return str(path)
+
+
+def test_einstein_on_the_zero_form(capsys, tmp_path):
+    path = _doc_path(tmp_path, sl2().algebra, SymBilinearForm(la.zeros(3, 3)), "sl2_zero")
+    code, report, _ = run_json(capsys, "einstein", path)
+    assert code == 0
+    assert report["results"]["einstein"] is False
+    assert report["results"]["constant"] is None
+
+
+def test_witness_vectors_print_as_rationals(capsys, tmp_path):
+    path = _doc_path(tmp_path, sl2().algebra, SymBilinearForm(la.identity(3)), "sl2_identity")
+    code, _, err = run(capsys, "split-semisimple", path)
+    assert code == 2
+    assert "not s-invariant" in err and "with x = [" in err
+    assert "Fraction(" not in err
+    code, _, err = run(capsys, "reduce", "ab(2,1)", "--ideal", "e0")
+    assert code == 2
+    assert "witness pair ([1, 0], [1, 0])" in err
+    assert "Fraction(" not in err
 
 
 def test_certify_bounds(capsys):

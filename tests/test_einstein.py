@@ -23,11 +23,10 @@ from metriclie.einstein import (
     nested_trace_square,
     ricci_biinvariant,
     sharpness_search,
-    skewness_check,
     trace_identity,
 )
 from metriclie.errors import CertificateError, PreconditionError
-from metriclie.forms import MetricLieAlgebra, SymBilinearForm
+from metriclie.forms import MetricLieAlgebra, SymBilinearForm, _map_pairing
 from metriclie.reduction import build_ab, build_example42, build_ko1
 
 from conftest import (
@@ -178,10 +177,31 @@ def test_einstein_iff_trace_condition_many_extensions():
 
 def test_skewness_check():
     base = build_ab(4, 1)
-    ok, residual = skewness_check(la.mat_mul(la.inverse(base.form.matrix), _skew4()), base.form)
-    assert ok and la.is_zero_mat(residual)
-    bad, residual = skewness_check(la.identity(4), base.form)
-    assert not bad and not la.is_zero_mat(residual)
+    _, _, witness = _map_pairing(la.mat_mul(la.inverse(base.form.matrix), _skew4()), base.form)
+    assert witness is None
+    _, _, witness = _map_pairing(la.identity(4), base.form)
+    assert witness == (0, 0)
+
+
+def test_einstein_check_on_the_zero_form():
+    zero = SymBilinearForm(la.zeros(3, 3))
+    rep = einstein_check(MetricLieAlgebra(sl2().algebra, zero))
+    assert not rep.einstein and rep.constant is None
+    assert not la.is_zero_mat(rep.ricci)
+    # Ric = 0 on an abelian algebra: Einstein, with constant 0
+    rep = einstein_check(MetricLieAlgebra(LieAlgebra(3, ("a", "b", "c"), {}), zero))
+    assert rep.einstein and rep.constant == 0
+
+
+def test_einstein_check_forms_no_scaled_difference(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("dense residual formed")
+
+    monkeypatch.setattr(la, "mat_scale", forbidden)
+    monkeypatch.setattr(la, "mat_sub", forbidden)
+    rep = einstein_check(sl2())
+    assert rep.einstein and rep.constant == Fraction(-1, 4)
+    assert not einstein_check(MetricLieAlgebra(sl2().algebra, SymBilinearForm(la.identity(3))))
 
 
 def _skew4():

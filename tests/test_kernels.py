@@ -27,16 +27,18 @@ from metriclie.core import (
     series,
     validate_structure,
 )
-from metriclie.forms import MetricLieAlgebra, SymBilinearForm, is_invariant
+from metriclie.forms import MetricLieAlgebra, SymBilinearForm, _map_pairing, is_invariant
 from metriclie.reduction import (
     build_example42,
     change_basis,
     iterated_double_extension,
     random_double_extension,
+    random_skew_map,
     skew_derivation_space,
 )
 
 from conftest import (
+    draw_forms,
     naive_in_span,
     naive_inverse,
     naive_kernel,
@@ -46,6 +48,7 @@ from conftest import (
     naive_solve_lex,
     rand_fraction,
     random_abelian_base,
+    reference_skew_residual,
 )
 
 ZERO = Fraction(0)
@@ -462,7 +465,7 @@ def fraction_is_invariant(m):
     n = alg.dim
     ads = [fraction_ad(alg, la.unit_vec(n, i)) for i in range(n)]
     for x in range(n):
-        lhs = la.skew_residual(ads[x], form.matrix)
+        lhs = reference_skew_residual(ads[x], form.matrix)
         for y1 in range(n):
             for y2 in range(n):
                 if lhs[y1][y2] != 0:
@@ -743,3 +746,73 @@ def test_is_nilpotent_matches_power():
         assert la.is_nilpotent(a) == expected
         nilpotent += expected
     assert 60 <= nilpotent < len(cases)
+
+
+# ---------------------------------------------------------------------------
+# the one skewness kernel against the dense residual a^T B + B a
+# ---------------------------------------------------------------------------
+
+
+def _skew_kernel_inputs():
+    """(map, form) pairs: random maps, ``random_skew_map`` draws and
+    perturbed draws on the diagonal ±1, hyperbolic and fractional forms
+    of ``draw_forms``; random maps and maps into the radical on
+    degenerate forms; the zero map on every form; 1x1 and 0x0; the ad
+    of basis and random vectors of example42, under its invariant form
+    and under the identity."""
+    rng = random.Random(13)
+    half = Fraction(1, 2)
+    degenerate = [
+        SymBilinearForm(((1, 1), (1, 1))),
+        SymBilinearForm(la.zeros(3, 3)),
+        SymBilinearForm(((0, 0, 0), (0, 1, 0), (0, 0, -half))),
+    ]
+    cases = []
+    for form in draw_forms() + degenerate:
+        n = form.dim
+        cases.append((la.zeros(n, n), form))
+        cases += [(seeded_matrix(rng, n, n, rng.choice((0.3, 1.0))), form) for _ in range(2)]
+        if form in degenerate:
+            # image in the radical: <A y, z> = 0 for all y, z
+            radical = la.kernel(form.matrix)
+            cols = [la.vec_scale(rand_fraction(rng), radical[0]) for _ in range(n)]
+            cases.append((la.transpose(tuple(cols)), form))
+            continue
+        for _ in range(2):
+            delta = random_skew_map(rng, form, 2, 4)
+            cases.append((delta, form))
+            i, j = rng.randrange(n), rng.randrange(n)
+            bumped = tuple(
+                tuple(x + (half if (p, q) == (i, j) else ZERO) for q, x in enumerate(row))
+                for p, row in enumerate(delta)
+            )
+            cases.append((bumped, form))
+    for entry in (0, 1, Fraction(-1, 3)):
+        cases.append((((entry,),), SymBilinearForm(((2,),))))
+        cases.append((((entry,),), SymBilinearForm(((0,),))))
+    cases.append(((), SymBilinearForm(())))
+    ex = build_example42()
+    identity = SymBilinearForm(la.identity(6))
+    xs = [la.unit_vec(6, i) for i in range(6)]
+    xs += [tuple(rand_fraction(rng) for _ in range(6)) for _ in range(4)]
+    for x in xs:
+        phi = ad(ex.algebra, x).matrix
+        cases += [(phi, ex.form), (phi, identity)]
+    return cases
+
+
+def test_skew_kernel_matches_dense_residual():
+    skew = not_skew = 0
+    for a, form in _skew_kernel_inputs():
+        den, pairing, witness = _map_pairing(a, form)
+        residual = reference_skew_residual(a, form.matrix)
+        first = next(
+            ((i, j) for i, row in enumerate(residual) for j, x in enumerate(row) if x), None
+        )
+        assert witness == first
+        # P / D is the pairing a^T B, which is omega for a delta
+        omega = la.mat_mul(la.transpose(a), form.matrix)
+        assert tuple(tuple(Fraction(x, den) for x in row) for row in pairing) == omega
+        skew += witness is None
+        not_skew += witness is not None
+    assert skew >= 60 and not_skew >= 60

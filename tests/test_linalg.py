@@ -110,3 +110,21 @@ def test_intersect_spans():
     inter = la.intersect_spans((e[0], e[1]), (e[1], e[2]))
     assert len(inter) == 1
     assert la.in_span(inter, e[1]) and la.in_span((e[1],), inter[0])
+
+
+def test_proportionality():
+    m = la.mat
+    b = m(((1, 2), (2, Fraction(-1, 3))))
+    assert la.proportionality(m(((3, 6), (6, -1))), b) == 3
+    assert la.proportionality(la.zeros(2, 2), b) == 0
+    assert la.proportionality(m(((3, 6), (6, 1))), b) is None
+    assert la.proportionality(m(((0, 1), (1, 0))), m(((0, 2), (2, 0)))) == Fraction(1, 2)
+    # against the zero matrix only the zero matrix is proportional
+    assert la.proportionality(la.zeros(2, 2), la.zeros(2, 2)) == 0
+    assert la.proportionality(b, la.zeros(2, 2)) is None
+    # 1x1, and an int entry still gives an exact Fraction
+    assert la.proportionality(((1,),), ((2,),)) == Fraction(1, 2)
+    assert type(la.proportionality(((1,),), ((2,),))) is Fraction
+    assert la.proportionality(((0,),), ((0,),)) == 0
+    assert la.proportionality(((5,),), ((0,),)) is None
+    assert la.proportionality((), ()) == 0

@@ -123,3 +123,26 @@ def test_compact_split_forms_no_ad_matrix(monkeypatch):
             monkeypatch.setattr(module, "ad", no_ad)
     split = compact_split(direct_sum(su2(), sl2()).algebra)
     assert split.compact_part.dim == 3 and split.noncompact_part.dim == 3
+
+
+def test_split_form_report_forms_no_ad_matrix(monkeypatch):
+    m = _sum_with_form(Fraction(2))
+    bad = [list(r) for r in m.form.matrix]
+    bad[3][4] = bad[4][3] = Fraction(1)
+    broken = MetricLieAlgebra(m.algebra, SymBilinearForm(tuple(tuple(r) for r in bad)))
+    split = compact_split(m.algebra)
+
+    def forbidden(*args):
+        raise AssertionError("dense ad matrix or residual formed")
+
+    real = core.ad
+    for module in list(sys.modules.values()):
+        if module.__name__.startswith("metriclie") and getattr(module, "ad", None) is real:
+            monkeypatch.setattr(module, "ad", forbidden)
+    monkeypatch.setattr(la, "mat_scale", forbidden)
+    monkeypatch.setattr(la, "mat_sub", forbidden)
+    rep = split_form_report(m, split)
+    assert rep.s_invariant and rep.ideal_constants == (Fraction(2),)
+    # the first witness in row-major order, with x printed as rationals
+    with pytest.raises(PreconditionError, match=r"witness \(x, e4, e5\) with x = \[0, 0, 0, 1, 0, 0\]$"):
+        split_form_report(broken, split)
