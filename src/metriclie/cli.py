@@ -214,7 +214,8 @@ def _pick_ideal(m: MetricLieAlgebra, raw: str):
                 "vector was found; the form may be anisotropic over Q"
             )
         return subspace_from_spanning(m.dim, (v,))
-    return SubspaceBasis(m.dim, (_element(m.algebra, raw),))
+    v = _element(m.algebra, raw)  # zero spans the zero ideal, rejected later
+    return SubspaceBasis(m.dim, () if la.is_zero_vec(v) else (v,))
 
 
 def cmd_reduce(args) -> tuple[dict, int]:

@@ -334,10 +334,8 @@ def bounds_certificate(m: MetricLieAlgebra) -> BoundsCertificate:
         raise CertificateError("semisimple part of ad(a) is not skew")
     w1 = subspace_from_spanning(n, la.column_space_basis(sigma))
     w0 = SubspaceBasis(n, la.kernel(sigma))
-    for u in w0.vectors:
-        for v in w1.vectors:
-            if form.apply(u, v) != 0:
-                raise CertificateError("kernel and image of the semisimple part not orthogonal")
+    if any(map(any, form.int_gram(w0.vectors, w1.vectors)[1])):
+        raise CertificateError("kernel and image of the semisimple part not orthogonal")
     if not nil.contains_subspace(w1):
         raise CertificateError("image of the semisimple part leaves the nilradical")
     if w1.dim < 4 or w1.dim % 2 != 0:

@@ -41,6 +41,19 @@ def _scaled_rows(m: Mat) -> tuple[int, tuple[la.IntRow, ...]]:
     return den, rows
 
 
+def _int_images(rows, b_rows: tuple[la.IntRow, ...]) -> list[list[int]]:
+    """x^T (M B) = (M B x)^T, summed in ``int``, for each sparse integer
+    row x of pairs (p, x_p); (M, ``b_rows``) is ``form.int_rows``."""
+    images = []
+    for row in rows:
+        acc = [0] * len(b_rows)
+        for p, x in row:
+            for q, b in b_rows[p]:
+                acc[q] += x * b
+        images.append(acc)
+    return images
+
+
 @dataclass(frozen=True)
 class SymBilinearForm:
     matrix: Mat
@@ -55,20 +68,29 @@ class SymBilinearForm:
     def dim(self) -> int:
         return la.nrows(self.matrix)
 
+    def int_gram(self, us, vs) -> tuple[int, list[list[int]]]:
+        """The one Gram kernel: (S, P) with <u_i, v_j> = P[i][j] / S, the
+        ``_int_images`` of the ``_scaled_rows`` D u_i paired with every
+        E v_j. Against the unit vectors, row i of P is S B u_i.
+        ``ValueError`` for a vector whose length is not the form's."""
+        us, vs = tuple(map(la.vec, us)), tuple(map(la.vec, vs))
+        n = self.dim
+        if any(len(v) != n for v in us + vs):
+            raise ValueError("vector length does not match the form dimension")
+        m, b_rows = self.int_rows
+        du, left = _scaled_rows(us)
+        dv, right = _scaled_rows(vs)
+        images = _int_images(left, b_rows)
+        return m * du * dv, [[sum(y[q] * z for q, z in r) for r in right] for y in images]
+
     def apply(self, u: Vec, v: Vec) -> Fraction:
-        return la.bilinear(self.matrix, la.vec(u), la.vec(v))
+        den, gram = self.int_gram((u,), (v,))
+        return Fraction(gram[0][0], den)
 
     def restrict(self, vectors: tuple[Vec, ...]) -> "SymBilinearForm":
-        """The Gram matrix B(v_i, v_j): B v_j is formed once per vector,
-        and the upper triangle is mirrored, as B is symmetric."""
-        vecs = [la.vec(v) for v in vectors]
-        images = [la.mat_vec(self.matrix, v) for v in vecs]
-        k = len(vecs)
-        gram = [[la.ZERO] * k for _ in range(k)]
-        for i, u in enumerate(vecs):
-            for j in range(i, k):
-                gram[i][j] = gram[j][i] = la.vec_dot(u, images[j])
-        return SymBilinearForm(tuple(map(tuple, gram)))
+        """The Gram matrix B(v_i, v_j), divided out of ``int_gram``."""
+        den, gram = self.int_gram(vectors, vectors)
+        return SymBilinearForm(tuple(tuple(Fraction(x, den) if x else la.ZERO for x in r) for r in gram))
 
     def is_zero(self) -> bool:
         return la.is_zero_mat(self.matrix)
@@ -272,16 +294,9 @@ def _skew_pairing(cols, b_rows: tuple[la.IntRow, ...]) -> tuple[list[list[int]],
     <A y, z> up to a positive scale. P + P^T is symmetric, so its first
     non-zero entry has z >= y.
     """
-    n = len(b_rows)
-    pairing = []
-    for col in cols:
-        acc = [0] * n
-        for p, a in col:
-            for z, u in b_rows[p]:
-                acc[z] += a * u
-        pairing.append(acc)
+    pairing = _int_images(cols, b_rows)
     for y, row in enumerate(pairing):
-        for z in range(y, n):
+        for z in range(y, len(b_rows)):
             if row[z] + pairing[z][y]:
                 return pairing, (y, z)
     return pairing, None
@@ -348,11 +363,12 @@ def nilinvariance_probe(m: MetricLieAlgebra, samples: int = 25, seed: int = 0) -
 
 
 def is_totally_isotropic(form: SymBilinearForm, sub: SubspaceBasis) -> tuple[bool, tuple[Vec, Vec] | None]:
-    for u in sub.vectors:
-        for v in sub.vectors:
-            if form.apply(u, v) != 0:
-                return False, (u, v)
-    return True, None
+    """Whether sub is totally isotropic, with the first pair of basis
+    vectors in row-major order that is not orthogonal."""
+    vecs = sub.vectors
+    gram = form.int_gram(vecs, vecs)[1]
+    pair = next(((u, v) for u, row in zip(vecs, gram) for v, x in zip(vecs, row) if x), None)
+    return pair is None, pair
 
 
 def _require_isotropic(form: SymBilinearForm, sub: SubspaceBasis, error: type, what: str) -> None:
@@ -366,10 +382,9 @@ def _require_isotropic(form: SymBilinearForm, sub: SubspaceBasis, error: type, w
 
 def orthogonal_complement(form: SymBilinearForm, sub: SubspaceBasis) -> SubspaceBasis:
     """{x : <x, u> = 0 for all u in sub}; needs no non-degeneracy."""
-    if sub.dim == 0:
-        return SubspaceBasis(form.dim, la.identity(form.dim))
-    rows = tuple(la.mat_vec(form.matrix, u) for u in sub.vectors)
-    return SubspaceBasis(form.dim, la.kernel(rows))
+    n = form.dim
+    _, images = form.int_gram(sub.vectors, la.identity(n))
+    return SubspaceBasis(n, la.sparse_kernel((dict(enumerate(y)) for y in images), n))
 
 
 def witt_basis(m: MetricLieAlgebra | SymBilinearForm, isotropic: SubspaceBasis) -> WittBasis:
@@ -405,19 +420,20 @@ def _duals_and_complement(
 def _pairing_duals(form: SymBilinearForm, u: tuple[Vec, ...]) -> tuple[Vec, ...]:
     """Isotropic, mutually orthogonal duals <u_i, v*_j> = d_ij of a
     totally isotropic u: lexicographically-smallest pivot solutions of
-    the pairing system, corrected to be isotropic."""
-    k = len(u)
+    the pairing system [B u_j | d_ij], [B v*_j | 0] (earlier duals), its
+    rows scaled as a whole to integers by ``int_gram``."""
+    ident = la.identity(form.dim)
+    scale, rows = form.int_gram(u, ident)
     duals: list[Vec] = []
-    for i in range(k):
-        rows = [la.mat_vec(form.matrix, uj) for uj in u]
-        rows += [la.mat_vec(form.matrix, d) for d in duals]
-        rhs = la.vec([1 if j == i else 0 for j in range(k)] + [0] * len(duals))
-        y = la.solve_lex(tuple(rows), rhs)
+    for i in range(len(u)):
+        rhs = [scale if j == i else 0 for j in range(len(rows))]
+        y = la.solve_lex(tuple(map(tuple, rows)), rhs)
         if y is None:
             raise CertificateError("pairing system unsolvable for a non-degenerate form")
         # make the dual isotropic without disturbing the pairings
         y = la.vec_sub(y, la.vec_scale(form.apply(y, y) / 2, u[i]))
         duals.append(y)
+        rows += form.int_gram((y,), ident)[1]
     return tuple(duals)
 
 
@@ -509,10 +525,10 @@ def isotropic_vector(form: SymBilinearForm) -> Vec | None:
     is a legitimate answer.
     """
     n = form.dim
-    for i in range(n):
-        e = la.unit_vec(n, i)
-        if form.apply(e, e) == 0 and not la.is_zero_vec(la.mat_vec(form.matrix, e)):
-            return e
+    _, rows = form.int_rows
+    for i, row in enumerate(rows):
+        if row and all(q != i for q, _ in row):  # B e_i != 0 = B_ii
+            return la.unit_vec(n, i)
     basis, diag = diagonalize_symmetric(form)
     for i in range(n):
         if diag[i] == 0:

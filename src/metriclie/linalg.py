@@ -87,10 +87,6 @@ def vec_scale(c, v: Vec) -> Vec:
     return tuple(c * x for x in v)
 
 
-def vec_dot(u: Vec, v: Vec) -> Fraction:
-    return sum((x * y for x, y in zip(u, v) if x and y), ZERO)
-
-
 def is_zero_vec(v: Vec) -> bool:
     return all(x == 0 for x in v)
 
@@ -129,7 +125,7 @@ def mat_mul(a: Mat, b: Mat) -> Mat:
 def mat_vec(a: Mat, v: Vec) -> Vec:
     if ncols(a) != len(v):
         raise ValueError("dimension mismatch in matrix-vector product")
-    return tuple(vec_dot(r, v) for r in a)
+    return tuple(sum((x * y for x, y in zip(r, v) if x and y), ZERO) for r in a)
 
 
 def mat_pow(a: Mat, k: int) -> Mat:
@@ -175,10 +171,6 @@ def trace_product(a: Mat, b: Mat) -> Fraction:
 
 def is_zero_mat(a: Mat) -> bool:
     return all(is_zero_vec(r) for r in a)
-
-
-def bilinear(b: Mat, u: Vec, v: Vec) -> Fraction:
-    return vec_dot(u, mat_vec(b, v))
 
 
 def proportionality(a: Mat, b: Mat) -> Fraction | None:

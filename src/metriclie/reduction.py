@@ -19,6 +19,7 @@ from . import linalg as la
 from .core import (
     LieAlgebra,
     SubspaceBasis,
+    _int_bracket,
     _require_jacobi,
     center,
     derived_subalgebra,
@@ -33,6 +34,7 @@ from .forms import (
     _map_pairing,
     _require_invariant,
     _require_isotropic,
+    _scaled_rows,
     is_invariant,
     isotropic_vector,
     signature,
@@ -99,18 +101,22 @@ class ReductionChain:
 
 def change_basis(m: MetricLieAlgebra, columns: Sequence[Vec], names: Sequence[str]) -> MetricLieAlgebra:
     """Rewrite a metric Lie algebra on a new basis given by coordinate
-    vectors in the old one."""
+    vectors in the old one: each L D^2 [c_i, c_j] is formed on ``int_table``
+    and mapped by the integer rows of E T^{-1}, divided once per entry."""
     cols = tuple(la.vec(c) for c in columns)
     n = m.dim
     if len(cols) != n:
         raise PreconditionError("change of basis needs exactly dim vectors")
-    t = la.transpose(cols)
-    t_inv = la.inverse(t)
+    inv_den, inv_rows = _scaled_rows(la.inverse(la.transpose(cols)))
+    den, rows = _scaled_rows(cols)
+    lden, table = m.algebra.int_table
+    ints, scale = [dict(row) for row in rows], inv_den * lden * den * den
     brackets = {}
     for i in range(n):
         for j in range(i + 1, n):
-            w = m.algebra.bracket(cols[i], cols[j])
-            brackets[(i, j)] = la.mat_vec(t_inv, w)
+            w = _int_bracket(table, ints[i], ints[j])
+            coords = (sum(t * w.get(q, 0) for q, t in row) for row in inv_rows)
+            brackets[(i, j)] = tuple(Fraction(x, scale) if x else la.ZERO for x in coords)
     return MetricLieAlgebra(LieAlgebra(n, tuple(names), brackets), m.form.restrict(cols))
 
 

@@ -19,6 +19,7 @@ from .core import (
     LieAlgebra,
     SubspaceBasis,
     _int_bracket,
+    bracket_spans,
     killing_form,
     subspace_from_spanning,
 )
@@ -119,12 +120,10 @@ def _simple_ideals(alg: LieAlgebra, kappa: SymBilinearForm) -> tuple[SubspaceBas
         raise CertificateError("minimal ideals do not sum to the whole algebra")
     for i in range(len(ideals)):
         for j in range(i + 1, len(ideals)):
-            for u in ideals[i].vectors:
-                for v in ideals[j].vectors:
-                    if not la.is_zero_vec(alg.bracket(u, v)):
-                        raise CertificateError("distinct minimal ideals do not commute")
-                    if kappa.apply(u, v) != 0:
-                        raise CertificateError("minimal ideals are not Killing-orthogonal")
+            if bracket_spans(alg, ideals[i], ideals[j]).dim:
+                raise CertificateError("distinct minimal ideals do not commute")
+            if any(map(any, kappa.int_gram(ideals[i].vectors, ideals[j].vectors)[1])):
+                raise CertificateError("minimal ideals are not Killing-orthogonal")
     return tuple(ideals)
 
 
@@ -175,9 +174,7 @@ def split_form_report(m: MetricLieAlgebra, split: SplitResult) -> SplitFormRepor
                 f"form not s-invariant; witness (x, e{i}, e{j}) with x = {la.vec_text(x)}"
             )
 
-    k_perp_s = all(
-        form.apply(u, v) == 0 for u in k.vectors for v in s.vectors
-    )
+    k_perp_s = not any(map(any, form.int_gram(k.vectors, s.vectors)[1]))
     radical = metric_radical(form)
     s_cap_radical_zero = s.intersect(radical).dim == 0
 

@@ -12,7 +12,7 @@ import pytest
 
 from metriclie import linalg as la
 from metriclie.core import LieAlgebra, ad
-from metriclie.forms import SymBilinearForm
+from metriclie.forms import MetricLieAlgebra, SymBilinearForm
 from metriclie.reduction import (
     build_ab,
     build_example42,
@@ -224,3 +224,67 @@ def reference_commutant_of_adjoint(alg):
     return tuple(
         tuple(tuple(s[i * n + j] for j in range(n)) for i in range(n)) for s in sols
     )
+
+
+# ---------------------------------------------------------------------------
+# dense Fraction form code: the reference for the integer Gram kernel
+# ``SymBilinearForm.int_gram`` and for ``reduction.change_basis`` on the integer table
+# ---------------------------------------------------------------------------
+
+
+def reference_bilinear(b, u, v):
+    """u^T B v as a dense Fraction product. A v of the wrong length
+    raises ``ValueError``; a u of the wrong length is cut by ``zip``."""
+    return sum((x * y for x, y in zip(u, la.mat_vec(b, v))), Fraction(0))
+
+
+def reference_gram(form, vectors):
+    """The Gram matrix B(v_i, v_j) entry by entry."""
+    vecs = [la.vec(v) for v in vectors]
+    return tuple(tuple(reference_bilinear(form.matrix, u, v) for v in vecs) for u in vecs)
+
+
+def reference_is_totally_isotropic(form, sub):
+    for u in sub.vectors:
+        for v in sub.vectors:
+            if reference_bilinear(form.matrix, u, v) != 0:
+                return False, (u, v)
+    return True, None
+
+
+def reference_orthogonal_complement(form, sub):
+    """The kernel of the dense rows B u."""
+    if sub.dim == 0:
+        return la.identity(form.dim)
+    return la.kernel(tuple(la.mat_vec(form.matrix, u) for u in sub.vectors))
+
+
+def reference_pairing_duals(form, u):
+    """The pairing system [B u_j | d_ij] on dense Fraction rows, re-solved
+    for each dual with the duals found before as rows [B v*_j | 0]."""
+    k = len(u)
+    duals = []
+    for i in range(k):
+        rows = [la.mat_vec(form.matrix, uj) for uj in u]
+        rows += [la.mat_vec(form.matrix, d) for d in duals]
+        rhs = la.vec([1 if j == i else 0 for j in range(k)] + [0] * len(duals))
+        y = la.solve_lex(tuple(rows), rhs)
+        if y is None:
+            return None
+        y = la.vec_sub(y, la.vec_scale(reference_bilinear(form.matrix, y, y) / 2, u[i]))
+        duals.append(y)
+    return tuple(duals)
+
+
+def reference_change_basis(m, columns, names):
+    """Each bracket of the new basis as a Fraction bracket mapped by the
+    dense T^{-1}, and the Gram matrix entry by entry."""
+    cols = tuple(la.vec(c) for c in columns)
+    n = m.dim
+    t_inv = la.inverse(la.transpose(cols))
+    brackets = {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            brackets[(i, j)] = la.mat_vec(t_inv, reference_bracket(m.algebra, cols[i], cols[j]))
+    gram = SymBilinearForm(reference_gram(m.form, cols))
+    return MetricLieAlgebra(LieAlgebra(n, tuple(names), brackets), gram)

@@ -187,6 +187,13 @@ def test_reduce_bad_ideal_is_precondition_error(capsys):
     assert code == 2
 
 
+def test_reduce_by_the_zero_vector_is_a_precondition_error(capsys):
+    code, out, err = run(capsys, "reduce", "example42", "--ideal", "0,0,0,0,0,0")
+    assert code == 2 and out == ""
+    assert err == "error: reduction by the zero ideal is trivial\n"
+    assert "Traceback" not in err
+
+
 def test_complete_reduce(capsys):
     code, report, _ = run_json(capsys, "complete-reduce", "example42")
     assert code == 0

@@ -170,7 +170,7 @@ def matrix_pair(draw, square_product=False):
 
 
 # ---------------------------------------------------------------------------
-# mat_mul, vec_dot, trace_product
+# mat_mul, mat_vec, trace_product
 # ---------------------------------------------------------------------------
 
 
@@ -191,7 +191,7 @@ def test_mat_mul_seeded_shapes_and_densities():
         prod = la.mat_mul(a, b)
         assert prod == naive_mat_mul(a, b)
         assert all(isinstance(x, Fraction) for row in prod for x in row)
-        assert la.vec_dot(a[0], la.transpose(b)[0]) == prod[0][0]
+        assert la.mat_vec(a, la.transpose(b)[0])[0] == prod[0][0]
     # a row of width zero times the empty matrix
     assert la.mat_mul(((), ()), ()) == ((), ())
     assert la.mat_mul((), ()) == ()
@@ -256,7 +256,7 @@ def test_kernel_rank_and_int_span_agree():
         for v in ker:
             assert la.is_zero_vec(la.mat_vec(a, v))
             # kernel vectors are orthogonal to the row space
-            assert all(la.vec_dot(row, v) == 0 for row in span.basis())
+            assert all(sum(x * y for x, y in zip(row, v)) == 0 for row in span.basis())
         for _ in range(5):
             probe = seeded_matrix(rng, 1, c, 0.5)[0]
             expected = naive_in_span(reduced[: len(pivots)], probe)

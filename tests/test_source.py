@@ -129,3 +129,26 @@ def _unread_public_definitions() -> list[tuple[str, int, str]]:
 
 def test_no_unread_public_definitions():
     assert _unread_public_definitions() == []
+
+
+def _unread_test_references() -> list[tuple[int, str]]:
+    """(line, name) of each ``reference_*`` or ``naive_*`` helper of
+    ``tests/conftest.py`` that no test module reads. Deleted library
+    code is kept there as the reference of the code that replaced it,
+    and a reference no test reads any more has gone stale."""
+    tests = SRC.parents[1] / "tests"
+    conftest = tests / "conftest.py"
+    used: Counter = Counter()
+    for path in sorted(tests.glob("test_*.py")):
+        used.update(_names(ast.parse(path.read_text())))
+    return [
+        (node.lineno, node.name)
+        for node in ast.parse(conftest.read_text()).body
+        if isinstance(node, ast.FunctionDef)
+        and node.name.startswith(("reference_", "naive_"))
+        and not used[node.name]
+    ]
+
+
+def test_every_conftest_reference_is_read_by_a_test():
+    assert _unread_test_references() == []
