@@ -49,6 +49,17 @@ class SubspaceBasis:
         if self.int_span.dim != len(vecs):
             raise ValueError("basis vectors are linearly dependent")
 
+    @classmethod
+    def from_span(cls, span: la.IntSpan) -> "SubspaceBasis":
+        """The RREF basis of an ``IntSpan``, which it keeps as its
+        ``int_span``: the rows are independent by construction, so no
+        second elimination runs."""
+        sub = object.__new__(cls)
+        object.__setattr__(sub, "ambient_dim", span.nc)
+        object.__setattr__(sub, "vectors", span.basis())
+        sub.__dict__["int_span"] = span
+        return sub
+
     @functools.cached_property
     def int_span(self) -> la.IntSpan:
         """The span as integer rows: every vector scaled to integers
@@ -75,13 +86,14 @@ class SubspaceBasis:
         )
 
     def intersect(self, other: "SubspaceBasis") -> "SubspaceBasis":
-        return SubspaceBasis(
-            self.ambient_dim, la.intersect_spans(self.vectors, other.vectors)
-        )
+        return SubspaceBasis.from_span(la.intersect_spans(self.int_span, other.int_span))
 
 
 def subspace_from_spanning(n: int, vectors: Sequence[Vec]) -> SubspaceBasis:
-    return SubspaceBasis(n, la.row_space_basis(tuple(la.vec(v) for v in vectors)))
+    vecs = tuple(la.vec(v) for v in vectors)
+    if any(len(v) != n for v in vecs):
+        raise ValueError("vector length does not match ambient dimension")
+    return SubspaceBasis.from_span(la.rational_span(vecs, n))
 
 
 @dataclass(frozen=True)
@@ -286,7 +298,7 @@ def bracket_spans(alg: LieAlgebra, u: SubspaceBasis, v: SubspaceBasis) -> Subspa
     for a, x in enumerate(xs):
         for y in ys[a + 1 :] if u is v else ys:
             span.add(_int_bracket(rows, x, y))
-    return SubspaceBasis(alg.dim, span.basis())
+    return SubspaceBasis.from_span(span)
 
 
 def derived_subalgebra(alg: LieAlgebra) -> SubspaceBasis:
@@ -402,79 +414,63 @@ def jordan_chevalley(a: LinearMap | Mat) -> JordanPair:
     return JordanPair(LinearMap(s), LinearMap(nilp))
 
 
-def _associative_closure(generators: Sequence[list[list[int]]]) -> list[list[list[int]]]:
-    """Basis of the (non-unital) associative matrix algebra generated by
-    the given integer matrices.
-
-    The algebra is spanned by the words in the generators, and a word
-    g w is a generator times a shorter word. So a span that contains
-    the kept generators and is closed under left multiplication by
-    them is the whole algebra: each new element is multiplied on the
-    left by the kept generators only. Membership is decided on the
-    flattened matrices by ``la.IntSpan``.
-    """
-    if not generators:
-        return []
-    n = len(generators[0])
-
-    def int_mul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
-        b_support = [[(j, y) for j, y in enumerate(row) if y] for row in b]
-        out = []
-        for r in a:
-            acc = [0] * n
-            for x, support in zip(r, b_support):
-                if x:
-                    for j, y in support:
-                        acc[j] += x * y
-            out.append(acc)
-        return out
-
-    basis: list[list[list[int]]] = []
-    tracker = la.IntSpan(n * n)
-
-    def try_add(mm: list[list[int]]) -> bool:
-        flat = {p * n + q: x for p, row in enumerate(mm) for q, x in enumerate(row) if x}
-        if not tracker.add(flat):
-            return False
-        basis.append(mm)
-        return True
-
-    for g in generators:
-        try_add(g)
-    kept = list(basis)
-    frontier = list(basis)
-    while frontier:
-        new: list[list[list[int]]] = []
-        for b in frontier:
-            for g in kept:
-                prod = int_mul(g, b)
-                if try_add(prod):
-                    new.append(prod)
-            if len(basis) == n * n:
-                return basis
-        frontier = new
-    return basis
+def _power_trace_rows(
+    ads: tuple[tuple[dict[int, int], ...], ...], y: list[dict[int, int]]
+) -> list[dict[int, int]]:
+    """The rows {i: tr(L ad(b_i) P)} for the powers P = Y, ..., Y^n of
+    the n x n integer matrix Y (``y[p]`` = {q: Y_pq}). By Cayley-Hamilton
+    Y^(n+1) is a combination of Y, ..., Y^n, so they span every power."""
+    n = len(y)
+    rows = []
+    power = [{p: 1} for p in range(n)]
+    for _ in range(n):
+        nxt = []
+        for row in y:
+            acc: dict[int, int] = {}
+            for q, x in row.items():
+                for c, z in power[q].items():
+                    acc[c] = acc.get(c, 0) + x * z
+            nxt.append(acc)
+        power = nxt
+        # tr(A P) = sum_p sum_q A_pq P_qp
+        rows.append(
+            {
+                i: sum(t * power[q].get(p, 0) for p, row in enumerate(ad_i) for q, t in row.items())
+                for i, ad_i in enumerate(ads)
+            }
+        )
+    return rows
 
 
 def nilradical(alg: LieAlgebra, hint: SubspaceBasis | None = None) -> SubspaceBasis:
     """Largest nilpotent ideal of a solvable Lie algebra.
 
-    For solvable g over Q the nilradical is {x : ad(x) nilpotent}, and
-    ad(x) is nilpotent exactly when it lies in the trace-form radical of
-    the associative algebra A generated by ad(g) (all of ad(g) is
-    simultaneously triangularizable, so the nilpotent elements of A form
-    its radical). This gives a linear characterization:
+    For solvable g over Q the nilradical n is {x : ad(x) nilpotent}: the
+    common kernel of the weights lambda_1..lambda_dim of ad, which vanish
+    on [g, g] (Lie's theorem over C). For y in g and every k >= 1,
 
-        x in n  <=>  tr(ad(x) B) = 0 for every B in a basis of A.
+        tr(ad(x) ad(y)^k) = sum_j lambda_j(x) lambda_j(y)^k,
 
-    A is generated by the integer matrices L ad(b_i) of the structure
-    table, and the trace rows are solved in ``int`` by
+    so the trace rows of the powers of Y = L ad(y) vanish on n, and
+    their kernel K contains n. If y is generic (distinct weights take
+    distinct values at y, and non-zero weights non-zero values), the
+    Vandermonde matrix of the distinct non-zero values leaves
+    lambda_j(x) = 0 for every weight, so K = n (de Graaf, *Lie Algebras:
+    Theory and Algorithms*, 2000). The rows are solved in ``int`` by
     ``la.sparse_kernel``.
 
-    The result is re-certified exactly: it contains [g, g], it is an
-    ideal, and its lower central series [n, C^k] reaches 0 on
-    ``bracket_spans``, so it is a nilpotent ideal, whose every element
-    is ad-nilpotent. A nilpotent g is certified by its own series.
+    y is y_t = sum_j t^j c_j for t = 1, 2, ..., the c_j the unit vectors
+    on the d free columns of the RREF of [g, g], which span a complement
+    of it. Two distinct weights, or a weight and 0, differ on some c_j,
+    so they agree at y_t for at most d - 1 values of t: at most
+    (d - 1) dim(dim + 1)/2 values of t are not generic.
+
+    Each K is certified exactly: it contains [g, g], it is an ideal, and
+    its lower central series [K, C^k] reaches 0 on ``bracket_spans``,
+    so it is a nilpotent ideal, K lies in n, and K = n. A t that is not
+    generic gives a K larger than n, which is not nilpotent, and the next
+    t is tried; if every t up to the bound fails, the certificate fails.
+    A nilpotent g is certified by its own series.
     """
     rep = alg.series_report
     if not rep.is_solvable:
@@ -484,42 +480,30 @@ def nilradical(alg: LieAlgebra, hint: SubspaceBasis | None = None) -> SubspaceBa
         result = alg.full_space()
     else:
         ads = alg.int_ad
-        dense = [[[row.get(q, 0) for q in range(n)] for row in ad_i] for ad_i in ads]
-        eqs = []
-        for b in _associative_closure(dense):
-            # tr(L ad(b_i) B) = sum_p sum_q (L ad(b_i))_pq B_qp
-            eqs.append(
-                {
-                    i: sum(t * b[q][p] for p, row in enumerate(ad_i) for q, t in row.items())
-                    for i, ad_i in enumerate(ads)
-                }
-            )
-        result = SubspaceBasis(n, la.sparse_kernel(eqs, n))
-        if not result.contains_subspace(rep.derived):
-            raise CertificateError("nilradical candidate does not contain [g, g]")
-        if not result.contains_subspace(bracket_spans(alg, alg.full_space(), result)):
-            raise CertificateError("nilradical candidate is not an ideal")
-        term = result
-        while term.dim:
-            nxt = bracket_spans(alg, result, term)
-            if nxt.dim == term.dim:
-                raise CertificateError("nilradical candidate is not a nilpotent ideal")
-            term = nxt
+        free = [c for c in range(n) if c not in rep.derived.int_span.pivots]
+        for t in range(1, (len(free) - 1) * n * (n + 1) // 2 + 2):
+            # L ad(y_t) = sum_j t^j L ad(b_c) over the free columns c
+            y: list[dict[int, int]] = [{} for _ in range(n)]
+            for j, c in enumerate(free):
+                for p, row in enumerate(ads[c]):
+                    for q, x in row.items():
+                        y[p][q] = y[p].get(q, 0) + t**j * x
+            result = SubspaceBasis(n, la.sparse_kernel(_power_trace_rows(ads, y), n))
+            if not result.contains_subspace(rep.derived):
+                raise CertificateError("nilradical candidate does not contain [g, g]")
+            if not result.contains_subspace(bracket_spans(alg, alg.full_space(), result)):
+                raise CertificateError("nilradical candidate is not an ideal")
+            term = result
+            while term.dim and (nxt := bracket_spans(alg, result, term)).dim < term.dim:
+                term = nxt
+            if not term.dim:
+                break
+        else:
+            raise CertificateError("nilradical candidate is not a nilpotent ideal")
 
     if hint is not None and not hint.same_span(result):
         raise PreconditionError("supplied nilradical hint does not span the nilradical")
     return result
-
-
-def is_ideal(alg: LieAlgebra, sub: SubspaceBasis) -> tuple[bool, tuple[Vec, Vec] | None]:
-    """Check [g, sub] contained in sub; returns a witness bracket on failure."""
-    for i in range(alg.dim):
-        ei = la.unit_vec(alg.dim, i)
-        for v in sub.vectors:
-            w = alg.bracket(ei, v)
-            if not sub.contains(w):
-                return False, (ei, v)
-    return True, None
 
 
 def subalgebra_on(alg: LieAlgebra, sub: SubspaceBasis, names: Sequence[str] | None = None) -> LieAlgebra:

@@ -10,8 +10,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import linalg as la
-from .core import LieAlgebra, SubspaceBasis
+from .core import LieAlgebra, subspace_from_spanning
 from .errors import DocumentError
 from .forms import SymBilinearForm
 
@@ -167,13 +166,11 @@ def document_to_algebra(doc: AlgebraDocument):
         )
     hint = None
     if doc.hints and "nilradical" in doc.hints:
-        hint = SubspaceBasis(
+        hint = subspace_from_spanning(
             doc.dim,
-            la.row_space_basis(
-                tuple(
-                    tuple(parse_rational(c, "hints.nilradical") for c in v)
-                    for v in doc.hints["nilradical"]
-                )
+            tuple(
+                tuple(parse_rational(c, "hints.nilradical") for c in v)
+                for v in doc.hints["nilradical"]
             ),
         )
     return alg, form, hint

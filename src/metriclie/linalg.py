@@ -213,13 +213,15 @@ class IntSpan:
     {column: int} in Q^nc, by fraction-free Gauss-Jordan.
 
     Each row is reduced against the pivot rows by integer
-    cross-multiplication and divided by its content, and the pivot rows
-    are kept reduced against each other. They then have distinct leading
-    columns and vanish on each other's pivot columns, so scaled to
-    leading 1 they are the unique RREF of the span, whatever the order
-    of insertion. It is the one elimination of the package: ranks,
-    kernels, solutions, inverses, row bases, membership and the minimal
-    polynomial are all read off its pivot rows.
+    cross-multiplication and divided by its content, with the sign that
+    makes its leading entry positive, and the pivot rows are kept
+    reduced against each other (which keeps their leading entries
+    positive). They then have distinct leading columns and vanish on
+    each other's pivot columns, so scaled to leading 1 they are the
+    unique RREF of the span, and the pivot rows themselves are the same
+    whatever the order of insertion. It is the one elimination of the
+    package: ranks, kernels, solutions, inverses, row bases, membership
+    and the minimal polynomial are all read off its pivot rows.
     """
 
     def __init__(self, nc: int):
@@ -247,10 +249,12 @@ class IntSpan:
         r = self.reduce(row)
         if not r:
             return False
-        g = math.gcd(*r.values())
-        if g > 1:
-            r = {c: x // g for c, x in r.items()}
         lead = min(r)
+        g = math.gcd(*r.values())
+        if r[lead] < 0:
+            g = -g
+        if g != 1:
+            r = {c: x // g for c, x in r.items()}
         pivots = self.pivots
         for p, pivot_row in pivots.items():
             if lead in pivot_row:
@@ -375,25 +379,21 @@ def coords_in(vectors: Sequence[Vec], v: Vec) -> Vec | None:
     return solve_lex(a, v)
 
 
-def intersect_spans(u: Sequence[Vec], v: Sequence[Vec]) -> tuple[Vec, ...]:
-    """RREF basis of span(u) ∩ span(v), by Zassenhaus on integer rows:
-    in the span of (x, x) for x in u and (y, 0) for y in v, the pivot
-    rows that lead in the second half are (0, w), and the w span the
-    intersection, already reduced against each other."""
-    if not u or not v:
-        return ()
-    n = len(u[0])
+def intersect_spans(u: IntSpan, v: IntSpan) -> IntSpan:
+    """span(u) ∩ span(v), by Zassenhaus on the pivot rows: in the span
+    of (x, x) for x in u and (y, 0) for y in v, the pivot rows that lead
+    in the second half are (0, w), and the w span the intersection."""
+    n = u.nc
     span = IntSpan(2 * n)
-    for x in u:
-        r = int_row(x)
+    for r in u.pivots.values():
         span.add({**r, **{c + n: t for c, t in r.items()}})
-    for y in v:
-        span.add(int_row(y))
+    for r in v.pivots.values():
+        span.add(r)
     meet = IntSpan(n)
     for lead, r in span.pivots.items():
         if lead >= n:
             meet.add({c - n: t for c, t in r.items()})
-    return meet.basis()
+    return meet
 
 
 def column_space_basis(a: Mat) -> tuple[Vec, ...]:

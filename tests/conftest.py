@@ -226,6 +226,56 @@ def reference_commutant_of_adjoint(alg):
     )
 
 
+def reference_associative_closure(generators):
+    """Basis of the (non-unital) associative matrix algebra generated by
+    the given integer matrices: the span of the words in the generators,
+    each new element multiplied on the left by the kept generators until
+    no product enlarges the span, decided on the flattened matrices by
+    ``la.IntSpan``. Its trace rows are the reference for the nilradical
+    from the powers of one generic element."""
+    if not generators:
+        return []
+    n = len(generators[0])
+
+    def int_mul(a, b):
+        b_support = [[(j, y) for j, y in enumerate(row) if y] for row in b]
+        out = []
+        for r in a:
+            acc = [0] * n
+            for x, support in zip(r, b_support):
+                if x:
+                    for j, y in support:
+                        acc[j] += x * y
+            out.append(acc)
+        return out
+
+    basis = []
+    tracker = la.IntSpan(n * n)
+
+    def try_add(mm):
+        flat = {p * n + q: x for p, row in enumerate(mm) for q, x in enumerate(row) if x}
+        if not tracker.add(flat):
+            return False
+        basis.append(mm)
+        return True
+
+    for g in generators:
+        try_add(g)
+    kept = list(basis)
+    frontier = list(basis)
+    while frontier:
+        new = []
+        for b in frontier:
+            for g in kept:
+                prod = int_mul(g, b)
+                if try_add(prod):
+                    new.append(prod)
+            if len(basis) == n * n:
+                return basis
+        frontier = new
+    return basis
+
+
 # ---------------------------------------------------------------------------
 # dense Fraction form code: the reference for the integer Gram kernel
 # ``SymBilinearForm.int_gram`` and for ``reduction.change_basis`` on the integer table

@@ -2,8 +2,9 @@
 structure table and the integer form rows.
 
 Row bases, subspace membership and intersection, brackets of subspaces,
-the derived and lower central series, the center, the associative
-closure behind the nilradical, and the signature are compared with the
+the derived and lower central series, the center, the nilradical (from
+the powers of one generic element, against the trace rows of the whole
+associative closure of ad) and the signature are compared with the
 ``Fraction`` code they replaced, copied here as references. The
 families are the criterion-3 family, iterated double extensions, the
 reduce-pool documents and random rational matrices.
@@ -25,7 +26,6 @@ from metriclie.catalog import direct_sum, heis3, sl2, su2
 from metriclie.core import (
     LieAlgebra,
     SubspaceBasis,
-    _associative_closure,
     bracket_spans,
     center,
     derived_subalgebra,
@@ -35,6 +35,7 @@ from metriclie.core import (
     subspace_from_spanning,
 )
 from metriclie.documents import document_to_algebra, parse_document
+from metriclie.errors import CertificateError
 from metriclie.forms import (
     SymBilinearForm,
     _congruence_pivots,
@@ -51,6 +52,8 @@ from conftest import (
     naive_rank,
     naive_row_space_basis,
     rand_fraction,
+    random_solvable_metric,
+    reference_associative_closure,
     reference_bracket,
     reference_commutant_of_adjoint,
 )
@@ -357,7 +360,8 @@ def test_subspace_operations_match_fraction_code():
         # spanning sets with repeats and dependent vectors
         raw_u = list(u.vectors) + list(shared)
         raw_v = list(v.vectors) + [la.vec_scale(3, x) for x in v.vectors]
-        assert la.intersect_spans(raw_u, raw_v) == fraction_intersect_spans(raw_u, raw_v)
+        meet_raw = la.intersect_spans(la.rational_span(raw_u, n), la.rational_span(raw_v, n))
+        assert meet_raw.basis() == fraction_intersect_spans(raw_u, raw_v)
         assert u.contains_subspace(v) == all(naive_in_span(u.vectors, x) for x in v.vectors)
         assert u.same_span(v) == (naive_row_space_basis(u.vectors) == naive_row_space_basis(v.vectors))
         assert u.same_span(u) and u.contains_subspace(meet) and v.contains_subspace(meet)
@@ -381,6 +385,42 @@ def test_full_space_is_eliminated_once(monkeypatch):
     assert full.vectors == la.identity(3)
     assert all(alg.full_space() is full for _ in range(3))
     assert eliminations == [3]
+
+
+def test_subspace_from_span_keeps_the_elimination(monkeypatch):
+    rng = random.Random(8107)
+    for _ in range(150):
+        n = rng.randint(0, 8)
+        k = rng.randint(0, 5) if n else 0
+        vectors = random_vectors(rng, k, n, density=rng.choice((0.3, 0.6, 1.0)))
+        span = la.rational_span(vectors, n)
+        sub = SubspaceBasis.from_span(span)
+        ref = SubspaceBasis(n, span.basis())
+        assert (sub.ambient_dim, sub.vectors) == (ref.ambient_dim, ref.vectors)
+        assert sub == ref and sub.int_span is span
+        assert sub.int_span.pivots == ref.int_span.pivots
+        assert all(type(x) is Fraction for v in sub.vectors for x in v)
+    zero = SubspaceBasis.from_span(la.IntSpan(4))
+    assert zero.vectors == () and zero.dim == 0 and zero == SubspaceBasis(4, ())
+    # the subspaces built from an elimination run no second one
+    alg = build_example42().algebra
+    full = alg.full_space()
+    u = subspace_from_spanning(6, (la.unit_vec(6, 1), la.unit_vec(6, 2)))
+    eliminations = []
+    real = la.rational_span
+
+    def counted(rows, nc):
+        eliminations.append(nc)
+        return real(rows, nc)
+
+    monkeypatch.setattr(la, "rational_span", counted)
+    derived = bracket_spans(alg, full, full)
+    derived.intersect(u)
+    assert eliminations == []
+    subspace_from_spanning(6, derived.vectors + u.vectors)
+    assert eliminations == [6]
+    with pytest.raises(ValueError, match="ambient dimension"):
+        subspace_from_spanning(3, ((1, 2),))
 
 
 # ---------------------------------------------------------------------------
@@ -424,12 +464,103 @@ def test_associative_closure_and_nilradical_match_fraction_code():
             for i in range(n)
         ]
         int_ads = [int_matrix(a) for a in ads]
-        assoc = _associative_closure(int_ads)
+        assoc = reference_associative_closure(int_ads)
         # the same products are kept, in the same order
         assert assoc == fraction_associative_closure(ads)
         rows = tuple(tuple(naive_trace_product(a, b) for a in ads) for b in assoc)
         assert nilradical(alg).vectors == naive_kernel(rows)
     assert non_nilpotent >= 15
+
+
+def random_semidirect(rng):
+    """R^d acting on the abelian ideal R^m by commuting maps P D_j P^-1:
+    P unit upper triangular and D_j block diagonal, with blocks (a) or
+    [[a, -b], [b, a]] of small integers shared by every j, so the weights
+    are real or complex and often agree at y = sum_j c_j."""
+    d, m = rng.randint(2, 3), rng.randint(2, 5)
+    sizes = []
+    while sum(sizes) < m:
+        sizes.append(1 if sum(sizes) == m - 1 or rng.random() < 0.6 else 2)
+    p = tuple(
+        tuple(Fraction(1 if r == c else (rng.randint(-2, 2) if c > r else 0)) for c in range(m))
+        for r in range(m)
+    )
+    p_inv = la.inverse(p)
+    brackets = {}
+    for j in range(d):
+        block = [[ZERO] * m for _ in range(m)]
+        at = 0
+        for size in sizes:
+            a = Fraction(rng.randint(-2, 2))
+            block[at][at] = a
+            if size == 2:
+                b = Fraction(rng.choice((-2, -1, 1, 2)))
+                block[at + 1][at + 1] = a
+                block[at][at + 1], block[at + 1][at] = -b, b
+            at += size
+        act = la.mat_mul(la.mat_mul(p, tuple(map(tuple, block))), p_inv)
+        for q in range(m):
+            brackets[(j, d + q)] = (ZERO,) * d + tuple(act[r][q] for r in range(m))
+    return LieAlgebra(d + m, tuple(f"b{i}" for i in range(d + m)), brackets)
+
+
+def reference_nilradical_vectors(alg):
+    """The kernel of tr(ad(b_i) B) over the associative closure of the
+    integer matrices L ad(b_i), by dense Fraction elimination."""
+    n = alg.dim
+    dense = [[[row.get(q, 0) for q in range(n)] for row in ad_i] for ad_i in alg.int_ad]
+    rows = tuple(
+        tuple(
+            Fraction(sum(a[p][q] * b[q][p] for p in range(n) for q in range(n)))
+            for a in dense
+        )
+        for b in reference_associative_closure(dense)
+    )
+    return naive_kernel(rows)
+
+
+def test_nilradical_matches_the_associative_closure(monkeypatch):
+    rng = random.Random(8109)
+    algs = [alg for alg, _ in pool_algebras(per_dim=30)]
+    algs += [random_solvable_metric(rng, 5, 2).algebra for _ in range(40)]
+    algs += [random_semidirect(rng) for _ in range(40)]
+    real = la.sparse_kernel
+    tries = []
+
+    def counted(rows, nc):
+        tries[-1] += 1
+        return real(rows, nc)
+
+    monkeypatch.setattr(la, "sparse_kernel", counted)
+    cases = 0
+    for alg in algs:
+        rep = alg.series_report
+        if not rep.is_solvable or rep.is_nilpotent:
+            continue
+        cases += 1
+        tries.append(0)
+        assert nilradical(alg).vectors == reference_nilradical_vectors(alg)
+    assert cases >= 250
+    # t = 1 is not generic for some of them, and each retry is covered
+    assert max(tries) >= 2 and sum(t > 1 for t in tries) >= 5
+
+
+def test_nilradical_retries_are_bounded(monkeypatch):
+    alg = random_semidirect(random.Random(8110))
+    n, d = alg.dim, alg.dim - alg.series_report.derived.dim
+    assert d >= 2 and not alg.series_report.is_nilpotent
+    # every candidate is all of g: it contains [g, g] and is an ideal,
+    # but is not nilpotent, so every t up to the bound is tried
+    calls = []
+
+    def whole(rows, nc):
+        calls.append(nc)
+        return la.identity(nc)
+
+    monkeypatch.setattr(la, "sparse_kernel", whole)
+    with pytest.raises(CertificateError, match="not a nilpotent ideal"):
+        nilradical(alg)
+    assert len(calls) == (d - 1) * n * (n + 1) // 2 + 1
 
 
 def tiny_algebras():

@@ -20,7 +20,6 @@ from hypothesis import strategies as st
 from metriclie import linalg as la
 from metriclie.core import (
     LieAlgebra,
-    _associative_closure,
     ad,
     killing_matrix,
     nilradical,
@@ -48,6 +47,7 @@ from conftest import (
     naive_solve_lex,
     rand_fraction,
     random_abelian_base,
+    reference_associative_closure,
     reference_skew_residual,
 )
 
@@ -418,7 +418,7 @@ def test_killing_and_nilradical_match_trace_of_products():
         if series(alg).is_nilpotent:
             continue
         non_nilpotent += 1
-        assoc = _associative_closure([int_matrix(a) for a in ads])
+        assoc = reference_associative_closure([int_matrix(a) for a in ads])
         if n <= 6:
             assert naive_row_space_basis(
                 tuple(la.vec(x for row in b for x in row) for b in assoc)

@@ -107,7 +107,7 @@ def test_int_span_matches_row_space():
 
 def test_intersect_spans():
     e = [la.unit_vec(3, i) for i in range(3)]
-    inter = la.intersect_spans((e[0], e[1]), (e[1], e[2]))
+    inter = la.intersect_spans(la.rational_span(e[:2], 3), la.rational_span(e[1:], 3)).basis()
     assert len(inter) == 1
     assert la.in_span(inter, e[1]) and la.in_span((e[1],), inter[0])
 
