@@ -249,8 +249,7 @@ def cmd_complete_reduce(args) -> tuple[dict, int]:
         "isotropic_rank": chain.isotropic_rank,
         "final": documents.emit_document(final_doc),
         "final_signature": [sig.p, sig.q, sig.r],
-        # exact: LieAlgebra keeps only the non-zero brackets
-        "final_abelian": not chain.final.algebra.brackets,
+        "final_abelian": chain.final.algebra.is_abelian,
     }
     return results, 0
 

@@ -1,6 +1,7 @@
 """Structure-level computations on finite-dimensional Lie algebras.
 
-A Lie algebra is stored by its structure constants over exact rationals.
+A Lie algebra is stored by one canonical integer table of its structure
+constants over a common denominator; rational brackets are a view of it.
 All operations here are pure; every returned object is immutable.
 """
 
@@ -8,8 +9,9 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from types import MappingProxyType
 from typing import Mapping, Sequence
 
 from . import linalg as la
@@ -96,46 +98,84 @@ def subspace_from_spanning(n: int, vectors: Sequence[Vec]) -> SubspaceBasis:
     return SubspaceBasis.from_span(la.rational_span(vecs, n))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class LieAlgebra:
-    """Structure constants c_{ij}^k with i<j, defining [b_i,b_j] = sum_k c_{ij}^k b_k."""
+    """Structure constants c_{ij}^k, [b_i, b_j] = sum_k c_{ij}^k b_k,
+    stored only as the integer table ``int_table`` = (L, rows):
+    ``rows[i][j]`` the pairs (k, L c_{ij}^k) with non-zero entry, in
+    increasing k, for every i and j (empty for i = j). It is canonical,
+    L > 0 and gcd(L, entries) = 1, so equal algebras have equal tables.
+
+    ``LieAlgebra(dim, names, brackets)`` validates rational brackets
+    {(i, j): c_ij}, i < j; ``from_rows`` takes integer rows from a writer
+    that holds them. Jacobi, invariance and the Killing form are
+    homogeneous in the constants, so they are decided in ``int`` on the
+    rows and scaled back by a power of L where a value is returned.
+    """
 
     dim: int
     basis_names: tuple[str, ...]
-    brackets: Mapping[tuple[int, int], Vec] = field(default_factory=dict)
+    int_table: tuple[int, tuple[tuple[la.IntRow, ...], ...]]
 
-    def __post_init__(self):
-        if len(self.basis_names) != self.dim:
+    def __init__(
+        self, dim: int, basis_names: Sequence[str], brackets: Mapping[tuple[int, int], Vec] | None = None
+    ):
+        if len(basis_names) != dim:
             raise ValueError("need one basis name per dimension")
-        clean: dict[tuple[int, int], Vec] = {}
-        for (i, j), coeffs in dict(self.brackets).items():
-            if not (0 <= i < j < self.dim):
+        vecs: dict[tuple[int, int], Vec] = {}
+        for (i, j), coeffs in dict(brackets or {}).items():
+            if not (0 <= i < j < dim):
                 raise ValueError(f"bracket key ({i},{j}) must satisfy 0 <= i < j < dim")
-            v = la.vec(coeffs)
-            if len(v) != self.dim:
+            vecs[(i, j)] = v = la.vec(coeffs)
+            if len(v) != dim:
                 raise ValueError("bracket coefficient vector has wrong length")
-            if not la.is_zero_vec(v):
-                clean[(i, j)] = v
-        object.__setattr__(self, "brackets", clean)
+        den = math.lcm(*(c.denominator for v in vecs.values() for c in v))
+        upper = {key: [(k, int(c * den)) for k, c in enumerate(v)] for key, v in vecs.items()}
+        self._store(dim, basis_names, den, upper)
+
+    @classmethod
+    def from_rows(
+        cls, dim: int, basis_names: Sequence[str], den: int, upper: Mapping
+    ) -> "LieAlgebra":
+        """[b_i, b_j] = sum_k t_k / den b_k over the pairs (k, t_k), in
+        increasing k, of ``upper[(i, j)]`` for i < j; den > 0, and zero
+        entries are allowed. The writer vouches for the indices."""
+        alg = object.__new__(cls)
+        alg._store(dim, basis_names, den, upper)
+        return alg
+
+    def _store(self, dim: int, basis_names: Sequence[str], den: int, upper: Mapping) -> None:
+        """The one normalisation: zero entries dropped, every entry and L
+        divided by their gcd, and each row mirrored with opposite sign."""
+        upper = {key: [(k, t) for k, t in row if t] for key, row in upper.items()}
+        g = math.gcd(den, *(t for row in upper.values() for _, t in row))
+        rows = [[()] * dim for _ in range(dim)]
+        for (i, j), row in upper.items():
+            if row:
+                rows[i][j] = tuple((k, t // g) for k, t in row)
+                rows[j][i] = tuple((k, -t // g) for k, t in row)
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "basis_names", tuple(basis_names))
+        object.__setattr__(self, "int_table", (den // g, tuple(map(tuple, rows))))
 
     @functools.cached_property
-    def int_table(self) -> tuple[int, tuple[tuple[la.IntRow, ...], ...]]:
-        """(L, rows): L the least common denominator of the structure
-        constants and ``rows[i][j]`` the pairs (k, L c_{ij}^k) with
-        non-zero entry, for every i and j (empty for i = j).
+    def brackets(self) -> Mapping[tuple[int, int], Vec]:
+        """The non-zero [b_i, b_j], i < j, as a read-only rational view
+        of the table."""
+        den, rows = self.int_table
+        out = {}
+        for i, row_i in enumerate(rows):
+            for j in range(i + 1, self.dim):
+                if row_i[j]:
+                    v = [la.ZERO] * self.dim
+                    for k, t in row_i[j]:
+                        v[k] = Fraction(t, den)
+                    out[(i, j)] = tuple(v)
+        return MappingProxyType(out)
 
-        Jacobi, invariance and the Killing form are homogeneous in the
-        constants, so they are decided in ``int`` on these rows and
-        scaled back by a power of L where a value is returned.
-        """
-        n = self.dim
-        den = math.lcm(*(c.denominator for v in self.brackets.values() for c in v))
-        rows = [[()] * n for _ in range(n)]
-        for (i, j), v in self.brackets.items():
-            row = tuple((k, int(c * den)) for k, c in enumerate(v) if c)
-            rows[i][j] = row
-            rows[j][i] = tuple((k, -t) for k, t in row)
-        return den, tuple(map(tuple, rows))
+    @property
+    def is_abelian(self) -> bool:
+        return not any(map(any, self.int_table[1]))
 
     @functools.cached_property
     def int_ad(self) -> tuple[tuple[dict[int, int], ...], ...]:
@@ -158,13 +198,6 @@ class LieAlgebra:
         """``series(self)``, computed on first use and kept, so every
         caller that needs the series or [g, g] reads the same report."""
         return series(self)
-
-    def basis_bracket(self, i: int, j: int) -> Vec:
-        if i == j:
-            return la.zeros_vec(self.dim)
-        if i < j:
-            return self.brackets.get((i, j), la.zeros_vec(self.dim))
-        return la.vec_scale(-1, self.brackets.get((j, i), la.zeros_vec(self.dim)))
 
     def bracket(self, x: Vec, y: Vec) -> Vec:
         """sum_ij x_i y_j [b_i, b_j], summed over the non-zero x_i, y_j
@@ -194,7 +227,10 @@ class LieAlgebra:
 
     @functools.cached_property
     def _full_space(self) -> SubspaceBasis:
-        return SubspaceBasis(self.dim, la.identity(self.dim))
+        # the unit rows are already the RREF of Q^dim
+        span = la.IntSpan(self.dim)
+        span.pivots = {i: {i: 1} for i in range(self.dim)}
+        return SubspaceBasis.from_span(span)
 
 
 @dataclass(frozen=True)
@@ -348,32 +384,34 @@ def series(alg: LieAlgebra) -> SeriesReport:
 
     is_solvable = derived[-1].dim == 0
     is_nilpotent = lower[-1].dim == 0
-    # exact: LieAlgebra keeps only the non-zero brackets
-    is_abelian = not alg.brackets
-    return SeriesReport(tuple(derived), tuple(lower), is_solvable, is_nilpotent, is_abelian)
+    return SeriesReport(tuple(derived), tuple(lower), is_solvable, is_nilpotent, alg.is_abelian)
 
 
-def killing_matrix(alg: LieAlgebra) -> Mat:
-    """Gram matrix of the Killing form kappa(x,y) = tr(ad x ad y).
+def killing_sums(alg: LieAlgebra) -> tuple[int, list[list[int]]]:
+    """(L^2, K) with K the integer Killing sums: kappa = K / L^2.
 
-    kappa_ij = sum_{m,l} c_{im}^l c_{jl}^m, summed in ``int`` on the
-    structure table and divided by L^2.
+    kappa(x,y) = tr(ad x ad y), so kappa_ij = sum_{m,l} c_{im}^l c_{jl}^m,
+    summed in ``int`` on the structure table.
     """
     n = alg.dim
     den, _ = alg.int_table
-    den2 = den * den
     ads = alg.int_ad
     # kappa is symmetric: pair j >= i only and mirror
-    kappa = [[la.ZERO] * n for _ in range(n)]
+    k = [[0] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
             ad_j = ads[j]
             # tr(A_i A_j) = sum_{l,m} (A_i)_lm (A_j)_ml
-            total = sum(
+            k[i][j] = k[j][i] = sum(
                 t * ad_j[m].get(l, 0) for l, row in enumerate(ads[i]) for m, t in row.items()
             )
-            kappa[i][j] = kappa[j][i] = Fraction(total, den2)
-    return tuple(tuple(row) for row in kappa)
+    return den * den, k
+
+
+def killing_matrix(alg: LieAlgebra) -> Mat:
+    """Gram matrix of the Killing form: ``killing_sums`` divided by L^2."""
+    den2, k = killing_sums(alg)
+    return la.mat_over(k, den2)
 
 
 def killing_form(alg: LieAlgebra):
@@ -504,19 +542,3 @@ def nilradical(alg: LieAlgebra, hint: SubspaceBasis | None = None) -> SubspaceBa
     if hint is not None and not hint.same_span(result):
         raise PreconditionError("supplied nilradical hint does not span the nilradical")
     return result
-
-
-def subalgebra_on(alg: LieAlgebra, sub: SubspaceBasis, names: Sequence[str] | None = None) -> LieAlgebra:
-    """Restrict the bracket to a subspace that is closed under it."""
-    k = sub.dim
-    brackets = {}
-    for i in range(k):
-        for j in range(i + 1, k):
-            w = alg.bracket(sub.vectors[i], sub.vectors[j])
-            coords = la.coords_in(sub.vectors, w)
-            if coords is None:
-                raise PreconditionError("subspace is not closed under the bracket")
-            brackets[(i, j)] = coords
-    if names is None:
-        names = tuple(f"u{i}" for i in range(k))
-    return LieAlgebra(k, tuple(names), brackets)

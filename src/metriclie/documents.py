@@ -7,6 +7,7 @@ nothing is ever rounded through floats.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -17,11 +18,17 @@ from .forms import SymBilinearForm
 
 @dataclass(frozen=True)
 class AlgebraDocument:
+    """A parsed document: every rational is a ``Fraction``, parsed once.
+
+    ``brackets`` holds (i, j, coeffs) sorted by (i, j), ``coeffs`` the
+    pairs (k, c) with c != 0 in increasing k; a ``nilradical`` hint is a
+    tuple of rational vectors."""
+
     name: str
     dim: int
     basis: tuple[str, ...]
-    brackets: tuple[dict, ...]  # {"i": int, "j": int, "coeffs": {index: "p/q"}}
-    form: tuple[tuple[str, ...], ...] | None = None
+    brackets: tuple[tuple[int, int, tuple[tuple[int, Fraction], ...]], ...]
+    form: tuple[tuple[Fraction, ...], ...] | None = None
     hints: dict | None = None
 
 
@@ -77,7 +84,7 @@ def parse_document(obj: dict) -> AlgebraDocument:
         coeffs_raw = entry.get("coeffs", {})
         if not isinstance(coeffs_raw, dict):
             raise DocumentError(f"{where}.coeffs: must be an object")
-        coeffs = {}
+        coeffs: dict[int, Fraction] = {}
         for k_raw, v in coeffs_raw.items():
             try:
                 k = int(k_raw)
@@ -87,8 +94,8 @@ def parse_document(obj: dict) -> AlgebraDocument:
                 raise DocumentError(f"{where}.coeffs: index {k} out of range")
             val = parse_rational(v, f"{where}.coeffs[{k}]")
             if val != 0:
-                coeffs[str(k)] = format_rational(val)
-        brackets.append({"i": i, "j": j, "coeffs": coeffs})
+                coeffs[k] = val
+        brackets.append((i, j, tuple(sorted(coeffs.items()))))
     form = None
     if obj.get("form") is not None:
         raw = obj["form"]
@@ -104,25 +111,27 @@ def parse_document(obj: dict) -> AlgebraDocument:
             for j in range(dim):
                 if parsed[i][j] != parsed[j][i]:
                     raise DocumentError(f"form: not symmetric at ({i},{j})")
-        form = tuple(
-            tuple(format_rational(x) for x in row) for row in parsed
-        )
+        form = tuple(map(tuple, parsed))
     hints = None
     if obj.get("hints") is not None:
         if not isinstance(obj["hints"], dict):
             raise DocumentError("hints: must be an object")
-        hints = obj["hints"]
+        hints = dict(obj["hints"])
         if "nilradical" in hints:
             vecs = hints["nilradical"]
             if not isinstance(vecs, list):
                 raise DocumentError("hints.nilradical: must be a list of vectors")
+            parsed_vecs = []
             for vi, v in enumerate(vecs):
                 if not isinstance(v, list) or len(v) != dim:
                     raise DocumentError(f"hints.nilradical[{vi}]: bad vector length")
-                for ci, c in enumerate(v):
-                    parse_rational(c, f"hints.nilradical[{vi}][{ci}]")
+                where = f"hints.nilradical[{vi}]"
+                parsed_vecs.append(
+                    tuple(parse_rational(c, f"{where}[{ci}]") for ci, c in enumerate(v))
+                )
+            hints["nilradical"] = tuple(parsed_vecs)
     # normalize deterministically: brackets sorted by (i, j)
-    brackets.sort(key=lambda e: (e["i"], e["j"]))
+    brackets.sort(key=lambda e: e[:2])
     return AlgebraDocument(
         name=name,
         dim=dim,
@@ -139,68 +148,59 @@ def emit_document(doc: AlgebraDocument) -> dict:
         "dim": doc.dim,
         "basis": list(doc.basis),
         "brackets": [
-            {"i": e["i"], "j": e["j"], "coeffs": dict(e["coeffs"])}
-            for e in doc.brackets
+            {"i": i, "j": j, "coeffs": {str(k): format_rational(c) for k, c in coeffs}}
+            for i, j, coeffs in doc.brackets
         ],
     }
     if doc.form is not None:
-        out["form"] = [list(row) for row in doc.form]
+        out["form"] = [[format_rational(x) for x in row] for row in doc.form]
     if doc.hints is not None:
-        out["hints"] = doc.hints
+        out["hints"] = dict(doc.hints)
+        if "nilradical" in doc.hints:
+            out["hints"]["nilradical"] = [
+                [format_rational(c) for c in v] for v in doc.hints["nilradical"]
+            ]
     return out
 
 
 def document_to_algebra(doc: AlgebraDocument):
-    """Returns (LieAlgebra, SymBilinearForm | None, nilradical hint | None)."""
-    brackets = {}
-    for e in doc.brackets:
-        vec = [Fraction(0)] * doc.dim
-        for k, v in e["coeffs"].items():
-            vec[int(k)] = Fraction(v)
-        brackets[(e["i"], e["j"])] = tuple(vec)
-    alg = LieAlgebra(doc.dim, doc.basis, brackets)
-    form = None
-    if doc.form is not None:
-        form = SymBilinearForm(
-            tuple(tuple(Fraction(x) for x in row) for row in doc.form)
-        )
+    """Returns (LieAlgebra, SymBilinearForm | None, nilradical hint | None).
+
+    The structure table is written from the parsed brackets over the
+    least common denominator L of their entries."""
+    den = math.lcm(*(c.denominator for _, _, coeffs in doc.brackets for _, c in coeffs))
+    alg = LieAlgebra.from_rows(
+        doc.dim,
+        doc.basis,
+        den,
+        {
+            (i, j): [(k, c.numerator * (den // c.denominator)) for k, c in coeffs]
+            for i, j, coeffs in doc.brackets
+        },
+    )
+    form = None if doc.form is None else SymBilinearForm(doc.form)
     hint = None
     if doc.hints and "nilradical" in doc.hints:
-        hint = subspace_from_spanning(
-            doc.dim,
-            tuple(
-                tuple(parse_rational(c, "hints.nilradical") for c in v)
-                for v in doc.hints["nilradical"]
-            ),
-        )
+        hint = subspace_from_spanning(doc.dim, doc.hints["nilradical"])
     return alg, form, hint
 
 
 def algebra_to_document(
     alg: LieAlgebra, form: SymBilinearForm | None = None, name: str = "algebra"
 ) -> AlgebraDocument:
-    brackets = []
-    for (i, j), coeffs in sorted(alg.brackets.items()):
-        brackets.append(
-            {
-                "i": i,
-                "j": j,
-                "coeffs": {
-                    str(k): format_rational(c) for k, c in enumerate(coeffs) if c != 0
-                },
-            }
-        )
-    form_out = None
-    if form is not None:
-        form_out = tuple(
-            tuple(format_rational(x) for x in row) for row in form.matrix
-        )
+    den, rows = alg.int_table
+    brackets = tuple(
+        (i, j, tuple((k, Fraction(t, den)) for k, t in rows[i][j]))
+        for i in range(alg.dim)
+        for j in range(i + 1, alg.dim)
+        if rows[i][j]
+    )
     return AlgebraDocument(
         name=name,
         dim=alg.dim,
         basis=alg.basis_names,
-        brackets=tuple(brackets),
-        form=form_out,
+        brackets=brackets,
+        form=None if form is None else form.matrix,
     )
 
 

@@ -25,7 +25,7 @@ from .core import (
     bracket_spans,
     center,
     jordan_chevalley,
-    killing_matrix,
+    killing_sums,
     nilradical,
     subspace_from_spanning,
 )
@@ -65,16 +65,29 @@ class EinsteinReport:
 def ricci_biinvariant(alg: LieAlgebra) -> Mat:
     """Ricci tensor of a bi-invariant metric: -1/4 of the Killing form
     (independent of the chosen invariant scalar product)."""
-    return tuple(tuple(x / -4 for x in row) for row in killing_matrix(alg))
+    den2, k = killing_sums(alg)
+    return la.mat_over(k, -4 * den2)
 
 
 def einstein_check(m: MetricLieAlgebra) -> EinsteinReport:
-    """Exact test for Ric = lam <.,.> with a rational constant lam, the
-    ``la.proportionality`` of Ric to the form. On the zero form lam is
-    0 when Ric vanishes and None otherwise."""
-    ric = ricci_biinvariant(m.algebra)
-    lam = la.proportionality(ric, m.form.matrix)
-    return EinsteinReport(ric, lam is not None, lam)
+    """Exact test for Ric = lam <.,.> with a rational constant lam.
+
+    Ric = -K / (4 L^2) on ``killing_sums`` and B = R / M on
+    ``form.int_rows``, so Ric is proportional to B exactly when every
+    K_ij R_pq = K_pq R_ij for the first non-zero R_pq in row-major order,
+    and then lam = -K_pq M / (4 L^2 R_pq). On the zero form lam is 0
+    when Ric vanishes and None otherwise.
+    """
+    den2, k = killing_sums(m.algebra)
+    mden, b_rows = m.form.int_rows
+    pairs = [
+        (x, b_row.get(j, 0)) for row, b_row in zip(k, map(dict, b_rows)) for j, x in enumerate(row)
+    ]
+    kpq, rpq = next(((x, y) for x, y in pairs if y), (0, 1))
+    lam = None
+    if all(x * rpq == kpq * y for x, y in pairs):
+        lam = Fraction(-kpq * mden, 4 * den2 * rpq)
+    return EinsteinReport(la.mat_over(k, -4 * den2), lam is not None, lam)
 
 
 # ---------------------------------------------------------------------------
@@ -332,7 +345,7 @@ def bounds_certificate(m: MetricLieAlgebra) -> BoundsCertificate:
         raise CertificateError("semisimple part vanishes for an element outside n")
     if _map_pairing(sigma, form)[2] is not None:
         raise CertificateError("semisimple part of ad(a) is not skew")
-    w1 = subspace_from_spanning(n, la.column_space_basis(sigma))
+    w1 = subspace_from_spanning(n, la.transpose(sigma))
     w0 = SubspaceBasis(n, la.kernel(sigma))
     if any(map(any, form.int_gram(w0.vectors, w1.vectors)[1])):
         raise CertificateError("kernel and image of the semisimple part not orthogonal")

@@ -18,12 +18,12 @@ from . import linalg as la
 from .core import (
     LieAlgebra,
     SubspaceBasis,
+    _int_bracket,
     ad,
     bracket_spans,
     center,
     jordan_chevalley,
     nilradical,
-    subalgebra_on,
     subspace_from_spanning,
 )
 from .errors import CertificateError, PreconditionError
@@ -446,16 +446,16 @@ def j0_ideal(m: MetricLieAlgebra) -> SubspaceBasis:
         raise PreconditionError("j0 is defined here for solvable algebras only")
     _require_invariant(m)
     alg = m.algebra
+    n = alg.dim
     nil = nilradical(alg)
-    nil_alg = subalgebra_on(alg, nil)
-    zn_coords = center(nil_alg)
-    zn = subspace_from_spanning(
-        alg.dim,
-        [
-            _lift(coords, nil.vectors, alg.dim)
-            for coords in zn_coords.vectors
-        ],
-    )
+    # z(n) = n ∩ {x : [y, x] = 0 for y in n}: the kernel of the rows of
+    # L ad(y), whose columns are L [y, b_i], for the integer pivot rows y of n
+    _, table = alg.int_table
+    eqs = []
+    for y in nil.int_span.pivots.values():
+        cols = [_int_bracket(table, y, {i: 1}) for i in range(n)]
+        eqs += ({i: c[p] for i, c in enumerate(cols) if p in c} for p in range(n))
+    zn = SubspaceBasis(n, la.sparse_kernel(eqs, n)).intersect(nil)
     gn = bracket_spans(alg, alg.full_space(), nil)
     j0 = zn.intersect(gn)
     _require_isotropic(

@@ -128,18 +128,6 @@ def mat_vec(a: Mat, v: Vec) -> Vec:
     return tuple(sum((x * y for x, y in zip(r, v) if x and y), ZERO) for r in a)
 
 
-def mat_pow(a: Mat, k: int) -> Mat:
-    n = nrows(a)
-    result = identity(n)
-    base = a
-    while k > 0:
-        if k & 1:
-            result = mat_mul(result, base)
-        base = mat_mul(base, base) if k > 1 else base
-        k >>= 1
-    return result
-
-
 def is_nilpotent(a: Mat) -> bool:
     """A^k = 0 for some k <= n: powers A, A^2, ... up to A^n, stopping
     at the first zero one. Equivalent to A^n = 0."""
@@ -310,13 +298,6 @@ def rational_span(rows: Iterable[Vec], nc: int) -> IntSpan:
     return span
 
 
-def row_space_basis(vectors: Sequence[Vec]) -> tuple[Vec, ...]:
-    """The RREF basis of the span of the given vectors."""
-    if not vectors:
-        return ()
-    return rational_span(vectors, len(vectors[0])).basis()
-
-
 def kernel(a: Mat) -> tuple[Vec, ...]:
     """Basis of the right null space, one vector per free column of the
     RREF (see ``IntSpan.kernel``).
@@ -328,10 +309,6 @@ def kernel(a: Mat) -> tuple[Vec, ...]:
     if nc == 0:
         return ()
     return rational_span(a, nc).kernel()
-
-
-def rank(a: Mat) -> int:
-    return rational_span(a, ncols(a)).dim
 
 
 def solve_lex(a: Mat, b: Vec) -> Vec | None:
@@ -363,22 +340,6 @@ def inverse(a: Mat) -> Mat:
     )
 
 
-def in_span(vectors: Sequence[Vec], v: Vec) -> bool:
-    if is_zero_vec(v):
-        return True
-    if not vectors:
-        return False
-    return not rational_span(vectors, len(v)).reduce(int_row(v))
-
-
-def coords_in(vectors: Sequence[Vec], v: Vec) -> Vec | None:
-    """Coordinates of v in the given (independent) spanning set."""
-    if not vectors:
-        return () if is_zero_vec(v) else None
-    a = transpose(tuple(vectors))
-    return solve_lex(a, v)
-
-
 def intersect_spans(u: IntSpan, v: IntSpan) -> IntSpan:
     """span(u) ∩ span(v), by Zassenhaus on the pivot rows: in the span
     of (x, x) for x in u and (y, 0) for y in v, the pivot rows that lead
@@ -394,10 +355,6 @@ def intersect_spans(u: IntSpan, v: IntSpan) -> IntSpan:
         if lead >= n:
             meet.add({c - n: t for c, t in r.items()})
     return meet
-
-
-def column_space_basis(a: Mat) -> tuple[Vec, ...]:
-    return row_space_basis(transpose(a))
 
 
 # ---------------------------------------------------------------------------
@@ -463,16 +420,6 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
         _, r = poly_divmod(a, b)
         a, b = b, r
     return poly_monic(a)
-
-
-def poly_mul(a: Poly, b: Poly) -> Poly:
-    out = [ZERO] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x == 0:
-            continue
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return poly_trim(out)
 
 
 def poly_squarefree_part(p: Poly) -> Poly:

@@ -22,7 +22,7 @@ from mpmath import ceil as mp_ceil
 from mpmath import floor as mp_floor
 
 from . import linalg as la
-from .core import LinearMap, SubspaceBasis, ad, jordan_chevalley
+from .core import LinearMap, SubspaceBasis, ad, jordan_chevalley, subspace_from_spanning
 from .einstein import EigenvalueData, _poly_to_sympy, _rational_value
 from .errors import CertificateError, PreconditionError
 from .forms import MetricLieAlgebra
@@ -368,23 +368,24 @@ def restricted_obstruction(
     m: MetricLieAlgebra, element: Vec, restriction: SubspaceBasis | None = None
 ) -> ObstructionReport:
     """The obstruction verdict for ad(a) restricted to an invariant
-    subspace, defaulting to the image of the semisimple part of ad(a)."""
+    subspace, defaulting to the image of the semisimple part of ad(a).
+    The restricted matrix is read on the RREF basis of the subspace."""
     phi = ad(m.algebra, element)
     if restriction is None:
         sigma = jordan_chevalley(phi).semisimple.matrix
-        restriction = SubspaceBasis(
-            m.dim, la.row_space_basis(la.column_space_basis(sigma))
-        )
-    vecs = restriction.vectors
-    if not vecs:
+        restriction = subspace_from_spanning(m.dim, la.transpose(sigma))
+    # on the RREF basis of the span, a vector of the span has its
+    # coordinates at the pivot columns
+    span = restriction.int_span
+    leads = sorted(span.pivots)
+    if not leads:
         return obstruction_verdict(EigenvalueData(), n=0)
     cols = []
-    for v in vecs:
+    for v in span.basis():
         w = phi(v)
-        coords = la.coords_in(vecs, w)
-        if coords is None:
+        if span.reduce(la.int_row(w)):
             raise PreconditionError("restriction subspace is not ad(a)-invariant")
-        cols.append(coords)
+        cols.append(tuple(w[p] for p in leads))
     restricted = la.transpose(tuple(cols))
     return obstruction_verdict(restricted)
 

@@ -12,7 +12,6 @@ import functools
 import math
 import random
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Mapping, Sequence
 
 from . import linalg as la
@@ -31,10 +30,10 @@ from .forms import (
     MetricLieAlgebra,
     SymBilinearForm,
     _duals_and_complement,
-    _map_pairing,
     _require_invariant,
     _require_isotropic,
     _scaled_rows,
+    _skew_pairing,
     is_invariant,
     isotropic_vector,
     signature,
@@ -102,7 +101,8 @@ class ReductionChain:
 def change_basis(m: MetricLieAlgebra, columns: Sequence[Vec], names: Sequence[str]) -> MetricLieAlgebra:
     """Rewrite a metric Lie algebra on a new basis given by coordinate
     vectors in the old one: each L D^2 [c_i, c_j] is formed on ``int_table``
-    and mapped by the integer rows of E T^{-1}, divided once per entry."""
+    and mapped by the integer rows of E T^{-1}, and the integer
+    coordinates over E L D^2 are the new table."""
     cols = tuple(la.vec(c) for c in columns)
     n = m.dim
     if len(cols) != n:
@@ -110,14 +110,17 @@ def change_basis(m: MetricLieAlgebra, columns: Sequence[Vec], names: Sequence[st
     inv_den, inv_rows = _scaled_rows(la.inverse(la.transpose(cols)))
     den, rows = _scaled_rows(cols)
     lden, table = m.algebra.int_table
-    ints, scale = [dict(row) for row in rows], inv_den * lden * den * den
-    brackets = {}
+    ints = [dict(row) for row in rows]
+    upper = {}
     for i in range(n):
         for j in range(i + 1, n):
             w = _int_bracket(table, ints[i], ints[j])
-            coords = (sum(t * w.get(q, 0) for q, t in row) for row in inv_rows)
-            brackets[(i, j)] = tuple(Fraction(x, scale) if x else la.ZERO for x in coords)
-    return MetricLieAlgebra(LieAlgebra(n, tuple(names), brackets), m.form.restrict(cols))
+            if w:
+                upper[(i, j)] = [
+                    (k, sum(t * w.get(q, 0) for q, t in row)) for k, row in enumerate(inv_rows)
+                ]
+    alg = LieAlgebra.from_rows(n, names, inv_den * lden * den * den, upper)
+    return MetricLieAlgebra(alg, m.form.restrict(cols))
 
 
 def double_extend(spec: DoubleExtensionSpec) -> MetricLieAlgebra:
@@ -146,51 +149,58 @@ def double_extend(spec: DoubleExtensionSpec) -> MetricLieAlgebra:
 
 
 def _assemble(spec: DoubleExtensionSpec) -> MetricLieAlgebra:
-    """``double_extend`` without its output certificates."""
+    """``double_extend`` without its output certificates. The table is
+    written over one common L, the lcm of the base's L, of D_i M for
+    each delta and of the denominators of the extending data."""
     base = spec.base
     s = spec.a_dim
     m = base.dim
     b = base.form.matrix
     if s == 0:
         raise PreconditionError("double extension needs at least one extending vector")
-    # omega_i(x, y) = <delta_i x, y> is the pairing P / D that decides
-    # the skewness of delta_i
-    pairings = []
+    mden, b_rows = base.form.int_rows
+    # delta_i by its integer columns over D_i; omega_i(x, y) = <delta_i x, y>
+    # is the pairing P / (D_i M) that decides the skewness of delta_i
+    deltas = []
     for d in spec.deltas:
         if la.nrows(d) != m or la.ncols(d) != m:
             raise PreconditionError("delta matrix size does not match the base")
-        den, pairing, witness = _map_pairing(d, base.form)
+        den, cols = _scaled_rows(la.transpose(d))
+        pairing, witness = _skew_pairing(cols, b_rows)
         if witness is not None:
             raise PreconditionError("delta is not skew with respect to the base form")
-        pairings.append((den, pairing))
+        deltas.append((den, cols, pairing))
+    bden, table = base.algebra.int_table
+    ext = [c for v in (*spec.a_brackets.values(), *spec.xi.values()) for c in v]
+    big = math.lcm(bden, *(den * mden for den, _, _ in deltas), *(c.denominator for c in ext))
 
-    # the blocks (a | x | z) start at the offsets 0, s and s + m
-    n = 2 * s + m
-    zs, zm = la.zeros_vec(s), la.zeros_vec(m)
-    brackets: dict[tuple[int, int], Vec] = {}
+    def scaled(v: Vec, offset: int) -> list[tuple[int, int]]:
+        return [(offset + k, int(c * big)) for k, c in enumerate(v) if c]
+
+    # the blocks (a | x | z) start at the offsets 0, s and zo = s + m
+    n, zo = 2 * s + m, s + m
+    upper: dict[tuple[int, int], list[tuple[int, int]]] = {}
     for i in range(s):
         for j in range(i + 1, s):
-            brackets[(i, j)] = spec.a_bracket(i, j) + zm + spec.xi.get((i, j), zs)
-    for i in range(s):
-        for k in range(m):
-            col = tuple(spec.deltas[i][l][k] for l in range(m))
-            brackets[(i, s + k)] = zs + col + zs
+            upper[(i, j)] = scaled(spec.a_bracket(i, j), 0) + scaled(spec.xi.get((i, j), ()), zo)
         # coadjoint term [a_i, z_j]; a_i comes first in the basis
         for j in range(s):
-            coad = tuple(-spec.a_bracket(i, k)[j] for k in range(s))
-            if not la.is_zero_vec(coad):
-                brackets[(i, s + m + j)] = zs + zm + coad
+            upper[(i, zo + j)] = scaled([-spec.a_bracket(i, k)[j] for k in range(s)], zo)
+    for i, (den, cols, _) in enumerate(deltas):
+        for k in range(m):
+            upper[(i, s + k)] = [(s + l, t * (big // den)) for l, t in cols[k]]
     for k in range(m):
         for l in range(k + 1, m):
-            z_part = tuple(Fraction(p[k][l], den) for den, p in pairings)
-            brackets[(s + k, s + l)] = zs + base.algebra.basis_bracket(k, l) + z_part
+            upper[(s + k, s + l)] = [(s + p, t * (big // bden)) for p, t in table[k][l]] + [
+                (zo + i, p[k][l] * (big // (den * mden))) for i, (den, _, p) in enumerate(deltas)
+            ]
 
     a_names = tuple(f"a{i}" for i in range(s))
     z_names = tuple(f"z{j}" for j in range(s))
     mid = base.algebra.basis_names
     if set(mid) & (set(a_names) | set(z_names)):
         mid = tuple(f"x{k}" for k in range(m))
-    alg = LieAlgebra(n, a_names + mid + z_names, brackets)
+    alg = LieAlgebra.from_rows(n, a_names + mid + z_names, big, upper)
 
     gram = [[la.ZERO] * n for _ in range(n)]
     for i in range(s):
@@ -246,60 +256,74 @@ def _reduce_step(m: MetricLieAlgebra, ideal: SubspaceBasis) -> ReductionStep:
     # the input on the basis a_i = u*_i, x_k = w_k, z_j = u_j; every
     # bracket below is read off it and split into its (a | x | z) blocks
     split = change_basis(m, duals + w + ideal.vectors, names)
+    den, rows = split.algebra.int_table
 
-    def blocks(i: int, j: int) -> tuple[Vec, Vec, Vec]:
-        c = split.algebra.basis_bracket(i, j)
-        return c[:s], c[s : s + mdim], c[s + mdim :]
+    def blocks(i: int, j: int) -> tuple[list, list, list]:
+        """The pairs of L [b_i, b_j] in the (a | x | z) blocks, each
+        indexed from 0."""
+        parts: tuple[list, list, list] = ([], [], [])
+        for k, t in rows[i][j]:
+            block = (k >= s) + (k >= s + mdim)
+            parts[block].append((k - (0, s, s + mdim)[block], t))
+        return parts
 
-    base_brackets: dict[tuple[int, int], Vec] = {}
-    omega: dict[tuple[int, int], Vec] = {}
+    def dense(pairs: list, size: int) -> list[int]:
+        out = [0] * size
+        for k, t in pairs:
+            out[k] = t
+        return out
+
+    base_rows, omega = {}, {}
     for k in range(mdim):
         for l in range(k + 1, mdim):
-            a_part, x_part, z_part = blocks(s + k, s + l)
-            if not la.is_zero_vec(a_part):
+            a_part, base_rows[(k, l)], z_part = blocks(s + k, s + l)
+            if a_part:
                 raise CertificateError(
                     "bracket of complement vectors leaves the coisotropic subspace"
                 )
-            base_brackets[(k, l)] = x_part
-            omega[(k, l)] = z_part
+            omega[(k, l)] = dict(z_part)
     base_gram = tuple(row[s : s + mdim] for row in split.form.matrix[s : s + mdim])
     base = MetricLieAlgebra(
-        LieAlgebra(mdim, base_names, base_brackets), SymBilinearForm(base_gram)
+        LieAlgebra.from_rows(mdim, base_names, den, base_rows), SymBilinearForm(base_gram)
     )
 
-    deltas = []
+    # delta_i by its integer columns over L
+    delta_cols = []
     for i in range(s):
-        cols_i = []
+        delta_cols.append([])
         for k in range(mdim):
             a_part, x_part, z_part = blocks(i, s + k)
-            if not la.is_zero_vec(a_part) or not la.is_zero_vec(z_part):
+            if a_part or z_part:
                 _extraction_failed(s, "dual action does not preserve the complement")
-            cols_i.append(x_part)
-        deltas.append(la.transpose(tuple(cols_i)))
+            delta_cols[i].append(x_part)
 
     xi: dict[tuple[int, int], Vec] = {}
     for i in range(s):
         for j in range(i + 1, s):
             a_part, x_part, z_part = blocks(i, j)
-            if not la.is_zero_vec(a_part) or not la.is_zero_vec(x_part):
+            if a_part or x_part:
                 _extraction_failed(s, "dual vectors do not close up to the ideal")
-            if not la.is_zero_vec(z_part):
-                xi[(i, j)] = z_part
+            if z_part:
+                xi[(i, j)] = la.mat_over((dense(z_part, s),), den)[0]
 
-    # pairing certificate: omega(x, y)(a_i) = <delta_i x, y> on the base
-    for i, d in enumerate(deltas):
-        den, pairing, _ = _map_pairing(d, base.form)
+    # pairing certificate: omega(x, y)(a_i) = <delta_i x, y> on the base;
+    # P / (L M) = delta_i^T B and omega = z / L, so z M = P
+    mden, b_rows = base.form.int_rows
+    deltas = []
+    for i, cols in enumerate(delta_cols):
+        pairing, _ = _skew_pairing(cols, b_rows)
         for k in range(mdim):
             for l in range(k + 1, mdim):
-                if omega.get((k, l), la.zeros_vec(s))[i] * den != pairing[k][l]:
+                if omega[(k, l)].get(i, 0) * mden != pairing[k][l]:
                     raise CertificateError(
                         "cocycle does not match the pairing of delta with the base form"
                     )
+        deltas.append(la.mat_over(la.transpose([dense(c, mdim) for c in cols]), den))
 
     spec = DoubleExtensionSpec(base=base, deltas=tuple(deltas), xi=xi)
     rebuilt = _assemble(spec)
     if (
-        rebuilt.algebra.brackets != split.algebra.brackets
+        rebuilt.algebra.int_table != split.algebra.int_table
         or rebuilt.form.matrix != split.form.matrix
     ):
         raise CertificateError("reduction round-trip failed to rebuild the input")
@@ -354,8 +378,7 @@ def complete_reduction(m: MetricLieAlgebra, max_steps: int | None = None) -> Red
     steps: list[ReductionStep] = []
     current = m
     for _ in range(max_steps):
-        # exact: LieAlgebra keeps only the non-zero brackets
-        if not current.algebra.brackets:
+        if current.algebra.is_abelian:
             if signature(current.form).is_definite:
                 break
             v = isotropic_vector(current.form)
@@ -427,28 +450,23 @@ def build_example42() -> MetricLieAlgebra:
     and pairings <a,z> = <b,y> = <x1,x1> = <x2,x2> = 1.
     """
     names = ("a", "b", "x1", "x2", "y", "z")
-    idx = {nm: i for i, nm in enumerate(names)}
-
-    def unit(nm: str, c=1) -> Vec:
-        return la.vec_scale(c, la.unit_vec(6, idx[nm]))
-
-    brackets = {
-        (idx["a"], idx["b"]): unit("b"),
-        (idx["a"], idx["x1"]): unit("x2"),
-        (idx["a"], idx["x2"]): unit("x1", -1),
-        (idx["a"], idx["y"]): unit("y", -1),
-        (idx["b"], idx["y"]): unit("z"),
-        (idx["x1"], idx["x2"]): unit("z"),
+    upper = {
+        (0, 1): [(1, 1)],
+        (0, 2): [(3, 1)],
+        (0, 3): [(2, -1)],
+        (0, 4): [(4, -1)],
+        (1, 4): [(5, 1)],
+        (2, 3): [(5, 1)],
     }
-    gram = [[la.ZERO] * 6 for _ in range(6)]
-    for u, v in (("a", "z"), ("b", "y")):
-        gram[idx[u]][idx[v]] = la.ONE
-        gram[idx[v]][idx[u]] = la.ONE
-    for u in ("x1", "x2"):
-        gram[idx[u]][idx[u]] = la.ONE
-    return MetricLieAlgebra(
-        LieAlgebra(6, names, brackets), SymBilinearForm(tuple(tuple(r) for r in gram))
+    gram = (
+        (0, 0, 0, 0, 0, 1),
+        (0, 0, 0, 0, 1, 0),
+        (0, 0, 1, 0, 0, 0),
+        (0, 0, 0, 1, 0, 0),
+        (0, 1, 0, 0, 0, 0),
+        (1, 0, 0, 0, 0, 0),
     )
+    return MetricLieAlgebra(LieAlgebra.from_rows(6, names, 1, upper), SymBilinearForm(gram))
 
 
 # ---------------------------------------------------------------------------

@@ -112,8 +112,7 @@ def _simple_ideals(alg: LieAlgebra, kappa: SymBilinearForm) -> tuple[SubspaceBas
         e = la.poly_eval_mat(coeffs, generic)
         if la.mat_mul(e, e) != e:
             raise CertificateError("constructed centroid element is not idempotent")
-        image = la.column_space_basis(e)
-        ideals.append(subspace_from_spanning(n, image))
+        ideals.append(subspace_from_spanning(n, la.transpose(e)))
 
     total = subspace_from_spanning(n, sum((i.vectors for i in ideals), ()))
     if total.dim != n:

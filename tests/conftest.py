@@ -136,6 +136,23 @@ def naive_in_span(vectors, v):
     return bool(vectors) and naive_rank(tuple(vectors)) == naive_rank(tuple(vectors) + (v,))
 
 
+def naive_mat_pow(a, k):
+    """a^k as k - 1 dense products; the identity for k = 0."""
+    out = la.identity(len(a))
+    for _ in range(k):
+        out = la.mat_mul(out, a)
+    return out
+
+
+def naive_poly_mul(a, b):
+    """The product of two polynomials in descending coefficient order."""
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return la.poly_trim(out)
+
+
 def reference_skew_residual(a, b):
     """a^T b + b a as two dense Fraction products: zero exactly when a
     is skew for the bilinear form b. The reference for the integer
@@ -181,6 +198,15 @@ def draw_forms():
 # ---------------------------------------------------------------------------
 
 
+def naive_basis_bracket(alg, i, j):
+    """[b_i, b_j] read off the rational ``brackets`` view."""
+    if i < j:
+        return alg.brackets.get((i, j), la.zeros_vec(alg.dim))
+    if i > j:
+        return la.vec_scale(-1, alg.brackets.get((j, i), la.zeros_vec(alg.dim)))
+    return la.zeros_vec(alg.dim)
+
+
 def reference_bracket(alg, x, y):
     """sum_ij x_i y_j [b_i, b_j] on the Fraction ``brackets`` dict."""
     out = [la.ZERO] * alg.dim
@@ -203,6 +229,18 @@ def reference_bracket(alg, x, y):
                 if ck:
                     out[k] += c * ck
     return tuple(out)
+
+
+def naive_subalgebra_on(alg, sub):
+    """The bracket restricted to a subspace closed under it, on the
+    basis ``sub.vectors``: each coordinate vector solved densely."""
+    k = sub.dim
+    brackets = {}
+    for i in range(k):
+        for j in range(i + 1, k):
+            w = alg.bracket(sub.vectors[i], sub.vectors[j])
+            brackets[(i, j)] = naive_solve_lex(la.transpose(sub.vectors), w)
+    return LieAlgebra(k, tuple(f"u{i}" for i in range(k)), brackets)
 
 
 def reference_commutant_of_adjoint(alg):

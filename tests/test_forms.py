@@ -5,11 +5,19 @@ import pytest
 
 from metriclie import linalg as la
 from metriclie.catalog import heis3, sl2
-from metriclie.core import LieAlgebra, killing_matrix
+from metriclie.core import (
+    LieAlgebra,
+    bracket_spans,
+    center,
+    killing_matrix,
+    nilradical,
+    subspace_from_spanning,
+)
 from metriclie.errors import PreconditionError
 from metriclie.forms import (
     MetricLieAlgebra,
     SymBilinearForm,
+    _lift,
     central_isotropic_ideal,
     diagonalize_symmetric,
     is_invariant,
@@ -24,7 +32,7 @@ from metriclie.forms import (
 )
 from metriclie.reduction import build_ab, build_example42
 
-from conftest import rand_fraction
+from conftest import naive_rank, naive_subalgebra_on, rand_fraction, random_solvable_metric
 
 
 def _rand_symmetric(rng, n, bound=3):
@@ -56,7 +64,7 @@ def test_signature_sylvester_invariance():
             p = tuple(
                 tuple(rand_fraction(rng, 2) for _ in range(n)) for _ in range(n)
             )
-            if la.rank(p) == n:
+            if naive_rank(p) == n:
                 break
         b2 = la.mat_mul(la.transpose(p), la.mat_mul(b, p))
         sig2 = signature(SymBilinearForm(b2))
@@ -69,7 +77,7 @@ def test_diagonalize_symmetric_is_congruence():
         n = rng.randint(1, 5)
         b = SymBilinearForm(_rand_symmetric(rng, n))
         vecs, diag = diagonalize_symmetric(b)
-        assert len(vecs) == n and la.rank(vecs) == n
+        assert len(vecs) == n and naive_rank(vecs) == n
         for i in range(n):
             for j in range(n):
                 expected = diag[i] if i == j else Fraction(0)
@@ -154,6 +162,27 @@ def test_j0_and_central_isotropic_ideal_example42():
     assert cii is not None and cii.dim == 1
     assert cii.contains(la.unit_vec(6, 5))
     assert is_totally_isotropic(ex.form, cii)
+
+
+def test_j0_ideal_matches_the_center_of_the_restricted_nilradical():
+    # the reference: z(n) as the center of the restricted algebra on the
+    # basis of n, lifted back, then intersected with [g, n]
+    rng = random.Random(4402)
+    ms = [build_example42()] + [random_solvable_metric(rng, 4, 3) for _ in range(25)]
+    nontrivial = 0
+    for m in ms:
+        alg = m.algebra
+        nil = nilradical(alg)
+        lifted = [
+            _lift(c, nil.vectors, alg.dim) for c in center(naive_subalgebra_on(alg, nil)).vectors
+        ]
+        expected = subspace_from_spanning(alg.dim, lifted).intersect(
+            bracket_spans(alg, alg.full_space(), nil)
+        )
+        got = j0_ideal(m)
+        assert got.vectors == expected.vectors
+        nontrivial += got.dim > 0
+    assert nontrivial >= 10
 
 
 def test_central_isotropic_ideal_none_for_abelian():

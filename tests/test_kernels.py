@@ -38,9 +38,11 @@ from metriclie.reduction import (
 
 from conftest import (
     draw_forms,
+    naive_basis_bracket,
     naive_in_span,
     naive_inverse,
     naive_kernel,
+    naive_mat_pow,
     naive_rank,
     naive_row_space_basis,
     naive_rref,
@@ -76,7 +78,7 @@ def naive_bracket(alg, x, y):
     out = la.zeros_vec(alg.dim)
     for i, xi in enumerate(x):
         for j, yj in enumerate(y):
-            out = la.vec_add(out, la.vec_scale(xi * yj, alg.basis_bracket(i, j)))
+            out = la.vec_add(out, la.vec_scale(xi * yj, naive_basis_bracket(alg, i, j)))
     return out
 
 
@@ -241,10 +243,10 @@ def test_kernel_rank_and_int_span_agree():
         reduced, pivots = naive_rref(a)
         span = la.IntSpan(c)
         grew = [span.add(la.int_row(row)) for row in a]
-        assert span.dim == la.rank(a) == len(pivots)
+        assert span.dim == len(pivots)
         # a row enlarges the span exactly when the rank goes up
         assert grew == [naive_rank(a[: i + 1]) > naive_rank(a[:i]) for i in range(r)]
-        assert span.basis() == la.row_space_basis(a) == reduced[: len(pivots)]
+        assert span.basis() == reduced[: len(pivots)]
         assert tuple(sorted(span.pivots)) == pivots
         # the pivot rows stay reduced against each other's pivots
         for lead, row in span.pivots.items():
@@ -261,7 +263,6 @@ def test_kernel_rank_and_int_span_agree():
             probe = seeded_matrix(rng, 1, c, 0.5)[0]
             expected = naive_in_span(reduced[: len(pivots)], probe)
             assert (not span.reduce(la.int_row(probe))) == expected
-            assert la.in_span(a, probe) == expected
 
 
 def elimination_cases():
@@ -299,12 +300,11 @@ def elimination_cases():
 def test_elimination_matches_naive_rref():
     rng = random.Random(53)
     seen = dict.fromkeys(
-        ("inconsistent", "singular", "regular", "non_square", "one_by_one", "outside"), 0
+        ("inconsistent", "singular", "regular", "non_square", "one_by_one"), 0
     )
     for a in elimination_cases():
         r, c = len(a), len(a[0])
         assert la.kernel(a) == naive_kernel(a)
-        assert la.rank(a) == naive_rank(a)
         # a consistent system, and a right-hand side that may not be
         x = tuple(rand_fraction(rng, 5, 9) for _ in range(c))
         b = la.mat_vec(a, x)
@@ -330,20 +330,9 @@ def test_elimination_matches_naive_rref():
         probes = list(a) + [tuple(rand_fraction(rng, 3, 4) for _ in range(c)) for _ in range(2)]
         for k in range(r):
             for v in probes:
-                assert la.in_span(a[:k], v) == naive_in_span(a[:k], v)
-        basis = naive_row_space_basis(a)
-        for v in probes:
-            coords = la.coords_in(basis, v)
-            expected = naive_solve_lex(la.transpose(basis), v) if basis else None
-            if not basis and la.is_zero_vec(v):
-                expected = ()
-            assert coords == expected
-            seen["outside"] += coords is None
+                assert (not la.rational_span(a[:k], c).reduce(la.int_row(v))) == naive_in_span(a[:k], v)
         if r == c and r <= 5:
             assert la.minimal_polynomial(a) == old_minimal_polynomial(a)
-    assert la.coords_in((), la.zeros_vec(3)) == ()
-    assert la.coords_in((), la.unit_vec(3, 1)) is None
-    assert la.in_span((), la.zeros_vec(2)) and not la.in_span((), la.unit_vec(2, 0))
     assert la.minimal_polynomial(()) == (1,)
     assert all(count >= 2 for count in seen.values()), seen
 
@@ -364,7 +353,7 @@ def seeded_minpoly_inputs():
         # minimal polynomial is a proper divisor of the characteristic one
         n = rng.randint(2, 5)
         p = seeded_matrix(rng, n, n, 1.0)
-        if la.rank(p) != n:
+        if naive_rank(p) != n:
             continue
         d = tuple(
             tuple(Fraction(rng.choice((1, -2))) if i == j else ZERO for j in range(n))
@@ -401,7 +390,7 @@ def test_bracket_matches_basis_pair_sum():
             assert alg.bracket(y, x) == la.vec_scale(-1, alg.bracket(x, y))
         for i in range(n):
             for j in range(n):
-                assert alg.bracket(la.unit_vec(n, i), la.unit_vec(n, j)) == alg.basis_bracket(i, j)
+                assert alg.bracket(la.unit_vec(n, i), la.unit_vec(n, j)) == naive_basis_bracket(alg, i, j)
 
 
 def test_killing_and_nilradical_match_trace_of_products():
@@ -501,14 +490,14 @@ def dense_skew_derivation_system(base):
             rows.append(tuple(row))
     for i in range(n):
         for j in range(i + 1, n):
-            cij = alg.basis_bracket(i, j)
+            cij = naive_basis_bracket(alg, i, j)
             for k in range(n):
                 row = [ZERO] * (n * n)
                 for mth in range(n):
                     row[entry(k, mth)] += cij[mth]
                 for p in range(n):
-                    row[entry(p, i)] -= alg.basis_bracket(p, j)[k]
-                    row[entry(p, j)] -= alg.basis_bracket(i, p)[k]
+                    row[entry(p, i)] -= naive_basis_bracket(alg, p, j)[k]
+                    row[entry(p, j)] -= naive_basis_bracket(alg, i, p)[k]
                 rows.append(tuple(row))
     return tuple(rows)
 
@@ -559,7 +548,7 @@ def rebased(rng, m):
     n = m.dim
     while True:
         cols = tuple(tuple(rand_fraction(rng, 2, 4) for _ in range(n)) for _ in range(n))
-        if la.rank(cols) == n:
+        if naive_rank(cols) == n:
             return change_basis(m, cols, [f"v{i}" for i in range(n)])
 
 
@@ -593,7 +582,7 @@ def test_structure_table_rows_match_brackets():
                 for k, t in rows[i][j]:
                     assert isinstance(t, int) and t != 0
                     dense[k] = Fraction(t, den)
-                assert tuple(dense) == alg.basis_bracket(i, j)
+                assert tuple(dense) == naive_basis_bracket(alg, i, j)
 
 
 def test_integer_certificates_match_fraction_code():
@@ -725,7 +714,7 @@ def test_is_nilpotent_matches_power():
             for i in range(n)
         )
         p = seeded_matrix(rng, n, n, 1.0)
-        if n and la.rank(p) == n:
+        if n and naive_rank(p) == n:
             u = la.mat_mul(la.mat_mul(p, u), la.inverse(p))
         cases.append(u)
         # a random matrix, or a nilpotent one plus a small diagonal
@@ -742,7 +731,7 @@ def test_is_nilpotent_matches_power():
     cases.append(tuple(tuple(la.ONE if j == i + 1 else ZERO for j in range(6)) for i in range(6)))
     nilpotent = 0
     for a in cases:
-        expected = la.is_zero_mat(la.mat_pow(a, la.nrows(a)))
+        expected = la.is_zero_mat(naive_mat_pow(a, la.nrows(a)))
         assert la.is_nilpotent(a) == expected
         nilpotent += expected
     assert 60 <= nilpotent < len(cases)

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 from metriclie import linalg as la
 
-from conftest import naive_in_span, naive_rank, naive_rref, rand_matrix, rand_fraction
+from conftest import naive_in_span, naive_poly_mul, naive_rank, naive_rref, rand_matrix, rand_fraction
 
 
 def test_rref_identity():
@@ -12,7 +12,7 @@ def test_rref_identity():
     span = la.IntSpan(4)
     for row in m:
         span.add(la.int_row(row))
-    assert span.basis() == la.row_space_basis(m) == m
+    assert span.basis() == la.rational_span(m, 4).basis() == m
     assert sorted(span.pivots) == [0, 1, 2, 3]
     assert la.inverse(m) == m and la.kernel(m) == ()
 
@@ -23,7 +23,7 @@ def test_kernel_and_rank_are_complementary():
         n = rng.randint(1, 6)
         m = rand_matrix(rng, n)
         ker = la.kernel(m)
-        assert la.rank(m) + len(ker) == n
+        assert naive_rank(m) + len(ker) == n
         for v in ker:
             assert la.is_zero_vec(la.mat_vec(m, v))
 
@@ -34,7 +34,7 @@ def test_inverse_round_trip():
     while count < 25:
         n = rng.randint(1, 5)
         m = rand_matrix(rng, n)
-        if la.rank(m) != n:
+        if naive_rank(m) != n:
             continue
         count += 1
         inv = la.inverse(m)
@@ -77,8 +77,8 @@ def test_minimal_polynomial_divides_charpoly():
 
 def test_squarefree_part_has_no_repeated_factors():
     # (x-1)^2 (x+2) -> squarefree part (x-1)(x+2)
-    p = la.poly_mul(
-        la.poly_mul((Fraction(1), Fraction(-1)), (Fraction(1), Fraction(-1))),
+    p = naive_poly_mul(
+        naive_poly_mul((Fraction(1), Fraction(-1)), (Fraction(1), Fraction(-1))),
         (Fraction(1), Fraction(2)),
     )
     sf = la.poly_squarefree_part(p)
@@ -97,7 +97,7 @@ def test_int_span_matches_row_space():
             if span.add(la.int_row(v)):
                 kept.append(v)
         assert len(kept) == span.dim == naive_rank(tuple(vectors))
-        assert la.row_space_basis(kept) == la.row_space_basis(vectors) == span.basis()
+        assert la.rational_span(kept, n).basis() == la.rational_span(vectors, n).basis() == span.basis()
         for v in vectors:
             assert not span.reduce(la.int_row(v))
         for _ in range(3):
@@ -109,7 +109,7 @@ def test_intersect_spans():
     e = [la.unit_vec(3, i) for i in range(3)]
     inter = la.intersect_spans(la.rational_span(e[:2], 3), la.rational_span(e[1:], 3)).basis()
     assert len(inter) == 1
-    assert la.in_span(inter, e[1]) and la.in_span((e[1],), inter[0])
+    assert naive_in_span(inter, e[1]) and naive_in_span((e[1],), inter[0])
 
 
 def test_proportionality():

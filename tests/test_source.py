@@ -152,3 +152,26 @@ def _unread_test_references() -> list[tuple[int, str]]:
 
 def test_every_conftest_reference_is_read_by_a_test():
     assert _unread_test_references() == []
+
+
+def _linalg_functions_without_src_reader() -> list[tuple[int, str]]:
+    """(line, name) of each public ``linalg`` function that no module of
+    ``src`` reads outside its own body. A kernel kept only for tests
+    belongs in ``tests/conftest.py`` as a ``naive_*`` reference."""
+    used: Counter = Counter()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        if path.name == "__init__.py":
+            tree.body = [n for n in tree.body if not isinstance(n, (ast.Import, ast.ImportFrom))]
+        used.update(_names(tree))
+    return [
+        (node.lineno, node.name)
+        for node in ast.parse((SRC / "linalg.py").read_text()).body
+        if isinstance(node, ast.FunctionDef)
+        and not node.name.startswith("_")
+        and used[node.name] - _names(node)[node.name] == 0
+    ]
+
+
+def test_every_public_linalg_function_has_a_src_reader():
+    assert _linalg_functions_without_src_reader() == []
