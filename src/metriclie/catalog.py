@@ -9,11 +9,11 @@ from __future__ import annotations
 
 import difflib
 import json
+import math
 import re
-from fractions import Fraction
 
 from . import linalg as la
-from .core import LieAlgebra, killing_matrix
+from .core import LieAlgebra, killing_form
 from .documents import parse_rational
 from .errors import DocumentError
 from .forms import MetricLieAlgebra, SymBilinearForm
@@ -29,70 +29,49 @@ def heis3() -> LieAlgebra:
     Carries no non-degenerate invariant form, so there is no metric
     counterpart in the catalog.
     """
-    z = la.unit_vec(3, 2)
-    return LieAlgebra(3, ("x", "y", "z"), {(0, 1): z})
+    return LieAlgebra.from_rows(3, ("x", "y", "z"), 1, {(0, 1): [(2, 1)]})
 
 
 def sl2() -> MetricLieAlgebra:
     """Traceless 2x2 matrices in the (e, f, h) basis, with the Killing
     form as the invariant scalar product."""
-    e = la.unit_vec(3, 0)
-    f = la.unit_vec(3, 1)
-    h = la.unit_vec(3, 2)
-    alg = LieAlgebra(
-        3,
-        ("e", "f", "h"),
-        {
-            (0, 1): h,
-            (0, 2): la.vec_scale(Fraction(-2), e),
-            (1, 2): la.vec_scale(Fraction(2), f),
-        },
-    )
-    return MetricLieAlgebra(alg, SymBilinearForm(killing_matrix(alg)))
+    upper = {(0, 1): [(2, 1)], (0, 2): [(0, -2)], (1, 2): [(1, 2)]}
+    alg = LieAlgebra.from_rows(3, ("e", "f", "h"), 1, upper)
+    return MetricLieAlgebra(alg, killing_form(alg))
 
 
 def su2() -> MetricLieAlgebra:
     """Compact three-dimensional simple algebra with cyclic brackets
     [u1,u2] = u3 etc., carrying its (negative definite) Killing form."""
-    alg = LieAlgebra(
-        3,
-        ("u1", "u2", "u3"),
-        {
-            (0, 1): la.unit_vec(3, 2),
-            (1, 2): la.unit_vec(3, 0),
-            (0, 2): la.vec_scale(Fraction(-1), la.unit_vec(3, 1)),
-        },
-    )
-    return MetricLieAlgebra(alg, SymBilinearForm(killing_matrix(alg)))
+    upper = {(0, 1): [(2, 1)], (0, 2): [(1, -1)], (1, 2): [(0, 1)]}
+    alg = LieAlgebra.from_rows(3, ("u1", "u2", "u3"), 1, upper)
+    return MetricLieAlgebra(alg, killing_form(alg))
 
 
 def direct_sum(
     left: MetricLieAlgebra, right: MetricLieAlgebra
 ) -> MetricLieAlgebra:
-    """Orthogonal direct sum of two metric Lie algebras."""
-    n1, n2 = left.algebra.dim, right.algebra.dim
-    n = n1 + n2
-    brackets = {}
-    for (i, j), c in left.algebra.brackets.items():
-        brackets[(i, j)] = c + (la.ZERO,) * n2
-    for (i, j), c in right.algebra.brackets.items():
-        brackets[(i + n1, j + n1)] = (la.ZERO,) * n1 + c
+    """Orthogonal direct sum of two metric Lie algebras, written from the
+    integer tables and form rows of the summands over their common
+    denominators."""
+    n1, n = left.dim, left.dim + right.dim
+    den = math.lcm(left.algebra.int_table[0], right.algebra.int_table[0])
+    mden = math.lcm(left.form.int_rows[0], right.form.int_rows[0])
+    upper, gram = {}, []
+    for off, part in ((0, left), (n1, right)):
+        lden, table = part.algebra.int_table
+        for i, row in enumerate(table):
+            for j in range(i + 1, len(row)):
+                upper[(off + i, off + j)] = [(off + k, t * (den // lden)) for k, t in row[j]]
+        fden, rows = part.form.int_rows
+        gram += [[(off + q, t * (mden // fden)) for q, t in r] for r in rows]
     names = left.algebra.basis_names + right.algebra.basis_names
     if len(set(names)) != n:
         names = tuple(f"l_{s}" for s in left.algebra.basis_names) + tuple(
             f"r_{s}" for s in right.algebra.basis_names
         )
-    alg = LieAlgebra(n, names, brackets)
-    rows = []
-    for i in range(n):
-        row = [la.ZERO] * n
-        for j in range(n):
-            if i < n1 and j < n1:
-                row[j] = left.form.matrix[i][j]
-            elif i >= n1 and j >= n1:
-                row[j] = right.form.matrix[i - n1][j - n1]
-        rows.append(tuple(row))
-    return MetricLieAlgebra(alg, SymBilinearForm(tuple(rows)))
+    alg = LieAlgebra.from_rows(n, names, den, upper)
+    return MetricLieAlgebra(alg, SymBilinearForm.from_rows(n, mden, gram))
 
 
 def load_delta_file(path: str, expected_dim: int) -> la.Mat:

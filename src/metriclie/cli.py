@@ -10,7 +10,6 @@ certificate failure.
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import os
 import sys
@@ -24,7 +23,7 @@ from .core import (
     _require_jacobi,
     ad,
     center,
-    killing_matrix,
+    killing_form,
     nilradical,
     subspace_from_spanning,
     validate_structure,
@@ -154,19 +153,19 @@ def cmd_validate(args) -> tuple[dict, int]:
 def cmd_analyze(args) -> tuple[dict, int]:
     alg, form, hint, _ = _load_algebra(args.algebra)
     _require_jacobi(alg)
-    kappa = killing_matrix(alg)
+    kappa = killing_form(alg)
     ser = alg.series_report
     results = {
         "dim": alg.dim,
         "basis": list(alg.basis_names),
-        "killing": _mat_out(kappa),
-        "killing_is_zero": la.is_zero_mat(kappa),
+        "killing": _mat_out(kappa.matrix),
+        "killing_is_zero": kappa.is_zero(),
         "solvable": ser.is_solvable,
         "nilpotent": ser.is_nilpotent,
         "abelian": ser.is_abelian,
         "center_dim": center(alg).dim,
         "derived_dim": ser.derived.dim,
-        "semisimple": signature(SymBilinearForm(kappa)).is_nondegenerate,
+        "semisimple": signature(kappa).is_nondegenerate,
     }
     if ser.is_solvable:
         results["nilradical_dim"] = nilradical(alg, hint=hint).dim
@@ -451,15 +450,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser, built once per process: ``parse_args`` keeps no state
-    between calls, and every call starts from a fresh namespace."""
-    return build_parser()
+# built once, when the module is imported: ``parse_args`` keeps no
+# state between calls, and every call starts from a fresh namespace
+_PARSER = build_parser()
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     # the one handler that writes (search, its hits) has finished its
     # work by then, and returns 0
     code = 0

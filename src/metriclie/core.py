@@ -145,18 +145,16 @@ class LieAlgebra:
         return alg
 
     def _store(self, dim: int, basis_names: Sequence[str], den: int, upper: Mapping) -> None:
-        """The one normalisation: zero entries dropped, every entry and L
-        divided by their gcd, and each row mirrored with opposite sign."""
-        upper = {key: [(k, t) for k, t in row if t] for key, row in upper.items()}
-        g = math.gcd(den, *(t for row in upper.values() for _, t in row))
+        """The one normalisation, ``la.normalised`` of the rows i < j,
+        each then mirrored with opposite sign."""
+        den, normal = la.normalised(den, upper.values())
         rows = [[()] * dim for _ in range(dim)]
-        for (i, j), row in upper.items():
-            if row:
-                rows[i][j] = tuple((k, t // g) for k, t in row)
-                rows[j][i] = tuple((k, -t // g) for k, t in row)
+        for (i, j), row in zip(upper, normal):
+            rows[i][j] = row
+            rows[j][i] = tuple((k, -t) for k, t in row)
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "basis_names", tuple(basis_names))
-        object.__setattr__(self, "int_table", (den // g, tuple(map(tuple, rows))))
+        object.__setattr__(self, "int_table", (den, tuple(map(tuple, rows))))
 
     @functools.cached_property
     def brackets(self) -> Mapping[tuple[int, int], Vec]:
@@ -167,10 +165,7 @@ class LieAlgebra:
         for i, row_i in enumerate(rows):
             for j in range(i + 1, self.dim):
                 if row_i[j]:
-                    v = [la.ZERO] * self.dim
-                    for k, t in row_i[j]:
-                        v[k] = Fraction(t, den)
-                    out[(i, j)] = tuple(v)
+                    out[(i, j)] = la.mat_over(la.dense((row_i[j],), self.dim), den)[0]
         return MappingProxyType(out)
 
     @property
@@ -415,10 +410,12 @@ def killing_matrix(alg: LieAlgebra) -> Mat:
 
 
 def killing_form(alg: LieAlgebra):
-    """Killing form as a SymBilinearForm (see forms module)."""
+    """Killing form as a SymBilinearForm (see forms module), written
+    from ``killing_sums``."""
     from .forms import SymBilinearForm
 
-    return SymBilinearForm(killing_matrix(alg))
+    den2, k = killing_sums(alg)
+    return SymBilinearForm.from_rows(alg.dim, den2, map(enumerate, k))
 
 
 def jordan_chevalley(a: LinearMap | Mat) -> JordanPair:

@@ -52,6 +52,9 @@ def format_rational(x: Fraction) -> str:
 
 
 def parse_document(obj: dict) -> AlgebraDocument:
+    """The ``AlgebraDocument`` of a JSON object; ``DocumentError`` for
+    malformed input, including a bracket (i, j) or a coefficient index
+    (after ``int``, so "2" and "02" are one index) given twice."""
     if not isinstance(obj, dict):
         raise DocumentError("document root must be an object")
     for key in ("name", "dim", "basis", "brackets"):
@@ -68,7 +71,7 @@ def parse_document(obj: dict) -> AlgebraDocument:
         isinstance(b, str) for b in basis
     ):
         raise DocumentError("basis: must be a list of dim strings")
-    brackets = []
+    brackets = {}
     if not isinstance(obj["brackets"], list):
         raise DocumentError("brackets: must be a list")
     for pos, entry in enumerate(obj["brackets"]):
@@ -81,6 +84,8 @@ def parse_document(obj: dict) -> AlgebraDocument:
             raise DocumentError(f"{where}: needs integer fields i and j")
         if not (0 <= i < j < dim):
             raise DocumentError(f"{where}: indices must satisfy 0 <= i < j < dim")
+        if (i, j) in brackets:
+            raise DocumentError(f"{where}: bracket ({i},{j}) is given twice")
         coeffs_raw = entry.get("coeffs", {})
         if not isinstance(coeffs_raw, dict):
             raise DocumentError(f"{where}.coeffs: must be an object")
@@ -92,10 +97,10 @@ def parse_document(obj: dict) -> AlgebraDocument:
                 raise DocumentError(f"{where}.coeffs: bad index {k_raw!r}")
             if not (0 <= k < dim):
                 raise DocumentError(f"{where}.coeffs: index {k} out of range")
-            val = parse_rational(v, f"{where}.coeffs[{k}]")
-            if val != 0:
-                coeffs[k] = val
-        brackets.append((i, j, tuple(sorted(coeffs.items()))))
+            if k in coeffs:
+                raise DocumentError(f"{where}.coeffs: index {k} is given twice")
+            coeffs[k] = parse_rational(v, f"{where}.coeffs[{k}]")
+        brackets[(i, j)] = tuple(sorted((k, c) for k, c in coeffs.items() if c))
     form = None
     if obj.get("form") is not None:
         raw = obj["form"]
@@ -130,13 +135,11 @@ def parse_document(obj: dict) -> AlgebraDocument:
                     tuple(parse_rational(c, f"{where}[{ci}]") for ci, c in enumerate(v))
                 )
             hints["nilradical"] = tuple(parsed_vecs)
-    # normalize deterministically: brackets sorted by (i, j)
-    brackets.sort(key=lambda e: e[:2])
     return AlgebraDocument(
         name=name,
         dim=dim,
         basis=tuple(basis),
-        brackets=tuple(brackets),
+        brackets=tuple((i, j, c) for (i, j), c in sorted(brackets.items())),
         form=form,
         hints=hints,
     )

@@ -407,17 +407,13 @@ class SearchResult:
         return min(dims) if dims else None
 
 
-def _rotation_boost_delta(rotations: tuple[int, ...], boost: int) -> Mat:
-    """blockdiag(rot b for b in rotations, boost block), skew for
-    diag(1, ..., 1, -1); spectrum {±i b} ∪ {±boost}, so
-    tr = 2 boost^2 - 2 sum b^2."""
-    m = 2 * len(rotations) + 2
-    d = [[la.ZERO] * m for _ in range(m)]
-    for i, b in enumerate(rotations):
-        d[2 * i][2 * i + 1] = Fraction(-b)
-        d[2 * i + 1][2 * i] = Fraction(b)
-    d[m - 2][m - 1] = d[m - 1][m - 2] = Fraction(boost)
-    return la.mat(d)
+def _rotation_boost_columns(rotations: tuple[int, ...], boost: int) -> tuple[int, tuple]:
+    """The integer columns (1, cols) of blockdiag(rot b for b in
+    rotations, boost block), skew for diag(1, ..., 1, -1); spectrum
+    {±i b} ∪ {±boost}, so tr = 2 boost^2 - 2 sum b^2."""
+    cols = [c for i, b in enumerate(rotations) for c in (((2 * i + 1, b),), ((2 * i, -b),))]
+    m = len(cols)
+    return 1, (*cols, ((m + 1, boost),), ((m, boost),))
 
 
 def _traceless_skew_map(rng: random.Random, form: SymBilinearForm) -> Mat | None:
@@ -509,21 +505,14 @@ def sharpness_search(
         if fits_rb4 and roll < 0.003:
             # targeted family: rotation and boost of matched weight
             b = rng.randint(1, 9)
-            g = double_extend(
-                DoubleExtensionSpec(
-                    base=build_ab(4, 1), deltas=(_rotation_boost_delta((b,), b),)
-                )
-            )
+            delta = _rotation_boost_columns((b,), b)
+            g = double_extend(DoubleExtensionSpec.from_columns(build_ab(4, 1), (delta,)))
             rec = _record(g, "rotation-boost dim 6")
         elif fits_rb6 and roll < 0.005:
             # Pythagorean family in dimension 8
             k = rng.randint(1, 3)
-            g = double_extend(
-                DoubleExtensionSpec(
-                    base=build_ab(6, 1),
-                    deltas=(_rotation_boost_delta((3 * k, 4 * k), 5 * k),),
-                )
-            )
+            delta = _rotation_boost_columns((3 * k, 4 * k), 5 * k)
+            g = double_extend(DoubleExtensionSpec.from_columns(build_ab(6, 1), (delta,)))
             rec = _record(g, "rotation-boost dim 8")
         elif roll < 0.035:
             # two-step iterated extension

@@ -1,8 +1,10 @@
 """Symmetric bilinear forms on Lie algebras.
 
-Signature and Witt machinery is exact over Q. Orthogonal bases keep
-their rational diagonal entries; only the signs are normalized (square
-roots would leave the rationals).
+A form is stored by one canonical integer matrix M B over its least
+common denominator M; the rational matrix is a view of it. Signature
+and Witt machinery is exact over Q. Orthogonal bases keep their
+rational diagonal entries; only the signs are normalized (square roots
+would leave the rationals).
 """
 
 from __future__ import annotations
@@ -54,19 +56,32 @@ def _int_images(rows, b_rows: tuple[la.IntRow, ...]) -> list[list[int]]:
     return images
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class SymBilinearForm:
-    matrix: Mat
+    """A symmetric form B, stored only as ``int_rows`` = (M, rows):
+    ``rows[p]`` the pairs (q, M B_pq), q increasing, canonical by
+    ``la.normalised``, so equal forms have equal rows. The constructor
+    validates a rational matrix; ``from_rows`` takes integer rows from a
+    writer that holds them and vouches for their symmetry."""
 
-    def __post_init__(self):
-        m = la.mat(self.matrix)
-        object.__setattr__(self, "matrix", m)
+    dim: int
+    int_rows: tuple[int, tuple[la.IntRow, ...]]
+
+    def __init__(self, matrix: Mat):
+        m = la.mat(matrix)
         if m != la.transpose(m):
             raise ValueError("form matrix is not symmetric")
+        self._store(len(m), *_scaled_rows(m))
 
-    @property
-    def dim(self) -> int:
-        return la.nrows(self.matrix)
+    @classmethod
+    def from_rows(cls, dim: int, den: int, rows) -> "SymBilinearForm":
+        form = object.__new__(cls)
+        form._store(dim, den, rows)
+        return form
+
+    def _store(self, dim: int, den: int, rows) -> None:
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "int_rows", la.normalised(den, rows))
 
     def int_gram(self, us, vs) -> tuple[int, list[list[int]]]:
         """The one Gram kernel: (S, P) with <u_i, v_j> = P[i][j] / S, the
@@ -88,23 +103,22 @@ class SymBilinearForm:
         return Fraction(gram[0][0], den)
 
     def restrict(self, vectors: tuple[Vec, ...]) -> "SymBilinearForm":
-        """The Gram matrix B(v_i, v_j), divided out of ``int_gram``."""
+        """The Gram matrix B(v_i, v_j), the rows of ``int_gram``."""
         den, gram = self.int_gram(vectors, vectors)
-        return SymBilinearForm(tuple(tuple(Fraction(x, den) if x else la.ZERO for x in r) for r in gram))
+        return SymBilinearForm.from_rows(len(gram), den, map(enumerate, gram))
 
     def is_zero(self) -> bool:
-        return la.is_zero_mat(self.matrix)
+        return not any(self.int_rows[1])
 
     @functools.cached_property
-    def int_rows(self) -> tuple[int, tuple[la.IntRow, ...]]:
-        """(M, rows) with M the least common denominator of the entries
-        and ``rows[p]`` the pairs (q, M B_pq) with non-zero entry."""
-        return _scaled_rows(self.matrix)
+    def matrix(self) -> Mat:
+        """The rational Gram matrix, a view of ``int_rows``."""
+        den, rows = self.int_rows
+        return la.mat_over(la.dense(rows, self.dim), den)
 
     @functools.cached_property
     def int_inverse(self) -> tuple[int, tuple[la.IntRow, ...]]:
-        """``inverse`` as ``int_rows`` holds B: (M, rows) with ``rows[p]``
-        the pairs (q, M (B^{-1})_pq) with non-zero entry."""
+        """``inverse`` as ``int_rows`` holds B."""
         return _scaled_rows(self.inverse)
 
     @functools.cached_property
@@ -232,11 +246,7 @@ def _congruence_pivots(b: SymBilinearForm) -> list[int]:
     entry 0 is returned for each vector of the radical.
     """
     n = b.dim
-    _, rows = b.int_rows
-    a = [[0] * n for _ in range(n)]
-    for p, row in enumerate(rows):
-        for q, x in row:
-            a[p][q] = x
+    a = la.dense(b.int_rows[1], n)
     rest = list(range(n))
     pivots: list[int] = []
     while rest:
@@ -282,7 +292,7 @@ def signature(b: SymBilinearForm) -> Signature:
 
 def metric_radical(m: MetricLieAlgebra | SymBilinearForm) -> SubspaceBasis:
     form = m.form if isinstance(m, MetricLieAlgebra) else m
-    return SubspaceBasis(form.dim, la.kernel(form.matrix))
+    return SubspaceBasis(form.dim, la.sparse_kernel(map(dict, form.int_rows[1]), form.dim))
 
 
 def _skew_pairing(cols, b_rows: tuple[la.IntRow, ...]) -> tuple[list[list[int]], tuple[int, int] | None]:

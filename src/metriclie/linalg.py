@@ -46,6 +46,26 @@ def mat_over(rows: Iterable[Iterable[int]], den: int) -> Mat:
     return tuple(tuple(Fraction(x, den) if x else ZERO for x in r) for r in rows)
 
 
+def dense(rows: Iterable[IntRow], nc: int) -> list[list[int]]:
+    """The dense integer matrix of sparse rows of (column, value) pairs,
+    each of width nc."""
+    out = []
+    for pairs in rows:
+        row = [0] * nc
+        for q, t in pairs:
+            row[q] = t
+        out.append(row)
+    return out
+
+
+def normalised(den: int, rows: Iterable) -> tuple[int, tuple[IntRow, ...]]:
+    """The one normalisation of sparse integer rows over den > 0: zero
+    entries dropped, and den and every entry divided by their gcd."""
+    rows = [[(q, t) for q, t in row if t] for row in rows]
+    g = math.gcd(den, *(t for row in rows for _, t in row))
+    return den // g, tuple(tuple((q, t // g) for q, t in row) for row in rows)
+
+
 def zeros_vec(n: int) -> Vec:
     return (ZERO,) * n
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import functools
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from . import linalg as la
@@ -41,33 +41,51 @@ from .forms import (
 from .linalg import Mat, Vec
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class DoubleExtensionSpec:
     """Data (base, a, delta, xi) describing a double extension.
 
-    ``deltas[i]`` is the action of the i-th extending vector a_i on the
-    base, skew with respect to the base form. ``a_brackets`` holds the
-    structure constants of the extending algebra a (empty = abelian),
-    ``xi`` an optional central term [a_i, a_j] -> dual part.
+    ``int_deltas[i]`` = (D_i, cols), ``la.normalised``, holds the action
+    delta_i of the i-th extending vector on the base, skew for the base
+    form, by its columns: ``cols[y]`` the pairs (p, D_i delta_py). The
+    constructor takes rational matrices, ``from_columns`` integer columns
+    from a writer that vouches for their size; ``deltas`` is the rational
+    view. ``a_brackets`` holds the structure constants of the extending
+    algebra a (empty = abelian), ``xi`` an optional term [a_i, a_j] -> a*.
     """
 
     base: MetricLieAlgebra
-    deltas: tuple[Mat, ...]
-    a_brackets: Mapping[tuple[int, int], Vec] = field(default_factory=dict)
-    xi: Mapping[tuple[int, int], Vec] = field(default_factory=dict)
+    int_deltas: tuple[tuple[int, tuple[la.IntRow, ...]], ...]
+    a_brackets: Mapping[tuple[int, int], Vec]
+    xi: Mapping[tuple[int, int], Vec]
 
-    def __post_init__(self):
-        object.__setattr__(self, "deltas", tuple(la.mat(d) for d in self.deltas))
-        object.__setattr__(
-            self, "a_brackets", {k: la.vec(v) for k, v in dict(self.a_brackets).items()}
-        )
-        object.__setattr__(
-            self, "xi", {k: la.vec(v) for k, v in dict(self.xi).items()}
-        )
+    def __init__(self, base: MetricLieAlgebra, deltas: Sequence[Mat], a_brackets=None, xi=None):
+        cols = []
+        for d in map(la.mat, deltas):
+            if la.nrows(d) != base.dim or la.ncols(d) != base.dim:
+                raise PreconditionError("delta matrix size does not match the base")
+            cols.append(_scaled_rows(la.transpose(d)))
+        self._store(base, cols, a_brackets, xi)
+
+    @classmethod
+    def from_columns(cls, base: MetricLieAlgebra, int_deltas, xi=None) -> "DoubleExtensionSpec":
+        spec = object.__new__(cls)
+        spec._store(base, int_deltas, None, xi)
+        return spec
+
+    def _store(self, base, int_deltas, a_brackets, xi) -> None:
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "int_deltas", tuple(la.normalised(*d) for d in int_deltas))
+        for name, data in (("a_brackets", a_brackets), ("xi", xi)):
+            object.__setattr__(self, name, {k: la.vec(v) for k, v in dict(data or {}).items()})
+
+    @functools.cached_property
+    def deltas(self) -> tuple[Mat, ...]:
+        return tuple(la.mat_over(la.transpose(la.dense(c, len(c))), d) for d, c in self.int_deltas)
 
     @property
     def a_dim(self) -> int:
-        return len(self.deltas)
+        return len(self.int_deltas)
 
     def a_bracket(self, i: int, j: int) -> Vec:
         s = self.a_dim
@@ -155,17 +173,13 @@ def _assemble(spec: DoubleExtensionSpec) -> MetricLieAlgebra:
     base = spec.base
     s = spec.a_dim
     m = base.dim
-    b = base.form.matrix
     if s == 0:
         raise PreconditionError("double extension needs at least one extending vector")
     mden, b_rows = base.form.int_rows
-    # delta_i by its integer columns over D_i; omega_i(x, y) = <delta_i x, y>
-    # is the pairing P / (D_i M) that decides the skewness of delta_i
+    # omega_i(x, y) = <delta_i x, y> is the pairing P / (D_i M) that
+    # decides the skewness of delta_i
     deltas = []
-    for d in spec.deltas:
-        if la.nrows(d) != m or la.ncols(d) != m:
-            raise PreconditionError("delta matrix size does not match the base")
-        den, cols = _scaled_rows(la.transpose(d))
+    for den, cols in spec.int_deltas:
         pairing, witness = _skew_pairing(cols, b_rows)
         if witness is not None:
             raise PreconditionError("delta is not skew with respect to the base form")
@@ -202,12 +216,11 @@ def _assemble(spec: DoubleExtensionSpec) -> MetricLieAlgebra:
         mid = tuple(f"x{k}" for k in range(m))
     alg = LieAlgebra.from_rows(n, a_names + mid + z_names, big, upper)
 
-    gram = [[la.ZERO] * n for _ in range(n)]
-    for i in range(s):
-        gram[i][s + m + i] = gram[s + m + i][i] = la.ONE
-    for k in range(m):
-        gram[s + k][s : s + m] = b[k]
-    form = SymBilinearForm(tuple(tuple(r) for r in gram))
+    # <a_i, z_i> = 1 and the base form on the x-block, over M
+    gram = [((zo + i, mden),) for i in range(s)]
+    gram += [tuple((s + q, t) for q, t in row) for row in b_rows]
+    gram += [((i, mden),) for i in range(s)]
+    form = SymBilinearForm.from_rows(n, mden, gram)
     return MetricLieAlgebra(alg, form)
 
 
@@ -267,12 +280,6 @@ def _reduce_step(m: MetricLieAlgebra, ideal: SubspaceBasis) -> ReductionStep:
             parts[block].append((k - (0, s, s + mdim)[block], t))
         return parts
 
-    def dense(pairs: list, size: int) -> list[int]:
-        out = [0] * size
-        for k, t in pairs:
-            out[k] = t
-        return out
-
     base_rows, omega = {}, {}
     for k in range(mdim):
         for l in range(k + 1, mdim):
@@ -282,9 +289,12 @@ def _reduce_step(m: MetricLieAlgebra, ideal: SubspaceBasis) -> ReductionStep:
                     "bracket of complement vectors leaves the coisotropic subspace"
                 )
             omega[(k, l)] = dict(z_part)
-    base_gram = tuple(row[s : s + mdim] for row in split.form.matrix[s : s + mdim])
+    # the base form is the x-block of the split's form
+    gden, gram = split.form.int_rows
+    base_gram = ([(q - s, t) for q, t in row if s <= q < s + mdim] for row in gram[s : s + mdim])
     base = MetricLieAlgebra(
-        LieAlgebra.from_rows(mdim, base_names, den, base_rows), SymBilinearForm(base_gram)
+        LieAlgebra.from_rows(mdim, base_names, den, base_rows),
+        SymBilinearForm.from_rows(mdim, gden, base_gram),
     )
 
     # delta_i by its integer columns over L
@@ -304,12 +314,11 @@ def _reduce_step(m: MetricLieAlgebra, ideal: SubspaceBasis) -> ReductionStep:
             if a_part or x_part:
                 _extraction_failed(s, "dual vectors do not close up to the ideal")
             if z_part:
-                xi[(i, j)] = la.mat_over((dense(z_part, s),), den)[0]
+                xi[(i, j)] = la.mat_over(la.dense((z_part,), s), den)[0]
 
     # pairing certificate: omega(x, y)(a_i) = <delta_i x, y> on the base;
     # P / (L M) = delta_i^T B and omega = z / L, so z M = P
     mden, b_rows = base.form.int_rows
-    deltas = []
     for i, cols in enumerate(delta_cols):
         pairing, _ = _skew_pairing(cols, b_rows)
         for k in range(mdim):
@@ -318,13 +327,12 @@ def _reduce_step(m: MetricLieAlgebra, ideal: SubspaceBasis) -> ReductionStep:
                     raise CertificateError(
                         "cocycle does not match the pairing of delta with the base form"
                     )
-        deltas.append(la.mat_over(la.transpose([dense(c, mdim) for c in cols]), den))
 
-    spec = DoubleExtensionSpec(base=base, deltas=tuple(deltas), xi=xi)
+    spec = DoubleExtensionSpec.from_columns(base, ((den, cols) for cols in delta_cols), xi)
     rebuilt = _assemble(spec)
     if (
         rebuilt.algebra.int_table != split.algebra.int_table
-        or rebuilt.form.matrix != split.form.matrix
+        or rebuilt.form.int_rows != split.form.int_rows
     ):
         raise CertificateError("reduction round-trip failed to rebuild the input")
 
@@ -422,12 +430,9 @@ def build_ab(n: int, s: int) -> MetricLieAlgebra:
     structure table it derives on first use are shared by all callers."""
     if not (0 <= s <= n):
         raise PreconditionError("index must satisfy 0 <= s <= n")
-    diag = [la.ONE] * (n - s) + [-la.ONE] * s
-    gram = tuple(
-        tuple(diag[i] if i == j else la.ZERO for j in range(n)) for i in range(n)
-    )
+    gram = (((i, 1 if i < n - s else -1),) for i in range(n))
     names = tuple(f"e{i}" for i in range(n))
-    return MetricLieAlgebra(LieAlgebra(n, names, {}), SymBilinearForm(gram))
+    return MetricLieAlgebra(LieAlgebra(n, names, {}), SymBilinearForm.from_rows(n, 1, gram))
 
 
 def build_ko1(n: int, s: int, delta: Mat) -> MetricLieAlgebra:
@@ -458,15 +463,10 @@ def build_example42() -> MetricLieAlgebra:
         (1, 4): [(5, 1)],
         (2, 3): [(5, 1)],
     }
-    gram = (
-        (0, 0, 0, 0, 0, 1),
-        (0, 0, 0, 0, 1, 0),
-        (0, 0, 1, 0, 0, 0),
-        (0, 0, 0, 1, 0, 0),
-        (0, 1, 0, 0, 0, 0),
-        (1, 0, 0, 0, 0, 0),
+    gram = (((5, 1),), ((4, 1),), ((2, 1),), ((3, 1),), ((1, 1),), ((0, 1),))
+    return MetricLieAlgebra(
+        LieAlgebra.from_rows(6, names, 1, upper), SymBilinearForm.from_rows(6, 1, gram)
     )
-    return MetricLieAlgebra(LieAlgebra.from_rows(6, names, 1, upper), SymBilinearForm(gram))
 
 
 # ---------------------------------------------------------------------------

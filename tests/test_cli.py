@@ -385,6 +385,23 @@ def test_malformed_document_exit_2(capsys, tmp_path):
     assert "line" in err
 
 
+def test_repeated_bracket_data_exits_2(capsys, tmp_path):
+    base = {"name": "t", "dim": 3, "basis": ["a", "b", "c"]}
+    once = {"i": 0, "j": 1, "coeffs": {"2": "1"}}
+    cases = {
+        "bracket": ([once, {"i": 0, "j": 1, "coeffs": {"2": "5", "02": "7"}}], "is given twice"),
+        "index": ([{"i": 0, "j": 1, "coeffs": {"2": "5", "02": "7"}}], "index 2 is given twice"),
+    }
+    for name, (brackets, fragment) in cases.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({**base, "brackets": brackets}))
+        code, out, err = run(capsys, "analyze", str(path))
+        assert code == 2 and out == "" and fragment in err and err.startswith("error: ")
+    path = tmp_path / "once.json"
+    path.write_text(json.dumps({**base, "brackets": [once]}))
+    assert run(capsys, "analyze", str(path))[0] == 0
+
+
 def test_global_flags_accepted_before_subcommand(capsys):
     code, out, err = run(capsys, "--format", "json", "signature", "sl2")
     assert code == 0
@@ -432,7 +449,9 @@ def test_successive_main_calls_share_one_parser_without_leaks(capsys, monkeypatc
             assert json.loads(out)["results"]["signature"] == [2, 1, 0]
         else:
             assert out.startswith("command: signature"), argv
-    assert cli._parser() is cli._parser()
+    # main parses with the one parser built at import and builds none
+    monkeypatch.setattr(cli, "build_parser", None)
+    assert run(capsys, "signature", "sl2")[0] == 0
 
 
 def test_reduce_outputs_match_reference_digests(capsys, tmp_path):

@@ -132,3 +132,28 @@ def test_parse_errors_are_located(mutation, fragment):
     with pytest.raises(DocumentError) as err:
         parse_document(doc)
     assert fragment in str(err.value)
+
+
+def _three_dim_doc(*brackets):
+    return {"name": "t", "dim": 3, "basis": ["a", "b", "c"], "brackets": list(brackets)}
+
+
+def test_a_bracket_given_twice_is_rejected():
+    once = {"i": 0, "j": 1, "coeffs": {"2": "1"}}
+    assert parse_document(_three_dim_doc(once)).brackets == ((0, 1, ((2, Fraction(1)),)),)
+    twice = _three_dim_doc(once, {"i": 0, "j": 1, "coeffs": {"2": "5"}})
+    with pytest.raises(DocumentError, match=r"brackets\[1\]: bracket \(0,1\) is given twice"):
+        parse_document(twice)
+    # the repeat is found whatever the order, and even with zero data
+    with pytest.raises(DocumentError, match="given twice"):
+        parse_document(_three_dim_doc({"i": 1, "j": 2}, once, {"i": "0", "j": 1, "coeffs": {}}))
+
+
+def test_a_coefficient_index_given_twice_is_rejected():
+    # "2" and "02" name one index after int(); a zero value still counts
+    for first in ("5", "0"):
+        doc = _three_dim_doc({"i": 0, "j": 1, "coeffs": {"2": first, "02": "7"}})
+        with pytest.raises(DocumentError, match=r"brackets\[0\]\.coeffs: index 2 is given twice"):
+            parse_document(doc)
+    distinct = _three_dim_doc({"i": 0, "j": 1, "coeffs": {"2": "5", "01": "7"}})
+    assert parse_document(distinct).brackets == ((0, 1, ((1, Fraction(7)), (2, Fraction(5)))),)

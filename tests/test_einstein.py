@@ -297,11 +297,13 @@ def test_integer_prefilter_matches_fraction_trace(monkeypatch):
         converted.append(den)
         return mat_over(rows, den)
 
-    monkeypatch.setattr(la, "mat_over", counted_mat_over)
     # non-zero maps with tr(delta^2) = 0 are rare; the small indefinite
     # diagonal forms give the most of them
     samples = [(form, 4) for form in draw_forms()]
     samples += [(build_ab(3, 1).form, 60), (build_ab(4, 2).form, 60)]
+    for form, _ in samples:
+        form.inverse  # the reference's rational views, built before counting
+    monkeypatch.setattr(la, "mat_over", counted_mat_over)
     kept = nonzero_kept = rejected = 0
     for form, seeds in samples:
         for seed in range(seeds):

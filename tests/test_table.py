@@ -1,11 +1,14 @@
-"""The canonical integer structure table, the one stored form of a
-``LieAlgebra``.
+"""The canonical integer structure table and form rows, the one stored
+form of a ``LieAlgebra`` and of a ``SymBilinearForm``.
 
 Every writer of a table (documents, ``double_extend``, ``change_basis``,
 the base of a reduction step) is checked against the validated
 constructor rebuilt from the rational ``brackets`` view, and every
 table is checked to be canonical: gcd(L, entries) = 1, so L is the
-least common denominator of the view.
+least common denominator of the view. Every writer of form rows
+(documents, ``restrict``, ``_assemble``, the base of a reduction step,
+``build_ab``, ``build_example42``, ``killing_form``, ``direct_sum``) is
+checked the same way against ``SymBilinearForm(form.matrix)``.
 """
 
 import dataclasses
@@ -13,24 +16,29 @@ import gzip
 import json
 import math
 import random
+import sys
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from metriclie import cli, documents
+from metriclie import cli, documents, forms, reduction
 from metriclie import linalg as la
-from metriclie.core import LieAlgebra
+from metriclie.catalog import direct_sum, heis3, sl2, su2
+from metriclie.core import LieAlgebra, killing_form, killing_matrix
 from metriclie.documents import (
     algebra_to_document,
     document_to_algebra,
     emit_document,
     parse_document,
 )
-from metriclie.forms import MetricLieAlgebra
+from metriclie.errors import PreconditionError
+from metriclie.forms import MetricLieAlgebra, SymBilinearForm
 from metriclie.reduction import (
+    DoubleExtensionSpec,
     _reduce_step,
+    build_ab,
     build_example42,
     change_basis,
     complete_reduction,
@@ -64,6 +72,36 @@ def assert_canonical(alg: LieAlgebra) -> None:
     assert rebuilt == alg and hash(rebuilt) == hash(alg)
 
 
+def assert_canonical_form(form: SymBilinearForm) -> None:
+    """The rows are canonical, sorted, sparse and symmetric, and equal
+    the rows of the validated constructor on the rational view."""
+    den, rows = form.int_rows
+    n = form.dim
+    assert len(rows) == n
+    entries = [t for row in rows for _, t in row]
+    assert den > 0 and math.gcd(den, *entries) == 1
+    assert den == math.lcm(*(x.denominator for row in form.matrix for x in row))
+    for p, row in enumerate(rows):
+        qs = [q for q, _ in row]
+        assert qs == sorted(set(qs)) and all(0 <= q < n for q in qs)
+        assert all(isinstance(t, int) and t for _, t in row)
+        assert all((p, t) in rows[q] for q, t in row)
+    rebuilt = SymBilinearForm(form.matrix)
+    assert rebuilt.int_rows == form.int_rows
+    assert rebuilt == form and hash(rebuilt) == hash(form)
+
+
+def assert_canonical_spec(spec: DoubleExtensionSpec) -> None:
+    """Each delta's columns are canonical and equal the columns the
+    rational constructor writes from the ``deltas`` view."""
+    for den, cols in spec.int_deltas:
+        assert len(cols) == spec.base.dim and den > 0
+        assert math.gcd(den, *(t for col in cols for _, t in col)) == 1
+        assert all(t and isinstance(t, int) for col in cols for _, t in col)
+    rebuilt = DoubleExtensionSpec(spec.base, spec.deltas, spec.a_brackets, spec.xi)
+    assert rebuilt.int_deltas == spec.int_deltas and rebuilt.deltas == spec.deltas
+
+
 def pool_algebras():
     with gzip.open(POOL) as fh:
         pool = json.load(fh)
@@ -76,6 +114,15 @@ def test_document_tables_are_canonical_and_match_the_rational_view():
         assert_canonical(alg)
 
 
+def test_document_and_killing_forms_are_canonical():
+    for alg, form in pool_algebras():
+        assert_canonical_form(form)
+        kappa = killing_form(alg)
+        assert_canonical_form(kappa)
+        assert kappa.matrix == killing_matrix(alg)
+        assert kappa.is_zero() == la.is_zero_mat(kappa.matrix)
+
+
 def test_reduction_tables_are_canonical_and_match_the_rational_view():
     # every step of every pool chain: the split written by change_basis,
     # the base read off its rows and the input rebuilt by _assemble
@@ -84,14 +131,18 @@ def test_reduction_tables_are_canonical_and_match_the_rational_view():
         for step in complete_reduction(MetricLieAlgebra(alg, form)).steps:
             steps += 1
             assert_canonical(step.base.algebra)
+            assert_canonical_form(step.base.form)
+            assert_canonical_spec(step.spec)
             rebuilt = double_extend(step.spec)
             assert_canonical(rebuilt.algebra)
+            assert_canonical_form(rebuilt.form)
             split = change_basis(
                 step.original,
                 step.duals + step.complement + step.ideal.vectors,
                 rebuilt.algebra.basis_names,
             )
-            assert split.algebra == rebuilt.algebra
+            assert_canonical_form(split.form)
+            assert split.algebra == rebuilt.algebra and split.form == rebuilt.form
             assert _reduce_step(step.original, step.ideal).base == step.base
     assert steps >= 100
 
@@ -101,6 +152,7 @@ def test_seeded_writers_are_canonical_and_match_the_rational_view():
     for _ in range(60):
         m = iterated_double_extension(rng, random_abelian_base(rng, 5), rng.randint(1, 3))
         assert_canonical(m.algebra)
+        assert_canonical_form(m.form)
         n = m.dim
         while True:
             cols = rand_matrix(rng, n)
@@ -108,9 +160,13 @@ def test_seeded_writers_are_canonical_and_match_the_rational_view():
                 break
         moved = change_basis(m, cols, [f"c{i}" for i in range(n)])
         assert_canonical(moved.algebra)
-        # and back: the same algebra, so the same table
+        assert_canonical_form(moved.form)
+        # and back: the same algebra and form, so the same table and rows
         back = change_basis(moved, la.inverse(cols), m.algebra.basis_names)
-        assert back.algebra == m.algebra
+        assert back.algebra == m.algebra and back.form == m.form
+        # restrict to a random, possibly dependent, family of vectors
+        vecs = rand_matrix(rng, n)[: rng.randint(0, n)]
+        assert_canonical_form(moved.form.restrict(vecs))
 
 
 def test_from_rows_normalises_in_one_place():
@@ -167,3 +223,138 @@ def test_each_document_rational_is_parsed_once(monkeypatch, tmp_path):
     alg, form, hint, _ = cli._load_algebra(str(path))
     assert calls == expected
     assert alg == m.algebra and form == m.form and hint.dim == 5
+
+
+def test_builders_and_direct_sums_write_canonical_forms():
+    for n in range(7):
+        for s in range(n + 1):
+            m = build_ab(n, s)
+            assert_canonical_form(m.form)
+            assert m.form.matrix == tuple(
+                tuple((1 if i < n - s else -1) if i == j else 0 for j in range(n)) for i in range(n)
+            )
+    ex = build_example42()
+    assert_canonical_form(ex.form)
+    partners = (5, 4, 2, 3, 1, 0)
+    assert ex.form.int_rows == (1, tuple(((q, 1),) for q in partners))
+    for alg in (heis3(), sl2().algebra, su2().algebra, ex.algebra):
+        assert_canonical_form(killing_form(alg))
+    # a summand with non-unit table and form denominators
+    cols = tuple(tuple(Fraction(i + j + 1, 1 + (i * j) % 3) for j in range(6)) for i in range(6))
+    moved = change_basis(ex, cols, [f"c{i}" for i in range(6)])
+    assert moved.algebra.int_table[0] > 1 and moved.form.int_rows[0] > 1
+    pairs = [(sl2(), su2()), (direct_sum(sl2(), su2()), sl2()), (build_ab(3, 1), ex)]
+    pairs += [(ex, build_ab(2, 1)), (moved, sl2()), (su2(), moved), (build_ab(0, 0), ex)]
+    for left, right in pairs:
+        got = direct_sum(left, right)
+        assert_canonical(got.algebra)
+        assert_canonical_form(got.form)
+        # the reference: rational brackets and a block-diagonal Gram matrix
+        n1, n = left.dim, left.dim + right.dim
+        brackets = {key: v + (0,) * right.dim for key, v in left.algebra.brackets.items()}
+        for (i, j), v in right.algebra.brackets.items():
+            brackets[(n1 + i, n1 + j)] = (0,) * n1 + v
+        gram = [[0] * n for _ in range(n)]
+        for off, part in ((0, left), (n1, right)):
+            for i, row in enumerate(part.form.matrix):
+                gram[off + i][off : off + len(row)] = row
+        assert got.algebra == LieAlgebra(n, got.algebra.basis_names, brackets)
+        assert got.form == SymBilinearForm(gram)
+
+
+def test_from_rows_normalises_the_form_in_one_place():
+    form = SymBilinearForm.from_rows(3, 12, [[(0, 6), (1, 0)], [], [(2, -4)]])
+    assert form.int_rows == (6, (((0, 3),), (), ((2, -2),)))
+    third = Fraction(1, 3)
+    assert form == SymBilinearForm(((Fraction(1, 2), 0, 0), (0, 0, 0), (0, 0, -third)))
+    zero = SymBilinearForm.from_rows(2, 5, [[(0, 0)], []])
+    assert zero.int_rows == (1, ((), ())) and zero.is_zero() and not form.is_zero()
+    empty = build_ab(3, 1).form.restrict(())
+    assert empty.dim == 0 and empty.int_rows == (1, ()) and empty.matrix == ()
+    assert [f.name for f in dataclasses.fields(form)] == ["dim", "int_rows"]
+    assert form.matrix is form.matrix
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        form.matrix = la.identity(3)
+
+
+@pytest.mark.parametrize("bad", [((1, 2), (3, 1)), ((1, 2),), ((1, 0), (0,)), ((0, 1, 0),) * 2])
+def test_the_form_constructor_keeps_its_errors(bad):
+    with pytest.raises(ValueError):
+        SymBilinearForm(bad)
+
+
+def test_double_extension_specs_hold_integer_columns():
+    base = build_ab(2, 1)
+    half = Fraction(1, 2)
+    spec = DoubleExtensionSpec(base, (((0, half), (half, 0)),))
+    assert [f.name for f in dataclasses.fields(spec)] == ["base", "int_deltas", "a_brackets", "xi"]
+    assert spec.int_deltas == ((2, (((1, 1),), ((0, 1),))),)
+    assert spec.deltas == (((0, half), (half, 0)),) and spec.a_dim == 1
+    same = DoubleExtensionSpec.from_columns(base, [(4, [[(1, 2)], [(0, 2)]])])
+    assert same == spec and double_extend(same) == double_extend(spec)
+    with pytest.raises(PreconditionError, match="delta matrix size does not match the base"):
+        DoubleExtensionSpec(base, (la.identity(3),))
+    with pytest.raises(PreconditionError, match="not skew with respect to the base form"):
+        double_extend(DoubleExtensionSpec(base, (la.identity(2),)))
+
+
+def test_extend_errors_keep_their_messages(capsys, tmp_path):
+    not_skew = tmp_path / "not_skew.json"
+    not_skew.write_text(json.dumps([[1, 0], [0, 1]]))
+    wrong_size = tmp_path / "wrong_size.json"
+    wrong_size.write_text(json.dumps([[0, 1, 0], [-1, 0, 0], [0, 0, 0]]))
+    expected = {
+        not_skew: "error: delta is not skew with respect to the base form\n",
+        wrong_size: f"error: {wrong_size}: delta must be a 2x2 matrix\n",
+    }
+    for path, err in expected.items():
+        assert cli.main(["extend", "--base", "ab(2,1)", "--delta", str(path)]) == 2
+        assert capsys.readouterr() == ("", err)
+
+
+def test_the_rational_form_constructor_runs_once_on_the_cli_path(monkeypatch, capsys, tmp_path):
+    """On ``analyze`` and ``complete-reduce`` of a pool document, the
+    validated ``SymBilinearForm`` constructor runs once, for the loaded
+    form, the rational ``DoubleExtensionSpec`` constructor never runs,
+    and ``_scaled_rows`` scales only vectors and basis changes."""
+    with gzip.open(POOL) as fh:
+        pool = json.load(fh)
+    counts: Counter = Counter()
+    callers: Counter = Counter()
+    form_init, spec_init, scaled_rows = (
+        SymBilinearForm.__init__,
+        DoubleExtensionSpec.__init__,
+        forms._scaled_rows,
+    )
+
+    def counted_form(self, matrix):
+        counts["form"] += 1
+        form_init(self, matrix)
+
+    def counted_spec(self, *args, **kwargs):
+        counts["spec"] += 1
+        spec_init(self, *args, **kwargs)
+
+    def recorded(m):
+        callers[sys._getframe(1).f_code.co_qualname] += 1
+        return scaled_rows(m)
+
+    monkeypatch.setattr(SymBilinearForm, "__init__", counted_form)
+    monkeypatch.setattr(DoubleExtensionSpec, "__init__", counted_spec)
+    monkeypatch.setattr(forms, "_scaled_rows", recorded)
+    monkeypatch.setattr(reduction, "_scaled_rows", recorded)
+    reductions = 0
+    for entry in pool[::20]:
+        path = tmp_path / f"{entry['id']}.json"
+        path.write_text(json.dumps(entry["doc"]))
+        for command in ("analyze", "complete-reduce"):
+            counts.clear()
+            callers.clear()
+            assert cli.main([command, str(path), "--format", "json"]) == 0
+            out = json.loads(capsys.readouterr().out)["results"]
+            assert counts == {"form": 1}
+            assert callers["SymBilinearForm.__init__"] == 1
+            allowed = {"SymBilinearForm.__init__", "SymBilinearForm.int_gram", "change_basis"}
+            assert set(callers) <= allowed
+            reductions += command == "complete-reduce" and out["steps"] > 0
+    assert reductions >= 10
