@@ -228,9 +228,8 @@ def cmd_reduce(args) -> tuple[dict, int]:
         "ideal": [_vec_out(v) for v in step.ideal.vectors],
         "base": documents.emit_document(base_doc),
         "delta": [_mat_out(d) for d in step.spec.deltas],
-        "extension_brackets": {
-            f"{i},{j}": _vec_out(c) for (i, j), c in sorted(step.spec.a_brackets.items())
-        },
+        # the extending algebra is abelian (see DoubleExtensionSpec)
+        "extension_brackets": {},
     }
     return results, 0
 

@@ -208,9 +208,17 @@ def algebra_to_document(
 
 
 def load_document(path: str) -> AlgebraDocument:
+    def unique_keys(pairs: list) -> dict:
+        # json alone keeps the last value of a repeated key
+        obj = dict(pairs)
+        if len(obj) < len(pairs):
+            key = next(k for i, (k, _) in enumerate(pairs) if k in dict(pairs[:i]))
+            raise DocumentError(f"{path}: key {key!r} is given twice in one object")
+        return obj
+
     try:
         with open(path) as fh:
-            obj = json.load(fh)
+            obj = json.load(fh, object_pairs_hook=unique_keys)
     except OSError as exc:
         raise DocumentError(f"cannot read {path}: {exc}")
     except json.JSONDecodeError as exc:

@@ -10,6 +10,7 @@ symmetric-function computation on the characteristic polynomial.
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -54,12 +55,19 @@ _X = sp.Symbol("x")
 
 @dataclass(frozen=True)
 class EinsteinReport:
-    ricci: Mat
+    """``einstein_check``'s verdict on its ``killing_sums``; ``ricci`` is their cached view."""
+
+    killing: tuple[int, list[list[int]]]
     einstein: bool
     constant: Fraction | None
 
     def __bool__(self) -> bool:
         return self.einstein
+
+    @functools.cached_property
+    def ricci(self) -> Mat:
+        den2, k = self.killing
+        return la.mat_over(k, -4 * den2)
 
 
 def ricci_biinvariant(alg: LieAlgebra) -> Mat:
@@ -87,7 +95,7 @@ def einstein_check(m: MetricLieAlgebra) -> EinsteinReport:
     lam = None
     if all(x * rpq == kpq * y for x, y in pairs):
         lam = Fraction(-kpq * mden, 4 * den2 * rpq)
-    return EinsteinReport(la.mat_over(k, -4 * den2), lam is not None, lam)
+    return EinsteinReport((den2, k), lam is not None, lam)
 
 
 # ---------------------------------------------------------------------------
@@ -416,19 +424,18 @@ def _rotation_boost_columns(rotations: tuple[int, ...], boost: int) -> tuple[int
     return 1, (*cols, ((m + 1, boost),), ((m, boost),))
 
 
-def _traceless_skew_map(rng: random.Random, form: SymBilinearForm) -> Mat | None:
-    """The map ``random_skew_map(rng, form)`` draws if tr(delta^2) = 0,
-    else None, with the same draws from rng.
+def _traceless_skew_map(rng: random.Random, form: SymBilinearForm) -> tuple | None:
+    """The integer columns (D, cols) of the map ``random_skew_map(rng,
+    form)`` draws if tr(delta^2) = 0, else None, with the same rng draws.
 
     For a one-step extension of an abelian base the Killing form
     vanishes iff tr(delta^2) = 0. With delta = R / D drawn in integers
-    by ``random_skew_numerators``, that is sum_ij R_ij R_ji = 0, so the
-    test runs in int and a rejected draw builds no Fraction.
+    by ``random_skew_numerators``, that is sum_ij R_ij R_ji = 0, in int.
     """
     den, rows = random_skew_numerators(rng, form)
     if sum(x * rows[j][i] for i, row in enumerate(rows) for j, x in enumerate(row) if x):
         return None
-    return la.mat_over(rows, den)
+    return den, [tuple(enumerate(col)) for col in zip(*rows)]
 
 
 def _record(m: MetricLieAlgebra, kind: str) -> dict | None:
@@ -473,10 +480,10 @@ def sharpness_search(
     nilpotent and abelian ones. Deterministic for a fixed seed. An
     empty range or a negative budget raises ``PreconditionError``.
 
-    A one-step sample is drawn in integers and kept only if tr(delta^2)
-    = 0, decided in int before any Fraction is built
-    (``_traceless_skew_map``). The abelian bases come from the memoised
-    ``build_ab``, so they and their cached data are shared across calls.
+    A one-step sample is drawn, kept only if tr(delta^2) = 0, and
+    extended in integers (``_traceless_skew_map``). The abelian bases
+    come from the memoised ``build_ab``, so they and their cached data
+    are shared across calls.
     """
     dim_lo, dim_hi = dim_range
     idx_lo, idx_hi = index_range
@@ -534,7 +541,7 @@ def sharpness_search(
             delta = _traceless_skew_map(rng, base.form)
             if delta is None:
                 continue
-            g = double_extend(DoubleExtensionSpec(base=base, deltas=(delta,)))
+            g = double_extend(DoubleExtensionSpec.from_columns(base, (delta,)))
             rec = _record(g, f"random one-step dim {d} minus {s}")
         if rec is not None:
             rec["sample"] = step

@@ -9,10 +9,11 @@ and comparing structure constants exactly.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import random
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from . import linalg as la
 from .core import (
@@ -43,41 +44,44 @@ from .linalg import Mat, Vec
 
 @dataclass(frozen=True, init=False)
 class DoubleExtensionSpec:
-    """Data (base, a, delta, xi) describing a double extension.
+    """Data (base, delta, xi) of a double extension by an abelian a.
 
-    ``int_deltas[i]`` = (D_i, cols), ``la.normalised``, holds the action
-    delta_i of the i-th extending vector on the base, skew for the base
-    form, by its columns: ``cols[y]`` the pairs (p, D_i delta_py). The
-    constructor takes rational matrices, ``from_columns`` integer columns
-    from a writer that vouches for their size; ``deltas`` is the rational
-    view. ``a_brackets`` holds the structure constants of the extending
-    algebra a (empty = abelian), ``xi`` an optional term [a_i, a_j] -> a*.
+    ``int_deltas[i]`` = (D_i, cols) holds the action delta_i of the i-th
+    extending vector on the base, skew for the base form, by its columns:
+    ``cols[y]`` the pairs (p, D_i delta_py). ``int_xi`` = (X, rows) holds
+    xi: [a_i, a_j] -> a*, ``rows[r]`` the pairs (k, X xi(a_i, a_j)_k) for
+    the r-th pair of ``itertools.combinations(range(s), 2)``. Both are
+    ``la.normalised``. The constructor takes rational delta matrices and
+    xi = 0, ``from_columns`` integer data from a writer that vouches for
+    its size; ``deltas`` is the rational view.
+
+    a is abelian: ``_reduce_step``, the inverse, splits g along a central
+    j, so [g, g] lies in j^perp and a = g / j^perp, as its extraction checks.
     """
 
     base: MetricLieAlgebra
     int_deltas: tuple[tuple[int, tuple[la.IntRow, ...]], ...]
-    a_brackets: Mapping[tuple[int, int], Vec]
-    xi: Mapping[tuple[int, int], Vec]
+    int_xi: tuple[int, tuple[la.IntRow, ...]]
 
-    def __init__(self, base: MetricLieAlgebra, deltas: Sequence[Mat], a_brackets=None, xi=None):
+    def __init__(self, base: MetricLieAlgebra, deltas: Sequence[Mat]):
         cols = []
         for d in map(la.mat, deltas):
             if la.nrows(d) != base.dim or la.ncols(d) != base.dim:
                 raise PreconditionError("delta matrix size does not match the base")
             cols.append(_scaled_rows(la.transpose(d)))
-        self._store(base, cols, a_brackets, xi)
+        self._store(base, cols, None)
 
     @classmethod
-    def from_columns(cls, base: MetricLieAlgebra, int_deltas, xi=None) -> "DoubleExtensionSpec":
+    def from_columns(cls, base: MetricLieAlgebra, int_deltas, int_xi=None) -> "DoubleExtensionSpec":
         spec = object.__new__(cls)
-        spec._store(base, int_deltas, None, xi)
+        spec._store(base, int_deltas, int_xi)
         return spec
 
-    def _store(self, base, int_deltas, a_brackets, xi) -> None:
+    def _store(self, base, int_deltas, int_xi) -> None:
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "int_deltas", tuple(la.normalised(*d) for d in int_deltas))
-        for name, data in (("a_brackets", a_brackets), ("xi", xi)):
-            object.__setattr__(self, name, {k: la.vec(v) for k, v in dict(data or {}).items()})
+        xi = int_xi or (1, [()] * math.comb(self.a_dim, 2))
+        object.__setattr__(self, "int_xi", la.normalised(*xi))
 
     @functools.cached_property
     def deltas(self) -> tuple[Mat, ...]:
@@ -86,14 +90,6 @@ class DoubleExtensionSpec:
     @property
     def a_dim(self) -> int:
         return len(self.int_deltas)
-
-    def a_bracket(self, i: int, j: int) -> Vec:
-        s = self.a_dim
-        if i == j:
-            return la.zeros_vec(s)
-        if i < j:
-            return self.a_brackets.get((i, j), la.zeros_vec(s))
-        return la.vec_scale(-1, self.a_brackets.get((j, i), la.zeros_vec(s)))
 
 
 @dataclass(frozen=True)
@@ -144,11 +140,9 @@ def change_basis(m: MetricLieAlgebra, columns: Sequence[Vec], names: Sequence[st
 def double_extend(spec: DoubleExtensionSpec) -> MetricLieAlgebra:
     """Build g = a + base + a* with the invariant extended scalar product.
 
-    Brackets: [a_i, a_j] = [a_i, a_j]_a + xi(a_i, a_j), [a_i, x] =
-    delta_i x, [x, y] = [x, y]_base + omega(x, y) with omega(x, y)(a_i)
-    = <delta_i x, y>, and [a_i, alpha] = -alpha o ad(a_i) on the dual
-    part (the coadjoint term; it vanishes for abelian a). The output is
-    validated for the Jacobi identity and invariance.
+    Brackets: [a_i, a_j] = xi(a_i, a_j), [a_i, x] = delta_i x, [x, y] =
+    [x, y]_base + omega(x, y) with omega(x, y)(a_i) = <delta_i x, y>; a*
+    is central. The output is validated for Jacobi and invariance.
     """
     out = _assemble(spec)
     rep = validate_structure(out.algebra)
@@ -169,7 +163,7 @@ def double_extend(spec: DoubleExtensionSpec) -> MetricLieAlgebra:
 def _assemble(spec: DoubleExtensionSpec) -> MetricLieAlgebra:
     """``double_extend`` without its output certificates. The table is
     written over one common L, the lcm of the base's L, of D_i M for
-    each delta and of the denominators of the extending data."""
+    each delta and of xi's X."""
     base = spec.base
     s = spec.a_dim
     m = base.dim
@@ -185,21 +179,14 @@ def _assemble(spec: DoubleExtensionSpec) -> MetricLieAlgebra:
             raise PreconditionError("delta is not skew with respect to the base form")
         deltas.append((den, cols, pairing))
     bden, table = base.algebra.int_table
-    ext = [c for v in (*spec.a_brackets.values(), *spec.xi.values()) for c in v]
-    big = math.lcm(bden, *(den * mden for den, _, _ in deltas), *(c.denominator for c in ext))
-
-    def scaled(v: Vec, offset: int) -> list[tuple[int, int]]:
-        return [(offset + k, int(c * big)) for k, c in enumerate(v) if c]
+    xden, xi_rows = spec.int_xi
+    big = math.lcm(bden, xden, *(den * mden for den, _, _ in deltas))
 
     # the blocks (a | x | z) start at the offsets 0, s and zo = s + m
     n, zo = 2 * s + m, s + m
     upper: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    for i in range(s):
-        for j in range(i + 1, s):
-            upper[(i, j)] = scaled(spec.a_bracket(i, j), 0) + scaled(spec.xi.get((i, j), ()), zo)
-        # coadjoint term [a_i, z_j]; a_i comes first in the basis
-        for j in range(s):
-            upper[(i, zo + j)] = scaled([-spec.a_bracket(i, k)[j] for k in range(s)], zo)
+    for (i, j), row in zip(itertools.combinations(range(s), 2), xi_rows):
+        upper[(i, j)] = [(zo + k, t * (big // xden)) for k, t in row]
     for i, (den, cols, _) in enumerate(deltas):
         for k in range(m):
             upper[(i, s + k)] = [(s + l, t * (big // den)) for l, t in cols[k]]
@@ -307,14 +294,12 @@ def _reduce_step(m: MetricLieAlgebra, ideal: SubspaceBasis) -> ReductionStep:
                 _extraction_failed(s, "dual action does not preserve the complement")
             delta_cols[i].append(x_part)
 
-    xi: dict[tuple[int, int], Vec] = {}
-    for i in range(s):
-        for j in range(i + 1, s):
-            a_part, x_part, z_part = blocks(i, j)
-            if a_part or x_part:
-                _extraction_failed(s, "dual vectors do not close up to the ideal")
-            if z_part:
-                xi[(i, j)] = la.mat_over(la.dense((z_part,), s), den)[0]
+    xi_rows = []
+    for i, j in itertools.combinations(range(s), 2):
+        a_part, x_part, z_part = blocks(i, j)
+        if a_part or x_part:
+            _extraction_failed(s, "dual vectors do not close up to the ideal")
+        xi_rows.append(z_part)
 
     # pairing certificate: omega(x, y)(a_i) = <delta_i x, y> on the base;
     # P / (L M) = delta_i^T B and omega = z / L, so z M = P
@@ -328,7 +313,7 @@ def _reduce_step(m: MetricLieAlgebra, ideal: SubspaceBasis) -> ReductionStep:
                         "cocycle does not match the pairing of delta with the base form"
                     )
 
-    spec = DoubleExtensionSpec.from_columns(base, ((den, cols) for cols in delta_cols), xi)
+    spec = DoubleExtensionSpec.from_columns(base, [(den, c) for c in delta_cols], (den, xi_rows))
     rebuilt = _assemble(spec)
     if (
         rebuilt.algebra.int_table != split.algebra.int_table

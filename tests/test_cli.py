@@ -70,6 +70,17 @@ def test_validate_exit_codes(capsys, tmp_path):
     assert report["results"]["violations"]
 
 
+def test_a_repeated_json_key_exits_2(capsys, tmp_path):
+    path = tmp_path / "repeat.json"
+    path.write_text(
+        '{"name": "t", "dim": 3, "basis": ["a", "b", "c"], '
+        '"brackets": [{"i": 0, "j": 1, "coeffs": {"2": "5", "2": "7"}}]}'
+    )
+    code, out, err = run(capsys, "analyze", str(path))
+    assert (code, out) == (2, "")
+    assert err == f"error: {path}: key '2' is given twice in one object\n"
+
+
 def test_closed_stdout_keeps_the_exit_code(tmp_path):
     """A reader that closes the pipe before the CLI writes (as `| head`
     may) gets no traceback on stderr, and the exit code is the

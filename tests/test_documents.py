@@ -10,6 +10,7 @@ from metriclie.documents import (
     algebra_to_document,
     document_to_algebra,
     emit_document,
+    load_document,
     parse_document,
     parse_rational,
 )
@@ -157,3 +158,25 @@ def test_a_coefficient_index_given_twice_is_rejected():
             parse_document(doc)
     distinct = _three_dim_doc({"i": 0, "j": 1, "coeffs": {"2": "5", "01": "7"}})
     assert parse_document(distinct).brackets == ((0, 1, ((1, Fraction(7)), (2, Fraction(5)))),)
+
+
+# JSON text, since a Python dict cannot hold a repeated key
+REPEATED_COEFF = (
+    '{"name": "t", "dim": 3, "basis": ["a", "b", "c"], '
+    '"brackets": [{"i": 0, "j": 1, "coeffs": {"2": "5", "2": "7"}}]}'
+)
+REPEATED_FORM = (
+    '{"name": "t", "dim": 2, "basis": ["a", "b"], "brackets": [], '
+    '"form": [["1", "0"], ["0", "1"]], "form": [["0", "1"], ["1", "0"]]}'
+)
+
+
+def test_a_key_repeated_in_one_object_is_rejected(tmp_path):
+    for text, key in ((REPEATED_COEFF, "'2'"), (REPEATED_FORM, "'form'")):
+        path = tmp_path / "doc.json"
+        path.write_text(text)
+        with pytest.raises(DocumentError, match=f"key {key} is given twice in one object"):
+            load_document(str(path))
+    # the same key in two different objects is no repeat
+    path.write_text(REPEATED_COEFF.replace('"2": "7"', '"1": "7"'))
+    assert load_document(str(path)).brackets == ((0, 1, ((1, Fraction(7)), (2, Fraction(5)))),)

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from metriclie import linalg as la
-from metriclie.core import SubspaceBasis, series, validate_structure
+from metriclie.core import SubspaceBasis, series, subspace_from_spanning, validate_structure
 from metriclie.errors import PreconditionError
 from metriclie.forms import (
     SymBilinearForm,
@@ -14,6 +14,7 @@ from metriclie.forms import (
 )
 from metriclie.reduction import (
     DoubleExtensionSpec,
+    _assemble,
     build_ab,
     build_example42,
     build_ko1,
@@ -165,6 +166,28 @@ def test_reduce_example42_by_z_round_trip():
     assert la.is_zero_mat(
         la.mat_add(la.mat_mul(la.transpose(d), b), la.mat_mul(b, d))
     )
+
+
+@pytest.mark.parametrize("n, index, dim", [(0, 0, 6), (2, 1, 8)])
+def test_a_nonzero_xi_survives_the_round_trip(n, index, dim):
+    """Three extending vectors with delta = 0 and xi the volume form,
+    xi(a0, a1) = z2, xi(a0, a2) = -z1, xi(a1, a2) = z0 (for two, xi = 0
+    is forced by invariance): reducing by span(z) gives back xi, and
+    ``_assemble`` of the step's spec gives back the split."""
+    base = build_ab(n, index)
+    xi = (1, (((2, 1),), ((1, -1),), ((0, 1),)))
+    spec = DoubleExtensionSpec.from_columns(base, [(1, [()] * n)] * 3, xi)
+    g = double_extend(spec)
+    assert g.dim == dim and not g.algebra.is_abelian
+    zs = tuple(la.unit_vec(dim, 3 + n + j) for j in range(3))
+    step = reduce_by_ideal(g, subspace_from_spanning(dim, zs))
+    assert step.spec.int_xi == xi and step.base.form == base.form
+    names = tuple(f"a{i}" for i in range(3)) + tuple(f"x{k}" for k in range(n))
+    names += tuple(f"z{j}" for j in range(3))
+    split = change_basis(g, step.duals + step.complement + step.ideal.vectors, names)
+    rebuilt = _assemble(step.spec)
+    assert rebuilt.algebra.int_table == split.algebra.int_table
+    assert rebuilt.form.int_rows == split.form.int_rows
 
 
 def test_reduce_rejects_bad_ideal():

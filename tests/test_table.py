@@ -33,6 +33,7 @@ from metriclie.documents import (
     emit_document,
     parse_document,
 )
+from metriclie.einstein import sharpness_search
 from metriclie.errors import PreconditionError
 from metriclie.forms import MetricLieAlgebra, SymBilinearForm
 from metriclie.reduction import (
@@ -92,14 +93,17 @@ def assert_canonical_form(form: SymBilinearForm) -> None:
 
 
 def assert_canonical_spec(spec: DoubleExtensionSpec) -> None:
-    """Each delta's columns are canonical and equal the columns the
-    rational constructor writes from the ``deltas`` view."""
-    for den, cols in spec.int_deltas:
-        assert len(cols) == spec.base.dim and den > 0
-        assert math.gcd(den, *(t for col in cols for _, t in col)) == 1
-        assert all(t and isinstance(t, int) for col in cols for _, t in col)
-    rebuilt = DoubleExtensionSpec(spec.base, spec.deltas, spec.a_brackets, spec.xi)
+    """Each delta's columns and xi's rows are canonical, the columns equal
+    the ones the rational constructor writes from the ``deltas`` view,
+    and xi, compared on the integer side, completes that rebuild."""
+    for den, rows in (*spec.int_deltas, spec.int_xi):
+        assert den > 0 and math.gcd(den, *(t for row in rows for _, t in row)) == 1
+        assert all(t and isinstance(t, int) for row in rows for _, t in row)
+    assert all(len(cols) == spec.base.dim for _, cols in spec.int_deltas)
+    assert len(spec.int_xi[1]) == math.comb(spec.a_dim, 2)
+    rebuilt = DoubleExtensionSpec(spec.base, spec.deltas)
     assert rebuilt.int_deltas == spec.int_deltas and rebuilt.deltas == spec.deltas
+    assert DoubleExtensionSpec.from_columns(spec.base, rebuilt.int_deltas, spec.int_xi) == spec
 
 
 def pool_algebras():
@@ -287,7 +291,8 @@ def test_double_extension_specs_hold_integer_columns():
     base = build_ab(2, 1)
     half = Fraction(1, 2)
     spec = DoubleExtensionSpec(base, (((0, half), (half, 0)),))
-    assert [f.name for f in dataclasses.fields(spec)] == ["base", "int_deltas", "a_brackets", "xi"]
+    assert [f.name for f in dataclasses.fields(spec)] == ["base", "int_deltas", "int_xi"]
+    assert spec.int_xi == (1, ()) and not hasattr(spec, "a_bracket")
     assert spec.int_deltas == ((2, (((1, 1),), ((0, 1),))),)
     assert spec.deltas == (((0, half), (half, 0)),) and spec.a_dim == 1
     same = DoubleExtensionSpec.from_columns(base, [(4, [[(1, 2)], [(0, 2)]])])
@@ -358,3 +363,45 @@ def test_the_rational_form_constructor_runs_once_on_the_cli_path(monkeypatch, ca
             assert set(callers) <= allowed
             reductions += command == "complete-reduce" and out["steps"] > 0
     assert reductions >= 10
+
+
+def _stack_names() -> set[str]:
+    """The names of the functions on the stack above the caller."""
+    frame, names = sys._getframe(2), set()
+    while frame is not None:
+        names.add(frame.f_code.co_name)
+        frame = frame.f_back
+    return names
+
+
+def test_the_write_path_makes_no_fraction_round_trip(monkeypatch):
+    """Over the search workload's arguments a one-step sample enters its
+    extension as integer columns, never through the rational spec
+    constructor, and neither ``_traceless_skew_map`` nor
+    ``einstein_check`` converts anything with ``la.mat_over``; nor does
+    ``_reduce_step`` on the pool's chains."""
+    spec_callers: Counter = Counter()
+    converters: Counter = Counter()
+    spec_init, mat_over = DoubleExtensionSpec.__init__, la.mat_over
+
+    def counted_spec(self, *args, **kwargs):
+        spec_callers[sys._getframe(1).f_code.co_name] += 1
+        spec_init(self, *args, **kwargs)
+
+    def counted_mat_over(rows, den):
+        converters.update(_stack_names() & {"einstein_check", "_reduce_step", "_traceless_skew_map"})
+        return mat_over(rows, den)
+
+    monkeypatch.setattr(DoubleExtensionSpec, "__init__", counted_spec)
+    monkeypatch.setattr(la, "mat_over", counted_mat_over)
+    kinds = Counter(
+        hit["spec"].split(" dim")[0]
+        for seed in range(1, 31)
+        for hit in sharpness_search((3, 8), (1, 2), 20, seed).hits
+    )
+    assert kinds["random one-step"] > 0 and kinds["iterated-2"] > 0
+    assert set(spec_callers) == {"random_double_extension"}
+    steps = 0
+    for alg, form in pool_algebras():
+        steps += len(complete_reduction(MetricLieAlgebra(alg, form)).steps)
+    assert steps > 200 and converters == {}
