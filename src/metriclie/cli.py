@@ -228,8 +228,6 @@ def cmd_reduce(args) -> tuple[dict, int]:
         "ideal": [_vec_out(v) for v in step.ideal.vectors],
         "base": documents.emit_document(base_doc),
         "delta": [_mat_out(d) for d in step.spec.deltas],
-        # the extending algebra is abelian (see DoubleExtensionSpec)
-        "extension_brackets": {},
     }
     return results, 0
 
@@ -310,7 +308,7 @@ def cmd_relations(args) -> tuple[dict, int]:
     eigs = exact_eigenvalues(phi)
     basis = qlinear_relations(eigs)
     return {
-        "eigenvalues": [str(e.expr) for e in eigs],
+        "eigenvalues": [str(e.value) for e in eigs],
         "relations": [_vec_out(rel) for rel in basis.relations],
         "field_degree": basis.field_degree,
         "quadratic_identity_holds": basis.quadratic_identity_holds,

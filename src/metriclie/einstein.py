@@ -15,8 +15,6 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-import sympy as sp
-
 from . import linalg as la
 from .core import (
     LieAlgebra,
@@ -42,6 +40,7 @@ from .forms import (
     signature,
 )
 from .linalg import Mat, Vec
+from .quadratic import Quadratic, field_sum, is_owned
 from .reduction import (
     DoubleExtensionSpec,
     build_ab,
@@ -49,8 +48,6 @@ from .reduction import (
     random_double_extension,
     random_skew_numerators,
 )
-
-_X = sp.Symbol("x")
 
 
 @dataclass(frozen=True)
@@ -119,48 +116,29 @@ class TraceIdentityReport:
     spectrum_value: object | None = None
 
 
-def _poly_to_sympy(p: la.Poly, x: sp.Symbol) -> sp.Poly:
-    return sp.Poly([sp.Rational(c.numerator, c.denominator) for c in p], x, domain="QQ")
-
-
-def _quadratic_radical(r: sp.CRootOf) -> sp.Expr:
-    """A root of an irreducible quadratic x^2 + bx + c written as
-    (-b +- sqrt(D))/2, D = b^2 - 4c. sympy indexes real roots in
-    increasing order and a conjugate pair lower root first, so index 1
-    is the + root in both cases (sqrt(D) = i sqrt(-D) for D < 0)."""
-    _, b, c = r.poly.monic().all_coeffs()
-    sign = 1 if r.index == 1 else -1
-    return (-b + sign * sp.sqrt(b * b - 4 * c)) / 2
-
-
-def _in_radicals(expr) -> sp.Expr:
-    """expr expanded, with each quadratic ``CRootOf`` in radicals."""
-    return sp.expand(
-        sp.sympify(expr).replace(
-            lambda e: isinstance(e, sp.CRootOf) and e.poly.degree() == 2,
-            _quadratic_radical,
-        )
-    )
-
-
-def _rational_value(expr) -> Fraction | None:
+def _rational_value(x) -> Fraction | None:
     """The value of an algebraic number if it is rational, else None.
 
-    Each ``CRootOf`` of a quadratic is first written in radicals, so a
-    spectrum of rationals and quadratic roots mostly expands to a
-    rational outright. Anything else is decided by its minimal
-    polynomial over Q, which is linear iff the number is rational; note
-    that ``sympy.minimal_polynomial`` picks among candidate factors by
-    evaluating them numerically. Anything that is not an algebraic
-    number raises ``PreconditionError``.
+    An owned number (int, ``Fraction``, ``Quadratic``) is read directly.
+    A sympy expression is expanded, and if that is not a rational it is
+    decided by its minimal polynomial over Q, which is linear iff the
+    number is rational; note that ``sympy.minimal_polynomial`` picks
+    among candidate factors by evaluating them numerically. Anything
+    that is not an algebraic number raises ``PreconditionError``.
     """
-    expr = _in_radicals(expr)
+    if isinstance(x, Quadratic):
+        return None if x.v else x.u
+    if isinstance(x, (int, Fraction)):
+        return Fraction(x)
+    import sympy as sp
+
+    expr = sp.expand(sp.sympify(x))
     if expr.is_Rational:
         return Fraction(int(expr.p), int(expr.q))
     if expr.free_symbols:
         raise PreconditionError(f"{expr} is not an algebraic number: it has free symbols")
     try:
-        mp = sp.minimal_polynomial(expr, _X, polys=True)
+        mp = sp.minimal_polynomial(expr, sp.Symbol("x"), polys=True)
     except Exception as exc:  # sympy raises various types here
         raise PreconditionError(f"{expr} is not an algebraic number: {exc}") from None
     if mp.degree() != 1:
@@ -168,6 +146,14 @@ def _rational_value(expr) -> Fraction | None:
     c1, c0 = mp.all_coeffs()
     root = -c0 / c1
     return Fraction(int(root.p), int(root.q))
+
+
+def _owned_value(terms) -> Fraction | Quadratic | None:
+    """``quadratic.field_sum`` of the terms, a ``Fraction`` when rational."""
+    total = field_sum(terms)
+    if total is None:
+        return None
+    return total if total.v else total.u
 
 
 def _trace_square_from_charpoly(a: Mat) -> Fraction:
@@ -186,17 +172,29 @@ def trace_identity(data: EigenvalueData | Mat | LinearMap) -> TraceIdentityRepor
 
     For an exact matrix the value is tr(A^2), computed both directly and
     through the characteristic polynomial's symmetric functions; the two
-    must agree. A spectrum is summed in sympy, with quadratic roots
-    written in radicals, and the sum decided by ``_rational_value``:
-    exactly when it expands to a rational, and otherwise by its
-    minimal polynomial, whose factor choice in sympy is numerical. A
-    spectrum that is not algebraic raises ``PreconditionError``.
+    must agree. A spectrum of owned numbers (ints, ``Fraction``s,
+    ``Quadratic``s) is summed exactly per quadratic field. Any other
+    spectrum, or one whose sum mixes fields, is summed in sympy and the
+    sum decided by ``_rational_value``: exactly when it expands to a
+    rational, and otherwise by its minimal polynomial, whose factor
+    choice in sympy is numerical. A spectrum that is not algebraic
+    raises ``PreconditionError``.
     """
     if isinstance(data, EigenvalueData):
+        numbers = [*data.reals, *(x for pair in data.complex_pairs for x in pair)]
+        if all(map(is_owned, numbers)):
+            squares = [lam * lam for lam in data.reals]
+            for alpha, beta in data.complex_pairs:
+                squares += [2 * alpha * alpha, -2 * beta * beta]
+            value = _owned_value(squares)
+            if value is not None:
+                return TraceIdentityReport(value, value == 0)
+        import sympy as sp
+
         value = sum((sp.sympify(lam) ** 2 for lam in data.reals), sp.Integer(0))
         for alpha, beta in data.complex_pairs:
             value += 2 * sp.sympify(alpha) ** 2 - 2 * sp.sympify(beta) ** 2
-        value = _in_radicals(value)
+        value = sp.expand(value)
         return TraceIdentityReport(value, _rational_value(value) == 0)
     m = data.matrix if isinstance(data, LinearMap) else la.mat(data)
     if la.nrows(m) != la.ncols(m):
@@ -244,21 +242,23 @@ class TriangularNode:
 
 def nested_trace_square(node: TriangularNode | TorusLeaf):
     """tr(X^2) by the recursion 2 tr(A^2) + tr(X1^2), bottoming out at
-    -2 sum xi^2 on a rotation leaf. Values may be symbolic."""
+    -2 sum xi^2 on a rotation leaf. Owned rotations give a ``Fraction``
+    or ``Quadratic``; others may be symbolic, summed in sympy."""
     if isinstance(node, TorusLeaf):
-        total = sp.Integer(0)
-        for xi in node.rotations:
-            total -= 2 * sp.sympify(xi) ** 2
+        if all(map(is_owned, node.rotations)):
+            total = _owned_value(-2 * xi * xi for xi in node.rotations)
+            if total is not None:
+                return total
+        import sympy as sp
+
+        total = sum((-2 * sp.sympify(xi) ** 2 for xi in node.rotations), sp.Integer(0))
         if total.free_symbols:
             return total
         rat = sp.Rational(total)
         return Fraction(int(rat.p), int(rat.q))
     a = node.a_block
     head = 2 * la.trace_product(a, a)
-    tail = nested_trace_square(node.inner)
-    if isinstance(tail, Fraction):
-        return head + tail
-    return sp.sympify(head) + tail
+    return head + nested_trace_square(node.inner)
 
 
 def assemble_nested(node: TriangularNode | TorusLeaf) -> Mat:

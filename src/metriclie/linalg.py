@@ -6,7 +6,9 @@ row reduction runs on one fraction-free integer elimination,
 ``IntSpan``, whose pivot rows are the unique RREF of their span.
 
 Polynomials are represented as tuples of coefficients in *descending*
-degree order (the convention of ``sympy.Poly.all_coeffs``).
+degree order. Over Q they are factored exactly into their rational
+roots and quadratic factors (``poly_factor``), and their real roots are
+counted by Sturm sequences (``poly_sturm_counts``).
 """
 
 from __future__ import annotations
@@ -281,20 +283,32 @@ class IntSpan:
             out.append(tuple(v))
         return tuple(out)
 
-    def kernel(self) -> tuple[Vec, ...]:
-        """Basis of the vectors orthogonal to every row, one per free
-        column fc of the RREF: e_fc minus the RREF entries in column fc
-        at their pivot positions."""
-        basis = []
+    def int_kernel(self) -> list[tuple[int, dict[int, int]]]:
+        """``kernel`` over the integers: per free column fc, (L, w) with
+        the kernel vector w / L, L the least common multiple of the
+        leading entries of the pivot rows with an entry in column fc, and
+        w = {fc: L} with -x L / lead at the pivot column of each such row."""
+        out = []
         for fc in range(self.nc):
             if fc in self.pivots:
                 continue
+            rows = [(pc, r) for pc, r in self.pivots.items() if fc in r]
+            den = math.lcm(*(r[pc] for pc, r in rows))
+            w = {fc: den}
+            for pc, r in rows:
+                w[pc] = -r[fc] * (den // r[pc])
+            out.append((den, w))
+        return out
+
+    def kernel(self) -> tuple[Vec, ...]:
+        """Basis of the vectors orthogonal to every row, one per free
+        column fc of the RREF: e_fc minus the RREF entries in column fc
+        at their pivot positions (``int_kernel`` over its L)."""
+        basis = []
+        for den, w in self.int_kernel():
             v = [ZERO] * self.nc
-            v[fc] = ONE
-            for pc, r in self.pivots.items():
-                x = r.get(fc)
-                if x:
-                    v[pc] = Fraction(-x, r[pc])
+            for c, x in w.items():
+                v[c] = Fraction(x, den)
             basis.append(tuple(v))
         return tuple(basis)
 
@@ -447,6 +461,227 @@ def poly_squarefree_part(p: Poly) -> Poly:
     q, r = poly_divmod(p, g)
     assert poly_is_zero(r)
     return poly_monic(q)
+
+
+def poly_sub(a: Poly, b: Poly) -> Poly:
+    n = max(len(a), len(b))
+    a = (ZERO,) * (n - len(a)) + tuple(a)
+    b = (ZERO,) * (n - len(b)) + tuple(b)
+    return poly_trim(tuple(x - y for x, y in zip(a, b)))
+
+
+def poly_mul(a: Poly, b: Poly) -> Poly:
+    """The product; the coefficients may be any exact numbers."""
+    out = [ZERO] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return poly_trim(out)
+
+
+def poly_reflect(p: Poly) -> Poly:
+    """p(-x): the coefficient of x^k times (-1)^k."""
+    n = len(p) - 1
+    return tuple(-c if (n - i) % 2 else c for i, c in enumerate(p))
+
+
+def poly_graeffe(p: Poly) -> Poly:
+    """The root-squaring transform prod (y - z^2) over the roots z of
+    the monic p. Writing p(x) = E(x^2) + x O(x^2), it is
+    (-1)^n p(sqrt y) p(-sqrt y) = (-1)^n (E(y)^2 - y O(y)^2)."""
+    p = poly_trim(p)
+    ascending = p[::-1]
+    even = ascending[0::2][::-1]
+    odd = ascending[1::2][::-1] or (ZERO,)
+    g = poly_sub(poly_mul(even, even), poly_mul(odd, odd) + (ZERO,))
+    return tuple(-c for c in g) if (len(p) - 1) % 2 else g
+
+
+def poly_gcdex(a: Poly, b: Poly) -> tuple[Poly, Poly, Poly]:
+    """(s, t, g) with s a + t b = g, the monic gcd of a and b (not both
+    zero), by the extended Euclidean algorithm."""
+    r0, r1 = poly_trim(a), poly_trim(b)
+    s0, s1, t0, t1 = (ONE,), (ZERO,), (ZERO,), (ONE,)
+    while not poly_is_zero(r1):
+        q, r = poly_divmod(r0, r1)
+        r0, r1 = r1, r
+        s0, s1 = s1, poly_sub(s0, poly_mul(q, s1))
+        t0, t1 = t1, poly_sub(t0, poly_mul(q, t1))
+    lead = r0[0]
+    return tuple(c / lead for c in s0), tuple(c / lead for c in t0), poly_monic(r0)
+
+
+def _sign_changes(values: Iterable[Fraction]) -> int:
+    signs = [x > 0 for x in values if x]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
+
+
+def poly_sturm_counts(p: Poly) -> tuple[int, int, int]:
+    """The numbers of distinct real roots of p in (-oo, 0), (0, oo) and
+    R, by the Sturm sequence q, q', -rem(q, q'), ... of its square-free
+    part q over Q, with a root at 0 divided out first: the roots in
+    (a, b) are the sign changes at a minus those at b."""
+    q = poly_squarefree_part(p)
+    at_zero = len(q) > 1 and q[-1] == 0
+    if at_zero:
+        q = q[:-1]
+    seq = [q]
+    r = poly_deriv(q)
+    while not poly_is_zero(r):
+        seq.append(r)
+        r = tuple(-c for c in poly_divmod(seq[-2], seq[-1])[1])
+    at_neg_inf = _sign_changes(s[0] if len(s) % 2 else -s[0] for s in seq)
+    at_origin = _sign_changes(s[-1] for s in seq)
+    at_pos_inf = _sign_changes(s[0] for s in seq)
+    negative, positive = at_neg_inf - at_origin, at_origin - at_pos_inf
+    return negative, positive, negative + positive + at_zero
+
+
+def poly_squarefree_decomposition(p: Poly) -> list[tuple[Poly, int]]:
+    """Yun's decomposition: the pairs (s_k, k) with s_k monic, square
+    free, pairwise coprime and not constant, and p = lead(p) prod s_k^k."""
+    p = poly_monic(p)
+    dp = poly_deriv(p)
+    a = poly_gcd(p, dp)
+    b = poly_divmod(p, a)[0]
+    d = poly_sub(poly_divmod(dp, a)[0], poly_deriv(b))
+    out = []
+    k = 1
+    while len(b) > 1:
+        a = poly_gcd(b, d)
+        b = poly_divmod(b, a)[0]
+        d = poly_sub(poly_divmod(d, a)[0], poly_deriv(b))
+        if len(a) > 1:
+            out.append((a, k))
+        k += 1
+    return out
+
+
+def poly_factor(p: Poly) -> list[tuple[Poly, int]]:
+    """Monic factors f of p with multiplicities k, p = lead(p) prod f^k,
+    per square-free part of ``poly_squarefree_decomposition``: x, every
+    x - r for a rational root r, then quadratic factors while the rest
+    has degree >= 4, and the rest. A factor of degree <= 2 is
+    irreducible. A factor of degree >= 3 is the rest left unsplit: it
+    has no factor of degree <= 2 unless its integer values were too
+    large for the divisor search (see ``_divisors``).
+
+    Each square-free part s of degree m becomes the monic integer
+    polynomial S(y) = D^m s(y / D), D the common denominator of s. A
+    rational root of s is r / D for an integer root r of S, which divides
+    S(0); a monic quadratic factor y^2 + b y + c of S has integer
+    coefficients and takes values f(x0), f(x1) dividing S(x0), S(x1) at
+    two integers, which fix b and c (Kronecker's method)."""
+    out = []
+    for s, k in poly_squarefree_decomposition(p):
+        if s[-1] == 0:
+            out.append(((ONE, ZERO), k))
+            s = s[:-1]
+        den = math.lcm(*(c.denominator for c in s))
+        rest = [int(c * den**i) for i, c in enumerate(s)]
+        pieces = []
+        if len(rest) == 3:
+            # a quadratic splits iff its discriminant is a square
+            t = rest[1] ** 2 - 4 * rest[2]
+            root = math.isqrt(t) if t >= 0 else -1
+            roots = [(-rest[1] - root) // 2, (-rest[1] + root) // 2] if root * root == t else []
+        else:
+            roots = _integer_roots(rest) if len(rest) > 1 else []
+        for r in roots or ():
+            rest = _int_divmod(rest, [1, -r])[0]
+            pieces.append([1, -r])
+        while roots is not None and len(rest) > 4:
+            quad = _quadratic_factor(rest)
+            if quad is None:
+                break
+            rest = _int_divmod(rest, quad)[0]
+            pieces.append(quad)
+        if len(rest) > 1:
+            pieces.append(rest)
+        # back from S(y) to s(x): the coefficient of y^j over D^(deg - j)
+        out.extend((tuple(Fraction(c, den**i) for i, c in enumerate(f)), k) for f in pieces)
+    return out
+
+
+def _int_eval(p: Sequence[int], x: int) -> int:
+    acc = 0
+    for c in p:
+        acc = acc * x + c
+    return acc
+
+
+def _int_divmod(p: Sequence[int], f: Sequence[int]) -> tuple[list[int], list[int]]:
+    """Quotient and remainder of the integer polynomial p by the monic f."""
+    p = list(p)
+    split = len(p) - len(f) + 1
+    for i in range(split):
+        c = p[i]
+        for j in range(1, len(f)):
+            p[i + j] -= c * f[j]
+    return p[:split], p[split:]
+
+
+# trial division stops here: a cofactor with no prime factor up to it is
+# certified prime only below its square
+_TRIAL_LIMIT = 1 << 17
+
+
+def _divisors(n: int) -> list[int] | None:
+    """The positive divisors of n != 0, by trial division; None when a
+    cofactor above ``_TRIAL_LIMIT`` squared is left."""
+    n = abs(n)
+    primes = []
+    p = 2
+    while p * p <= n:
+        if p > _TRIAL_LIMIT:
+            return None
+        while n % p == 0:
+            primes.append(p)
+            n //= p
+        p += 1 if p == 2 else 2
+    if n > 1:
+        primes.append(n)
+    divs = {1}
+    for p in primes:
+        divs |= {d * p for d in divs}
+    return sorted(divs)
+
+
+def _integer_roots(p: Sequence[int]) -> list[int] | None:
+    """The integer roots of the monic integer p with p(0) != 0: divisors
+    of p(0). None when ``_divisors`` gives up."""
+    divs = _divisors(p[-1])
+    if divs is None:
+        return None
+    return [r for d in divs for r in (d, -d) if _int_eval(p, r) == 0]
+
+
+def _quadratic_factor(p: Sequence[int]) -> list[int] | None:
+    """A monic integer quadratic factor y^2 + b y + c of the monic
+    integer p, which has no integer root, or None. The values f(x0) =
+    d0 and f(x1) = d1 at the two of the points -3..3 whose values have
+    the fewest divisors give b = (d0 - d1 - x0^2 + x1^2) / (x0 - x1) and
+    c = d0 - x0^2 - b x0. Every root has |z| < B = 1 + max |p_i|, so
+    |b| < 2B and 0 < |c| < B^2."""
+    bound = 1 + max(abs(c) for c in p[1:])
+    points = []
+    for x in range(-3, 4):
+        divs = _divisors(_int_eval(p, x))
+        if divs is None:
+            return None
+        points.append((len(divs), x, [s * d for d in divs for s in (1, -1)]))
+    points.sort()
+    (_, x0, values0), (_, x1, values1) = points[:2]
+    for d0 in values0:
+        for d1 in values1:
+            b, r = divmod(d0 - d1 - x0 * x0 + x1 * x1, x0 - x1)
+            c = d0 - x0 * x0 - b * x0
+            if r or abs(b) >= 2 * bound or not 0 < abs(c) < bound * bound or p[-1] % c:
+                continue
+            if not any(_int_divmod(p, [1, b, c])[1]):
+                return [1, b, c]
+    return None
 
 
 def poly_eval_mat(p: Poly, a: Mat) -> Mat:

@@ -16,32 +16,40 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-import sympy as sp
 from mpmath import iv
 from mpmath import ceil as mp_ceil
 from mpmath import floor as mp_floor
 
 from . import linalg as la
 from .core import LinearMap, SubspaceBasis, ad, jordan_chevalley, subspace_from_spanning
-from .einstein import EigenvalueData, _poly_to_sympy, _rational_value
+from .einstein import EigenvalueData, _rational_value
 from .errors import CertificateError, PreconditionError
 from .forms import MetricLieAlgebra
 from .linalg import Mat, Vec
+from .quadratic import Box, Quadratic, field_of, irreducible_factors, is_owned, quadratic_roots, same_field
 
 RULE_GS = "gelfond-schneider"
 RULE_SCHANUEL = "schanuel-conditional"
 
-_X = sp.Symbol("x")
+# the sides of the isolating boxes of exact_eigenvalues are at most this
+# wide, and narrower where the roots of a factor lie closer together
+ENCLOSURE_WIDTH = Fraction(1, 2**32)
 
 
 @dataclass(frozen=True)
 class AlgebraicNumber:
-    """One root of an irreducible rational polynomial, with a certified
-    rational box isolating it from the factor's other roots."""
+    """One root of a monic irreducible rational polynomial, with a certified
+    rational box isolating it from the polynomial's other roots. The
+    value is exact: a ``Quadratic`` for degree at most 2, else sympy's
+    root object."""
 
-    expr: object  # sympy expression (CRootOf or rational)
-    minpoly: sp.Poly
-    enclosure: tuple[tuple[Fraction, Fraction], tuple[Fraction, Fraction]]
+    value: Quadratic | _SympyRoot
+    minpoly: la.Poly
+    enclosure: Box
+
+    def box(self, width) -> Box:
+        """A certified box around the number, each side at most width."""
+        return self.value.box(width)
 
     @property
     def is_real(self) -> bool:
@@ -50,7 +58,55 @@ class AlgebraicNumber:
 
     @property
     def is_zero(self) -> bool:
-        return self.expr == 0
+        return self.value == 0
+
+
+class _SympyRoot:
+    """A root of an irreducible factor of degree >= 3: sympy's
+    ``CRootOf``, possibly times the rational scale that sympy's root
+    preprocessing pulls out."""
+
+    def __init__(self, expr):
+        self.expr = expr
+
+    def __str__(self) -> str:
+        return str(self.expr)
+
+    def _sympy_(self):
+        return self.expr
+
+    @property
+    def real(self):
+        import sympy as sp
+
+        return sp.re(self.expr)
+
+    @property
+    def imag(self):
+        import sympy as sp
+
+        return sp.im(self.expr)
+
+    def box(self, width) -> Box:
+        """sympy's rational approximation of the root within tol of each
+        part, widened by tol on both sides and scaled: each side is at
+        most width wide."""
+        import sympy as sp
+
+        scale, root = self.expr.as_coeff_Mul()
+        if not (scale.is_Rational and isinstance(root, sp.CRootOf)):
+            raise CertificateError(f"unexpected root form {self.expr}")
+        c = Fraction(int(scale.p), int(scale.q))
+        tol = Fraction(width) / (2 * abs(c))
+        sp_tol = sp.Rational(tol.numerator, tol.denominator)
+        approx = root.eval_rational(dx=sp_tol, dy=sp_tol)
+        sides = []
+        for part in (sp.re(approx), sp.im(approx)):
+            x = Fraction(int(part.p), int(part.q))
+            sides.append(tuple(sorted((c * (x - tol), c * (x + tol)))))
+        if root.is_real:
+            sides[1] = (Fraction(0), Fraction(0))
+        return tuple(sides)
 
 
 @dataclass(frozen=True)
@@ -87,54 +143,41 @@ class RelationBasis:
     quadratic_identity_holds: bool
 
 
-def _fraction(r: sp.Rational) -> Fraction:
-    return Fraction(int(r.p), int(r.q))
-
-
-def _root_box(root, tol: sp.Rational):
-    """Certified rational box of half-width <= tol around a root object
-    (a CRootOf, or a Gaussian rational when sympy auto-evaluates)."""
-    if root.is_rational:
-        r = _fraction(sp.Rational(root))
-        return ((r, r), (Fraction(0), Fraction(0)))
-    if not isinstance(root, sp.CRootOf):
-        # sympy's root preprocessing can rescale, e.g. roots of x^2 + 9
-        # come back as 3*CRootOf(x^2 + 1, k); undo the rational scale
-        crs = list(root.atoms(sp.CRootOf))
-        if len(crs) != 1:
-            raise CertificateError(f"unexpected root form {root}")
-        cr = crs[0]
-        scale = sp.cancel(root / cr)
-        if not scale.is_rational:
-            raise CertificateError(f"unexpected root form {root}")
-        inner = _root_box(cr, tol / abs(scale))
-        c = _fraction(sp.Rational(scale))
-
-        def scaled(lo: Fraction, hi: Fraction):
-            a, b = c * lo, c * hi
-            return (a, b) if a <= b else (b, a)
-
-        return (scaled(*inner[0]), scaled(*inner[1]))
-    approx = root.eval_rational(dx=tol, dy=tol)
-    re = sp.re(approx)
-    im = sp.im(approx)
-    if root.is_real:
-        return ((_fraction(re - tol), _fraction(re + tol)), (Fraction(0), Fraction(0)))
-    return (
-        (_fraction(re - tol), _fraction(re + tol)),
-        (_fraction(im - tol), _fraction(im + tol)),
-    )
-
-
 def _boxes_disjoint(b1, b2) -> bool:
     (r1l, r1h), (i1l, i1h) = b1
     (r2l, r2h), (i2l, i2h) = b2
     return r1h < r2l or r2h < r1l or i1h < i2l or i2h < i1l
 
 
+def _quadratic_boxes(fac: la.Poly) -> list[tuple[Quadratic, Box]]:
+    """The roots of a factor of degree 1 or 2 with their boxes. The two
+    roots u -+ v sqrt(d) are 2 |v| sqrt(|d|) >= 2 |v| apart along one
+    axis, so boxes at most |v| / 2 wide are disjoint."""
+    roots = quadratic_roots(fac)
+    width = min(ENCLOSURE_WIDTH, abs(roots[-1].v) / 2) if len(roots) == 2 else ENCLOSURE_WIDTH
+    return [(r, r.box(width)) for r in roots]
+
+
+def _sympy_boxes(fac: la.Poly) -> list[tuple[_SympyRoot, Box]]:
+    """The roots of a factor of degree >= 3 by sympy's isolation, with
+    boxes narrowed until the roots' boxes are pairwise disjoint."""
+    import sympy as sp
+
+    poly = sp.Poly([sp.Rational(c.numerator, c.denominator) for c in fac], sp.Symbol("x"), domain="QQ")
+    roots = [_SympyRoot(r) for r in poly.all_roots(radicals=False)]
+    width = ENCLOSURE_WIDTH
+    while True:
+        boxes = [r.box(width) for r in roots]
+        if all(_boxes_disjoint(b, c) for i, b in enumerate(boxes) for c in boxes[i + 1 :]):
+            return list(zip(roots, boxes))
+        width /= 1024
+
+
 def exact_eigenvalues(a: LinearMap | Mat) -> tuple[AlgebraicNumber, ...]:
     """Eigenvalues of a rational matrix as exact algebraic numbers with
-    multiplicity, via the factored characteristic polynomial.
+    multiplicity, via the factored characteristic polynomial, in the
+    order of its factors (``quadratic.irreducible_factors``) and of each
+    factor's roots (``quadratic.quadratic_roots``).
 
     Certificates: the product of minimal polynomials (with multiplicity)
     reproduces the characteristic polynomial exactly, and the enclosures
@@ -143,31 +186,18 @@ def exact_eigenvalues(a: LinearMap | Mat) -> tuple[AlgebraicNumber, ...]:
     m = a.matrix if isinstance(a, LinearMap) else la.mat(a)
     if la.nrows(m) != la.ncols(m):
         raise PreconditionError("eigenvalues of a non-square matrix")
-    cp = _poly_to_sympy(la.charpoly(m), _X)
-    # factor_list pulls rational content into the lead coefficient; the
-    # monic-rebuild certificate below makes it irrelevant
-    _, factors = cp.factor_list()
-    rebuilt = sp.Poly(1, _X, domain="QQ")
+    cp = la.charpoly(m)
+    rebuilt: la.Poly = (la.ONE,)
     out: list[AlgebraicNumber] = []
-    for fac, mult in factors:
-        fac = fac.monic()
-        rebuilt = rebuilt * fac**mult
-        deg = fac.degree()
-        roots = fac.all_roots(radicals=False)
-        tol = sp.Rational(1, 10**8)
-        while True:
-            boxes = [_root_box(r, tol) for r in roots]
-            if all(
-                _boxes_disjoint(boxes[i], boxes[j])
-                for i in range(deg)
-                for j in range(i + 1, deg)
-            ):
-                break
-            tol /= 1000
-        for r, box in zip(roots, boxes):
-            expr = sp.Rational(r) if r.is_rational else r
-            for _ in range(mult):
-                out.append(AlgebraicNumber(expr=expr, minpoly=fac, enclosure=box))
+    for fac, mult in irreducible_factors(cp):
+        for _ in range(mult):
+            rebuilt = la.poly_mul(rebuilt, fac)
+        roots = _quadratic_boxes(fac) if len(fac) <= 3 else _sympy_boxes(fac)
+        boxes = [box for _, box in roots]
+        if not all(_boxes_disjoint(b, c) for i, b in enumerate(boxes) for c in boxes[i + 1 :]):
+            raise CertificateError("root enclosures of an irreducible factor overlap")
+        for value, box in roots:
+            out.extend([AlgebraicNumber(value, fac, box)] * mult)
     if rebuilt != cp:
         raise CertificateError("minimal polynomials do not rebuild the characteristic polynomial")
     return tuple(out)
@@ -176,62 +206,78 @@ def exact_eigenvalues(a: LinearMap | Mat) -> tuple[AlgebraicNumber, ...]:
 def spectrum_data(a: LinearMap | Mat) -> EigenvalueData:
     """Classified spectrum: real eigenvalues listed singly, non-real
     conjugate pairs listed once via their real/imaginary parts."""
-    eigs = exact_eigenvalues(a)
     reals = []
     pairs = []
-    for e in eigs:
+    for e in exact_eigenvalues(a):
         if e.is_real:
-            reals.append(sp.sympify(e.expr))
-        else:
-            lo, hi = e.enclosure[1]
-            if lo > 0:  # keep the upper-half-plane representative
-                pairs.append((sp.re(e.expr), sp.im(e.expr)))
+            reals.append(e.value)
+        elif e.enclosure[1][0] > 0:  # keep the upper-half-plane representative
+            pairs.append((e.value.real, e.value.imag))
     return EigenvalueData(reals=tuple(reals), complex_pairs=tuple(pairs))
 
 
-def _spectrum_poly(data: EigenvalueData) -> sp.Poly:
+def _spectrum_poly(data: EigenvalueData) -> la.Poly:
     """prod (x - lam) * prod (x^2 - 2 alpha x + alpha^2 + beta^2), which
     must lie in Q[x]. The spectrum is read as a multiset of eigenvalues,
-    so a pair with beta = 0 is the double real eigenvalue alpha."""
-    x = sp.Dummy("x")  # CRootOf entries carry the symbol _X themselves
+    so a pair with beta = 0 is the double real eigenvalue alpha. A
+    spectrum of owned numbers is multiplied out by ``_owned_spectrum_poly``;
+    any other, or a pair whose parts mix fields, is expanded by sympy."""
+    numbers = [*data.reals, *(x for pair in data.complex_pairs for x in pair)]
+    if all(map(is_owned, numbers)):
+        try:
+            return _owned_spectrum_poly(data)
+        except ValueError:  # alpha^2 + beta^2 mixes two fields
+            pass
+    import sympy as sp
+
+    x = sp.Dummy("x")
     product = sp.Integer(1)
     for lam in data.reals:
         product *= x - sp.sympify(lam)
     for alpha, beta in data.complex_pairs:
         a, b = sp.sympify(alpha), sp.sympify(beta)
         product *= x**2 - 2 * a * x + a**2 + b**2
-    coeffs = [_rational_value(c) for c in sp.Poly(sp.expand(product), x).all_coeffs()]
-    if None in coeffs:
+    return _rational_poly(sp.Poly(sp.expand(product), x).all_coeffs())
+
+
+def _owned_spectrum_poly(data: EigenvalueData) -> la.Poly:
+    """The spectrum's polynomial multiplied out per quadratic field: the
+    product is rational exactly when each field's part is (conjugation
+    in one field fixes the others), so each part is checked on its own."""
+    factors = [(la.ONE, -lam) for lam in data.reals]
+    factors += [(la.ONE, -2 * a, a * a + b * b) for a, b in data.complex_pairs]
+    parts: list[list] = []  # [d, product of the factors over Q(sqrt(d))]
+    for f in factors:
+        d = field_of(f)
+        part = next((p for p in parts if same_field(p[0], d)), None)
+        if part is None:
+            parts.append([d, f])
+        else:
+            part[1] = la.poly_mul(part[1], f)
+    product: la.Poly = (la.ONE,)
+    for _, f in parts:
+        product = la.poly_mul(product, _rational_poly(f))
+    return product
+
+
+def _rational_poly(coeffs) -> la.Poly:
+    out = tuple(_rational_value(c) for c in coeffs)
+    if None in out:
         raise PreconditionError(
             "not the spectrum of a rational matrix: its characteristic "
             "polynomial has an irrational coefficient"
         )
-    return _poly_to_sympy(tuple(coeffs), _X)
+    return out
 
 
-def _graeffe(p: sp.Poly) -> sp.Poly:
-    """The root-squaring transform prod (y - z^2) over the roots z of
-    the monic p. Writing p(x) = E(x^2) + x O(x^2), it is
-    (-1)^n p(sqrt y) p(-sqrt y) = (-1)^n (E(y)^2 - y O(y)^2)."""
-    ascending = p.all_coeffs()[::-1]
-    even = sp.Poly(ascending[0::2][::-1], _X, domain="QQ")
-    odd = sp.Poly(ascending[1::2][::-1] or [0], _X, domain="QQ")
-    g = even**2 - sp.Poly(_X, _X, domain="QQ") * odd**2
-    return -g if p.degree() % 2 else g
+def _has_root(p: la.Poly, sign: int) -> bool:
+    """Whether p has a real root of the given sign (Sturm count over Q)."""
+    negative, positive, _ = la.poly_sturm_counts(p)
+    return (positive if sign > 0 else negative) > 0
 
 
-def _has_root(p: sp.Poly, sign: int) -> bool:
-    """Whether p has a real root of the given sign, by an exact Sturm
-    count over Q on its square-free part."""
-    q = p.sqf_part()
-    at_zero = 1 if q.all_coeffs()[-1] == 0 else 0
-    closed = q.count_roots(0, None) if sign > 0 else q.count_roots(None, 0)
-    return closed - at_zero > 0
-
-
-def _all_roots_real(p: sp.Poly) -> bool:
-    q = p.sqf_part()
-    return q.count_roots() == q.degree()
+def _all_roots_real(p: la.Poly) -> bool:
+    return la.poly_sturm_counts(p)[2] == la.poly_deg(la.poly_squarefree_part(p))
 
 
 _CASE1_PATTERNS = (
@@ -267,11 +313,11 @@ _OUTCOMES = {
 }
 
 
-def _decide(p: sp.Poly, n: int) -> tuple[str, dict[str, bool]]:
+def _decide(p: la.Poly, n: int) -> tuple[str, dict[str, bool]]:
     """The case tag and hypothesis checks of the spectrum whose monic
     polynomial over Q is p, in acting dimension n."""
     # descending, padded so that e1 = -c[1] and e2 = c[2]
-    c = [_fraction(k) for k in p.all_coeffs()] + [Fraction(0)] * 2
+    c = list(p) + [la.ZERO] * 2
     checks = {"non_nilpotent": any(c[1:])}
     if not checks["non_nilpotent"]:
         return "nilpotent", checks
@@ -286,18 +332,18 @@ def _decide(p: sp.Poly, n: int) -> tuple[str, dict[str, bool]]:
         return "out_of_scope_n_gt_5", checks
 
     # the coefficients of x^(deg - k) for odd k
-    checks["closed_under_negation"] = not any(c[1 : p.degree() + 1 : 2])
+    checks["closed_under_negation"] = not any(c[1 : len(p) : 2])
     if not checks["closed_under_negation"]:
         raise CertificateError(
             "spectrum not closed under negation; no certified case applies"
         )
 
-    squares = _graeffe(p)
-    if _has_root(_graeffe(squares), -1):
+    squares = la.poly_graeffe(p)
+    if _has_root(la.poly_graeffe(squares), -1):
         checks["real_part_squared_equals_imaginary_part_squared"] = True
         tag = "case1_nonzero_real_part"
     elif _all_roots_real(squares) and _has_root(
-        squares.gcd(squares.compose(sp.Poly(-_X, _X, domain="QQ"))), 1
+        la.poly_gcd(squares, la.poly_reflect(squares)), 1
     ):
         checks["real_eigenvalue_squared_equals_rotation_squared"] = True
         tag = "case2_imaginary_pair"
@@ -338,19 +384,19 @@ def obstruction_verdict(
       g(-y) share a positive real root
 
     Real roots are counted by Sturm sequences over Q, so no float takes
-    part in the verdict on a matrix. An ``EigenvalueData`` is expanded
-    with each quadratic ``CRootOf`` written in radicals; a coefficient
-    that does not then reduce to a rational goes to
-    ``sympy.minimal_polynomial``, whose choice among candidate factors
-    is numerical.
+    part in the verdict on a matrix or on a spectrum of owned numbers
+    (ints, ``Fraction``s and ``Quadratic``s). A spectrum with sympy
+    entries is expanded by sympy, and a coefficient that does not reduce
+    to a rational goes to ``sympy.minimal_polynomial``, whose choice
+    among candidate factors is numerical.
     """
     if isinstance(data, EigenvalueData):
         p = _spectrum_poly(data)
     else:
         m = data.matrix if isinstance(data, LinearMap) else la.mat(data)
-        p = _poly_to_sympy(la.charpoly(m), _X)
+        p = la.charpoly(m)
     if n is None:
-        n = p.degree()
+        n = len(p) - 1
     case_tag, checks = _decide(p, n)
     verdict, rule, patterns = _OUTCOMES[case_tag]
     return ObstructionReport(
@@ -395,67 +441,63 @@ def restricted_obstruction(
 # ---------------------------------------------------------------------------
 
 
-def _radical(e: AlgebraicNumber):
-    """A root of a monic irreducible x^2 + bx + c as (-b +- sqrt(D))/2
-    with D = b^2 - 4c, returned as (u, v, g) with root = u + v g, where
-    g is sqrt(D) stripped of its rational factor: the field generator.
-
-    The sign is that of the root the certified enclosure isolates: the
-    root's offset from -b/2 is +-sqrt(|D|)/2, along the real axis for
-    D > 0 and along the imaginary axis for D < 0, and exactly one of
-    the two offsets lies in the enclosure's interval on that axis.
-    """
-    _, b, c = (_fraction(k) for k in e.minpoly.all_coeffs())
-    d = b * b - 4 * c
-    if d > 0:
-        lo, hi = (x + b / 2 for x in e.enclosure[0])
-    else:
-        lo, hi = e.enclosure[1]
-    square = abs(d) / 4
-
-    def holds_root(lo: Fraction, hi: Fraction) -> bool:
-        # does [lo, hi] contain +sqrt(square)?
-        return hi >= 0 and hi * hi >= square and (lo <= 0 or lo * lo <= square)
-
-    plus, minus = holds_root(lo, hi), holds_root(-hi, -lo)
-    if plus == minus:
-        raise CertificateError("enclosure does not isolate one root of a quadratic factor")
-    scale, gen = sp.sqrt(sp.Rational(d.numerator, d.denominator)).as_coeff_Mul()
-    half = sp.Rational(1, 2) if plus else sp.Rational(-1, 2)
-    return sp.Rational(-b.numerator, 2 * b.denominator), half * scale, gen
-
-
 def qlinear_relations(
     eigs: Sequence[AlgebraicNumber | object], degree_bound: int = 64
 ) -> RelationBasis:
     """Exact basis of rational linear dependencies among the given
-    algebraic numbers, computed in a common number field built by
-    successive primitive elements.
+    algebraic numbers (``AlgebraicNumber``s or plain numbers), computed
+    in a common number field.
 
-    Each number is u + v g for rationals u, v and a generator g: a root
-    of a quadratic minimal polynomial is the radical (-b +- sqrt(D))/2
-    with g = sqrt(D) up to a rational factor; any other irrational
-    number is its own generator. Only the generators are converted into
-    the field; the numbers are built from them by field arithmetic.
+    When every number is owned (an int, ``Fraction`` or ``Quadratic``)
+    and the irrational ones share one field Q(sqrt(d)), each number is
+    its coordinates (u, v) on the basis 1, sqrt(d), and the relations
+    are the kernel of those two rows. Otherwise the field is built by
+    sympy from generators: a ``Quadratic`` u + v sqrt(d) contributes
+    sqrt(d), and any other irrational number is its own generator. Only
+    the generators are converted into the field; the numbers are built
+    from them by field arithmetic.
 
     Fails loudly if the common field degree exceeds ``degree_bound``.
     Also verifies the quadratic trace relation sum xi^2 = 0 in the field
     and reports whether it holds for this spectrum.
     """
+    values = [e.value if isinstance(e, AlgebraicNumber) else e for e in eigs]
+    if not values:
+        return RelationBasis((), 1, True)
+    if all(map(is_owned, values)):
+        numbers = [x if isinstance(x, Quadratic) else Quadratic(x) for x in values]
+        d = field_of(numbers)
+        if all(same_field(x.d, d) for x in numbers if x.v):
+            relations = la.kernel(la.transpose(tuple(x.coords(d) for x in numbers)))
+            # certify each relation by direct evaluation in the field
+            for rel in relations:
+                if sum((c * x for c, x in zip(rel, numbers)), Quadratic()):
+                    raise CertificateError("relation fails to annihilate the spectrum")
+            quad = sum((x * x for x in numbers), Quadratic())
+            return RelationBasis(relations, 1 if d == 1 else 2, not quad)
+    return _sympy_relations(values, degree_bound)
+
+
+def _sympy_relations(values: list, degree_bound: int) -> RelationBasis:
+    """``qlinear_relations`` in a number field built by sympy's
+    successive primitive elements."""
+    import sympy as sp
+
+    def rational(q: Fraction):
+        return sp.Rational(q.numerator, q.denominator)
+
     terms = []
     gens = {}  # each generator once, in order of appearance
-    for e in eigs:
-        if isinstance(e, AlgebraicNumber) and e.minpoly.degree() == 2:
-            term = _radical(e)
+    zero, one = sp.Integer(0), sp.Integer(1)
+    for x in values:
+        if isinstance(x, Quadratic) and x.v:
+            term = (rational(x.u), rational(x.v), sp.sqrt(x.d))
         else:
-            expr = sp.sympify(e.expr if isinstance(e, AlgebraicNumber) else e)
-            zero, one = sp.Integer(0), sp.Integer(1)
+            expr = sp.sympify(x)
             term = (expr, zero, None) if expr.is_rational else (zero, one, expr)
         terms.append(term)
         if term[2] is not None:
             gens.setdefault(term[2])
-    if not terms:
-        return RelationBasis((), 1, True)
     if gens:
         try:
             field = sp.QQ.algebraic_field(*gens)
@@ -492,7 +534,7 @@ def qlinear_relations(
     for rel in relations:
         total = field.zero
         for c, el in zip(rel, elements):
-            total += field.from_sympy(sp.Rational(c.numerator, c.denominator)) * el
+            total += field.from_sympy(rational(c)) * el
         if total != field.zero:
             raise CertificateError("relation fails to annihilate the spectrum")
     quad = field.zero
@@ -576,6 +618,9 @@ def integer_exponential_probe(
     if precision_bits is None:
         precision_bits = default_precision()
     eigs = exact_eigenvalues(ad(m.algebra, element))
+    # boxes as narrow as the interval precision, so that a wide box
+    # never keeps the probe from excluding integrality
+    width = Fraction(1, 2**precision_bits)
     points = []
     old_prec = iv.prec
     iv.prec = precision_bits
@@ -590,7 +635,7 @@ def integer_exponential_probe(
             tv = _interval_from_fractions(t, t)
             exp_vals = []
             for e in eigs:
-                (rl, rh), (il, ih) = e.enclosure
+                (rl, rh), (il, ih) = e.box(width)
                 x = _interval_from_fractions(rl, rh) * tv
                 y = _interval_from_fractions(il, ih) * tv
                 scale = iv.exp(x)

@@ -509,15 +509,8 @@ def random_skew_map(
     return la.mat_over(rows, den)
 
 
-def skew_derivation_space(base: MetricLieAlgebra) -> tuple[Mat, ...]:
-    """Basis of the derivations of the base algebra that are skew with
-    respect to the base form (the valid one-dimensional extension data).
-
-    The unknowns are the entries d_pq, column p n + q. The equations are
-    built as sparse integer rows from the form's integer rows (scaled by
-    M) and the structure table (scaled by L), and solved by
-    ``la.sparse_kernel``, which returns ``la.kernel``'s basis.
-    """
+def _skew_derivation_equations(base: MetricLieAlgebra) -> list[dict[int, int]]:
+    """The sparse integer rows of ``skew_derivation_space``'s system."""
     n = base.dim
     _, b_rows = base.form.int_rows
     _, table = base.algebra.int_table
@@ -550,7 +543,20 @@ def skew_derivation_space(base: MetricLieAlgebra) -> tuple[Mat, ...]:
                 for k, c in table[i][p]:
                     add(rows.setdefault(k, {}), p * n + j, -c)
             eqs.extend(rows.values())
-    sols = la.sparse_kernel(eqs, n * n)
+    return eqs
+
+
+def skew_derivation_space(base: MetricLieAlgebra) -> tuple[Mat, ...]:
+    """Basis of the derivations of the base algebra that are skew with
+    respect to the base form (the valid one-dimensional extension data).
+
+    The unknowns are the entries d_pq, column p n + q. The equations are
+    built as sparse integer rows from the form's integer rows (scaled by
+    M) and the structure table (scaled by L), and solved by
+    ``la.sparse_kernel``, which returns ``la.kernel``'s basis.
+    """
+    n = base.dim
+    sols = la.sparse_kernel(_skew_derivation_equations(base), n * n)
     return tuple(
         tuple(tuple(sol[p * n + q] for q in range(n)) for p in range(n))
         for sol in sols
@@ -561,18 +567,27 @@ def random_double_extension(rng: random.Random, base: MetricLieAlgebra) -> Metri
     """One-dimensional double extension of the base by a random skew
     derivation: the basis of ``skew_derivation_space`` combined, in one
     pass, with coefficients drawn from [-2, 2] (the zero map if the base
-    admits no other)."""
+    admits no other). The basis is read in integers, ``IntSpan.int_kernel``,
+    and the sum c_i w_i / L_i over the common denominator L goes to
+    ``DoubleExtensionSpec.from_columns`` as the integer columns of L delta."""
     n = base.dim
-    acc = [[la.ZERO] * n for _ in range(n)]
-    for d in skew_derivation_space(base):
-        c = rng.randint(-2, 2)
+    span = la.IntSpan(n * n)
+    for row in _skew_derivation_equations(base):
+        span.add(row)
+    draws = [(rng.randint(-2, 2), den, w) for den, w in span.int_kernel()]
+    den = math.lcm(*(d for c, d, _ in draws if c))
+    acc: dict[int, int] = {}
+    for c, d, w in draws:
         if c:
-            for acc_row, row in zip(acc, d):
-                for q, x in enumerate(row):
-                    if x:
-                        acc_row[q] += c * x
-    delta = tuple(map(tuple, acc))
-    return double_extend(DoubleExtensionSpec(base=base, deltas=(delta,)))
+            scale = c * (den // d)
+            for col, x in w.items():
+                acc[col] = acc.get(col, 0) + scale * x
+    # delta_pq sits at column p n + q; column q of delta holds (p, L delta_pq)
+    cols: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for col in sorted(acc):
+        p, q = divmod(col, n)
+        cols[q].append((p, acc[col]))
+    return double_extend(DoubleExtensionSpec.from_columns(base, [(den, cols)]))
 
 
 def iterated_double_extension(

@@ -12,8 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-import sympy as sp
-
 from . import linalg as la
 from .core import (
     LieAlgebra,
@@ -23,12 +21,10 @@ from .core import (
     killing_form,
     subspace_from_spanning,
 )
-from .einstein import _poly_to_sympy
 from .errors import CertificateError, PreconditionError
 from .forms import MetricLieAlgebra, SymBilinearForm, _skew_pairing, metric_radical, signature
 from .linalg import Mat, Vec
-
-_X = sp.Symbol("x")
+from .quadratic import irreducible_factors
 
 
 @dataclass(frozen=True)
@@ -95,21 +91,16 @@ def _simple_ideals(alg: LieAlgebra, kappa: SymBilinearForm) -> tuple[SubspaceBas
             break
     if generic is None:
         raise CertificateError("could not find a generating element of the centroid")
-    minpoly = _poly_to_sympy(cand_minpoly, _X)
-    _, factors = minpoly.factor_list()
     ideals: list[SubspaceBasis] = []
-    for fac, mult in factors:
+    for fac, mult in irreducible_factors(cand_minpoly):
         if mult != 1:
             raise CertificateError("centroid minimal polynomial is not squarefree")
-        cofactor = minpoly.quo(fac)
-        u, _, gcd = sp.gcdex(cofactor.as_expr(), fac.as_expr(), _X)
-        if sp.simplify(gcd - 1) != 0:
+        cofactor = la.poly_divmod(cand_minpoly, fac)[0]
+        # u cofactor = 1 mod fac and 0 mod cofactor: the idempotent of fac
+        u, _, gcd = la.poly_gcdex(cofactor, fac)
+        if gcd != (la.ONE,):
             raise CertificateError("centroid factors are not coprime")
-        idem_poly = sp.Poly(sp.expand(u * cofactor.as_expr()), _X, domain="QQ")
-        coeffs = tuple(
-            Fraction(int(c.p), int(c.q)) for c in idem_poly.all_coeffs()
-        )
-        e = la.poly_eval_mat(coeffs, generic)
+        e = la.poly_eval_mat(la.poly_mul(u, cofactor), generic)
         if la.mat_mul(e, e) != e:
             raise CertificateError("constructed centroid element is not idempotent")
         ideals.append(subspace_from_spanning(n, la.transpose(e)))

@@ -376,3 +376,110 @@ def reference_change_basis(m, columns, names):
             brackets[(i, j)] = la.mat_vec(t_inv, reference_bracket(m.algebra, cols[i], cols[j]))
     gram = SymBilinearForm(reference_gram(m.form, cols))
     return MetricLieAlgebra(LieAlgebra(n, tuple(names), brackets), gram)
+
+
+# ---------------------------------------------------------------------------
+# the sympy spectrum code: the reference for the owned Q[x] / Q(sqrt d)
+# layer (linalg's polynomial functions, quadratic, obstruction._decide)
+# ---------------------------------------------------------------------------
+
+
+def to_sympy_poly(p):
+    """A ``la.Poly`` as a ``sympy.Poly`` over QQ in the symbol x."""
+    import sympy as sp
+
+    return sp.Poly([sp.Rational(c.numerator, c.denominator) for c in p], sp.Symbol("x"), domain="QQ")
+
+
+def from_sympy_poly(p):
+    """The coefficients of a ``sympy.Poly`` as a ``la.Poly``."""
+    return tuple(Fraction(int(c.p), int(c.q)) for c in p.all_coeffs())
+
+
+def reference_graeffe(p):
+    """prod (y - z^2) over the roots z of the monic sympy Poly p, as
+    (-1)^n (E(y)^2 - y O(y)^2) for p(x) = E(x^2) + x O(x^2)."""
+    import sympy as sp
+
+    x = p.gen
+    ascending = p.all_coeffs()[::-1]
+    even = sp.Poly(ascending[0::2][::-1], x, domain="QQ")
+    odd = sp.Poly(ascending[1::2][::-1] or [0], x, domain="QQ")
+    g = even**2 - sp.Poly(x, x, domain="QQ") * odd**2
+    return -g if p.degree() % 2 else g
+
+
+def reference_has_root(p, sign):
+    """Whether the sympy Poly p has a real root of the given sign, by
+    sympy's Sturm count on its square-free part."""
+    q = p.sqf_part()
+    at_zero = 1 if q.all_coeffs()[-1] == 0 else 0
+    closed = q.count_roots(0, None) if sign > 0 else q.count_roots(None, 0)
+    return closed - at_zero > 0
+
+
+def reference_all_roots_real(p):
+    q = p.sqf_part()
+    return q.count_roots() == q.degree()
+
+
+def reference_decide(p, n):
+    """``obstruction._decide`` on a monic sympy Poly, with sympy's
+    Graeffe transform, composition, gcd and root counts."""
+    import sympy as sp
+
+    from metriclie.errors import CertificateError, PreconditionError
+
+    c = list(from_sympy_poly(p)) + [Fraction(0)] * 2
+    checks = {"non_nilpotent": any(c[1:])}
+    if not checks["non_nilpotent"]:
+        return "nilpotent", checks
+    residual = c[1] ** 2 - 2 * c[2]
+    if residual != 0:
+        raise PreconditionError(f"eigenvalue trace identity violated (residual {residual})")
+    checks["trace_identity"] = True
+    if n >= 6:
+        return "out_of_scope_n_gt_5", checks
+    checks["closed_under_negation"] = not any(c[1 : p.degree() + 1 : 2])
+    if not checks["closed_under_negation"]:
+        raise CertificateError("spectrum not closed under negation; no certified case applies")
+    x = p.gen
+    squares = reference_graeffe(p)
+    if reference_has_root(reference_graeffe(squares), -1):
+        checks["real_part_squared_equals_imaginary_part_squared"] = True
+        tag = "case1_nonzero_real_part"
+    elif reference_all_roots_real(squares) and reference_has_root(
+        squares.gcd(squares.compose(sp.Poly(-x, x, domain="QQ"))), 1
+    ):
+        checks["real_eigenvalue_squared_equals_rotation_squared"] = True
+        tag = "case2_imaginary_pair"
+    else:
+        raise CertificateError("spectrum matches no certified case")
+    checks["exp_pattern_power_i_closed"] = True
+    return tag, checks
+
+
+def reference_factor_list(p):
+    """sympy's ``factor_list`` of a ``la.Poly``: its monic irreducible
+    factors and multiplicities, in sympy's order."""
+    return [(from_sympy_poly(f.monic()), k) for f, k in to_sympy_poly(p).factor_list()[1]]
+
+
+def random_rational_poly(rng: random.Random, max_degree: int = 6):
+    """A monic rational polynomial of degree <= max_degree: a product of
+    random linear, quadratic and cubic factors, some repeated, or one
+    with random coefficients throughout."""
+    def coeff():
+        return Fraction(rng.randint(-6, 6), rng.randint(1, 3))
+
+    if rng.random() < 0.25:
+        return (Fraction(1),) + tuple(coeff() for _ in range(rng.randint(0, max_degree)))
+    p = (Fraction(1),)
+    while True:
+        f = (Fraction(1),) + tuple(coeff() for _ in range(rng.choice((1, 1, 2, 2, 3))))
+        g = f
+        while rng.random() < 0.3:
+            g = la.poly_mul(g, f)
+        if len(p) + len(g) - 2 > max_degree:
+            return p
+        p = la.poly_mul(p, g)

@@ -142,6 +142,8 @@ def test_reduce_by_named_ideal(capsys):
     assert r["base"]["dim"] == 4
     assert r["base"]["brackets"] == []  # abelian quotient
     assert len(r["delta"]) == 1 and len(r["delta"][0]) == 4
+    # the extending algebra is always abelian, so no bracket key is reported
+    assert set(r) == {"ideal", "base", "delta"}
 
 
 def test_auto_reduce_on_pool_documents(capsys, monkeypatch, tmp_path):

@@ -11,7 +11,6 @@ from metriclie.catalog import sl2
 from metriclie.core import LieAlgebra, ad, killing_matrix
 from metriclie.einstein import (
     EigenvalueData,
-    _quadratic_radical,
     _traceless_skew_map,
     _trace_square_from_charpoly,
     TorusLeaf,
@@ -27,6 +26,7 @@ from metriclie.einstein import (
 )
 from metriclie.errors import CertificateError, PreconditionError
 from metriclie.forms import MetricLieAlgebra, SymBilinearForm, _map_pairing, _scaled_rows
+from metriclie.quadratic import quadratic_roots
 from metriclie.reduction import build_ab, build_example42, build_ko1
 
 from conftest import (
@@ -135,7 +135,8 @@ def test_trace_identity_decides_algebraic_spectra_exactly():
 def test_quadratic_roots_are_written_in_radicals():
     x = sp.Symbol("x")
     for f in (x**2 + 1, x**2 - 2, x**2 - 2 * x + 5, 3 * x**2 - 5 * x + 1, 9 * x**2 + 12 * x + 8):
-        lower, upper = (_quadratic_radical(sp.CRootOf(f, k)) for k in (0, 1))
+        monic = la.poly_monic(tuple(Fraction(int(c)) for c in sp.Poly(f, x).all_coeffs()))
+        lower, upper = (sp.sympify(r) for r in quadratic_roots(monic))
         assert sp.expand(f.subs(x, lower)) == 0 and sp.expand(f.subs(x, upper)) == 0
         # the + root is the larger real root, or the upper one of a pair
         diff = sp.expand(upper - lower)

@@ -12,13 +12,14 @@ import sympy as sp
 from metriclie import linalg as la
 from metriclie.cli import main
 from metriclie.core import ad
-from metriclie.einstein import EigenvalueData, _poly_to_sympy, trace_identity
+from metriclie.einstein import EigenvalueData, trace_identity
 from metriclie.errors import CertificateError, PreconditionError
 from metriclie.obstruction import (
     _OUTCOMES,
     RULE_GS,
     RULE_SCHANUEL,
     _decide,
+    _spectrum_poly,
     exact_eigenvalues,
     integer_exponential_probe,
     obstruction_verdict,
@@ -28,7 +29,7 @@ from metriclie.obstruction import (
 )
 from metriclie.reduction import build_example42
 
-from conftest import naive_rank, rand_matrix
+from conftest import naive_rank, rand_matrix, reference_decide, to_sympy_poly
 
 
 def _companion(coeffs):
@@ -53,7 +54,7 @@ def test_exact_eigenvalues_rotation():
     assert len(eigs) == 2
     for e in eigs:
         assert not e.is_real
-        assert sp.simplify(e.expr**2 + 1) == 0
+        assert e.value * e.value + 1 == 0
     # one root in each half-plane
     signs = sorted(1 if e.enclosure[1][0] > 0 else -1 for e in eigs)
     assert signs == [-1, 1]
@@ -65,7 +66,7 @@ def test_exact_eigenvalues_sqrt2():
     assert len(eigs) == 2
     for e in eigs:
         assert e.is_real
-        assert sp.simplify(e.expr**2 - 2) == 0
+        assert e.value * e.value - 2 == 0
         (lo, hi), (ilo, ihi) = e.enclosure
         assert ilo <= 0 <= ihi
         # the real enclosure pins down +-sqrt(2) to the certified box
@@ -210,7 +211,7 @@ def test_qlinear_relations_rational_spectrum():
     assert rel in ((Fraction(1), Fraction(1)), (Fraction(1), Fraction(-1)))
     total = rel[0] * 1 + rel[1] * (-1)
     # verify annihilation against the actual root ordering
-    vals = [sp.nsimplify(e.expr) for e in eigs]
+    vals = [e.value for e in eigs]
     assert sum(Fraction(c) * v for c, v in zip(rel, vals)) == 0
     assert basis.quadratic_identity_holds is False
 
@@ -220,7 +221,7 @@ def test_qlinear_relations_sqrt2_pair():
     basis = qlinear_relations(eigs)
     assert basis.field_degree == 2
     assert len(basis.relations) == 1
-    vals = [sp.nsimplify(e.expr) for e in eigs]
+    vals = [sp.sympify(e.value) for e in eigs]
     (rel,) = basis.relations
     assert sp.simplify(sum(sp.Rational(c.numerator, c.denominator) * v for c, v in zip(rel, vals))) == 0
 
@@ -519,10 +520,9 @@ def _conjugated(rng: random.Random, blocks):
 
 
 def _decide_matrix(m):
-    """The decider on the characteristic polynomial of m. It skips the
-    spectrum listing of the report, whose sympy root isolation does not
-    terminate on some quadratic factors (9x^2 + 12x + 8 among them)."""
-    tag, checks = _decide(_poly_to_sympy(la.charpoly(m), sp.Symbol("x")), la.nrows(m))
+    """The decider on the characteristic polynomial of m, without the
+    spectrum listing of the report."""
+    tag, checks = _decide(la.charpoly(m), la.nrows(m))
     return _OUTCOMES[tag][0], tag, checks
 
 
@@ -544,6 +544,40 @@ def test_polynomial_decider_matches_elementwise_reference():
         PreconditionError,
         CertificateError,
     }
+
+
+def test_decide_matches_sympy_reference():
+    """``_decide`` on ``la.Poly`` against the sympy code it replaced, on
+    the cases of the element-wise test above and the criterion-6
+    fixtures, the latter given both as ints and as sympy numbers."""
+    rng = random.Random(6006)
+    shapes = ("case1", "case2", "spiral", "nilpotent", "unclosed", "arbitrary")
+    polys = []
+    for i in range(240):
+        m, _ = _conjugated(rng, _random_blocks(rng, shapes[i % len(shapes)]))
+        polys.append(la.charpoly(m))
+    fixtures = [
+        ((), ((1, 1), (-1, 1))),
+        ((1, -1), ((0, 1),)),
+        ((5, -5), ((0, 3), (0, 4))),
+        ((0,), ((0, 0),)),
+    ]
+    for reals, pairs in fixtures:
+        owned = _spectrum_poly(EigenvalueData(reals, pairs))
+        symbolic = EigenvalueData(
+            tuple(sp.sqrt(r * r) * (1 if r >= 0 else -1) for r in reals),
+            tuple((sp.Integer(a), sp.sqrt(b * b)) for a, b in pairs),
+        )
+        assert _spectrum_poly(symbolic) == owned
+        polys.append(owned)
+    tags = set()
+    for p in polys:
+        n = len(p) - 1
+        ours = _outcome(lambda q: _decide(q, n), p)
+        assert ours == _outcome(lambda q: reference_decide(to_sympy_poly(q), n), p), p
+        tags.add(ours if isinstance(ours, type) else ours[0])
+    assert tags == {"nilpotent", "case1_nonzero_real_part", "case2_imaginary_pair",
+                    "out_of_scope_n_gt_5", PreconditionError, CertificateError}
 
 
 def test_irrational_spectrum_must_have_rational_charpoly():
@@ -596,8 +630,8 @@ def test_verdicts_and_relations_never_evaluate_numerically(monkeypatch, tmp_path
             with contextlib.redirect_stdout(out):
                 assert main([command, target, "--element", element, "--format", "json"]) == 0
             outputs[command, Path(target).stem] = json.loads(out.getvalue())["results"]
-    # the vectors a field generated by the CRootOf roots themselves gives;
-    # the roots +-6i and +-8i of the two factors are tied with signs
+    # the vectors of the field Q(i) on the eigenvalues 10, -10, 0, 0,
+    # -6i, 6i, -8i, 8i: the roots of the two factors are tied with signs
     rb8 = outputs["relations", "rb8-2"]
     assert rb8["field_degree"] == 2 and rb8["quadratic_identity_holds"]
     assert rb8["relations"] == [
@@ -619,15 +653,15 @@ def test_verdicts_and_relations_never_evaluate_numerically(monkeypatch, tmp_path
     }
     for (reals, pairs), tag in fixtures.items():
         assert obstruction_verdict(EigenvalueData(reals, pairs)).case_tag == tag
-    # the listed spectrum of ad(a), whose pair is (0, -I*CRootOf(x**2 + 1, 1))
+    # the listed spectrum of ad(a), whose pair is (0, 1)
     listed = spectrum_data(ad(build_example42().algebra, la.unit_vec(6, 0)))
     assert obstruction_verdict(listed).case_tag == "out_of_scope_n_gt_5"
     assert trace_identity(listed).holds is True
 
 
 def test_verdict_on_listed_spectra_of_matrices():
-    # spectrum_data lists quadratic roots as CRootOf(..., k) in the symbol
-    # x, and the pair 1 + i as (re(CRootOf(x**2 - 2*x + 2, 1)), im(...))
+    # spectrum_data lists quadratic roots in radicals, and the pair
+    # 1 +- i as (1, 1)
     cases = (
         _blockdiag(((1, -1), (1, 1)), ((-1, -1), (1, -1))),  # +-1 +- i
         _blockdiag(((0, 2), (1, 0)), ((0, -2), (1, 0))),  # +-sqrt 2, +-i sqrt 2

@@ -175,3 +175,31 @@ def _linalg_functions_without_src_reader() -> list[tuple[int, str]]:
 
 def test_every_public_linalg_function_has_a_src_reader():
     assert _linalg_functions_without_src_reader() == []
+
+
+def _module_level_imports(node: ast.AST) -> list[tuple[int, str]]:
+    """(line, top-level package) of each import that runs when the
+    module is imported: everywhere but inside function bodies."""
+    out = []
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        if isinstance(child, ast.Import):
+            out.extend((child.lineno, alias.name.split(".")[0]) for alias in child.names)
+        elif isinstance(child, ast.ImportFrom) and not child.level:
+            out.append((child.lineno, child.module.split(".")[0]))
+        out.extend(_module_level_imports(child))
+    return out
+
+
+def test_no_module_imports_sympy_at_module_level():
+    # sympy is the fallback for factors of degree >= 3 and for sympy
+    # input; importing it costs more than the rest of the package
+    found = {
+        p.name: [line for line, pkg in _module_level_imports(ast.parse(p.read_text())) if pkg == "sympy"]
+        for p in sorted(SRC.glob("*.py"))
+    }
+    assert {name: lines for name, lines in found.items() if lines} == {}
+    # the check sees an import inside a class body or an if at module level
+    probe = ast.parse("class A:\n    import sympy\nif True:\n    from sympy import S\ndef f():\n    import sympy\n")
+    assert _module_level_imports(probe) == [(2, "sympy"), (4, "sympy")]
