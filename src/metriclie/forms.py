@@ -118,13 +118,27 @@ class SymBilinearForm:
 
     @functools.cached_property
     def int_inverse(self) -> tuple[int, tuple[la.IntRow, ...]]:
-        """``inverse`` as ``int_rows`` holds B."""
-        return _scaled_rows(self.inverse)
+        """B^{-1} held as ``int_rows`` holds B, from one ``IntSpan`` over
+        the integer rows [M B | I]: the pivot row led by column i is
+        r = lambda (e_i, (M B)^{-1}_i), so B^{-1} = M (M B)^{-1} has row i
+        M r[n + j] / r[i]. ``ValueError`` for a degenerate form."""
+        m, rows = self.int_rows
+        n = self.dim
+        span = la.IntSpan(2 * n)
+        for i, row in enumerate(rows):
+            span.add({**dict(row), n + i: 1})
+        if set(span.pivots) != set(range(n)):
+            raise ValueError("matrix is singular")
+        leads = sorted(span.pivots.items())
+        den = math.lcm(*(r[i] for i, r in leads))
+        inverse_rows = ([(j, m * r.get(n + j, 0) * (den // r[i])) for j in range(n)] for i, r in leads)
+        return la.normalised(den, inverse_rows)
 
     @functools.cached_property
     def inverse(self) -> Mat:
-        """B^{-1}; ``ValueError`` for a degenerate form."""
-        return la.inverse(self.matrix)
+        """B^{-1}, the rational view of ``int_inverse``."""
+        den, rows = self.int_inverse
+        return la.mat_over(la.dense(rows, self.dim), den)
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,10 @@ Everything here is pure and exact; no floating point anywhere. Every
 row reduction runs on one fraction-free integer elimination,
 ``IntSpan``, whose pivot rows are the unique RREF of their span.
 
+The characteristic polynomial (``charpoly``) and matrix polynomials
+(``poly_eval_mat``) run in ``int`` on D A, D the least common
+denominator of A's entries, and are scaled back to A only at the end.
+
 Polynomials are represented as tuples of coefficients in *descending*
 degree order. Over Q they are factored exactly into their rational
 roots and quadratic factors (``poly_factor``), and their real roots are
@@ -16,6 +20,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
+
+from .errors import CertificateError
 
 Vec = tuple[Fraction, ...]
 Mat = tuple[Vec, ...]
@@ -159,10 +165,6 @@ def is_nilpotent(a: Mat) -> bool:
             return True
         power = mat_mul(power, a)
     return is_zero_mat(power)
-
-
-def trace(a: Mat) -> Fraction:
-    return sum((a[i][i] for i in range(nrows(a))), ZERO)
 
 
 def trace_product(a: Mat, b: Mat) -> Fraction:
@@ -684,29 +686,72 @@ def _quadratic_factor(p: Sequence[int]) -> list[int] | None:
     return None
 
 
-def poly_eval_mat(p: Poly, a: Mat) -> Mat:
-    n = nrows(a)
-    out = zeros(n, n)
-    for c in p:
-        out = mat_mul(out, a) if not is_zero_mat(out) else out
-        if c != 0:
-            out = mat_add(out, mat_scale(c, identity(n)))
+def _int_matrix(a: Mat) -> tuple[int, list[list[int]]]:
+    """(D, B): D the least common denominator of the entries of a, and
+    B = D a in ``int``."""
+    den = math.lcm(*(x.denominator for row in a for x in row))
+    return den, [[x.numerator * (den // x.denominator) for x in row] for row in a]
+
+
+def _int_mat_mul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
+    """``mat_mul`` of square integer matrices in ``int``, as new rows."""
+    b_support = [[(j, y) for j, y in enumerate(row) if y] for row in b]
+    out = []
+    for r in a:
+        acc = [0] * len(b)
+        for x, support in zip(r, b_support):
+            if x:
+                for j, y in support:
+                    acc[j] += x * y
+        out.append(acc)
     return out
 
 
+def poly_eval_mat(p: Poly, a: Mat) -> Mat:
+    """p(A) by Horner's rule in ``int`` on B = D A (``_int_matrix``):
+    after step i the integer matrix H is E D^i (p_0 A^i + ... + p_i I),
+    E the common denominator of p, so H_i = H_(i-1) B + E D^i p_i I and
+    one division by E D^deg(p) ends it."""
+    n = nrows(a)
+    if n != ncols(a):
+        raise ValueError("polynomial of a non-square matrix")
+    den, b = _int_matrix(a)
+    scale = math.lcm(*(c.denominator for c in p))
+    h = [[0] * n for _ in range(n)]
+    for i, c in enumerate(p):
+        if i:
+            scale *= den
+            if any(map(any, h)):
+                h = _int_mat_mul(h, b)
+        t = c.numerator * (scale // c.denominator)
+        for j in range(n):
+            h[j][j] += t
+    return mat_over(h, scale)
+
+
 def charpoly(a: Mat) -> Poly:
-    """Monic characteristic polynomial via the Faddeev-LeVerrier
-    recursion (division-free apart from exact rational division by k)."""
+    """Monic characteristic polynomial by the Faddeev-LeVerrier recursion
+    over the integers (Cohen, *A Course in Computational Algebraic Number
+    Theory*, 2.2.4), on B = D A (``_int_matrix``): M_0 = I, c_k =
+    -tr(B M_(k-1)) / k, M_k = B M_(k-1) + c_k I. B has the integer
+    characteristic polynomial sum c_k x^(n-k), so every division by k is
+    exact (``CertificateError`` otherwise) and every M_k integral; A's
+    coefficient of x^(n-k) is c_k / D^k."""
     n = nrows(a)
     if n != ncols(a):
         raise ValueError("characteristic polynomial of non-square matrix")
+    den, b = _int_matrix(a)
     coeffs = [ONE]
-    m = identity(n)
+    bm = [list(row) for row in b]  # B M_(k-1), made M_k in place
     for k in range(1, n + 1):
-        am = mat_mul(a, m)
-        ck = -trace(am) / k
-        coeffs.append(ck)
-        m = mat_add(am, mat_scale(ck, identity(n)))
+        ck, rem = divmod(-sum(bm[i][i] for i in range(n)), k)
+        if rem:
+            raise CertificateError("Faddeev-LeVerrier trace is not divisible by k")
+        coeffs.append(Fraction(ck, den**k))
+        if k < n:
+            for i in range(n):
+                bm[i][i] += ck
+            bm = _int_mat_mul(b, bm)
     return tuple(coeffs)
 
 

@@ -186,7 +186,12 @@ def exact_eigenvalues(a: LinearMap | Mat) -> tuple[AlgebraicNumber, ...]:
     m = a.matrix if isinstance(a, LinearMap) else la.mat(a)
     if la.nrows(m) != la.ncols(m):
         raise PreconditionError("eigenvalues of a non-square matrix")
-    cp = la.charpoly(m)
+    return _roots(la.charpoly(m))
+
+
+def _roots(cp: la.Poly) -> tuple[AlgebraicNumber, ...]:
+    """``exact_eigenvalues`` of a matrix with the characteristic
+    polynomial cp."""
     rebuilt: la.Poly = (la.ONE,)
     out: list[AlgebraicNumber] = []
     for fac, mult in irreducible_factors(cp):
@@ -206,9 +211,14 @@ def exact_eigenvalues(a: LinearMap | Mat) -> tuple[AlgebraicNumber, ...]:
 def spectrum_data(a: LinearMap | Mat) -> EigenvalueData:
     """Classified spectrum: real eigenvalues listed singly, non-real
     conjugate pairs listed once via their real/imaginary parts."""
+    return _classified(exact_eigenvalues(a))
+
+
+def _classified(eigs: Sequence[AlgebraicNumber]) -> EigenvalueData:
+    """``spectrum_data`` of the listed eigenvalues."""
     reals = []
     pairs = []
-    for e in exact_eigenvalues(a):
+    for e in eigs:
         if e.is_real:
             reals.append(e.value)
         elif e.enclosure[1][0] > 0:  # keep the upper-half-plane representative
@@ -400,7 +410,7 @@ def obstruction_verdict(
     case_tag, checks = _decide(p, n)
     verdict, rule, patterns = _OUTCOMES[case_tag]
     return ObstructionReport(
-        input_spectrum=data if isinstance(data, EigenvalueData) else spectrum_data(m),
+        input_spectrum=data if isinstance(data, EigenvalueData) else _classified(_roots(p)),
         n=n,
         case_tag=case_tag,
         exp_eigenvalue_patterns=patterns,

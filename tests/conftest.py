@@ -144,6 +144,39 @@ def naive_mat_pow(a, k):
     return out
 
 
+def naive_trace(a):
+    return sum((a[i][i] for i in range(len(a))), Fraction(0))
+
+
+def reference_charpoly(a):
+    """The dense ``Fraction`` Faddeev-LeVerrier recursion: M_0 = I,
+    c_k = -tr(A M_(k-1)) / k, M_k = A M_(k-1) + c_k I. The reference for
+    the integer ``la.charpoly``."""
+    n = len(a)
+    if any(len(row) != n for row in a):
+        raise ValueError("characteristic polynomial of non-square matrix")
+    coeffs = [Fraction(1)]
+    m = la.identity(n)
+    for k in range(1, n + 1):
+        am = la.mat_mul(a, m)
+        ck = -naive_trace(am) / k
+        coeffs.append(ck)
+        m = la.mat_add(am, la.mat_scale(ck, la.identity(n)))
+    return tuple(coeffs)
+
+
+def reference_poly_eval_mat(p, a):
+    """p(A) by dense ``Fraction`` Horner steps. The reference for the
+    integer ``la.poly_eval_mat``."""
+    n = len(a)
+    out = la.zeros(n, n)
+    for c in p:
+        out = la.mat_mul(out, a) if not la.is_zero_mat(out) else out
+        if c != 0:
+            out = la.mat_add(out, la.mat_scale(c, la.identity(n)))
+    return out
+
+
 def naive_poly_mul(a, b):
     """The product of two polynomials in descending coefficient order."""
     out = [Fraction(0)] * (len(a) + len(b) - 1)

@@ -48,7 +48,7 @@ from metriclie.reduction import (
 )
 from metriclie.semisimple import compact_split, split_form_report
 
-from conftest import naive_mat_pow, rand_matrix, random_abelian_base
+from conftest import naive_mat_pow, naive_trace, rand_matrix, random_abelian_base
 
 
 def _report(number: int, detail: str) -> None:
@@ -151,7 +151,7 @@ def test_criterion_4_trace_identity_on_solvable_algebras():
             )
             phi = ad(m.algebra, a)
             rep = trace_identity(phi)  # certifies both sides agree
-            direct = la.trace(la.mat_mul(phi.matrix, phi.matrix))
+            direct = naive_trace(la.mat_mul(phi.matrix, phi.matrix))
             assert rep.value == direct
             assert rep.spectrum_value == direct
             checked += 1
@@ -174,7 +174,7 @@ def test_criterion_5_nested_triangular_recursion():
         for _ in range(rng.randint(0, 3)):
             node = TriangularNode(rand_matrix(rng, rng.randint(1, 3), bound=2), node)
         x = assemble_nested(node)
-        assert nested_trace_square(node) == la.trace(la.mat_mul(x, x))
+        assert nested_trace_square(node) == naive_trace(la.mat_mul(x, x))
     negatives = 0
     for _ in range(60):
         rotations = tuple(

@@ -6,18 +6,23 @@ for pairings, dense elimination for row spaces, and the basis-pair sum
 for the bracket. The certificates that run on the integer structure
 table (Jacobi, invariance, Killing, ad, the skew-derivation system and
 its sparse kernel) are compared with the dense ``Fraction`` versions
-they replaced, copied here.
+they replaced, copied here; the integer ``charpoly`` and
+``poly_eval_mat`` with the ``Fraction`` recursions in conftest.
 """
 
+import gzip
+import json
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from metriclie import linalg as la
+from metriclie.catalog import resolve
 from metriclie.core import (
     LieAlgebra,
     ad,
@@ -26,6 +31,7 @@ from metriclie.core import (
     series,
     validate_structure,
 )
+from metriclie.documents import document_to_algebra, parse_document
 from metriclie.forms import MetricLieAlgebra, SymBilinearForm, _map_pairing, is_invariant
 from metriclie.reduction import (
     build_example42,
@@ -43,13 +49,17 @@ from conftest import (
     naive_inverse,
     naive_kernel,
     naive_mat_pow,
+    naive_poly_mul,
     naive_rank,
     naive_row_space_basis,
     naive_rref,
     naive_solve_lex,
+    naive_trace,
     rand_fraction,
     random_abelian_base,
     reference_associative_closure,
+    reference_charpoly,
+    reference_poly_eval_mat,
     reference_skew_residual,
 )
 
@@ -71,7 +81,7 @@ def naive_mat_mul(a, b):
 
 
 def naive_trace_product(a, b):
-    return la.trace(naive_mat_mul(a, b))
+    return naive_trace(naive_mat_mul(a, b))
 
 
 def naive_bracket(alg, x, y):
@@ -216,7 +226,7 @@ def test_mat_mul_dimension_mismatch_raises():
 @given(matrix_pair(square_product=True))
 def test_trace_product_is_trace_of_product(pair):
     a, b = pair
-    assert la.trace_product(a, b) == la.trace(la.mat_mul(a, b))
+    assert la.trace_product(a, b) == naive_trace(la.mat_mul(a, b))
     assert la.trace_product(a, b) == naive_trace_product(a, b)
     assert la.trace_product(b, a) == la.trace_product(a, b)
 
@@ -370,6 +380,128 @@ def test_minimal_polynomial_matches_rank_search():
         mp = la.minimal_polynomial(a)
         assert mp == old_minimal_polynomial(a)
         assert la.is_zero_mat(la.poly_eval_mat(mp, a))
+
+
+# ---------------------------------------------------------------------------
+# charpoly and poly_eval_mat: the integer kernels against the dense
+# Fraction recursions they replaced
+# ---------------------------------------------------------------------------
+
+DENOMINATORS = (1, 2, 3, 4, 6, 7, 9, 10, 12, 35)
+
+
+def mixed_matrix(rng, n, density):
+    """An n x n rational matrix whose entries have mixed denominators."""
+    return tuple(
+        tuple(
+            Fraction(rng.randint(-9, 9), rng.choice(DENOMINATORS)) if rng.random() < density else ZERO
+            for _ in range(n)
+        )
+        for _ in range(n)
+    )
+
+
+def mixed_poly(rng, max_len=7):
+    """Coefficients with mixed denominators, a leading zero or none."""
+    return tuple(Fraction(rng.randint(-6, 6), rng.choice(DENOMINATORS)) for _ in range(rng.randint(0, max_len)))
+
+
+def assert_matches_reference(a, polys=()):
+    cp = la.charpoly(a)
+    assert cp == reference_charpoly(a)
+    assert all(type(c) is Fraction for c in cp)
+    assert la.is_zero_mat(la.poly_eval_mat(cp, a))
+    for p in polys:
+        value = la.poly_eval_mat(p, a)
+        assert value == reference_poly_eval_mat(p, a)
+        assert all(type(x) is Fraction for row in value for x in row)
+
+
+def test_charpoly_and_poly_eval_mat_match_fraction_recursion_seeded():
+    rng = random.Random(50)
+    seen = set()
+    for _ in range(240):
+        n = rng.randint(0, 8)
+        density = rng.choice((0.15, 0.5, 1.0))
+        seen.add((n, density))
+        assert_matches_reference(mixed_matrix(rng, n, density), [mixed_poly(rng) for _ in range(2)])
+    assert len(seen) == 27
+
+
+mixed_rationals = st.one_of(
+    st.just(ZERO),
+    st.fractions(min_value=-9, max_value=9, max_denominator=12),
+    st.fractions(min_value=-3, max_value=3, max_denominator=10**9),
+)
+
+
+@st.composite
+def square_and_polys(draw):
+    n = draw(st.integers(0, 8))
+    a = tuple(tuple(draw(mixed_rationals) for _ in range(n)) for _ in range(n))
+    return a, draw(st.lists(st.lists(mixed_rationals, max_size=6).map(tuple), max_size=2))
+
+
+@settings(max_examples=100, deadline=None)
+@given(square_and_polys())
+def test_charpoly_and_poly_eval_mat_match_fraction_recursion(case):
+    assert_matches_reference(*case)
+
+
+def test_charpoly_and_poly_eval_mat_edge_cases():
+    for n in (0, 1, 4):
+        zero = la.zeros(n, n)
+        assert la.charpoly(zero) == reference_charpoly(zero) == (la.ONE,) + (ZERO,) * n
+        for a in (zero, la.identity(n)):
+            assert la.poly_eval_mat((), a) == reference_poly_eval_mat((), a) == zero
+        assert_matches_reference(zero, [(), (ZERO,), (la.ONE,), (Fraction(-2, 3), ZERO, Fraction(5, 7))])
+    assert la.charpoly(()) == (la.ONE,) and la.poly_eval_mat((la.ONE, la.ONE), ()) == ()
+    # diagonals whose denominators are large and pairwise coprime
+    rng = random.Random(51)
+    for dens in ((10**12 + 39, 2**61 - 1, 10**9 + 7), (3**40, 2**70, 5**30, 7**20), (10**18 + 9,)):
+        entries = [Fraction(rng.choice((-1, 1)) * rng.randint(1, 10**6), d) for d in dens]
+        a = tuple(tuple(x if i == j else ZERO for j, x in enumerate(entries)) for i in range(len(entries)))
+        expected = (la.ONE,)
+        for x in entries:
+            expected = naive_poly_mul(expected, (la.ONE, -x))
+        assert la.charpoly(a) == expected
+        assert_matches_reference(a, [mixed_poly(rng), tuple(entries)])
+
+
+def pool_algebras(workload, per_dim):
+    """The first per_dim algebras of each dimension in a benchmark pool."""
+    with gzip.open(Path(__file__).parents[1] / "perfbench" / "pool" / f"{workload}.json.gz") as fh:
+        pool = json.load(fh)
+    seen: dict[int, int] = {}
+    out = []
+    for entry in pool:
+        seen[entry["dim"]] = seen.get(entry["dim"], 0) + 1
+        if seen[entry["dim"]] <= per_dim:
+            out.append(document_to_algebra(parse_document(entry["doc"]))[0])
+    return out
+
+
+def test_charpoly_and_poly_eval_mat_on_ad_matrices():
+    rng = random.Random(52)
+    algebras = [resolve(name)[0] for name in ("heis3", "sl2", "su2", "example42", "ab(4,2)")]
+    algebras += pool_algebras("spectra", 4) + pool_algebras("reduce", 1)
+    algebras += [m.algebra for m in criterion3_family(6)]
+    for alg in algebras:
+        n = alg.dim
+        elements = [la.unit_vec(n, i) for i in range(n)]
+        elements.append(seeded_matrix(rng, 1, n, 0.7)[0])
+        for x in elements:
+            assert_matches_reference(ad(alg, x).matrix, [mixed_poly(rng, 4)])
+
+
+def test_charpoly_and_poly_eval_mat_reject_non_square_input():
+    for a in (((1, 2),), ((1,), (2,)), ((Fraction(1, 2), ZERO, la.ONE), (ZERO, la.ONE, ZERO))):
+        with pytest.raises(ValueError):
+            la.charpoly(a)
+        with pytest.raises(ValueError):
+            la.poly_eval_mat((la.ONE, ZERO), a)
+        with pytest.raises(ValueError):
+            reference_charpoly(a)
 
 
 # ---------------------------------------------------------------------------
@@ -638,6 +770,7 @@ def test_cached_inverse_matches_inverse():
     for form in forms:
         assert form.inverse == la.inverse(form.matrix) == naive_inverse(form.matrix)
         assert form.inverse is form.inverse
+        assert la.normalised(*form.int_inverse) == form.int_inverse
         for (m, rows), target in ((form.int_rows, form.matrix), (form.int_inverse, form.inverse)):
             assert all(x for row in rows for _, x in row)
             assert all(
@@ -645,6 +778,21 @@ def test_cached_inverse_matches_inverse():
                 for p in range(form.dim)
                 for q in range(form.dim)
             )
+    # symmetric matrices with mixed denominators, singular ones among them
+    singular = 0
+    for _ in range(60):
+        n = rng.randint(0, 6)
+        a = mixed_matrix(rng, n, rng.choice((0.2, 0.6)))
+        form = SymBilinearForm(la.mat_add(a, la.transpose(a)))
+        expected = naive_inverse(form.matrix)
+        if expected is None:
+            singular += 1
+            with pytest.raises(ValueError):
+                form.int_inverse
+            continue
+        assert form.inverse == expected
+        assert la.normalised(*form.int_inverse) == form.int_inverse
+    assert singular >= 5
 
 
 # ---------------------------------------------------------------------------
