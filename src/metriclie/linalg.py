@@ -78,10 +78,6 @@ def zeros_vec(n: int) -> Vec:
     return (ZERO,) * n
 
 
-def zeros(r: int, c: int) -> Mat:
-    return tuple((ZERO,) * c for _ in range(r))
-
-
 def identity(n: int) -> Mat:
     return tuple(tuple(ONE if i == j else ZERO for j in range(n)) for i in range(n))
 
@@ -119,17 +115,8 @@ def is_zero_vec(v: Vec) -> bool:
     return all(x == 0 for x in v)
 
 
-def mat_add(a: Mat, b: Mat) -> Mat:
-    return tuple(vec_add(r, s) for r, s in zip(a, b))
-
-
 def mat_sub(a: Mat, b: Mat) -> Mat:
     return tuple(vec_sub(r, s) for r, s in zip(a, b))
-
-
-def mat_scale(c, a: Mat) -> Mat:
-    c = frac(c)
-    return tuple(tuple(c * x for x in r) for r in a)
 
 
 def mat_mul(a: Mat, b: Mat) -> Mat:

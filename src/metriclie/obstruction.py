@@ -11,14 +11,11 @@ tagged accordingly.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
-
-from mpmath import iv
-from mpmath import ceil as mp_ceil
-from mpmath import floor as mp_floor
 
 from . import linalg as la
 from .core import LinearMap, SubspaceBasis, ad, jordan_chevalley, subspace_from_spanning
@@ -563,7 +560,6 @@ class ProbePoint:
     t: Fraction
     trivially_integral: bool
     integrality_excluded: bool
-    coefficients: tuple[str, ...]
 
 
 @dataclass(frozen=True)
@@ -572,34 +568,14 @@ class ProbeReport:
     precision_bits: int
 
 
-class _CIv:
-    """Complex interval as a pair of real mpmath intervals."""
+# bits the fixed-point arithmetic carries beyond precision_bits
+GUARD_BITS = 32
+# an upper bound for log2(e) = 1.44269...
+_LOG2_E = Fraction(14427, 10000)
 
-    __slots__ = ("re", "im")
-
-    def __init__(self, re, im):
-        self.re = re
-        self.im = im
-
-    def __add__(self, other):
-        return _CIv(self.re + other.re, self.im + other.im)
-
-    def __sub__(self, other):
-        return _CIv(self.re - other.re, self.im - other.im)
-
-    def __mul__(self, other):
-        return _CIv(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
-
-
-def _interval_from_fractions(lo: Fraction, hi: Fraction):
-    # exact integer endpoints divided in interval arithmetic keep the
-    # outward rounding certified
-    lo_iv = iv.mpf(lo.numerator) / iv.mpf(lo.denominator)
-    hi_iv = iv.mpf(hi.numerator) / iv.mpf(hi.denominator)
-    return iv.mpf([lo_iv.a, hi_iv.b])
+# (a, b, r) at precision g: the box of the complex z with |Re z - a 2^-g|
+# <= r 2^-g and |Im z - b 2^-g| <= r 2^-g; r counts ulps of 2^-g
+_Fixed = tuple[int, int, int]
 
 
 def default_precision() -> int:
@@ -618,65 +594,146 @@ def integer_exponential_probe(
     t_grid: Sequence[Fraction],
     precision_bits: int | None = None,
 ) -> ProbeReport:
-    """For each t in the grid, evaluate the characteristic polynomial of
-    exp(t ad(a)) in certified interval arithmetic and report whether all
-    of its coefficients being integers can be excluded.
+    """For each t in the grid, enclose the coefficients of the
+    characteristic polynomial of exp(t ad(a)) and report whether all of
+    them being integers can be excluded.
 
     This is a sanity probe: "not excluded" never asserts integrality, it
-    only means the intervals left room for it.
+    only means the enclosures left room for it.
+
+    ``precision_bits`` p counts absolute bits after the binary point: the
+    eigenvalue boxes are ``AlgebraicNumber.box(2^-p)``, and the
+    arithmetic is fixed point at g0 = p + ``GUARD_BITS`` bits up to the
+    series of step 2, and at g = g0 + E bits from there, where 2^-E
+    bounds from below the product of the exponentials of negative real
+    part, so that such a product is still resolved. A ``_Fixed``
+    (a, b, r) is a box; every step below returns a box that holds the
+    exact result for every point of its input boxes, rounding the centre
+    down by a shift and the radius outward (Moore, Kearfott and Cloud,
+    *Introduction to Interval Analysis*, 2009, ch. 2-3). Errors are in
+    ulps of the step's precision.
+
+    1. Input (``_fixed``, at g0): the box of t lambda, an interval per
+       part, has its endpoints rounded outward to ulps and m the floor of
+       their midpoint; r = hi - m >= m - lo. The parts share max(r).
+    2. e^z (``_exp``), after Brent and Zimmermann, *Modern Computer
+       Arithmetic*, 2010, 4.2 and 4.4, for z = (a, b, rho):
+       - Reduction: s >= 0 is least with N = |a| + |b| + 2 rho <=
+         2^(w - 8), w = g0 + s. The same integers at precision w are the
+         box of u = z / 2^s, exactly, and every point of it lies in the
+         disc |u| <= 2^-8.
+       - Series at the centre u0: T_0 = 2^w, T_k = the floor of each part
+         of T_(k-1) u0 / k. With tau_k = 2^w u0^k / k!, e_k = T_k - tau_k
+         = e_(k-1) u0 / k + eta_k, |eta_k| < sqrt 2, so |e_k| < sqrt 2 /
+         (1 - 2^-8) < 1.42. The sum stops at the first K whose T_K has
+         both parts in [-1, 1]; then |tau_K| < sqrt 2 + 1.42 < 2.9, and
+         the tail sum_(k > K) |tau_k| <= |tau_K| sum_(j >= 1) 2^(-8j) <
+         0.02. So T_0 + ... + T_K is within 1.42 K + 0.02 <= 2K of
+         2^w e^(u0).
+       - Input radius: delta = u - u0 has |delta| <= sqrt 2 rho 2^-w <=
+         2^-8, so |e^u - e^u0| <= e^(2^-8) |delta| e^|delta| < 1.43 rho.
+         The sum with radius 2 rho + 2K is the box of e^u; its three
+         integers shifted left by E bits are the same box, exactly, at
+         precision w + E, where the rest of the step runs.
+       - Squaring s times: for v = c + e with |Re e|, |Im e| <= r, v^2 -
+         c^2 = 2ce + e^2 has each part at most 2 (|Re c| + |Im c|) r +
+         2 r^2 (at twice the precision); the radius is that over
+         2^(w + E) rounded up, plus 1 for the floor of the centre.
+         (e^u)^(2^s) = e^z.
+       - Back to precision g = g0 + E: the centre's floor over 2^s adds
+         1, and the radius over 2^s is rounded up.
+    3. Products (``_mul``): for z = c + e and y = d + f with radii r and
+       s, zy - cd = cf + de + ef, and each part of cf is at most (|Re c|
+       + |Im c|) s, of de at most (|Re d| + |Im d|) r, of ef at most
+       2 r s; over 2^g rounded up, plus 1 for the centre's floor. Sums
+       add centres and radii exactly. prod (X - e^(t lambda_i)) is
+       expanded factor by factor.
+    4. Decision (``_may_be_integer``): the real interval [(a - r) 2^-g,
+       (a + r) 2^-g] holds an integer iff floor((a + r) / 2^g) >=
+       ceil((a - r) / 2^g), and the imaginary one holds 0 iff |b| <= r;
+       both are decided on the integers. Integrality is excluded when a
+       coefficient's box holds no integer.
     """
     if precision_bits is None:
         precision_bits = default_precision()
     eigs = exact_eigenvalues(ad(m.algebra, element))
-    # boxes as narrow as the interval precision, so that a wide box
-    # never keeps the probe from excluding integrality
-    width = Fraction(1, 2**precision_bits)
+    unipotent = all(e.is_zero for e in eigs)
+    boxes = None
     points = []
-    old_prec = iv.prec
-    iv.prec = precision_bits
-    try:
-        for t in t_grid:
-            t = Fraction(t)
-            if t == 0 or all(e.is_zero for e in eigs):
-                n = len(eigs)
-                coeffs = [str((-1) ** k * _binom(n, k)) for k in range(n + 1)] if t == 0 else ["unipotent"]
-                points.append(ProbePoint(t, True, False, tuple(coeffs)))
-                continue
-            tv = _interval_from_fractions(t, t)
-            exp_vals = []
-            for e in eigs:
-                (rl, rh), (il, ih) = e.box(width)
-                x = _interval_from_fractions(rl, rh) * tv
-                y = _interval_from_fractions(il, ih) * tv
-                scale = iv.exp(x)
-                exp_vals.append(_CIv(scale * iv.cos(y), scale * iv.sin(y)))
-            # characteristic polynomial of exp(t ad a): prod (X - w_i)
-            zero = _CIv(iv.mpf(0), iv.mpf(0))
-            one = _CIv(iv.mpf(1), iv.mpf(0))
-            coeffs = [one]
-            for w in exp_vals:
-                nxt = [zero] * (len(coeffs) + 1)
-                for i, c in enumerate(coeffs):
-                    nxt[i] = nxt[i] + c
-                    nxt[i + 1] = nxt[i + 1] - c * w
-                coeffs = nxt
-            excluded = False
-            printable = []
-            for c in coeffs:
-                printable.append(f"[{c.re.a}, {c.re.b}] + [{c.im.a}, {c.im.b}]i")
-                # a real interval [a, b] contains an integer iff floor(b) >= ceil(a)
-                contains_int = mp_floor(c.re.b) >= mp_ceil(c.re.a)
-                contains_zero_im = c.im.a <= 0 <= c.im.b
-                if not contains_int or not contains_zero_im:
-                    excluded = True
-            points.append(ProbePoint(t, False, excluded, tuple(printable)))
-    finally:
-        iv.prec = old_prec
+    for t in t_grid:
+        t = Fraction(t)
+        if t == 0 or unipotent:
+            points.append(ProbePoint(t, True, False))
+            continue
+        if boxes is None:
+            # boxes as narrow as the precision, so that a wide box never
+            # keeps the probe from excluding integrality
+            width = Fraction(1, 2**precision_bits)
+            boxes = [e.box(width) for e in eigs]
+        g, coeffs = _exp_charpoly(boxes, t, precision_bits)
+        excluded = not all(_may_be_integer(c, g) for c in coeffs)
+        points.append(ProbePoint(t, False, excluded))
     return ProbeReport(tuple(points), precision_bits)
 
 
-def _binom(n: int, k: int) -> int:
-    out = 1
-    for i in range(k):
-        out = out * (n - i) // (i + 1)
-    return out
+def _exp_charpoly(boxes: Sequence[Box], t: Fraction, precision_bits: int) -> tuple[int, list[_Fixed]]:
+    """(g, coefficient boxes of prod (X - e^(t lambda)) in descending
+    order) for the eigenvalue boxes, at the precision g of
+    ``integer_exponential_probe``."""
+    zs = [[sorted((t * lo, t * hi)) for lo, hi in box] for box in boxes]
+    g0 = precision_bits + GUARD_BITS
+    extra = math.ceil(sum(max(-re[0], 0) for re, _ in zs) * _LOG2_E)
+    g = g0 + extra
+    coeffs = [(1 << g, 0, 0)]
+    for re, im in zs:
+        x, rx = _fixed(*re, g0)
+        y, ry = _fixed(*im, g0)
+        w = _exp((x, y, max(rx, ry)), g0, extra)
+        # coefficient i of the product is c_i - c_(i-1) w
+        nxt = [coeffs[0]]
+        for (a, b, r), (c, d, s) in zip(coeffs[1:] + [(0, 0, 0)], [_mul(c, w, g) for c in coeffs]):
+            nxt.append((a - c, b - d, r + s))
+        coeffs = nxt
+    return g, coeffs
+
+
+def _fixed(lo: Fraction, hi: Fraction, g: int) -> tuple[int, int]:
+    """(m, r) with [lo, hi] in [(m - r) 2^-g, (m + r) 2^-g] (step 1)."""
+    a = (lo.numerator << g) // lo.denominator
+    b = -((-hi.numerator << g) // hi.denominator)
+    m = (a + b) >> 1
+    return m, b - m
+
+
+def _exp(z: _Fixed, g: int, extra: int) -> _Fixed:
+    """The box of e^u for u in the box z at precision g, at precision
+    g + extra (step 2)."""
+    a, b, rho = z
+    s = max(0, (abs(a) + abs(b) + 2 * rho).bit_length() - g + 8)
+    w = g + s
+    re, im, tr, ti, k = 1 << w, 0, 1 << w, 0, 0
+    while abs(tr) > 1 or abs(ti) > 1:
+        k += 1
+        tr, ti = (tr * a - ti * b) // (k << w), (tr * b + ti * a) // (k << w)
+        re += tr
+        im += ti
+    w += extra
+    re, im, r = re << extra, im << extra, (2 * rho + 2 * k) << extra
+    for _ in range(s):
+        err = 2 * (abs(re) + abs(im)) * r + 2 * r * r
+        re, im, r = (re * re - im * im) >> w, (re * im) >> (w - 1), 1 - (-err >> w)
+    return re >> s, im >> s, 1 - (-r >> s)
+
+
+def _mul(x: _Fixed, y: _Fixed, g: int) -> _Fixed:
+    """The box of the products (step 3)."""
+    a, b, r = x
+    c, d, s = y
+    err = (abs(a) + abs(b)) * s + (abs(c) + abs(d)) * r + 2 * r * s
+    return (a * c - b * d) >> g, (a * d + b * c) >> g, 1 - (-err >> g)
+
+
+def _may_be_integer(c: _Fixed, g: int) -> bool:
+    """Whether the box holds an integer (step 4)."""
+    a, b, r = c
+    return (a + r) >> g >= -((r - a) >> g) and abs(b) <= r

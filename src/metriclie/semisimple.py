@@ -9,6 +9,7 @@ the minimal ideals.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -23,7 +24,7 @@ from .core import (
 )
 from .errors import CertificateError, PreconditionError
 from .forms import MetricLieAlgebra, SymBilinearForm, _skew_pairing, metric_radical, signature
-from .linalg import Mat, Vec
+from .linalg import Vec
 from .quadratic import irreducible_factors
 
 
@@ -44,13 +45,13 @@ class SplitFormReport:
     uniform_constant: Fraction | None  # set when all ideal constants agree
 
 
-def _commutant_of_adjoint(alg: LieAlgebra) -> tuple[Mat, ...]:
-    """Basis of {M : M ad(x) = ad(x) M for all x}, the ``sparse_kernel``
-    of the integer rows (M A - A M)_kl for A = L ad(b_i), M flattened
-    row by row."""
+def _commutant_of_adjoint(alg: LieAlgebra) -> list[tuple[int, dict[int, int]]]:
+    """Basis of {M : M ad(x) = ad(x) M for all x}: the kernel, over the
+    integers (``IntSpan.int_kernel``: (L, w) for the matrix w / L), of
+    the rows (M A - A M)_kl for A = L ad(b_i), M flattened row by row."""
     n = alg.dim
     _, rows = alg.int_table
-    eqs = []
+    span = la.IntSpan(n * n)
     for row_i, ad_i in zip(rows, alg.int_ad):
         # (M A - A M)_kl = sum_p M_kp A_pl - A_kp M_pl; column l of A is
         # rows[i][l] and row k of A is int_ad[i][k]
@@ -59,11 +60,8 @@ def _commutant_of_adjoint(alg: LieAlgebra) -> tuple[Mat, ...]:
                 eq = {k * n + p: t for p, t in row_i[l]}
                 for p, t in ad_i[k].items():
                     eq[p * n + l] = eq.get(p * n + l, 0) - t
-                eqs.append(eq)
-    sols = la.sparse_kernel(eqs, n * n)
-    return tuple(
-        tuple(tuple(s[i * n + j] for j in range(n)) for i in range(n)) for s in sols
-    )
+                span.add(eq)
+    return span.int_kernel()
 
 
 def simple_decomposition(alg: LieAlgebra) -> tuple[SubspaceBasis, ...]:
@@ -81,10 +79,15 @@ def _simple_ideals(alg: LieAlgebra, kappa: SymBilinearForm) -> tuple[SubspaceBas
     commutant = _commutant_of_adjoint(alg)
     d = len(commutant)
     generic = None
+    den = math.lcm(*(l for l, _ in commutant))
     for attempt in range(1, 8):
-        cand = la.zeros(n, n)
-        for i, c in enumerate(commutant):
-            cand = la.mat_add(cand, la.mat_scale(Fraction((attempt * (i + 1)) % 11 + i), c))
+        # sum_i c_i w_i / L_i over the common denominator of the L_i
+        flat = [0] * (n * n)
+        for i, (l, w) in enumerate(commutant):
+            c = ((attempt * (i + 1)) % 11 + i) * (den // l)
+            for k, x in w.items():
+                flat[k] += c * x
+        cand = la.mat_over((flat[k : k + n] for k in range(0, n * n, n)), den)
         cand_minpoly = la.minimal_polynomial(cand)
         if la.poly_deg(cand_minpoly) == d:
             generic = cand

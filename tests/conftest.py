@@ -5,6 +5,7 @@ Everything is seeded explicitly so failures reproduce.
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -50,6 +51,19 @@ def random_vector(rng: random.Random, n: int, bound: int = 3) -> la.Vec:
     if la.is_zero_vec(v):
         return la.unit_vec(n, rng.randrange(n))
     return v
+
+
+def naive_zeros(r: int, c: int) -> la.Mat:
+    return tuple((la.ZERO,) * c for _ in range(r))
+
+
+def naive_mat_add(a, b) -> la.Mat:
+    return tuple(la.vec_add(r, s) for r, s in zip(a, b))
+
+
+def naive_mat_scale(c, a) -> la.Mat:
+    c = la.frac(c)
+    return tuple(tuple(c * x for x in r) for r in a)
 
 
 # ---------------------------------------------------------------------------
@@ -161,7 +175,7 @@ def reference_charpoly(a):
         am = la.mat_mul(a, m)
         ck = -naive_trace(am) / k
         coeffs.append(ck)
-        m = la.mat_add(am, la.mat_scale(ck, la.identity(n)))
+        m = naive_mat_add(am, naive_mat_scale(ck, la.identity(n)))
     return tuple(coeffs)
 
 
@@ -169,11 +183,11 @@ def reference_poly_eval_mat(p, a):
     """p(A) by dense ``Fraction`` Horner steps. The reference for the
     integer ``la.poly_eval_mat``."""
     n = len(a)
-    out = la.zeros(n, n)
+    out = naive_zeros(n, n)
     for c in p:
         out = la.mat_mul(out, a) if not la.is_zero_mat(out) else out
         if c != 0:
-            out = la.mat_add(out, la.mat_scale(c, la.identity(n)))
+            out = naive_mat_add(out, naive_mat_scale(c, la.identity(n)))
     return out
 
 
@@ -190,7 +204,7 @@ def reference_skew_residual(a, b):
     """a^T b + b a as two dense Fraction products: zero exactly when a
     is skew for the bilinear form b. The reference for the integer
     skewness kernel ``forms._skew_pairing``."""
-    return la.mat_add(la.mat_mul(la.transpose(a), b), la.mat_mul(b, a))
+    return naive_mat_add(la.mat_mul(la.transpose(a), b), la.mat_mul(b, a))
 
 
 @pytest.fixture
@@ -516,3 +530,51 @@ def random_rational_poly(rng: random.Random, max_degree: int = 6):
         if len(p) + len(g) - 2 > max_degree:
             return p
         p = la.poly_mul(p, g)
+
+
+# ---------------------------------------------------------------------------
+# the mpmath interval probe: the reference for the fixed-point probe
+# ---------------------------------------------------------------------------
+
+
+def reference_probe(boxes, t, precision_bits):
+    """The coefficient intervals of prod (X - e^(t lambda)) for the
+    eigenvalue boxes, in mpmath's interval context at precision_bits
+    (relative, mpmath's meaning), and whether they exclude integrality.
+    Each interval is ((re_lo, re_hi), (im_lo, im_hi)) with exact
+    ``Fraction`` endpoints, and the integer test is decided on those."""
+    from mpmath import iv
+    from mpmath.libmp import to_rational
+
+    def interval(lo, hi):
+        # exact integer endpoints divided in interval arithmetic keep the
+        # outward rounding certified
+        lo_iv = iv.mpf(lo.numerator) / iv.mpf(lo.denominator)
+        hi_iv = iv.mpf(hi.numerator) / iv.mpf(hi.denominator)
+        return iv.mpf([lo_iv.a, hi_iv.b])
+
+    def endpoints(x):
+        return tuple(Fraction(*to_rational(e)) for e in x._mpi_)
+
+    old_prec = iv.prec
+    iv.prec = precision_bits
+    try:
+        tv = interval(t, t)
+        coeffs = [(iv.mpf(1), iv.mpf(0))]
+        for (rl, rh), (il, ih) in boxes:
+            scale = iv.exp(interval(rl, rh) * tv)
+            y = interval(il, ih) * tv
+            wr, wi = scale * iv.cos(y), scale * iv.sin(y)
+            nxt = coeffs + [(iv.mpf(0), iv.mpf(0))]
+            for i, (cr, ci) in enumerate(coeffs):
+                ar, ai = nxt[i + 1]
+                nxt[i + 1] = (ar - (cr * wr - ci * wi), ai - (cr * wi + ci * wr))
+            coeffs = nxt
+        out = [(endpoints(cr), endpoints(ci)) for cr, ci in coeffs]
+    finally:
+        iv.prec = old_prec
+    excluded = any(
+        math.floor(re_hi) < math.ceil(re_lo) or not im_lo <= 0 <= im_hi
+        for (re_lo, re_hi), (im_lo, im_hi) in out
+    )
+    return excluded, out

@@ -24,6 +24,8 @@ from metriclie.forms import (
 )
 from metriclie.reduction import build_example42, complete_reduction
 
+from conftest import naive_zeros
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -249,7 +251,7 @@ def _doc_path(tmp_path, alg, form, name):
 
 
 def test_einstein_on_the_zero_form(capsys, tmp_path):
-    path = _doc_path(tmp_path, sl2().algebra, SymBilinearForm(la.zeros(3, 3)), "sl2_zero")
+    path = _doc_path(tmp_path, sl2().algebra, SymBilinearForm(naive_zeros(3, 3)), "sl2_zero")
     code, report, _ = run_json(capsys, "einstein", path)
     assert code == 0
     assert report["results"]["einstein"] is False
@@ -503,7 +505,7 @@ def _write_doc(tmp_path, name, alg, form):
 def test_reduction_preconditions_exit_2(capsys, tmp_path):
     # [a, b] = b with the zero form: invariant, but z(g) ∩ [g, g] = 0
     alg = LieAlgebra(2, ("a", "b"), {(0, 1): (0, 1)})
-    zero = _write_doc(tmp_path, "zero", alg, SymBilinearForm(la.zeros(2, 2)))
+    zero = _write_doc(tmp_path, "zero", alg, SymBilinearForm(naive_zeros(2, 2)))
     for argv in (("complete-reduce", zero), ("reduce", zero)):
         code, out, err = run(capsys, *argv)
         assert code == 2, err

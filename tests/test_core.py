@@ -20,7 +20,15 @@ from metriclie.core import LinearMap
 from metriclie.catalog import heis3, sl2, su2
 from metriclie.reduction import build_example42
 
-from conftest import naive_mat_pow, naive_rank, naive_subalgebra_on, rand_matrix, random_solvable_metric
+from conftest import (
+    naive_mat_add,
+    naive_mat_pow,
+    naive_mat_scale,
+    naive_rank,
+    naive_subalgebra_on,
+    rand_matrix,
+    random_solvable_metric,
+)
 
 
 def test_validate_heis3():
@@ -76,7 +84,7 @@ def test_killing_sl2():
 
 def test_killing_su2_negative_definite():
     kappa = killing_matrix(su2().algebra)
-    assert kappa == la.mat_scale(Fraction(-2), la.identity(3))
+    assert kappa == naive_mat_scale(Fraction(-2), la.identity(3))
 
 
 def test_nilradical_heis3_is_everything():
@@ -117,7 +125,7 @@ def _check_jordan_pair(a: la.Mat):
     pair = jordan_chevalley(LinearMap(a))
     s, nmat = pair.semisimple.matrix, pair.nilpotent.matrix
     n = len(a)
-    assert la.mat_add(s, nmat) == la.mat(a)
+    assert naive_mat_add(s, nmat) == la.mat(a)
     assert la.mat_mul(s, nmat) == la.mat_mul(nmat, s)
     assert la.is_zero_mat(naive_mat_pow(nmat, n))
     mp = la.minimal_polynomial(s)

@@ -50,6 +50,7 @@ from conftest import (
     naive_in_span,
     naive_inverse,
     naive_kernel,
+    naive_mat_scale,
     naive_rank,
     naive_row_space_basis,
     rand_fraction,
@@ -598,7 +599,13 @@ def test_commutant_of_adjoint_matches_fraction_code():
     algs = semisimple_sums() + tiny_algebras() + [heis3()]
     algs += [alg for alg, _ in pool_algebras(per_dim=1) if alg.dim <= 7]
     for alg in algs:
-        assert _commutant_of_adjoint(alg) == reference_commutant_of_adjoint(alg)
+        n = alg.dim
+        # the integer kernel (L, w) as the rational matrices w / L
+        got = tuple(
+            tuple(tuple(Fraction(w.get(i * n + j, 0), l) for j in range(n)) for i in range(n))
+            for l, w in _commutant_of_adjoint(alg)
+        )
+        assert got == reference_commutant_of_adjoint(alg)
 
 
 # ---------------------------------------------------------------------------
@@ -623,7 +630,7 @@ def test_signature_matches_diagonalization():
 def test_signature_pivots_stay_small():
     # with the content divided out after every step, the pivots of
     # 2 I are 2, 1, 1, ...; without it they would square at every step
-    form = SymBilinearForm(la.mat_scale(2, la.identity(12)))
+    form = SymBilinearForm(naive_mat_scale(2, la.identity(12)))
     assert _congruence_pivots(form) == [2] + [1] * 11
     # a zero diagonal needs the hyperbolic step before any pivot
     hyp = SymBilinearForm(((0, 1, 0), (1, 0, 0), (0, 0, 0)))

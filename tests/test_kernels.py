@@ -48,13 +48,16 @@ from conftest import (
     naive_in_span,
     naive_inverse,
     naive_kernel,
+    naive_mat_add,
     naive_mat_pow,
+    naive_mat_scale,
     naive_poly_mul,
     naive_rank,
     naive_row_space_basis,
     naive_rref,
     naive_solve_lex,
     naive_trace,
+    naive_zeros,
     rand_fraction,
     random_abelian_base,
     reference_associative_closure,
@@ -280,7 +283,7 @@ def elimination_cases():
     dependent rows, all-zero matrices, 1 x 1 matrices and entries with
     numerators and denominators up to 10^9."""
     rng = random.Random(52)
-    out = [la.zeros(3, 3), la.zeros(1, 4), la.zeros(4, 1), la.zeros(1, 1)]
+    out = [naive_zeros(3, 3), naive_zeros(1, 4), naive_zeros(4, 1), naive_zeros(1, 1)]
     out += [((Fraction(7, 3),),), ((Fraction(-10**9, 10**9 - 1),),), la.identity(5)]
     for _ in range(160):
         r, c = rng.randint(1, 7), rng.randint(1, 7)
@@ -354,7 +357,7 @@ def test_elimination_matches_naive_rref():
 
 def seeded_minpoly_inputs():
     rng = random.Random(45)
-    out = [la.zeros(3, 3), la.identity(4), la.mat_scale(3, la.identity(2))]
+    out = [naive_zeros(3, 3), la.identity(4), naive_mat_scale(3, la.identity(2))]
     for _ in range(25):
         n = rng.randint(1, 5)
         out.append(seeded_matrix(rng, n, n, rng.choice((0.2, 0.5, 1.0))))
@@ -450,7 +453,7 @@ def test_charpoly_and_poly_eval_mat_match_fraction_recursion(case):
 
 def test_charpoly_and_poly_eval_mat_edge_cases():
     for n in (0, 1, 4):
-        zero = la.zeros(n, n)
+        zero = naive_zeros(n, n)
         assert la.charpoly(zero) == reference_charpoly(zero) == (la.ONE,) + (ZERO,) * n
         for a in (zero, la.identity(n)):
             assert la.poly_eval_mat((), a) == reference_poly_eval_mat((), a) == zero
@@ -783,7 +786,7 @@ def test_cached_inverse_matches_inverse():
     for _ in range(60):
         n = rng.randint(0, 6)
         a = mixed_matrix(rng, n, rng.choice((0.2, 0.6)))
-        form = SymBilinearForm(la.mat_add(a, la.transpose(a)))
+        form = SymBilinearForm(naive_mat_add(a, la.transpose(a)))
         expected = naive_inverse(form.matrix)
         if expected is None:
             singular += 1
@@ -901,13 +904,13 @@ def _skew_kernel_inputs():
     half = Fraction(1, 2)
     degenerate = [
         SymBilinearForm(((1, 1), (1, 1))),
-        SymBilinearForm(la.zeros(3, 3)),
+        SymBilinearForm(naive_zeros(3, 3)),
         SymBilinearForm(((0, 0, 0), (0, 1, 0), (0, 0, -half))),
     ]
     cases = []
     for form in draw_forms() + degenerate:
         n = form.dim
-        cases.append((la.zeros(n, n), form))
+        cases.append((naive_zeros(n, n), form))
         cases += [(seeded_matrix(rng, n, n, rng.choice((0.3, 1.0))), form) for _ in range(2)]
         if form in degenerate:
             # image in the radical: <A y, z> = 0 for all y, z

@@ -3,7 +3,15 @@ from fractions import Fraction
 
 from metriclie import linalg as la
 
-from conftest import naive_in_span, naive_poly_mul, naive_rank, naive_rref, rand_matrix, rand_fraction
+from conftest import (
+    naive_in_span,
+    naive_poly_mul,
+    naive_rank,
+    naive_rref,
+    naive_zeros,
+    rand_fraction,
+    rand_matrix,
+)
 
 
 def test_rref_identity():
@@ -116,12 +124,12 @@ def test_proportionality():
     m = la.mat
     b = m(((1, 2), (2, Fraction(-1, 3))))
     assert la.proportionality(m(((3, 6), (6, -1))), b) == 3
-    assert la.proportionality(la.zeros(2, 2), b) == 0
+    assert la.proportionality(naive_zeros(2, 2), b) == 0
     assert la.proportionality(m(((3, 6), (6, 1))), b) is None
     assert la.proportionality(m(((0, 1), (1, 0))), m(((0, 2), (2, 0)))) == Fraction(1, 2)
     # against the zero matrix only the zero matrix is proportional
-    assert la.proportionality(la.zeros(2, 2), la.zeros(2, 2)) == 0
-    assert la.proportionality(b, la.zeros(2, 2)) is None
+    assert la.proportionality(naive_zeros(2, 2), naive_zeros(2, 2)) == 0
+    assert la.proportionality(b, naive_zeros(2, 2)) is None
     # 1x1, and an int entry still gives an exact Fraction
     assert la.proportionality(((1,),), ((2,),)) == Fraction(1, 2)
     assert type(la.proportionality(((1,),), ((2,),))) is Fraction

@@ -2,23 +2,30 @@ import contextlib
 import gzip
 import io
 import json
+import math
 import random
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 import sympy as sp
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from metriclie import linalg as la
 from metriclie.cli import main
 from metriclie.core import ad
 from metriclie.einstein import EigenvalueData, trace_identity
 from metriclie.errors import CertificateError, PreconditionError
+from metriclie.documents import document_to_algebra, parse_document
+from metriclie.forms import MetricLieAlgebra
 from metriclie.obstruction import (
     _OUTCOMES,
     RULE_GS,
     RULE_SCHANUEL,
     _decide,
+    _exp_charpoly,
+    _may_be_integer,
     _spectrum_poly,
     exact_eigenvalues,
     integer_exponential_probe,
@@ -29,7 +36,15 @@ from metriclie.obstruction import (
 )
 from metriclie.reduction import build_example42
 
-from conftest import naive_rank, naive_trace, rand_matrix, reference_decide, to_sympy_poly
+from conftest import (
+    naive_rank,
+    naive_trace,
+    naive_zeros,
+    rand_matrix,
+    reference_decide,
+    reference_probe,
+    to_sympy_poly,
+)
 
 
 def _companion(coeffs):
@@ -239,7 +254,7 @@ def test_qlinear_relations_independent_set():
 def test_qlinear_quadratic_identity_detection():
     # spectrum 1, -1, i, -i has sum of squares 1 + 1 - 1 - 1 = 0
     f = Fraction
-    m = la.zeros(4, 4)
+    m = naive_zeros(4, 4)
     m = (
         (f(1), f(0), f(0), f(0)),
         (f(0), f(-1), f(0), f(0)),
@@ -342,6 +357,109 @@ def test_probe_precision_env_override(monkeypatch):
     rep = integer_exponential_probe(m, la.unit_vec(6, 0), (Fraction(1),))
     assert rep.precision_bits == 128
     assert rep.points[0].integrality_excluded
+
+
+def _pool_documents(tmp_path, prefix):
+    """The spectra-pool documents whose ids start with prefix, written
+    to tmp_path; the pool file is only read."""
+    pool_file = Path(__file__).parents[1] / "perfbench" / "pool" / "spectra.json.gz"
+    with gzip.open(pool_file) as fh:
+        entries = [e for e in json.load(fh) if e["id"].startswith(prefix)]
+    paths = {}
+    for e in entries:
+        paths[e["id"]] = tmp_path / f"{e['id']}.json"
+        paths[e["id"]].write_text(json.dumps(e["doc"]))
+    return paths
+
+
+def test_probe_decides_coefficients_beyond_double_precision(tmp_path, monkeypatch):
+    """rb8-2 (eigenvalues +-10, 0, 0, +-6i, +-8i) at t = 7: the x^7
+    coefficient lies within 2^-100 of -2515438670919167006265781174255.0194,
+    above 2^53, and its interval holds no integer."""
+    monkeypatch.delenv("METRIC_LIE_PRECISION", raising=False)
+    path = _pool_documents(tmp_path, "rb8-2")["rb8-2"]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["probe", str(path), "--element", "a0", "--times", "7", "--format", "json"]) == 0
+    res = json.loads(out.getvalue())["results"]
+    assert res["precision_bits"] == 256
+    assert res["points"] == [{"t": "7", "trivially_integral": False, "integrality_excluded": True}]
+
+
+def _owned_probe(boxes, t, precision_bits):
+    """Whether the fixed-point probe excludes integrality, and its
+    coefficient intervals as exact ((re_lo, re_hi), (im_lo, im_hi))."""
+    g, coeffs = _exp_charpoly(boxes, t, precision_bits)
+    excluded = not all(_may_be_integer(c, g) for c in coeffs)
+    ulp = Fraction(1, 2**g)
+    return excluded, [((ulp * (a - r), ulp * (a + r)), (ulp * (b - r), ulp * (b + r))) for a, b, r in coeffs]
+
+
+def _overlap(x, y) -> bool:
+    return max(x[0], y[0]) <= min(x[1], y[1])
+
+
+def test_probe_matches_mpmath_reference_on_spectra_workload(tmp_path, monkeypatch):
+    """Every probe op the spectra benchmark can draw (both rotation-boost
+    families, grids 1, 1/2 and 0,1) decides as the mpmath probe at 256
+    bits."""
+    monkeypatch.delenv("METRIC_LIE_PRECISION", raising=False)
+    paths = _pool_documents(tmp_path, "rb")
+    assert len(paths) == 12
+    width = Fraction(1, 2**256)
+    compared = 0
+    for name, path in sorted(paths.items()):
+        doc = json.loads(path.read_text())
+        m = MetricLieAlgebra(*document_to_algebra(parse_document(doc))[:2])
+        a = la.unit_vec(m.dim, m.algebra.basis_names.index("a0"))
+        boxes = [e.box(width) for e in exact_eigenvalues(ad(m.algebra, a))]
+        for grid in ((Fraction(1),), (Fraction(1, 2),), (Fraction(0), Fraction(1))):
+            for point in integer_exponential_probe(m, a, grid).points:
+                if point.t == 0:
+                    assert point.trivially_integral and not point.integrality_excluded
+                    continue
+                assert point.integrality_excluded == reference_probe(boxes, point.t, 256)[0], (name, point.t)
+                compared += 1
+    assert compared == 36
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 10**6),
+    p=st.sampled_from([p for p in range(-40, 41) if p]),
+    q=st.integers(1, 12),
+)
+def test_probe_is_sound_against_mpmath_reference_hypothesis(seed, p, q):
+    """Spectra of conjugated rational and quadratic blocks, t = p/q: at
+    16, 53, 128 and 256 bits each fixed-point coefficient interval
+    overlaps the mpmath interval at precision + 256 bits. Where the
+    decisions differ from mpmath's at the same precision, the fixed-point
+    probe excludes, on a coefficient whose mpmath interval is the wider:
+    absolute bits resolve a large coefficient that mpmath's relative bits
+    leave wider than 1. This happens at 16 and 53 bits, and at 128 bits
+    for exact eigenvalues (zero-width boxes) whose exponentials exceed
+    2^128."""
+    rng = random.Random(seed)
+    shapes = ("case1", "case2", "spiral", "unclosed", "arbitrary")
+    m, _ = _conjugated(rng, _random_blocks(rng, shapes[seed % len(shapes)]))
+    eigs = exact_eigenvalues(m)
+    if all(e.is_zero for e in eigs):
+        return
+    t = Fraction(p, q)
+    for bits in (16, 53, 128, 256):
+        boxes = [e.box(Fraction(1, 2**bits)) for e in eigs]
+        excluded, owned = _owned_probe(boxes, t, bits)
+        fine = [e.box(Fraction(1, 2 ** (bits + 256))) for e in eigs]
+        for (o_re, o_im), (r_re, r_im) in zip(owned, reference_probe(fine, t, bits + 256)[1], strict=True):
+            assert _overlap(o_re, r_re) and _overlap(o_im, r_im), (bits, t)
+        ref_excluded, ref = reference_probe(boxes, t, bits)
+        if excluded != ref_excluded:
+            assert excluded, (bits, t, [str(e.value) for e in eigs])
+            assert any(
+                math.floor(o_hi) < math.ceil(o_lo) and r_hi - r_lo > o_hi - o_lo
+                for ((o_lo, o_hi), _), ((r_lo, r_hi), _) in zip(owned, ref)
+            ), (bits, t)
+            event(f"only the fixed-point probe excludes, at {bits} bits")
 
 
 # --- differential test against the element-wise decider ---------------------

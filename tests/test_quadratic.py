@@ -214,7 +214,7 @@ def test_spectra_path_never_imports_sympy(tmp_path):
     """obstruct, relations, probe and split-semisimple on pool inputs, an
     obstruction verdict on a fixture, analyze and complete-reduce on
     example42 and one sharpness search, all in one fresh interpreter:
-    none of them imports sympy."""
+    none of them imports sympy or mpmath."""
     code = textwrap.dedent(
         """
         import contextlib, gzip, io, json, sys
@@ -244,7 +244,7 @@ def test_spectra_path_never_imports_sympy(tmp_path):
                 assert main(argv + ["--format", "json"]) == 0, argv
         assert obstruction_verdict(EigenvalueData((1, -1), ((0, 1),))).verdict == "obstructed"
         assert sharpness_search((3, 8), (1, 2), 20, seed=1).examined == 20
-        print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "sympy")))
+        print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] in ("sympy", "mpmath"))))
         """
     )
     proc = subprocess.run(

@@ -139,7 +139,6 @@ def test_split_form_report_forms_no_ad_matrix(monkeypatch):
     for module in list(sys.modules.values()):
         if module.__name__.startswith("metriclie") and getattr(module, "ad", None) is real:
             monkeypatch.setattr(module, "ad", forbidden)
-    monkeypatch.setattr(la, "mat_scale", forbidden)
     monkeypatch.setattr(la, "mat_sub", forbidden)
     rep = split_form_report(m, split)
     assert rep.s_invariant and rep.ideal_constants == (Fraction(2),)

@@ -203,3 +203,20 @@ def test_no_module_imports_sympy_at_module_level():
     # the check sees an import inside a class body or an if at module level
     probe = ast.parse("class A:\n    import sympy\nif True:\n    from sympy import S\ndef f():\n    import sympy\n")
     assert _module_level_imports(probe) == [(2, "sympy"), (4, "sympy")]
+
+
+def test_no_module_imports_mpmath():
+    # the integrality probe computes in owned fixed point, so no code
+    # path needs mpmath, not even inside a function
+    found = {}
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                pkgs = [alias.name.split(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                pkgs = [node.module.split(".")[0]]
+            else:
+                continue
+            if "mpmath" in pkgs:
+                found.setdefault(path.name, []).append(node.lineno)
+    assert found == {}
