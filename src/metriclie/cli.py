@@ -198,7 +198,8 @@ def _pick_ideal(m: MetricLieAlgebra, raw: str):
     if raw == "auto":
         ideal = _central_derived(m.algebra)
         if ideal is not None:
-            return SubspaceBasis(m.dim, ideal.vectors[:1])
+            den, rows = ideal.int_rows
+            return SubspaceBasis.from_rows(m.dim, den, rows[:1])
         sig = signature(m.form)
         if not sig.is_nondegenerate:
             raise PreconditionError("reduction requires a non-degenerate form")

@@ -1,7 +1,8 @@
 """Structure-level computations on finite-dimensional Lie algebras.
 
 A Lie algebra is stored by one canonical integer table of its structure
-constants over a common denominator; rational brackets are a view of it.
+constants, and a subspace by the canonical integer rows of its basis,
+each over a common denominator; rational brackets and vectors are views.
 All operations here are pure; every returned object is immutable.
 """
 
@@ -36,45 +37,84 @@ class LinearMap:
         return la.mat_vec(self.matrix, v)
 
 
-@dataclass(frozen=True)
+def _int_rows_of(n: int, vectors) -> tuple[int, tuple[la.IntRow, ...]]:
+    """``la.to_int_rows`` of rational vectors given from outside, after
+    the one check that each has length n (``ValueError`` otherwise)."""
+    vecs = tuple(map(la.vec, vectors))
+    if any(len(v) != n for v in vecs):
+        raise ValueError("vector length does not match ambient dimension")
+    return la.to_int_rows(vecs)
+
+
+@dataclass(frozen=True, init=False)
 class SubspaceBasis:
-    """A list of linearly independent coordinate vectors in Q^n."""
+    """Linearly independent coordinate vectors in Q^n, stored only as
+    ``int_rows`` = (D, rows): vector i is ``rows[i]`` / D, its pairs
+    (c, D v_c) with non-zero entry in increasing c. It is canonical by
+    ``la.normalised``, so equal bases have equal rows; ``vectors`` is
+    the rational view.
+
+    ``SubspaceBasis(n, vectors)`` validates rational vectors; writers
+    that hold integer rows use ``from_rows`` (rows they vouch are
+    independent), ``from_span`` (the RREF basis of an ``IntSpan``) or
+    ``kernel`` (the solutions of integer equations).
+    """
 
     ambient_dim: int
-    vectors: tuple[Vec, ...]
+    int_rows: tuple[int, tuple[la.IntRow, ...]]
 
-    def __post_init__(self):
-        vecs = tuple(la.vec(v) for v in self.vectors)
-        object.__setattr__(self, "vectors", vecs)
-        if any(len(v) != self.ambient_dim for v in vecs):
-            raise ValueError("vector length does not match ambient dimension")
-        if self.int_span.dim != len(vecs):
+    def __init__(self, ambient_dim: int, vectors: Sequence[Vec]):
+        self._store(ambient_dim, *_int_rows_of(ambient_dim, vectors))
+        if self.int_span.dim != self.dim:
             raise ValueError("basis vectors are linearly dependent")
 
     @classmethod
-    def from_span(cls, span: la.IntSpan) -> "SubspaceBasis":
-        """The RREF basis of an ``IntSpan``, which it keeps as its
-        ``int_span``: the rows are independent by construction, so no
-        second elimination runs."""
+    def from_rows(cls, n: int, den: int, rows) -> "SubspaceBasis":
         sub = object.__new__(cls)
-        object.__setattr__(sub, "ambient_dim", span.nc)
-        object.__setattr__(sub, "vectors", span.basis())
+        sub._store(n, den, rows)
+        return sub
+
+    def _store(self, n: int, den: int, rows) -> None:
+        object.__setattr__(self, "ambient_dim", n)
+        object.__setattr__(self, "int_rows", la.normalised(den, rows))
+
+    @classmethod
+    def from_span(cls, span: la.IntSpan) -> "SubspaceBasis":
+        """The RREF basis of an ``IntSpan``, each pivot row over its
+        leading entry; the span is kept as its ``int_span``, so no second
+        elimination runs."""
+        pivots = sorted(span.pivots.items())
+        den = math.lcm(*(r[p] for p, r in pivots))
+        rows = (sorted((c, x * (den // r[p])) for c, x in r.items()) for p, r in pivots)
+        sub = cls.from_rows(span.nc, den, rows)
         sub.__dict__["int_span"] = span
         return sub
 
+    @classmethod
+    def kernel(cls, n: int, equations) -> "SubspaceBasis":
+        """{x : sum_c e_c x_c = 0 for every equation e}, the equations
+        given sparsely as {column: integer}, on the basis of
+        ``IntSpan.int_kernel``. No equations leave all of Q^n."""
+        return cls.from_rows(n, *la.IntSpan(n, equations).int_kernel())
+
+    @functools.cached_property
+    def vectors(self) -> tuple[Vec, ...]:
+        den, rows = self.int_rows
+        return la.mat_over(la.dense(rows, self.ambient_dim), den)
+
     @functools.cached_property
     def int_span(self) -> la.IntSpan:
-        """The span as integer rows: every vector scaled to integers
-        (``la.int_row``) and eliminated fraction-free. Its pivot rows
+        """The span eliminated fraction-free from the rows. Its pivot rows
         span the subspace, so spans and brackets can be formed on them."""
-        return la.rational_span(self.vectors, self.ambient_dim)
+        return la.IntSpan(self.ambient_dim, map(dict, self.int_rows[1]))
 
     @property
     def dim(self) -> int:
-        return len(self.vectors)
+        return len(self.int_rows[1])
 
     def contains(self, v: Vec) -> bool:
-        return not self.int_span.reduce(la.int_row(la.vec(v)))
+        _, (row,) = la.to_int_rows((v,))
+        return not self.int_span.reduce(dict(row))
 
     def contains_subspace(self, other: "SubspaceBasis") -> bool:
         span = self.int_span
@@ -92,10 +132,12 @@ class SubspaceBasis:
 
 
 def subspace_from_spanning(n: int, vectors: Sequence[Vec]) -> SubspaceBasis:
-    vecs = tuple(la.vec(v) for v in vectors)
-    if any(len(v) != n for v in vecs):
-        raise ValueError("vector length does not match ambient dimension")
-    return SubspaceBasis.from_span(la.rational_span(vecs, n))
+    return span_of(n, _int_rows_of(n, vectors)[1])
+
+
+def span_of(n: int, rows) -> SubspaceBasis:
+    """The RREF basis of the span of sparse integer rows of pairs."""
+    return SubspaceBasis.from_span(la.IntSpan(n, map(dict, rows)))
 
 
 @dataclass(frozen=True, init=False)
@@ -129,9 +171,8 @@ class LieAlgebra:
             vecs[(i, j)] = v = la.vec(coeffs)
             if len(v) != dim:
                 raise ValueError("bracket coefficient vector has wrong length")
-        den = math.lcm(*(c.denominator for v in vecs.values() for c in v))
-        upper = {key: [(k, int(c * den)) for k, c in enumerate(v)] for key, v in vecs.items()}
-        self._store(dim, basis_names, den, upper)
+        den, rows = la.to_int_rows(vecs.values())
+        self._store(dim, basis_names, den, dict(zip(vecs, rows)))
 
     @classmethod
     def from_rows(
@@ -338,10 +379,9 @@ def derived_subalgebra(alg: LieAlgebra) -> SubspaceBasis:
 
 
 def center(alg: LieAlgebra) -> SubspaceBasis:
-    """{x : [b_i, x] = 0 for all i}: the ``sparse_kernel`` of the rows
-    of every L ad(b_i)."""
-    n = alg.dim
-    return SubspaceBasis(n, la.sparse_kernel((r for ad_i in alg.int_ad for r in ad_i), n))
+    """{x : [b_i, x] = 0 for all i}: the kernel of the rows of every
+    L ad(b_i)."""
+    return SubspaceBasis.kernel(alg.dim, (r for ad_i in alg.int_ad for r in ad_i))
 
 
 @dataclass(frozen=True)
@@ -492,7 +532,7 @@ def nilradical(alg: LieAlgebra, hint: SubspaceBasis | None = None) -> SubspaceBa
     Vandermonde matrix of the distinct non-zero values leaves
     lambda_j(x) = 0 for every weight, so K = n (de Graaf, *Lie Algebras:
     Theory and Algorithms*, 2000). The rows are solved in ``int`` by
-    ``la.sparse_kernel``.
+    ``SubspaceBasis.kernel``.
 
     y is y_t = sum_j t^j c_j for t = 1, 2, ..., the c_j the unit vectors
     on the d free columns of the RREF of [g, g], which span a complement
@@ -523,7 +563,7 @@ def nilradical(alg: LieAlgebra, hint: SubspaceBasis | None = None) -> SubspaceBa
                 for p, row in enumerate(ads[c]):
                     for q, x in row.items():
                         y[p][q] = y[p].get(q, 0) + t**j * x
-            result = SubspaceBasis(n, la.sparse_kernel(_power_trace_rows(ads, y), n))
+            result = SubspaceBasis.kernel(n, _power_trace_rows(ads, y))
             if not result.contains_subspace(rep.derived):
                 raise CertificateError("nilradical candidate does not contain [g, g]")
             if not result.contains_subspace(bracket_spans(alg, alg.full_space(), result)):

@@ -7,10 +7,10 @@ nothing is ever rounded through floats.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from . import linalg as la
 from .core import LieAlgebra, subspace_from_spanning
 from .errors import DocumentError
 from .forms import SymBilinearForm
@@ -64,7 +64,7 @@ def parse_document(obj: dict) -> AlgebraDocument:
     if not isinstance(name, str):
         raise DocumentError("name: must be a string")
     dim = obj["dim"]
-    if not isinstance(dim, int) or dim < 0:
+    if isinstance(dim, bool) or not isinstance(dim, int) or dim < 0:
         raise DocumentError("dim: must be a non-negative integer")
     basis = obj["basis"]
     if not isinstance(basis, list) or len(basis) != dim or not all(
@@ -78,6 +78,10 @@ def parse_document(obj: dict) -> AlgebraDocument:
         where = f"brackets[{pos}]"
         if not isinstance(entry, dict):
             raise DocumentError(f"{where}: must be an object")
+        for key in ("i", "j"):
+            # int() would truncate a float and read a bool as 0 or 1
+            if isinstance(entry.get(key), (bool, float)):
+                raise DocumentError(f"{where}.{key}: must be an integer, got {type(entry[key]).__name__}")
         try:
             i, j = int(entry["i"]), int(entry["j"])
         except (KeyError, TypeError, ValueError):
@@ -171,16 +175,12 @@ def document_to_algebra(doc: AlgebraDocument):
 
     The structure table is written from the parsed brackets over the
     least common denominator L of their entries."""
-    den = math.lcm(*(c.denominator for _, _, coeffs in doc.brackets for _, c in coeffs))
-    alg = LieAlgebra.from_rows(
-        doc.dim,
-        doc.basis,
-        den,
-        {
-            (i, j): [(k, c.numerator * (den // c.denominator)) for k, c in coeffs]
-            for i, j, coeffs in doc.brackets
-        },
-    )
+    den, rows = la.to_int_rows([c for _, c in coeffs] for _, _, coeffs in doc.brackets)
+    upper = {
+        (i, j): [(coeffs[p][0], t) for p, t in row]
+        for (i, j, coeffs), row in zip(doc.brackets, rows)
+    }
+    alg = LieAlgebra.from_rows(doc.dim, doc.basis, den, upper)
     form = None if doc.form is None else SymBilinearForm(doc.form)
     hint = None
     if doc.hints and "nilradical" in doc.hints:

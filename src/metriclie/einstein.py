@@ -26,6 +26,7 @@ from .core import (
     jordan_chevalley,
     killing_sums,
     nilradical,
+    span_of,
     subspace_from_spanning,
 )
 from .errors import CertificateError, PreconditionError
@@ -342,20 +343,18 @@ def bounds_certificate(m: MetricLieAlgebra) -> BoundsCertificate:
         )
 
     nil = nilradical(alg)
-    a_vec = next(
-        (la.unit_vec(n, i) for i in range(n) if not nil.contains(la.unit_vec(n, i))),
-        None,
-    )
-    if a_vec is None:
+    a = next((i for i in range(n) if nil.int_span.reduce({i: 1})), None)
+    if a is None:
         raise CertificateError("no basis vector outside the nilradical")
+    a_vec = la.unit_vec(n, a)
     sigma = jordan_chevalley(ad(alg, a_vec)).semisimple.matrix
     if la.is_zero_mat(sigma):
         raise CertificateError("semisimple part vanishes for an element outside n")
     if _map_pairing(sigma, form)[2] is not None:
         raise CertificateError("semisimple part of ad(a) is not skew")
     w1 = subspace_from_spanning(n, la.transpose(sigma))
-    w0 = SubspaceBasis(n, la.kernel(sigma))
-    if any(map(any, form.int_gram(w0.vectors, w1.vectors)[1])):
+    w0 = SubspaceBasis.kernel(n, map(dict, la.to_int_rows(sigma)[1]))
+    if any(map(any, form.int_gram(w0.int_rows[1], w1.int_rows[1]))):
         raise CertificateError("kernel and image of the semisimple part not orthogonal")
     if not nil.contains_subspace(w1):
         raise CertificateError("image of the semisimple part leaves the nilradical")
@@ -370,12 +369,12 @@ def bounds_certificate(m: MetricLieAlgebra) -> BoundsCertificate:
     ideal = bracket_spans(alg, alg.full_space(), nil).intersect(center(alg))
     if ideal.dim == 0:
         raise CertificateError("no central isotropic ideal available")
-    w1_form = form.restrict(w1.vectors)
+    w1_form = form.restrict_rows(*w1.int_rows)
     iso_coords = isotropic_vector(w1_form)
     if iso_coords is None:
         raise CertificateError("no rational isotropic line found in the image")
     line = subspace_from_spanning(n, (_lift(iso_coords, w1.vectors, n),))
-    u_space = subspace_from_spanning(n, ideal.vectors + line.vectors)
+    u_space = span_of(n, ideal.int_rows[1] + line.int_rows[1])
     _require_isotropic(
         form, u_space, CertificateError, "certificate subspace not totally isotropic"
     )

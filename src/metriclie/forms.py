@@ -21,26 +21,15 @@ from .core import (
     LieAlgebra,
     SubspaceBasis,
     _int_bracket,
+    _int_rows_of,
     ad,
     bracket_spans,
     center,
     jordan_chevalley,
     nilradical,
-    subspace_from_spanning,
 )
 from .errors import CertificateError, PreconditionError
 from .linalg import Mat, Vec
-
-
-def _scaled_rows(m: Mat) -> tuple[int, tuple[la.IntRow, ...]]:
-    """(D, rows): D the least common denominator of the entries of m and
-    ``rows[p]`` the pairs (q, D m_pq) with non-zero entry."""
-    den = math.lcm(*(x.denominator for row in m for x in row))
-    rows = tuple(
-        tuple((q, x.numerator * (den // x.denominator)) for q, x in enumerate(row) if x)
-        for row in m
-    )
-    return den, rows
 
 
 def _int_images(rows, b_rows: tuple[la.IntRow, ...]) -> list[list[int]]:
@@ -71,7 +60,7 @@ class SymBilinearForm:
         m = la.mat(matrix)
         if m != la.transpose(m):
             raise ValueError("form matrix is not symmetric")
-        self._store(len(m), *_scaled_rows(m))
+        self._store(len(m), *la.to_int_rows(m))
 
     @classmethod
     def from_rows(cls, dim: int, den: int, rows) -> "SymBilinearForm":
@@ -83,29 +72,27 @@ class SymBilinearForm:
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "int_rows", la.normalised(den, rows))
 
-    def int_gram(self, us, vs) -> tuple[int, list[list[int]]]:
-        """The one Gram kernel: (S, P) with <u_i, v_j> = P[i][j] / S, the
-        ``_int_images`` of the ``_scaled_rows`` D u_i paired with every
-        E v_j. Against the unit vectors, row i of P is S B u_i.
-        ``ValueError`` for a vector whose length is not the form's."""
-        us, vs = tuple(map(la.vec, us)), tuple(map(la.vec, vs))
-        n = self.dim
-        if any(len(v) != n for v in us + vs):
-            raise ValueError("vector length does not match the form dimension")
-        m, b_rows = self.int_rows
-        du, left = _scaled_rows(us)
-        dv, right = _scaled_rows(vs)
-        images = _int_images(left, b_rows)
-        return m * du * dv, [[sum(y[q] * z for q, z in r) for r in right] for y in images]
+    def int_gram(self, left, right) -> list[list[int]]:
+        """The one Gram kernel: P[i][j] = M <u_i, v_j> for the sparse
+        integer rows u_i of ``left`` and v_j of ``right``, the
+        ``_int_images`` of the u_i paired with every v_j."""
+        images = _int_images(left, self.int_rows[1])
+        return [[sum(y[q] * z for q, z in r) for r in right] for y in images]
 
     def apply(self, u: Vec, v: Vec) -> Fraction:
-        den, gram = self.int_gram((u,), (v,))
-        return Fraction(gram[0][0], den)
+        den, (left, right) = _int_rows_of(self.dim, (u, v))
+        return Fraction(self.int_gram((left,), (right,))[0][0], self.int_rows[0] * den * den)
 
     def restrict(self, vectors: tuple[Vec, ...]) -> "SymBilinearForm":
-        """The Gram matrix B(v_i, v_j), the rows of ``int_gram``."""
-        den, gram = self.int_gram(vectors, vectors)
-        return SymBilinearForm.from_rows(len(gram), den, map(enumerate, gram))
+        """The Gram matrix B(v_i, v_j) of rational vectors."""
+        return self.restrict_rows(*_int_rows_of(self.dim, vectors))
+
+    def restrict_rows(self, den: int, rows) -> "SymBilinearForm":
+        """The Gram matrix of the vectors rows[i] / den, ``int_gram``
+        over M den^2."""
+        gram = self.int_gram(rows, rows)
+        scale = self.int_rows[0] * den * den
+        return SymBilinearForm.from_rows(len(gram), scale, map(enumerate, gram))
 
     def is_zero(self) -> bool:
         return not any(self.int_rows[1])
@@ -118,21 +105,9 @@ class SymBilinearForm:
 
     @functools.cached_property
     def int_inverse(self) -> tuple[int, tuple[la.IntRow, ...]]:
-        """B^{-1} held as ``int_rows`` holds B, from one ``IntSpan`` over
-        the integer rows [M B | I]: the pivot row led by column i is
-        r = lambda (e_i, (M B)^{-1}_i), so B^{-1} = M (M B)^{-1} has row i
-        M r[n + j] / r[i]. ``ValueError`` for a degenerate form."""
-        m, rows = self.int_rows
-        n = self.dim
-        span = la.IntSpan(2 * n)
-        for i, row in enumerate(rows):
-            span.add({**dict(row), n + i: 1})
-        if set(span.pivots) != set(range(n)):
-            raise ValueError("matrix is singular")
-        leads = sorted(span.pivots.items())
-        den = math.lcm(*(r[i] for i, r in leads))
-        inverse_rows = ([(j, m * r.get(n + j, 0) * (den // r[i])) for j in range(n)] for i, r in leads)
-        return la.normalised(den, inverse_rows)
+        """B^{-1} held as ``int_rows`` holds B (``la.int_inverse``);
+        ``ValueError`` for a degenerate form."""
+        return la.int_inverse(*self.int_rows, self.dim)
 
     @functools.cached_property
     def inverse(self) -> Mat:
@@ -306,7 +281,7 @@ def signature(b: SymBilinearForm) -> Signature:
 
 def metric_radical(m: MetricLieAlgebra | SymBilinearForm) -> SubspaceBasis:
     form = m.form if isinstance(m, MetricLieAlgebra) else m
-    return SubspaceBasis(form.dim, la.sparse_kernel(map(dict, form.int_rows[1]), form.dim))
+    return SubspaceBasis.kernel(form.dim, map(dict, form.int_rows[1]))
 
 
 def _skew_pairing(cols, b_rows: tuple[la.IntRow, ...]) -> tuple[list[list[int]], tuple[int, int] | None]:
@@ -329,7 +304,7 @@ def _skew_pairing(cols, b_rows: tuple[la.IntRow, ...]) -> tuple[list[list[int]],
 def _map_pairing(a: Mat, form: SymBilinearForm) -> tuple[int, list[list[int]], tuple[int, int] | None]:
     """``_skew_pairing`` of a rational map: (D, P, witness) with
     P / D = a^T B, the columns of a scaled to integers first."""
-    den, cols = _scaled_rows(la.transpose(a))
+    den, cols = la.to_int_rows(la.transpose(a))
     m, b_rows = form.int_rows
     pairing, witness = _skew_pairing(cols, b_rows)
     return den * m, pairing, witness
@@ -389,10 +364,14 @@ def nilinvariance_probe(m: MetricLieAlgebra, samples: int = 25, seed: int = 0) -
 def is_totally_isotropic(form: SymBilinearForm, sub: SubspaceBasis) -> tuple[bool, tuple[Vec, Vec] | None]:
     """Whether sub is totally isotropic, with the first pair of basis
     vectors in row-major order that is not orthogonal."""
-    vecs = sub.vectors
-    gram = form.int_gram(vecs, vecs)[1]
-    pair = next(((u, v) for u, row in zip(vecs, gram) for v, x in zip(vecs, row) if x), None)
-    return pair is None, pair
+    if sub.ambient_dim != form.dim:
+        raise ValueError("vector length does not match ambient dimension")
+    rows = sub.int_rows[1]
+    gram = form.int_gram(rows, rows)
+    pair = next(((i, j) for i, row in enumerate(gram) for j, x in enumerate(row) if x), None)
+    if pair is None:
+        return True, None
+    return False, (sub.vectors[pair[0]], sub.vectors[pair[1]])
 
 
 def _require_isotropic(form: SymBilinearForm, sub: SubspaceBasis, error: type, what: str) -> None:
@@ -405,10 +384,12 @@ def _require_isotropic(form: SymBilinearForm, sub: SubspaceBasis, error: type, w
 
 
 def orthogonal_complement(form: SymBilinearForm, sub: SubspaceBasis) -> SubspaceBasis:
-    """{x : <x, u> = 0 for all u in sub}; needs no non-degeneracy."""
-    n = form.dim
-    _, images = form.int_gram(sub.vectors, la.identity(n))
-    return SubspaceBasis(n, la.sparse_kernel((dict(enumerate(y)) for y in images), n))
+    """{x : <x, u> = 0 for all u in sub}, the kernel of the rows M B u;
+    needs no non-degeneracy."""
+    if sub.ambient_dim != form.dim:
+        raise ValueError("vector length does not match ambient dimension")
+    images = _int_images(sub.int_rows[1], form.int_rows[1])
+    return SubspaceBasis.kernel(form.dim, (dict(enumerate(y)) for y in images))
 
 
 def witt_basis(m: MetricLieAlgebra | SymBilinearForm, isotropic: SubspaceBasis) -> WittBasis:
@@ -422,43 +403,50 @@ def witt_basis(m: MetricLieAlgebra | SymBilinearForm, isotropic: SubspaceBasis) 
     if not signature(form).is_nondegenerate:
         raise PreconditionError("Witt decomposition requires a non-degenerate form")
     _require_isotropic(form, isotropic, PreconditionError, "subspace is not totally isotropic")
-    u = isotropic.vectors
-    duals, w = _duals_and_complement(form, u)
-    w_coord_vecs, w_diag = diagonalize_symmetric(form.restrict(w))
+    duals, w = _duals_and_complement(form, isotropic)
+    w_coord_vecs, w_diag = diagonalize_symmetric(form.restrict_rows(*w.int_rows))
     if any(d == 0 for d in w_diag):
         raise CertificateError("degenerate complement in Witt decomposition")
-    w_vectors = tuple(_lift(cv, w, n) for cv in w_coord_vecs)
-    return WittBasis(u, w_vectors, duals, w_diag)
+    w_vectors = tuple(_lift(cv, w.vectors, n) for cv in w_coord_vecs)
+    return WittBasis(isotropic.vectors, w_vectors, duals.vectors, w_diag)
 
 
 def _duals_and_complement(
-    form: SymBilinearForm, u: tuple[Vec, ...]
-) -> tuple[tuple[Vec, ...], tuple[Vec, ...]]:
+    form: SymBilinearForm, u: SubspaceBasis
+) -> tuple[SubspaceBasis, SubspaceBasis]:
     """The duals u* of a totally isotropic u (``_pairing_duals``) and
     the kernel-basis orthogonal complement of u + u*."""
     duals = _pairing_duals(form, u)
-    span = subspace_from_spanning(form.dim, u + duals)
-    return duals, orthogonal_complement(form, span).vectors
+    both = SubspaceBasis.from_rows(form.dim, *la.common_rows(u.int_rows, duals.int_rows))
+    return duals, orthogonal_complement(form, both)
 
 
-def _pairing_duals(form: SymBilinearForm, u: tuple[Vec, ...]) -> tuple[Vec, ...]:
+def _pairing_duals(form: SymBilinearForm, u: SubspaceBasis) -> SubspaceBasis:
     """Isotropic, mutually orthogonal duals <u_i, v*_j> = d_ij of a
-    totally isotropic u: lexicographically-smallest pivot solutions of
-    the pairing system [B u_j | d_ij], [B v*_j | 0] (earlier duals), its
-    rows scaled as a whole to integers by ``int_gram``."""
-    ident = la.identity(form.dim)
-    scale, rows = form.int_gram(u, ident)
-    duals: list[Vec] = []
-    for i in range(len(u)):
-        rhs = [scale if j == i else 0 for j in range(len(rows))]
-        y = la.solve_lex(tuple(map(tuple, rows)), rhs)
+    totally isotropic u, on the integer rows U_i / D of u.
+
+    v*_i starts as y = Y / E, the lexicographically-smallest pivot
+    solution of the pairing system [M D B u_j | M D d_ij] together with
+    [B v*_j | 0] for the earlier duals. Then v*_i = y - <y, y> / 2 u_i
+    keeps the pairings and is isotropic; over 2 M E^2 D it is the
+    integer row 2 M E D Y - q U_i with q = M E^2 <y, y>."""
+    m, b_rows = form.int_rows
+    d, urows = u.int_rows
+    system = _int_images(urows, b_rows)
+    duals = []
+    for i, ui in enumerate(urows):
+        y = la.solve_lex(system, [m * d if j == i else 0 for j in range(len(system))])
         if y is None:
             raise CertificateError("pairing system unsolvable for a non-degenerate form")
-        # make the dual isotropic without disturbing the pairings
-        y = la.vec_sub(y, la.vec_scale(form.apply(y, y) / 2, u[i]))
-        duals.append(y)
-        rows += form.int_gram((y,), ident)[1]
-    return tuple(duals)
+        e, (yrow,) = la.to_int_rows((y,))
+        q = form.int_gram((yrow,), (yrow,))[0][0]
+        dual = {c: 2 * m * e * d * x for c, x in yrow}
+        for c, x in ui:
+            dual[c] = dual.get(c, 0) - q * x
+        row = tuple(sorted(dual.items()))
+        duals.append((2 * m * e * e * d, (row,)))
+        system += _int_images((row,), b_rows)
+    return SubspaceBasis.from_rows(form.dim, *la.common_rows(*duals))
 
 
 def j0_ideal(m: MetricLieAlgebra) -> SubspaceBasis:
@@ -479,7 +467,7 @@ def j0_ideal(m: MetricLieAlgebra) -> SubspaceBasis:
     for y in nil.int_span.pivots.values():
         cols = [_int_bracket(table, y, {i: 1}) for i in range(n)]
         eqs += ({i: c[p] for i, c in enumerate(cols) if p in c} for p in range(n))
-    zn = SubspaceBasis(n, la.sparse_kernel(eqs, n)).intersect(nil)
+    zn = SubspaceBasis.kernel(n, eqs).intersect(nil)
     gn = bracket_spans(alg, alg.full_space(), nil)
     j0 = zn.intersect(gn)
     _require_isotropic(

@@ -1,9 +1,11 @@
 """Exact linear algebra over the rationals.
 
 Vectors are tuples of ``Fraction``, matrices are tuples of row tuples.
-Everything here is pure and exact; no floating point anywhere. Every
-row reduction runs on one fraction-free integer elimination,
-``IntSpan``, whose pivot rows are the unique RREF of their span.
+Everything here is pure and exact; no floating point anywhere. Rational
+rows become integer rows over one common denominator in one place,
+``to_int_rows``. Every row reduction runs on one fraction-free integer
+elimination, ``IntSpan``, whose pivot rows are the unique RREF of their
+span.
 
 The characteristic polynomial (``charpoly``) and matrix polynomials
 (``poly_eval_mat``) run in ``int`` on D A, D the least common
@@ -69,9 +71,30 @@ def dense(rows: Iterable[IntRow], nc: int) -> list[list[int]]:
 def normalised(den: int, rows: Iterable) -> tuple[int, tuple[IntRow, ...]]:
     """The one normalisation of sparse integer rows over den > 0: zero
     entries dropped, and den and every entry divided by their gcd."""
-    rows = [[(q, t) for q, t in row if t] for row in rows]
+    rows = [tuple((q, t) for q, t in row if t) for row in rows]
     g = math.gcd(den, *(t for row in rows for _, t in row))
+    if g == 1:
+        return den, tuple(rows)
     return den // g, tuple(tuple((q, t // g) for q, t in row) for row in rows)
+
+
+def to_int_rows(rows: Iterable[Iterable]) -> tuple[int, tuple[IntRow, ...]]:
+    """The one rescaling of rational rows: (D, rows) with D the least
+    common denominator of all entries and ``rows[p]`` the pairs
+    (q, D x_pq) with non-zero entry, in increasing q. Entries are
+    ``Fraction`` or ``int``."""
+    rows = tuple(map(tuple, rows))
+    den = math.lcm(*(x.denominator for r in rows for x in r))
+    return den, tuple(
+        tuple((q, x.numerator * (den // x.denominator)) for q, x in enumerate(r) if x) for r in rows
+    )
+
+
+def common_rows(*parts: tuple[int, Iterable[IntRow]]) -> tuple[int, list[IntRow]]:
+    """The rows of several (D_i, rows_i), in order, over the least common
+    multiple of the D_i."""
+    den = math.lcm(*(d for d, _ in parts))
+    return den, [tuple((q, t * (den // d)) for q, t in row) for d, rows in parts for row in rows]
 
 
 def zeros_vec(n: int) -> Vec:
@@ -185,13 +208,6 @@ def vec_text(v: Vec) -> str:
     return "[" + ", ".join(str(x) for x in v) + "]"
 
 
-def int_row(v: Vec) -> dict[int, int]:
-    """v scaled by the least common denominator of its entries, as the
-    sparse integer row {column: non-zero value}; it spans the same line."""
-    den = math.lcm(*(x.denominator for x in v if x))
-    return {c: x.numerator * (den // x.denominator) for c, x in enumerate(v) if x}
-
-
 def _combine(r: dict[int, int], p: int, pivot_row: dict[int, int]) -> dict[int, int]:
     """pivot_row[p] r - r[p] pivot_row divided by its content; it has no
     entry at p."""
@@ -223,10 +239,12 @@ class IntSpan:
     and the minimal polynomial are all read off its pivot rows.
     """
 
-    def __init__(self, nc: int):
+    def __init__(self, nc: int, rows: Iterable[Mapping[int, int]] = ()):
         self.nc = nc
         # leading column -> pivot row
         self.pivots: dict[int, dict[int, int]] = {}
+        for row in rows:
+            self.add(row)
 
     @property
     def dim(self) -> int:
@@ -261,77 +279,36 @@ class IntSpan:
         pivots[lead] = r
         return True
 
-    def basis(self) -> tuple[Vec, ...]:
-        """The RREF basis of the span, by leading column."""
-        out = []
-        for lead in sorted(self.pivots):
-            r = self.pivots[lead]
-            v = [ZERO] * self.nc
-            for c, x in r.items():
-                v[c] = Fraction(x, r[lead])
-            out.append(tuple(v))
-        return tuple(out)
-
-    def int_kernel(self) -> list[tuple[int, dict[int, int]]]:
-        """``kernel`` over the integers: per free column fc, (L, w) with
-        the kernel vector w / L, L the least common multiple of the
-        leading entries of the pivot rows with an entry in column fc, and
-        w = {fc: L} with -x L / lead at the pivot column of each such row."""
+    def int_kernel(self) -> tuple[int, list[IntRow]]:
+        """Basis of the vectors orthogonal to every row, over one common
+        denominator L, the least common multiple of the leading entries:
+        per free column fc, the row L e_fc - sum (L x / lead) e_pc over
+        the pivot rows with entry x in column fc, lead at column pc. Over
+        L it is e_fc minus the RREF entries in column fc."""
+        pivots = self.pivots
+        den = math.lcm(*(r[pc] for pc, r in pivots.items()))
         out = []
         for fc in range(self.nc):
-            if fc in self.pivots:
-                continue
-            rows = [(pc, r) for pc, r in self.pivots.items() if fc in r]
-            den = math.lcm(*(r[pc] for pc, r in rows))
-            w = {fc: den}
-            for pc, r in rows:
-                w[pc] = -r[fc] * (den // r[pc])
-            out.append((den, w))
-        return out
-
-    def kernel(self) -> tuple[Vec, ...]:
-        """Basis of the vectors orthogonal to every row, one per free
-        column fc of the RREF: e_fc minus the RREF entries in column fc
-        at their pivot positions (``int_kernel`` over its L)."""
-        basis = []
-        for den, w in self.int_kernel():
-            v = [ZERO] * self.nc
-            for c, x in w.items():
-                v[c] = Fraction(x, den)
-            basis.append(tuple(v))
-        return tuple(basis)
-
-
-def sparse_kernel(rows: Iterable[Mapping[int, int]], nc: int) -> tuple[Vec, ...]:
-    """``kernel`` of the system whose rows are given sparsely as
-    {column: integer coefficient}, with the same basis (see ``IntSpan``).
-    A system without rows has all of Q^nc as its kernel."""
-    span = IntSpan(nc)
-    for row in rows:
-        span.add(row)
-    return span.kernel()
-
-
-def rational_span(rows: Iterable[Vec], nc: int) -> IntSpan:
-    """The ``IntSpan`` of the given rational rows of width nc, each fed
-    as its integer multiple ``int_row``."""
-    span = IntSpan(nc)
-    for r in rows:
-        span.add(int_row(r))
-    return span
+            if fc not in pivots:
+                w = {fc: den}
+                for pc, r in pivots.items():
+                    if fc in r:
+                        w[pc] = -r[fc] * (den // r[pc])
+                out.append(tuple(sorted(w.items())))
+        return den, out
 
 
 def kernel(a: Mat) -> tuple[Vec, ...]:
     """Basis of the right null space, one vector per free column of the
-    RREF (see ``IntSpan.kernel``).
+    RREF (see ``IntSpan.int_kernel``).
 
     A dense matrix without rows has no column count, so the kernel of an
-    empty system is ``()``; a caller whose system can be empty uses
-    ``sparse_kernel``, which takes the column count."""
+    empty system is ``()``."""
     nc = ncols(a)
     if nc == 0:
         return ()
-    return rational_span(a, nc).kernel()
+    den, rows = IntSpan(nc, map(dict, to_int_rows(a)[1])).int_kernel()
+    return mat_over(dense(rows, nc), den)
 
 
 def solve_lex(a: Mat, b: Vec) -> Vec | None:
@@ -339,7 +316,8 @@ def solve_lex(a: Mat, b: Vec) -> Vec | None:
     zero, so the support sits on the earliest possible pivot columns.
     Returns None if the system is inconsistent."""
     nc = ncols(a)
-    span = rational_span((row + (bi,) for row, bi in zip(a, b)), nc + 1)
+    _, rows = to_int_rows(tuple(row) + (bi,) for row, bi in zip(a, b))
+    span = IntSpan(nc + 1, map(dict, rows))
     if nc in span.pivots:
         return None
     x = [ZERO] * nc
@@ -348,19 +326,28 @@ def solve_lex(a: Mat, b: Vec) -> Vec | None:
     return tuple(x)
 
 
+def int_inverse(den: int, rows: Sequence[IntRow], n: int) -> tuple[int, tuple[IntRow, ...]]:
+    """(rows / den)^{-1} for n sparse integer rows, ``normalised``, from
+    one ``IntSpan`` over [rows | I]: the pivot row led by column i is
+    r = lambda (e_i, rows^{-1}_i), so row i of the inverse is
+    den r[n + j] / r[i]. ``ValueError`` unless the pivots are exactly
+    the first n columns."""
+    span = IntSpan(2 * n, ({**dict(row), n + i: 1} for i, row in enumerate(rows)))
+    if set(span.pivots) != set(range(n)):
+        raise ValueError("matrix is singular")
+    leads = sorted(span.pivots.items())
+    lcm = math.lcm(*(r[i] for i, r in leads))
+    rows = ([(j, den * r.get(n + j, 0) * (lcm // r[i])) for j in range(n)] for i, r in leads)
+    return normalised(lcm, rows)
+
+
 def inverse(a: Mat) -> Mat:
-    """The right half of the RREF of [a | I]; ``ValueError`` unless its
-    pivots are exactly the columns of a."""
+    """``int_inverse`` of the rows of a, read as rationals."""
     n = nrows(a)
     if n != ncols(a):
         raise ValueError("inverse of non-square matrix")
-    span = rational_span((row + unit_vec(n, i) for i, row in enumerate(a)), 2 * n)
-    if set(span.pivots) != set(range(n)):
-        raise ValueError("matrix is singular")
-    return tuple(
-        tuple(Fraction(r.get(n + j, 0), r[i]) for j in range(n))
-        for i, r in sorted(span.pivots.items())
-    )
+    den, rows = int_inverse(*to_int_rows(a), n)
+    return mat_over(dense(rows, n), den)
 
 
 def intersect_spans(u: IntSpan, v: IntSpan) -> IntSpan:
@@ -673,13 +660,6 @@ def _quadratic_factor(p: Sequence[int]) -> list[int] | None:
     return None
 
 
-def _int_matrix(a: Mat) -> tuple[int, list[list[int]]]:
-    """(D, B): D the least common denominator of the entries of a, and
-    B = D a in ``int``."""
-    den = math.lcm(*(x.denominator for row in a for x in row))
-    return den, [[x.numerator * (den // x.denominator) for x in row] for row in a]
-
-
 def _int_mat_mul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
     """``mat_mul`` of square integer matrices in ``int``, as new rows."""
     b_support = [[(j, y) for j, y in enumerate(row) if y] for row in b]
@@ -695,14 +675,15 @@ def _int_mat_mul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
 
 
 def poly_eval_mat(p: Poly, a: Mat) -> Mat:
-    """p(A) by Horner's rule in ``int`` on B = D A (``_int_matrix``):
+    """p(A) by Horner's rule in ``int`` on B = D A (``to_int_rows``):
     after step i the integer matrix H is E D^i (p_0 A^i + ... + p_i I),
     E the common denominator of p, so H_i = H_(i-1) B + E D^i p_i I and
     one division by E D^deg(p) ends it."""
     n = nrows(a)
     if n != ncols(a):
         raise ValueError("polynomial of a non-square matrix")
-    den, b = _int_matrix(a)
+    den, rows = to_int_rows(a)
+    b = dense(rows, n)
     scale = math.lcm(*(c.denominator for c in p))
     h = [[0] * n for _ in range(n)]
     for i, c in enumerate(p):
@@ -719,7 +700,7 @@ def poly_eval_mat(p: Poly, a: Mat) -> Mat:
 def charpoly(a: Mat) -> Poly:
     """Monic characteristic polynomial by the Faddeev-LeVerrier recursion
     over the integers (Cohen, *A Course in Computational Algebraic Number
-    Theory*, 2.2.4), on B = D A (``_int_matrix``): M_0 = I, c_k =
+    Theory*, 2.2.4), on B = D A (``to_int_rows``): M_0 = I, c_k =
     -tr(B M_(k-1)) / k, M_k = B M_(k-1) + c_k I. B has the integer
     characteristic polynomial sum c_k x^(n-k), so every division by k is
     exact (``CertificateError`` otherwise) and every M_k integral; A's
@@ -727,7 +708,8 @@ def charpoly(a: Mat) -> Poly:
     n = nrows(a)
     if n != ncols(a):
         raise ValueError("characteristic polynomial of non-square matrix")
-    den, b = _int_matrix(a)
+    den, rows = to_int_rows(a)
+    b = dense(rows, n)
     coeffs = [ONE]
     bm = [list(row) for row in b]  # B M_(k-1), made M_k in place
     for k in range(1, n + 1):
@@ -755,7 +737,8 @@ def minimal_polynomial(a: Mat) -> Poly:
     span = IntSpan(nn + n + 1)
     cur = identity(n)
     for d in range(n + 1):
-        span.add(int_row(tuple(x for row in cur for x in row) + unit_vec(n + 1, d)))
+        _, (flat,) = to_int_rows((tuple(x for row in cur for x in row) + unit_vec(n + 1, d),))
+        span.add(dict(flat))
         lead = max(span.pivots)
         if lead >= nn:
             r = span.pivots[lead]

@@ -429,14 +429,14 @@ def restricted_obstruction(
         restriction = subspace_from_spanning(m.dim, la.transpose(sigma))
     # on the RREF basis of the span, a vector of the span has its
     # coordinates at the pivot columns
-    span = restriction.int_span
-    leads = sorted(span.pivots)
+    rref = SubspaceBasis.from_span(restriction.int_span)
+    leads = sorted(rref.int_span.pivots)
     if not leads:
         return obstruction_verdict(EigenvalueData(), n=0)
     cols = []
-    for v in span.basis():
+    for v in rref.vectors:
         w = phi(v)
-        if span.reduce(la.int_row(w)):
+        if not rref.contains(w):
             raise PreconditionError("restriction subspace is not ad(a)-invariant")
         cols.append(tuple(w[p] for p in leads))
     restricted = la.transpose(tuple(cols))

@@ -248,8 +248,8 @@ def _sort_key(factor: tuple[la.Poly, int]):
     """sympy's order of ``factor_list``: by degree, multiplicity and
     then the primitive integer coefficients."""
     f, k = factor
-    den = math.lcm(*(c.denominator for c in f))
-    ints = [int(c * den) for c in f]
+    _, rows = la.to_int_rows((f,))
+    (ints,) = la.dense(rows, len(f))
     g = math.gcd(*ints)
     return len(f), k, [x // g for x in ints]
 

@@ -33,7 +33,6 @@ from .forms import (
     _duals_and_complement,
     _require_invariant,
     _require_isotropic,
-    _scaled_rows,
     _skew_pairing,
     is_invariant,
     isotropic_vector,
@@ -68,7 +67,7 @@ class DoubleExtensionSpec:
         for d in map(la.mat, deltas):
             if la.nrows(d) != base.dim or la.ncols(d) != base.dim:
                 raise PreconditionError("delta matrix size does not match the base")
-            cols.append(_scaled_rows(la.transpose(d)))
+            cols.append(la.to_int_rows(la.transpose(d)))
         self._store(base, cols, None)
 
     @classmethod
@@ -96,8 +95,8 @@ class DoubleExtensionSpec:
 class ReductionStep:
     original: MetricLieAlgebra
     ideal: SubspaceBasis
-    duals: tuple[Vec, ...]
-    complement: tuple[Vec, ...]
+    duals: SubspaceBasis
+    complement: SubspaceBasis
     base: MetricLieAlgebra
     spec: DoubleExtensionSpec
 
@@ -114,27 +113,35 @@ class ReductionChain:
 
 def change_basis(m: MetricLieAlgebra, columns: Sequence[Vec], names: Sequence[str]) -> MetricLieAlgebra:
     """Rewrite a metric Lie algebra on a new basis given by coordinate
-    vectors in the old one: each L D^2 [c_i, c_j] is formed on ``int_table``
-    and mapped by the integer rows of E T^{-1}, and the integer
-    coordinates over E L D^2 are the new table."""
+    vectors in the old one: ``_change_basis`` on the columns scaled to
+    integers."""
     cols = tuple(la.vec(c) for c in columns)
+    if len(cols) != m.dim or any(len(c) != m.dim for c in cols):
+        raise PreconditionError("change of basis needs exactly dim vectors of length dim")
+    return _change_basis(m, *la.to_int_rows(cols), names)
+
+
+def _change_basis(m: MetricLieAlgebra, den: int, cols, names: Sequence[str]) -> MetricLieAlgebra:
+    """``change_basis`` on the integer columns c_i = cols[i] / den: each
+    L den^2 [c_i, c_j] is formed on ``int_table`` and mapped by T^{-1},
+    whose columns are the rows of (T^T)^{-1} = ``la.int_inverse`` over E,
+    and the integer coordinates over E L den^2 are the new table."""
     n = m.dim
-    if len(cols) != n:
-        raise PreconditionError("change of basis needs exactly dim vectors")
-    inv_den, inv_rows = _scaled_rows(la.inverse(la.transpose(cols)))
-    den, rows = _scaled_rows(cols)
+    inv_den, inv_rows = la.int_inverse(den, cols, n)
     lden, table = m.algebra.int_table
-    ints = [dict(row) for row in rows]
+    ints = [dict(c) for c in cols]
     upper = {}
     for i in range(n):
         for j in range(i + 1, n):
             w = _int_bracket(table, ints[i], ints[j])
             if w:
-                upper[(i, j)] = [
-                    (k, sum(t * w.get(q, 0) for q, t in row)) for k, row in enumerate(inv_rows)
-                ]
+                acc = [0] * n
+                for q, x in w.items():
+                    for k, t in inv_rows[q]:
+                        acc[k] += x * t
+                upper[(i, j)] = list(enumerate(acc))
     alg = LieAlgebra.from_rows(n, names, inv_den * lden * den * den, upper)
-    return MetricLieAlgebra(alg, m.form.restrict(cols))
+    return MetricLieAlgebra(alg, m.form.restrict_rows(den, cols))
 
 
 def double_extend(spec: DoubleExtensionSpec) -> MetricLieAlgebra:
@@ -248,14 +255,14 @@ def _reduce_step(m: MetricLieAlgebra, ideal: SubspaceBasis) -> ReductionStep:
     non-degenerate."""
     s = ideal.dim
     mdim = m.dim - 2 * s
-    duals, w = _duals_and_complement(m.form, ideal.vectors)
+    duals, w = _duals_and_complement(m.form, ideal)
     base_names = tuple(f"x{k}" for k in range(mdim))
     names = (
         tuple(f"a{i}" for i in range(s)) + base_names + tuple(f"z{j}" for j in range(s))
     )
     # the input on the basis a_i = u*_i, x_k = w_k, z_j = u_j; every
     # bracket below is read off it and split into its (a | x | z) blocks
-    split = change_basis(m, duals + w + ideal.vectors, names)
+    split = _change_basis(m, *la.common_rows(duals.int_rows, w.int_rows, ideal.int_rows), names)
     den, rows = split.algebra.int_table
 
     def blocks(i: int, j: int) -> tuple[list, list, list]:
@@ -389,7 +396,8 @@ def complete_reduction(m: MetricLieAlgebra, max_steps: int | None = None) -> Red
                     "z(g) ∩ [g, g] is zero for a non-abelian solvable algebra "
                     "with a non-degenerate invariant form"
                 )
-            line = SubspaceBasis(current.dim, cand.vectors[:1])
+            den, rows = cand.int_rows
+            line = SubspaceBasis.from_rows(current.dim, den, rows[:1])
         _require_isotropic(
             current.form, line, CertificateError, "reduction line not totally isotropic"
         )
@@ -553,35 +561,27 @@ def skew_derivation_space(base: MetricLieAlgebra) -> tuple[Mat, ...]:
     The unknowns are the entries d_pq, column p n + q. The equations are
     built as sparse integer rows from the form's integer rows (scaled by
     M) and the structure table (scaled by L), and solved by
-    ``la.sparse_kernel``, which returns ``la.kernel``'s basis.
+    ``SubspaceBasis.kernel``, whose basis is ``la.kernel``'s.
     """
     n = base.dim
-    sols = la.sparse_kernel(_skew_derivation_equations(base), n * n)
-    return tuple(
-        tuple(tuple(sol[p * n + q] for q in range(n)) for p in range(n))
-        for sol in sols
-    )
+    sols = SubspaceBasis.kernel(n * n, _skew_derivation_equations(base)).vectors
+    return tuple(tuple(sol[p * n : (p + 1) * n] for p in range(n)) for sol in sols)
 
 
 def random_double_extension(rng: random.Random, base: MetricLieAlgebra) -> MetricLieAlgebra:
     """One-dimensional double extension of the base by a random skew
     derivation: the basis of ``skew_derivation_space`` combined, in one
     pass, with coefficients drawn from [-2, 2] (the zero map if the base
-    admits no other). The basis is read in integers, ``IntSpan.int_kernel``,
-    and the sum c_i w_i / L_i over the common denominator L goes to
+    admits no other). The basis is read in integers over its common
+    denominator L, and the sum of c_i w_i goes to
     ``DoubleExtensionSpec.from_columns`` as the integer columns of L delta."""
     n = base.dim
-    span = la.IntSpan(n * n)
-    for row in _skew_derivation_equations(base):
-        span.add(row)
-    draws = [(rng.randint(-2, 2), den, w) for den, w in span.int_kernel()]
-    den = math.lcm(*(d for c, d, _ in draws if c))
+    den, rows = SubspaceBasis.kernel(n * n, _skew_derivation_equations(base)).int_rows
     acc: dict[int, int] = {}
-    for c, d, w in draws:
-        if c:
-            scale = c * (den // d)
-            for col, x in w.items():
-                acc[col] = acc.get(col, 0) + scale * x
+    for w in rows:
+        c = rng.randint(-2, 2)
+        for col, x in w:
+            acc[col] = acc.get(col, 0) + c * x
     # delta_pq sits at column p n + q; column q of delta holds (p, L delta_pq)
     cols: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     for col in sorted(acc):

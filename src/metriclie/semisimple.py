@@ -9,7 +9,6 @@ the minimal ideals.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -20,11 +19,11 @@ from .core import (
     _int_bracket,
     bracket_spans,
     killing_form,
+    span_of,
     subspace_from_spanning,
 )
 from .errors import CertificateError, PreconditionError
 from .forms import MetricLieAlgebra, SymBilinearForm, _skew_pairing, metric_radical, signature
-from .linalg import Vec
 from .quadratic import irreducible_factors
 
 
@@ -45,13 +44,12 @@ class SplitFormReport:
     uniform_constant: Fraction | None  # set when all ideal constants agree
 
 
-def _commutant_of_adjoint(alg: LieAlgebra) -> list[tuple[int, dict[int, int]]]:
-    """Basis of {M : M ad(x) = ad(x) M for all x}: the kernel, over the
-    integers (``IntSpan.int_kernel``: (L, w) for the matrix w / L), of
-    the rows (M A - A M)_kl for A = L ad(b_i), M flattened row by row."""
+def _commutant_of_adjoint(alg: LieAlgebra) -> SubspaceBasis:
+    """Basis of {M : M ad(x) = ad(x) M for all x}, M flattened row by
+    row: the kernel of the rows (M A - A M)_kl for A = L ad(b_i)."""
     n = alg.dim
     _, rows = alg.int_table
-    span = la.IntSpan(n * n)
+    eqs = []
     for row_i, ad_i in zip(rows, alg.int_ad):
         # (M A - A M)_kl = sum_p M_kp A_pl - A_kp M_pl; column l of A is
         # rows[i][l] and row k of A is int_ad[i][k]
@@ -60,8 +58,8 @@ def _commutant_of_adjoint(alg: LieAlgebra) -> list[tuple[int, dict[int, int]]]:
                 eq = {k * n + p: t for p, t in row_i[l]}
                 for p, t in ad_i[k].items():
                     eq[p * n + l] = eq.get(p * n + l, 0) - t
-                span.add(eq)
-    return span.int_kernel()
+                eqs.append(eq)
+    return SubspaceBasis.kernel(n * n, eqs)
 
 
 def simple_decomposition(alg: LieAlgebra) -> tuple[SubspaceBasis, ...]:
@@ -77,15 +75,15 @@ def _simple_ideals(alg: LieAlgebra, kappa: SymBilinearForm) -> tuple[SubspaceBas
     if not signature(kappa).is_nondegenerate:
         raise PreconditionError("Killing form degenerate - not semisimple")
     commutant = _commutant_of_adjoint(alg)
-    d = len(commutant)
+    d = commutant.dim
     generic = None
-    den = math.lcm(*(l for l, _ in commutant))
+    den, rows = commutant.int_rows
     for attempt in range(1, 8):
-        # sum_i c_i w_i / L_i over the common denominator of the L_i
+        # sum_i c_i w_i over the common denominator of the commutant
         flat = [0] * (n * n)
-        for i, (l, w) in enumerate(commutant):
-            c = ((attempt * (i + 1)) % 11 + i) * (den // l)
-            for k, x in w.items():
+        for i, w in enumerate(rows):
+            c = (attempt * (i + 1)) % 11 + i
+            for k, x in w:
                 flat[k] += c * x
         cand = la.mat_over((flat[k : k + n] for k in range(0, n * n, n)), den)
         cand_minpoly = la.minimal_polynomial(cand)
@@ -108,14 +106,13 @@ def _simple_ideals(alg: LieAlgebra, kappa: SymBilinearForm) -> tuple[SubspaceBas
             raise CertificateError("constructed centroid element is not idempotent")
         ideals.append(subspace_from_spanning(n, la.transpose(e)))
 
-    total = subspace_from_spanning(n, sum((i.vectors for i in ideals), ()))
-    if total.dim != n:
+    if span_of(n, (r for i in ideals for r in i.int_rows[1])).dim != n:
         raise CertificateError("minimal ideals do not sum to the whole algebra")
     for i in range(len(ideals)):
         for j in range(i + 1, len(ideals)):
             if bracket_spans(alg, ideals[i], ideals[j]).dim:
                 raise CertificateError("distinct minimal ideals do not commute")
-            if any(map(any, kappa.int_gram(ideals[i].vectors, ideals[j].vectors)[1])):
+            if any(map(any, kappa.int_gram(ideals[i].int_rows[1], ideals[j].int_rows[1]))):
                 raise CertificateError("minimal ideals are not Killing-orthogonal")
     return tuple(ideals)
 
@@ -125,20 +122,12 @@ def compact_split(alg: LieAlgebra) -> SplitResult:
     compact part collects the ideals with negative definite restriction."""
     kappa = killing_form(alg)
     ideals = _simple_ideals(alg, kappa)
-    compact: list[Vec] = []
-    noncompact: list[Vec] = []
+    compact: list[la.IntRow] = []
+    noncompact: list[la.IntRow] = []
     for ideal in ideals:
-        sig = signature(kappa.restrict(ideal.vectors))
-        if sig.p == 0 and sig.r == 0:
-            compact.extend(ideal.vectors)
-        else:
-            noncompact.extend(ideal.vectors)
-    return SplitResult(
-        ideals,
-        subspace_from_spanning(alg.dim, compact),
-        subspace_from_spanning(alg.dim, noncompact),
-        kappa,
-    )
+        sig = signature(kappa.restrict_rows(*ideal.int_rows))
+        (compact if sig.p == 0 and sig.r == 0 else noncompact).extend(ideal.int_rows[1])
+    return SplitResult(ideals, span_of(alg.dim, compact), span_of(alg.dim, noncompact), kappa)
 
 
 def split_form_report(m: MetricLieAlgebra, split: SplitResult) -> SplitFormReport:
@@ -154,27 +143,25 @@ def split_form_report(m: MetricLieAlgebra, split: SplitResult) -> SplitFormRepor
     n = alg.dim
 
     # s-invariance: <[x,y], z> + <y, [x,z]> = 0 for x in s, decided on
-    # the columns L [x', b_y] of ad(x), for x' = x scaled to integers
+    # the columns L [x', b_y] of ad(x), for the integer rows x' of s
     _, rows = alg.int_table
     _, b_rows = form.int_rows
-    for x in s.vectors:
-        xi = la.int_row(x)
-        cols = [_int_bracket(rows, xi, {y: 1}).items() for y in range(n)]
+    for x, xi in enumerate(s.int_rows[1]):
+        cols = [_int_bracket(rows, dict(xi), {y: 1}).items() for y in range(n)]
         _, witness = _skew_pairing(cols, b_rows)
         if witness is not None:
             i, j = witness
-            raise PreconditionError(
-                f"form not s-invariant; witness (x, e{i}, e{j}) with x = {la.vec_text(x)}"
-            )
+            text = la.vec_text(s.vectors[x])
+            raise PreconditionError(f"form not s-invariant; witness (x, e{i}, e{j}) with x = {text}")
 
-    k_perp_s = not any(map(any, form.int_gram(k.vectors, s.vectors)[1]))
+    k_perp_s = not any(map(any, form.int_gram(k.int_rows[1], s.int_rows[1])))
     radical = metric_radical(form)
     s_cap_radical_zero = s.intersect(radical).dim == 0
 
     constants = tuple(
         la.proportionality(
-            form.restrict(ideal.vectors).matrix,
-            split.killing.restrict(ideal.vectors).matrix,
+            form.restrict_rows(*ideal.int_rows).matrix,
+            split.killing.restrict_rows(*ideal.int_rows).matrix,
         )
         for ideal in split.simple_ideals
         if s.contains_subspace(ideal)

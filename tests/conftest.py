@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import math
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
@@ -237,6 +238,97 @@ def draw_forms():
     half = Fraction(1, 2)
     forms.append(SymBilinearForm(((half, 1, 0), (1, 0, 0), (0, 0, Fraction(-5, 3)))))
     return forms
+
+
+# ---------------------------------------------------------------------------
+# Fraction subspaces: the reference for ``SubspaceBasis`` on integer rows
+# and for the rescaling ``la.to_int_rows`` that replaced ``la.int_row``
+# ---------------------------------------------------------------------------
+
+
+def reference_int_row(v):
+    """v scaled by the least common denominator of its entries, as the
+    sparse integer row {column: non-zero value}; it spans the same line."""
+    den = math.lcm(*(x.denominator for x in v if x))
+    return {c: x.numerator * (den // x.denominator) for c, x in enumerate(v) if x}
+
+
+def reference_rational_span(rows, nc):
+    """The ``la.IntSpan`` of rational rows, each fed as its
+    ``reference_int_row``."""
+    span = la.IntSpan(nc)
+    for r in rows:
+        span.add(reference_int_row(r))
+    return span
+
+
+def reference_span_basis(span):
+    """The RREF basis of an ``la.IntSpan`` as Fraction vectors, by
+    leading column."""
+    out = []
+    for lead in sorted(span.pivots):
+        r = span.pivots[lead]
+        v = [la.ZERO] * span.nc
+        for c, x in r.items():
+            v[c] = Fraction(x, r[lead])
+        out.append(tuple(v))
+    return tuple(out)
+
+
+def reference_sparse_kernel(rows, nc):
+    """The kernel basis of sparse integer rows, one Fraction vector per
+    free column (e_fc minus the RREF entries in column fc)."""
+    span = la.IntSpan(nc)
+    for row in rows:
+        span.add(row)
+    basis = []
+    for fc in range(nc):
+        if fc in span.pivots:
+            continue
+        v = [la.ZERO] * nc
+        v[fc] = Fraction(1)
+        for pc, r in span.pivots.items():
+            if fc in r:
+                v[pc] = Fraction(-r[fc], r[pc])
+        basis.append(tuple(v))
+    return tuple(basis)
+
+
+@dataclass(frozen=True)
+class ReferenceSubspaceBasis:
+    """The ``SubspaceBasis`` that held its ``Fraction`` vectors, with
+    equality and hash on them."""
+
+    ambient_dim: int
+    vectors: tuple
+
+    def __post_init__(self):
+        vecs = tuple(la.vec(v) for v in self.vectors)
+        object.__setattr__(self, "vectors", vecs)
+        if any(len(v) != self.ambient_dim for v in vecs):
+            raise ValueError("vector length does not match ambient dimension")
+        if self.int_span.dim != len(vecs):
+            raise ValueError("basis vectors are linearly dependent")
+
+    @property
+    def int_span(self):
+        return reference_rational_span(self.vectors, self.ambient_dim)
+
+    @property
+    def dim(self):
+        return len(self.vectors)
+
+    def contains(self, v):
+        return not self.int_span.reduce(reference_int_row(la.vec(v)))
+
+    def intersect(self, other):
+        meet = la.intersect_spans(self.int_span, other.int_span)
+        return ReferenceSubspaceBasis(self.ambient_dim, reference_span_basis(meet))
+
+
+def reference_subspace(n, vectors):
+    """``subspace_from_spanning`` on ``Fraction`` vectors: the RREF basis."""
+    return ReferenceSubspaceBasis(n, reference_span_basis(reference_rational_span(vectors, n)))
 
 
 # ---------------------------------------------------------------------------

@@ -417,6 +417,29 @@ def test_repeated_bracket_data_exits_2(capsys, tmp_path):
     assert run(capsys, "analyze", str(path))[0] == 0
 
 
+def test_float_and_bool_indices_exit_2(capsys, tmp_path):
+    # int() would truncate 0.9 and 1.2 to the bracket (0, 1), and read
+    # true as 1; both are rejected, and the message names the field
+    base = {"name": "t", "dim": 3, "basis": ["a", "b", "c"]}
+    one = {"name": "t", "basis": ["a"], "brackets": []}
+    not_an_integer = "must be an integer, got"
+    cases = {
+        "float_i": ({**base, "brackets": [{"i": 0.9, "j": 1.2}]}, f"brackets[0].i: {not_an_integer} float"),
+        "float_j": ({**base, "brackets": [{"i": 0, "j": 1.5}]}, f"brackets[0].j: {not_an_integer} float"),
+        "bool_j": ({**base, "brackets": [{"i": 0, "j": True}]}, f"brackets[0].j: {not_an_integer} bool"),
+        "bool_dim": ({**one, "dim": True}, "dim: must be a non-negative integer"),
+        "float_dim": ({**one, "dim": 1.0}, "dim: must be a non-negative integer"),
+    }
+    for name, (doc, message) in cases.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(doc))
+        assert run(capsys, "analyze", str(path)) == (2, "", f"error: {message}\n"), name
+    # integer strings stay accepted
+    path = tmp_path / "strings.json"
+    path.write_text(json.dumps({**base, "brackets": [{"i": "0", "j": "1", "coeffs": {"2": "1"}}]}))
+    assert run(capsys, "analyze", str(path))[0] == 0
+
+
 def test_global_flags_accepted_before_subcommand(capsys):
     code, out, err = run(capsys, "--format", "json", "signature", "sl2")
     assert code == 0

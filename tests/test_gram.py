@@ -124,6 +124,11 @@ def test_wrong_length_vector_raises_value_error():
                 form.apply(u, v)
         with pytest.raises(ValueError):
             form.restrict((good, bad))
+        # a subspace of another space, read on its integer rows
+        other = SubspaceBasis(n + 1, (la.unit_vec(n + 1, n),))
+        for check in (is_totally_isotropic, orthogonal_complement):
+            with pytest.raises(ValueError, match="ambient dimension"):
+                check(form, other)
 
 
 def random_subspace(rng, n, k):
@@ -179,14 +184,15 @@ def test_pairing_duals_match_dense_fraction_code():
     rng = random.Random(1403)
     solved = unsolvable = 0
     for form, u in isotropic_families(rng):
-        assert is_totally_isotropic(form, SubspaceBasis(form.dim, tuple(u)))[0]
+        sub = SubspaceBasis(form.dim, tuple(u))
+        assert is_totally_isotropic(form, sub)[0]
         expected = reference_pairing_duals(form, tuple(u))
         if expected is None:
             with pytest.raises(CertificateError):
-                _pairing_duals(form, tuple(u))
+                _pairing_duals(form, sub)
             unsolvable += 1
             continue
-        duals = _pairing_duals(form, tuple(u))
+        duals = _pairing_duals(form, sub).vectors
         assert duals == expected
         for i, x in enumerate(u):
             for j, y in enumerate(duals):
@@ -248,8 +254,8 @@ def test_nilradical_certificate_fires_on_a_non_nilpotent_candidate(monkeypatch):
     assert nilradical(alg).dim == 5
     fresh = core.LieAlgebra(alg.dim, alg.basis_names, alg.brackets)
     assert not fresh.series_report.is_nilpotent
-    # the trace-row solve is the one sparse_kernel call left in nilradical;
+    # the trace-row solve is the one SubspaceBasis.kernel call in nilradical;
     # all of example42 contains [g, g] and is an ideal, but is not nilpotent
-    monkeypatch.setattr(la, "sparse_kernel", lambda rows, n: la.identity(n))
+    monkeypatch.setattr(SubspaceBasis, "kernel", classmethod(lambda cls, n, rows: cls(n, la.identity(n))))
     with pytest.raises(CertificateError, match="not a nilpotent ideal"):
         nilradical(fresh)

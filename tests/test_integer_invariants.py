@@ -42,10 +42,12 @@ from metriclie.forms import (
     diagonalize_symmetric,
     signature,
 )
-from metriclie.reduction import build_example42
+from metriclie.reduction import build_ab, build_example42
 from metriclie.semisimple import _commutant_of_adjoint
 
 from conftest import (
+    ReferenceSubspaceBasis,
+    draw_forms,
     naive_basis_bracket,
     naive_in_span,
     naive_inverse,
@@ -56,8 +58,14 @@ from conftest import (
     rand_fraction,
     random_solvable_metric,
     reference_associative_closure,
+    reference_bilinear,
     reference_bracket,
     reference_commutant_of_adjoint,
+    reference_int_row,
+    reference_rational_span,
+    reference_span_basis,
+    reference_sparse_kernel,
+    reference_subspace,
 )
 from test_kernels import criterion3_family, int_matrix, iterated_family, naive_trace_product
 
@@ -300,7 +308,7 @@ def test_row_space_basis_matches_fraction_rref():
         if rng.random() < 0.4:
             a, b = rng.choice(vectors), rng.choice(vectors)
             vectors.append(la.vec_sub(la.vec_scale(Fraction(2, 3), a), b))
-        assert la.rational_span(vectors, n).basis() == naive_row_space_basis(vectors)
+        assert subspace_from_spanning(n, vectors).vectors == naive_row_space_basis(vectors)
 
 
 @settings(max_examples=150, deadline=None)
@@ -322,7 +330,7 @@ def test_row_space_basis_matches_fraction_rref():
 )
 def test_row_space_basis_matches_fraction_rref_hypothesis(rows):
     vectors = [tuple(Fraction(x) for x in r) for r in rows]
-    assert la.rational_span(vectors, len(rows[0])).basis() == naive_row_space_basis(vectors)
+    assert subspace_from_spanning(len(rows[0]), vectors).vectors == naive_row_space_basis(vectors)
 
 
 def test_int_span_membership_and_empty_kernel():
@@ -331,7 +339,7 @@ def test_int_span_membership_and_empty_kernel():
         n = rng.randint(1, 8)
         vectors = random_vectors(rng, rng.randint(1, 6), n, 0.5)
         span = la.IntSpan(n)
-        grew = [span.add(la.int_row(v)) for v in vectors]
+        grew = [span.add(reference_int_row(v)) for v in vectors]
         assert grew == [
             naive_rank(tuple(vectors[: i + 1])) > naive_rank(tuple(vectors[:i]))
             for i, v in enumerate(vectors)
@@ -341,10 +349,10 @@ def test_int_span_membership_and_empty_kernel():
             assert min(r) == lead and math.gcd(*r.values()) == 1
             assert all(lead not in other for p, other in span.pivots.items() if p != lead)
         for probe in random_vectors(rng, 4, n, 0.5) + vectors:
-            assert (not span.reduce(la.int_row(probe))) == naive_in_span(vectors, probe)
+            assert (not span.reduce(reference_int_row(probe))) == naive_in_span(vectors, probe)
     for n in range(6):
-        assert la.sparse_kernel([], n) == la.identity(n)
-        assert la.sparse_kernel([{}, {}], n) == la.identity(n)
+        assert SubspaceBasis.kernel(n, []).vectors == la.identity(n)
+        assert SubspaceBasis.kernel(n, [{}, {}]).vectors == la.identity(n)
     # a dense matrix without rows has no column count
     assert la.kernel(()) == ()
 
@@ -362,8 +370,8 @@ def test_subspace_operations_match_fraction_code():
         # spanning sets with repeats and dependent vectors
         raw_u = list(u.vectors) + list(shared)
         raw_v = list(v.vectors) + [la.vec_scale(3, x) for x in v.vectors]
-        meet_raw = la.intersect_spans(la.rational_span(raw_u, n), la.rational_span(raw_v, n))
-        assert meet_raw.basis() == fraction_intersect_spans(raw_u, raw_v)
+        meet_raw = subspace_from_spanning(n, raw_u).intersect(subspace_from_spanning(n, raw_v))
+        assert meet_raw.vectors == fraction_intersect_spans(raw_u, raw_v)
         assert u.contains_subspace(v) == all(naive_in_span(u.vectors, x) for x in v.vectors)
         assert u.same_span(v) == (naive_row_space_basis(u.vectors) == naive_row_space_basis(v.vectors))
         assert u.same_span(u) and u.contains_subspace(meet) and v.contains_subspace(meet)
@@ -373,17 +381,131 @@ def test_subspace_operations_match_fraction_code():
         SubspaceBasis(3, ((1, 2, 3), (Fraction(1, 2), 1, Fraction(3, 2))))
 
 
+def check_subspaces_match_reference(n, families, probes, equations, forms):
+    """Every ``SubspaceBasis`` operation against the ``Fraction``
+    reference, on the subspaces spanned by each family of vectors: the
+    basis, ``==`` and ``hash``, ``dim``, the pivot rows, membership,
+    intersections, the validating constructor, the kernels of the
+    integer equations and the Gram values on the integer rows."""
+    subs = [subspace_from_spanning(n, vs) for vs in families]
+    refs = [reference_subspace(n, vs) for vs in families]
+    for vs, sub, ref in zip(families, subs, refs):
+        assert sub.vectors == ref.vectors and sub.dim == ref.dim
+        assert sub.int_span.pivots == ref.int_span.pivots
+        assert all(type(x) is Fraction for v in sub.vectors for x in v)
+        assert SubspaceBasis(n, ref.vectors) == sub
+        for v in vs:
+            if any(v):
+                assert dict(la.to_int_rows((v,))[1][0]) == reference_int_row(la.vec(v))
+        for probe in probes:
+            assert sub.contains(probe) == ref.contains(probe)
+        # the given vectors as a basis: both constructors accept or reject them
+        try:
+            expected = ReferenceSubspaceBasis(n, vs).vectors
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=str(exc)):
+                SubspaceBasis(n, vs)
+        else:
+            assert SubspaceBasis(n, vs).vectors == expected
+    for a, ref_a in zip(subs, refs):
+        for b, ref_b in zip(subs, refs):
+            assert (a == b) == (ref_a == ref_b)
+            if a == b:
+                assert hash(a) == hash(b)
+            assert a.intersect(b).vectors == ref_a.intersect(ref_b).vectors
+    for sub in subs:
+        # a sub-basis over the parent's denominator is stored canonically
+        den, rows = sub.int_rows
+        first, same = SubspaceBasis.from_rows(n, den, rows[:1]), SubspaceBasis(n, sub.vectors[:1])
+        assert first == same and hash(first) == hash(same)
+    for rows in equations:
+        kernel = SubspaceBasis.kernel(n, rows)
+        expected = reference_sparse_kernel(rows, n)
+        assert kernel.vectors == expected
+        assert kernel == SubspaceBasis(n, expected) and hash(kernel) == hash(SubspaceBasis(n, expected))
+    for form in forms:
+        m = form.int_rows[0]
+        for a, b in zip(subs, subs[1:] + subs[:1]):
+            (da, ra), (db, rb) = a.int_rows, b.int_rows
+            gram = form.int_gram(ra, rb)
+            assert [[Fraction(x, m * da * db) for x in row] for row in gram] == [
+                [reference_bilinear(form.matrix, u, v) for v in b.vectors] for u in a.vectors
+            ]
+
+
+def test_subspace_basis_matches_the_fraction_reference():
+    rng = random.Random(8111)
+    forms_by_dim: dict[int, list] = {}
+    for form in draw_forms():
+        forms_by_dim.setdefault(form.dim, []).append(form)
+    for n in range(9):
+        for _ in range(12):
+            families = [[]]  # the empty basis
+            for _ in range(4):
+                k = rng.randint(0, n + 2)
+                vs = random_vectors(rng, k, n, rng.choice((0.3, 0.7, 1.0)), rng.choice((1, 4, 12, 10**6)))
+                if vs and rng.random() < 0.4:
+                    # dependent input: a combination of two of the vectors
+                    a, b = rng.choice(vs), rng.choice(vs)
+                    vs.append(la.vec_sub(la.vec_scale(Fraction(3, 7), a), b))
+                families.append(vs)
+            families.append(list(families[-1]))  # an equal subspace
+            probes = random_vectors(rng, 3, n) + [v for vs in families for v in vs][:4]
+            equations = [
+                [
+                    {c: rng.randint(-5, 5) for c in range(n) if rng.random() < 0.5}
+                    for _ in range(rng.randint(0, n + 1))
+                ]
+                for _ in range(3)
+            ]
+            check_subspaces_match_reference(n, families, probes, equations, forms_by_dim.get(n, []))
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    st.integers(0, 8).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.lists(
+                st.lists(
+                    st.lists(
+                        st.one_of(
+                            st.just(ZERO),
+                            st.fractions(min_value=-20, max_value=20, max_denominator=30),
+                        ),
+                        min_size=n,
+                        max_size=n,
+                    ),
+                    max_size=6,
+                ),
+                min_size=1,
+                max_size=3,
+            ),
+            st.lists(
+                st.dictionaries(st.integers(0, max(n - 1, 0)), st.integers(-9, 9), max_size=n),
+                max_size=8,
+            ),
+        )
+    )
+)
+def test_subspace_basis_matches_the_fraction_reference_hypothesis(case):
+    n, families, equations = case
+    families = [[tuple(v) for v in vs] for vs in families]
+    probes = [v for vs in families for v in vs][:4]
+    check_subspaces_match_reference(n, families, probes, [equations], [build_ab(n, n // 2).form])
+
+
 def test_full_space_runs_no_elimination(monkeypatch):
     # the unit rows are the RREF of Q^n already
     alg = LieAlgebra(3, ("x", "y", "z"), {(0, 1): (0, 0, 1)})
     eliminations = []
-    real = la.rational_span
+    real = la.IntSpan.add
 
-    def counted(rows, nc):
-        eliminations.append(nc)
-        return real(rows, nc)
+    def counted(span, row):
+        eliminations.append(span.nc)
+        return real(span, row)
 
-    monkeypatch.setattr(la, "rational_span", counted)
+    monkeypatch.setattr(la.IntSpan, "add", counted)
     full = alg.full_space()
     assert full.vectors == la.identity(3)
     assert full.int_span.pivots == {i: {i: 1} for i in range(3)}
@@ -397,27 +519,29 @@ def test_subspace_from_span_keeps_the_elimination(monkeypatch):
         n = rng.randint(0, 8)
         k = rng.randint(0, 5) if n else 0
         vectors = random_vectors(rng, k, n, density=rng.choice((0.3, 0.6, 1.0)))
-        span = la.rational_span(vectors, n)
+        span = reference_rational_span(vectors, n)
         sub = SubspaceBasis.from_span(span)
-        ref = SubspaceBasis(n, span.basis())
+        ref = SubspaceBasis(n, reference_span_basis(span))
         assert (sub.ambient_dim, sub.vectors) == (ref.ambient_dim, ref.vectors)
         assert sub == ref and sub.int_span is span
         assert sub.int_span.pivots == ref.int_span.pivots
         assert all(type(x) is Fraction for v in sub.vectors for x in v)
     zero = SubspaceBasis.from_span(la.IntSpan(4))
     assert zero.vectors == () and zero.dim == 0 and zero == SubspaceBasis(4, ())
-    # the subspaces built from an elimination run no second one
+    # the subspaces built from an elimination rescale no vectors and run
+    # no second one; the rescaling of rational vectors is counted by width
     alg = build_example42().algebra
     full = alg.full_space()
     u = subspace_from_spanning(6, (la.unit_vec(6, 1), la.unit_vec(6, 2)))
     eliminations = []
-    real = la.rational_span
+    real = la.to_int_rows
 
-    def counted(rows, nc):
-        eliminations.append(nc)
-        return real(rows, nc)
+    def counted(rows):
+        rows = tuple(rows)
+        eliminations.append(len(rows[0]))
+        return real(rows)
 
-    monkeypatch.setattr(la, "rational_span", counted)
+    monkeypatch.setattr(la, "to_int_rows", counted)
     derived = bracket_spans(alg, full, full)
     derived.intersect(u)
     assert eliminations == []
@@ -528,14 +652,14 @@ def test_nilradical_matches_the_associative_closure(monkeypatch):
     algs = [alg for alg, _ in pool_algebras(per_dim=30)]
     algs += [random_solvable_metric(rng, 5, 2).algebra for _ in range(40)]
     algs += [random_semidirect(rng) for _ in range(40)]
-    real = la.sparse_kernel
+    real = SubspaceBasis.kernel
     tries = []
 
-    def counted(rows, nc):
+    def counted(cls, nc, rows):
         tries[-1] += 1
-        return real(rows, nc)
+        return real(nc, rows)
 
-    monkeypatch.setattr(la, "sparse_kernel", counted)
+    monkeypatch.setattr(SubspaceBasis, "kernel", classmethod(counted))
     cases = 0
     for alg in algs:
         rep = alg.series_report
@@ -557,11 +681,11 @@ def test_nilradical_retries_are_bounded(monkeypatch):
     # but is not nilpotent, so every t up to the bound is tried
     calls = []
 
-    def whole(rows, nc):
+    def whole(cls, nc, rows):
         calls.append(nc)
-        return la.identity(nc)
+        return cls(nc, la.identity(nc))
 
-    monkeypatch.setattr(la, "sparse_kernel", whole)
+    monkeypatch.setattr(SubspaceBasis, "kernel", classmethod(whole))
     with pytest.raises(CertificateError, match="not a nilpotent ideal"):
         nilradical(alg)
     assert len(calls) == (d - 1) * n * (n + 1) // 2 + 1
@@ -600,10 +724,9 @@ def test_commutant_of_adjoint_matches_fraction_code():
     algs += [alg for alg, _ in pool_algebras(per_dim=1) if alg.dim <= 7]
     for alg in algs:
         n = alg.dim
-        # the integer kernel (L, w) as the rational matrices w / L
+        # the kernel's flattened vectors as matrices
         got = tuple(
-            tuple(tuple(Fraction(w.get(i * n + j, 0), l) for j in range(n)) for i in range(n))
-            for l, w in _commutant_of_adjoint(alg)
+            tuple(v[i * n : (i + 1) * n] for i in range(n)) for v in _commutant_of_adjoint(alg).vectors
         )
         assert got == reference_commutant_of_adjoint(alg)
 

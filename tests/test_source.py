@@ -177,6 +177,38 @@ def test_every_public_linalg_function_has_a_src_reader():
     assert _linalg_functions_without_src_reader() == []
 
 
+def _lcm_over_denominators(tree: ast.AST) -> list[int]:
+    """The lines of each ``math.lcm`` (or bare ``lcm``) call whose
+    arguments read a ``.denominator``: a rescaling of rationals to a
+    common denominator."""
+    out = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+        if name != "lcm":
+            continue
+        reads = (sub for arg in node.args for sub in ast.walk(arg))
+        if any(isinstance(sub, ast.Attribute) and sub.attr == "denominator" for sub in reads):
+            out.append(node.lineno)
+    return out
+
+
+def test_only_linalg_rescales_rationals():
+    # rational rows become (D, integer rows) in one place,
+    # ``linalg.to_int_rows``; the other modules read integer data
+    found = {
+        p.name: _lcm_over_denominators(ast.parse(p.read_text()))
+        for p in sorted(SRC.glob("*.py"))
+        if p.name != "linalg.py"
+    }
+    assert {name: lines for name, lines in found.items() if lines} == {}
+    # the check sees the call however the rationals reach it
+    probe = ast.parse("math.lcm(*(x.denominator for x in v))\nlcm(a.denominator, 2)\nmath.lcm(3, 4)\n")
+    assert _lcm_over_denominators(probe) == [1, 2]
+
+
 def _module_level_imports(node: ast.AST) -> list[tuple[int, str]]:
     """(line, top-level package) of each import that runs when the
     module is imported: everywhere but inside function bodies."""

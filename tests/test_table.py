@@ -23,7 +23,7 @@ from pathlib import Path
 
 import pytest
 
-from metriclie import cli, documents, forms, reduction
+from metriclie import cli, documents
 from metriclie import linalg as la
 from metriclie.catalog import direct_sum, heis3, sl2, su2
 from metriclie.core import LieAlgebra, killing_form, killing_matrix
@@ -142,7 +142,7 @@ def test_reduction_tables_are_canonical_and_match_the_rational_view():
             assert_canonical_form(rebuilt.form)
             split = change_basis(
                 step.original,
-                step.duals + step.complement + step.ideal.vectors,
+                step.duals.vectors + step.complement.vectors + step.ideal.vectors,
                 rebuilt.algebra.basis_names,
             )
             assert_canonical_form(split.form)
@@ -321,15 +321,18 @@ def test_the_rational_form_constructor_runs_once_on_the_cli_path(monkeypatch, ca
     """On ``analyze`` and ``complete-reduce`` of a pool document, the
     validated ``SymBilinearForm`` constructor runs once, for the loaded
     form, the rational ``DoubleExtensionSpec`` constructor never runs,
-    and ``_scaled_rows`` scales only vectors and basis changes."""
+    and ``la.to_int_rows`` rescales only at the boundary: the loaded
+    document and form, the rational vectors of ``apply`` and
+    ``subspace_from_spanning``, and the pairing system's solution.
+    Subspaces, Gram matrices and basis changes are never rescaled."""
     with gzip.open(POOL) as fh:
         pool = json.load(fh)
     counts: Counter = Counter()
     callers: Counter = Counter()
-    form_init, spec_init, scaled_rows = (
+    form_init, spec_init, to_int_rows = (
         SymBilinearForm.__init__,
         DoubleExtensionSpec.__init__,
-        forms._scaled_rows,
+        la.to_int_rows,
     )
 
     def counted_form(self, matrix):
@@ -340,14 +343,13 @@ def test_the_rational_form_constructor_runs_once_on_the_cli_path(monkeypatch, ca
         counts["spec"] += 1
         spec_init(self, *args, **kwargs)
 
-    def recorded(m):
+    def recorded(rows):
         callers[sys._getframe(1).f_code.co_qualname] += 1
-        return scaled_rows(m)
+        return to_int_rows(rows)
 
     monkeypatch.setattr(SymBilinearForm, "__init__", counted_form)
     monkeypatch.setattr(DoubleExtensionSpec, "__init__", counted_spec)
-    monkeypatch.setattr(forms, "_scaled_rows", recorded)
-    monkeypatch.setattr(reduction, "_scaled_rows", recorded)
+    monkeypatch.setattr(la, "to_int_rows", recorded)
     reductions = 0
     for entry in pool[::20]:
         path = tmp_path / f"{entry['id']}.json"
@@ -359,7 +361,14 @@ def test_the_rational_form_constructor_runs_once_on_the_cli_path(monkeypatch, ca
             out = json.loads(capsys.readouterr().out)["results"]
             assert counts == {"form": 1}
             assert callers["SymBilinearForm.__init__"] == 1
-            allowed = {"SymBilinearForm.__init__", "SymBilinearForm.int_gram", "change_basis"}
+            # _int_rows_of serves apply and subspace_from_spanning
+            allowed = {
+                "SymBilinearForm.__init__",
+                "document_to_algebra",
+                "_int_rows_of",
+                "solve_lex",
+                "_pairing_duals",
+            }
             assert set(callers) <= allowed
             reductions += command == "complete-reduce" and out["steps"] > 0
     assert reductions >= 10
