@@ -113,7 +113,7 @@ class SubspaceBasis:
         return len(self.int_rows[1])
 
     def contains(self, v: Vec) -> bool:
-        _, (row,) = la.to_int_rows((v,))
+        _, (row,) = _int_rows_of(self.ambient_dim, (v,))
         return not self.int_span.reduce(dict(row))
 
     def contains_subspace(self, other: "SubspaceBasis") -> bool:

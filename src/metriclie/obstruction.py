@@ -429,14 +429,14 @@ def restricted_obstruction(
         restriction = subspace_from_spanning(m.dim, la.transpose(sigma))
     # on the RREF basis of the span, a vector of the span has its
     # coordinates at the pivot columns
-    rref = SubspaceBasis.from_span(restriction.int_span)
-    leads = sorted(rref.int_span.pivots)
+    span = restriction.int_span
+    leads = sorted(span.pivots)
     if not leads:
         return obstruction_verdict(EigenvalueData(), n=0)
     cols = []
-    for v in rref.vectors:
+    for v in SubspaceBasis.from_span(span).vectors:
         w = phi(v)
-        if not rref.contains(w):
+        if not restriction.contains(w):
             raise PreconditionError("restriction subspace is not ad(a)-invariant")
         cols.append(tuple(w[p] for p in leads))
     restricted = la.transpose(tuple(cols))

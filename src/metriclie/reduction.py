@@ -565,7 +565,10 @@ def skew_derivation_space(base: MetricLieAlgebra) -> tuple[Mat, ...]:
     """
     n = base.dim
     sols = SubspaceBasis.kernel(n * n, _skew_derivation_equations(base)).vectors
-    return tuple(tuple(sol[p * n : (p + 1) * n] for p in range(n)) for sol in sols)
+    return tuple(
+        tuple(tuple(sol[p * n + q] for q in range(n)) for p in range(n))
+        for sol in sols
+    )
 
 
 def random_double_extension(rng: random.Random, base: MetricLieAlgebra) -> MetricLieAlgebra:

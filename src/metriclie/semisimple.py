@@ -126,8 +126,16 @@ def compact_split(alg: LieAlgebra) -> SplitResult:
     noncompact: list[la.IntRow] = []
     for ideal in ideals:
         sig = signature(kappa.restrict_rows(*ideal.int_rows))
-        (compact if sig.p == 0 and sig.r == 0 else noncompact).extend(ideal.int_rows[1])
-    return SplitResult(ideals, span_of(alg.dim, compact), span_of(alg.dim, noncompact), kappa)
+        if sig.p == 0 and sig.r == 0:
+            compact.extend(ideal.int_rows[1])
+        else:
+            noncompact.extend(ideal.int_rows[1])
+    return SplitResult(
+        ideals,
+        span_of(alg.dim, compact),
+        span_of(alg.dim, noncompact),
+        kappa,
+    )
 
 
 def split_form_report(m: MetricLieAlgebra, split: SplitResult) -> SplitFormReport:
@@ -151,8 +159,9 @@ def split_form_report(m: MetricLieAlgebra, split: SplitResult) -> SplitFormRepor
         _, witness = _skew_pairing(cols, b_rows)
         if witness is not None:
             i, j = witness
-            text = la.vec_text(s.vectors[x])
-            raise PreconditionError(f"form not s-invariant; witness (x, e{i}, e{j}) with x = {text}")
+            raise PreconditionError(
+                f"form not s-invariant; witness (x, e{i}, e{j}) with x = {la.vec_text(s.vectors[x])}"
+            )
 
     k_perp_s = not any(map(any, form.int_gram(k.int_rows[1], s.int_rows[1])))
     radical = metric_radical(form)

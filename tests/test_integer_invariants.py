@@ -399,6 +399,13 @@ def check_subspaces_match_reference(n, families, probes, equations, forms):
                 assert dict(la.to_int_rows((v,))[1][0]) == reference_int_row(la.vec(v))
         for probe in probes:
             assert sub.contains(probe) == ref.contains(probe)
+            # entries that Fraction() reads, as strings and as exact floats
+            text = tuple(str(x) for x in probe)
+            assert sub.contains(text) == ref.contains(text) == ref.contains(probe)
+            halves = tuple(float(Fraction(round(2 * x), 2)) for x in la.vec(probe))
+            assert sub.contains(halves) == ref.contains(halves)
+        with pytest.raises(ValueError, match="ambient dimension"):
+            sub.contains((0,) * (n + 1))
         # the given vectors as a basis: both constructors accept or reject them
         try:
             expected = ReferenceSubspaceBasis(n, vs).vectors
@@ -528,25 +535,44 @@ def test_subspace_from_span_keeps_the_elimination(monkeypatch):
         assert all(type(x) is Fraction for v in sub.vectors for x in v)
     zero = SubspaceBasis.from_span(la.IntSpan(4))
     assert zero.vectors == () and zero.dim == 0 and zero == SubspaceBasis(4, ())
-    # the subspaces built from an elimination rescale no vectors and run
-    # no second one; the rescaling of rational vectors is counted by width
+    # the subspaces built from an elimination keep it: every IntSpan is
+    # counted by width, and only bracket_spans' own (width 6) and
+    # intersect_spans' own Zassenhaus pair (widths 12 and 6) run, however
+    # the results are read afterwards
     alg = build_example42().algebra
     full = alg.full_space()
     u = subspace_from_spanning(6, (la.unit_vec(6, 1), la.unit_vec(6, 2)))
+    assert "int_span" in full.__dict__ and "int_span" in u.__dict__
     eliminations = []
+    real_init = la.IntSpan.__init__
+
+    def counted_init(self, nc, rows=()):
+        eliminations.append(nc)
+        real_init(self, nc, rows)
+
+    monkeypatch.setattr(la.IntSpan, "__init__", counted_init)
+    derived = bracket_spans(alg, full, full)
+    assert eliminations == [6] and "int_span" in derived.__dict__
+    meet = derived.intersect(u)
+    assert eliminations == [6, 12, 6] and "int_span" in meet.__dict__
+    for sub in (derived, meet):
+        assert sub.int_span.dim == sub.dim
+        assert sub.contains_subspace(sub) and sub.same_span(sub)
+        assert all(sub.contains(v) for v in sub.vectors)
+    assert eliminations == [6, 12, 6]
+    monkeypatch.setattr(la.IntSpan, "__init__", real_init)
+    # the rescaling of rational vectors is counted by width
+    rescaled = []
     real = la.to_int_rows
 
     def counted(rows):
         rows = tuple(rows)
-        eliminations.append(len(rows[0]))
+        rescaled.append(len(rows[0]))
         return real(rows)
 
     monkeypatch.setattr(la, "to_int_rows", counted)
-    derived = bracket_spans(alg, full, full)
-    derived.intersect(u)
-    assert eliminations == []
     subspace_from_spanning(6, derived.vectors + u.vectors)
-    assert eliminations == [6]
+    assert rescaled == [6]
     with pytest.raises(ValueError, match="ambient dimension"):
         subspace_from_spanning(3, ((1, 2),))
 
