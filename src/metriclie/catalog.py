@@ -14,7 +14,7 @@ import re
 
 from . import linalg as la
 from .core import LieAlgebra, killing_form
-from .documents import parse_rational
+from .documents import read_rational
 from .errors import DocumentError
 from .forms import MetricLieAlgebra, SymBilinearForm
 from .reduction import build_ab, build_example42, build_ko1
@@ -92,13 +92,11 @@ def load_delta_file(path: str, expected_dim: int) -> la.Mat:
         raise DocumentError(
             f"{path}: delta must be a {expected_dim}x{expected_dim} matrix"
         )
-    return tuple(
-        tuple(
-            parse_rational(raw[i][j], f"{path}: delta[{i}][{j}]")
-            for j in range(expected_dim)
-        )
-        for i in range(expected_dim)
+    den, rows = la.pair_rows(
+        [(j, read_rational(x, f"{path}: delta[{i}][{j}]")) for j, x in enumerate(row)]
+        for i, row in enumerate(raw)
     )
+    return la.mat_over(la.dense(rows, expected_dim), den)
 
 
 def _suggest(name: str) -> str:

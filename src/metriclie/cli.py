@@ -158,7 +158,7 @@ def cmd_analyze(args) -> tuple[dict, int]:
     results = {
         "dim": alg.dim,
         "basis": list(alg.basis_names),
-        "killing": _mat_out(kappa.matrix),
+        "killing": documents.format_rows(kappa.int_rows, alg.dim),
         "killing_is_zero": kappa.is_zero(),
         "solvable": ser.is_solvable,
         "nilpotent": ser.is_nilpotent,

@@ -1,7 +1,10 @@
 """JSON-document serialization for algebras with optional forms.
 
 Rationals travel as strings ("3/4", "-2"; bare integers accepted) so
-nothing is ever rounded through floats.
+nothing is ever rounded through floats. Each is read once into an
+integer pair (``read_rational``), and a document holds integer rows over
+one common denominator, the (den, rows) that ``LieAlgebra.from_rows``
+and ``SymBilinearForm.from_rows`` take.
 """
 
 from __future__ import annotations
@@ -11,44 +14,64 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg as la
-from .core import LieAlgebra, subspace_from_spanning
+from .core import LieAlgebra, span_of
 from .errors import DocumentError
 from .forms import SymBilinearForm
+
+IntRows = tuple[int, tuple[la.IntRow, ...]]
 
 
 @dataclass(frozen=True)
 class AlgebraDocument:
-    """A parsed document: every rational is a ``Fraction``, parsed once.
+    """A parsed document, every rational read once into integers.
 
-    ``brackets`` holds (i, j, coeffs) sorted by (i, j), ``coeffs`` the
-    pairs (k, c) with c != 0 in increasing k; a ``nilradical`` hint is a
-    tuple of rational vectors."""
+    ``brackets`` = (L, rows) holds (i, j, pairs) sorted by (i, j), the
+    pairs (k, L c_ij^k) with non-zero entry in increasing k; ``form`` is
+    (M, rows), ``rows[p]`` the pairs (q, M B_pq); a ``nilradical`` hint
+    is (D, rows), row i the pairs (c, D v_ic) of vector i. Each
+    denominator is the least common one of its entries, so equal
+    documents hold equal rows."""
 
     name: str
     dim: int
     basis: tuple[str, ...]
-    brackets: tuple[tuple[int, int, tuple[tuple[int, Fraction], ...]], ...]
-    form: tuple[tuple[Fraction, ...], ...] | None = None
+    brackets: tuple[int, tuple[tuple[int, int, la.IntRow], ...]]
+    form: IntRows | None = None
     hints: dict | None = None
 
 
-def parse_rational(raw, where: str) -> Fraction:
+def read_rational(raw, where: str) -> tuple[int, int]:
+    """The rational raw as (p, q) in lowest terms with q > 0. A string
+    that is an optional sign and ASCII digits after ``strip()`` is read
+    by ``int``, any other string by ``Fraction``, so the strings
+    accepted, their values and the errors (even past the digit limit of
+    ``int``) are those of ``Fraction``."""
+    if isinstance(raw, str):
+        s = raw.strip()
+        try:
+            if s.isascii() and (s[1:] if s[:1] in "+-" else s).isdigit():
+                return int(s), 1
+            x = Fraction(s)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise DocumentError(f"{where}: bad rational {raw!r} ({exc})")
+        return x.numerator, x.denominator
     if isinstance(raw, bool):
         raise DocumentError(f"{where}: boolean is not a rational")
     if isinstance(raw, int):
-        return Fraction(raw)
-    if isinstance(raw, str):
-        try:
-            return Fraction(raw.strip())
-        except (ValueError, ZeroDivisionError) as exc:
-            raise DocumentError(f"{where}: bad rational {raw!r} ({exc})")
+        return raw, 1
     raise DocumentError(
         f"{where}: rationals must be strings like '3/4' or integers, got {type(raw).__name__}"
     )
 
 
-def format_rational(x: Fraction) -> str:
-    return str(Fraction(x))
+def format_rational(num: int, den: int) -> str:
+    return str(num) if den == 1 else str(Fraction(num, den))
+
+
+def format_rows(rows: IntRows, nc: int) -> list[list[str]]:
+    """The dense matrix of integer rows (den, rows) over den, as text."""
+    den, sparse = rows
+    return [[format_rational(t, den) for t in row] for row in la.dense(sparse, nc)]
 
 
 def parse_document(obj: dict) -> AlgebraDocument:
@@ -93,7 +116,7 @@ def parse_document(obj: dict) -> AlgebraDocument:
         coeffs_raw = entry.get("coeffs", {})
         if not isinstance(coeffs_raw, dict):
             raise DocumentError(f"{where}.coeffs: must be an object")
-        coeffs: dict[int, Fraction] = {}
+        coeffs: dict[int, tuple[int, int]] = {}
         for k_raw, v in coeffs_raw.items():
             try:
                 k = int(k_raw)
@@ -103,8 +126,8 @@ def parse_document(obj: dict) -> AlgebraDocument:
                 raise DocumentError(f"{where}.coeffs: index {k} out of range")
             if k in coeffs:
                 raise DocumentError(f"{where}.coeffs: index {k} is given twice")
-            coeffs[k] = parse_rational(v, f"{where}.coeffs[{k}]")
-        brackets[(i, j)] = tuple(sorted((k, c) for k, c in coeffs.items() if c))
+            coeffs[k] = read_rational(v, f"{where}.coeffs[{k}]")
+        brackets[(i, j)] = sorted(coeffs.items())
     form = None
     if obj.get("form") is not None:
         raw = obj["form"]
@@ -112,15 +135,13 @@ def parse_document(obj: dict) -> AlgebraDocument:
             not isinstance(r, list) or len(r) != dim for r in raw
         ):
             raise DocumentError("form: must be a dim x dim matrix")
-        parsed = [
-            [parse_rational(raw[i][j], f"form[{i}][{j}]") for j in range(dim)]
-            for i in range(dim)
-        ]
+        read = [[read_rational(raw[i][j], f"form[{i}][{j}]") for j in range(dim)] for i in range(dim)]
         for i in range(dim):
-            for j in range(dim):
-                if parsed[i][j] != parsed[j][i]:
+            for j in range(i + 1, dim):
+                # pairs in lowest terms: equal values are equal pairs
+                if read[i][j] != read[j][i]:
                     raise DocumentError(f"form: not symmetric at ({i},{j})")
-        form = tuple(map(tuple, parsed))
+        form = la.pair_rows(map(enumerate, read))
     hints = None
     if obj.get("hints") is not None:
         if not isinstance(obj["hints"], dict):
@@ -130,80 +151,69 @@ def parse_document(obj: dict) -> AlgebraDocument:
             vecs = hints["nilradical"]
             if not isinstance(vecs, list):
                 raise DocumentError("hints.nilradical: must be a list of vectors")
-            parsed_vecs = []
+            read = []
             for vi, v in enumerate(vecs):
                 if not isinstance(v, list) or len(v) != dim:
                     raise DocumentError(f"hints.nilradical[{vi}]: bad vector length")
                 where = f"hints.nilradical[{vi}]"
-                parsed_vecs.append(
-                    tuple(parse_rational(c, f"{where}[{ci}]") for ci, c in enumerate(v))
-                )
-            hints["nilradical"] = tuple(parsed_vecs)
+                read.append([(ci, read_rational(c, f"{where}[{ci}]")) for ci, c in enumerate(v)])
+            hints["nilradical"] = la.pair_rows(read)
+    keys = sorted(brackets)
+    den, rows = la.pair_rows(brackets[key] for key in keys)
     return AlgebraDocument(
         name=name,
         dim=dim,
         basis=tuple(basis),
-        brackets=tuple((i, j, c) for (i, j), c in sorted(brackets.items())),
+        brackets=(den, tuple((i, j, row) for (i, j), row in zip(keys, rows))),
         form=form,
         hints=hints,
     )
 
 
 def emit_document(doc: AlgebraDocument) -> dict:
+    den, rows = doc.brackets
     out = {
         "name": doc.name,
         "dim": doc.dim,
         "basis": list(doc.basis),
         "brackets": [
-            {"i": i, "j": j, "coeffs": {str(k): format_rational(c) for k, c in coeffs}}
-            for i, j, coeffs in doc.brackets
+            {"i": i, "j": j, "coeffs": {str(k): format_rational(t, den) for k, t in row}}
+            for i, j, row in rows
         ],
     }
     if doc.form is not None:
-        out["form"] = [[format_rational(x) for x in row] for row in doc.form]
+        out["form"] = format_rows(doc.form, doc.dim)
     if doc.hints is not None:
         out["hints"] = dict(doc.hints)
         if "nilradical" in doc.hints:
-            out["hints"]["nilradical"] = [
-                [format_rational(c) for c in v] for v in doc.hints["nilradical"]
-            ]
+            out["hints"]["nilradical"] = format_rows(doc.hints["nilradical"], doc.dim)
     return out
 
 
 def document_to_algebra(doc: AlgebraDocument):
-    """Returns (LieAlgebra, SymBilinearForm | None, nilradical hint | None).
-
-    The structure table is written from the parsed brackets over the
-    least common denominator L of their entries."""
-    den, rows = la.to_int_rows([c for _, c in coeffs] for _, _, coeffs in doc.brackets)
-    upper = {
-        (i, j): [(coeffs[p][0], t) for p, t in row]
-        for (i, j, coeffs), row in zip(doc.brackets, rows)
-    }
-    alg = LieAlgebra.from_rows(doc.dim, doc.basis, den, upper)
-    form = None if doc.form is None else SymBilinearForm(doc.form)
+    """Returns (LieAlgebra, SymBilinearForm | None, nilradical hint | None),
+    each written from the document's integer rows."""
+    den, rows = doc.brackets
+    alg = LieAlgebra.from_rows(doc.dim, doc.basis, den, {(i, j): row for i, j, row in rows})
+    form = None if doc.form is None else SymBilinearForm.from_rows(doc.dim, *doc.form)
     hint = None
     if doc.hints and "nilradical" in doc.hints:
-        hint = subspace_from_spanning(doc.dim, doc.hints["nilradical"])
+        hint = span_of(doc.dim, doc.hints["nilradical"][1])
     return alg, form, hint
 
 
 def algebra_to_document(
     alg: LieAlgebra, form: SymBilinearForm | None = None, name: str = "algebra"
 ) -> AlgebraDocument:
-    den, rows = alg.int_table
-    brackets = tuple(
-        (i, j, tuple((k, Fraction(t, den)) for k, t in rows[i][j]))
-        for i in range(alg.dim)
-        for j in range(i + 1, alg.dim)
-        if rows[i][j]
-    )
+    den, table = alg.int_table
+    n = alg.dim
+    rows = tuple((i, j, table[i][j]) for i in range(n) for j in range(i + 1, n) if table[i][j])
     return AlgebraDocument(
         name=name,
-        dim=alg.dim,
+        dim=n,
         basis=alg.basis_names,
-        brackets=brackets,
-        form=None if form is None else form.matrix,
+        brackets=(den, rows),
+        form=None if form is None else form.int_rows,
     )
 
 

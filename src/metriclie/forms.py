@@ -185,59 +185,45 @@ class NilInvarianceReport:
 
 
 def diagonalize_symmetric(b: SymBilinearForm) -> tuple[tuple[Vec, ...], tuple[Fraction, ...]]:
-    """Vectors t_1..t_n with B(t_i, t_j) = d_i delta_ij; exact congruence
-    diagonalization with hyperbolic-pair handling for zero diagonals."""
-    n = b.dim
-    vecs = [la.unit_vec(n, i) for i in range(n)]
-    out_vecs: list[Vec] = []
-    out_diag: list[Fraction] = []
-    while vecs:
-        pivot = next((i for i, v in enumerate(vecs) if b.apply(v, v) != 0), None)
-        if pivot is None:
-            pair = next(
-                (
-                    (i, j)
-                    for i in range(len(vecs))
-                    for j in range(i + 1, len(vecs))
-                    if b.apply(vecs[i], vecs[j]) != 0
-                ),
-                None,
-            )
-            if pair is None:
-                # remaining vectors span the radical
-                out_vecs.extend(vecs)
-                out_diag.extend([Fraction(0)] * len(vecs))
-                break
-            i, j = pair
-            vecs[i] = la.vec_add(vecs[i], vecs[j])
-            pivot = i
-        v = vecs.pop(pivot)
-        d = b.apply(v, v)
-        vecs = [
-            la.vec_sub(u, la.vec_scale(b.apply(u, v) / d, v)) for u in vecs
-        ]
-        out_vecs.append(v)
-        out_diag.append(d)
-    return tuple(out_vecs), tuple(out_diag)
+    """Vectors t_i = U / S with B(t_i, t_j) = d_i delta_ij, the tracked
+    ``_congruence``, and d_i = U^T (M B) U / (M S^2): exact congruence
+    diagonalization, with hyperbolic pairs for zero diagonals, whose
+    rationals are formed only here."""
+    m = b.int_rows[0]
+    vecs, diag = [], []
+    for s, row in _congruence(b, track=True)[1]:
+        sparse = tuple((q, t) for q, t in enumerate(row) if t)
+        vecs.append(la.mat_over((row,), s)[0])
+        diag.append(Fraction(b.int_gram((sparse,), (sparse,))[0][0], m * s * s))
+    return tuple(vecs), tuple(diag)
 
 
-def _congruence_pivots(b: SymBilinearForm) -> list[int]:
-    """Diagonal of a congruence diagonalization of B, up to positive
-    factors, by fraction-free elimination on the integer rows M B.
+def _congruence(b: SymBilinearForm, track: bool = False) -> tuple[list[int], list[tuple[int, list[int]]]]:
+    """Congruence diagonalization of B by fraction-free elimination on
+    the integer rows M B (Bareiss, *Math. Comp.* 22, 1968): the diagonal
+    up to positive factors and, with ``track``, the vectors.
 
     With pivot d = A_kk != 0 and c = row k, the complement of e_k is
     spanned by d e_i - c_i e_k, on which the form is d (d A - c c^T);
     dividing by |d| leaves sgn(d) (d A_ij - c_i c_j). Without a non-zero
-    diagonal entry, the hyperbolic step e_k <- e_k + e_j of
-    ``diagonalize_symmetric`` makes A_kk = 2 A_kj non-zero. After each
-    step the remaining matrix is divided by its (positive) content.
-    None of these changes the signs by Sylvester's law of inertia; an
-    entry 0 is returned for each vector of the radical.
+    diagonal entry, the first pair (k, j) with A_kj != 0 takes the
+    hyperbolic step e_k <- e_k + e_j, which makes A_kk = 2 A_kj non-zero.
+    After each step the remaining matrix is divided by its (positive)
+    content, so A stays a positive multiple of the Gram matrix of the
+    current vectors: the pivots have the signs of the diagonal
+    (Sylvester), with 0 for each vector of the radical.
+
+    ``track`` keeps the vectors as integer rows U_i over one denominator
+    S, their content divided out: a step sets U_i <- d U_i - c_i U_k over
+    d S. It returns (S, U_k) per pivot in order, then for the radical.
     """
     n = b.dim
     a = la.dense(b.int_rows[1], n)
+    u = [[int(i == j) for j in range(n)] for i in range(n)] if track else []
+    s = 1
     rest = list(range(n))
     pivots: list[int] = []
+    vectors: list[tuple[int, list[int]]] = []
     while rest:
         k = next((i for i in rest if a[i][i]), None)
         if k is None:
@@ -253,6 +239,8 @@ def _congruence_pivots(b: SymBilinearForm) -> list[int]:
             for c in rest:
                 a[k][c] = a[c][k] = a[k][c] + a[j][c]
             a[k][k] = d
+            if track:
+                u[k] = [x + y for x, y in zip(u[k], u[j])]
         rest.remove(k)
         d = a[k][k]
         col = a[k]
@@ -267,13 +255,23 @@ def _congruence_pivots(b: SymBilinearForm) -> list[int]:
                 row_i = a[i]
                 for j in rest:
                     row_i[j] //= g
+        if track:
+            vectors.append((s, u[k]))
+            for i in rest:
+                u[i] = [d * x - col[i] * y for x, y in zip(u[i], u[k])]
+            g = math.gcd(s * d, *(x for i in rest for x in u[i]))
+            s = s * d // g
+            for i in rest:
+                u[i] = [x // g for x in u[i]]
         pivots.append(d)
-    return pivots
+    if track:
+        vectors += [(s, u[i]) for i in rest]
+    return pivots, vectors
 
 
 def signature(b: SymBilinearForm) -> Signature:
-    """Inertia (p, q, r): the signs of ``_congruence_pivots``."""
-    pivots = _congruence_pivots(b)
+    """Inertia (p, q, r): the signs of the ``_congruence`` pivots."""
+    pivots, _ = _congruence(b)
     p = sum(1 for d in pivots if d > 0)
     q = sum(1 for d in pivots if d < 0)
     return Signature(p, q, len(pivots) - p - q)
@@ -426,19 +424,22 @@ def _pairing_duals(form: SymBilinearForm, u: SubspaceBasis) -> SubspaceBasis:
     totally isotropic u, on the integer rows U_i / D of u.
 
     v*_i starts as y = Y / E, the lexicographically-smallest pivot
-    solution of the pairing system [M D B u_j | M D d_ij] together with
-    [B v*_j | 0] for the earlier duals. Then v*_i = y - <y, y> / 2 u_i
-    keeps the pairings and is isotropic; over 2 M E^2 D it is the
-    integer row 2 M E D Y - q U_i with q = M E^2 <y, y>."""
+    solution (``la.int_solve_lex``) of the pairing system
+    [M D B u_j | M D d_ij] together with [B v*_j | 0] for the earlier
+    duals. Then v*_i = y - <y, y> / 2 u_i keeps the pairings and is
+    isotropic; over 2 M E^2 D it is the integer row 2 M E D Y - q U_i
+    with q = M E^2 <y, y>."""
     m, b_rows = form.int_rows
     d, urows = u.int_rows
+    n = form.dim
     system = _int_images(urows, b_rows)
     duals = []
     for i, ui in enumerate(urows):
-        y = la.solve_lex(system, [m * d if j == i else 0 for j in range(len(system))])
-        if y is None:
+        rows = ({**dict(enumerate(r)), n: m * d if j == i else 0} for j, r in enumerate(system))
+        sol = la.int_solve_lex(n, rows)
+        if sol is None:
             raise CertificateError("pairing system unsolvable for a non-degenerate form")
-        e, (yrow,) = la.to_int_rows((y,))
+        e, yrow = sol
         q = form.int_gram((yrow,), (yrow,))[0][0]
         dual = {c: 2 * m * e * d * x for c, x in yrow}
         for c, x in ui:

@@ -3,9 +3,9 @@
 Vectors are tuples of ``Fraction``, matrices are tuples of row tuples.
 Everything here is pure and exact; no floating point anywhere. Rational
 rows become integer rows over one common denominator in one place,
-``to_int_rows``. Every row reduction runs on one fraction-free integer
-elimination, ``IntSpan``, whose pivot rows are the unique RREF of their
-span.
+``to_int_rows`` (``pair_rows`` for rationals read as (p, q) pairs).
+Every row reduction runs on one fraction-free integer elimination,
+``IntSpan``, whose pivot rows are the unique RREF of their span.
 
 The characteristic polynomial (``charpoly``) and matrix polynomials
 (``poly_eval_mat``) run in ``int`` on D A, D the least common
@@ -88,6 +88,14 @@ def to_int_rows(rows: Iterable[Iterable]) -> tuple[int, tuple[IntRow, ...]]:
     return den, tuple(
         tuple((q, x.numerator * (den // x.denominator)) for q, x in enumerate(r) if x) for r in rows
     )
+
+
+def pair_rows(rows) -> tuple[int, tuple[IntRow, ...]]:
+    """``to_int_rows`` of rows read as pairs: each row the pairs
+    (column, (p, q)) of rationals p / q with q > 0, in the order given."""
+    rows = [list(row) for row in rows]
+    den = math.lcm(*(q for row in rows for _, (_, q) in row))
+    return den, tuple(tuple((c, p * (den // q)) for c, (p, q) in row if p) for row in rows)
 
 
 def common_rows(*parts: tuple[int, Iterable[IntRow]]) -> tuple[int, list[IntRow]]:
@@ -311,19 +319,20 @@ def kernel(a: Mat) -> tuple[Vec, ...]:
     return mat_over(dense(rows, nc), den)
 
 
-def solve_lex(a: Mat, b: Vec) -> Vec | None:
-    """A particular solution of ``a x = b`` with free variables set to
-    zero, so the support sits on the earliest possible pivot columns.
-    Returns None if the system is inconsistent."""
-    nc = ncols(a)
-    _, rows = to_int_rows(tuple(row) + (bi,) for row, bi in zip(a, b))
-    span = IntSpan(nc + 1, map(dict, rows))
+def int_solve_lex(nc: int, rows: Iterable[Mapping[int, int]]) -> tuple[int, IntRow] | None:
+    """The particular solution of A x = b with free variables set to
+    zero, so its support sits on the earliest possible pivot columns,
+    from the integer rows of [A | b] (column nc holds b): x[pc] =
+    r[nc] / r[pc] for the pivot row r led by pc, as one ``normalised``
+    integer row over the least common denominator. None if column nc is
+    a pivot (inconsistent)."""
+    span = IntSpan(nc + 1, rows)
     if nc in span.pivots:
         return None
-    x = [ZERO] * nc
-    for pc, r in span.pivots.items():
-        x[pc] = Fraction(r.get(nc, 0), r[pc])
-    return tuple(x)
+    leads = sorted(span.pivots.items())
+    den = math.lcm(*(r[pc] for pc, r in leads))
+    den, (row,) = normalised(den, ([(pc, r.get(nc, 0) * (den // r[pc])) for pc, r in leads],))
+    return den, row
 
 
 def int_inverse(den: int, rows: Sequence[IntRow], n: int) -> tuple[int, tuple[IntRow, ...]]:

@@ -136,6 +136,15 @@ def naive_solve_lex(a, b):
     return tuple(x)
 
 
+def rational_solve_lex(a, b):
+    """``la.int_solve_lex`` of the rational system a x = b, read as
+    rationals: the integer rows of [a | b] in, the solution row out."""
+    nc = len(a[0]) if a else 0
+    _, rows = la.to_int_rows(tuple(row) + (bi,) for row, bi in zip(a, b))
+    sol = la.int_solve_lex(nc, map(dict, rows))
+    return None if sol is None else la.mat_over(la.dense((sol[1],), nc), sol[0])[0]
+
+
 def naive_inverse(a):
     """The right half of the RREF of [a | I]; None if a is singular."""
     n = len(a)
@@ -471,6 +480,42 @@ def reference_gram(form, vectors):
     return tuple(tuple(reference_bilinear(form.matrix, u, v) for v in vecs) for u in vecs)
 
 
+def reference_diagonalize_symmetric(form):
+    """The ``Fraction`` congruence diagonalization, the reference for the
+    integer ``forms.diagonalize_symmetric``: pivot on the first vector
+    with B(v, v) != 0, else add the second vector of the first pair with
+    B(v_i, v_j) != 0 to the first; project the rest off the pivot."""
+    b = form.matrix
+    vecs = [la.unit_vec(form.dim, i) for i in range(form.dim)]
+    out_vecs, out_diag = [], []
+    while vecs:
+        pivot = next((i for i, v in enumerate(vecs) if reference_bilinear(b, v, v) != 0), None)
+        if pivot is None:
+            pair = next(
+                (
+                    (i, j)
+                    for i in range(len(vecs))
+                    for j in range(i + 1, len(vecs))
+                    if reference_bilinear(b, vecs[i], vecs[j]) != 0
+                ),
+                None,
+            )
+            if pair is None:
+                # the remaining vectors span the radical
+                out_vecs.extend(vecs)
+                out_diag.extend([Fraction(0)] * len(vecs))
+                break
+            i, j = pair
+            vecs[i] = la.vec_add(vecs[i], vecs[j])
+            pivot = i
+        v = vecs.pop(pivot)
+        d = reference_bilinear(b, v, v)
+        vecs = [la.vec_sub(u, la.vec_scale(reference_bilinear(b, u, v) / d, v)) for u in vecs]
+        out_vecs.append(v)
+        out_diag.append(d)
+    return tuple(out_vecs), tuple(out_diag)
+
+
 def reference_is_totally_isotropic(form, sub):
     for u in sub.vectors:
         for v in sub.vectors:
@@ -495,7 +540,7 @@ def reference_pairing_duals(form, u):
         rows = [la.mat_vec(form.matrix, uj) for uj in u]
         rows += [la.mat_vec(form.matrix, d) for d in duals]
         rhs = la.vec([1 if j == i else 0 for j in range(k)] + [0] * len(duals))
-        y = la.solve_lex(tuple(rows), rhs)
+        y = naive_solve_lex(tuple(rows), rhs)
         if y is None:
             return None
         y = la.vec_sub(y, la.vec_scale(reference_bilinear(form.matrix, y, y) / 2, u[i]))

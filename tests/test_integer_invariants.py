@@ -14,6 +14,7 @@ import gzip
 import json
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -38,7 +39,7 @@ from metriclie.documents import document_to_algebra, parse_document
 from metriclie.errors import CertificateError
 from metriclie.forms import (
     SymBilinearForm,
-    _congruence_pivots,
+    _congruence,
     diagonalize_symmetric,
     signature,
 )
@@ -61,6 +62,7 @@ from conftest import (
     reference_bilinear,
     reference_bracket,
     reference_commutant_of_adjoint,
+    reference_diagonalize_symmetric,
     reference_int_row,
     reference_rational_span,
     reference_span_basis,
@@ -177,8 +179,9 @@ def fraction_associative_closure(generators):
 
 
 def fraction_signature(form):
-    """(p, q, r) counted on the diagonal of ``diagonalize_symmetric``."""
-    _, diag = diagonalize_symmetric(form)
+    """(p, q, r) counted on the diagonal of the ``Fraction``
+    diagonalization ``reference_diagonalize_symmetric``."""
+    _, diag = reference_diagonalize_symmetric(form)
     return (
         sum(1 for d in diag if d > 0),
         sum(1 for d in diag if d < 0),
@@ -767,7 +770,7 @@ def test_signature_matches_diagonalization():
     for form in signature_forms():
         sig = signature(form)
         assert (sig.p, sig.q, sig.r) == fraction_signature(form)
-        pivots = _congruence_pivots(form)
+        pivots = _congruence(form)[0]
         assert len(pivots) == form.dim
         assert max((abs(d).bit_length() for d in pivots), default=0) <= pivot_bits_bound(form)
         m = form.matrix
@@ -780,7 +783,7 @@ def test_signature_pivots_stay_small():
     # with the content divided out after every step, the pivots of
     # 2 I are 2, 1, 1, ...; without it they would square at every step
     form = SymBilinearForm(naive_mat_scale(2, la.identity(12)))
-    assert _congruence_pivots(form) == [2] + [1] * 11
+    assert _congruence(form)[0] == [2] + [1] * 11
     # a zero diagonal needs the hyperbolic step before any pivot
     hyp = SymBilinearForm(((0, 1, 0), (1, 0, 0), (0, 0, 0)))
     assert signature(hyp) == signature(SymBilinearForm(((1, 0, 0), (0, -1, 0), (0, 0, 0))))
@@ -816,8 +819,37 @@ def test_signature_matches_diagonalization_hypothesis(case):
     form = SymBilinearForm(tuple(map(tuple, g)))
     sig = signature(form)
     assert (sig.p, sig.q, sig.r) == fraction_signature(form)
-    pivots = _congruence_pivots(form)
+    pivots = _congruence(form)[0]
     assert max((abs(d).bit_length() for d in pivots), default=0) <= pivot_bits_bound(form)
+
+
+def test_diagonalize_symmetric_matches_the_fraction_reference():
+    """The integer diagonalization returns the very vectors and diagonal
+    of the ``Fraction`` one, which pick ``isotropic_vector``'s witness:
+    seeded forms of every kind for n = 0..8, including degenerate ones
+    and ones whose diagonal is zero (the hyperbolic step), and the
+    forms of the pool documents."""
+    rng = random.Random(8107)
+    forms = [
+        SymBilinearForm(random_symmetric(rng, n, kind))
+        for kind in KINDS
+        for n in range(9)
+        for _ in range(6)
+    ]
+    forms += [SymBilinearForm(((0,) * n,) * n) for n in range(4)]
+    forms += [form for _, form in pool_algebras(per_dim=10) if form is not None]
+    seen, dims = Counter(), set()
+    for form in forms:
+        vecs, diag = diagonalize_symmetric(form)
+        assert (vecs, diag) == reference_diagonalize_symmetric(form)
+        assert all(isinstance(x, Fraction) for v in vecs for x in v)
+        assert all(isinstance(d, Fraction) for d in diag)
+        m = form.matrix
+        dims.add(form.dim)
+        seen["zero_diag"] += form.dim > 1 and not form.is_zero() and all(m[i][i] == 0 for i in range(form.dim))
+        seen["radical"] += 0 in diag
+    assert dims >= set(range(9))
+    assert seen["zero_diag"] >= 40 and seen["radical"] >= 40
 
 
 def test_diagonal_inverse_matches_elimination():

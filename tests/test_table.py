@@ -203,9 +203,13 @@ def test_the_validated_constructor_keeps_its_errors(bad):
 
 
 def test_each_document_rational_is_parsed_once(monkeypatch, tmp_path):
+    """Loading a document reads each rational once (``read_rational``),
+    builds a ``Fraction`` only for a string that is not a plain integer,
+    formats nothing and builds the form once from integer rows, never by
+    the rational constructor."""
     m = build_example42()
     obj = emit_document(algebra_to_document(m.algebra, m.form, "ex"))
-    obj["brackets"][0]["coeffs"]["0"] = "0"  # a zero entry is parsed, then dropped
+    obj["brackets"][0]["coeffs"]["0"] = "0/3"  # a zero entry is read, then dropped
     obj["hints"] = {"nilradical": [[int(i == j) for j in range(6)] for i in range(1, 6)]}
     expected = Counter(
         [f"brackets[{p}].coeffs[{k}]" for p, e in enumerate(obj["brackets"]) for k in e["coeffs"]]
@@ -215,17 +219,35 @@ def test_each_document_rational_is_parsed_once(monkeypatch, tmp_path):
     assert len(expected) == 6 + 1 + 36 + 30
     path = tmp_path / "ex.json"
     path.write_text(json.dumps(obj))
-    real = documents.parse_rational
+    read, from_rows = documents.read_rational, SymBilinearForm.from_rows
     calls: Counter = Counter()
+    slow: list = []
+    builders: Counter = Counter()
 
     def counted(raw, where):
         calls[where] += 1
-        return real(raw, where)
+        return read(raw, where)
 
-    monkeypatch.setattr(documents, "parse_rational", counted)
+    def counted_fraction(*args):
+        slow.append(args)
+        return Fraction(*args)
+
+    def counted_rows(*args):
+        builders[sys._getframe(1).f_code.co_name] += 1
+        return from_rows(*args)
+
+    def no_form(self, matrix):
+        raise AssertionError("the rational form constructor ran")
+
+    monkeypatch.setattr(documents, "read_rational", counted)
+    monkeypatch.setattr(documents, "Fraction", counted_fraction)
     monkeypatch.setattr(documents, "format_rational", None)  # not on the load path
+    monkeypatch.setattr(SymBilinearForm, "from_rows", counted_rows)
+    monkeypatch.setattr(SymBilinearForm, "__init__", no_form)
     alg, form, hint, _ = cli._load_algebra(str(path))
     assert calls == expected
+    assert slow == [("0/3",)]
+    assert builders == {"document_to_algebra": 1}
     assert alg == m.algebra and form == m.form and hint.dim == 5
 
 
@@ -317,20 +339,22 @@ def test_extend_errors_keep_their_messages(capsys, tmp_path):
         assert capsys.readouterr() == ("", err)
 
 
-def test_the_rational_form_constructor_runs_once_on_the_cli_path(monkeypatch, capsys, tmp_path):
+def test_the_rational_form_constructor_never_runs_on_the_cli_path(monkeypatch, capsys, tmp_path):
     """On ``analyze`` and ``complete-reduce`` of a pool document, the
-    validated ``SymBilinearForm`` constructor runs once, for the loaded
-    form, the rational ``DoubleExtensionSpec`` constructor never runs,
-    and ``la.to_int_rows`` rescales only at the boundary: the loaded
-    document and form, the rational vectors of ``apply`` and
-    ``subspace_from_spanning``, and the pairing system's solution.
-    Subspaces, Gram matrices and basis changes are never rescaled."""
+    loaded form is built once from the document's integer rows, the
+    validated ``SymBilinearForm`` and rational ``DoubleExtensionSpec``
+    constructors never run, and ``la.to_int_rows`` rescales only the
+    rational vectors given from outside (``_int_rows_of``: the reduction
+    line of ``complete_reduction``). Documents, subspaces, Gram matrices,
+    basis changes, diagonalizations and the pairing system's solution
+    are never rescaled."""
     with gzip.open(POOL) as fh:
         pool = json.load(fh)
     counts: Counter = Counter()
     callers: Counter = Counter()
-    form_init, spec_init, to_int_rows = (
+    form_init, form_rows, spec_init, to_int_rows = (
         SymBilinearForm.__init__,
+        SymBilinearForm.from_rows,
         DoubleExtensionSpec.__init__,
         la.to_int_rows,
     )
@@ -338,6 +362,10 @@ def test_the_rational_form_constructor_runs_once_on_the_cli_path(monkeypatch, ca
     def counted_form(self, matrix):
         counts["form"] += 1
         form_init(self, matrix)
+
+    def counted_rows(*args):
+        counts[f"from_rows:{sys._getframe(1).f_code.co_name}"] += 1
+        return form_rows(*args)
 
     def counted_spec(self, *args, **kwargs):
         counts["spec"] += 1
@@ -348,6 +376,7 @@ def test_the_rational_form_constructor_runs_once_on_the_cli_path(monkeypatch, ca
         return to_int_rows(rows)
 
     monkeypatch.setattr(SymBilinearForm, "__init__", counted_form)
+    monkeypatch.setattr(SymBilinearForm, "from_rows", counted_rows)
     monkeypatch.setattr(DoubleExtensionSpec, "__init__", counted_spec)
     monkeypatch.setattr(la, "to_int_rows", recorded)
     reductions = 0
@@ -359,17 +388,9 @@ def test_the_rational_form_constructor_runs_once_on_the_cli_path(monkeypatch, ca
             callers.clear()
             assert cli.main([command, str(path), "--format", "json"]) == 0
             out = json.loads(capsys.readouterr().out)["results"]
-            assert counts == {"form": 1}
-            assert callers["SymBilinearForm.__init__"] == 1
-            # _int_rows_of serves apply and subspace_from_spanning
-            allowed = {
-                "SymBilinearForm.__init__",
-                "document_to_algebra",
-                "_int_rows_of",
-                "solve_lex",
-                "_pairing_duals",
-            }
-            assert set(callers) <= allowed
+            assert counts["from_rows:document_to_algebra"] == 1
+            assert not {"form", "spec"} & set(counts)
+            assert set(callers) <= {"_int_rows_of"}
             reductions += command == "complete-reduce" and out["steps"] > 0
     assert reductions >= 10
 
