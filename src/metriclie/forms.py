@@ -557,19 +557,15 @@ def isotropic_vector(form: SymBilinearForm) -> Vec | None:
                 return la.vec_add(
                     la.vec_scale(rd, basis[i]), la.vec_scale(rn, basis[j])
                 )
-    nonzero = [(basis[i], diag[i]) for i in range(n) if diag[i] != 0]
+    # the non-zero diagonal entries as integers over one common denominator
+    _, (row,) = la.to_int_rows((diag,))
+    nonzero = [(basis[i], d) for i, d in row]
     for size in (3, 4):
         if len(nonzero) < size:
             break
         for combo in itertools.combinations(range(len(nonzero)), size):
             for coeffs in itertools.product(range(0, 4), repeat=size):
-                if all(c == 0 for c in coeffs):
-                    continue
-                val = sum(
-                    Fraction(c * c) * nonzero[idx][1]
-                    for c, idx in zip(coeffs, combo)
-                )
-                if val == 0:
+                if any(coeffs) and not sum(c * c * nonzero[idx][1] for c, idx in zip(coeffs, combo)):
                     return _lift(coeffs, [nonzero[idx][0] for idx in combo], n)
     return None
 

@@ -12,9 +12,13 @@ The characteristic polynomial (``charpoly``) and matrix polynomials
 denominator of A's entries, and are scaled back to A only at the end.
 
 Polynomials are represented as tuples of coefficients in *descending*
-degree order. Over Q they are factored exactly into their rational
-roots and quadratic factors (``poly_factor``), and their real roots are
-counted by Sturm sequences (``poly_sturm_counts``).
+degree order. Their gcds, square-free parts, Sturm sequences and
+Yun's decomposition run in Z[x] on primitive integer polynomials
+(``int_poly``), by primitive pseudo-remainder sequences with exact,
+certified division; the public functions take and return rationals.
+Over Q polynomials are factored exactly into their rational roots and
+quadratic factors (``poly_factor``), and their real roots are counted
+by Sturm sequences (``poly_sturm_counts``).
 """
 
 from __future__ import annotations
@@ -433,21 +437,6 @@ def poly_divmod(num: Poly, den: Poly) -> tuple[Poly, Poly]:
     return poly_trim(q), poly_trim(num)
 
 
-def poly_gcd(a: Poly, b: Poly) -> Poly:
-    a, b = poly_trim(a), poly_trim(b)
-    while not poly_is_zero(b):
-        _, r = poly_divmod(a, b)
-        a, b = b, r
-    return poly_monic(a)
-
-
-def poly_squarefree_part(p: Poly) -> Poly:
-    g = poly_gcd(p, poly_deriv(p))
-    q, r = poly_divmod(p, g)
-    assert poly_is_zero(r)
-    return poly_monic(q)
-
-
 def poly_sub(a: Poly, b: Poly) -> Poly:
     n = max(len(a), len(b))
     a = (ZERO,) * (n - len(a)) + tuple(a)
@@ -471,18 +460,6 @@ def poly_reflect(p: Poly) -> Poly:
     return tuple(-c if (n - i) % 2 else c for i, c in enumerate(p))
 
 
-def poly_graeffe(p: Poly) -> Poly:
-    """The root-squaring transform prod (y - z^2) over the roots z of
-    the monic p. Writing p(x) = E(x^2) + x O(x^2), it is
-    (-1)^n p(sqrt y) p(-sqrt y) = (-1)^n (E(y)^2 - y O(y)^2)."""
-    p = poly_trim(p)
-    ascending = p[::-1]
-    even = ascending[0::2][::-1]
-    odd = ascending[1::2][::-1] or (ZERO,)
-    g = poly_sub(poly_mul(even, even), poly_mul(odd, odd) + (ZERO,))
-    return tuple(-c for c in g) if (len(p) - 1) % 2 else g
-
-
 def poly_gcdex(a: Poly, b: Poly) -> tuple[Poly, Poly, Poly]:
     """(s, t, g) with s a + t b = g, the monic gcd of a and b (not both
     zero), by the extended Euclidean algorithm."""
@@ -497,46 +474,173 @@ def poly_gcdex(a: Poly, b: Poly) -> tuple[Poly, Poly, Poly]:
     return tuple(c / lead for c in s0), tuple(c / lead for c in t0), poly_monic(r0)
 
 
-def _sign_changes(values: Iterable[Fraction]) -> int:
+# The integer layer: a polynomial in Z[x] is a descending list of int,
+# [] for zero. A rational polynomial enters it as its primitive part
+# (``int_poly``) and leaves it monic (``_monic``). Differences and
+# remainders may keep leading zeros, which ``_prim`` drops.
+
+
+def _prim(p: Sequence[int]) -> list[int]:
+    """p without leading zeros over its positive content."""
+    g = math.gcd(*p) or 1
+    i = 0
+    while i < len(p) and not p[i]:
+        i += 1
+    return [c // g for c in p[i:]]
+
+
+def int_poly(p: Sequence) -> list[int]:
+    """The primitive integer polynomial of the rational p, a positive
+    multiple of p."""
+    den = math.lcm(*(c.denominator for c in p))
+    return _prim([c.numerator * (den // c.denominator) for c in p])
+
+
+def _monic(p: Sequence[int]) -> Poly:
+    return tuple(Fraction(c, p[0]) for c in p) if p else (ZERO,)
+
+
+def _int_deriv(p: Sequence[int]) -> list[int]:
+    n = len(p) - 1
+    return [c * (n - i) for i, c in enumerate(p[:-1])]
+
+
+def _int_sub(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    n = max(len(a), len(b))
+    a, b = [0] * (n - len(a)) + list(a), [0] * (n - len(b)) + list(b)
+    return [x - y for x, y in zip(a, b)]
+
+
+def int_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    out = [0] * (len(a) + len(b) - 1) if a and b else []
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
+
+
+def _int_prem(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """A positive multiple of the remainder of a by b != 0: each step
+    scales a by |lc(b)| / gcd(lead(a), lc(b)), never by a negative
+    number, so the remainder keeps the sign that Sturm sequences read
+    (Knuth, TAOCP vol. 2, 4.6.1, Algorithm R)."""
+    a = list(a)
+    lb, n = b[0], len(b)
+    while len(a) >= n:
+        g = math.gcd(a[0], lb)
+        s, t = abs(lb) // g, a[0] // g if lb > 0 else -(a[0] // g)
+        # s a - t x^k b, whose lead s a[0] - t lb vanishes
+        a = [s * x - t * y for x, y in zip(a[1:n], b[1:])] + [s * x for x in a[n:]]
+    return a
+
+
+def _int_divmod(a: Sequence[int], b: Sequence[int]) -> tuple[list[int], list[int]]:
+    """Quotient and remainder of a by b != 0 in Z[x]; ``CertificateError``
+    if a quotient coefficient is not an integer (never for a monic b)."""
+    if not b:
+        raise ZeroDivisionError("polynomial division by zero")
+    a = list(a)
+    split = max(len(a) - len(b) + 1, 0)
+    for i in range(split):
+        c, r = divmod(a[i], b[0])
+        if r:
+            raise CertificateError("inexact division of integer polynomials")
+        a[i] = c
+        for j in range(1, len(b)):
+            a[i + j] -= c * b[j]
+    return a[:split], a[split:]
+
+
+def _int_exquo(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """a / b in Z[x], ``CertificateError`` on a remainder. A primitive b
+    that divides a in Q[x] divides it in Z[x] (Gauss's lemma)."""
+    q, r = _int_divmod(a, b)
+    if any(r):
+        raise CertificateError("inexact division of integer polynomials")
+    return q
+
+
+def _int_gcd(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """The gcd, primitive with a positive lead ([] for two zeros), by the
+    primitive pseudo-remainder sequence (Cohen, *A Course in
+    Computational Algebraic Number Theory*, 3.3)."""
+    a, b = _prim(a), _prim(b)
+    while b:
+        a, b = b, _prim(_int_prem(a, b))
+    return [-c for c in a] if a and a[0] < 0 else a
+
+
+def _int_squarefree(p: list[int]) -> list[int]:
+    return _int_exquo(p, _int_gcd(p, _int_deriv(p)))
+
+
+def poly_gcd(a: Poly, b: Poly) -> Poly:
+    return _monic(_int_gcd(int_poly(a), int_poly(b)))
+
+
+def poly_squarefree_part(p: Poly) -> Poly:
+    return _monic(_int_squarefree(int_poly(p)))
+
+
+def poly_graeffe(p: Poly) -> Poly:
+    """The root-squaring transform prod (y - z^2) over the roots z of
+    the monic p. Writing p(x) = E(x^2) + x O(x^2), it is
+    (-1)^n p(sqrt y) p(-sqrt y) = (-1)^n (E(y)^2 - y O(y)^2), here on
+    the primitive integer p."""
+    ascending = int_poly(p)[::-1]
+    even, odd = ascending[0::2][::-1], ascending[1::2][::-1]
+    g = _int_sub(int_mul(even, even), int_mul(odd, odd) + [0])
+    return _monic(_prim([-c for c in g] if len(ascending) % 2 == 0 else g))
+
+
+def _sign_changes(values: Iterable[int]) -> int:
     signs = [x > 0 for x in values if x]
     return sum(a != b for a, b in zip(signs, signs[1:]))
 
 
-def poly_sturm_counts(p: Poly) -> tuple[int, int, int]:
-    """The numbers of distinct real roots of p in (-oo, 0), (0, oo) and
-    R, by the Sturm sequence q, q', -rem(q, q'), ... of its square-free
-    part q over Q, with a root at 0 divided out first: the roots in
-    (a, b) are the sign changes at a minus those at b."""
-    q = poly_squarefree_part(p)
+def poly_root_counts(p: Poly) -> tuple[int, int, int, int]:
+    """The numbers of distinct roots of p != 0 in (-oo, 0), (0, oo), R
+    and C, by the Sturm sequence q, q', -rem(q, q'), ... in Z[x] of its
+    square-free part q, each remainder over its positive content, with a
+    root at 0 divided out first: the roots in (a, b) are the sign
+    changes at a minus those at b."""
+    q = _int_squarefree(int_poly(p))
+    distinct = len(q) - 1
     at_zero = len(q) > 1 and q[-1] == 0
     if at_zero:
         q = q[:-1]
     seq = [q]
-    r = poly_deriv(q)
-    while not poly_is_zero(r):
+    r = _int_deriv(q)
+    while r:
         seq.append(r)
-        r = tuple(-c for c in poly_divmod(seq[-2], seq[-1])[1])
+        r = [-c for c in _prim(_int_prem(seq[-2], seq[-1]))]
     at_neg_inf = _sign_changes(s[0] if len(s) % 2 else -s[0] for s in seq)
     at_origin = _sign_changes(s[-1] for s in seq)
     at_pos_inf = _sign_changes(s[0] for s in seq)
     negative, positive = at_neg_inf - at_origin, at_origin - at_pos_inf
-    return negative, positive, negative + positive + at_zero
+    return negative, positive, negative + positive + at_zero, distinct
 
 
-def poly_squarefree_decomposition(p: Poly) -> list[tuple[Poly, int]]:
-    """Yun's decomposition: the pairs (s_k, k) with s_k monic, square
-    free, pairwise coprime and not constant, and p = lead(p) prod s_k^k."""
-    p = poly_monic(p)
-    dp = poly_deriv(p)
-    a = poly_gcd(p, dp)
-    b = poly_divmod(p, a)[0]
-    d = poly_sub(poly_divmod(dp, a)[0], poly_deriv(b))
+def poly_sturm_counts(p: Poly) -> tuple[int, int, int]:
+    return poly_root_counts(p)[:3]
+
+
+def _yun(p: list[int]) -> list[tuple[list[int], int]]:
+    """Yun's decomposition of p != 0 in Z[x]: the pairs (s_k, k) with s_k
+    primitive with a positive lead, square free, pairwise coprime and
+    not constant, and p = c prod s_k^k, c rational. Every quotient is by
+    a primitive gcd, so integral (Gauss's lemma), and certified."""
+    dp = _int_deriv(p)
+    a = _int_gcd(p, dp)
+    b = _int_exquo(p, a)
+    d = _int_sub(_int_exquo(dp, a), _int_deriv(b))
     out = []
     k = 1
     while len(b) > 1:
-        a = poly_gcd(b, d)
-        b = poly_divmod(b, a)[0]
-        d = poly_sub(poly_divmod(d, a)[0], poly_deriv(b))
+        a = _int_gcd(b, d)
+        b = _int_exquo(b, a)
+        d = _int_sub(_int_exquo(d, a), _int_deriv(b))
         if len(a) > 1:
             out.append((a, k))
         k += 1
@@ -545,26 +649,27 @@ def poly_squarefree_decomposition(p: Poly) -> list[tuple[Poly, int]]:
 
 def poly_factor(p: Poly) -> list[tuple[Poly, int]]:
     """Monic factors f of p with multiplicities k, p = lead(p) prod f^k,
-    per square-free part of ``poly_squarefree_decomposition``: x, every
-    x - r for a rational root r, then quadratic factors while the rest
-    has degree >= 4, and the rest. A factor of degree <= 2 is
-    irreducible. A factor of degree >= 3 is the rest left unsplit: it
-    has no factor of degree <= 2 unless its integer values were too
-    large for the divisor search (see ``_divisors``).
+    per square-free part of ``_yun``: x, every x - r for a rational
+    root r, then quadratic factors while the rest has degree >= 4, and
+    the rest. A factor of degree <= 2 is irreducible. A factor of degree
+    >= 3 is the rest left unsplit: it has no factor of degree <= 2
+    unless its integer values were too large for the divisor search
+    (see ``_divisors``).
 
-    Each square-free part s of degree m becomes the monic integer
-    polynomial S(y) = D^m s(y / D), D the common denominator of s. A
-    rational root of s is r / D for an integer root r of S, which divides
-    S(0); a monic quadratic factor y^2 + b y + c of S has integer
-    coefficients and takes values f(x0), f(x1) dividing S(x0), S(x1) at
-    two integers, which fix b and c (Kronecker's method)."""
+    Each primitive square-free part s of degree m and lead D > 0 becomes
+    the monic integer polynomial S(y) = D^(m-1) s(y / D); D is the
+    common denominator of s / D. A rational root of s is r / D for an
+    integer root r of S, which divides S(0); a monic quadratic factor
+    y^2 + b y + c of S has integer coefficients and takes values f(x0),
+    f(x1) dividing S(x0), S(x1) at two integers, which fix b and c
+    (Kronecker's method)."""
     out = []
-    for s, k in poly_squarefree_decomposition(p):
+    for s, k in _yun(int_poly(p)):
         if s[-1] == 0:
             out.append(((ONE, ZERO), k))
             s = s[:-1]
-        den = math.lcm(*(c.denominator for c in s))
-        rest = [int(c * den**i) for i, c in enumerate(s)]
+        den = s[0]
+        rest = [1] + [c * den ** (i - 1) for i, c in enumerate(s) if i]
         pieces = []
         if len(rest) == 3:
             # a quadratic splits iff its discriminant is a square
@@ -574,13 +679,13 @@ def poly_factor(p: Poly) -> list[tuple[Poly, int]]:
         else:
             roots = _integer_roots(rest) if len(rest) > 1 else []
         for r in roots or ():
-            rest = _int_divmod(rest, [1, -r])[0]
+            rest = _int_exquo(rest, [1, -r])
             pieces.append([1, -r])
         while roots is not None and len(rest) > 4:
             quad = _quadratic_factor(rest)
             if quad is None:
                 break
-            rest = _int_divmod(rest, quad)[0]
+            rest = _int_exquo(rest, quad)
             pieces.append(quad)
         if len(rest) > 1:
             pieces.append(rest)
@@ -594,17 +699,6 @@ def _int_eval(p: Sequence[int], x: int) -> int:
     for c in p:
         acc = acc * x + c
     return acc
-
-
-def _int_divmod(p: Sequence[int], f: Sequence[int]) -> tuple[list[int], list[int]]:
-    """Quotient and remainder of the integer polynomial p by the monic f."""
-    p = list(p)
-    split = len(p) - len(f) + 1
-    for i in range(split):
-        c = p[i]
-        for j in range(1, len(f)):
-            p[i + j] -= c * f[j]
-    return p[:split], p[split:]
 
 
 # trial division stops here: a cofactor with no prime factor up to it is

@@ -189,18 +189,20 @@ def exact_eigenvalues(a: LinearMap | Mat) -> tuple[AlgebraicNumber, ...]:
 def _roots(cp: la.Poly) -> tuple[AlgebraicNumber, ...]:
     """``exact_eigenvalues`` of a matrix with the characteristic
     polynomial cp."""
-    rebuilt: la.Poly = (la.ONE,)
+    rebuilt = [1]
     out: list[AlgebraicNumber] = []
     for fac, mult in irreducible_factors(cp):
+        prim = la.int_poly(fac)
         for _ in range(mult):
-            rebuilt = la.poly_mul(rebuilt, fac)
+            rebuilt = la.int_mul(rebuilt, prim)
         roots = _quadratic_boxes(fac) if len(fac) <= 3 else _sympy_boxes(fac)
         boxes = [box for _, box in roots]
         if not all(_boxes_disjoint(b, c) for i, b in enumerate(boxes) for c in boxes[i + 1 :]):
             raise CertificateError("root enclosures of an irreducible factor overlap")
         for value, box in roots:
             out.extend([AlgebraicNumber(value, fac, box)] * mult)
-    if rebuilt != cp:
+    # monic polynomials agree iff their primitive parts do (Gauss's lemma)
+    if rebuilt != la.int_poly(cp):
         raise CertificateError("minimal polynomials do not rebuild the characteristic polynomial")
     return tuple(out)
 
@@ -284,7 +286,8 @@ def _has_root(p: la.Poly, sign: int) -> bool:
 
 
 def _all_roots_real(p: la.Poly) -> bool:
-    return la.poly_sturm_counts(p)[2] == la.poly_deg(la.poly_squarefree_part(p))
+    _, _, real, distinct = la.poly_root_counts(p)
+    return real == distinct
 
 
 _CASE1_PATTERNS = (

@@ -248,10 +248,7 @@ def _sort_key(factor: tuple[la.Poly, int]):
     """sympy's order of ``factor_list``: by degree, multiplicity and
     then the primitive integer coefficients."""
     f, k = factor
-    _, rows = la.to_int_rows((f,))
-    (ints,) = la.dense(rows, len(f))
-    g = math.gcd(*ints)
-    return len(f), k, [x // g for x in ints]
+    return len(f), k, la.int_poly(f)
 
 
 def irreducible_factors(p: la.Poly) -> list[tuple[la.Poly, int]]:

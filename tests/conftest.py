@@ -5,6 +5,7 @@ Everything is seeded explicitly so failures reproduce.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -12,6 +13,7 @@ from fractions import Fraction
 
 import pytest
 
+from metriclie import forms
 from metriclie import linalg as la
 from metriclie.core import LieAlgebra, ad
 from metriclie.forms import MetricLieAlgebra, SymBilinearForm
@@ -516,6 +518,46 @@ def reference_diagonalize_symmetric(form):
     return tuple(out_vecs), tuple(out_diag)
 
 
+def reference_isotropic_vector(form):
+    """``forms.isotropic_vector`` with its bounded search summing
+    ``Fraction(c * c) * d_i`` on the rational diagonal."""
+    n = form.dim
+    _, rows = form.int_rows
+    for i, row in enumerate(rows):
+        if row and all(q != i for q, _ in row):  # B e_i != 0 = B_ii
+            return la.unit_vec(n, i)
+    basis, diag = forms.diagonalize_symmetric(form)
+    for i in range(n):
+        if diag[i] == 0:
+            continue
+        for j in range(i + 1, n):
+            if diag[j] == 0 or (diag[i] > 0) == (diag[j] > 0):
+                continue
+            ratio = -diag[i] / diag[j]
+            num, den = ratio.numerator, ratio.denominator
+            rn, rd = forms._isqrt_exact(num), forms._isqrt_exact(den)
+            if rn is not None and rd is not None:
+                # d_i + ratio d_j = 0 with ratio = (rn/rd)^2
+                return la.vec_add(
+                    la.vec_scale(rd, basis[i]), la.vec_scale(rn, basis[j])
+                )
+    nonzero = [(basis[i], diag[i]) for i in range(n) if diag[i] != 0]
+    for size in (3, 4):
+        if len(nonzero) < size:
+            break
+        for combo in itertools.combinations(range(len(nonzero)), size):
+            for coeffs in itertools.product(range(0, 4), repeat=size):
+                if all(c == 0 for c in coeffs):
+                    continue
+                val = sum(
+                    Fraction(c * c) * nonzero[idx][1]
+                    for c, idx in zip(coeffs, combo)
+                )
+                if val == 0:
+                    return forms._lift(coeffs, [nonzero[idx][0] for idx in combo], n)
+    return None
+
+
 def reference_is_totally_isotropic(form, sub):
     for u in sub.vectors:
         for v in sub.vectors:
@@ -560,6 +602,118 @@ def reference_change_basis(m, columns, names):
             brackets[(i, j)] = la.mat_vec(t_inv, reference_bracket(m.algebra, cols[i], cols[j]))
     gram = SymBilinearForm(reference_gram(m.form, cols))
     return MetricLieAlgebra(LieAlgebra(n, tuple(names), brackets), gram)
+
+
+# ---------------------------------------------------------------------------
+# the Fraction Q[x] layer: the reference for linalg's integer polynomials
+# (euclidean remainders on monic ``Fraction`` tuples)
+# ---------------------------------------------------------------------------
+
+
+def reference_poly_gcd(a, b):
+    a, b = la.poly_trim(a), la.poly_trim(b)
+    while not la.poly_is_zero(b):
+        _, r = la.poly_divmod(a, b)
+        a, b = b, r
+    return la.poly_monic(a)
+
+
+def reference_poly_squarefree_part(p):
+    g = reference_poly_gcd(p, la.poly_deriv(p))
+    q, r = la.poly_divmod(p, g)
+    assert la.poly_is_zero(r)
+    return la.poly_monic(q)
+
+
+def reference_graeffe_fraction(p):
+    """prod (y - z^2) over the roots z of the monic p, as (-1)^n (E(y)^2
+    - y O(y)^2) for p(x) = E(x^2) + x O(x^2), on ``Fraction``s."""
+    p = la.poly_trim(p)
+    ascending = p[::-1]
+    even = ascending[0::2][::-1]
+    odd = ascending[1::2][::-1] or (la.ZERO,)
+    g = la.poly_sub(la.poly_mul(even, even), la.poly_mul(odd, odd) + (la.ZERO,))
+    return tuple(-c for c in g) if (len(p) - 1) % 2 else g
+
+
+def reference_sturm_sequence(q):
+    """q, q', -rem(q, q'), ... over Q by euclidean remainders."""
+    seq = [q]
+    r = la.poly_deriv(q)
+    while not la.poly_is_zero(r):
+        seq.append(r)
+        r = tuple(-c for c in la.poly_divmod(seq[-2], seq[-1])[1])
+    return seq
+
+
+def reference_poly_sturm_counts(p):
+    """(negative, positive, real) distinct real roots of p by the Sturm
+    sequence of its monic square-free part, a root at 0 divided out."""
+
+    def changes(values):
+        signs = [x > 0 for x in values if x]
+        return sum(a != b for a, b in zip(signs, signs[1:]))
+
+    q = reference_poly_squarefree_part(p)
+    at_zero = len(q) > 1 and q[-1] == 0
+    seq = reference_sturm_sequence(q[:-1] if at_zero else q)
+    at_neg_inf = changes(s[0] if len(s) % 2 else -s[0] for s in seq)
+    at_origin = changes(s[-1] for s in seq)
+    at_pos_inf = changes(s[0] for s in seq)
+    negative, positive = at_neg_inf - at_origin, at_origin - at_pos_inf
+    return negative, positive, negative + positive + at_zero
+
+
+def reference_poly_squarefree_decomposition(p):
+    """Yun's decomposition over Q on monic ``Fraction`` polynomials."""
+    p = la.poly_monic(p)
+    dp = la.poly_deriv(p)
+    a = reference_poly_gcd(p, dp)
+    b = la.poly_divmod(p, a)[0]
+    d = la.poly_sub(la.poly_divmod(dp, a)[0], la.poly_deriv(b))
+    out = []
+    k = 1
+    while len(b) > 1:
+        a = reference_poly_gcd(b, d)
+        b = la.poly_divmod(b, a)[0]
+        d = la.poly_sub(la.poly_divmod(d, a)[0], la.poly_deriv(b))
+        if len(a) > 1:
+            out.append((a, k))
+        k += 1
+    return out
+
+
+def reference_poly_factor(p):
+    """``la.poly_factor`` on the monic ``Fraction`` parts of
+    ``reference_poly_squarefree_decomposition``, each rescaled to the
+    monic integer S(y) = D^m s(y / D) by its common denominator D."""
+    out = []
+    for s, k in reference_poly_squarefree_decomposition(p):
+        if s[-1] == 0:
+            out.append(((la.ONE, la.ZERO), k))
+            s = s[:-1]
+        den = math.lcm(*(c.denominator for c in s))
+        rest = [int(c * den**i) for i, c in enumerate(s)]
+        pieces = []
+        if len(rest) == 3:
+            t = rest[1] ** 2 - 4 * rest[2]
+            root = math.isqrt(t) if t >= 0 else -1
+            roots = [(-rest[1] - root) // 2, (-rest[1] + root) // 2] if root * root == t else []
+        else:
+            roots = la._integer_roots(rest) if len(rest) > 1 else []
+        for r in roots or ():
+            rest = la._int_divmod(rest, [1, -r])[0]
+            pieces.append([1, -r])
+        while roots is not None and len(rest) > 4:
+            quad = la._quadratic_factor(rest)
+            if quad is None:
+                break
+            rest = la._int_divmod(rest, quad)[0]
+            pieces.append(quad)
+        if len(rest) > 1:
+            pieces.append(rest)
+        out.extend((tuple(Fraction(c, den**i) for i, c in enumerate(f)), k) for f in pieces)
+    return out
 
 
 # ---------------------------------------------------------------------------

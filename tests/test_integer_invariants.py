@@ -41,6 +41,7 @@ from metriclie.forms import (
     SymBilinearForm,
     _congruence,
     diagonalize_symmetric,
+    isotropic_vector,
     signature,
 )
 from metriclie.reduction import build_ab, build_example42
@@ -63,6 +64,7 @@ from conftest import (
     reference_bracket,
     reference_commutant_of_adjoint,
     reference_diagonalize_symmetric,
+    reference_isotropic_vector,
     reference_int_row,
     reference_rational_span,
     reference_span_basis,
@@ -850,6 +852,34 @@ def test_diagonalize_symmetric_matches_the_fraction_reference():
         seen["radical"] += 0 in diag
     assert dims >= set(range(9))
     assert seen["zero_diag"] >= 40 and seen["radical"] >= 40
+
+
+def test_isotropic_vector_matches_the_fraction_reference():
+    """The bounded search on the integer diagonal returns the very vector
+    of the ``Fraction`` search (it picks the reduction line that
+    ``complete-reduce`` prints): seeded diagonal forms for n = 2..6 and
+    the form of every pool document."""
+    rng = random.Random(2410)
+    forms = []
+    for n in range(2, 7):
+        for _ in range(40):
+            diag = [
+                Fraction(rng.choice((-1, 1)) * rng.randint(1, 6), rng.randint(1, 4)) if rng.random() < 0.9 else ZERO
+                for _ in range(n)
+            ]
+            forms.append(SymBilinearForm(tuple(tuple(diag[i] if i == j else ZERO for j in range(n)) for i in range(n))))
+    pool = [form for _, form in pool_algebras(per_dim=31)]
+    assert len(pool) == 211
+    searched = found = 0
+    for form in forms + pool:
+        v = isotropic_vector(form)
+        assert v == reference_isotropic_vector(form)
+        if v is not None:
+            found += 1
+            assert form.apply(v, v) == 0 and any(v)
+        # a diagonal form's search combines at least three basis vectors
+        searched += form in forms and v is not None and sum(map(bool, v)) >= 3
+    assert searched >= 20 and found >= 150
 
 
 def test_diagonal_inverse_matches_elimination():

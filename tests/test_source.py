@@ -252,3 +252,17 @@ def test_no_module_imports_mpmath():
             if "mpmath" in pkgs:
                 found.setdefault(path.name, []).append(node.lineno)
     assert found == {}
+
+
+def _assert_statements(tree: ast.AST) -> list[int]:
+    return [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+
+
+def test_no_assert_statements_in_the_library():
+    # ``python -O`` strips assert statements, so a certificate written as
+    # one would silently stop being checked; certificates raise
+    # ``CertificateError`` instead
+    found = {p.name: _assert_statements(ast.parse(p.read_text())) for p in sorted(SRC.glob("*.py"))}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+    probe = ast.parse("assert x\ndef f():\n    assert y, 'message'\nraise AssertionError\n")
+    assert _assert_statements(probe) == [1, 3]
