@@ -2,7 +2,9 @@
 
 A Lie algebra is stored by one canonical integer table of its structure
 constants, and a subspace by the canonical integer rows of its basis,
-each over a common denominator; rational brackets and vectors are views.
+each over a common denominator (or, built from an elimination, by that
+elimination until its rows are read); rational brackets and vectors are
+views.
 All operations here are pure; every returned object is immutable.
 """
 
@@ -46,22 +48,23 @@ def _int_rows_of(n: int, vectors) -> tuple[int, tuple[la.IntRow, ...]]:
     return la.to_int_rows(vecs)
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, init=False, eq=False)
 class SubspaceBasis:
-    """Linearly independent coordinate vectors in Q^n, stored only as
+    """Linearly independent coordinate vectors in Q^n, read as
     ``int_rows`` = (D, rows): vector i is ``rows[i]`` / D, its pairs
-    (c, D v_c) with non-zero entry in increasing c. It is canonical by
-    ``la.normalised``, so equal bases have equal rows; ``vectors`` is
+    (c, D v_c) with non-zero entry in increasing c. The rows are
+    canonical by ``la.normalised``, so equal bases have equal rows, and
+    ``==`` and ``hash`` compare (ambient_dim, int_rows); ``vectors`` is
     the rational view.
 
     ``SubspaceBasis(n, vectors)`` validates rational vectors; writers
     that hold integer rows use ``from_rows`` (rows they vouch are
-    independent), ``from_span`` (the RREF basis of an ``IntSpan``) or
-    ``kernel`` (the solutions of integer equations).
+    independent) or ``kernel`` (the solutions of integer equations), and
+    ``from_span`` keeps only an ``IntSpan``, whose RREF basis becomes
+    ``int_rows`` on first read.
     """
 
     ambient_dim: int
-    int_rows: tuple[int, tuple[la.IntRow, ...]]
 
     def __init__(self, ambient_dim: int, vectors: Sequence[Vec]):
         self._store(ambient_dim, *_int_rows_of(ambient_dim, vectors))
@@ -80,14 +83,11 @@ class SubspaceBasis:
 
     @classmethod
     def from_span(cls, span: la.IntSpan) -> "SubspaceBasis":
-        """The RREF basis of an ``IntSpan``, each pivot row over its
-        leading entry; the span is kept as its ``int_span``, so no second
-        elimination runs."""
-        pivots = sorted(span.pivots.items())
-        den = math.lcm(*(r[p] for p, r in pivots))
-        rows = (sorted((c, x * (den // r[p])) for c, x in r.items()) for p, r in pivots)
-        sub = cls.from_rows(span.nc, den, rows)
-        sub.__dict__["int_span"] = span
+        """The span of an ``IntSpan``, kept as the ``int_span``, so no
+        second elimination runs and no rows are formed until read."""
+        sub = object.__new__(cls)
+        object.__setattr__(sub, "ambient_dim", span.nc)
+        object.__setattr__(sub, "int_span", span)
         return sub
 
     @classmethod
@@ -96,6 +96,17 @@ class SubspaceBasis:
         given sparsely as {column: integer}, on the basis of
         ``IntSpan.int_kernel``. No equations leave all of Q^n."""
         return cls.from_rows(n, *la.IntSpan(n, equations).int_kernel())
+
+    @functools.cached_property
+    def int_rows(self) -> tuple[int, tuple[la.IntRow, ...]]:
+        """The RREF basis of ``int_span``: each pivot row over its
+        leading entry, over one denominator. Formed here only for a
+        subspace built ``from_span``; the other constructors store it."""
+        pivots = sorted(self.int_span.pivots.items())
+        den = math.lcm(*(r[p] for p, r in pivots))
+        return la.normalised(
+            den, (sorted((c, x * (den // r[p])) for c, x in r.items()) for p, r in pivots)
+        )
 
     @functools.cached_property
     def vectors(self) -> tuple[Vec, ...]:
@@ -110,7 +121,19 @@ class SubspaceBasis:
 
     @property
     def dim(self) -> int:
-        return len(self.int_rows[1])
+        rows = self.__dict__.get("int_rows")
+        return self.int_span.dim if rows is None else len(rows[1])
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, SubspaceBasis):
+            return NotImplemented
+        return (self.ambient_dim, self.int_rows) == (other.ambient_dim, other.int_rows)
+
+    def __hash__(self) -> int:
+        return hash((self.ambient_dim, self.int_rows))
+
+    def __repr__(self) -> str:
+        return f"SubspaceBasis(ambient_dim={self.ambient_dim}, int_rows={self.int_rows})"
 
     def contains(self, v: Vec) -> bool:
         _, (row,) = _int_rows_of(self.ambient_dim, (v,))
@@ -425,21 +448,27 @@ def series(alg: LieAlgebra) -> SeriesReport:
 def killing_sums(alg: LieAlgebra) -> tuple[int, list[list[int]]]:
     """(L^2, K) with K the integer Killing sums: kappa = K / L^2.
 
-    kappa(x,y) = tr(ad x ad y), so kappa_ij = sum_{m,l} c_{im}^l c_{jl}^m,
-    summed in ``int`` on the structure table.
+    kappa(x,y) = tr(ad x ad y), so with A_i = L ad(b_i),
+    K_ij = sum_{p,q} (A_i)_pq (A_j)_qp. The table entries
+    (A_i)_pq = L c_{iq}^p are grouped by position into the sparse
+    vectors u_pq = {i: (A_i)_pq}, and K is the sum of the outer products
+    u_pq u_qp^T, in ``int``.
     """
     n = alg.dim
-    den, _ = alg.int_table
-    ads = alg.int_ad
-    # kappa is symmetric: pair j >= i only and mirror
+    den, rows = alg.int_table
+    us: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    for i, row_i in enumerate(rows):
+        for q, row in enumerate(row_i):
+            for p, t in row:
+                us.setdefault((p, q), []).append((i, t))
     k = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            ad_j = ads[j]
-            # tr(A_i A_j) = sum_{l,m} (A_i)_lm (A_j)_ml
-            k[i][j] = k[j][i] = sum(
-                t * ad_j[m].get(l, 0) for l, row in enumerate(ads[i]) for m, t in row.items()
-            )
+    for (p, q), u in us.items():
+        v = us.get((q, p))
+        if v:
+            for i, x in u:
+                k_i = k[i]
+                for j, y in v:
+                    k_i[j] += x * y
     return den * den, k
 
 

@@ -481,15 +481,34 @@ def random_skew_numerators(
     bound den], and K_ij is their quotient. Over L = lcm(1..
     max_denominator) every L K_ij is an integer; with (M, rows) =
     ``form.int_inverse``, R is the product of the rows M B^{-1} with
-    L K, and D = L M.
+    L K, and D = L M. An empty range (bound < 0 or max_denominator < 1)
+    raises ``ValueError`` before any draw.
+
+    Each draw is the one ``rng.randint(a, b)`` makes on a
+    ``random.Random``: a + r, with r = ``getrandbits(k)`` for k the bit
+    length of w = b - a + 1, drawn again while r >= w. So the stream is
+    the same, without randint's wrapper layers.
     """
+    if bound < 0 or max_denominator < 1:
+        raise ValueError(f"empty draw range: bound {bound}, max_denominator {max_denominator}")
     n = form.dim
     lcm = math.lcm(*range(1, max_denominator + 1))
+    bits = rng.getrandbits
+    k_den = max_denominator.bit_length()
+    # per den: the numerator's width w, its bit length, its offset and L / den
+    widths = [2 * bound * den + 1 for den in range(1, max_denominator + 1)]
+    draws = [(w, w.bit_length(), bound * den, lcm // den) for den, w in enumerate(widths, 1)]
     k = [[0] * n for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
-            den = rng.randint(1, max_denominator)
-            c = rng.randint(-bound * den, bound * den) * (lcm // den)
+            r = bits(k_den)
+            while r >= max_denominator:
+                r = bits(k_den)
+            w, k_num, offset, scale = draws[r]
+            t = bits(k_num)
+            while t >= w:
+                t = bits(k_num)
+            c = (t - offset) * scale
             k[i][j] = c
             k[j][i] = -c
     m, inv_rows = form.int_inverse

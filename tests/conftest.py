@@ -238,6 +238,46 @@ def reference_random_skew_map(rng, form, bound=2, max_denominator=4):
     return la.mat_mul(form.inverse, tuple(tuple(r) for r in k))
 
 
+def reference_random_skew_numerators(rng, form, bound=2, max_denominator=4):
+    """random_skew_numerators as it drew on ``rng.randint``, before it
+    drew on ``getrandbits``: the reference that pins the random stream."""
+    n = form.dim
+    lcm = math.lcm(*range(1, max_denominator + 1))
+    k = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            den = rng.randint(1, max_denominator)
+            c = rng.randint(-bound * den, bound * den) * (lcm // den)
+            k[i][j] = c
+            k[j][i] = -c
+    m, inv_rows = form.int_inverse
+    out = []
+    for inv_row in inv_rows:
+        acc = [0] * n
+        for r, x in inv_row:
+            for q, y in enumerate(k[r]):
+                acc[q] += x * y
+        out.append(acc)
+    return lcm * m, out
+
+
+def reference_killing_sums(alg):
+    """killing_sums as the dense trace loop it replaced: for each pair
+    j >= i, tr(A_i A_j) summed over every entry of A_i = L ad(b_i)
+    against the entries of A_j, read on ``int_ad``."""
+    n = alg.dim
+    den, _ = alg.int_table
+    ads = alg.int_ad
+    k = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            ad_j = ads[j]
+            k[i][j] = k[j][i] = sum(
+                t * ad_j[m].get(l, 0) for l, row in enumerate(ads[i]) for m, t in row.items()
+            )
+    return den * den, k
+
+
 def draw_forms():
     """Diagonal ±1 forms of dimension 1-8, the non-diagonal forms of
     example42 and of a hyperbolic plane, and forms with non-unit and

@@ -44,7 +44,14 @@ from metriclie.forms import (
     isotropic_vector,
     signature,
 )
-from metriclie.reduction import build_ab, build_example42
+from metriclie.einstein import _traceless_skew_map
+from metriclie.reduction import (
+    DoubleExtensionSpec,
+    build_ab,
+    build_example42,
+    double_extend,
+    random_double_extension,
+)
 from metriclie.semisimple import _commutant_of_adjoint
 
 from conftest import (
@@ -580,6 +587,73 @@ def test_subspace_from_span_keeps_the_elimination(monkeypatch):
     assert rescaled == [6]
     with pytest.raises(ValueError, match="ambient dimension"):
         subspace_from_spanning(3, ((1, 2),))
+
+
+def search_samples(count=24, seed=8109):
+    """Algebras as ``sharpness_search`` draws them: one-step extensions
+    by a traceless skew map and two-step iterated extensions."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        d = rng.randint(5, 8)
+        s = rng.randint(2, d - 3)
+        if len(out) % 2:
+            base = build_ab(d - 2, s - 1)
+            delta = _traceless_skew_map(rng, base.form)
+            if delta is not None:
+                out.append(double_extend(DoubleExtensionSpec.from_columns(base, (delta,))).algebra)
+        else:
+            g = random_double_extension(rng, build_ab(d - 4, s - 2))
+            out.append(random_double_extension(rng, g).algebra)
+    return out
+
+
+def test_series_of_search_samples_forms_no_rows(monkeypatch):
+    """The series terms are read only through ``dim`` and ``int_span``,
+    so a series report forms no ``int_rows``: ``la.normalised`` never
+    runs. Read afterwards, the rows are the RREF basis of the span."""
+    normalised = la.normalised
+    calls = []
+
+    def counted(den, rows):
+        calls.append(den)
+        return normalised(den, rows)
+
+    algebras = search_samples()
+    monkeypatch.setattr(la, "normalised", counted)
+    reports = [series(alg) for alg in algebras] + [alg.series_report for alg in algebras]
+    assert calls == []
+    terms = [t for rep in reports for t in rep.derived_series + rep.lower_central_series]
+    assert all("int_rows" not in t.__dict__ for t in terms)
+    assert sum(t.dim not in (0, t.ambient_dim) for t in terms) > 20
+    for t in terms:
+        dim = t.dim
+        assert (t.vectors, dim) == (reference_span_basis(t.int_span), len(t.int_rows[1]))
+    assert len(calls) == len({id(t) for t in terms})
+
+
+def test_subspace_from_span_and_from_rows_are_equal():
+    """A subspace built from an ``IntSpan`` and one built from its RREF
+    rows compare and hash equal, before and after the rows are read."""
+    spans = [
+        t.int_span
+        for alg in search_samples(12, seed=8110)
+        for t in series(alg).derived_series + series(alg).lower_central_series
+    ]
+    rng = random.Random(8111)
+    for _ in range(60):
+        n = rng.randint(0, 8)
+        spans.append(reference_rational_span(random_vectors(rng, rng.randint(0, 5), n), n))
+    for span in spans:
+        rows = SubspaceBasis(span.nc, reference_span_basis(span))
+        first, second = SubspaceBasis.from_span(span), SubspaceBasis.from_span(span)
+        assert first.dim == rows.dim == span.dim
+        assert "int_rows" not in first.__dict__ and "int_rows" not in second.__dict__
+        assert first == rows and hash(second) == hash(rows)
+        assert rows == first and hash(first) == hash(second) and len({first, rows, second}) == 1
+        assert first.int_rows == second.int_rows == rows.int_rows
+        assert first.dim == len(first.int_rows[1])
+    assert SubspaceBasis.from_span(la.IntSpan(3)) != SubspaceBasis.from_span(la.IntSpan(4))
 
 
 # ---------------------------------------------------------------------------

@@ -22,12 +22,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from metriclie import linalg as la
-from metriclie.catalog import resolve
+from metriclie.catalog import direct_sum, resolve, sl2, su2
 from metriclie.core import (
     LieAlgebra,
     SubspaceBasis,
     ad,
     killing_matrix,
+    killing_sums,
     nilradical,
     series,
     subspace_from_spanning,
@@ -36,7 +37,9 @@ from metriclie.core import (
 from metriclie.documents import document_to_algebra, parse_document
 from metriclie.forms import MetricLieAlgebra, SymBilinearForm, _map_pairing, is_invariant
 from metriclie.reduction import (
+    build_ab,
     build_example42,
+    build_ko1,
     change_basis,
     iterated_double_extension,
     random_double_extension,
@@ -66,6 +69,7 @@ from conftest import (
     reference_associative_closure,
     reference_charpoly,
     reference_int_row,
+    reference_killing_sums,
     reference_poly_eval_mat,
     reference_skew_residual,
     reference_span_basis,
@@ -555,6 +559,31 @@ def test_killing_and_nilradical_match_trace_of_products():
         old_rows = tuple(tuple(naive_trace_product(adi, b) for adi in ads) for b in assoc)
         assert nilradical(alg).vectors == naive_kernel(old_rows)
     assert non_nilpotent >= 5
+
+
+def test_killing_sums_match_the_dense_trace_loop():
+    """The outer products of the table entries grouped by position give
+    the integers of the dense trace loop: on the catalog algebras,
+    seeded iterated double extensions and the split-semisimple sums of
+    two and three copies of sl2 and su2."""
+    rng = random.Random(4711)
+    algebras = [resolve(name)[0] for name in ("heis3", "sl2", "su2", "example42", "ab(4,2)")]
+    for n, s in ((4, 1), (6, 2), (8, 3)):
+        algebras.append(build_ko1(n, s, random_skew_map(rng, build_ab(n - 2, s - 1).form)).algebra)
+    for _ in range(40):
+        base = random_abelian_base(rng, max_dim=5)
+        algebras.append(iterated_double_extension(rng, base, rng.randint(1, 3)).algebra)
+    simple = (sl2, su2)
+    for a in simple:
+        for b in simple:
+            algebras.append(direct_sum(a(), b()).algebra)
+            algebras += [direct_sum(direct_sum(a(), b()), c()).algebra for c in simple]
+    nonzero = 0
+    for alg in algebras:
+        got = killing_sums(alg)
+        assert got == reference_killing_sums(alg)
+        nonzero += any(map(any, got[1]))
+    assert nonzero >= 20
 
 
 # ---------------------------------------------------------------------------
