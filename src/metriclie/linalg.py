@@ -394,54 +394,11 @@ def poly_trim(p: Sequence[Fraction]) -> Poly:
     return tuple(p[i:]) if p else (ZERO,)
 
 
-def poly_deg(p: Poly) -> int:
-    p = poly_trim(p)
-    return len(p) - 1 if p != (ZERO,) else -1
-
-
-def poly_is_zero(p: Poly) -> bool:
-    return all(c == 0 for c in p)
-
-
 def poly_deriv(p: Poly) -> Poly:
     n = len(p) - 1
     if n <= 0:
         return (ZERO,)
     return poly_trim(tuple(c * (n - i) for i, c in enumerate(p[:-1])))
-
-
-def poly_monic(p: Poly) -> Poly:
-    p = poly_trim(p)
-    if poly_is_zero(p):
-        return p
-    lead = p[0]
-    return tuple(c / lead for c in p)
-
-
-def poly_divmod(num: Poly, den: Poly) -> tuple[Poly, Poly]:
-    num = list(poly_trim(num))
-    den = poly_trim(den)
-    if poly_is_zero(den):
-        raise ZeroDivisionError("polynomial division by zero")
-    dd = len(den) - 1
-    q = [ZERO] * max(len(num) - dd, 1)
-    while len(num) - 1 >= dd and not all(c == 0 for c in num):
-        shift = len(num) - 1 - dd
-        coeff = num[0] / den[0]
-        q[len(q) - 1 - shift] = coeff
-        for i, dc in enumerate(den):
-            num[i] -= coeff * dc
-        num.pop(0)
-        if not num:
-            num = [ZERO]
-    return poly_trim(q), poly_trim(num)
-
-
-def poly_sub(a: Poly, b: Poly) -> Poly:
-    n = max(len(a), len(b))
-    a = (ZERO,) * (n - len(a)) + tuple(a)
-    b = (ZERO,) * (n - len(b)) + tuple(b)
-    return poly_trim(tuple(x - y for x, y in zip(a, b)))
 
 
 def poly_mul(a: Poly, b: Poly) -> Poly:
@@ -458,20 +415,6 @@ def poly_reflect(p: Poly) -> Poly:
     """p(-x): the coefficient of x^k times (-1)^k."""
     n = len(p) - 1
     return tuple(-c if (n - i) % 2 else c for i, c in enumerate(p))
-
-
-def poly_gcdex(a: Poly, b: Poly) -> tuple[Poly, Poly, Poly]:
-    """(s, t, g) with s a + t b = g, the monic gcd of a and b (not both
-    zero), by the extended Euclidean algorithm."""
-    r0, r1 = poly_trim(a), poly_trim(b)
-    s0, s1, t0, t1 = (ONE,), (ZERO,), (ZERO,), (ONE,)
-    while not poly_is_zero(r1):
-        q, r = poly_divmod(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, poly_sub(s0, poly_mul(q, s1))
-        t0, t1 = t1, poly_sub(t0, poly_mul(q, t1))
-    lead = r0[0]
-    return tuple(c / lead for c in s0), tuple(c / lead for c in t0), poly_monic(r0)
 
 
 # The integer layer: a polynomial in Z[x] is a descending list of int,

@@ -18,10 +18,10 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import linalg as la
-from .core import LinearMap, SubspaceBasis, ad, jordan_chevalley, subspace_from_spanning
+from .core import LinearMap, ad
 from .einstein import EigenvalueData, _rational_value
 from .errors import CertificateError, PreconditionError
-from .forms import MetricLieAlgebra
+from .forms import MetricLieAlgebra, _require_invariant
 from .linalg import Mat, Vec
 from .quadratic import Box, Quadratic, field_of, irreducible_factors, is_owned, quadratic_roots, same_field
 
@@ -366,9 +366,7 @@ def _decide(p: la.Poly, n: int) -> tuple[str, dict[str, bool]]:
     return tag, checks
 
 
-def obstruction_verdict(
-    data: LinearMap | Mat | EigenvalueData, n: int | None = None
-) -> ObstructionReport:
+def obstruction_verdict(data: LinearMap | Mat | EigenvalueData) -> ObstructionReport:
     """Classify a spectrum against the lattice obstruction.
 
     In acting dimension n <= 5 the trace identity forces the spectrum
@@ -401,49 +399,38 @@ def obstruction_verdict(
     among candidate factors is numerical.
     """
     if isinstance(data, EigenvalueData):
-        p = _spectrum_poly(data)
-    else:
-        m = data.matrix if isinstance(data, LinearMap) else la.mat(data)
-        p = la.charpoly(m)
-    if n is None:
-        n = len(p) - 1
-    case_tag, checks = _decide(p, n)
+        return _report(_spectrum_poly(data), data)
+    return _report(la.charpoly(data.matrix if isinstance(data, LinearMap) else la.mat(data)))
+
+
+def restricted_obstruction(m: MetricLieAlgebra, element: Vec) -> ObstructionReport:
+    """The obstruction verdict for ad(a) restricted to the image of its
+    semisimple part, for an invariant form (``PreconditionError``
+    otherwise).
+
+    By Fitting's lemma that image is the sum of the generalized
+    eigenspaces of the non-zero eigenvalues, so the restriction has the
+    characteristic polynomial p / x^k, for p that of ad(a) and x^k the
+    highest power of x dividing it."""
+    _require_invariant(m)
+    p = la.charpoly(ad(m.algebra, element).matrix)
+    return _report(la.poly_trim(p[::-1])[::-1])  # p without its trailing zeros
+
+
+def _report(p: la.Poly, spectrum: EigenvalueData | None = None) -> ObstructionReport:
+    """The report on the spectrum with the monic polynomial p, listed
+    from p unless given."""
+    case_tag, checks = _decide(p, len(p) - 1)
     verdict, rule, patterns = _OUTCOMES[case_tag]
     return ObstructionReport(
-        input_spectrum=data if isinstance(data, EigenvalueData) else _classified(_roots(p)),
-        n=n,
+        input_spectrum=_classified(_roots(p)) if spectrum is None else spectrum,
+        n=len(p) - 1,
         case_tag=case_tag,
         exp_eigenvalue_patterns=patterns,
         verdict=verdict,
         rule_cited=rule,
         hypothesis_checks=checks,
     )
-
-
-def restricted_obstruction(
-    m: MetricLieAlgebra, element: Vec, restriction: SubspaceBasis | None = None
-) -> ObstructionReport:
-    """The obstruction verdict for ad(a) restricted to an invariant
-    subspace, defaulting to the image of the semisimple part of ad(a).
-    The restricted matrix is read on the RREF basis of the subspace."""
-    phi = ad(m.algebra, element)
-    if restriction is None:
-        sigma = jordan_chevalley(phi).semisimple.matrix
-        restriction = subspace_from_spanning(m.dim, la.transpose(sigma))
-    # on the RREF basis of the span, a vector of the span has its
-    # coordinates at the pivot columns
-    span = restriction.int_span
-    leads = sorted(span.pivots)
-    if not leads:
-        return obstruction_verdict(EigenvalueData(), n=0)
-    cols = []
-    for v in SubspaceBasis.from_span(span).vectors:
-        w = phi(v)
-        if not restriction.contains(w):
-            raise PreconditionError("restriction subspace is not ad(a)-invariant")
-        cols.append(tuple(w[p] for p in leads))
-    restricted = la.transpose(tuple(cols))
-    return obstruction_verdict(restricted)
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,8 @@ compact/noncompact split, with form-compatibility reporting.
 
 The decomposition works through the centroid (the commutant of the
 adjoint representation): for a semisimple algebra it is a product of
-fields, and the primitive idempotents of a generating element cut out
-the minimal ideals.
+fields, and the primary components of a generating element, one per
+irreducible factor of its minimal polynomial, are the minimal ideals.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from .core import (
     bracket_spans,
     killing_form,
     span_of,
-    subspace_from_spanning,
 )
 from .errors import CertificateError, PreconditionError
 from .forms import MetricLieAlgebra, SymBilinearForm, _skew_pairing, metric_radical, signature
@@ -87,25 +86,22 @@ def _simple_ideals(alg: LieAlgebra, kappa: SymBilinearForm) -> tuple[SubspaceBas
                 flat[k] += c * x
         cand = la.mat_over((flat[k : k + n] for k in range(0, n * n, n)), den)
         cand_minpoly = la.minimal_polynomial(cand)
-        if la.poly_deg(cand_minpoly) == d:
+        if len(cand_minpoly) - 1 == d:
             generic = cand
             break
     if generic is None:
         raise CertificateError("could not find a generating element of the centroid")
+    # the kernel of f(C) for an irreducible factor f of C's squarefree
+    # minimal polynomial is C's primary component of f
     ideals: list[SubspaceBasis] = []
     for fac, mult in irreducible_factors(cand_minpoly):
         if mult != 1:
             raise CertificateError("centroid minimal polynomial is not squarefree")
-        cofactor = la.poly_divmod(cand_minpoly, fac)[0]
-        # u cofactor = 1 mod fac and 0 mod cofactor: the idempotent of fac
-        u, _, gcd = la.poly_gcdex(cofactor, fac)
-        if gcd != (la.ONE,):
-            raise CertificateError("centroid factors are not coprime")
-        e = la.poly_eval_mat(la.poly_mul(u, cofactor), generic)
-        if la.mat_mul(e, e) != e:
-            raise CertificateError("constructed centroid element is not idempotent")
-        ideals.append(subspace_from_spanning(n, la.transpose(e)))
+        rows = la.to_int_rows(la.poly_eval_mat(fac, generic))[1]
+        ideals.append(SubspaceBasis.kernel(n, map(dict, rows)))
 
+    if sum(i.dim for i in ideals) != n:
+        raise CertificateError("minimal ideals do not add up to the dimension")
     if span_of(n, (r for i in ideals for r in i.int_rows[1])).dim != n:
         raise CertificateError("minimal ideals do not sum to the whole algebra")
     for i in range(len(ideals)):

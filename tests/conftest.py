@@ -15,14 +15,18 @@ import pytest
 
 from metriclie import forms
 from metriclie import linalg as la
-from metriclie.core import LieAlgebra, ad
+from metriclie.core import LieAlgebra, ad, jordan_chevalley, subspace_from_spanning
+from metriclie.einstein import EigenvalueData
 from metriclie.forms import MetricLieAlgebra, SymBilinearForm
+from metriclie.obstruction import obstruction_verdict
+from metriclie.quadratic import irreducible_factors
 from metriclie.reduction import (
     build_ab,
     build_example42,
     iterated_double_extension,
     random_double_extension,
 )
+from metriclie.semisimple import _commutant_of_adjoint
 
 
 def rand_fraction(rng: random.Random, bound: int = 3, max_denominator: int = 3) -> Fraction:
@@ -650,19 +654,69 @@ def reference_change_basis(m, columns, names):
 # ---------------------------------------------------------------------------
 
 
+def naive_poly_deg(p):
+    p = la.poly_trim(p)
+    return len(p) - 1 if any(p) else -1
+
+
+def naive_poly_monic(p):
+    p = la.poly_trim(p)
+    return tuple(c / p[0] for c in p) if any(p) else p
+
+
+def naive_poly_divmod(num, den):
+    num = list(la.poly_trim(num))
+    den = la.poly_trim(den)
+    if not any(den):
+        raise ZeroDivisionError("polynomial division by zero")
+    dd = len(den) - 1
+    q = [la.ZERO] * max(len(num) - dd, 1)
+    while len(num) - 1 >= dd and any(num):
+        shift = len(num) - 1 - dd
+        coeff = num[0] / den[0]
+        q[len(q) - 1 - shift] = coeff
+        for i, dc in enumerate(den):
+            num[i] -= coeff * dc
+        num.pop(0)
+        if not num:
+            num = [la.ZERO]
+    return la.poly_trim(q), la.poly_trim(num)
+
+
+def _poly_sub(a, b):
+    n = max(len(a), len(b))
+    a = (la.ZERO,) * (n - len(a)) + tuple(a)
+    b = (la.ZERO,) * (n - len(b)) + tuple(b)
+    return la.poly_trim(tuple(x - y for x, y in zip(a, b)))
+
+
+def _poly_gcdex(a, b):
+    """(s, t, g) with s a + t b = g, the monic gcd of a and b (not both
+    zero), by the extended Euclidean algorithm."""
+    r0, r1 = la.poly_trim(a), la.poly_trim(b)
+    s0, s1, t0, t1 = (la.ONE,), (la.ZERO,), (la.ZERO,), (la.ONE,)
+    while any(r1):
+        q, r = naive_poly_divmod(r0, r1)
+        r0, r1 = r1, r
+        s0, s1 = s1, _poly_sub(s0, la.poly_mul(q, s1))
+        t0, t1 = t1, _poly_sub(t0, la.poly_mul(q, t1))
+    lead = r0[0]
+    return tuple(c / lead for c in s0), tuple(c / lead for c in t0), naive_poly_monic(r0)
+
+
 def reference_poly_gcd(a, b):
     a, b = la.poly_trim(a), la.poly_trim(b)
-    while not la.poly_is_zero(b):
-        _, r = la.poly_divmod(a, b)
+    while any(b):
+        _, r = naive_poly_divmod(a, b)
         a, b = b, r
-    return la.poly_monic(a)
+    return naive_poly_monic(a)
 
 
 def reference_poly_squarefree_part(p):
     g = reference_poly_gcd(p, la.poly_deriv(p))
-    q, r = la.poly_divmod(p, g)
-    assert la.poly_is_zero(r)
-    return la.poly_monic(q)
+    q, r = naive_poly_divmod(p, g)
+    assert not any(r)
+    return naive_poly_monic(q)
 
 
 def reference_graeffe_fraction(p):
@@ -672,7 +726,7 @@ def reference_graeffe_fraction(p):
     ascending = p[::-1]
     even = ascending[0::2][::-1]
     odd = ascending[1::2][::-1] or (la.ZERO,)
-    g = la.poly_sub(la.poly_mul(even, even), la.poly_mul(odd, odd) + (la.ZERO,))
+    g = _poly_sub(la.poly_mul(even, even), la.poly_mul(odd, odd) + (la.ZERO,))
     return tuple(-c for c in g) if (len(p) - 1) % 2 else g
 
 
@@ -680,9 +734,9 @@ def reference_sturm_sequence(q):
     """q, q', -rem(q, q'), ... over Q by euclidean remainders."""
     seq = [q]
     r = la.poly_deriv(q)
-    while not la.poly_is_zero(r):
+    while any(r):
         seq.append(r)
-        r = tuple(-c for c in la.poly_divmod(seq[-2], seq[-1])[1])
+        r = tuple(-c for c in naive_poly_divmod(seq[-2], seq[-1])[1])
     return seq
 
 
@@ -706,17 +760,17 @@ def reference_poly_sturm_counts(p):
 
 def reference_poly_squarefree_decomposition(p):
     """Yun's decomposition over Q on monic ``Fraction`` polynomials."""
-    p = la.poly_monic(p)
+    p = naive_poly_monic(p)
     dp = la.poly_deriv(p)
     a = reference_poly_gcd(p, dp)
-    b = la.poly_divmod(p, a)[0]
-    d = la.poly_sub(la.poly_divmod(dp, a)[0], la.poly_deriv(b))
+    b = naive_poly_divmod(p, a)[0]
+    d = _poly_sub(naive_poly_divmod(dp, a)[0], la.poly_deriv(b))
     out = []
     k = 1
     while len(b) > 1:
         a = reference_poly_gcd(b, d)
-        b = la.poly_divmod(b, a)[0]
-        d = la.poly_sub(la.poly_divmod(d, a)[0], la.poly_deriv(b))
+        b = naive_poly_divmod(b, a)[0]
+        d = _poly_sub(naive_poly_divmod(d, a)[0], la.poly_deriv(b))
         if len(a) > 1:
             out.append((a, k))
         k += 1
@@ -909,3 +963,62 @@ def reference_probe(boxes, t, precision_bits):
         for (re_lo, re_hi), (im_lo, im_hi) in out
     )
     return excluded, out
+
+
+# ---------------------------------------------------------------------------
+# the Jordan-Chevalley restriction and the centroid idempotents: the
+# references for the obstruction and the simple ideals read off one
+# characteristic or minimal polynomial
+# ---------------------------------------------------------------------------
+
+
+def reference_restricted_obstruction(m, element):
+    """``restricted_obstruction`` on the matrix of ad(a) restricted to the
+    image of its Jordan-Chevalley semisimple part, read on the RREF basis
+    of that image."""
+    phi = ad(m.algebra, element)
+    sigma = jordan_chevalley(phi).semisimple.matrix
+    image = subspace_from_spanning(m.dim, la.transpose(sigma))
+    # a vector of the image has its RREF coordinates at the pivot columns
+    leads = sorted(image.int_span.pivots)
+    if not leads:
+        return obstruction_verdict(EigenvalueData())
+    cols = []
+    for v in image.vectors:
+        w = phi(v)
+        assert image.contains(w), "the image is not ad(a)-invariant"
+        cols.append(tuple(w[p] for p in leads))
+    return obstruction_verdict(la.transpose(tuple(cols)))
+
+
+def reference_simple_ideals(alg):
+    """``semisimple._simple_ideals`` by centroid idempotents: for each
+    irreducible factor f of the minimal polynomial mu of a generic
+    centroid element C, e = u (mu / f) with u (mu / f) = 1 mod f by
+    extended Euclid, and the ideal is the column space of e(C)."""
+    n = alg.dim
+    commutant = _commutant_of_adjoint(alg)
+    den, rows = commutant.int_rows
+    for attempt in range(1, 8):
+        flat = [0] * (n * n)
+        for i, w in enumerate(rows):
+            c = (attempt * (i + 1)) % 11 + i
+            for k, x in w:
+                flat[k] += c * x
+        generic = la.mat_over((flat[k : k + n] for k in range(0, n * n, n)), den)
+        mu = la.minimal_polynomial(generic)
+        if len(mu) - 1 == commutant.dim:
+            break
+    else:
+        raise AssertionError("no generating element of the centroid")
+    ideals = []
+    for fac, mult in irreducible_factors(mu):
+        assert mult == 1, "centroid minimal polynomial is not squarefree"
+        cofactor, rem = naive_poly_divmod(mu, fac)
+        assert not any(rem)
+        u, _, gcd = _poly_gcdex(cofactor, fac)
+        assert gcd == (la.ONE,), "centroid factors are not coprime"
+        e = la.poly_eval_mat(la.poly_mul(u, cofactor), generic)
+        assert la.mat_mul(e, e) == e, "centroid element is not idempotent"
+        ideals.append(subspace_from_spanning(n, la.transpose(e)))
+    return tuple(ideals)

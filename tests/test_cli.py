@@ -292,6 +292,19 @@ def test_obstruct_example42(capsys):
     assert r["rule_cited"] == "gelfond-schneider"
 
 
+def test_obstruct_on_a_non_invariant_form_exits_2(capsys, tmp_path):
+    # a + Q^3 with ad(a) the companion of x^3 - 2 under the identity form:
+    # ad(a) is not skew, so its spectrum need not be closed under negation
+    f = Fraction
+    brackets = {(0, 1): (0, 0, f(1), 0), (0, 2): (0, 0, 0, f(1)), (0, 3): (0, f(2), 0, 0)}
+    alg = LieAlgebra(4, ("a", "x1", "x2", "x3"), brackets)
+    path = _doc_path(tmp_path, alg, SymBilinearForm(la.identity(4)), "cubic")
+    code, _, err = run(capsys, "obstruct", path, "--element", "a")
+    assert code == 2
+    assert "form is not invariant; witness triple (0, 1, 2)" in err
+    assert "negation" not in err
+
+
 def test_relations_command(capsys):
     code, report, _ = run_json(capsys, "relations", "example42", "--element", "a")
     assert code == 0

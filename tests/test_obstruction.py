@@ -4,6 +4,7 @@ import io
 import json
 import math
 import random
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -12,10 +13,11 @@ import sympy as sp
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
+from metriclie import core
 from metriclie import linalg as la
 from metriclie.cli import main
 from metriclie.core import ad
-from metriclie.einstein import EigenvalueData, trace_identity
+from metriclie.einstein import EigenvalueData, _rotation_boost_columns, trace_identity
 from metriclie.errors import CertificateError, PreconditionError
 from metriclie.documents import document_to_algebra, parse_document
 from metriclie.forms import MetricLieAlgebra
@@ -34,15 +36,18 @@ from metriclie.obstruction import (
     restricted_obstruction,
     spectrum_data,
 )
-from metriclie.reduction import build_example42
+from metriclie.reduction import DoubleExtensionSpec, build_ab, build_example42, double_extend
 
 from conftest import (
     naive_rank,
     naive_trace,
     naive_zeros,
     rand_matrix,
+    random_solvable_metric,
+    random_vector,
     reference_decide,
     reference_probe,
+    reference_restricted_obstruction,
     to_sympy_poly,
 )
 
@@ -202,6 +207,55 @@ def test_restricted_obstruction_central_element():
     m = build_example42()
     rep = restricted_obstruction(m, la.unit_vec(6, 5))  # z, ad(z) = 0
     assert rep.verdict == "inapplicable"
+
+
+def _obstruct_outcome(f, m, element):
+    """The report of f, or the type and message of its precondition or
+    certificate failure."""
+    try:
+        return f(m, element).to_jsonable()
+    except (PreconditionError, CertificateError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _rotation_boost_algebras():
+    """The rotation-boost algebras of ``sharpness_search``: dimension 6,
+    b = 1..3, and the Pythagorean dimension 8, k = 1."""
+    for base, delta in [
+        *((build_ab(4, 1), _rotation_boost_columns((b,), b)) for b in (1, 2, 3)),
+        (build_ab(6, 1), _rotation_boost_columns((3, 4), 5)),
+    ]:
+        yield double_extend(DoubleExtensionSpec.from_columns(base, (delta,)))
+
+
+def test_restricted_obstruction_matches_the_jordan_chevalley_restriction():
+    rng = random.Random(26)
+    algebras = [build_example42(), *_rotation_boost_algebras()]
+    algebras += [random_solvable_metric(rng) for _ in range(20)]
+    tags = set()
+    for m in algebras:
+        basis = [la.unit_vec(m.dim, i) for i in range(m.dim)]
+        for a in basis + [random_vector(rng, m.dim) for _ in range(3)]:
+            got = _obstruct_outcome(restricted_obstruction, m, a)
+            assert got == _obstruct_outcome(reference_restricted_obstruction, m, a)
+            if isinstance(got, dict):
+                tags.add((got["n"], got["case_tag"]))
+    # the central z of example42 restricts to nothing, and the
+    # dimension-8 boost acts on six dimensions
+    assert {(0, "nilpotent"), (4, "case2_imaginary_pair"), (6, "out_of_scope_n_gt_5")} <= tags
+
+
+def test_restricted_obstruction_never_splits_jordan_chevalley(monkeypatch):
+    def no_split(*args):
+        raise AssertionError("jordan_chevalley called on the obstruct path")
+
+    real = core.jordan_chevalley
+    for module in list(sys.modules.values()):
+        if module.__name__.startswith("metriclie") and getattr(module, "jordan_chevalley", None) is real:
+            monkeypatch.setattr(module, "jordan_chevalley", no_split)
+    assert restricted_obstruction(build_example42(), la.unit_vec(6, 0)).verdict == "obstructed"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["obstruct", "example42", "--element", "a"]) == 0
 
 
 def test_report_to_jsonable_round_trips_through_json():

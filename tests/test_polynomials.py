@@ -14,6 +14,8 @@ from metriclie import obstruction
 from metriclie.errors import CertificateError
 
 from conftest import (
+    naive_poly_deg,
+    naive_poly_monic,
     random_rational_poly,
     reference_graeffe_fraction,
     reference_poly_factor,
@@ -52,11 +54,11 @@ def _check_against_reference(p, q, factor=True):
     sf = la.poly_squarefree_part(p)
     assert sf == reference_poly_squarefree_part(p)
     assert la.poly_sturm_counts(p) == reference_poly_sturm_counts(p)
-    assert la.poly_root_counts(p) == (*reference_poly_sturm_counts(p), la.poly_deg(sf))
+    assert la.poly_root_counts(p) == (*reference_poly_sturm_counts(p), naive_poly_deg(sf))
     assert _decomposition(p) == reference_poly_squarefree_decomposition(p)
     if factor:
         assert la.poly_factor(p) == reference_poly_factor(p)
-    monic = la.poly_monic(p)
+    monic = naive_poly_monic(p)
     assert la.poly_graeffe(monic) == reference_graeffe_fraction(monic)
 
 
@@ -83,7 +85,7 @@ def test_integer_layer_matches_the_fraction_reference_seeded():
         seen["content"] += scale.numerator not in (1, -1) and len(p) > 1
         seen["wide_denominator"] += scale.denominator > 2**32
         # the primitive part is a positive multiple of p
-        assert la.poly_monic(tuple(map(Fraction, ints))) == la.poly_monic(p)
+        assert naive_poly_monic(tuple(map(Fraction, ints))) == naive_poly_monic(p)
         assert (ints[0] > 0) == (p[0] > 0)
     assert seen["negative_lead"] >= 40 and seen["content"] >= 100 and seen["wide_denominator"] >= 100
 
@@ -172,8 +174,8 @@ def test_zero_and_constant_polynomials():
     assert la.int_poly((ZERO, -6 * ONE, Fraction(3, 2))) == [-4, 1]
     assert la._int_gcd([], []) == []
     assert la.poly_gcd(zero, zero) == reference_poly_gcd(zero, zero) == zero
-    assert la.poly_deg(la.poly_gcd(zero, zero)) == -1
-    assert la.poly_gcd(zero, p) == la.poly_gcd(p, zero) == reference_poly_gcd(zero, p) == la.poly_monic(p)
+    assert naive_poly_deg(la.poly_gcd(zero, zero)) == -1
+    assert la.poly_gcd(zero, p) == la.poly_gcd(p, zero) == reference_poly_gcd(zero, p) == naive_poly_monic(p)
     assert la.poly_gcd(three, p) == la.poly_gcd(p, three) == reference_poly_gcd(three, p) == (ONE,)
     assert la.poly_gcd(three, zero) == (ONE,)
     assert la.poly_squarefree_part(three) == (ONE,)

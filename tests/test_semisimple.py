@@ -1,3 +1,4 @@
+import itertools
 import json
 import sys
 from fractions import Fraction
@@ -15,6 +16,8 @@ from metriclie.semisimple import (
     simple_decomposition,
     split_form_report,
 )
+
+from conftest import reference_simple_ideals
 
 
 def _sum_with_form(c: Fraction) -> MetricLieAlgebra:
@@ -37,6 +40,19 @@ def _sum_with_form(c: Fraction) -> MetricLieAlgebra:
 def test_simple_algebras_are_single_ideals():
     assert [i.dim for i in simple_decomposition(su2().algebra)] == [3]
     assert [i.dim for i in simple_decomposition(sl2().algebra)] == [3]
+
+
+def test_primary_components_are_the_idempotent_images():
+    # every sum of 1-3 copies of sl2 and su2, in every order
+    for k in (1, 2, 3):
+        for parts in itertools.product((sl2, su2), repeat=k):
+            m = parts[0]()
+            for part in parts[1:]:
+                m = direct_sum(m, part())
+            ideals = simple_decomposition(m.algebra)
+            expected = reference_simple_ideals(m.algebra)
+            assert len(ideals) == len(expected) == k
+            assert all(i.same_span(e) for i, e in zip(ideals, expected))
 
 
 def test_degenerate_killing_rejected():
