@@ -258,6 +258,24 @@ class LieAlgebra:
         caller that needs the series or [g, g] reads the same report."""
         return series(self)
 
+    @functools.cached_property
+    def derived(self) -> SubspaceBasis:
+        """[g, g], built once per algebra: ``series`` and every reader of
+        [g, g] share it."""
+        return derived_subalgebra(self)
+
+    @functools.cached_property
+    def derived_series(self) -> tuple[SubspaceBasis, ...]:
+        """g, [g, g], ... up to the first term its successor equals; g is
+        solvable exactly when the last term is 0. Kept, and read by
+        ``series``, so solvability costs no lower central series."""
+        terms = [self.full_space()]
+        nxt = self.derived
+        while nxt.dim < terms[-1].dim:
+            terms.append(nxt)
+            nxt = bracket_spans(self, nxt, nxt)
+        return tuple(terms)
+
     def bracket(self, x: Vec, y: Vec) -> Vec:
         """sum_ij x_i y_j [b_i, b_j], summed over the non-zero x_i, y_j
         on the rows of the structure table and divided by L once."""
@@ -407,6 +425,18 @@ def center(alg: LieAlgebra) -> SubspaceBasis:
     return SubspaceBasis.kernel(alg.dim, (r for ad_i in alg.int_ad for r in ad_i))
 
 
+def _is_central(alg: LieAlgebra, sub: SubspaceBasis) -> bool:
+    """Whether sub lies in z(g): the bracket of each integer pivot row of
+    sub with each basis vector vanishes. ``_int_bracket`` keeps the keys
+    of sums that cancel, so the values are tested."""
+    _, rows = alg.int_table
+    return not any(
+        any(_int_bracket(rows, x, {j: 1}).values())
+        for x in sub.int_span.pivots.values()
+        for j in range(alg.dim)
+    )
+
+
 @dataclass(frozen=True)
 class SeriesReport:
     derived_series: tuple[SubspaceBasis, ...]
@@ -423,26 +453,20 @@ class SeriesReport:
 
 def series(alg: LieAlgebra) -> SeriesReport:
     """Derived and lower central series. Callers read the report kept
-    on the algebra, ``alg.series_report``, which calls this once."""
+    on the algebra, ``alg.series_report``, which calls this once; the
+    derived series and [g, g], which opens both, are the algebra's
+    own."""
     full = alg.full_space()
-    # [g, g] opens both series
-    first = derived_subalgebra(alg)
-
-    derived = [full]
-    nxt = first
-    while nxt.dim < derived[-1].dim:
-        derived.append(nxt)
-        nxt = bracket_spans(alg, nxt, nxt)
-
+    derived = alg.derived_series
     lower = [full]
-    nxt = first
+    nxt = alg.derived
     while nxt.dim < lower[-1].dim:
         lower.append(nxt)
         nxt = bracket_spans(alg, full, nxt)
 
     is_solvable = derived[-1].dim == 0
     is_nilpotent = lower[-1].dim == 0
-    return SeriesReport(tuple(derived), tuple(lower), is_solvable, is_nilpotent, alg.is_abelian)
+    return SeriesReport(derived, tuple(lower), is_solvable, is_nilpotent, alg.is_abelian)
 
 
 def killing_sums(alg: LieAlgebra) -> tuple[int, list[list[int]]]:
@@ -519,10 +543,11 @@ def jordan_chevalley(a: LinearMap | Mat) -> JordanPair:
 
 
 def _power_trace_rows(
-    ads: tuple[tuple[dict[int, int], ...], ...], y: list[dict[int, int]]
+    ads: Mapping[int, tuple[dict[int, int], ...]], y: list[dict[int, int]]
 ) -> list[dict[int, int]]:
-    """The rows {i: tr(L ad(b_i) P)} for the powers P = Y, ..., Y^n of
-    the n x n integer matrix Y (``y[p]`` = {q: Y_pq}). By Cayley-Hamilton
+    """The rows {i: tr(L ad(b_i) P)} over the generators i of ``ads``
+    (i -> the rows of L ad(b_i)) for the powers P = Y, ..., Y^n of the
+    n x n integer matrix Y (``y[p]`` = {q: Y_pq}). By Cayley-Hamilton
     Y^(n+1) is a combination of Y, ..., Y^n, so they span every power."""
     n = len(y)
     rows = []
@@ -540,7 +565,7 @@ def _power_trace_rows(
         rows.append(
             {
                 i: sum(t * power[q].get(p, 0) for p, row in enumerate(ad_i) for q, t in row.items())
-                for i, ad_i in enumerate(ads)
+                for i, ad_i in ads.items()
             }
         )
     return rows
@@ -563,6 +588,17 @@ def nilradical(alg: LieAlgebra, hint: SubspaceBasis | None = None) -> SubspaceBa
     Theory and Algorithms*, 2000). The rows are solved in ``int`` by
     ``SubspaceBasis.kernel``.
 
+    Every trace row T vanishes on [g, g]: over C, ad(g) is triangular in
+    some basis, so for x in [g, g] ad(x) is strictly triangular and so
+    is ad(x) Y^k. Only the entries T[c] at the d free columns c, the
+    generators outside [g, g], are traced; on each pivot row r_p of the
+    integer RREF of [g, g], led by r_p[p], the row vanishes, which gives
+
+        T[p] = -sum_f r_p[f] T[f] / r_p[p]
+
+    over the free columns f, an exact division. The completed rows are
+    the full trace rows, so K and its basis are the same.
+
     y is y_t = sum_j t^j c_j for t = 1, 2, ..., the c_j the unit vectors
     on the d free columns of the RREF of [g, g], which span a complement
     of it. Two distinct weights, or a weight and 0, differ on some c_j,
@@ -583,16 +619,20 @@ def nilradical(alg: LieAlgebra, hint: SubspaceBasis | None = None) -> SubspaceBa
     if rep.is_nilpotent:
         result = alg.full_space()
     else:
-        ads = alg.int_ad
-        free = [c for c in range(n) if c not in rep.derived.int_span.pivots]
-        for t in range(1, (len(free) - 1) * n * (n + 1) // 2 + 2):
+        pivots = rep.derived.int_span.pivots
+        gens = {c: ad_c for c, ad_c in enumerate(alg.int_ad) if c not in pivots}
+        for t in range(1, (len(gens) - 1) * n * (n + 1) // 2 + 2):
             # L ad(y_t) = sum_j t^j L ad(b_c) over the free columns c
             y: list[dict[int, int]] = [{} for _ in range(n)]
-            for j, c in enumerate(free):
-                for p, row in enumerate(ads[c]):
+            for j, ad_c in enumerate(gens.values()):
+                for p, row in enumerate(ad_c):
                     for q, x in row.items():
                         y[p][q] = y[p].get(q, 0) + t**j * x
-            result = SubspaceBasis.kernel(n, _power_trace_rows(ads, y))
+            rows = _power_trace_rows(gens, y)
+            for row in rows:
+                for p, r in pivots.items():
+                    row[p] = -sum(x * row[f] for f, x in r.items() if f != p) // r[p]
+            result = SubspaceBasis.kernel(n, rows)
             if not result.contains_subspace(rep.derived):
                 raise CertificateError("nilradical candidate does not contain [g, g]")
             if not result.contains_subspace(bracket_spans(alg, alg.full_space(), result)):

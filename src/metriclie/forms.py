@@ -21,7 +21,6 @@ from .core import (
     LieAlgebra,
     SubspaceBasis,
     _int_bracket,
-    _int_rows_of,
     ad,
     bracket_spans,
     center,
@@ -78,14 +77,6 @@ class SymBilinearForm:
         ``_int_images`` of the u_i paired with every v_j."""
         images = _int_images(left, self.int_rows[1])
         return [[sum(y[q] * z for q, z in r) for r in right] for y in images]
-
-    def apply(self, u: Vec, v: Vec) -> Fraction:
-        den, (left, right) = _int_rows_of(self.dim, (u, v))
-        return Fraction(self.int_gram((left,), (right,))[0][0], self.int_rows[0] * den * den)
-
-    def restrict(self, vectors: tuple[Vec, ...]) -> "SymBilinearForm":
-        """The Gram matrix B(v_i, v_j) of rational vectors."""
-        return self.restrict_rows(*_int_rows_of(self.dim, vectors))
 
     def restrict_rows(self, den: int, rows) -> "SymBilinearForm":
         """The Gram matrix of the vectors rows[i] / den, ``int_gram``
@@ -151,6 +142,53 @@ class MetricLieAlgebra:
     @property
     def dim(self) -> int:
         return self.algebra.dim
+
+    @functools.cached_property
+    def skew_derivations(self) -> SubspaceBasis:
+        """The derivations of the algebra that are skew for the form, in
+        Q^(n n) with d_pq at column p n + q: the kernel of
+        ``_skew_derivation_equations``, solved once per algebra (so the
+        memoised ``build_ab`` bases share it)."""
+        return SubspaceBasis.kernel(self.dim**2, _skew_derivation_equations(self))
+
+
+def _skew_derivation_equations(base: MetricLieAlgebra) -> list[dict[int, int]]:
+    """The sparse integer rows of the system whose kernel is
+    ``MetricLieAlgebra.skew_derivations`` (see
+    ``reduction.skew_derivation_space``)."""
+    n = base.dim
+    _, b_rows = base.form.int_rows
+    _, table = base.algebra.int_table
+    eqs: list[dict[int, int]] = []
+
+    def add(row: dict[int, int], col: int, x: int) -> None:
+        row[col] = row.get(col, 0) + x
+
+    # skewness: sum_p d_{pk} B_{pl} + B_{kp} d_{pl} = 0; symmetric in
+    # (k, l), so k <= l only
+    for k in range(n):
+        for l in range(k, n):
+            row: dict[int, int] = {}
+            for p, x in b_rows[l]:
+                add(row, p * n + k, x)
+            for p, x in b_rows[k]:
+                add(row, p * n + l, x)
+            eqs.append(row)
+    # derivation: d([e_i,e_j]) = [d e_i, e_j] + [e_i, d e_j], component k
+    for i in range(n):
+        for j in range(i + 1, n):
+            # only the components k that some term reaches get a row
+            rows: dict[int, dict[int, int]] = {}
+            for mth, c in table[i][j]:
+                for k in range(n):
+                    add(rows.setdefault(k, {}), k * n + mth, c)
+            for p in range(n):
+                for k, c in table[p][j]:
+                    add(rows.setdefault(k, {}), p * n + i, -c)
+                for k, c in table[i][p]:
+                    add(rows.setdefault(k, {}), p * n + j, -c)
+            eqs.extend(rows.values())
+    return eqs
 
 
 @dataclass(frozen=True)

@@ -264,13 +264,26 @@ class IntSpan:
 
     def reduce(self, row: Mapping[int, int]) -> dict[int, int]:
         """The row reduced against the pivot rows, up to a non-zero
-        factor: empty exactly when the row lies in the span."""
+        factor: empty exactly when the row lies in the span. In place on
+        one dict, for each pivot column p: r <- a r - b pivot_row, with a
+        the pivot's leading entry (no scaling when a = 1) and b = r[p];
+        no content is divided out here, only in ``add``."""
         r = {c: x for c, x in row.items() if x}
         pivots = self.pivots
         # the pivot rows vanish on each other's pivot columns, so no
         # step brings in a pivot column the list misses
         for p in [c for c in r if c in pivots]:
-            r = _combine(r, p, pivots[p])
+            pivot_row = pivots[p]
+            a, b = pivot_row[p], r[p]
+            if a != 1:
+                for c in r:
+                    r[c] *= a
+            for c, y in pivot_row.items():
+                x = r.get(c, 0) - b * y
+                if x:
+                    r[c] = x
+                else:
+                    del r[c]
         return r
 
     def add(self, row: Mapping[int, int]) -> bool:

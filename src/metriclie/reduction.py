@@ -20,9 +20,8 @@ from .core import (
     LieAlgebra,
     SubspaceBasis,
     _int_bracket,
+    _is_central,
     _require_jacobi,
-    center,
-    derived_subalgebra,
     subspace_from_spanning,
     validate_structure,
 )
@@ -36,6 +35,7 @@ from .forms import (
     _skew_pairing,
     is_invariant,
     isotropic_vector,
+    orthogonal_complement,
     signature,
 )
 from .linalg import Mat, Vec
@@ -232,7 +232,7 @@ def reduce_by_ideal(m: MetricLieAlgebra, ideal: SubspaceBasis) -> ReductionStep:
     _certify_metric(m)
     _require_isotropic(m.form, ideal, PreconditionError, "subspace is not totally isotropic")
     # a central subspace is an ideal
-    if not center(m.algebra).contains_subspace(ideal):
+    if not _is_central(m.algebra, ideal):
         raise PreconditionError("ideal is not central")
     if ideal.dim == 0:
         raise PreconditionError("reduction by the zero ideal is trivial")
@@ -358,20 +358,25 @@ def complete_reduction(m: MetricLieAlgebra, max_steps: int | None = None) -> Red
     """Reduce by one-dimensional central isotropic ideals until the base
     is abelian with a definite form.
 
-    While non-abelian, the line comes from z(g) ∩ [g, g], non-zero and
-    totally isotropic for these algebras (see ``central_isotropic_ideal``).
-    Abelian indefinite bases are reduced along a rational isotropic
-    vector when one can be found.
+    While non-abelian, the line is the first RREF row of z(g) ∩ [g, g],
+    non-zero and totally isotropic for these algebras (see
+    ``central_isotropic_ideal``). Under the non-degenerate invariant form
+    z(g) = [g, g]^⊥, so the intersection is formed as
+    [g, g] ∩ [g, g]^⊥ from the algebra's kept [g, g], without the n^2
+    rows of ad; a certificate checks that the line's bracket with each
+    basis vector vanishes. Abelian indefinite bases are reduced along a
+    rational isotropic vector when one can be found.
 
     The input is certified once (Jacobi, non-degeneracy, invariance,
-    solvability) and each base inherits all four. A step's round trip
-    shows the rebuild equals the certified input in the split basis;
-    the base is its x-block with the z's central, and its Gram matrix
+    solvability, the last on the derived series alone) and each base
+    inherits all four. A step's round trip shows the rebuild equals the
+    certified input in the split basis; the base is its x-block with
+    the z's central, and its Gram matrix
     [[0, 0, 1], [0, B, 0], [1, 0, 0]] is non-degenerate only if B is.
     The base is a subquotient, so it is solvable.
     """
     _certify_metric(m)
-    if not m.algebra.series_report.is_solvable:
+    if m.algebra.derived_series[-1].dim:
         raise PreconditionError("complete reduction requires a solvable algebra")
     if max_steps is None:
         max_steps = m.dim // 2 + 1
@@ -389,8 +394,8 @@ def complete_reduction(m: MetricLieAlgebra, max_steps: int | None = None) -> Red
                 )
             line = subspace_from_spanning(current.dim, (v,))
         else:
-            alg = current.algebra
-            cand = center(alg).intersect(derived_subalgebra(alg))
+            derived = current.algebra.derived
+            cand = derived.intersect(orthogonal_complement(current.form, derived))
             if cand.dim == 0:
                 raise CertificateError(
                     "z(g) ∩ [g, g] is zero for a non-abelian solvable algebra "
@@ -398,6 +403,8 @@ def complete_reduction(m: MetricLieAlgebra, max_steps: int | None = None) -> Red
                 )
             den, rows = cand.int_rows
             line = SubspaceBasis.from_rows(current.dim, den, rows[:1])
+            if not _is_central(current.algebra, line):
+                raise CertificateError("reduction line is not central")
         _require_isotropic(
             current.form, line, CertificateError, "reduction line not totally isotropic"
         )
@@ -536,43 +543,6 @@ def random_skew_map(
     return la.mat_over(rows, den)
 
 
-def _skew_derivation_equations(base: MetricLieAlgebra) -> list[dict[int, int]]:
-    """The sparse integer rows of ``skew_derivation_space``'s system."""
-    n = base.dim
-    _, b_rows = base.form.int_rows
-    _, table = base.algebra.int_table
-    eqs: list[dict[int, int]] = []
-
-    def add(row: dict[int, int], col: int, x: int) -> None:
-        row[col] = row.get(col, 0) + x
-
-    # skewness: sum_p d_{pk} B_{pl} + B_{kp} d_{pl} = 0; symmetric in
-    # (k, l), so k <= l only
-    for k in range(n):
-        for l in range(k, n):
-            row: dict[int, int] = {}
-            for p, x in b_rows[l]:
-                add(row, p * n + k, x)
-            for p, x in b_rows[k]:
-                add(row, p * n + l, x)
-            eqs.append(row)
-    # derivation: d([e_i,e_j]) = [d e_i, e_j] + [e_i, d e_j], component k
-    for i in range(n):
-        for j in range(i + 1, n):
-            # only the components k that some term reaches get a row
-            rows: dict[int, dict[int, int]] = {}
-            for mth, c in table[i][j]:
-                for k in range(n):
-                    add(rows.setdefault(k, {}), k * n + mth, c)
-            for p in range(n):
-                for k, c in table[p][j]:
-                    add(rows.setdefault(k, {}), p * n + i, -c)
-                for k, c in table[i][p]:
-                    add(rows.setdefault(k, {}), p * n + j, -c)
-            eqs.extend(rows.values())
-    return eqs
-
-
 def skew_derivation_space(base: MetricLieAlgebra) -> tuple[Mat, ...]:
     """Basis of the derivations of the base algebra that are skew with
     respect to the base form (the valid one-dimensional extension data).
@@ -580,10 +550,11 @@ def skew_derivation_space(base: MetricLieAlgebra) -> tuple[Mat, ...]:
     The unknowns are the entries d_pq, column p n + q. The equations are
     built as sparse integer rows from the form's integer rows (scaled by
     M) and the structure table (scaled by L), and solved by
-    ``SubspaceBasis.kernel``, whose basis is ``la.kernel``'s.
+    ``SubspaceBasis.kernel``, whose basis is ``la.kernel``'s. The basis
+    is the base's kept ``skew_derivations``.
     """
     n = base.dim
-    sols = SubspaceBasis.kernel(n * n, _skew_derivation_equations(base)).vectors
+    sols = base.skew_derivations.vectors
     return tuple(
         tuple(tuple(sol[p * n + q] for q in range(n)) for p in range(n))
         for sol in sols
@@ -594,11 +565,12 @@ def random_double_extension(rng: random.Random, base: MetricLieAlgebra) -> Metri
     """One-dimensional double extension of the base by a random skew
     derivation: the basis of ``skew_derivation_space`` combined, in one
     pass, with coefficients drawn from [-2, 2] (the zero map if the base
-    admits no other). The basis is read in integers over its common
-    denominator L, and the sum of c_i w_i goes to
-    ``DoubleExtensionSpec.from_columns`` as the integer columns of L delta."""
+    admits no other). The basis, the base's kept ``skew_derivations``, is
+    read in integers over its common denominator L, and the sum of
+    c_i w_i goes to ``DoubleExtensionSpec.from_columns`` as the integer
+    columns of L delta."""
     n = base.dim
-    den, rows = SubspaceBasis.kernel(n * n, _skew_derivation_equations(base)).int_rows
+    den, rows = base.skew_derivations.int_rows
     acc: dict[int, int] = {}
     for w in rows:
         c = rng.randint(-2, 2)

@@ -15,7 +15,16 @@ import pytest
 
 from metriclie import forms
 from metriclie import linalg as la
-from metriclie.core import LieAlgebra, ad, jordan_chevalley, subspace_from_spanning
+from metriclie.core import (
+    LieAlgebra,
+    SubspaceBasis,
+    _int_rows_of,
+    ad,
+    center,
+    derived_subalgebra,
+    jordan_chevalley,
+    subspace_from_spanning,
+)
 from metriclie.einstein import EigenvalueData
 from metriclie.forms import MetricLieAlgebra, SymBilinearForm
 from metriclie.obstruction import obstruction_verdict
@@ -512,6 +521,19 @@ def reference_associative_closure(generators):
 # dense Fraction form code: the reference for the integer Gram kernel
 # ``SymBilinearForm.int_gram`` and for ``reduction.change_basis`` on the integer table
 # ---------------------------------------------------------------------------
+
+
+def apply_form(form, u, v):
+    """<u, v> for rational vectors, on the integer Gram kernel: the body
+    of the former ``SymBilinearForm.apply``, which no library code read."""
+    den, (left, right) = _int_rows_of(form.dim, (u, v))
+    return Fraction(form.int_gram((left,), (right,))[0][0], form.int_rows[0] * den * den)
+
+
+def restrict_form(form, vectors):
+    """The Gram form B(v_i, v_j) of rational vectors: the body of the
+    former ``SymBilinearForm.restrict``."""
+    return form.restrict_rows(*_int_rows_of(form.dim, vectors))
 
 
 def reference_bilinear(b, u, v):
@@ -1022,3 +1044,11 @@ def reference_simple_ideals(alg):
         assert la.mat_mul(e, e) == e, "centroid element is not idempotent"
         ideals.append(subspace_from_spanning(n, la.transpose(e)))
     return tuple(ideals)
+
+
+def reference_reduction_line(alg):
+    """The line ``complete_reduction`` took on a non-abelian algebra
+    before it formed z(g) ∩ [g, g] as [g, g] ∩ [g, g]^⊥: the first RREF
+    row of ``center`` ∩ [g, g], z(g) the kernel of all n^2 rows of ad."""
+    den, rows = center(alg).intersect(derived_subalgebra(alg)).int_rows
+    return SubspaceBasis.from_rows(alg.dim, den, rows[:1])

@@ -6,6 +6,9 @@ import pytest
 from metriclie import linalg as la
 from metriclie.core import (
     LieAlgebra,
+    SubspaceBasis,
+    _int_bracket,
+    _is_central,
     ad,
     bracket_spans,
     center,
@@ -14,6 +17,7 @@ from metriclie.core import (
     killing_matrix,
     nilradical,
     series,
+    subspace_from_spanning,
     validate_structure,
 )
 from metriclie.core import LinearMap
@@ -30,6 +34,7 @@ from conftest import (
     naive_subalgebra_on,
     rand_matrix,
     random_solvable_metric,
+    random_vector,
 )
 
 
@@ -72,6 +77,32 @@ def test_center_and_derived():
     assert derived_subalgebra(h).dim == 1
     assert center(sl2().algebra).dim == 0
     assert derived_subalgebra(sl2().algebra).dim == 3
+
+
+def test_is_central_agrees_with_the_center():
+    """``_is_central`` reads the brackets of the pivot rows with the
+    basis. A bracket whose terms cancel keeps its key in
+    ``_int_bracket``'s dict, so only the values decide."""
+    # [e0, e1] = [e0, e2] = e3, so e1 - e2 is central
+    alg = LieAlgebra(4, ("e0", "e1", "e2", "e3"), {(0, 1): (0, 0, 0, 1), (0, 2): (0, 0, 0, 1)})
+    assert _int_bracket(alg.int_table[1], {1: 1, 2: -1}, {0: 1}) == {3: 0}
+    assert _is_central(alg, SubspaceBasis(4, ((0, 1, -1, 0),)))
+    assert not _is_central(alg, SubspaceBasis(4, ((0, 1, 0, 0),)))
+    rng = random.Random(27)
+    algebras = [alg, heis3(), sl2().algebra, build_example42().algebra]
+    algebras += [random_solvable_metric(rng, max_base_dim=4).algebra for _ in range(12)]
+    seen = set()
+    for alg in algebras:
+        n, z = alg.dim, center(alg)
+        subs = [z, alg.full_space(), derived_subalgebra(alg)]
+        subs += [subspace_from_spanning(n, (random_vector(rng, n),)) for _ in range(3)]
+        if z.dim:
+            combo = [sum((rng.randint(-3, 3) * v[c] for v in z.vectors), Fraction(0)) for c in range(n)]
+            subs.append(subspace_from_spanning(n, (combo,)))
+        for sub in subs:
+            seen.add(_is_central(alg, sub))
+            assert _is_central(alg, sub) == z.contains_subspace(sub)
+    assert seen == {True, False}
 
 
 def test_killing_sl2():

@@ -287,6 +287,52 @@ def test_kernel_rank_and_int_span_agree():
             assert (not span.reduce(reference_int_row(probe))) == expected
 
 
+@st.composite
+def large_integer_rows(draw):
+    """(nc, rows, probes): integer rows with entries up to 2^40 and
+    small non-unit ones, a scaled copy of a row (a non-unit lead that
+    adds nothing), and as probes an integer combination of the rows
+    with coefficients up to 2^20 (a member) and a free row."""
+    nc = draw(st.integers(1, 7))
+    entry = st.one_of(
+        st.just(0), st.integers(-6, 6), st.integers(-(2**40), 2**40)
+    )
+    row = st.lists(entry, min_size=nc, max_size=nc)
+    rows = draw(st.lists(row, min_size=1, max_size=7))
+    k = draw(st.sampled_from((2, 3, -5, 2**40 - 3)))
+    rows.append([k * x for x in draw(st.sampled_from(rows))])
+    coeffs = draw(st.lists(st.integers(-(2**20), 2**20), min_size=len(rows), max_size=len(rows)))
+    member = [sum(c * r[j] for c, r in zip(coeffs, rows)) for j in range(nc)]
+    return nc, rows, [member, draw(row)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(large_integer_rows())
+def test_int_span_matches_dense_elimination_on_large_entries_hypothesis(case):
+    """The in-place ``IntSpan.reduce`` keeps no content between steps;
+    the pivot rows still equal the primitive integer multiples of the
+    dense RREF rows, in either insertion order, and a row reduces to
+    nothing exactly when it lies in the span."""
+    nc, rows, probes = case
+    reduced, pivots = naive_rref(tuple(tuple(map(Fraction, r)) for r in rows))
+    basis = reduced[: len(pivots)]
+    expected = {}
+    for lead, v in zip(pivots, basis):
+        scale = math.lcm(*(x.denominator for x in v))
+        ints = [int(x * scale) for x in v]
+        g = math.gcd(*ints)
+        expected[lead] = {c: x // g for c, x in enumerate(ints) if x}
+    for order in (rows, rows[::-1]):
+        span = la.IntSpan(nc)
+        for r in order:
+            span.add({c: x for c, x in enumerate(r) if x})
+        assert span.pivots == expected
+        assert reference_span_basis(span) == basis
+        for v in probes + rows:
+            assert (not span.reduce(dict(enumerate(v)))) == naive_in_span(basis, tuple(v))
+        assert not span.reduce(dict(enumerate(probes[0])))
+
+
 def elimination_cases():
     """Seeded rational matrices: random shapes and densities, zero rows,
     dependent rows, all-zero matrices, 1 x 1 matrices and entries with

@@ -4,9 +4,16 @@ from fractions import Fraction
 import pytest
 
 from metriclie import linalg as la
-from metriclie.core import SubspaceBasis, series, subspace_from_spanning, validate_structure
-from metriclie.errors import PreconditionError
+from metriclie.core import (
+    SubspaceBasis,
+    nilradical,
+    series,
+    subspace_from_spanning,
+    validate_structure,
+)
+from metriclie.errors import CertificateError, PreconditionError
 from metriclie.forms import (
+    MetricLieAlgebra,
     SymBilinearForm,
     central_isotropic_ideal,
     is_invariant,
@@ -39,6 +46,7 @@ from conftest import (
     random_solvable_metric,
     reference_random_skew_map,
     reference_random_skew_numerators,
+    reference_reduction_line,
     reference_skew_residual,
 )
 
@@ -150,6 +158,20 @@ def test_random_double_extension_matches_reference():
             assert got.form.matrix == ref.form.matrix
             assert rng.getstate() == ref_rng.getstate()
             base = got
+
+
+def test_skew_derivation_kernel_is_solved_once_per_base(monkeypatch):
+    counts = _count_calls(monkeypatch, "_skew_derivation_equations")
+    ab = build_ab(4, 1)
+    base = MetricLieAlgebra(ab.algebra, ab.form)
+    rng = random.Random(5)
+    for _ in range(3):
+        random_double_extension(rng, base)
+    space = skew_derivation_space(base)
+    assert counts["_skew_derivation_equations"] == 1
+    # the memoised base keeps its own, equal, basis
+    assert space == skew_derivation_space(ab)
+    assert build_ab(4, 1).skew_derivations is ab.skew_derivations
 
 
 def test_double_extend_produces_metric_algebra():
@@ -398,6 +420,88 @@ def test_each_step_rewrites_the_input_once(monkeypatch):
         assert counts == {"_change_basis": steps, "int_inverse": steps}
 
 
+def test_complete_reduction_forms_derived_once_and_never_the_center(monkeypatch):
+    """``complete_reduction`` forms each line from the algebra's kept
+    [g, g] as [g, g] ∩ [g, g]^⊥, never from ``center``, and builds
+    [g, g] once per algebra of its chain; ``nilradical`` then reuses it
+    and traces only the generators outside [g, g]."""
+    import sys
+
+    from metriclie import core
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("center called on the reduction path")
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("metriclie") and hasattr(module, "center"):
+            monkeypatch.setattr(module, "center", refuse)
+    builds: dict[int, int] = {}
+    derived_subalgebra, power_trace_rows = core.derived_subalgebra, core._power_trace_rows
+
+    def counted(alg):
+        builds[id(alg)] = builds.get(id(alg), 0) + 1
+        return derived_subalgebra(alg)
+
+    traced = []
+
+    def recorded(ads, y):
+        traced.append(len(ads))
+        return power_trace_rows(ads, y)
+
+    monkeypatch.setattr(core, "derived_subalgebra", counted)
+    monkeypatch.setattr(core, "_power_trace_rows", recorded)
+    for m in (build_example42(), _criterion3_member_with_two_steps()):
+        builds.clear()
+        chain = complete_reduction(m)
+        assert len(chain.steps) >= 2
+        algebras = [m.algebra] + [step.base.algebra for step in chain.steps]
+        assert set(builds) <= {id(alg) for alg in algebras}
+        for alg in algebras:
+            assert builds.get(id(alg), 0) == (not alg.is_abelian)
+            traced.clear()
+            nilradical(alg)
+            assert builds[id(alg)] == 1
+            assert traced == [alg.dim - alg.derived.dim] * len(traced)
+            assert bool(traced) == (not alg.series_report.is_nilpotent)
+
+
+def test_a_line_off_the_center_fails_the_centrality_certificate(monkeypatch):
+    # with [g, g]^⊥ read as all of g the line is b, the first row of
+    # [g, g] for example42, and [a, b] = b
+    import metriclie.reduction
+
+    monkeypatch.setattr(
+        metriclie.reduction, "orthogonal_complement", lambda form, sub: SubspaceBasis.kernel(form.dim, ())
+    )
+    with pytest.raises(CertificateError, match="reduction line is not central"):
+        complete_reduction(build_example42())
+
+
+def test_reduction_lines_match_the_center_reference_on_the_pool():
+    """On every reduce-pool document, each step on a non-abelian algebra
+    reduces along the first RREF row of z(g) ∩ [g, g] with z(g) the
+    kernel of ad (``reference_reduction_line``)."""
+    import gzip
+    import json
+    from pathlib import Path
+
+    from metriclie.documents import document_to_algebra, parse_document
+    from metriclie.forms import MetricLieAlgebra
+
+    with gzip.open(Path(__file__).parents[1] / "perfbench" / "pool" / "reduce.json.gz") as fh:
+        pool = json.load(fh)
+    assert len(pool) == 211
+    checked = 0
+    for entry in pool:
+        alg, form, _ = document_to_algebra(parse_document(entry["doc"]))
+        for step in complete_reduction(MetricLieAlgebra(alg, form)).steps:
+            original = step.original.algebra
+            if not original.is_abelian:
+                assert step.ideal == reference_reduction_line(original), entry["id"]
+                checked += 1
+    assert checked >= 211
+
+
 def test_auto_reduce_certifies_invariance_once(monkeypatch, capsys):
     from metriclie.cli import main
 
@@ -416,7 +520,6 @@ def test_reduce_by_higher_ideal_is_a_precondition_failure():
     from pathlib import Path
 
     from metriclie.documents import document_to_algebra, parse_document
-    from metriclie.errors import CertificateError
     from metriclie.forms import MetricLieAlgebra, _central_derived
 
     pool = Path(__file__).resolve().parent.parent / "perfbench" / "pool" / "reduce.json.gz"
