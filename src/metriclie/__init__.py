@@ -17,6 +17,7 @@ from .core import (
     ValidationReport,
     ad,
     center,
+    centralizer,
     derived_subalgebra,
     jordan_chevalley,
     killing_form,

@@ -25,7 +25,6 @@ from .core import (
     center,
     killing_form,
     nilradical,
-    subspace_from_spanning,
     validate_structure,
 )
 from .einstein import bounds_certificate, einstein_check, sharpness_search
@@ -33,9 +32,7 @@ from .errors import CertificateError, DocumentError, PreconditionError
 from .forms import (
     MetricLieAlgebra,
     SymBilinearForm,
-    _central_derived,
     is_invariant,
-    isotropic_vector,
     signature,
 )
 from .obstruction import (
@@ -190,30 +187,11 @@ def cmd_signature(args) -> tuple[dict, int]:
     }, 0
 
 
-def _pick_ideal(m: MetricLieAlgebra, raw: str):
-    """The ideal to reduce along. ``auto`` takes the line
-    ``complete_reduction`` starts with: the first line of z(g) ∩ [g, g],
-    or on an abelian algebra the line of a rational isotropic vector.
-    Every certificate is left to ``reduce_by_ideal``."""
+def _pick_ideal(m: MetricLieAlgebra, raw: str) -> SubspaceBasis | None:
+    """The line of the named element, or None for ``auto``, which
+    ``reduce_by_ideal`` chooses; it makes every certificate."""
     if raw == "auto":
-        ideal = _central_derived(m.algebra)
-        if ideal is not None:
-            den, rows = ideal.int_rows
-            return SubspaceBasis.from_rows(m.dim, den, rows[:1])
-        sig = signature(m.form)
-        if not sig.is_nondegenerate:
-            raise PreconditionError("reduction requires a non-degenerate form")
-        if sig.is_definite:
-            raise PreconditionError(
-                "abelian algebra with a definite form: no isotropic line to reduce along"
-            )
-        v = isotropic_vector(m.form)
-        if v is None:
-            raise PreconditionError(
-                "abelian algebra with an indefinite form but no rational isotropic "
-                "vector was found; the form may be anisotropic over Q"
-            )
-        return subspace_from_spanning(m.dim, (v,))
+        return None
     v = _element(m.algebra, raw)  # zero spans the zero ideal, rejected later
     return SubspaceBasis(m.dim, () if la.is_zero_vec(v) else (v,))
 

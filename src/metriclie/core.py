@@ -400,6 +400,13 @@ def _int_bracket(
     return acc
 
 
+def _ad_columns(alg: LieAlgebra, x: dict[int, int]) -> list[dict[int, int]]:
+    """The columns L [x, b_y] of L ad(x) for a sparse integer x, on the
+    rows of the structure table."""
+    _, rows = alg.int_table
+    return [_int_bracket(rows, x, {y: 1}) for y in range(alg.dim)]
+
+
 def bracket_spans(alg: LieAlgebra, u: SubspaceBasis, v: SubspaceBasis) -> SubspaceBasis:
     """Span of [u, v], spanned by the brackets of the integer pivot
     rows of u and v on the structure table (for u = v, one bracket per
@@ -419,22 +426,61 @@ def derived_subalgebra(alg: LieAlgebra) -> SubspaceBasis:
     return bracket_spans(alg, full, full)
 
 
-def center(alg: LieAlgebra) -> SubspaceBasis:
-    """{x : [b_i, x] = 0 for all i}: the kernel of the rows of every
-    L ad(b_i)."""
-    return SubspaceBasis.kernel(alg.dim, (r for ad_i in alg.int_ad for r in ad_i))
+def centralizer(
+    alg: LieAlgebra, sub: SubspaceBasis, acting: SubspaceBasis | None = None
+) -> SubspaceBasis:
+    """{x in sub : [y, x] = 0 for every y in acting}, acting all of g
+    by default: the one builder of commutator equations.
 
-
-def _is_central(alg: LieAlgebra, sub: SubspaceBasis) -> bool:
-    """Whether sub lies in z(g): the bracket of each integer pivot row of
-    sub with each basis vector vanishes. ``_int_bracket`` keeps the keys
-    of sums that cancel, so the values are tested."""
+    The unknowns are the coefficients c_k of x = sum_k c_k x_k on the
+    integer pivot rows x_k of sub. Each pivot row y of acting gives the
+    equations sum_k c_k L [y, x_k]_p = 0, one per component p, read off
+    the structure table; the solutions, mapped back onto the x_k, span
+    the result, returned as its canonical RREF basis."""
     _, rows = alg.int_table
-    return not any(
-        any(_int_bracket(rows, x, {j: 1}).values())
-        for x in sub.int_span.pivots.values()
-        for j in range(alg.dim)
-    )
+    xs = list(sub.int_span.pivots.values())
+    ys = (alg.full_space() if acting is None else acting).int_span.pivots.values()
+    eqs: dict[tuple[int, int], dict[int, int]] = {}
+    for a, y in enumerate(ys):
+        for k, x in enumerate(xs):
+            for p, t in _int_bracket(rows, y, x).items():
+                eqs.setdefault((a, p), {})[k] = t
+    _, sols = la.IntSpan(len(xs), eqs.values()).int_kernel()
+    span = la.IntSpan(alg.dim)
+    for sol in sols:
+        acc: dict[int, int] = {}
+        for k, c in sol:
+            for col, v in xs[k].items():
+                acc[col] = acc.get(col, 0) + c * v
+        span.add(acc)
+    return SubspaceBasis.from_span(span)
+
+
+def center(alg: LieAlgebra) -> SubspaceBasis:
+    """z(g), the centralizer of g in g."""
+    return centralizer(alg, alg.full_space())
+
+
+def _rebased(alg: LieAlgebra, den: int, cols, names: Sequence[str]) -> LieAlgebra:
+    """The algebra on the basis of the integer columns c_i = cols[i] / den:
+    each L den^2 [c_i, c_j] is formed on ``int_table`` and mapped by
+    T^{-1}, whose columns are the rows of (T^T)^{-1} = ``la.int_inverse``
+    over E, and the integer coordinates over E L den^2 are the new table."""
+    n = alg.dim
+    inv_den, inv_rows = la.int_inverse(den, cols, n)
+    lden, table = alg.int_table
+    ints = [dict(c) for c in cols]
+    upper = {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            w = _int_bracket(table, ints[i], ints[j])
+            if w:
+                acc = [0] * n
+                for q, x in w.items():
+                    for k, t in inv_rows[q]:
+                        acc[k] += x * t
+                upper[(i, j)] = list(enumerate(acc))
+    return LieAlgebra.from_rows(n, names, inv_den * lden * den * den, upper)
 
 
 @dataclass(frozen=True)
@@ -605,11 +651,12 @@ def nilradical(alg: LieAlgebra, hint: SubspaceBasis | None = None) -> SubspaceBa
     so they agree at y_t for at most d - 1 values of t: at most
     (d - 1) dim(dim + 1)/2 values of t are not generic.
 
-    Each K is certified exactly: it contains [g, g], it is an ideal, and
-    its lower central series [K, C^k] reaches 0 on ``bracket_spans``,
-    so it is a nilpotent ideal, K lies in n, and K = n. A t that is not
-    generic gives a K larger than n, which is not nilpotent, and the next
-    t is tried; if every t up to the bound fails, the certificate fails.
+    Each K is certified exactly: it contains [g, g], so it is an ideal
+    ([g, K] ⊆ [g, g] ⊆ K), and its lower central series [K, C^k]
+    reaches 0 on ``bracket_spans``, so it is a nilpotent ideal, K lies
+    in n, and K = n. A t that is not generic gives a K larger than n,
+    which is not nilpotent, and the next t is tried; if every t up to
+    the bound fails, the certificate fails.
     A nilpotent g is certified by its own series.
     """
     rep = alg.series_report
@@ -635,8 +682,6 @@ def nilradical(alg: LieAlgebra, hint: SubspaceBasis | None = None) -> SubspaceBa
             result = SubspaceBasis.kernel(n, rows)
             if not result.contains_subspace(rep.derived):
                 raise CertificateError("nilradical candidate does not contain [g, g]")
-            if not result.contains_subspace(bracket_spans(alg, alg.full_space(), result)):
-                raise CertificateError("nilradical candidate is not an ideal")
             term = result
             while term.dim and (nxt := bracket_spans(alg, result, term)).dim < term.dim:
                 term = nxt

@@ -22,7 +22,7 @@ from .core import (
     SubspaceBasis,
     ad,
     bracket_spans,
-    center,
+    centralizer,
     jordan_chevalley,
     killing_sums,
     nilradical,
@@ -364,9 +364,9 @@ def bounds_certificate(m: MetricLieAlgebra) -> BoundsCertificate:
         )
 
     # j0 ∩ z(g) for j0 = z(n) ∩ [g, n]: z(g) is an abelian ideal, so
-    # z(g) ⊆ n and then z(g) ⊆ z(n), which leaves [g, n] ∩ z(g); its
-    # isotropy is certified below with u_space
-    ideal = bracket_spans(alg, alg.full_space(), nil).intersect(center(alg))
+    # z(g) ⊆ n and then z(g) ⊆ z(n), which leaves the centralizer of g
+    # in [g, n]; its isotropy is certified below with u_space
+    ideal = centralizer(alg, bracket_spans(alg, alg.full_space(), nil))
     if ideal.dim == 0:
         raise CertificateError("no central isotropic ideal available")
     w1_form = form.restrict_rows(*w1.int_rows)

@@ -20,10 +20,9 @@ from . import linalg as la
 from .core import (
     LieAlgebra,
     SubspaceBasis,
-    _int_bracket,
     ad,
     bracket_spans,
-    center,
+    centralizer,
     jordan_chevalley,
     nilradical,
 )
@@ -492,23 +491,13 @@ def j0_ideal(m: MetricLieAlgebra) -> SubspaceBasis:
     """The characteristic ideal z(n) ∩ [g, n] for the nilradical n.
 
     Totally isotropic whenever the form is invariant (asserted)."""
-    rep = m.algebra.series_report
-    if not rep.is_solvable:
+    alg = m.algebra
+    if alg.derived_series[-1].dim:
         raise PreconditionError("j0 is defined here for solvable algebras only")
     _require_invariant(m)
-    alg = m.algebra
-    n = alg.dim
     nil = nilradical(alg)
-    # z(n) = n ∩ {x : [y, x] = 0 for y in n}: the kernel of the rows of
-    # L ad(y), whose columns are L [y, b_i], for the integer pivot rows y of n
-    _, table = alg.int_table
-    eqs = []
-    for y in nil.int_span.pivots.values():
-        cols = [_int_bracket(table, y, {i: 1}) for i in range(n)]
-        eqs += ({i: c[p] for i, c in enumerate(cols) if p in c} for p in range(n))
-    zn = SubspaceBasis.kernel(n, eqs).intersect(nil)
-    gn = bracket_spans(alg, alg.full_space(), nil)
-    j0 = zn.intersect(gn)
+    # [g, n] lies in n, so z(n) ∩ [g, n] is the centralizer of n in [g, n]
+    j0 = centralizer(alg, bracket_spans(alg, alg.full_space(), nil), acting=nil)
     _require_isotropic(
         m.form, j0, CertificateError, "j0 not totally isotropic under an invariant form"
     )
@@ -520,17 +509,6 @@ def _lift(coords: Vec, basis: tuple[Vec, ...], n: int) -> Vec:
     for c, b in zip(coords, basis):
         out = la.vec_add(out, la.vec_scale(c, b))
     return out
-
-
-def _central_derived(alg) -> SubspaceBasis | None:
-    """z(g) ∩ [g, g] of a solvable algebra, uncertified, or None for an
-    abelian one."""
-    rep = alg.series_report
-    if not rep.is_solvable:
-        raise PreconditionError("central isotropic ideal requires a solvable algebra")
-    if rep.is_abelian:
-        return None
-    return center(alg).intersect(rep.derived)
 
 
 def central_isotropic_ideal(m: MetricLieAlgebra) -> SubspaceBasis | None:
@@ -551,10 +529,13 @@ def central_isotropic_ideal(m: MetricLieAlgebra) -> SubspaceBasis | None:
     small nilpotent algebras admit no invariant scalar product at all).
     A zero intersection can only come from a degenerate form.
     """
-    cand = _central_derived(m.algebra)
-    if cand is None:
+    alg = m.algebra
+    if alg.derived_series[-1].dim:
+        raise PreconditionError("central isotropic ideal requires a solvable algebra")
+    if alg.is_abelian:
         return None
     _require_invariant(m)
+    cand = centralizer(alg, alg.derived)
     if cand.dim == 0:
         raise PreconditionError(
             "z(g) ∩ [g, g] is zero for a non-abelian solvable algebra, so the "
@@ -581,6 +562,8 @@ def isotropic_vector(form: SymBilinearForm) -> Vec | None:
         if row and all(q != i for q, _ in row):  # B e_i != 0 = B_ii
             return la.unit_vec(n, i)
     basis, diag = diagonalize_symmetric(form)
+    if len({d > 0 for d in diag if d}) < 2:
+        return None  # semi-definite: no combination of the d_i vanishes
     for i in range(n):
         if diag[i] == 0:
             continue

@@ -19,9 +19,9 @@ from . import linalg as la
 from .core import (
     LieAlgebra,
     SubspaceBasis,
-    _int_bracket,
-    _is_central,
+    _rebased,
     _require_jacobi,
+    centralizer,
     subspace_from_spanning,
     validate_structure,
 )
@@ -122,26 +122,8 @@ def change_basis(m: MetricLieAlgebra, columns: Sequence[Vec], names: Sequence[st
 
 
 def _change_basis(m: MetricLieAlgebra, den: int, cols, names: Sequence[str]) -> MetricLieAlgebra:
-    """``change_basis`` on the integer columns c_i = cols[i] / den: each
-    L den^2 [c_i, c_j] is formed on ``int_table`` and mapped by T^{-1},
-    whose columns are the rows of (T^T)^{-1} = ``la.int_inverse`` over E,
-    and the integer coordinates over E L den^2 are the new table."""
-    n = m.dim
-    inv_den, inv_rows = la.int_inverse(den, cols, n)
-    lden, table = m.algebra.int_table
-    ints = [dict(c) for c in cols]
-    upper = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            w = _int_bracket(table, ints[i], ints[j])
-            if w:
-                acc = [0] * n
-                for q, x in w.items():
-                    for k, t in inv_rows[q]:
-                        acc[k] += x * t
-                upper[(i, j)] = list(enumerate(acc))
-    alg = LieAlgebra.from_rows(n, names, inv_den * lden * den * den, upper)
-    return MetricLieAlgebra(alg, m.form.restrict_rows(den, cols))
+    """``change_basis`` on the integer columns cols[i] / den (``core._rebased``)."""
+    return MetricLieAlgebra(_rebased(m.algebra, den, cols, names), m.form.restrict_rows(den, cols))
 
 
 def double_extend(spec: DoubleExtensionSpec) -> MetricLieAlgebra:
@@ -218,7 +200,7 @@ def _assemble(spec: DoubleExtensionSpec) -> MetricLieAlgebra:
     return MetricLieAlgebra(alg, form)
 
 
-def reduce_by_ideal(m: MetricLieAlgebra, ideal: SubspaceBasis) -> ReductionStep:
+def reduce_by_ideal(m: MetricLieAlgebra, ideal: SubspaceBasis | None = None) -> ReductionStep:
     """Split g along a central totally isotropic ideal j and recover the
     double-extension data (base, delta, omega, xi) exactly.
 
@@ -228,23 +210,65 @@ def reduce_by_ideal(m: MetricLieAlgebra, ideal: SubspaceBasis) -> ReductionStep:
     constants. The input is certified once: Jacobi identity,
     non-degeneracy, invariance, then total isotropy, centrality and
     non-vanishing of j. The step is certified by rebuilding the input.
+    Without an ideal, g must be solvable, and j is ``_reduction_line``.
     """
-    _certify_metric(m)
+    _certify_metric(m, solvable=ideal is None)
+    if ideal is None:
+        return _reduce_step(m, _reduction_line(m))
     _require_isotropic(m.form, ideal, PreconditionError, "subspace is not totally isotropic")
     # a central subspace is an ideal
-    if not _is_central(m.algebra, ideal):
+    if centralizer(m.algebra, ideal).dim != ideal.dim:
         raise PreconditionError("ideal is not central")
     if ideal.dim == 0:
         raise PreconditionError("reduction by the zero ideal is trivial")
     return _reduce_step(m, ideal)
 
 
-def _certify_metric(m: MetricLieAlgebra) -> None:
-    """Jacobi identity, non-degeneracy and invariance of the input."""
+def _certify_metric(m: MetricLieAlgebra, solvable: bool = False) -> None:
+    """Jacobi identity, non-degeneracy and invariance of the input, and
+    if asked solvability, on the derived series alone (a perfect g
+    leaves [g, g]^⊥ = 0 and no line to reduce along)."""
     _require_jacobi(m.algebra)
     if not signature(m.form).is_nondegenerate:
         raise PreconditionError("reduction requires a non-degenerate form")
     _require_invariant(m)
+    if solvable and m.algebra.derived_series[-1].dim:
+        raise PreconditionError("reduction along central lines requires a solvable algebra")
+
+
+def _reduction_line(m: MetricLieAlgebra) -> SubspaceBasis:
+    """The central isotropic line to reduce a certified solvable m along.
+
+    While g is non-abelian it is the first RREF row of z(g) ∩ [g, g],
+    non-zero and totally isotropic for these algebras (see
+    ``central_isotropic_ideal``). Under the non-degenerate invariant
+    form z(g) = [g, g]^⊥, so the intersection is formed as
+    [g, g] ∩ [g, g]^⊥ from the algebra's kept [g, g], without the
+    centralizer of g; a certificate checks that the line is central.
+    An abelian g with an indefinite form is reduced along a rational
+    isotropic vector when one can be found; a definite form has none.
+    """
+    alg = m.algebra
+    if alg.is_abelian:
+        v = isotropic_vector(m.form)
+        if v is None:
+            kind = "definite" if signature(m.form).is_definite else "indefinite, perhaps anisotropic"
+            raise PreconditionError(f"abelian algebra, {kind} form: no rational isotropic vector")
+        line = subspace_from_spanning(m.dim, (v,))
+    else:
+        derived = alg.derived
+        cand = derived.intersect(orthogonal_complement(m.form, derived))
+        if cand.dim == 0:
+            raise CertificateError(
+                "z(g) ∩ [g, g] is zero for a non-abelian solvable algebra "
+                "with a non-degenerate invariant form"
+            )
+        den, rows = cand.int_rows
+        line = SubspaceBasis.from_rows(m.dim, den, rows[:1])
+        if centralizer(alg, line).dim != 1:
+            raise CertificateError("reduction line is not central")
+    _require_isotropic(m.form, line, CertificateError, "reduction line not totally isotropic")
+    return line
 
 
 def _reduce_step(m: MetricLieAlgebra, ideal: SubspaceBasis) -> ReductionStep:
@@ -356,16 +380,7 @@ def _extraction_failed(ideal_dim: int, reason: str) -> None:
 
 def complete_reduction(m: MetricLieAlgebra, max_steps: int | None = None) -> ReductionChain:
     """Reduce by one-dimensional central isotropic ideals until the base
-    is abelian with a definite form.
-
-    While non-abelian, the line is the first RREF row of z(g) ∩ [g, g],
-    non-zero and totally isotropic for these algebras (see
-    ``central_isotropic_ideal``). Under the non-degenerate invariant form
-    z(g) = [g, g]^⊥, so the intersection is formed as
-    [g, g] ∩ [g, g]^⊥ from the algebra's kept [g, g], without the n^2
-    rows of ad; a certificate checks that the line's bracket with each
-    basis vector vanishes. Abelian indefinite bases are reduced along a
-    rational isotropic vector when one can be found.
+    is abelian with a definite form, each step along ``_reduction_line``.
 
     The input is certified once (Jacobi, non-degeneracy, invariance,
     solvability, the last on the derived series alone) and each base
@@ -375,40 +390,15 @@ def complete_reduction(m: MetricLieAlgebra, max_steps: int | None = None) -> Red
     [[0, 0, 1], [0, B, 0], [1, 0, 0]] is non-degenerate only if B is.
     The base is a subquotient, so it is solvable.
     """
-    _certify_metric(m)
-    if m.algebra.derived_series[-1].dim:
-        raise PreconditionError("complete reduction requires a solvable algebra")
+    _certify_metric(m, solvable=True)
     if max_steps is None:
         max_steps = m.dim // 2 + 1
     steps: list[ReductionStep] = []
     current = m
     for _ in range(max_steps):
-        if current.algebra.is_abelian:
-            if signature(current.form).is_definite:
-                break
-            v = isotropic_vector(current.form)
-            if v is None:
-                raise PreconditionError(
-                    "the abelian base is indefinite but no rational isotropic "
-                    "vector was found; the form may be anisotropic over Q"
-                )
-            line = subspace_from_spanning(current.dim, (v,))
-        else:
-            derived = current.algebra.derived
-            cand = derived.intersect(orthogonal_complement(current.form, derived))
-            if cand.dim == 0:
-                raise CertificateError(
-                    "z(g) ∩ [g, g] is zero for a non-abelian solvable algebra "
-                    "with a non-degenerate invariant form"
-                )
-            den, rows = cand.int_rows
-            line = SubspaceBasis.from_rows(current.dim, den, rows[:1])
-            if not _is_central(current.algebra, line):
-                raise CertificateError("reduction line is not central")
-        _require_isotropic(
-            current.form, line, CertificateError, "reduction line not totally isotropic"
-        )
-        step = _reduce_step(current, line)
+        if current.algebra.is_abelian and signature(current.form).is_definite:
+            break
+        step = _reduce_step(current, _reduction_line(current))
         steps.append(step)
         current = step.base
     else:

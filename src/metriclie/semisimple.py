@@ -16,7 +16,7 @@ from . import linalg as la
 from .core import (
     LieAlgebra,
     SubspaceBasis,
-    _int_bracket,
+    _ad_columns,
     bracket_spans,
     killing_form,
     span_of,
@@ -144,14 +144,12 @@ def split_form_report(m: MetricLieAlgebra, split: SplitResult) -> SplitFormRepor
     alg, form = m.algebra, m.form
     s = split.noncompact_part
     k = split.compact_part
-    n = alg.dim
 
     # s-invariance: <[x,y], z> + <y, [x,z]> = 0 for x in s, decided on
     # the columns L [x', b_y] of ad(x), for the integer rows x' of s
-    _, rows = alg.int_table
     _, b_rows = form.int_rows
     for x, xi in enumerate(s.int_rows[1]):
-        cols = [_int_bracket(rows, dict(xi), {y: 1}).items() for y in range(n)]
+        cols = [c.items() for c in _ad_columns(alg, dict(xi))]
         _, witness = _skew_pairing(cols, b_rows)
         if witness is not None:
             i, j = witness

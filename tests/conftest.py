@@ -20,7 +20,6 @@ from metriclie.core import (
     SubspaceBasis,
     _int_rows_of,
     ad,
-    center,
     derived_subalgebra,
     jordan_chevalley,
     subspace_from_spanning,
@@ -1046,9 +1045,31 @@ def reference_simple_ideals(alg):
     return tuple(ideals)
 
 
+def naive_center(alg):
+    """z(g) as ``center`` formed it before ``centralizer``: the kernel of
+    all n^2 rows of ad, the rows of every L ad(b_i) in ``int_ad``."""
+    return SubspaceBasis.kernel(alg.dim, (r for ad_i in alg.int_ad for r in ad_i))
+
+
+def naive_centralizer(alg, sub, acting=None):
+    """{x in sub : [y, x] = 0 for y in acting}: ``naive_center`` for
+    acting = g, else the kernel of the stacked Fraction matrices ad(y)
+    over the basis vectors y of acting, either one intersected with sub."""
+    if acting is None:
+        return naive_center(alg).intersect(sub)
+    stacked = [row for y in acting.vectors for row in ad(alg, y).matrix]
+    kernel = naive_kernel(tuple(stacked)) if stacked else la.identity(alg.dim)
+    return subspace_from_spanning(alg.dim, kernel).intersect(sub)
+
+
+def naive_bracket_span(alg, u, v):
+    """Basis of [u, v] from every Fraction bracket of the basis vectors."""
+    return naive_row_space_basis([alg.bracket(x, y) for x in u for y in v])
+
+
 def reference_reduction_line(alg):
     """The line ``complete_reduction`` took on a non-abelian algebra
     before it formed z(g) ∩ [g, g] as [g, g] ∩ [g, g]^⊥: the first RREF
-    row of ``center`` ∩ [g, g], z(g) the kernel of all n^2 rows of ad."""
-    den, rows = center(alg).intersect(derived_subalgebra(alg)).int_rows
+    row of ``naive_center`` ∩ [g, g]."""
+    den, rows = naive_center(alg).intersect(derived_subalgebra(alg)).int_rows
     return SubspaceBasis.from_rows(alg.dim, den, rows[:1])

@@ -10,7 +10,7 @@ from metriclie import cli
 from metriclie import linalg as la
 from metriclie.catalog import sl2
 from metriclie.cli import main
-from metriclie.core import LieAlgebra
+from metriclie.core import LieAlgebra, centralizer
 from metriclie.einstein import SearchResult
 from metriclie.documents import (
     algebra_to_document,
@@ -19,10 +19,9 @@ from metriclie.documents import (
 from metriclie.forms import (
     MetricLieAlgebra,
     SymBilinearForm,
-    _central_derived,
     central_isotropic_ideal,
 )
-from metriclie.reduction import build_example42, complete_reduction
+from metriclie.reduction import build_example42, complete_reduction, reduce_by_ideal
 
 from conftest import naive_zeros
 
@@ -148,7 +147,7 @@ def test_reduce_by_named_ideal(capsys):
     assert set(r) == {"ideal", "base", "delta"}
 
 
-def test_auto_reduce_on_pool_documents(capsys, monkeypatch, tmp_path):
+def test_auto_reduce_on_pool_documents(capsys, tmp_path):
     # every fifth reduce-pool document of each dimension, and the abelian ones
     with gzip.open(Path(__file__).parents[1] / "perfbench" / "pool" / "reduce.json.gz") as fh:
         pool = json.load(fh)
@@ -174,13 +173,14 @@ def test_auto_reduce_on_pool_documents(capsys, monkeypatch, tmp_path):
             assert results["ideal"] == [[str(x) for x in v] for v in first.ideal.vectors]
             abelian += 1
             continue
-        dim = _central_derived(alg).dim
+        dim = centralizer(alg, alg.derived).dim
         lines[min(dim, 2)] += 1
+        m = MetricLieAlgebra(alg, form)
+        step = reduce_by_ideal(m)
+        assert json.loads(out)["results"]["ideal"] == [[str(x) for x in v] for v in step.ideal.vectors]
         if dim == 1:
             # reducing along all of z(g) ∩ [g, g] is the same reduction
-            with monkeypatch.context() as mp:
-                mp.setattr(cli, "_pick_ideal", lambda m, raw: central_isotropic_ideal(m))
-                assert run(capsys, "reduce", str(path), "--format", "json") == (0, out, err)
+            assert reduce_by_ideal(m, central_isotropic_ideal(m)) == step
     # both kinds of intersection occur in the sample, and abelian documents
     assert lines[1] and lines[2] and abelian
 

@@ -8,10 +8,10 @@ from metriclie.core import (
     LieAlgebra,
     SubspaceBasis,
     _int_bracket,
-    _is_central,
     ad,
     bracket_spans,
     center,
+    centralizer,
     derived_subalgebra,
     jordan_chevalley,
     killing_matrix,
@@ -25,6 +25,7 @@ from metriclie.catalog import heis3, sl2, su2
 from metriclie.reduction import build_example42
 
 from conftest import (
+    naive_center,
     naive_mat_add,
     naive_mat_pow,
     naive_mat_scale,
@@ -80,28 +81,33 @@ def test_center_and_derived():
 
 
 def test_is_central_agrees_with_the_center():
-    """``_is_central`` reads the brackets of the pivot rows with the
-    basis. A bracket whose terms cancel keeps its key in
-    ``_int_bracket``'s dict, so only the values decide."""
+    """A subspace is central exactly when its centralizer is all of it.
+    A bracket whose terms cancel keeps its key in ``_int_bracket``'s
+    dict, and the elimination of ``centralizer`` drops the zero value."""
     # [e0, e1] = [e0, e2] = e3, so e1 - e2 is central
     alg = LieAlgebra(4, ("e0", "e1", "e2", "e3"), {(0, 1): (0, 0, 0, 1), (0, 2): (0, 0, 0, 1)})
+
+    def is_central(alg, sub):
+        return centralizer(alg, sub).dim == sub.dim
+
     assert _int_bracket(alg.int_table[1], {1: 1, 2: -1}, {0: 1}) == {3: 0}
-    assert _is_central(alg, SubspaceBasis(4, ((0, 1, -1, 0),)))
-    assert not _is_central(alg, SubspaceBasis(4, ((0, 1, 0, 0),)))
+    assert is_central(alg, SubspaceBasis(4, ((0, 1, -1, 0),)))
+    assert not is_central(alg, SubspaceBasis(4, ((0, 1, 0, 0),)))
     rng = random.Random(27)
     algebras = [alg, heis3(), sl2().algebra, build_example42().algebra]
     algebras += [random_solvable_metric(rng, max_base_dim=4).algebra for _ in range(12)]
     seen = set()
     for alg in algebras:
-        n, z = alg.dim, center(alg)
+        n, z = alg.dim, naive_center(alg)
+        assert center(alg).same_span(z)
         subs = [z, alg.full_space(), derived_subalgebra(alg)]
         subs += [subspace_from_spanning(n, (random_vector(rng, n),)) for _ in range(3)]
         if z.dim:
             combo = [sum((rng.randint(-3, 3) * v[c] for v in z.vectors), Fraction(0)) for c in range(n)]
             subs.append(subspace_from_spanning(n, (combo,)))
         for sub in subs:
-            seen.add(_is_central(alg, sub))
-            assert _is_central(alg, sub) == z.contains_subspace(sub)
+            seen.add(is_central(alg, sub))
+            assert is_central(alg, sub) == z.contains_subspace(sub)
     assert seen == {True, False}
 
 

@@ -10,6 +10,7 @@ families are the criterion-3 family, iterated double extensions, the
 reduce-pool documents and random rational matrices.
 """
 
+import functools
 import gzip
 import json
 import math
@@ -29,6 +30,7 @@ from metriclie.core import (
     SubspaceBasis,
     bracket_spans,
     center,
+    centralizer,
     derived_subalgebra,
     killing_matrix,
     nilradical,
@@ -59,6 +61,8 @@ from conftest import (
     apply_form,
     draw_forms,
     naive_basis_bracket,
+    naive_bracket_span,
+    naive_centralizer,
     naive_in_span,
     naive_inverse,
     naive_kernel,
@@ -105,23 +109,18 @@ def fraction_intersect_spans(u, v):
     return naive_row_space_basis(out)
 
 
-def fraction_bracket_spans(alg, u, v):
-    """Basis of [u, v] from every Fraction bracket of the basis vectors."""
-    return naive_row_space_basis([alg.bracket(x, y) for x in u for y in v])
-
-
 def fraction_series(alg):
     """(derived series, lower central series) as tuples of bases."""
     full = la.identity(alg.dim)
-    first = fraction_bracket_spans(alg, full, full)
+    first = naive_bracket_span(alg, full, full)
     derived, nxt = [full], first
     while len(nxt) < len(derived[-1]):
         derived.append(nxt)
-        nxt = fraction_bracket_spans(alg, nxt, nxt)
+        nxt = naive_bracket_span(alg, nxt, nxt)
     lower, nxt = [full], first
     while len(nxt) < len(lower[-1]):
         lower.append(nxt)
-        nxt = fraction_bracket_spans(alg, full, nxt)
+        nxt = naive_bracket_span(alg, full, nxt)
     return tuple(derived), tuple(lower)
 
 
@@ -675,13 +674,13 @@ def test_series_center_and_bracket_spans_match_fraction_code():
         assert alg.series_report is alg.series_report  # computed once
         assert alg.series_report == rep
         assert rep.derived.vectors == derived_subalgebra(alg).vectors
-        assert center(alg).vectors == fraction_center(alg)
+        assert center(alg) == subspace_from_spanning(n, fraction_center(alg))
         full = alg.full_space()
         subs = [full, rep.derived, center(alg)]
         subs += [subspace_from_spanning(n, random_vectors(rng, rng.randint(1, 3), n)) for _ in range(2)]
         for u in subs:
             for v in subs:
-                assert bracket_spans(alg, u, v).vectors == fraction_bracket_spans(
+                assert bracket_spans(alg, u, v).vectors == naive_bracket_span(
                     alg, u.vectors, v.vectors
                 )
 
@@ -704,6 +703,60 @@ def test_associative_closure_and_nilradical_match_fraction_code():
         rows = tuple(tuple(naive_trace_product(a, b) for a in ads) for b in assoc)
         assert nilradical(alg).vectors == naive_kernel(rows)
     assert non_nilpotent >= 15
+
+
+@functools.lru_cache(maxsize=1)
+def centralizer_family():
+    """Catalog algebras, the reduce-pool sample of ``pool_algebras`` and
+    seeded iterated double extensions."""
+    algs = [heis3(), sl2().algebra, su2().algebra, build_example42().algebra, build_ab(3, 1).algebra]
+    algs += [alg for alg, _ in pool_algebras()]
+    algs += [m.algebra for m in iterated_family(6)]
+    return algs
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_centralizer_matches_the_naive_reference_hypothesis(data):
+    """``centralizer(alg, sub, acting)`` equals, on canonical rows, the
+    kernel of ad over acting (all n^2 rows for acting = g) intersected
+    with sub, for sub among g, [g, g], n, [g, n] and random spans that
+    may meet the center, and acting g or n."""
+    algs = centralizer_family()
+    alg = algs[data.draw(st.integers(0, len(algs) - 1), label="algebra")]
+    n = alg.dim
+    full = alg.full_space()
+    subs = {"g": full, "[g, g]": alg.derived}
+    actings = {"g": None}
+    if not alg.derived_series[-1].dim:
+        nil = nilradical(alg)
+        subs.update({"n": nil, "[g, n]": bracket_spans(alg, full, nil)})
+        actings["n"] = nil
+    entries = st.one_of(st.just(ZERO), st.fractions(min_value=-4, max_value=4, max_denominator=5))
+    vectors = data.draw(st.lists(st.lists(entries, min_size=n, max_size=n), min_size=1, max_size=3))
+    coeffs = data.draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
+    z = center(alg).vectors
+    vectors.append([sum((c * v[i] for c, v in zip(coeffs, z)), ZERO) for i in range(n)])
+    subs["random"] = subspace_from_spanning(n, vectors)
+    sub = subs[data.draw(st.sampled_from(sorted(subs)), label="sub")]
+    acting = actings[data.draw(st.sampled_from(sorted(actings)), label="acting")]
+    assert centralizer(alg, sub, acting) == naive_centralizer(alg, sub, acting)
+
+
+def test_every_nilradical_is_an_ideal():
+    """``nilradical`` no longer certifies that its result is an ideal:
+    containing [g, g] makes it one. The Fraction bracket span [g, n]
+    lies in n on every solvable reduce-pool algebra and on seeded
+    double extensions."""
+    with gzip.open(POOL) as fh:
+        pool = json.load(fh)
+    algs = [document_to_algebra(parse_document(entry["doc"]))[0] for entry in pool]
+    algs += [m.algebra for m in criterion3_family(30)] + [m.algebra for m in iterated_family(6)]
+    assert len(algs) == 247
+    for alg in algs:
+        nil = nilradical(alg)
+        span = naive_bracket_span(alg, la.identity(alg.dim), nil.vectors)
+        assert all(nil.contains(v) for v in span)
 
 
 def random_semidirect(rng):

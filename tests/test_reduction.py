@@ -503,12 +503,21 @@ def test_reduction_lines_match_the_center_reference_on_the_pool():
 
 
 def test_auto_reduce_certifies_invariance_once(monkeypatch, capsys):
+    """``reduce --ideal auto`` certifies the input once, then takes its
+    line; on an abelian algebra the isotropic line needs no second
+    signature. A perfect algebra fails the solvability check ahead of
+    the line with exit 2, not with an empty [g, g]^⊥ and exit 3."""
     from metriclie.cli import main
 
-    counts = _count_calls(monkeypatch, "is_invariant")
-    assert main(["reduce", "example42", "--format", "json"]) == 0
-    capsys.readouterr()
-    assert counts["is_invariant"] == 1
+    counts = _count_calls(monkeypatch, "is_invariant", "signature")
+    for name in ("example42", "ab(2,1)"):
+        counts.update(is_invariant=0, signature=0)
+        assert main(["reduce", name, "--format", "json"]) == 0
+        capsys.readouterr()
+        assert counts == {"is_invariant": 1, "signature": 1}, name
+    for name in ("sl2", "su2"):
+        assert main(["reduce", name]) == 2
+        assert "requires a solvable algebra" in capsys.readouterr().err
 
 
 def test_reduce_by_higher_ideal_is_a_precondition_failure():
@@ -520,14 +529,15 @@ def test_reduce_by_higher_ideal_is_a_precondition_failure():
     from pathlib import Path
 
     from metriclie.documents import document_to_algebra, parse_document
-    from metriclie.forms import MetricLieAlgebra, _central_derived
+    from metriclie.core import centralizer
+    from metriclie.forms import MetricLieAlgebra
 
     pool = Path(__file__).resolve().parent.parent / "perfbench" / "pool" / "reduce.json.gz"
     with gzip.open(pool, "rt") as fh:
         entry = next(e for e in json.load(fh) if e["id"] == "r05-05")
     alg, form, _ = document_to_algebra(parse_document(entry["doc"]))
     m = MetricLieAlgebra(alg, form)
-    ideal = _central_derived(alg)
+    ideal = centralizer(alg, alg.derived)
     assert ideal.dim == 2
     with pytest.raises(PreconditionError, match="general quadratic extension") as info:
         reduce_by_ideal(m, ideal)

@@ -266,3 +266,26 @@ def test_no_assert_statements_in_the_library():
     assert {name: lines for name, lines in found.items() if lines} == {}
     probe = ast.parse("assert x\ndef f():\n    assert y, 'message'\nraise AssertionError\n")
     assert _assert_statements(probe) == [1, 3]
+
+
+def _readers(name: str) -> list[str]:
+    """The ``src`` modules that read the identifier, or define it."""
+    out = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        defined = any(
+            isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name == name
+            for node in ast.walk(tree)
+        )
+        if defined or _names(tree)[name]:
+            out.append(path.name)
+    return out
+
+
+def test_commutator_equations_are_formed_only_by_the_centralizer():
+    # brackets of integer vectors on the structure table are read in
+    # core alone, where ``centralizer`` turns them into equations; the
+    # former centrality helpers are gone
+    assert _readers("_int_bracket") == ["core.py"]
+    assert _readers("_central_derived") == []
+    assert _readers("_is_central") == []
