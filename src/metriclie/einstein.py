@@ -149,12 +149,20 @@ def _rational_value(x) -> Fraction | None:
     return Fraction(int(root.p), int(root.q))
 
 
-def _owned_value(terms) -> Fraction | Quadratic | None:
-    """``quadratic.field_sum`` of the terms, a ``Fraction`` when rational."""
-    total = field_sum(terms)
-    if total is None:
-        return None
-    return total if total.v else total.u
+def _exact_sum(terms):
+    """The sum of c x^2 over the pairs (c, x) of an int c and an
+    algebraic number x, a ``Fraction`` when it is rational:
+    ``quadratic.field_sum`` when every x is owned and the sum stays in
+    one quadratic field, else the ``sympy.expand``ed sum, each x read
+    by ``sympify``."""
+    terms = list(terms)
+    total = field_sum(c * x * x for c, x in terms) if all(is_owned(x) for _, x in terms) else None
+    if total is not None:
+        return total if total.v else total.u
+    import sympy as sp
+
+    total = sp.expand(sp.Add(*(c * sp.sympify(x) ** 2 for c, x in terms)))
+    return Fraction(int(total.p), int(total.q)) if total.is_Rational else total
 
 
 def _trace_square_from_charpoly(a: Mat) -> Fraction:
@@ -182,20 +190,10 @@ def trace_identity(data: EigenvalueData | Mat | LinearMap) -> TraceIdentityRepor
     raises ``PreconditionError``.
     """
     if isinstance(data, EigenvalueData):
-        numbers = [*data.reals, *(x for pair in data.complex_pairs for x in pair)]
-        if all(map(is_owned, numbers)):
-            squares = [lam * lam for lam in data.reals]
-            for alpha, beta in data.complex_pairs:
-                squares += [2 * alpha * alpha, -2 * beta * beta]
-            value = _owned_value(squares)
-            if value is not None:
-                return TraceIdentityReport(value, value == 0)
-        import sympy as sp
-
-        value = sum((sp.sympify(lam) ** 2 for lam in data.reals), sp.Integer(0))
+        terms = [(1, lam) for lam in data.reals]
         for alpha, beta in data.complex_pairs:
-            value += 2 * sp.sympify(alpha) ** 2 - 2 * sp.sympify(beta) ** 2
-        value = sp.expand(value)
+            terms += [(2, alpha), (-2, beta)]
+        value = _exact_sum(terms)
         return TraceIdentityReport(value, _rational_value(value) == 0)
     m = data.matrix if isinstance(data, LinearMap) else la.mat(data)
     if la.nrows(m) != la.ncols(m):
@@ -243,20 +241,10 @@ class TriangularNode:
 
 def nested_trace_square(node: TriangularNode | TorusLeaf):
     """tr(X^2) by the recursion 2 tr(A^2) + tr(X1^2), bottoming out at
-    -2 sum xi^2 on a rotation leaf. Owned rotations give a ``Fraction``
-    or ``Quadratic``; others may be symbolic, summed in sympy."""
+    -2 sum xi^2 on a rotation leaf, summed by ``_exact_sum``: a
+    ``Fraction`` when rational, else a ``Quadratic`` or a sympy sum."""
     if isinstance(node, TorusLeaf):
-        if all(map(is_owned, node.rotations)):
-            total = _owned_value(-2 * xi * xi for xi in node.rotations)
-            if total is not None:
-                return total
-        import sympy as sp
-
-        total = sum((-2 * sp.sympify(xi) ** 2 for xi in node.rotations), sp.Integer(0))
-        if total.free_symbols:
-            return total
-        rat = sp.Rational(total)
-        return Fraction(int(rat.p), int(rat.q))
+        return _exact_sum((-2, xi) for xi in node.rotations)
     a = node.a_block
     head = 2 * la.trace_product(a, a)
     return head + nested_trace_square(node.inner)

@@ -374,18 +374,23 @@ def _random_rational_vec(rng: random.Random, n: int) -> Vec:
     )
 
 
-def nilinvariance_probe(m: MetricLieAlgebra, samples: int = 25, seed: int = 0) -> NilInvarianceReport:
+# the random rational y ``nilinvariance_probe`` tries beyond the basis
+NILINVARIANCE_SAMPLES = 25
+
+
+def nilinvariance_probe(m: MetricLieAlgebra, seed: int = 0) -> NilInvarianceReport:
     """Semi-decision for nil-invariance: checks the skewness identity for
     the nilpotent Jordan parts of ad(y), for every basis y and for
-    ``samples`` random rational y. A failure is conclusive; a pass is
-    evidence only (the full condition quantifies over a Zariski closure
-    that is not finitely checkable from structure constants).
+    ``NILINVARIANCE_SAMPLES`` random rational y. A failure is
+    conclusive; a pass is evidence only (the full condition quantifies
+    over a Zariski closure that is not finitely checkable from structure
+    constants).
     """
     alg, form = m.algebra, m.form
     n = alg.dim
     rng = random.Random(seed)
     candidates = [la.unit_vec(n, i) for i in range(n)]
-    candidates += [_random_rational_vec(rng, n) for _ in range(samples)]
+    candidates += [_random_rational_vec(rng, n) for _ in range(NILINVARIANCE_SAMPLES)]
     checked = 0
     for y in candidates:
         phi_n = jordan_chevalley(ad(alg, y)).nilpotent.matrix

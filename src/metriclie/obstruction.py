@@ -438,9 +438,11 @@ def _report(p: la.Poly, spectrum: EigenvalueData | None = None) -> ObstructionRe
 # ---------------------------------------------------------------------------
 
 
-def qlinear_relations(
-    eigs: Sequence[AlgebraicNumber | object], degree_bound: int = 64
-) -> RelationBasis:
+# the largest common field degree ``qlinear_relations`` builds in sympy
+DEGREE_BOUND = 64
+
+
+def qlinear_relations(eigs: Sequence[AlgebraicNumber | object]) -> RelationBasis:
     """Exact basis of rational linear dependencies among the given
     algebraic numbers (``AlgebraicNumber``s or plain numbers), computed
     in a common number field.
@@ -454,7 +456,7 @@ def qlinear_relations(
     the generators are converted into the field; the numbers are built
     from them by field arithmetic.
 
-    Fails loudly if the common field degree exceeds ``degree_bound``.
+    Fails loudly if the common field degree exceeds ``DEGREE_BOUND``.
     Also verifies the quadratic trace relation sum xi^2 = 0 in the field
     and reports whether it holds for this spectrum.
     """
@@ -472,10 +474,10 @@ def qlinear_relations(
                     raise CertificateError("relation fails to annihilate the spectrum")
             quad = sum((x * x for x in numbers), Quadratic())
             return RelationBasis(relations, 1 if d == 1 else 2, not quad)
-    return _sympy_relations(values, degree_bound)
+    return _sympy_relations(values)
 
 
-def _sympy_relations(values: list, degree_bound: int) -> RelationBasis:
+def _sympy_relations(values: list) -> RelationBasis:
     """``qlinear_relations`` in a number field built by sympy's
     successive primitive elements."""
     import sympy as sp
@@ -504,10 +506,8 @@ def _sympy_relations(values: list, degree_bound: int) -> RelationBasis:
     else:
         field = sp.QQ
         degree = 1
-    if degree > degree_bound:
-        raise PreconditionError(
-            f"common field degree {degree} exceeds bound {degree_bound}"
-        )
+    if degree > DEGREE_BOUND:
+        raise PreconditionError(f"common field degree {degree} exceeds bound {DEGREE_BOUND}")
 
     for g in gens:
         gens[g] = field.from_sympy(g)
@@ -578,12 +578,7 @@ def default_precision() -> int:
         ) from None
 
 
-def integer_exponential_probe(
-    m: MetricLieAlgebra,
-    element: Vec,
-    t_grid: Sequence[Fraction],
-    precision_bits: int | None = None,
-) -> ProbeReport:
+def integer_exponential_probe(m: MetricLieAlgebra, element: Vec, t_grid: Sequence[Fraction]) -> ProbeReport:
     """For each t in the grid, enclose the coefficients of the
     characteristic polynomial of exp(t ad(a)) and report whether all of
     them being integers can be excluded.
@@ -591,7 +586,8 @@ def integer_exponential_probe(
     This is a sanity probe: "not excluded" never asserts integrality, it
     only means the enclosures left room for it.
 
-    ``precision_bits`` p counts absolute bits after the binary point: the
+    The precision p of ``default_precision()`` (``METRIC_LIE_PRECISION``)
+    counts absolute bits after the binary point: the
     eigenvalue boxes are ``AlgebraicNumber.box(2^-p)``, and the
     arithmetic is fixed point at g0 = p + ``GUARD_BITS`` bits up to the
     series of step 2, and at g = g0 + E bits from there, where 2^-E
@@ -644,8 +640,7 @@ def integer_exponential_probe(
        both are decided on the integers. Integrality is excluded when a
        coefficient's box holds no integer.
     """
-    if precision_bits is None:
-        precision_bits = default_precision()
+    precision_bits = default_precision()
     eigs = exact_eigenvalues(ad(m.algebra, element))
     unipotent = all(e.is_zero for e in eigs)
     boxes = None

@@ -69,10 +69,13 @@ def simple_decomposition(alg: LieAlgebra) -> tuple[SubspaceBasis, ...]:
 
 
 def _simple_ideals(alg: LieAlgebra, kappa: SymBilinearForm) -> tuple[SubspaceBasis, ...]:
-    """``simple_decomposition`` with the Killing form already computed."""
+    """``simple_decomposition`` with the Killing form already computed.
+    The zero algebra is the empty sum of simple ideals."""
     n = alg.dim
     if not signature(kappa).is_nondegenerate:
         raise PreconditionError("Killing form degenerate - not semisimple")
+    if n == 0:
+        return ()
     commutant = _commutant_of_adjoint(alg)
     d = commutant.dim
     generic = None

@@ -352,6 +352,16 @@ def test_split_semisimple(capsys):
     assert r["form_report"]["uniform_constant"] == "1"
 
 
+def test_split_semisimple_on_the_zero_algebra(capsys):
+    # the zero algebra is the empty sum of simple ideals
+    code, report, err = run_json(capsys, "split-semisimple", "ab(0,0)")
+    assert (code, err) == (0, "")
+    r = report["results"]
+    assert r["ideal_dims"] == []
+    assert (r["compact_dim"], r["noncompact_dim"]) == (0, 0)
+    assert r["form_report"]["ideal_constants"] == []
+
+
 def test_search_emits_json_lines(capsys):
     code, out, err = run(
         capsys,

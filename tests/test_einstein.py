@@ -26,7 +26,7 @@ from metriclie.einstein import (
 )
 from metriclie.errors import CertificateError, PreconditionError
 from metriclie.forms import MetricLieAlgebra, SymBilinearForm, _map_pairing
-from metriclie.quadratic import quadratic_roots
+from metriclie.quadratic import Quadratic, quadratic_roots
 from metriclie.reduction import build_ab, build_example42, build_ko1
 
 from conftest import (
@@ -248,6 +248,15 @@ def test_compact_leaf_trace_is_negative_unless_zero():
             assert val < 0
         else:
             assert val == 0
+
+
+def test_leaf_trace_outside_one_quadratic_field_is_summed_exactly():
+    # rotations from two quadratic fields, and one of degree 4
+    leaf = TorusLeaf((Quadratic(1, 1, 2), Quadratic(1, 1, 3)))
+    assert nested_trace_square(leaf) == -14 - 4 * sp.sqrt(3) - 4 * sp.sqrt(2)
+    assert nested_trace_square(TorusLeaf((sp.root(2, 4),))) == -2 * sp.sqrt(2)
+    # an entry that is not owned is read by sympify before it is squared
+    assert nested_trace_square(TorusLeaf(("sqrt(2)",))) == -4
 
 
 def test_bounds_certificate_example42():

@@ -422,7 +422,7 @@ def test_each_step_rewrites_the_input_once(monkeypatch):
 
 def test_complete_reduction_forms_derived_once_and_never_the_center(monkeypatch):
     """``complete_reduction`` forms each line from the algebra's kept
-    [g, g] as [g, g] ∩ [g, g]^⊥, never from ``center``, and builds
+    [g, g] as its centralizer z(g) ∩ [g, g], never from ``center``, and builds
     [g, g] once per algebra of its chain; ``nilradical`` then reuses it
     and traces only the generators outside [g, g]."""
     import sys
@@ -466,14 +466,38 @@ def test_complete_reduction_forms_derived_once_and_never_the_center(monkeypatch)
 
 
 def test_a_line_off_the_center_fails_the_centrality_certificate(monkeypatch):
-    # with [g, g]^⊥ read as all of g the line is b, the first row of
-    # [g, g] for example42, and [a, b] = b
+    # with every subspace read as central the line is b, the first row
+    # of [g, g] for example42, and [a, b] = b; a line off the center
+    # does not split, and its extraction fails
     import metriclie.reduction
 
-    monkeypatch.setattr(
-        metriclie.reduction, "orthogonal_complement", lambda form, sub: SubspaceBasis.kernel(form.dim, ())
-    )
-    with pytest.raises(CertificateError, match="reduction line is not central"):
+    monkeypatch.setattr(metriclie.reduction, "centralizer", lambda alg, sub: sub)
+    with pytest.raises(CertificateError, match="dual action does not preserve the complement"):
+        complete_reduction(build_example42())
+
+
+@pytest.mark.parametrize("block", ["z", "a"])
+def test_a_corrupted_split_fails_the_round_trip(monkeypatch, block):
+    """The round trip alone certifies [x_k, x_l]: adding 1 to its z- or
+    a-coefficient in the split is caught there."""
+    import metriclie.reduction
+    from metriclie.core import LieAlgebra
+
+    change_basis_ = metriclie.reduction._change_basis
+
+    def corrupted(m, den, cols, names):
+        split = change_basis_(m, den, cols, names)
+        n, (tden, rows) = split.dim, split.algebra.int_table
+        upper = {(i, j): dict(rows[i][j]) for i in range(n) for j in range(i + 1, n)}
+        # s = 1: a0 is b_0, x0 and x1 are b_1 and b_2, z0 is b_(n-1)
+        k = n - 1 if block == "z" else 0
+        upper[(1, 2)][k] = upper[(1, 2)].get(k, 0) + tden
+        upper = {key: sorted(row.items()) for key, row in upper.items()}
+        alg = LieAlgebra.from_rows(n, split.algebra.basis_names, tden, upper)
+        return MetricLieAlgebra(alg, split.form)
+
+    monkeypatch.setattr(metriclie.reduction, "_change_basis", corrupted)
+    with pytest.raises(CertificateError, match="round-trip"):
         complete_reduction(build_example42())
 
 

@@ -289,3 +289,46 @@ def test_commutator_equations_are_formed_only_by_the_centralizer():
     assert _readers("_int_bracket") == ["core.py"]
     assert _readers("_central_derived") == []
     assert _readers("_is_central") == []
+
+
+def _defaulted_parameters_without_a_caller() -> list[tuple[str, str, str]]:
+    """(module, function, parameter) of each defaulted parameter of a
+    module-level function of the package that no call of that name in
+    ``src``, ``tests`` or ``perfbench`` passes: by keyword, by position,
+    or through ``*`` or ``**``. A default no caller overrides is a knob
+    without a user, a second way to set a value."""
+    root = SRC.parents[1]
+    calls: dict[str, list[ast.Call]] = {}
+    for folder in (SRC, root / "tests", root / "perfbench"):
+        for path in sorted(folder.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Call):
+                    func = node.func
+                    name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                    calls.setdefault(name, []).append(node)
+
+    def passes(call: ast.Call, param: str, position: int | None) -> bool:
+        if any(k.arg in (param, None) for k in call.keywords):
+            return True
+        if position is None:
+            return False
+        return len(call.args) > position or any(isinstance(a, ast.Starred) for a in call.args)
+
+    out = []
+    for path in sorted(SRC.glob("*.py")):
+        for fn in ast.parse(path.read_text()).body:
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            args = fn.args
+            positional = args.posonlyargs + args.args
+            first = len(positional) - len(args.defaults)
+            defaulted = [(p.arg, i) for i, p in enumerate(positional) if i >= first]
+            defaulted += [(p.arg, None) for p, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+            for param, position in defaulted:
+                if not any(passes(call, param, position) for call in calls.get(fn.name, [])):
+                    out.append((path.name, fn.name, param))
+    return out
+
+
+def test_every_defaulted_parameter_has_a_caller():
+    assert _defaulted_parameters_without_a_caller() == []
