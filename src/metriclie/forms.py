@@ -389,7 +389,7 @@ def nilinvariance_probe(m: MetricLieAlgebra, seed: int = 0) -> NilInvarianceRepo
     alg, form = m.algebra, m.form
     n = alg.dim
     rng = random.Random(seed)
-    candidates = [la.unit_vec(n, i) for i in range(n)]
+    candidates = list(la.identity(n))
     candidates += [_random_rational_vec(rng, n) for _ in range(NILINVARIANCE_SAMPLES)]
     checked = 0
     for y in candidates:

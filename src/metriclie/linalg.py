@@ -7,9 +7,10 @@ rows become integer rows over one common denominator in one place,
 Every row reduction runs on one fraction-free integer elimination,
 ``IntSpan``, whose pivot rows are the unique RREF of their span.
 
-The characteristic polynomial (``charpoly``) and matrix polynomials
-(``poly_eval_mat``) run in ``int`` on D A, D the least common
-denominator of A's entries, and are scaled back to A only at the end.
+The characteristic and minimal polynomials (``charpoly``,
+``minimal_polynomial``) and matrix polynomials (``poly_eval_mat``) run
+in ``int`` on D A, D the least common denominator of A's entries, and
+are scaled back to A only at the end.
 
 Polynomials are represented as tuples of coefficients in *descending*
 degree order. Their gcds, square-free parts, Sturm sequences and
@@ -734,10 +735,16 @@ def _int_mat_mul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
 
 
 def poly_eval_mat(p: Poly, a: Mat) -> Mat:
-    """p(A) by Horner's rule in ``int`` on B = D A (``to_int_rows``):
-    after step i the integer matrix H is E D^i (p_0 A^i + ... + p_i I),
-    E the common denominator of p, so H_i = H_(i-1) B + E D^i p_i I and
-    one division by E D^deg(p) ends it."""
+    """p(A), the rational view of ``int_poly_eval_mat``."""
+    scale, h = int_poly_eval_mat(p, a)
+    return mat_over(h, scale)
+
+
+def int_poly_eval_mat(p: Poly, a: Mat) -> tuple[int, list[list[int]]]:
+    """(S, H) with H = S p(A) an integer matrix, by Horner's rule in
+    ``int`` on B = D A (``to_int_rows``): after step i the integer
+    matrix H is E D^i (p_0 A^i + ... + p_i I), E the common denominator
+    of p, so H_i = H_(i-1) B + E D^i p_i I, and S = E D^deg(p)."""
     n = nrows(a)
     if n != ncols(a):
         raise ValueError("polynomial of a non-square matrix")
@@ -753,7 +760,7 @@ def poly_eval_mat(p: Poly, a: Mat) -> Mat:
         t = c.numerator * (scale // c.denominator)
         for j in range(n):
             h[j][j] += t
-    return mat_over(h, scale)
+    return scale, h
 
 
 def charpoly(a: Mat) -> Poly:
@@ -785,22 +792,27 @@ def charpoly(a: Mat) -> Poly:
 
 def minimal_polynomial(a: Mat) -> Poly:
     """Monic minimal polynomial, from the first linear dependency among
-    the flattened powers I, A, A^2, ... (degree at most n).
+    the flattened powers I, B, B^2, ... (degree at most n) of the
+    integer matrix B = D A (``to_int_rows``), formed in ``int``.
 
     Power d is spanned with the tag e_d in n + 1 extra columns. The
     first power that lies in the span of the earlier ones reduces to a
     row that vanishes on the n*n power columns, and its tags are the
-    coefficients of the dependency: x^k has coefficient tag_k / tag_d."""
+    coefficients of the dependency: sum tag_k B^k = 0. As B^k = D^k A^k,
+    A's coefficient of x^k is tag_k D^k / (tag_d D^d)."""
     n = nrows(a)
     nn = n * n
+    den, rows = to_int_rows(a)
+    b = dense(rows, n)
     span = IntSpan(nn + n + 1)
-    cur = identity(n)
+    cur = [[int(i == j) for j in range(n)] for i in range(n)]
     for d in range(n + 1):
-        _, (flat,) = to_int_rows((tuple(x for row in cur for x in row) + unit_vec(n + 1, d),))
-        span.add(dict(flat))
+        flat = {i * n + j: x for i, row in enumerate(cur) for j, x in enumerate(row) if x}
+        flat[nn + d] = 1
+        span.add(flat)
         lead = max(span.pivots)
         if lead >= nn:
             r = span.pivots[lead]
-            return tuple(Fraction(r.get(nn + k, 0), r[nn + d]) for k in range(d, -1, -1))
-        cur = mat_mul(cur, a)
+            return tuple(Fraction(r.get(nn + k, 0), r[nn + d] * den ** (d - k)) for k in range(d, -1, -1))
+        cur = _int_mat_mul(cur, b)
     raise AssertionError("unreachable: minimal polynomial not found")

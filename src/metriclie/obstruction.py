@@ -449,12 +449,13 @@ def qlinear_relations(eigs: Sequence[AlgebraicNumber | object]) -> RelationBasis
 
     When every number is owned (an int, ``Fraction`` or ``Quadratic``)
     and the irrational ones share one field Q(sqrt(d)), each number is
-    its coordinates (u, v) on the basis 1, sqrt(d), and the relations
-    are the kernel of those two rows. Otherwise the field is built by
-    sympy from generators: a ``Quadratic`` u + v sqrt(d) contributes
-    sqrt(d), and any other irrational number is its own generator. Only
-    the generators are converted into the field; the numbers are built
-    from them by field arithmetic.
+    its coordinates (u, v) on the basis 1, sqrt(d), scaled once to two
+    integer rows U, V (``la.to_int_rows``), and the relations are the
+    kernel of those two rows. Otherwise the field is built by sympy from
+    generators: a ``Quadratic`` u + v sqrt(d) contributes sqrt(d), and
+    any other irrational number is its own generator. Only the
+    generators are converted into the field; the numbers are built from
+    them by field arithmetic.
 
     Fails loudly if the common field degree exceeds ``DEGREE_BOUND``.
     Also verifies the quadratic trace relation sum xi^2 = 0 in the field
@@ -464,16 +465,21 @@ def qlinear_relations(eigs: Sequence[AlgebraicNumber | object]) -> RelationBasis
     if not values:
         return RelationBasis((), 1, True)
     if all(map(is_owned, values)):
-        numbers = [x if isinstance(x, Quadratic) else Quadratic(x) for x in values]
-        d = field_of(numbers)
-        if all(same_field(x.d, d) for x in numbers if x.v):
-            relations = la.kernel(la.transpose(tuple(x.coords(d) for x in numbers)))
-            # certify each relation by direct evaluation in the field
-            for rel in relations:
-                if sum((c * x for c, x in zip(rel, numbers)), Quadratic()):
+        d = field_of(values)
+        if all(same_field(x.d, d) for x in values if isinstance(x, Quadratic) and x.v):
+            n = len(values)
+            coords = [x.coords(d) if isinstance(x, Quadratic) else (x, 0) for x in values]
+            _, rows = la.to_int_rows(zip(*coords))
+            den, kernel = la.IntSpan(n, map(dict, rows)).int_kernel()
+            u, v = la.dense(rows, n)
+            # certify each relation in Z: 1 and sqrt(d) are independent
+            # over Q, so it annihilates the numbers iff it annihilates U, V
+            for rel in kernel:
+                if any(sum(t * row[q] for q, t in rel) for row in (u, v)):
                     raise CertificateError("relation fails to annihilate the spectrum")
-            quad = sum((x * x for x in numbers), Quadratic())
-            return RelationBasis(relations, 1 if d == 1 else 2, not quad)
+            # sum (u + v sqrt(d))^2 = sum (u^2 + d v^2) + 2 sqrt(d) sum u v
+            holds = not sum(x * x + d * y * y for x, y in zip(u, v)) and not sum(x * y for x, y in zip(u, v))
+            return RelationBasis(la.mat_over(la.dense(kernel, n), den), 1 if d == 1 else 2, holds)
     return _sympy_relations(values)
 
 

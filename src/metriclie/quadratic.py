@@ -240,8 +240,8 @@ def quadratic_roots(f: la.Poly) -> tuple[Quadratic, ...]:
     _, b, c = f
     # sqrt(D) / 2 for D = n / m is sqrt(n m) / 2m, and i sqrt(-D) / 2 for D < 0
     disc = b * b - 4 * c
-    half = Quadratic(0, Fraction(1, 2 * disc.denominator), disc.numerator * disc.denominator)
-    return (-b / 2 - half, -b / 2 + half)
+    half, d = Fraction(1, 2 * disc.denominator), disc.numerator * disc.denominator
+    return (Quadratic(-b / 2, -half, d), Quadratic(-b / 2, half, d))
 
 
 def _sort_key(factor: tuple[la.Poly, int]):

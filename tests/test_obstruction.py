@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 import sympy as sp
-from hypothesis import event, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from metriclie import core
@@ -36,9 +36,11 @@ from metriclie.obstruction import (
     restricted_obstruction,
     spectrum_data,
 )
+from metriclie.quadratic import Quadratic
 from metriclie.reduction import DoubleExtensionSpec, build_ab, build_example42, double_extend
 
 from conftest import (
+    naive_qlinear_relations,
     naive_rank,
     naive_trace,
     naive_zeros,
@@ -350,6 +352,72 @@ def test_qlinear_relations_pick_each_radical_sign_from_its_enclosure():
         for axis in (0, 1):
             mids = [sum(e.enclosure[axis]) / 2 for e in eigs]
             assert abs(sum(c * x for c, x in zip(rel, mids))) < Fraction(1, 10**6)
+
+
+# the values of d each field's numbers are written on: d < 0, d > 0,
+# their squares multiples, and 1031^2 1033, whose square factor lies
+# beyond the trial division of ``quadratic._strip_squares`` and stays
+_FIELDS = [(1,), (-1, -4), (-3, -12), (5, 20), (1033, 1031**2 * 1033), (-1033, -(1031**2) * 1033)]
+
+
+@st.composite
+def _owned_numbers(draw):
+    """Ints, ``Fraction``s and ``Quadratic``s of one field, rational
+    ones among them, with zeros and repeats."""
+    reps = draw(st.sampled_from(_FIELDS))
+    small = st.fractions(min_value=-2, max_value=2, max_denominator=3)
+    number = st.one_of(
+        st.integers(-2, 2),
+        small,
+        st.builds(Quadratic, small, small, st.sampled_from(reps)),
+    )
+    return draw(st.lists(number, max_size=7))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_owned_numbers())
+@example([])
+@example([0, Fraction(0), Quadratic()])
+@example([1, -1, Quadratic(0, 1, -1), Quadratic(0, -1, -1)])
+# (sqrt(-1031^2 1033))^2 + (1031 sqrt(-1033))^2 + 1031^2 (35^2 + 29^2) = 0
+@example([Quadratic(0, 1, -(1031**2) * 1033), Quadratic(0, 1031, -1033), 1031 * 35, 1031 * 29])
+def test_owned_qlinear_relations_match_quadratic_arithmetic(values):
+    assert qlinear_relations(values) == naive_qlinear_relations(values)
+
+
+def test_owned_qlinear_relations_reject_a_corrupted_kernel(monkeypatch):
+    real = la.IntSpan.int_kernel
+
+    def corrupted(self):
+        den, rows = real(self)
+        (q, t), *rest = rows[0]
+        return den, [((q, t + 1), *rest), *rows[1:]]
+
+    monkeypatch.setattr(la.IntSpan, "int_kernel", corrupted)
+    with pytest.raises(CertificateError, match="relation fails"):
+        qlinear_relations([2, 1, Quadratic(0, 1, -1), Quadratic(3, 2, -1)])
+
+
+def test_relations_run_without_quadratic_arithmetic(tmp_path, monkeypatch):
+    paths = _pool_documents(tmp_path, "rb")
+
+    def outputs():
+        out = {}
+        for name in ("rb6-3", "rb8-2"):
+            buf = io.StringIO()
+            with contextlib.redirect_stdout(buf):
+                assert main(["relations", str(paths[name]), "--element", "a0", "--format", "json"]) == 0
+            out[name] = buf.getvalue()
+        return out
+
+    before = outputs()
+
+    def forbidden(*args):
+        raise AssertionError("Quadratic arithmetic on the relations path")
+
+    for name in ("__add__", "__radd__", "__mul__", "__rmul__"):
+        monkeypatch.setattr(Quadratic, name, forbidden)
+    assert outputs() == before
 
 
 def test_qlinear_relations_keep_cubic_and_raw_generators():

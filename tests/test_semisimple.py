@@ -1,5 +1,6 @@
 import itertools
 import json
+import random
 import sys
 from fractions import Fraction
 
@@ -8,16 +9,17 @@ import pytest
 from metriclie import cli, core, semisimple
 from metriclie import linalg as la
 from metriclie.catalog import direct_sum, heis3, sl2, su2
-from metriclie.core import killing_matrix
+from metriclie.core import killing_form, killing_matrix
 from metriclie.errors import PreconditionError
 from metriclie.forms import MetricLieAlgebra, SymBilinearForm
+from metriclie.reduction import change_basis
 from metriclie.semisimple import (
     compact_split,
     simple_decomposition,
     split_form_report,
 )
 
-from conftest import reference_simple_ideals
+from conftest import naive_commutant, reference_simple_ideals
 
 
 def _sum_with_form(c: Fraction) -> MetricLieAlgebra:
@@ -42,17 +44,57 @@ def test_simple_algebras_are_single_ideals():
     assert [i.dim for i in simple_decomposition(sl2().algebra)] == [3]
 
 
-def test_primary_components_are_the_idempotent_images():
-    # every sum of 1-3 copies of sl2 and su2, in every order
+def _sums():
+    """Every sum of 1-3 copies of sl2 and su2, in every order."""
+    out = []
     for k in (1, 2, 3):
         for parts in itertools.product((sl2, su2), repeat=k):
             m = parts[0]()
             for part in parts[1:]:
                 m = direct_sum(m, part())
-            ideals = simple_decomposition(m.algebra)
-            expected = reference_simple_ideals(m.algebra)
-            assert len(ideals) == len(expected) == k
+            out.append(m)
+    return out
+
+
+def _changed_basis(rng, m):
+    """m on the basis I + E, E with 2n random entries from +-1, +-1/2,
+    redrawn until it is a basis."""
+    n = m.dim
+    while True:
+        cols = [list(c) for c in la.identity(n)]
+        for _ in range(2 * n):
+            cols[rng.randrange(n)][rng.randrange(n)] += rng.choice((1, -1, Fraction(1, 2), Fraction(-1, 2)))
+        if la.IntSpan(n, map(dict, la.to_int_rows(cols)[1])).dim == n:
+            return change_basis(m, cols, [f"f{i}" for i in range(n)]).algebra
+
+
+def test_primary_components_are_the_idempotent_images():
+    # every sum on its own basis and on two seeded changes of basis
+    rng = random.Random(3011)
+    off_block = 0
+    for m in _sums():
+        for alg in (m.algebra, _changed_basis(rng, m), _changed_basis(rng, m)):
+            n = alg.dim
+            centroid = semisimple._centroid(alg, killing_form(alg))
+            assert centroid.int_rows == naive_commutant(alg).int_rows
+            # an entry outside the diagonal 3 x 3 blocks
+            off_block += any(q // n // 3 != q % n // 3 for row in centroid.int_rows[1] for q, _ in row)
+            ideals = simple_decomposition(alg)
+            expected = reference_simple_ideals(alg)
+            assert len(ideals) == len(expected) == n // 3
             assert all(i.same_span(e) for i, e in zip(ideals, expected))
+    # every changed sum of two or three summands
+    assert off_block == 2 * 12
+
+
+def test_compact_split_multiplies_no_rational_matrix(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("Fraction matrix product inside compact_split")
+
+    monkeypatch.setattr(la, "mat_mul", forbidden)
+    for m in _sums():
+        split = compact_split(m.algebra)
+        assert split.compact_part.dim + split.noncompact_part.dim == m.dim
 
 
 def test_degenerate_killing_rejected():
