@@ -404,16 +404,18 @@ class SearchResult:
 
 def _rotation_boost_columns(rotations: tuple[int, ...], boost: int) -> tuple[int, tuple]:
     """The integer columns (1, cols) of blockdiag(rot b for b in
-    rotations, boost block), skew for diag(1, ..., 1, -1); spectrum
-    {±i b} ∪ {±boost}, so tr = 2 boost^2 - 2 sum b^2."""
+    rotations, boost block), skew for diag(1, ..., 1, -1), as
+    ``la.normalised``; spectrum {±i b} ∪ {±boost}, so tr = 2 boost^2 -
+    2 sum b^2."""
     cols = [c for i, b in enumerate(rotations) for c in (((2 * i + 1, b),), ((2 * i, -b),))]
     m = len(cols)
-    return 1, (*cols, ((m + 1, boost),), ((m, boost),))
+    return la.normalised(1, (*cols, ((m + 1, boost),), ((m, boost),)))
 
 
 def _traceless_skew_map(rng: random.Random, form: SymBilinearForm) -> tuple | None:
     """The integer columns (D, cols) of the map ``random_skew_map(rng,
-    form)`` draws if tr(delta^2) = 0, else None, with the same rng draws.
+    form)`` draws if tr(delta^2) = 0, as ``la.normalised``, else None,
+    with the same rng draws.
 
     For a one-step extension of an abelian base the Killing form
     vanishes iff tr(delta^2) = 0. With delta = R / D drawn in integers
@@ -422,11 +424,12 @@ def _traceless_skew_map(rng: random.Random, form: SymBilinearForm) -> tuple | No
     den, rows = random_skew_numerators(rng, form)
     if sum(x * rows[j][i] for i, row in enumerate(rows) for j, x in enumerate(row) if x):
         return None
-    return den, [tuple(enumerate(col)) for col in zip(*rows)]
+    return la.normalised(den, (tuple(enumerate(col)) for col in zip(*rows)))
 
 
-def _record(m: MetricLieAlgebra, kind: str) -> dict | None:
-    """A JSON-friendly record for an Einstein hit (None otherwise)."""
+def _record(m: MetricLieAlgebra, kind: str) -> tuple | None:
+    """An Einstein hit's record as its (key, value) pairs, every value
+    immutable (the signature a tuple), or None for a non-hit."""
     rep = einstein_check(m)
     if not rep.einstein:
         return None
@@ -436,17 +439,30 @@ def _record(m: MetricLieAlgebra, kind: str) -> dict | None:
     sig = signature(m.form)
     # a nilpotent algebra is its own nilradical; skip the general search
     nildim = m.dim if s.is_nilpotent else nilradical(m.algebra).dim
-    return {
-        "spec": kind,
-        "dim": m.dim,
-        "index": min(sig.p, sig.q),
-        "signature": [sig.p, sig.q, sig.r],
-        "dim_nilradical": nildim,
-        "einstein": True,
-        "einstein_constant": str(rep.constant),
-        "nilpotent": s.is_nilpotent,
-        "abelian": s.is_abelian,
-    }
+    return (
+        ("spec", kind),
+        ("dim", m.dim),
+        ("index", min(sig.p, sig.q)),
+        ("signature", (sig.p, sig.q, sig.r)),
+        ("dim_nilradical", nildim),
+        ("einstein", True),
+        ("einstein_constant", str(rep.constant)),
+        ("nilpotent", s.is_nilpotent),
+        ("abelian", s.is_abelian),
+    )
+
+
+@functools.lru_cache(maxsize=256)
+def _extension_record(n: int, s: int, delta: tuple, kind: str) -> tuple | None:
+    """``_record`` of the one-step double extension of ``build_ab(n, s)``
+    by the integer columns delta = (D, cols), given ``la.normalised``.
+
+    Memoised on that exact integer input (``build_ab`` is memoised and
+    deterministic), so each distinct extension is built, certified and
+    recorded once per process; the record is immutable. The memo is
+    bounded, as ``build_ab``'s is. An exception is not cached.
+    """
+    return _record(double_extend(DoubleExtensionSpec.from_columns(build_ab(n, s), (delta,))), kind)
 
 
 def sharpness_search(
@@ -471,6 +487,15 @@ def sharpness_search(
     extended in integers (``_traceless_skew_map``). The abelian bases
     come from the memoised ``build_ab``, so they and their cached data
     are shared across calls.
+
+    Every sample that is one extension of such a base, a random
+    one-step one or a rotation-boost one, is built, certified and
+    recorded by ``_extension_record``, memoised per process on its
+    exact integer input (n, s, ``la.normalised`` delta, kind) in a
+    ``functools.lru_cache`` of 256 entries: few inputs recur very
+    often, above all at d = 3, where the 1x1 skew map is always zero.
+    A hit is a fresh dict, so no caller can change the memo. Two-step
+    samples build fresh algebras and are not memoised.
     """
     dim_lo, dim_hi = dim_range
     idx_lo, idx_hi = index_range
@@ -483,11 +508,13 @@ def sharpness_search(
     hits: list[dict] = []
     examined = 0
 
-    def feasible_minus_counts(d: int) -> list[int]:
-        # extensions carry at least one hyperbolic plane: 1 <= s <= d-1
-        return [
-            s for s in range(1, d) if idx_lo <= min(d - s, s) <= idx_hi
-        ]
+    @functools.cache
+    def minus_counts(d: int) -> tuple[list[int], list[int]]:
+        # the index choices s of a one-step sample of dimension d (it
+        # carries at least one hyperbolic plane: 1 <= s <= d-1) and of a
+        # two-step one, listed once per d drawn
+        one_step = [s for s in range(1, d) if idx_lo <= min(d - s, s) <= idx_hi]
+        return one_step, [s for s in one_step if 2 <= s <= d - 3]
 
     fits_rb4 = dim_lo <= 6 <= dim_hi and idx_lo <= 2 <= idx_hi
     fits_rb6 = dim_lo <= 8 <= dim_hi and idx_lo <= 2 <= idx_hi
@@ -499,19 +526,16 @@ def sharpness_search(
         if fits_rb4 and roll < 0.003:
             # targeted family: rotation and boost of matched weight
             b = rng.randint(1, 9)
-            delta = _rotation_boost_columns((b,), b)
-            g = double_extend(DoubleExtensionSpec.from_columns(build_ab(4, 1), (delta,)))
-            rec = _record(g, "rotation-boost dim 6")
+            rec = _extension_record(4, 1, _rotation_boost_columns((b,), b), "rotation-boost dim 6")
         elif fits_rb6 and roll < 0.005:
             # Pythagorean family in dimension 8
             k = rng.randint(1, 3)
             delta = _rotation_boost_columns((3 * k, 4 * k), 5 * k)
-            g = double_extend(DoubleExtensionSpec.from_columns(build_ab(6, 1), (delta,)))
-            rec = _record(g, "rotation-boost dim 8")
+            rec = _extension_record(6, 1, delta, "rotation-boost dim 8")
         elif roll < 0.035:
             # two-step iterated extension
             d = rng.randint(max(dim_lo, 5), dim_hi) if dim_hi >= 5 else 0
-            choices = [s for s in feasible_minus_counts(d) if 2 <= s <= d - 3] if d else []
+            choices = minus_counts(d)[1] if d else []
             if not choices:
                 continue
             s = rng.choice(choices)
@@ -520,17 +544,17 @@ def sharpness_search(
             rec = _record(g, f"iterated-2 dim {d}")
         else:
             d = rng.randint(dim_lo, dim_hi)
-            choices = feasible_minus_counts(d)
-            if d < 2 or not choices:
+            choices = minus_counts(d)[0]
+            if not choices:
                 continue
             s = rng.choice(choices)
-            base = build_ab(d - 2, s - 1)
-            delta = _traceless_skew_map(rng, base.form)
+            delta = _traceless_skew_map(rng, build_ab(d - 2, s - 1).form)
             if delta is None:
                 continue
-            g = double_extend(DoubleExtensionSpec.from_columns(base, (delta,)))
-            rec = _record(g, f"random one-step dim {d} minus {s}")
+            rec = _extension_record(d - 2, s - 1, delta, f"random one-step dim {d} minus {s}")
         if rec is not None:
-            rec["sample"] = step
-            hits.append(rec)
+            # a fresh dict and signature list, so no caller shares the memo's record
+            hit = dict(rec, sample=step)
+            hit["signature"] = list(hit["signature"])
+            hits.append(hit)
     return SearchResult(examined, tuple(hits))

@@ -1,6 +1,8 @@
+import copy
 import hashlib
 import json
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -9,8 +11,10 @@ import sympy as sp
 from metriclie import linalg as la
 from metriclie.catalog import sl2
 from metriclie.core import LieAlgebra, ad, killing_matrix
+import metriclie.einstein
 from metriclie.einstein import (
     EigenvalueData,
+    _extension_record,
     _traceless_skew_map,
     _trace_square_from_charpoly,
     TorusLeaf,
@@ -352,7 +356,10 @@ def test_search_outputs_are_pinned():
 
 def test_search_propagates_certificate_failures(monkeypatch):
     """Every sample is Lie and invariant by construction, so a failed
-    certificate is a bug and must not be dropped as a non-hit."""
+    certificate is a bug and must not be dropped as a non-hit. The memo
+    caches no exception, so from a cleared memo a one-step-only search
+    (dimensions 3-4 draw no two-step or rotation-boost sample) raises
+    too."""
     import metriclie.reduction
     from metriclie.core import ValidationReport
 
@@ -361,8 +368,46 @@ def test_search_propagates_certificate_failures(monkeypatch):
 
     assert sharpness_search((3, 8), (1, 2), 200, seed=7).examined == 200
     monkeypatch.setattr(metriclie.reduction, "validate_structure", broken)
-    with pytest.raises(CertificateError, match="Jacobi"):
-        sharpness_search((3, 8), (1, 2), 200, seed=7)
+    for dims, index, budget in (((3, 8), (1, 2), 200), ((3, 4), (1, 1), 50)):
+        _extension_record.cache_clear()
+        with pytest.raises(CertificateError, match="Jacobi"):
+            sharpness_search(dims, index, budget, seed=7)
+
+
+def test_search_builds_each_extension_once(monkeypatch):
+    """From a cleared memo, over the search workload's arguments, each
+    distinct one-extension input (base, delta, kind) reaches
+    ``double_extend`` and ``_record`` exactly once, while most samples
+    repeat one; and a caller mutating its hits leaves a rerun's equal."""
+    extend, record = metriclie.einstein.double_extend, metriclie.einstein._record
+    extended, keys = [], Counter()
+
+    def counted_extend(spec):
+        extended.append((spec.base.dim, spec.base.form.int_rows, spec.int_deltas))
+        return extend(spec)
+
+    def counted_record(m, kind):
+        if not kind.startswith("iterated-2"):
+            keys[extended[-1], kind] += 1
+        return record(m, kind)
+
+    def run():
+        return [sharpness_search((3, 8), (1, 2), 20, seed).hits for seed in range(1, 31)]
+
+    _extension_record.cache_clear()
+    monkeypatch.setattr(metriclie.einstein, "double_extend", counted_extend)
+    monkeypatch.setattr(metriclie.einstein, "_record", counted_record)
+    first = run()
+    info = _extension_record.cache_info()
+    assert len(extended) == sum(keys.values()) == len(keys) == info.misses == info.currsize
+    assert info.hits > 10 * info.misses
+    expected = copy.deepcopy(first)
+    for hits in first:
+        for hit in hits:
+            hit["dim"] = -1
+            hit["signature"].append(0)
+    assert run() == expected
+    assert _extension_record.cache_info().misses == info.misses
 
 
 def _factored_trace_square(a):

@@ -33,7 +33,7 @@ from metriclie.documents import (
     emit_document,
     parse_document,
 )
-from metriclie.einstein import sharpness_search
+from metriclie.einstein import _extension_record, sharpness_search
 from metriclie.errors import PreconditionError
 from metriclie.forms import MetricLieAlgebra, SymBilinearForm
 from metriclie.reduction import (
@@ -409,7 +409,9 @@ def test_the_write_path_makes_no_fraction_round_trip(monkeypatch):
     two-step, enters its extension as integer columns, never through the
     rational spec constructor, and neither ``_traceless_skew_map`` nor
     ``einstein_check`` converts anything with ``la.mat_over``; nor does
-    ``_reduce_step`` on the pool's chains."""
+    ``_reduce_step`` on the pool's chains. The extension memo is cleared
+    first, so every distinct one-step sample is built under the counters."""
+    _extension_record.cache_clear()
     spec_callers: Counter = Counter()
     converters: Counter = Counter()
     spec_init, mat_over = DoubleExtensionSpec.__init__, la.mat_over
