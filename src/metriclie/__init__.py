@@ -51,6 +51,7 @@ from .forms import (
     central_isotropic_ideal,
     is_invariant,
     metric_radical,
+    nilinvariance,
     signature,
     witt_basis,
 )

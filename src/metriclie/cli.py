@@ -367,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--format", choices=("json", "text"), default="text", help="report style"
     )
-    parser.add_argument("--seed", type=int, default=None, help="seed for randomized paths")
+    parser.add_argument("--seed", type=int, default=None, help="seed of the randomized search (read by search only)")
     # the same flags are accepted after the subcommand; SUPPRESS keeps the
     # subparser from clobbering a value given before it
     common = argparse.ArgumentParser(add_help=False)

@@ -12,7 +12,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -20,6 +19,7 @@ from . import linalg as la
 from .core import (
     LieAlgebra,
     SubspaceBasis,
+    _ad_columns,
     ad,
     bracket_spans,
     centralizer,
@@ -212,13 +212,8 @@ class InvarianceReport:
 
 
 @dataclass(frozen=True)
-class NilInvarianceReport:
-    passed: bool
+class NilInvarianceReport(InvarianceReport):
     witness: tuple[Vec, Vec, Vec] | None
-    samples_checked: int
-
-    def __bool__(self) -> bool:
-        return self.passed
 
 
 def diagonalize_symmetric(b: SymBilinearForm) -> tuple[tuple[Vec, ...], tuple[Fraction, ...]]:
@@ -368,37 +363,65 @@ def _require_invariant(m: MetricLieAlgebra) -> None:
         raise PreconditionError(f"form is not invariant; witness triple {inv.witness}")
 
 
-def _random_rational_vec(rng: random.Random, n: int) -> Vec:
-    return tuple(
-        Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(n)
-    )
+def _first_non_skew_ad(alg: LieAlgebra, rows, form: SymBilinearForm) -> tuple[int, tuple[int, int]] | None:
+    """The first index k of the sparse integer rows x_k of ``rows`` for
+    which the form is not skew for ad(x_k), with the ``_skew_pairing``
+    witness (y, z) of the columns L [x_k, b_y]; None when it is skew for
+    every ad(x_k), hence for ad of their span."""
+    _, b_rows = form.int_rows
+    for k, x in enumerate(rows):
+        cols = [c.items() for c in _ad_columns(alg, dict(x))]
+        _, witness = _skew_pairing(cols, b_rows)
+        if witness is not None:
+            return k, witness
+    return None
 
 
-# the random rational y ``nilinvariance_probe`` tries beyond the basis
-NILINVARIANCE_SAMPLES = 25
+def nilinvariance(m: MetricLieAlgebra) -> NilInvarianceReport:
+    """Decide whether the form of a solvable metric algebra is
+    nil-invariant: skew for every element of u, the nilpotent elements
+    of the algebraic hull h of ad(g). On failure the witness is
+    (y, e_i, e_j) with <phi e_i, e_j> + <e_i, phi e_j> != 0 for
+    phi = (ad y)_n.
 
-
-def nilinvariance_probe(m: MetricLieAlgebra, seed: int = 0) -> NilInvarianceReport:
-    """Semi-decision for nil-invariance: checks the skewness identity for
-    the nilpotent Jordan parts of ad(y), for every basis y and for
-    ``NILINVARIANCE_SAMPLES`` random rational y. A failure is
-    conclusive; a pass is evidence only (the full condition quantifies
-    over a Zariski closure that is not finitely checkable from structure
-    constants).
+    u is spanned by ad([g, g]) and the (ad c)_n, c the unit vectors on
+    the free columns of the RREF of [g, g] (Chevalley; Borel, *Linear
+    Algebraic Groups*, §II.7):
+    - h is solvable and algebraic, so its nilpotent elements form an
+      ideal u, which holds every Jordan part (ad y)_n and
+      [h, h] = [ad(g), ad(g)] = ad([g, g]).
+    - The quotient map h -> h/[h, h] keeps Jordan parts. The quotient
+      is abelian and is the hull of the images of the ad(c) (ad([g, g])
+      maps to 0), so it is the sum of their hulls: its nilpotent
+      elements, the image of u, are spanned by the images of the
+      (ad c)_n.
+    - u contains the kernel ad([g, g]), so
+      u = ad([g, g]) + span{(ad c)_n}.
+    Skewness is linear in phi, so the two spanning families decide
+    exactly. For y in [g, g], ad(y) is already nilpotent, so
+    phi = ad(y): the rows of [g, g] are checked in integers on their
+    ``_ad_columns``, each (ad c)_n by ``jordan_chevalley`` and
+    ``_map_pairing``.
     """
     alg, form = m.algebra, m.form
-    n = alg.dim
-    rng = random.Random(seed)
-    candidates = list(la.identity(n))
-    candidates += [_random_rational_vec(rng, n) for _ in range(NILINVARIANCE_SAMPLES)]
-    checked = 0
-    for y in candidates:
-        phi_n = jordan_chevalley(ad(alg, y)).nilpotent.matrix
-        _, _, witness = _map_pairing(phi_n, form)
-        checked += 1
-        if witness is not None:
-            return NilInvarianceReport(False, (y, *(la.unit_vec(n, i) for i in witness)), checked)
-    return NilInvarianceReport(True, None, checked)
+    if alg.derived_series[-1].dim:
+        raise PreconditionError(
+            "nil-invariance is decided for solvable algebras only; "
+            "the algebraic hull of a Levi factor is out of scope"
+        )
+    derived = alg.derived
+    unit = la.identity(alg.dim)
+    found = _first_non_skew_ad(alg, derived.int_rows[1], form)
+    if found is not None:
+        k, (i, j) = found
+        return NilInvarianceReport(False, (derived.vectors[k], unit[i], unit[j]))
+    for c, y in enumerate(unit):
+        if c not in derived.int_span.pivots:
+            _, _, witness = _map_pairing(jordan_chevalley(ad(alg, y)).nilpotent.matrix, form)
+            if witness is not None:
+                i, j = witness
+                return NilInvarianceReport(False, (y, unit[i], unit[j]))
+    return NilInvarianceReport(True, None)
 
 
 def is_totally_isotropic(form: SymBilinearForm, sub: SubspaceBasis) -> tuple[bool, tuple[Vec, Vec] | None]:

@@ -16,13 +16,12 @@ from . import linalg as la
 from .core import (
     LieAlgebra,
     SubspaceBasis,
-    _ad_columns,
     bracket_spans,
     killing_form,
     span_of,
 )
 from .errors import CertificateError, PreconditionError
-from .forms import MetricLieAlgebra, SymBilinearForm, _skew_pairing, metric_radical, signature
+from .forms import MetricLieAlgebra, SymBilinearForm, _first_non_skew_ad, metric_radical, signature
 from .quadratic import irreducible_factors
 
 
@@ -200,16 +199,13 @@ def split_form_report(m: MetricLieAlgebra, split: SplitResult) -> SplitFormRepor
     k = split.compact_part
 
     # s-invariance: <[x,y], z> + <y, [x,z]> = 0 for x in s, decided on
-    # the columns L [x', b_y] of ad(x), for the integer rows x' of s
-    _, b_rows = form.int_rows
-    for x, xi in enumerate(s.int_rows[1]):
-        cols = [c.items() for c in _ad_columns(alg, dict(xi))]
-        _, witness = _skew_pairing(cols, b_rows)
-        if witness is not None:
-            i, j = witness
-            raise PreconditionError(
-                f"form not s-invariant; witness (x, e{i}, e{j}) with x = {la.vec_text(s.vectors[x])}"
-            )
+    # the integer rows of s
+    found = _first_non_skew_ad(alg, s.int_rows[1], form)
+    if found is not None:
+        x, (i, j) = found
+        raise PreconditionError(
+            f"form not s-invariant; witness (x, e{i}, e{j}) with x = {la.vec_text(s.vectors[x])}"
+        )
 
     k_perp_s = not any(map(any, form.int_gram(k.int_rows[1], s.int_rows[1])))
     radical = metric_radical(form)

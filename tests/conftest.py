@@ -5,11 +5,14 @@ Everything is seeded explicitly so failures reproduce.
 
 from __future__ import annotations
 
+import gzip
 import itertools
+import json
 import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -24,6 +27,7 @@ from metriclie.core import (
     jordan_chevalley,
     subspace_from_spanning,
 )
+from metriclie.documents import document_to_algebra, parse_document
 from metriclie.einstein import EigenvalueData
 from metriclie.forms import MetricLieAlgebra, SymBilinearForm
 from metriclie.obstruction import RelationBasis, obstruction_verdict
@@ -58,6 +62,24 @@ def random_solvable_metric(rng: random.Random, max_base_dim: int = 5, max_steps:
     base = random_abelian_base(rng, max_base_dim)
     steps = rng.randint(1, max_steps)
     return iterated_double_extension(rng, base, steps)
+
+
+POOL = Path(__file__).parents[1] / "perfbench" / "pool" / "reduce.json.gz"
+
+
+def pool_metrics(step=5):
+    """Every step-th reduce-pool document of each dimension, and example42."""
+    with gzip.open(POOL) as fh:
+        pool = json.load(fh)
+    by_dim = {}
+    for entry in pool:
+        by_dim.setdefault(entry["dim"], []).append(entry)
+    out = [build_example42()]
+    for _, entries in sorted(by_dim.items()):
+        for entry in entries[::step]:
+            alg, form, _ = document_to_algebra(parse_document(entry["doc"]))
+            out.append(MetricLieAlgebra(alg, form))
+    return out
 
 
 def random_vector(rng: random.Random, n: int, bound: int = 3) -> la.Vec:
@@ -1109,3 +1131,24 @@ def reference_reduction_line(alg):
     row of ``naive_center`` ∩ [g, g]."""
     den, rows = naive_center(alg).intersect(derived_subalgebra(alg)).int_rows
     return SubspaceBasis.from_rows(alg.dim, den, rows[:1])
+
+
+def reference_nilinvariance_probe(m, seed, samples):
+    """The random probe ``forms.nilinvariance`` replaced: skewness of the
+    form for the nilpotent Jordan part of ad(y), for every basis y and
+    ``samples`` random rational y. A failure is conclusive, a pass is
+    evidence only; the witness is (y, e_i, e_j) as ``nilinvariance``'s."""
+    alg, form = m.algebra, m.form
+    n = alg.dim
+    rng = random.Random(seed)
+    candidates = list(la.identity(n))
+    candidates += [
+        tuple(Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(n))
+        for _ in range(samples)
+    ]
+    for y in candidates:
+        phi_n = jordan_chevalley(ad(alg, y)).nilpotent.matrix
+        _, _, witness = forms._map_pairing(phi_n, form)
+        if witness is not None:
+            return forms.NilInvarianceReport(False, (y, *(la.unit_vec(n, i) for i in witness)))
+    return forms.NilInvarianceReport(True, None)

@@ -1,13 +1,18 @@
+import functools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from metriclie import linalg as la
-from metriclie.catalog import heis3, sl2
+from metriclie.catalog import direct_sum, heis3, sl2, su2
 from metriclie.core import (
     LieAlgebra,
+    ad,
     bracket_spans,
+    jordan_chevalley,
     killing_matrix,
     nilradical,
     subspace_from_spanning,
@@ -15,6 +20,7 @@ from metriclie.core import (
 from metriclie.errors import PreconditionError
 from metriclie.forms import (
     MetricLieAlgebra,
+    NilInvarianceReport,
     SymBilinearForm,
     _lift,
     central_isotropic_ideal,
@@ -24,20 +30,23 @@ from metriclie.forms import (
     isotropic_vector,
     j0_ideal,
     metric_radical,
-    nilinvariance_probe,
+    nilinvariance,
     orthogonal_complement,
     signature,
     witt_basis,
 )
-from metriclie.reduction import build_ab, build_example42
+from metriclie.reduction import build_ab, build_example42, random_double_extension
 
 from conftest import (
     apply_form,
     naive_center,
     naive_rank,
     naive_subalgebra_on,
+    pool_metrics,
     rand_fraction,
     random_solvable_metric,
+    reference_nilinvariance_probe,
+    reference_skew_residual,
     restrict_form,
 )
 
@@ -211,10 +220,114 @@ def test_isotropic_vector_definite_returns_none():
     assert isotropic_vector(m.form) is None
 
 
-def test_nilinvariance_probe_passes_on_invariant_form():
-    ex = build_example42()
-    rep = nilinvariance_probe(ex, seed=5)
-    assert rep.passed
+@functools.lru_cache(maxsize=1)
+def nilinvariance_cases():
+    """``pool_metrics()``, each algebra with its own form and two seeded
+    random symmetric forms."""
+    rng = random.Random(32)
+    out = []
+    for m in pool_metrics():
+        out.append(m)
+        out += [MetricLieAlgebra(m.algebra, SymBilinearForm(_rand_symmetric(rng, m.dim))) for _ in range(2)]
+    return out
+
+
+def _perturbed_on_a_complement(m):
+    """The form plus e_c e_c^T for the last free column c of [g, g]."""
+    pivots = m.algebra.derived.int_span.pivots
+    c = max(i for i in range(m.dim) if i not in pivots)
+    b = [list(r) for r in m.form.matrix]
+    b[c][c] += 1
+    return MetricLieAlgebra(m.algebra, SymBilinearForm(tuple(map(tuple, b))))
+
+
+def test_nilinvariance_agrees_with_the_random_probe():
+    cases = nilinvariance_cases()
+    verdicts = [nilinvariance(m).passed for m in cases]
+    # both verdicts occur, so the agreement is not trivial
+    assert 40 < sum(verdicts) < len(cases) - 40
+    for m, passed in zip(cases, verdicts):
+        assert reference_nilinvariance_probe(m, 7, 5).passed == passed
+
+
+def test_nilinvariance_witness_fails_skewness_for_the_nilpotent_part():
+    rng = random.Random(33)
+    # every third case is an algebra's own form
+    cases = list(nilinvariance_cases()) + [_perturbed_on_a_complement(m) for m in nilinvariance_cases()[::3]]
+    cases += [MetricLieAlgebra(heis3(), SymBilinearForm(_rand_symmetric(rng, 3))) for _ in range(5)]
+    failed = in_derived = 0
+    for m in cases:
+        rep = nilinvariance(m)
+        if rep.passed:
+            assert rep.witness is None
+            continue
+        failed += 1
+        y, ei, ej = rep.witness
+        i, j = ei.index(1), ej.index(1)
+        assert ei == la.unit_vec(m.dim, i) and ej == la.unit_vec(m.dim, j)
+        phi = jordan_chevalley(ad(m.algebra, y)).nilpotent.matrix
+        assert reference_skew_residual(phi, m.form.matrix)[i][j] != 0
+        if m.algebra.derived.contains(y):
+            in_derived += 1
+            assert phi == ad(m.algebra, y).matrix
+        else:
+            assert y == la.unit_vec(m.dim, y.index(1))
+    # failures of both steps: on [g, g] and on the generators outside it
+    assert 0 < in_derived < failed
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**32))
+def test_every_invariant_form_is_nilinvariant(seed):
+    rng = random.Random(seed)
+    n = rng.randint(1, 5)
+    m = build_ab(n, rng.randint(0, n))
+    for _ in range(rng.randint(1, 3)):
+        m = random_double_extension(rng, m)
+    assert is_invariant(m)
+    assert nilinvariance(m) == NilInvarianceReport(True, None)
+
+
+def test_example42_is_nilinvariant():
+    assert nilinvariance(build_example42()).passed
+
+
+def test_nilinvariance_is_invariance_on_nilpotent_algebras():
+    rng = random.Random(34)
+    algs = [(heis3(), None)] + [(m.algebra, m.form) for m in pool_metrics(step=1)]
+    seen = {True: 0, False: 0}
+    for alg, form in algs:
+        if not alg.series_report.is_nilpotent:
+            continue
+        n = alg.dim
+        forms = [SymBilinearForm(_rand_symmetric(rng, n)) for _ in range(3)]
+        # a random form zero on the pivot columns of [g, g]
+        rows = [list(r) for r in _rand_symmetric(rng, n)]
+        for c in alg.derived.int_span.pivots:
+            rows[c] = [0] * n
+            for r in rows:
+                r[c] = 0
+        forms.append(SymBilinearForm(tuple(map(tuple, rows))))
+        forms += [form] if form is not None else []
+        for form in forms:
+            m = MetricLieAlgebra(alg, form)
+            verdict = nilinvariance(m).passed
+            assert verdict == is_invariant(m).passed
+            seen[verdict] += 1
+    assert seen[True] and seen[False]
+
+
+@pytest.mark.parametrize(
+    "m", [sl2(), su2(), direct_sum(sl2(), build_ab(1, 0))], ids=["sl2", "su2", "sl2+ab1"]
+)
+def test_nilinvariance_rejects_non_solvable_algebras(m):
+    with pytest.raises(PreconditionError, match="Levi factor"):
+        nilinvariance(m)
+
+
+def test_zero_algebra_is_nilinvariant():
+    m = MetricLieAlgebra(LieAlgebra(0, ()), SymBilinearForm(()))
+    assert nilinvariance(m) == NilInvarianceReport(True, None)
 
 
 def test_isqrt_exact_large_squares():

@@ -8,11 +8,8 @@ reach the dense ``la.mat_vec``, and that ``nilradical`` no longer
 builds ``ad`` matrices.
 """
 
-import gzip
-import json
 import random
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
@@ -20,11 +17,9 @@ from metriclie import core
 from metriclie import linalg as la
 from metriclie.catalog import direct_sum, sl2, su2
 from metriclie.core import SubspaceBasis, nilradical, subspace_from_spanning
-from metriclie.documents import document_to_algebra, parse_document
 from metriclie.einstein import bounds_certificate
 from metriclie.errors import CertificateError
 from metriclie.forms import (
-    MetricLieAlgebra,
     SymBilinearForm,
     _pairing_duals,
     central_isotropic_ideal,
@@ -39,6 +34,7 @@ from conftest import (
     apply_form,
     draw_forms,
     naive_rank,
+    pool_metrics,
     rand_fraction,
     reference_bilinear,
     reference_change_basis,
@@ -48,24 +44,6 @@ from conftest import (
     reference_pairing_duals,
     restrict_form,
 )
-
-POOL = Path(__file__).parents[1] / "perfbench" / "pool" / "reduce.json.gz"
-
-
-def pool_metrics(step=5):
-    """Every step-th reduce-pool document of each dimension, and example42."""
-    with gzip.open(POOL) as fh:
-        pool = json.load(fh)
-    by_dim = {}
-    for entry in pool:
-        by_dim.setdefault(entry["dim"], []).append(entry)
-    out = [build_example42()]
-    for _, entries in sorted(by_dim.items()):
-        for entry in entries[::step]:
-            alg, form, _ = document_to_algebra(parse_document(entry["doc"]))
-            out.append(MetricLieAlgebra(alg, form))
-    return out
-
 
 def degenerate_forms():
     """Forms with a radical, the zero forms and the 0x0 form."""
