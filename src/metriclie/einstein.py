@@ -46,7 +46,7 @@ from .reduction import (
     DoubleExtensionSpec,
     build_ab,
     double_extend,
-    random_double_extension,
+    random_skew_derivation,
     random_skew_numerators,
 )
 
@@ -412,6 +412,11 @@ def _rotation_boost_columns(rotations: tuple[int, ...], boost: int) -> tuple[int
     return la.normalised(1, (*cols, ((m + 1, boost),), ((m, boost),)))
 
 
+def _trace_square(rows: list[list[int]]) -> int:
+    """tr(R^2) = sum_ij R_ij R_ji of a dense integer matrix, in int."""
+    return sum(x * rows[j][i] for i, row in enumerate(rows) for j, x in enumerate(row) if x)
+
+
 def _traceless_skew_map(rng: random.Random, form: SymBilinearForm) -> tuple | None:
     """The integer columns (D, cols) of the map ``random_skew_map(rng,
     form)`` draws if tr(delta^2) = 0, as ``la.normalised``, else None,
@@ -419,10 +424,10 @@ def _traceless_skew_map(rng: random.Random, form: SymBilinearForm) -> tuple | No
 
     For a one-step extension of an abelian base the Killing form
     vanishes iff tr(delta^2) = 0. With delta = R / D drawn in integers
-    by ``random_skew_numerators``, that is sum_ij R_ij R_ji = 0, in int.
+    by ``random_skew_numerators``, that is tr(R^2) = 0, in int.
     """
     den, rows = random_skew_numerators(rng, form)
-    if sum(x * rows[j][i] for i, row in enumerate(rows) for j, x in enumerate(row) if x):
+    if _trace_square(rows):
         return None
     return la.normalised(den, (tuple(enumerate(col)) for col in zip(*rows)))
 
@@ -453,16 +458,29 @@ def _record(m: MetricLieAlgebra, kind: str) -> tuple | None:
 
 
 @functools.lru_cache(maxsize=256)
-def _extension_record(n: int, s: int, delta: tuple, kind: str) -> tuple | None:
-    """``_record`` of the one-step double extension of ``build_ab(n, s)``
-    by the integer columns delta = (D, cols), given ``la.normalised``.
+def _extension_record(n: int, s: int, delta: tuple, kind: str | None) -> MetricLieAlgebra | tuple | None:
+    """The memo of one-step double extensions of ``build_ab(n, s)`` by
+    the integer columns delta = (D, cols), given ``la.normalised``: for
+    kind None the certified ``double_extend``, else the ``_record`` of
+    that extension under kind, an immutable tuple or None.
 
     Memoised on that exact integer input (``build_ab`` is memoised and
-    deterministic), so each distinct extension is built, certified and
-    recorded once per process; the record is immutable. The memo is
-    bounded, as ``build_ab``'s is. An exception is not cached.
+    deterministic), so each distinct extension is built and certified
+    once per process, and the data it keeps (its ``skew_derivations``,
+    its series) is shared by every sample and record that reaches it.
+    The extensions and their records share one memo, so clearing it
+    builds and certifies every extension again. The memo is bounded, as
+    ``build_ab``'s is. An exception is not cached.
     """
-    return _record(double_extend(DoubleExtensionSpec.from_columns(build_ab(n, s), (delta,))), kind)
+    if kind is None:
+        return double_extend(DoubleExtensionSpec.from_columns(build_ab(n, s), (delta,)))
+    return _record(_extension(n, s, delta), kind)
+
+
+def _extension(n: int, s: int, delta: tuple) -> MetricLieAlgebra:
+    """The certified one-step extension of ``build_ab(n, s)`` by delta,
+    from the memo ``_extension_record``."""
+    return _extension_record(n, s, delta, None)
 
 
 def sharpness_search(
@@ -488,14 +506,21 @@ def sharpness_search(
     come from the memoised ``build_ab``, so they and their cached data
     are shared across calls.
 
-    Every sample that is one extension of such a base, a random
-    one-step one or a rotation-boost one, is built, certified and
-    recorded by ``_extension_record``, memoised per process on its
-    exact integer input (n, s, ``la.normalised`` delta, kind) in a
-    ``functools.lru_cache`` of 256 entries: few inputs recur very
+    Every one-step double extension of such a base (a random one-step
+    sample, a rotation-boost one, the first step of a two-step one) is
+    built, certified and, for a one-step sample, recorded once per
+    process by the memo ``_extension_record``: few inputs recur very
     often, above all at d = 3, where the 1x1 skew map is always zero.
-    A hit is a fresh dict, so no caller can change the memo. Two-step
-    samples build fresh algebras and are not memoised.
+    A hit is a fresh dict, so no caller can change the memo.
+
+    A two-step sample draws delta_2 on the first step g_1 (the draw of
+    ``random_double_extension``) and builds g_2 = a_2 + g_1 + z_2 only
+    if tr(delta_2^2) = 0, in integers: z_2 is central, so kappa(z_2, .)
+    = 0, and with <a_2, z_2> = 1, Ric = lam <.,.> forces lam = 0 and
+    then kappa = 0. ad(a_2) is delta_2 on g_1 and zero on a_2 and z_2,
+    so kappa(a_2, a_2) = tr(delta_2^2), and a sample with tr(delta_2^2)
+    != 0 is no hit. A kept g_2 is built by ``double_extend`` with its
+    full certificates and recorded fresh.
     """
     dim_lo, dim_hi = dim_range
     idx_lo, idx_hi = index_range
@@ -539,8 +564,12 @@ def sharpness_search(
             if not choices:
                 continue
             s = rng.choice(choices)
-            g = random_double_extension(rng, build_ab(d - 4, s - 2))
-            g = random_double_extension(rng, g)
+            g = _extension(d - 4, s - 2, random_skew_derivation(rng, build_ab(d - 4, s - 2)))
+            delta = random_skew_derivation(rng, g)
+            # kappa(a2, a2) = tr(delta2^2) must vanish on a hit (see above)
+            if _trace_square(la.dense(delta[1], g.dim)):
+                continue
+            g = double_extend(DoubleExtensionSpec.from_columns(g, (delta,)))
             rec = _record(g, f"iterated-2 dim {d}")
         else:
             d = rng.randint(dim_lo, dim_hi)

@@ -528,14 +528,14 @@ def skew_derivation_space(base: MetricLieAlgebra) -> tuple[Mat, ...]:
     )
 
 
-def random_double_extension(rng: random.Random, base: MetricLieAlgebra) -> MetricLieAlgebra:
-    """One-dimensional double extension of the base by a random skew
-    derivation: the basis of ``skew_derivation_space`` combined, in one
-    pass, with coefficients drawn from [-2, 2] (the zero map if the base
-    admits no other). The basis, the base's kept ``skew_derivations``, is
-    read in integers over its common denominator L, and the sum of
-    c_i w_i goes to ``DoubleExtensionSpec.from_columns`` as the integer
-    columns of L delta."""
+def random_skew_derivation(rng: random.Random, base: MetricLieAlgebra) -> tuple[int, tuple]:
+    """The draw of ``random_double_extension``: the basis of
+    ``skew_derivation_space`` combined, in one pass, with coefficients
+    drawn from [-2, 2], one ``rng.randint`` per basis vector (the zero
+    map if the base admits no other). The basis, the base's kept
+    ``skew_derivations``, is read in integers over its common
+    denominator L, and the sum of c_i w_i, the columns of L delta, is
+    returned as ``la.normalised`` integer columns (D, cols)."""
     n = base.dim
     den, rows = base.skew_derivations.int_rows
     acc: dict[int, int] = {}
@@ -548,7 +548,13 @@ def random_double_extension(rng: random.Random, base: MetricLieAlgebra) -> Metri
     for col in sorted(acc):
         p, q = divmod(col, n)
         cols[q].append((p, acc[col]))
-    return double_extend(DoubleExtensionSpec.from_columns(base, [(den, cols)]))
+    return la.normalised(den, cols)
+
+
+def random_double_extension(rng: random.Random, base: MetricLieAlgebra) -> MetricLieAlgebra:
+    """One-dimensional double extension of the base by a random skew
+    derivation: ``double_extend`` of the draw ``random_skew_derivation``."""
+    return double_extend(DoubleExtensionSpec.from_columns(base, [random_skew_derivation(rng, base)]))
 
 
 def iterated_double_extension(

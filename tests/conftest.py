@@ -1152,3 +1152,65 @@ def reference_nilinvariance_probe(m, seed, samples):
         if witness is not None:
             return forms.NilInvarianceReport(False, (y, *(la.unit_vec(n, i) for i in witness)))
     return forms.NilInvarianceReport(True, None)
+
+
+def _reference_rotation_boost(rotations, boost):
+    """blockdiag(rot b for b in rotations, [[0, boost], [boost, 0]]) as
+    a Fraction matrix: skew for diag(1, ..., 1, -1)."""
+    n = 2 * len(rotations) + 2
+    m = [[la.ZERO] * n for _ in range(n)]
+    for i, b in enumerate(rotations):
+        m[2 * i][2 * i + 1], m[2 * i + 1][2 * i] = Fraction(-b), Fraction(b)
+    m[n - 2][n - 1] = m[n - 1][n - 2] = Fraction(boost)
+    return tuple(map(tuple, m))
+
+
+def reference_sharpness_search(dim_range, index_range, budget, seed=0):
+    """``sharpness_search``'s loop as it was before two-step samples were
+    filtered on tr(delta_2^2) and first steps memoised: every sample is
+    drawn as a Fraction map (``reference_random_skew_map``) or through
+    ``random_double_extension``, built fresh by ``build_ko1`` or
+    ``random_double_extension`` and recorded by ``_record``, with no memo
+    and no filter but the one-step trace test on the Fraction map."""
+    from metriclie.einstein import SearchResult, _record
+    from metriclie.reduction import build_ko1
+
+    dim_lo, dim_hi = dim_range
+    idx_lo, idx_hi = index_range
+    rng = random.Random(seed)
+    hits = []
+    for step in range(budget):
+        roll = rng.random()
+        rec = None
+        if dim_lo <= 6 <= dim_hi and idx_lo <= 2 <= idx_hi and roll < 0.003:
+            b = rng.randint(1, 9)
+            rec = _record(build_ko1(6, 2, _reference_rotation_boost((b,), b)), "rotation-boost dim 6")
+        elif dim_lo <= 8 <= dim_hi and idx_lo <= 2 <= idx_hi and roll < 0.005:
+            k = rng.randint(1, 3)
+            delta = _reference_rotation_boost((3 * k, 4 * k), 5 * k)
+            rec = _record(build_ko1(8, 2, delta), "rotation-boost dim 8")
+        elif roll < 0.035:
+            d = rng.randint(max(dim_lo, 5), dim_hi) if dim_hi >= 5 else 0
+            one_step = [s for s in range(1, d) if idx_lo <= min(d - s, s) <= idx_hi]
+            choices = [s for s in one_step if 2 <= s <= d - 3] if d else []
+            if not choices:
+                continue
+            s = rng.choice(choices)
+            g = random_double_extension(rng, build_ab(d - 4, s - 2))
+            g = random_double_extension(rng, g)
+            rec = _record(g, f"iterated-2 dim {d}")
+        else:
+            d = rng.randint(dim_lo, dim_hi)
+            choices = [s for s in range(1, d) if idx_lo <= min(d - s, s) <= idx_hi]
+            if not choices:
+                continue
+            s = rng.choice(choices)
+            delta = reference_random_skew_map(rng, build_ab(d - 2, s - 1).form)
+            if la.trace_product(delta, delta):
+                continue
+            rec = _record(build_ko1(d, s, delta), f"random one-step dim {d} minus {s}")
+        if rec is not None:
+            hit = dict(rec, sample=step)
+            hit["signature"] = list(hit["signature"])
+            hits.append(hit)
+    return SearchResult(budget, tuple(hits))

@@ -10,11 +10,12 @@ import sympy as sp
 
 from metriclie import linalg as la
 from metriclie.catalog import sl2
-from metriclie.core import LieAlgebra, ad, killing_matrix
+from metriclie.core import LieAlgebra, ad, killing_matrix, killing_sums
 import metriclie.einstein
 from metriclie.einstein import (
     EigenvalueData,
     _extension_record,
+    _trace_square,
     _traceless_skew_map,
     _trace_square_from_charpoly,
     TorusLeaf,
@@ -31,7 +32,13 @@ from metriclie.einstein import (
 from metriclie.errors import CertificateError, PreconditionError
 from metriclie.forms import MetricLieAlgebra, SymBilinearForm, _map_pairing
 from metriclie.quadratic import Quadratic, quadratic_roots
-from metriclie.reduction import build_ab, build_example42, build_ko1
+from metriclie.reduction import (
+    build_ab,
+    build_example42,
+    build_ko1,
+    random_double_extension,
+    random_skew_derivation,
+)
 
 from conftest import (
     draw_forms,
@@ -43,6 +50,7 @@ from conftest import (
     random_solvable_metric,
     random_vector,
     reference_random_skew_map,
+    reference_sharpness_search,
 )
 
 
@@ -376,31 +384,60 @@ def test_search_propagates_certificate_failures(monkeypatch):
 
 def test_search_builds_each_extension_once(monkeypatch):
     """From a cleared memo, over the search workload's arguments, each
-    distinct one-extension input (base, delta, kind) reaches
-    ``double_extend`` and ``_record`` exactly once, while most samples
-    repeat one; and a caller mutating its hits leaves a rerun's equal."""
+    distinct one-step input (base, delta) reaches ``double_extend`` once
+    and each (extension, kind) ``_record`` once, while most samples
+    repeat one; a two-step g_2 reaches ``double_extend`` only when
+    tr(delta_2^2) = 0, and most two-step samples do not reach it; a
+    caller mutating its hits leaves a rerun's equal, and so does a rerun
+    from a cleared memo."""
     extend, record = metriclie.einstein.double_extend, metriclie.einstein._record
-    extended, keys = [], Counter()
+    draw = metriclie.einstein.random_skew_derivation
+    one_step, second_steps, records = Counter(), [], Counter()
+    second_draws = []
 
     def counted_extend(spec):
-        extended.append((spec.base.dim, spec.base.form.int_rows, spec.int_deltas))
+        if "a0" in spec.base.algebra.basis_names:
+            # a g_2: its base is a one-step extension, the a0 + base + z0 of double_extend
+            second_steps.append(la.trace_product(spec.deltas[0], spec.deltas[0]))
+        else:
+            one_step[spec.base.dim, spec.base.form.int_rows, spec.int_deltas] += 1
         return extend(spec)
 
     def counted_record(m, kind):
         if not kind.startswith("iterated-2"):
-            keys[extended[-1], kind] += 1
+            records[id(m), kind] += 1
         return record(m, kind)
+
+    def counted_draw(rng, base):
+        out = draw(rng, base)
+        if "a0" in base.algebra.basis_names:
+            second_draws.append(out)
+        return out
+
+    def counted_lookup(n, s, delta, kind):
+        lookups[kind is None] += 1
+        return _extension_record(n, s, delta, kind)
 
     def run():
         return [sharpness_search((3, 8), (1, 2), 20, seed).hits for seed in range(1, 31)]
 
+    lookups = Counter()
     _extension_record.cache_clear()
     monkeypatch.setattr(metriclie.einstein, "double_extend", counted_extend)
     monkeypatch.setattr(metriclie.einstein, "_record", counted_record)
+    monkeypatch.setattr(metriclie.einstein, "random_skew_derivation", counted_draw)
+    monkeypatch.setattr(metriclie.einstein, "_extension_record", counted_lookup)
     first = run()
     info = _extension_record.cache_info()
-    assert len(extended) == sum(keys.values()) == len(keys) == info.misses == info.currsize
-    assert info.hits > 10 * info.misses
+    assert set(one_step.values()) == set(records.values()) == {1}
+    assert len(one_step) + len(records) == info.misses == info.currsize
+    # one-step samples repeat their record's input, two-step ones their first step
+    assert lookups[False] > 10 * len(records) and lookups[True] > len(one_step)
+    # every built g_2 passed the filter; most two-step draws did not
+    assert second_steps and set(second_steps) == {0}
+    assert 4 * len(second_steps) < len(second_draws)
+    zero_draws = [cols for _, cols in second_draws if not _trace_square(la.dense(cols, len(cols)))]
+    assert len(zero_draws) == len(second_steps)
     expected = copy.deepcopy(first)
     for hits in first:
         for hit in hits:
@@ -408,6 +445,49 @@ def test_search_builds_each_extension_once(monkeypatch):
             hit["signature"].append(0)
     assert run() == expected
     assert _extension_record.cache_info().misses == info.misses
+    built = len(one_step)
+    _extension_record.cache_clear()
+    assert run() == expected
+    assert sum(one_step.values()) == 2 * built and set(one_step.values()) == {2}
+
+
+def test_search_matches_the_unfiltered_unmemoised_loop():
+    """``sharpness_search`` against ``reference_sharpness_search``, its
+    loop before the two-step filter and the memo, on seeds 0..400; the
+    range holds two-step hits, non-nilpotent ones among them."""
+    kinds = Counter()
+    for seed in range(401):
+        got = sharpness_search((3, 8), (1, 2), 20, seed)
+        assert got == reference_sharpness_search((3, 8), (1, 2), 20, seed), seed
+        kinds.update((h["spec"].split(" dim")[0], h["nilpotent"]) for h in got.hits)
+    assert kinds["iterated-2", True] >= 5 and kinds["iterated-2", False] >= 1
+
+
+def test_two_step_killing_form_at_a2_is_the_trace_square():
+    """On seeded two-step extensions g_2 = a_2 + g_1 + z_2 of abelian
+    bases, kappa(a_2, a_2) read off ``killing_sums`` equals tr(delta_2^2)
+    of the draw ``random_skew_derivation`` that ``random_double_extension``
+    builds, and every Einstein g_2 has tr(delta_2^2) = 0: the lemma
+    behind the search's two-step filter."""
+    einstein = nonzero = 0
+    for seed in range(400):
+        rng = random.Random(seed)
+        n = rng.randint(1, 4)
+        base = build_ab(n, rng.randint(0, n))
+        g1 = random_double_extension(rng, base)
+        state = rng.getstate()
+        den, cols = random_skew_derivation(rng, g1)
+        rng.setstate(state)
+        g2 = random_double_extension(rng, g1)
+        delta = la.mat_over(la.transpose(la.dense(cols, g1.dim)), den)
+        trace = la.trace_product(delta, delta)
+        den2, k = killing_sums(g2.algebra)
+        assert Fraction(k[0][0], den2) == trace, seed
+        nonzero += trace != 0
+        if einstein_check(g2):
+            einstein += 1
+            assert trace == 0, seed
+    assert einstein >= 5 and nonzero > 200
 
 
 def _factored_trace_square(a):
