@@ -1,7 +1,7 @@
 """Exact computations with finite-dimensional metric Lie algebras.
 
 Everything runs over the rationals (and number fields where spectra
-demand it): structure validation, derived/lower-central series,
+demand it): structure validation, the derived series, the
 nilradical, Killing form, Jordan decompositions, reduction by isotropic
 central ideals and its inverse double extension, Einstein checks for
 bi-invariant metrics, eigenvalue-based lattice obstructions, and the

@@ -259,6 +259,12 @@ class LieAlgebra:
         return series(self)
 
     @functools.cached_property
+    def nilradical(self) -> SubspaceBasis:
+        """``_nilradical(self)``, solved and certified on first read and
+        kept; a non-solvable g raises ``PreconditionError`` on every read."""
+        return _nilradical(self)
+
+    @functools.cached_property
     def derived(self) -> SubspaceBasis:
         """[g, g], built once per algebra: ``series`` and every reader of
         [g, g] share it."""
@@ -268,7 +274,7 @@ class LieAlgebra:
     def derived_series(self) -> tuple[SubspaceBasis, ...]:
         """g, [g, g], ... up to the first term its successor equals; g is
         solvable exactly when the last term is 0. Kept, and read by
-        ``series``, so solvability costs no lower central series."""
+        ``series`` and the nilradical."""
         terms = [self.full_space()]
         nxt = self.derived
         while nxt.dim < terms[-1].dim:
@@ -486,33 +492,36 @@ def _rebased(alg: LieAlgebra, den: int, cols, names: Sequence[str]) -> LieAlgebr
 @dataclass(frozen=True)
 class SeriesReport:
     derived_series: tuple[SubspaceBasis, ...]
-    lower_central_series: tuple[SubspaceBasis, ...]
     is_solvable: bool
     is_nilpotent: bool
     is_abelian: bool
 
     @property
     def derived(self) -> SubspaceBasis:
-        """[g, g]; both series stop at g itself when g = [g, g]."""
+        """[g, g]; the series stops at g itself when g = [g, g]."""
         return self.derived_series[min(1, len(self.derived_series) - 1)]
 
 
 def series(alg: LieAlgebra) -> SeriesReport:
-    """Derived and lower central series. Callers read the report kept
-    on the algebra, ``alg.series_report``, which calls this once; the
-    derived series and [g, g], which opens both, are the algebra's
-    own."""
-    full = alg.full_space()
-    derived = alg.derived_series
-    lower = [full]
-    nxt = alg.derived
-    while nxt.dim < lower[-1].dim:
-        lower.append(nxt)
-        nxt = bracket_spans(alg, full, nxt)
+    """The derived series and the solvable, nilpotent and abelian
+    verdicts. Callers read the report kept on the algebra,
+    ``alg.series_report``, which calls this once; the derived series and
+    the nilradical are the algebra's own.
 
+    g is nilpotent exactly when it is solvable and its nilradical is g,
+    and both verdicts are certified by the nilradical's solve:
+    - nilpotent: the nilradical K = g was certified by its lower central
+      series [K, C^k], which is g's, reaching 0;
+    - not nilpotent (and solvable): K is smaller than g, so some trace
+      row is non-zero, and as the rows vanish on [g, g], some generator
+      c outside [g, g] has tr(ad(c) Y^k) != 0. That cannot happen when
+      every ad(x) is nilpotent: Engel's theorem then makes ad(g) strictly
+      triangular in one basis, and with it every ad(c) Y^k.
+    """
+    derived = alg.derived_series
     is_solvable = derived[-1].dim == 0
-    is_nilpotent = lower[-1].dim == 0
-    return SeriesReport(derived, tuple(lower), is_solvable, is_nilpotent, alg.is_abelian)
+    is_nilpotent = is_solvable and alg.nilradical.dim == alg.dim
+    return SeriesReport(derived, is_solvable, is_nilpotent, alg.is_abelian)
 
 
 def killing_sums(alg: LieAlgebra) -> tuple[int, list[list[int]]]:
@@ -618,7 +627,18 @@ def _power_trace_rows(
 
 
 def nilradical(alg: LieAlgebra, hint: SubspaceBasis | None = None) -> SubspaceBasis:
-    """Largest nilpotent ideal of a solvable Lie algebra.
+    """Largest nilpotent ideal of a solvable Lie algebra: the kept
+    ``alg.nilradical``, which must span the same space as the hint if
+    one is given."""
+    result = alg.nilradical
+    if hint is not None and not hint.same_span(result):
+        raise PreconditionError("supplied nilradical hint does not span the nilradical")
+    return result
+
+
+def _nilradical(alg: LieAlgebra) -> SubspaceBasis:
+    """The nilradical n of a solvable g, solved from trace rows and
+    certified; read it as ``alg.nilradical``.
 
     For solvable g over Q the nilradical n is {x : ad(x) nilpotent}: the
     common kernel of the weights lambda_1..lambda_dim of ad, which vanish
@@ -656,40 +676,33 @@ def nilradical(alg: LieAlgebra, hint: SubspaceBasis | None = None) -> SubspaceBa
     reaches 0 on ``bracket_spans``, so it is a nilpotent ideal, K lies
     in n, and K = n. A t that is not generic gives a K larger than n,
     which is not nilpotent, and the next t is tried; if every t up to
-    the bound fails, the certificate fails.
-    A nilpotent g is certified by its own series.
+    the bound fails, the certificate fails. For nilpotent g every trace
+    row vanishes (Engel: ad(g) is strictly triangular in one basis), so
+    K = g at t = 1, certified by g's own lower central series.
     """
-    rep = alg.series_report
-    if not rep.is_solvable:
+    if alg.derived_series[-1].dim:
         raise PreconditionError("nilradical requires a solvable Lie algebra")
     n = alg.dim
-    if rep.is_nilpotent:
-        result = alg.full_space()
-    else:
-        pivots = rep.derived.int_span.pivots
-        gens = {c: ad_c for c, ad_c in enumerate(alg.int_ad) if c not in pivots}
-        for t in range(1, (len(gens) - 1) * n * (n + 1) // 2 + 2):
-            # L ad(y_t) = sum_j t^j L ad(b_c) over the free columns c
-            y: list[dict[int, int]] = [{} for _ in range(n)]
-            for j, ad_c in enumerate(gens.values()):
-                for p, row in enumerate(ad_c):
-                    for q, x in row.items():
-                        y[p][q] = y[p].get(q, 0) + t**j * x
-            rows = _power_trace_rows(gens, y)
-            for row in rows:
-                for p, r in pivots.items():
-                    row[p] = -sum(x * row[f] for f, x in r.items() if f != p) // r[p]
-            result = SubspaceBasis.kernel(n, rows)
-            if not result.contains_subspace(rep.derived):
-                raise CertificateError("nilradical candidate does not contain [g, g]")
-            term = result
-            while term.dim and (nxt := bracket_spans(alg, result, term)).dim < term.dim:
-                term = nxt
-            if not term.dim:
-                break
-        else:
-            raise CertificateError("nilradical candidate is not a nilpotent ideal")
-
-    if hint is not None and not hint.same_span(result):
-        raise PreconditionError("supplied nilradical hint does not span the nilradical")
-    return result
+    derived = alg.derived
+    pivots = derived.int_span.pivots
+    gens = {c: ad_c for c, ad_c in enumerate(alg.int_ad) if c not in pivots}
+    for t in range(1, (len(gens) - 1) * n * (n + 1) // 2 + 2):
+        # L ad(y_t) = sum_j t^j L ad(b_c) over the free columns c
+        y: list[dict[int, int]] = [{} for _ in range(n)]
+        for j, ad_c in enumerate(gens.values()):
+            for p, row in enumerate(ad_c):
+                for q, x in row.items():
+                    y[p][q] = y[p].get(q, 0) + t**j * x
+        rows = _power_trace_rows(gens, y)
+        for row in rows:
+            for p, r in pivots.items():
+                row[p] = -sum(x * row[f] for f, x in r.items() if f != p) // r[p]
+        result = SubspaceBasis.kernel(n, rows)
+        if not result.contains_subspace(derived):
+            raise CertificateError("nilradical candidate does not contain [g, g]")
+        term = result
+        while term.dim and (nxt := bracket_spans(alg, result, term)).dim < term.dim:
+            term = nxt
+        if not term.dim:
+            return result
+    raise CertificateError("nilradical candidate is not a nilpotent ideal")

@@ -412,11 +412,6 @@ def _rotation_boost_columns(rotations: tuple[int, ...], boost: int) -> tuple[int
     return la.normalised(1, (*cols, ((m + 1, boost),), ((m, boost),)))
 
 
-def _trace_square(rows: list[list[int]]) -> int:
-    """tr(R^2) = sum_ij R_ij R_ji of a dense integer matrix, in int."""
-    return sum(x * rows[j][i] for i, row in enumerate(rows) for j, x in enumerate(row) if x)
-
-
 def _traceless_skew_map(rng: random.Random, form: SymBilinearForm) -> tuple | None:
     """The integer columns (D, cols) of the map ``random_skew_map(rng,
     form)`` draws if tr(delta^2) = 0, as ``la.normalised``, else None,
@@ -427,7 +422,7 @@ def _traceless_skew_map(rng: random.Random, form: SymBilinearForm) -> tuple | No
     by ``random_skew_numerators``, that is tr(R^2) = 0, in int.
     """
     den, rows = random_skew_numerators(rng, form)
-    if _trace_square(rows):
+    if la.trace_product(rows, rows):
         return None
     return la.normalised(den, (tuple(enumerate(col)) for col in zip(*rows)))
 
@@ -442,14 +437,12 @@ def _record(m: MetricLieAlgebra, kind: str) -> tuple | None:
     if not s.is_solvable:
         return None
     sig = signature(m.form)
-    # a nilpotent algebra is its own nilradical; skip the general search
-    nildim = m.dim if s.is_nilpotent else nilradical(m.algebra).dim
     return (
         ("spec", kind),
         ("dim", m.dim),
         ("index", min(sig.p, sig.q)),
         ("signature", (sig.p, sig.q, sig.r)),
-        ("dim_nilradical", nildim),
+        ("dim_nilradical", nilradical(m.algebra).dim),
         ("einstein", True),
         ("einstein_constant", str(rep.constant)),
         ("nilpotent", s.is_nilpotent),
@@ -458,29 +451,25 @@ def _record(m: MetricLieAlgebra, kind: str) -> tuple | None:
 
 
 @functools.lru_cache(maxsize=256)
-def _extension_record(n: int, s: int, delta: tuple, kind: str | None) -> MetricLieAlgebra | tuple | None:
-    """The memo of one-step double extensions of ``build_ab(n, s)`` by
-    the integer columns delta = (D, cols), given ``la.normalised``: for
-    kind None the certified ``double_extend``, else the ``_record`` of
-    that extension under kind, an immutable tuple or None.
+def _extension(n: int, s: int, delta: tuple) -> MetricLieAlgebra:
+    """The certified one-step ``double_extend`` of ``build_ab(n, s)`` by
+    the integer columns delta = (D, cols), given ``la.normalised``.
 
     Memoised on that exact integer input (``build_ab`` is memoised and
     deterministic), so each distinct extension is built and certified
     once per process, and the data it keeps (its ``skew_derivations``,
-    its series) is shared by every sample and record that reaches it.
-    The extensions and their records share one memo, so clearing it
-    builds and certifies every extension again. The memo is bounded, as
-    ``build_ab``'s is. An exception is not cached.
+    its series, its nilradical) is shared by every sample and record
+    that reaches it. The memo is bounded, as ``build_ab``'s is. An
+    exception is not cached.
     """
-    if kind is None:
-        return double_extend(DoubleExtensionSpec.from_columns(build_ab(n, s), (delta,)))
+    return double_extend(DoubleExtensionSpec.from_columns(build_ab(n, s), (delta,)))
+
+
+@functools.lru_cache(maxsize=256)
+def _extension_record(n: int, s: int, delta: tuple, kind: str) -> tuple | None:
+    """The ``_record`` of ``_extension(n, s, delta)`` under kind, an
+    immutable tuple or None, memoised as the extension is."""
     return _record(_extension(n, s, delta), kind)
-
-
-def _extension(n: int, s: int, delta: tuple) -> MetricLieAlgebra:
-    """The certified one-step extension of ``build_ab(n, s)`` by delta,
-    from the memo ``_extension_record``."""
-    return _extension_record(n, s, delta, None)
 
 
 def sharpness_search(
@@ -508,9 +497,10 @@ def sharpness_search(
 
     Every one-step double extension of such a base (a random one-step
     sample, a rotation-boost one, the first step of a two-step one) is
-    built, certified and, for a one-step sample, recorded once per
-    process by the memo ``_extension_record``: few inputs recur very
-    often, above all at d = 3, where the 1x1 skew map is always zero.
+    built and certified once per process by the memo ``_extension``,
+    and a one-step sample is recorded once by ``_extension_record``:
+    few inputs recur very often, above all at d = 3, where the 1x1 skew
+    map is always zero.
     A hit is a fresh dict, so no caller can change the memo.
 
     A two-step sample draws delta_2 on the first step g_1 (the draw of
@@ -567,7 +557,8 @@ def sharpness_search(
             g = _extension(d - 4, s - 2, random_skew_derivation(rng, build_ab(d - 4, s - 2)))
             delta = random_skew_derivation(rng, g)
             # kappa(a2, a2) = tr(delta2^2) must vanish on a hit (see above)
-            if _trace_square(la.dense(delta[1], g.dim)):
+            r = la.dense(delta[1], g.dim)
+            if la.trace_product(r, r):
                 continue
             g = double_extend(DoubleExtensionSpec.from_columns(g, (delta,)))
             rec = _record(g, f"iterated-2 dim {d}")

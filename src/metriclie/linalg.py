@@ -190,11 +190,12 @@ def is_nilpotent(a: Mat) -> bool:
     return is_zero_mat(power)
 
 
-def trace_product(a: Mat, b: Mat) -> Fraction:
-    """tr(a b) = sum_ij a_ij b_ji, without forming the product."""
+def trace_product(a: Mat, b: Mat) -> Fraction | int:
+    """tr(a b) = sum_ij a_ij b_ji, without forming the product; summed
+    from the int 0, so integer matrices give an ``int``."""
     if ncols(a) != nrows(b) or nrows(a) != ncols(b):
         raise ValueError("dimension mismatch in trace of a product")
-    total = ZERO
+    total = 0
     for i, row in enumerate(a):
         for j, x in enumerate(row):
             if x:

@@ -12,7 +12,6 @@ tagged accordingly.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -564,6 +563,8 @@ class ProbeReport:
     precision_bits: int
 
 
+# absolute bits after the binary point of every probe enclosure
+PRECISION_BITS = 256
 # bits the fixed-point arithmetic carries beyond precision_bits
 GUARD_BITS = 32
 # an upper bound for log2(e) = 1.44269...
@@ -574,16 +575,6 @@ _LOG2_E = Fraction(14427, 10000)
 _Fixed = tuple[int, int, int]
 
 
-def default_precision() -> int:
-    raw = os.environ.get("METRIC_LIE_PRECISION", "256")
-    try:
-        return max(int(raw), 16)
-    except ValueError:
-        raise PreconditionError(
-            f"METRIC_LIE_PRECISION must be an integer number of bits, got {raw!r}"
-        ) from None
-
-
 def integer_exponential_probe(m: MetricLieAlgebra, element: Vec, t_grid: Sequence[Fraction]) -> ProbeReport:
     """For each t in the grid, enclose the coefficients of the
     characteristic polynomial of exp(t ad(a)) and report whether all of
@@ -592,10 +583,9 @@ def integer_exponential_probe(m: MetricLieAlgebra, element: Vec, t_grid: Sequenc
     This is a sanity probe: "not excluded" never asserts integrality, it
     only means the enclosures left room for it.
 
-    The precision p of ``default_precision()`` (``METRIC_LIE_PRECISION``)
-    counts absolute bits after the binary point: the
-    eigenvalue boxes are ``AlgebraicNumber.box(2^-p)``, and the
-    arithmetic is fixed point at g0 = p + ``GUARD_BITS`` bits up to the
+    The precision p = ``PRECISION_BITS`` counts absolute bits after the
+    binary point: the eigenvalue boxes are ``AlgebraicNumber.box(2^-p)``,
+    and the arithmetic is fixed point at g0 = p + ``GUARD_BITS`` bits up to the
     series of step 2, and at g = g0 + E bits from there, where 2^-E
     bounds from below the product of the exponentials of negative real
     part, so that such a product is still resolved. A ``_Fixed``
@@ -646,7 +636,6 @@ def integer_exponential_probe(m: MetricLieAlgebra, element: Vec, t_grid: Sequenc
        both are decided on the integers. Integrality is excluded when a
        coefficient's box holds no integer.
     """
-    precision_bits = default_precision()
     eigs = exact_eigenvalues(ad(m.algebra, element))
     unipotent = all(e.is_zero for e in eigs)
     boxes = None
@@ -659,12 +648,12 @@ def integer_exponential_probe(m: MetricLieAlgebra, element: Vec, t_grid: Sequenc
         if boxes is None:
             # boxes as narrow as the precision, so that a wide box never
             # keeps the probe from excluding integrality
-            width = Fraction(1, 2**precision_bits)
+            width = Fraction(1, 2**PRECISION_BITS)
             boxes = [e.box(width) for e in eigs]
-        g, coeffs = _exp_charpoly(boxes, t, precision_bits)
+        g, coeffs = _exp_charpoly(boxes, t, PRECISION_BITS)
         excluded = not all(_may_be_integer(c, g) for c in coeffs)
         points.append(ProbePoint(t, False, excluded))
-    return ProbeReport(tuple(points), precision_bits)
+    return ProbeReport(tuple(points), PRECISION_BITS)
 
 
 def _exp_charpoly(boxes: Sequence[Box], t: Fraction, precision_bits: int) -> tuple[int, list[_Fixed]]:

@@ -323,16 +323,6 @@ def test_probe_command(capsys):
     assert r["points"][0]["trivially_integral"]
 
 
-def test_probe_non_integer_precision_exits_2(capsys, monkeypatch):
-    monkeypatch.setenv("METRIC_LIE_PRECISION", "abc")
-    code, out, err = run(
-        capsys, "probe", "example42", "--element", "a", "--times", "0,1"
-    )
-    assert code == 2
-    assert out == ""
-    assert "METRIC_LIE_PRECISION" in err and "'abc'" in err
-
-
 @pytest.mark.parametrize("times", ["1/0", "abc", ""])
 def test_probe_malformed_times_exits_2(capsys, times):
     code, out, err = run(

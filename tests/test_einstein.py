@@ -14,8 +14,8 @@ from metriclie.core import LieAlgebra, ad, killing_matrix, killing_sums
 import metriclie.einstein
 from metriclie.einstein import (
     EigenvalueData,
+    _extension,
     _extension_record,
-    _trace_square,
     _traceless_skew_map,
     _trace_square_from_charpoly,
     TorusLeaf,
@@ -365,7 +365,7 @@ def test_search_outputs_are_pinned():
 def test_search_propagates_certificate_failures(monkeypatch):
     """Every sample is Lie and invariant by construction, so a failed
     certificate is a bug and must not be dropped as a non-hit. The memo
-    caches no exception, so from a cleared memo a one-step-only search
+    caches no exception, so from cleared memos a one-step-only search
     (dimensions 3-4 draw no two-step or rotation-boost sample) raises
     too."""
     import metriclie.reduction
@@ -377,6 +377,7 @@ def test_search_propagates_certificate_failures(monkeypatch):
     assert sharpness_search((3, 8), (1, 2), 200, seed=7).examined == 200
     monkeypatch.setattr(metriclie.reduction, "validate_structure", broken)
     for dims, index, budget in (((3, 8), (1, 2), 200), ((3, 4), (1, 1), 50)):
+        _extension.cache_clear()
         _extension_record.cache_clear()
         with pytest.raises(CertificateError, match="Jacobi"):
             sharpness_search(dims, index, budget, seed=7)
@@ -414,29 +415,26 @@ def test_search_builds_each_extension_once(monkeypatch):
             second_draws.append(out)
         return out
 
-    def counted_lookup(n, s, delta, kind):
-        lookups[kind is None] += 1
-        return _extension_record(n, s, delta, kind)
-
     def run():
         return [sharpness_search((3, 8), (1, 2), 20, seed).hits for seed in range(1, 31)]
 
-    lookups = Counter()
+    _extension.cache_clear()
     _extension_record.cache_clear()
     monkeypatch.setattr(metriclie.einstein, "double_extend", counted_extend)
     monkeypatch.setattr(metriclie.einstein, "_record", counted_record)
     monkeypatch.setattr(metriclie.einstein, "random_skew_derivation", counted_draw)
-    monkeypatch.setattr(metriclie.einstein, "_extension_record", counted_lookup)
     first = run()
-    info = _extension_record.cache_info()
+    ext, rec = _extension.cache_info(), _extension_record.cache_info()
     assert set(one_step.values()) == set(records.values()) == {1}
-    assert len(one_step) + len(records) == info.misses == info.currsize
+    assert len(one_step) == ext.misses == ext.currsize
+    assert len(records) == rec.misses == rec.currsize
     # one-step samples repeat their record's input, two-step ones their first step
-    assert lookups[False] > 11 * len(records) and lookups[True] > len(one_step)
+    assert rec.hits > 10 * rec.misses and ext.hits > 0
     # every built g_2 passed the filter; most two-step draws did not
     assert second_steps and set(second_steps) == {0}
     assert 4 * len(second_steps) < len(second_draws)
-    zero_draws = [cols for _, cols in second_draws if not _trace_square(la.dense(cols, len(cols)))]
+    dense_draws = [la.dense(cols, len(cols)) for _, cols in second_draws]
+    zero_draws = [r for r in dense_draws if not la.trace_product(r, r)]
     assert len(zero_draws) == len(second_steps)
     expected = copy.deepcopy(first)
     for hits in first:
@@ -444,8 +442,10 @@ def test_search_builds_each_extension_once(monkeypatch):
             hit["dim"] = -1
             hit["signature"].append(0)
     assert run() == expected
-    assert _extension_record.cache_info().misses == info.misses
+    assert _extension.cache_info().misses == ext.misses
+    assert _extension_record.cache_info().misses == rec.misses
     built = len(one_step)
+    _extension.cache_clear()
     _extension_record.cache_clear()
     assert run() == expected
     assert sum(one_step.values()) == 2 * built and set(one_step.values()) == {2}

@@ -232,10 +232,14 @@ def test_nilradical_builds_no_ad_matrices(monkeypatch):
 def test_nilradical_certificate_fires_on_a_non_nilpotent_candidate(monkeypatch):
     alg = build_example42().algebra
     assert nilradical(alg).dim == 5
-    fresh = core.LieAlgebra(alg.dim, alg.basis_names, alg.brackets)
-    assert not fresh.series_report.is_nilpotent
-    # the trace-row solve is the one SubspaceBasis.kernel call in nilradical;
+    assert not alg.series_report.is_nilpotent
+    # a fresh copy keeps no nilradical yet, so its solve runs under the patch:
+    # the trace-row solve is the one SubspaceBasis.kernel call in the nilradical;
     # all of example42 contains [g, g] and is an ideal, but is not nilpotent
+    fresh = core.LieAlgebra(alg.dim, alg.basis_names, alg.brackets)
     monkeypatch.setattr(SubspaceBasis, "kernel", classmethod(lambda cls, n, rows: cls(n, la.identity(n))))
     with pytest.raises(CertificateError, match="not a nilpotent ideal"):
         nilradical(fresh)
+    # the failure is not kept: nilpotency, read off the nilradical, fails again
+    with pytest.raises(CertificateError, match="not a nilpotent ideal"):
+        fresh.series_report

@@ -23,6 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from metriclie import core
 from metriclie import linalg as la
 from metriclie.catalog import direct_sum, heis3, sl2, su2
 from metriclie.core import (
@@ -37,16 +38,23 @@ from metriclie.core import (
     series,
     subspace_from_spanning,
 )
-from metriclie.documents import document_to_algebra, parse_document
+from metriclie.cli import main
+from metriclie.documents import (
+    algebra_to_document,
+    document_to_algebra,
+    emit_document,
+    parse_document,
+)
 from metriclie.errors import CertificateError
 from metriclie.forms import (
+    MetricLieAlgebra,
     SymBilinearForm,
     _congruence,
     diagonalize_symmetric,
     isotropic_vector,
     signature,
 )
-from metriclie.einstein import _traceless_skew_map
+from metriclie.einstein import _traceless_skew_map, bounds_certificate
 from metriclie.reduction import (
     DoubleExtensionSpec,
     build_ab,
@@ -608,22 +616,46 @@ def search_samples(count=24, seed=8109):
     return out
 
 
+def int_lower_central_series(alg):
+    """g, [g, g], [g, [g, g]], ... on ``bracket_spans``, up to the first
+    term its successor equals."""
+    full = alg.full_space()
+    lower, nxt = [full], alg.derived
+    while nxt.dim < lower[-1].dim:
+        lower.append(nxt)
+        nxt = bracket_spans(alg, full, nxt)
+    return tuple(lower)
+
+
 def test_series_of_search_samples_forms_no_rows(monkeypatch):
-    """The series terms are read only through ``dim`` and ``int_span``,
-    so a series report forms no ``int_rows``: ``la.normalised`` never
-    runs. Read afterwards, the rows are the RREF basis of the span."""
-    normalised = la.normalised
-    calls = []
+    """The derived-series terms are read only through ``dim`` and
+    ``int_span``, so a series report forms no ``int_rows``: the only
+    ``la.normalised`` calls are those of the nilradical's kernel, which
+    decides nilpotency. Read afterwards, the rows are the RREF basis of
+    the span."""
+    normalised, kernel = la.normalised, SubspaceBasis.kernel
+    calls, kernels, open_kernels = [], [], []
 
     def counted(den, rows):
-        calls.append(den)
+        calls.append(bool(open_kernels))
         return normalised(den, rows)
+
+    def counted_kernel(cls, n, equations):
+        kernels.append(n)
+        open_kernels.append(n)
+        try:
+            return kernel(n, equations)
+        finally:
+            open_kernels.pop()
 
     algebras = search_samples()
     monkeypatch.setattr(la, "normalised", counted)
+    monkeypatch.setattr(SubspaceBasis, "kernel", classmethod(counted_kernel))
     reports = [series(alg) for alg in algebras] + [alg.series_report for alg in algebras]
-    assert calls == []
-    terms = [t for rep in reports for t in rep.derived_series + rep.lower_central_series]
+    assert len(kernels) >= len(algebras)
+    assert calls == [True] * len(kernels)
+    calls.clear()
+    terms = [t for rep in reports for t in rep.derived_series]
     assert all("int_rows" not in t.__dict__ for t in terms)
     assert sum(t.dim not in (0, t.ambient_dim) for t in terms) > 20
     for t in terms:
@@ -638,7 +670,7 @@ def test_subspace_from_span_and_from_rows_are_equal():
     spans = [
         t.int_span
         for alg in search_samples(12, seed=8110)
-        for t in series(alg).derived_series + series(alg).lower_central_series
+        for t in series(alg).derived_series + int_lower_central_series(alg)
     ]
     rng = random.Random(8111)
     for _ in range(60):
@@ -668,7 +700,7 @@ def test_series_center_and_bracket_spans_match_fraction_code():
         rep = series(alg)
         derived, lower = fraction_series(alg)
         assert tuple(s.vectors for s in rep.derived_series) == derived
-        assert tuple(s.vectors for s in rep.lower_central_series) == lower
+        assert tuple(s.vectors for s in int_lower_central_series(alg)) == lower
         assert rep.is_solvable == (len(derived[-1]) == 0)
         assert rep.is_nilpotent == (len(lower[-1]) == 0)
         assert alg.series_report is alg.series_report  # computed once
@@ -821,12 +853,16 @@ def test_nilradical_matches_the_associative_closure(monkeypatch):
     monkeypatch.setattr(SubspaceBasis, "kernel", classmethod(counted))
     cases = 0
     for alg in algs:
+        # nilpotency is read off the nilradical, so its solve runs here
+        tries.append(0)
         rep = alg.series_report
         if not rep.is_solvable or rep.is_nilpotent:
+            tries.pop()
             continue
         cases += 1
-        tries.append(0)
+        solves = tries[-1]
         assert nilradical(alg).vectors == reference_nilradical_vectors(alg)
+        assert tries[-1] == solves  # the kept nilradical is not solved again
     assert cases >= 250
     # t = 1 is not generic for some of them, and each retry is covered
     assert max(tries) >= 2 and sum(t > 1 for t in tries) >= 5
@@ -836,8 +872,10 @@ def test_nilradical_retries_are_bounded(monkeypatch):
     alg = random_semidirect(random.Random(8110))
     n, d = alg.dim, alg.dim - alg.series_report.derived.dim
     assert d >= 2 and not alg.series_report.is_nilpotent
+    # a fresh copy keeps no nilradical yet, so its solve runs under the patch:
     # every candidate is all of g: it contains [g, g] and is an ideal,
     # but is not nilpotent, so every t up to the bound is tried
+    alg = LieAlgebra(alg.dim, alg.basis_names, alg.brackets)
     calls = []
 
     def whole(cls, nc, rows):
@@ -848,6 +886,53 @@ def test_nilradical_retries_are_bounded(monkeypatch):
     with pytest.raises(CertificateError, match="not a nilpotent ideal"):
         nilradical(alg)
     assert len(calls) == (d - 1) * n * (n + 1) // 2 + 1
+
+
+def test_nilradical_is_solved_once_per_algebra(monkeypatch, tmp_path, capsys):
+    """``analyze`` on a document with a nilradical hint, and
+    ``bounds_certificate`` on example42, decide nilpotency and then read
+    the nilradical, yet run the trace-row solve once per algebra."""
+    solve = core._nilradical
+    solves: Counter = Counter()
+    seen = []
+
+    def counted(alg):
+        seen.append(alg)  # keeps each algebra alive, so no id is reused
+        solves[id(alg)] += 1
+        return solve(alg)
+
+    monkeypatch.setattr(core, "_nilradical", counted)
+    m = build_example42()
+    obj = emit_document(algebra_to_document(m.algebra, m.form, "ex"))
+    obj["hints"] = {"nilradical": [[int(i == j) for j in range(6)] for i in range(1, 6)]}
+    path = tmp_path / "ex.json"
+    path.write_text(json.dumps(obj))
+    assert main(["analyze", str(path), "--format", "json"]) == 0
+    results = json.loads(capsys.readouterr().out)["results"]
+    assert (results["nilpotent"], results["nilradical_dim"]) == (False, 5)
+    assert list(solves.values()) == [1]
+    solves.clear()
+    fresh = LieAlgebra(m.dim, m.algebra.basis_names, m.algebra.brackets)
+    assert bounds_certificate(MetricLieAlgebra(fresh, m.form)).dim_nilradical == 5
+    assert solves == {id(fresh): 1}
+
+
+def test_is_nilpotent_matches_the_lower_central_series():
+    """``is_nilpotent``, read off the nilradical, is the verdict of the
+    Fraction lower central series on every reduce-pool document, heis3,
+    sl2 and seeded iterated double extensions; both verdicts occur."""
+    with gzip.open(POOL) as fh:
+        pool = json.load(fh)
+    algs = [document_to_algebra(parse_document(entry["doc"]))[0] for entry in pool]
+    assert len(algs) == 211
+    algs += [heis3(), sl2().algebra] + [m.algebra for m in iterated_family(12)]
+    verdicts = Counter()
+    for alg in algs:
+        _, lower = fraction_series(alg)
+        nilpotent = len(lower[-1]) == 0
+        assert alg.series_report.is_nilpotent == nilpotent
+        verdicts[nilpotent] += 1
+    assert verdicts == {True: 13, False: 212}
 
 
 def tiny_algebras():

@@ -473,14 +473,6 @@ def test_probe_nilpotent_direction_trivially_integral():
     assert not rep.points[0].integrality_excluded
 
 
-def test_probe_precision_env_override(monkeypatch):
-    monkeypatch.setenv("METRIC_LIE_PRECISION", "128")
-    m = build_example42()
-    rep = integer_exponential_probe(m, la.unit_vec(6, 0), (Fraction(1),))
-    assert rep.precision_bits == 128
-    assert rep.points[0].integrality_excluded
-
-
 def _pool_documents(tmp_path, prefix):
     """The spectra-pool documents whose ids start with prefix, written
     to tmp_path; the pool file is only read."""
@@ -494,11 +486,10 @@ def _pool_documents(tmp_path, prefix):
     return paths
 
 
-def test_probe_decides_coefficients_beyond_double_precision(tmp_path, monkeypatch):
+def test_probe_decides_coefficients_beyond_double_precision(tmp_path):
     """rb8-2 (eigenvalues +-10, 0, 0, +-6i, +-8i) at t = 7: the x^7
     coefficient lies within 2^-100 of -2515438670919167006265781174255.0194,
     above 2^53, and its interval holds no integer."""
-    monkeypatch.delenv("METRIC_LIE_PRECISION", raising=False)
     path = _pool_documents(tmp_path, "rb8-2")["rb8-2"]
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
@@ -521,11 +512,10 @@ def _overlap(x, y) -> bool:
     return max(x[0], y[0]) <= min(x[1], y[1])
 
 
-def test_probe_matches_mpmath_reference_on_spectra_workload(tmp_path, monkeypatch):
+def test_probe_matches_mpmath_reference_on_spectra_workload(tmp_path):
     """Every probe op the spectra benchmark can draw (both rotation-boost
     families, grids 1, 1/2 and 0,1) decides as the mpmath probe at 256
     bits."""
-    monkeypatch.delenv("METRIC_LIE_PRECISION", raising=False)
     paths = _pool_documents(tmp_path, "rb")
     assert len(paths) == 12
     width = Fraction(1, 2**256)
