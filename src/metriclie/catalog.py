@@ -7,7 +7,6 @@ validates under validate_structure.
 
 from __future__ import annotations
 
-import difflib
 import json
 import math
 import re
@@ -100,6 +99,9 @@ def load_delta_file(path: str, expected_dim: int) -> la.Mat:
 
 
 def _suggest(name: str) -> str:
+    # imported on this error path alone, so no other run pays for it
+    import difflib
+
     pool = list(_BARE_NAMES) + list(_PARAM_NAMES)
     close = difflib.get_close_matches(name, pool, n=3, cutoff=0.4)
     listing = ", ".join(close) if close else ", ".join(pool)

@@ -12,28 +12,56 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from . import linalg as la
 from .errors import CertificateError, PreconditionError
 from .linalg import Mat, Vec
 
 
-@dataclass(frozen=True)
-class LinearMap:
+class Frozen:
+    """An immutable value: assignment and deletion raise
+    ``AttributeError``, and ``==``, ``hash`` and ``repr`` read the
+    attributes named in ``_fields``, ``==`` only between values of one
+    class. Constructors store with ``object.__setattr__``, and
+    ``functools.cached_property`` writes the instance dict directly."""
+
+    _fields: tuple[str, ...] = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, f) for f in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        return f"{type(self).__name__}({', '.join(f'{f}={getattr(self, f)!r}' for f in self._fields)})"
+
+
+class LinearMap(Frozen):
     """A matrix of a linear map.
 
     ``matrix[i][j]`` is the coefficient of the i-th target basis vector
     in the image of the j-th source basis vector.
     """
 
-    matrix: Mat
+    _fields = ("matrix",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "matrix", la.mat(self.matrix))
+    def __init__(self, matrix: Mat):
+        object.__setattr__(self, "matrix", la.mat(matrix))
 
     def __call__(self, v: Vec) -> Vec:
         return la.mat_vec(self.matrix, v)
@@ -48,8 +76,7 @@ def _int_rows_of(n: int, vectors) -> tuple[int, tuple[la.IntRow, ...]]:
     return la.to_int_rows(vecs)
 
 
-@dataclass(frozen=True, init=False, eq=False)
-class SubspaceBasis:
+class SubspaceBasis(Frozen):
     """Linearly independent coordinate vectors in Q^n, read as
     ``int_rows`` = (D, rows): vector i is ``rows[i]`` / D, its pairs
     (c, D v_c) with non-zero entry in increasing c. The rows are
@@ -64,6 +91,7 @@ class SubspaceBasis:
     ``int_rows`` on first read.
     """
 
+    _fields = ("ambient_dim", "int_rows")
     ambient_dim: int
 
     def __init__(self, ambient_dim: int, vectors: Sequence[Vec]):
@@ -124,17 +152,6 @@ class SubspaceBasis:
         rows = self.__dict__.get("int_rows")
         return self.int_span.dim if rows is None else len(rows[1])
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, SubspaceBasis):
-            return NotImplemented
-        return (self.ambient_dim, self.int_rows) == (other.ambient_dim, other.int_rows)
-
-    def __hash__(self) -> int:
-        return hash((self.ambient_dim, self.int_rows))
-
-    def __repr__(self) -> str:
-        return f"SubspaceBasis(ambient_dim={self.ambient_dim}, int_rows={self.int_rows})"
-
     def contains(self, v: Vec) -> bool:
         _, (row,) = _int_rows_of(self.ambient_dim, (v,))
         return not self.int_span.reduce(dict(row))
@@ -163,8 +180,7 @@ def span_of(n: int, rows) -> SubspaceBasis:
     return SubspaceBasis.from_span(la.IntSpan(n, map(dict, rows)))
 
 
-@dataclass(frozen=True, init=False)
-class LieAlgebra:
+class LieAlgebra(Frozen):
     """Structure constants c_{ij}^k, [b_i, b_j] = sum_k c_{ij}^k b_k,
     stored only as the integer table ``int_table`` = (L, rows):
     ``rows[i][j]`` the pairs (k, L c_{ij}^k) with non-zero entry, in
@@ -178,6 +194,7 @@ class LieAlgebra:
     rows and scaled back by a power of L where a value is returned.
     """
 
+    _fields = ("dim", "basis_names", "int_table")
     dim: int
     basis_names: tuple[str, ...]
     int_table: tuple[int, tuple[tuple[la.IntRow, ...], ...]]
@@ -316,8 +333,7 @@ class LieAlgebra:
         return SubspaceBasis.from_span(span)
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     passed: bool
     violations: tuple[tuple[int, int, int, Vec], ...]
 
@@ -325,8 +341,7 @@ class ValidationReport:
         return self.passed
 
 
-@dataclass(frozen=True)
-class JordanPair:
+class JordanPair(NamedTuple):
     """Additive Jordan decomposition A = S + N with S semisimple over
     the rationals (squarefree minimal polynomial), N nilpotent, SN=NS,
     and both polynomials in A."""
@@ -489,8 +504,7 @@ def _rebased(alg: LieAlgebra, den: int, cols, names: Sequence[str]) -> LieAlgebr
     return LieAlgebra.from_rows(n, names, inv_den * lden * den * den, upper)
 
 
-@dataclass(frozen=True)
-class SeriesReport:
+class SeriesReport(NamedTuple):
     derived_series: tuple[SubspaceBasis, ...]
     is_solvable: bool
     is_nilpotent: bool
@@ -602,7 +616,8 @@ def _power_trace_rows(
 ) -> list[dict[int, int]]:
     """The rows {i: tr(L ad(b_i) P)} over the generators i of ``ads``
     (i -> the rows of L ad(b_i)) for the powers P = Y, ..., Y^n of the
-    n x n integer matrix Y (``y[p]`` = {q: Y_pq}). By Cayley-Hamilton
+    n x n integer matrix Y (``y[p]`` = {q: Y_pq}), up to the first P = 0,
+    whose row and those of all later powers are zero. By Cayley-Hamilton
     Y^(n+1) is a combination of Y, ..., Y^n, so they span every power."""
     n = len(y)
     rows = []
@@ -615,6 +630,8 @@ def _power_trace_rows(
                 for c, z in power[q].items():
                     acc[c] = acc.get(c, 0) + x * z
             nxt.append(acc)
+        if not any(x for acc in nxt for x in acc.values()):
+            break
         power = nxt
         # tr(A P) = sum_p sum_q A_pq P_qp
         rows.append(
@@ -700,8 +717,11 @@ def _nilradical(alg: LieAlgebra) -> SubspaceBasis:
         result = SubspaceBasis.kernel(n, rows)
         if not result.contains_subspace(derived):
             raise CertificateError("nilradical candidate does not contain [g, g]")
+        # only K = g has dimension n, and then [K, K] is the kept [g, g]
         term = result
-        while term.dim and (nxt := bracket_spans(alg, result, term)).dim < term.dim:
+        while term.dim and (
+            nxt := derived if term.dim == n else bracket_spans(alg, result, term)
+        ).dim < term.dim:
             term = nxt
         if not term.dim:
             return result

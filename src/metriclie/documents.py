@@ -10,8 +10,8 @@ and ``SymBilinearForm.from_rows`` take.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import linalg as la
 from .core import LieAlgebra, span_of
@@ -21,8 +21,7 @@ from .forms import SymBilinearForm
 IntRows = tuple[int, tuple[la.IntRow, ...]]
 
 
-@dataclass(frozen=True)
-class AlgebraDocument:
+class AlgebraDocument(NamedTuple):
     """A parsed document, every rational read once into integers.
 
     ``brackets`` = (L, rows) holds (i, j, pairs) sorted by (i, j), the

@@ -12,11 +12,12 @@ from __future__ import annotations
 
 import functools
 import random
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import linalg as la
 from .core import (
+    Frozen,
     LieAlgebra,
     LinearMap,
     SubspaceBasis,
@@ -51,13 +52,15 @@ from .reduction import (
 )
 
 
-@dataclass(frozen=True)
-class EinsteinReport:
+class EinsteinReport(Frozen):
     """``einstein_check``'s verdict on its ``killing_sums``; ``ricci`` is their cached view."""
 
-    killing: tuple[int, list[list[int]]]
-    einstein: bool
-    constant: Fraction | None
+    _fields = ("killing", "einstein", "constant")
+
+    def __init__(self, killing: tuple[int, list[list[int]]], einstein: bool, constant: Fraction | None):
+        object.__setattr__(self, "killing", killing)
+        object.__setattr__(self, "einstein", einstein)
+        object.__setattr__(self, "constant", constant)
 
     def __bool__(self) -> bool:
         return self.einstein
@@ -101,8 +104,7 @@ def einstein_check(m: MetricLieAlgebra) -> EinsteinReport:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class EigenvalueData:
+class EigenvalueData(NamedTuple):
     """A spectrum given symbolically: real eigenvalues listed one by one
     and complex-conjugate pairs alpha +- i beta listed once each."""
 
@@ -110,8 +112,7 @@ class EigenvalueData:
     complex_pairs: tuple = ()
 
 
-@dataclass(frozen=True)
-class TraceIdentityReport:
+class TraceIdentityReport(NamedTuple):
     value: object
     holds: bool
     spectrum_value: object | None = None
@@ -218,8 +219,7 @@ def eigenvalue_condition(m: MetricLieAlgebra, element: Vec) -> TraceIdentityRepo
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TorusLeaf:
+class TorusLeaf(NamedTuple):
     """A block-diagonal rotation family: blocks [[0, -xi], [xi, 0]], plus
     optional zero padding."""
 
@@ -227,16 +227,15 @@ class TorusLeaf:
     padding: int = 0
 
 
-@dataclass(frozen=True)
-class TriangularNode:
+class TriangularNode(Frozen):
     """A map of the nested form [[A, *, *], [0, X1, *], [0, 0, -A^T]];
     the off-block fillers do not contribute to tr(X^2)."""
 
-    a_block: Mat
-    inner: "TriangularNode | TorusLeaf"
+    _fields = ("a_block", "inner")
 
-    def __post_init__(self):
-        object.__setattr__(self, "a_block", la.mat(self.a_block))
+    def __init__(self, a_block: Mat, inner: "TriangularNode | TorusLeaf"):
+        object.__setattr__(self, "a_block", la.mat(a_block))
+        object.__setattr__(self, "inner", inner)
 
 
 def nested_trace_square(node: TriangularNode | TorusLeaf):
@@ -284,8 +283,7 @@ def assemble_nested(node: TriangularNode | TorusLeaf) -> Mat:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BoundsCertificate:
+class BoundsCertificate(NamedTuple):
     """Witness data showing dim g >= 6, dim n >= 5 and Witt index >= 2
     for a non-nilpotent solvable metric Lie algebra with vanishing
     Killing form and invariant non-degenerate scalar product."""
@@ -391,8 +389,7 @@ def bounds_certificate(m: MetricLieAlgebra) -> BoundsCertificate:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SearchResult:
+class SearchResult(NamedTuple):
     examined: int
     hits: tuple[dict, ...]
 

@@ -12,11 +12,12 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import linalg as la
 from .core import (
+    Frozen,
     LieAlgebra,
     SubspaceBasis,
     _ad_columns,
@@ -43,14 +44,14 @@ def _int_images(rows, b_rows: tuple[la.IntRow, ...]) -> list[list[int]]:
     return images
 
 
-@dataclass(frozen=True, init=False)
-class SymBilinearForm:
+class SymBilinearForm(Frozen):
     """A symmetric form B, stored only as ``int_rows`` = (M, rows):
     ``rows[p]`` the pairs (q, M B_pq), q increasing, canonical by
     ``la.normalised``, so equal forms have equal rows. The constructor
     validates a rational matrix; ``from_rows`` takes integer rows from a
     writer that holds them and vouches for their symmetry."""
 
+    _fields = ("dim", "int_rows")
     dim: int
     int_rows: tuple[int, tuple[la.IntRow, ...]]
 
@@ -106,8 +107,7 @@ class SymBilinearForm:
         return la.mat_over(la.dense(rows, self.dim), den)
 
 
-@dataclass(frozen=True)
-class Signature:
+class Signature(NamedTuple):
     p: int
     q: int
     r: int
@@ -129,14 +129,14 @@ class Signature:
         return min(self.p, self.q)
 
 
-@dataclass(frozen=True)
-class MetricLieAlgebra:
-    algebra: LieAlgebra
-    form: SymBilinearForm
+class MetricLieAlgebra(Frozen):
+    _fields = ("algebra", "form")
 
-    def __post_init__(self):
-        if self.form.dim != self.algebra.dim:
+    def __init__(self, algebra: LieAlgebra, form: SymBilinearForm):
+        if form.dim != algebra.dim:
             raise ValueError("form dimension does not match the algebra")
+        object.__setattr__(self, "algebra", algebra)
+        object.__setattr__(self, "form", form)
 
     @property
     def dim(self) -> int:
@@ -190,8 +190,7 @@ def _skew_derivation_equations(base: MetricLieAlgebra) -> list[dict[int, int]]:
     return eqs
 
 
-@dataclass(frozen=True)
-class WittBasis:
+class WittBasis(NamedTuple):
     """Basis v_1..v_k, w_1..w_{n-2k}, v*_1..v*_k with <v_i, v*_j> = d_ij,
     v and v* totally isotropic, w orthogonal to both, and the w part
     orthogonal with recorded diagonal values (signs only, not unit)."""
@@ -202,8 +201,7 @@ class WittBasis:
     w_diagonal: tuple[Fraction, ...]
 
 
-@dataclass(frozen=True)
-class InvarianceReport:
+class InvarianceReport(NamedTuple):
     passed: bool
     witness: tuple[int, int, int] | None
 
@@ -211,9 +209,12 @@ class InvarianceReport:
         return self.passed
 
 
-@dataclass(frozen=True)
-class NilInvarianceReport(InvarianceReport):
+class NilInvarianceReport(NamedTuple):
+    passed: bool
     witness: tuple[Vec, Vec, Vec] | None
+
+    def __bool__(self) -> bool:
+        return self.passed
 
 
 def diagonalize_symmetric(b: SymBilinearForm) -> tuple[tuple[Vec, ...], tuple[Fraction, ...]]:

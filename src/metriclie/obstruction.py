@@ -12,9 +12,8 @@ tagged accordingly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from . import linalg as la
 from .core import LinearMap, ad
@@ -32,8 +31,7 @@ RULE_SCHANUEL = "schanuel-conditional"
 ENCLOSURE_WIDTH = Fraction(1, 2**32)
 
 
-@dataclass(frozen=True)
-class AlgebraicNumber:
+class AlgebraicNumber(NamedTuple):
     """One root of a monic irreducible rational polynomial, with a certified
     rational box isolating it from the polynomial's other roots. The
     value is exact: a ``Quadratic`` for degree at most 2, else sympy's
@@ -105,8 +103,7 @@ class _SympyRoot:
         return tuple(sides)
 
 
-@dataclass(frozen=True)
-class ObstructionReport:
+class ObstructionReport(NamedTuple):
     input_spectrum: EigenvalueData
     n: int
     case_tag: str  # case1_nonzero_real_part | case2_imaginary_pair | out_of_scope_n_gt_5 | nilpotent
@@ -132,8 +129,7 @@ class ObstructionReport:
         }
 
 
-@dataclass(frozen=True)
-class RelationBasis:
+class RelationBasis(NamedTuple):
     relations: tuple[Vec, ...]
     field_degree: int
     quadratic_identity_holds: bool
@@ -550,15 +546,13 @@ def _sympy_relations(values: list) -> RelationBasis:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ProbePoint:
+class ProbePoint(NamedTuple):
     t: Fraction
     trivially_integral: bool
     integrality_excluded: bool
 
 
-@dataclass(frozen=True)
-class ProbeReport:
+class ProbeReport(NamedTuple):
     points: tuple[ProbePoint, ...]
     precision_bits: int
 

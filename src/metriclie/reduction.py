@@ -12,11 +12,11 @@ import functools
 import itertools
 import math
 import random
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from . import linalg as la
 from .core import (
+    Frozen,
     LieAlgebra,
     SubspaceBasis,
     _rebased,
@@ -40,8 +40,7 @@ from .forms import (
 from .linalg import Mat, Vec
 
 
-@dataclass(frozen=True, init=False)
-class DoubleExtensionSpec:
+class DoubleExtensionSpec(Frozen):
     """Data (base, delta, xi) of a double extension by an abelian a.
 
     ``int_deltas[i]`` = (D_i, cols) holds the action delta_i of the i-th
@@ -57,6 +56,7 @@ class DoubleExtensionSpec:
     j, so [g, g] lies in j^perp and a = g / j^perp, as its extraction checks.
     """
 
+    _fields = ("base", "int_deltas", "int_xi")
     base: MetricLieAlgebra
     int_deltas: tuple[tuple[int, tuple[la.IntRow, ...]], ...]
     int_xi: tuple[int, tuple[la.IntRow, ...]]
@@ -90,8 +90,7 @@ class DoubleExtensionSpec:
         return len(self.int_deltas)
 
 
-@dataclass(frozen=True)
-class ReductionStep:
+class ReductionStep(NamedTuple):
     original: MetricLieAlgebra
     ideal: SubspaceBasis
     duals: SubspaceBasis
@@ -100,8 +99,7 @@ class ReductionStep:
     spec: DoubleExtensionSpec
 
 
-@dataclass(frozen=True)
-class ReductionChain:
+class ReductionChain(NamedTuple):
     steps: tuple[ReductionStep, ...]
     final: MetricLieAlgebra
 

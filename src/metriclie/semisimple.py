@@ -9,8 +9,8 @@ irreducible factor of its minimal polynomial, are the minimal ideals.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import linalg as la
 from .core import (
@@ -25,16 +25,14 @@ from .forms import MetricLieAlgebra, SymBilinearForm, _first_non_skew_ad, metric
 from .quadratic import irreducible_factors
 
 
-@dataclass(frozen=True)
-class SplitResult:
+class SplitResult(NamedTuple):
     simple_ideals: tuple[SubspaceBasis, ...]
     compact_part: SubspaceBasis
     noncompact_part: SubspaceBasis
     killing: SymBilinearForm  # the Killing form the split was decided on
 
 
-@dataclass(frozen=True)
-class SplitFormReport:
+class SplitFormReport(NamedTuple):
     s_invariant: bool
     k_perp_s: bool
     s_cap_radical_zero: bool

@@ -25,6 +25,7 @@ from metriclie.obstruction import (
     _OUTCOMES,
     RULE_GS,
     RULE_SCHANUEL,
+    ObstructionReport,
     _decide,
     _exp_charpoly,
     _may_be_integer,
@@ -656,9 +657,9 @@ def _outcome(decide, arg):
         rep = decide(arg)
     except (PreconditionError, CertificateError) as exc:
         return type(exc)
-    if isinstance(rep, tuple):
-        return rep
-    return rep.verdict, rep.case_tag, rep.hypothesis_checks
+    if isinstance(rep, ObstructionReport):
+        return rep.verdict, rep.case_tag, rep.hypothesis_checks
+    return rep
 
 
 def _block(kind, *params):

@@ -260,6 +260,13 @@ def test_no_module_imports_mpmath():
     assert _importers("mpmath") == {}
 
 
+def test_no_module_imports_dataclasses():
+    # records are ``typing.NamedTuple``s and the other values derive from
+    # ``core.Frozen``: a dataclass execs its generated methods when its
+    # class is made, about 1 ms each, and dataclasses imports inspect
+    assert _importers("dataclasses") == {}
+
+
 def _assert_statements(tree: ast.AST) -> list[int]:
     return [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
 

@@ -11,7 +11,6 @@ least common denominator of the view. Every writer of form rows
 checked the same way against ``SymBilinearForm(form.matrix)``.
 """
 
-import dataclasses
 import gzip
 import json
 import math
@@ -191,7 +190,7 @@ def test_brackets_is_a_read_only_view():
     assert alg.brackets[(0, 1)] == la.unit_vec(6, 1)
     with pytest.raises(TypeError):
         alg.brackets[(0, 1)] = la.unit_vec(6, 2)
-    assert [f.name for f in dataclasses.fields(alg)] == ["dim", "basis_names", "int_table"]
+    assert type(alg)._fields == ("dim", "basis_names", "int_table")
 
 
 @pytest.mark.parametrize("bad", [{(1, 0): (1, 0)}, {(0, 2): (1, 0)}, {(0, 1): (1,)}])
@@ -297,10 +296,12 @@ def test_from_rows_normalises_the_form_in_one_place():
     assert zero.int_rows == (1, ((), ())) and zero.is_zero() and not form.is_zero()
     empty = restrict_form(build_ab(3, 1).form, ())
     assert empty.dim == 0 and empty.int_rows == (1, ()) and empty.matrix == ()
-    assert [f.name for f in dataclasses.fields(form)] == ["dim", "int_rows"]
+    assert type(form)._fields == ("dim", "int_rows")
     assert form.matrix is form.matrix
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    before = form.matrix
+    with pytest.raises(AttributeError):
         form.matrix = la.identity(3)
+    assert form.matrix is before and form.int_rows == (6, (((0, 3),), (), ((2, -2),)))
 
 
 @pytest.mark.parametrize("bad", [((1, 2), (3, 1)), ((1, 2),), ((1, 0), (0,)), ((0, 1, 0),) * 2])
@@ -313,7 +314,7 @@ def test_double_extension_specs_hold_integer_columns():
     base = build_ab(2, 1)
     half = Fraction(1, 2)
     spec = DoubleExtensionSpec(base, (((0, half), (half, 0)),))
-    assert [f.name for f in dataclasses.fields(spec)] == ["base", "int_deltas", "int_xi"]
+    assert type(spec)._fields == ("base", "int_deltas", "int_xi")
     assert spec.int_xi == (1, ()) and not hasattr(spec, "a_bracket")
     assert spec.int_deltas == ((2, (((1, 1),), ((0, 1),))),)
     assert spec.deltas == (((0, half), (half, 0)),) and spec.a_dim == 1
