@@ -76,7 +76,7 @@ def _base() -> MetricLieAlgebra:
     return MetricLieAlgebra(LieAlgebra(2, ("p", "q")), SymBilinearForm(((0, 1), (1, 0))))
 
 
-# each builder makes a fresh value from the same data, with its repr
+# each factory makes a fresh value from the same data, with its repr
 FROZEN = {
     LinearMap: (
         lambda: LinearMap(((1, HALF), (0, 2))),
@@ -129,8 +129,8 @@ def _twin(value: Frozen) -> Frozen:
 
 @pytest.mark.parametrize("cls", list(FROZEN), ids=lambda cls: cls.__name__)
 def test_frozen_values(cls):
-    build, text = FROZEN[cls]
-    value, same = build(), build()
+    make, text = FROZEN[cls]
+    value, same = make(), make()
     assert type(value) is cls and issubclass(cls, Frozen) and value is not same
     assert repr(value) == text
     assert value == same and not value != same
