@@ -53,12 +53,15 @@ from .reduction import (
 
 
 class EinsteinReport(Frozen):
-    """``einstein_check``'s verdict on its ``killing_sums``; ``ricci`` is their cached view."""
+    """``einstein_check``'s verdict on its ``killing_sums``, kept as a
+    tuple of tuples so the report stays frozen and hashable; ``ricci``
+    is their cached view."""
 
     _fields = ("killing", "einstein", "constant")
 
     def __init__(self, killing: tuple[int, list[list[int]]], einstein: bool, constant: Fraction | None):
-        object.__setattr__(self, "killing", killing)
+        den2, k = killing
+        object.__setattr__(self, "killing", (den2, tuple(map(tuple, k))))
         object.__setattr__(self, "einstein", einstein)
         object.__setattr__(self, "constant", constant)
 

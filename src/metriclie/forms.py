@@ -21,10 +21,8 @@ from .core import (
     LieAlgebra,
     SubspaceBasis,
     _ad_columns,
-    ad,
     bracket_spans,
     centralizer,
-    jordan_chevalley,
     nilradical,
 )
 from .errors import CertificateError, PreconditionError
@@ -209,14 +207,6 @@ class InvarianceReport(NamedTuple):
         return self.passed
 
 
-class NilInvarianceReport(NamedTuple):
-    passed: bool
-    witness: tuple[Vec, Vec, Vec] | None
-
-    def __bool__(self) -> bool:
-        return self.passed
-
-
 def diagonalize_symmetric(b: SymBilinearForm) -> tuple[tuple[Vec, ...], tuple[Fraction, ...]]:
     """Vectors t_i = U / S with B(t_i, t_j) = d_i delta_ij, the tracked
     ``_congruence``, and d_i = U^T (M B) U / (M S^2): exact congruence
@@ -378,51 +368,29 @@ def _first_non_skew_ad(alg: LieAlgebra, rows, form: SymBilinearForm) -> tuple[in
     return None
 
 
-def nilinvariance(m: MetricLieAlgebra) -> NilInvarianceReport:
+def nilinvariance(m: MetricLieAlgebra) -> InvarianceReport:
     """Decide whether the form of a solvable metric algebra is
-    nil-invariant: skew for every element of u, the nilpotent elements
-    of the algebraic hull h of ad(g). On failure the witness is
-    (y, e_i, e_j) with <phi e_i, e_j> + <e_i, phi e_j> != 0 for
-    phi = (ad y)_n.
-
-    u is spanned by ad([g, g]) and the (ad c)_n, c the unit vectors on
-    the free columns of the RREF of [g, g] (Chevalley; Borel, *Linear
-    Algebraic Groups*, §II.7):
-    - h is solvable and algebraic, so its nilpotent elements form an
-      ideal u, which holds every Jordan part (ad y)_n and
-      [h, h] = [ad(g), ad(g)] = ad([g, g]).
-    - The quotient map h -> h/[h, h] keeps Jordan parts. The quotient
-      is abelian and is the hull of the images of the ad(c) (ad([g, g])
-      maps to 0), so it is the sum of their hulls: its nilpotent
-      elements, the image of u, are spanned by the images of the
-      (ad c)_n.
-    - u contains the kernel ad([g, g]), so
-      u = ad([g, g]) + span{(ad c)_n}.
-    Skewness is linear in phi, so the two spanning families decide
-    exactly. For y in [g, g], ad(y) is already nilpotent, so
-    phi = ad(y): the rows of [g, g] are checked in integers on their
-    ``_ad_columns``, each (ad c)_n by ``jordan_chevalley`` and
-    ``_map_pairing``.
+    nil-invariant: skew for every nilpotent element of the algebraic
+    hull of ad(g). For solvable g that is invariance, so the verdict
+    and its witness (x, y1, y2) are ``is_invariant``'s:
+    - invariant => nil-invariant: the maps skew for the form make up an
+      algebraic Lie algebra, that of the group preserving the form,
+      degenerate or not. It contains ad(g), so it contains the hull.
+    - nil-invariant => invariant: every nil-invariant symmetric bilinear
+      form on a solvable Lie algebra is invariant (Baues and Globke,
+      "Rigidity of compact pseudo-Riemannian homogeneous spaces for
+      solvable Lie groups", *IMRN* 2018, no. 10; arXiv:1507.02575).
+      The theorem covers degenerate forms, because the form that
+      M = G/H induces on g has h in its radical.
+    A failed verdict is certified by the triple, on which
+    <[x, y1], y2> + <y1, [x, y2]> != 0, and this theorem.
     """
-    alg, form = m.algebra, m.form
-    if alg.derived_series[-1].dim:
+    if m.algebra.derived_series[-1].dim:
         raise PreconditionError(
             "nil-invariance is decided for solvable algebras only; "
             "the algebraic hull of a Levi factor is out of scope"
         )
-    derived = alg.derived
-    unit = la.identity(alg.dim)
-    found = _first_non_skew_ad(alg, derived.int_rows[1], form)
-    if found is not None:
-        k, (i, j) = found
-        return NilInvarianceReport(False, (derived.vectors[k], unit[i], unit[j]))
-    for c, y in enumerate(unit):
-        if c not in derived.int_span.pivots:
-            _, _, witness = _map_pairing(jordan_chevalley(ad(alg, y)).nilpotent.matrix, form)
-            if witness is not None:
-                i, j = witness
-                return NilInvarianceReport(False, (y, unit[i], unit[j]))
-    return NilInvarianceReport(True, None)
+    return is_invariant(m)
 
 
 def is_totally_isotropic(form: SymBilinearForm, sub: SubspaceBasis) -> tuple[bool, tuple[Vec, Vec] | None]:

@@ -114,10 +114,6 @@ def zeros_vec(n: int) -> Vec:
     return (ZERO,) * n
 
 
-def identity(n: int) -> Mat:
-    return tuple(tuple(ONE if i == j else ZERO for j in range(n)) for i in range(n))
-
-
 def unit_vec(n: int, i: int) -> Vec:
     return tuple(ONE if j == i else ZERO for j in range(n))
 

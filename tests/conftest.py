@@ -93,6 +93,10 @@ def naive_zeros(r: int, c: int) -> la.Mat:
     return tuple((la.ZERO,) * c for _ in range(r))
 
 
+def naive_identity(n: int) -> la.Mat:
+    return tuple(la.unit_vec(n, i) for i in range(n))
+
+
 def naive_mat_add(a, b) -> la.Mat:
     return tuple(la.vec_add(r, s) for r, s in zip(a, b))
 
@@ -197,7 +201,7 @@ def naive_in_span(vectors, v):
 
 def naive_mat_pow(a, k):
     """a^k as k - 1 dense products; the identity for k = 0."""
-    out = la.identity(len(a))
+    out = naive_identity(len(a))
     for _ in range(k):
         out = la.mat_mul(out, a)
     return out
@@ -215,12 +219,12 @@ def reference_charpoly(a):
     if any(len(row) != n for row in a):
         raise ValueError("characteristic polynomial of non-square matrix")
     coeffs = [Fraction(1)]
-    m = la.identity(n)
+    m = naive_identity(n)
     for k in range(1, n + 1):
         am = la.mat_mul(a, m)
         ck = -naive_trace(am) / k
         coeffs.append(ck)
-        m = naive_mat_add(am, naive_mat_scale(ck, la.identity(n)))
+        m = naive_mat_add(am, naive_mat_scale(ck, naive_identity(n)))
     return tuple(coeffs)
 
 
@@ -232,7 +236,7 @@ def reference_poly_eval_mat(p, a):
     for c in p:
         out = la.mat_mul(out, a) if not la.is_zero_mat(out) else out
         if c != 0:
-            out = naive_mat_add(out, naive_mat_scale(c, la.identity(n)))
+            out = naive_mat_add(out, naive_mat_scale(c, naive_identity(n)))
     return out
 
 
@@ -675,7 +679,7 @@ def reference_is_totally_isotropic(form, sub):
 def reference_orthogonal_complement(form, sub):
     """The kernel of the dense rows B u."""
     if sub.dim == 0:
-        return la.identity(form.dim)
+        return naive_identity(form.dim)
     return la.kernel(tuple(la.mat_vec(form.matrix, u) for u in sub.vectors))
 
 
@@ -1116,7 +1120,7 @@ def naive_centralizer(alg, sub, acting=None):
     if acting is None:
         return naive_center(alg).intersect(sub)
     stacked = [row for y in acting.vectors for row in ad(alg, y).matrix]
-    kernel = naive_kernel(tuple(stacked)) if stacked else la.identity(alg.dim)
+    kernel = naive_kernel(tuple(stacked)) if stacked else naive_identity(alg.dim)
     return subspace_from_spanning(alg.dim, kernel).intersect(sub)
 
 
@@ -1137,11 +1141,12 @@ def reference_nilinvariance_probe(m, seed, samples):
     """The random probe ``forms.nilinvariance`` replaced: skewness of the
     form for the nilpotent Jordan part of ad(y), for every basis y and
     ``samples`` random rational y. A failure is conclusive, a pass is
-    evidence only; the witness is (y, e_i, e_j) as ``nilinvariance``'s."""
+    evidence only. It returns (passed, witness), the witness (y, e_i, e_j)
+    with <phi e_i, e_j> + <e_i, phi e_j> != 0 for phi = (ad y)_n."""
     alg, form = m.algebra, m.form
     n = alg.dim
     rng = random.Random(seed)
-    candidates = list(la.identity(n))
+    candidates = list(naive_identity(n))
     candidates += [
         tuple(Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(n))
         for _ in range(samples)
@@ -1150,8 +1155,8 @@ def reference_nilinvariance_probe(m, seed, samples):
         phi_n = jordan_chevalley(ad(alg, y)).nilpotent.matrix
         _, _, witness = forms._map_pairing(phi_n, form)
         if witness is not None:
-            return forms.NilInvarianceReport(False, (y, *(la.unit_vec(n, i) for i in witness)))
-    return forms.NilInvarianceReport(True, None)
+            return False, (y, *(la.unit_vec(n, i) for i in witness))
+    return True, None
 
 
 def _reference_rotation_boost(rotations, boost):

@@ -49,6 +49,7 @@ from metriclie.reduction import (
 from metriclie.semisimple import compact_split, split_form_report
 
 from conftest import (
+    naive_identity,
     naive_mat_add,
     naive_mat_pow,
     naive_mat_scale,
@@ -267,7 +268,7 @@ def test_criterion_7_sharpness_search():
 
 def _polynomial_in(target: la.Mat, a: la.Mat) -> bool:
     n = len(a)
-    powers = [la.identity(n)]
+    powers = [naive_identity(n)]
     for _ in range(n - 1):
         powers.append(la.mat_mul(powers[-1], a))
     cols = tuple(

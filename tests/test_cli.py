@@ -23,7 +23,7 @@ from metriclie.forms import (
 )
 from metriclie.reduction import build_example42, complete_reduction, reduce_by_ideal
 
-from conftest import naive_zeros
+from conftest import naive_identity, naive_zeros
 
 
 def run(capsys, *argv):
@@ -259,7 +259,7 @@ def test_einstein_on_the_zero_form(capsys, tmp_path):
 
 
 def test_witness_vectors_print_as_rationals(capsys, tmp_path):
-    path = _doc_path(tmp_path, sl2().algebra, SymBilinearForm(la.identity(3)), "sl2_identity")
+    path = _doc_path(tmp_path, sl2().algebra, SymBilinearForm(naive_identity(3)), "sl2_identity")
     code, _, err = run(capsys, "split-semisimple", path)
     assert code == 2
     assert "not s-invariant" in err and "with x = [" in err
@@ -298,7 +298,7 @@ def test_obstruct_on_a_non_invariant_form_exits_2(capsys, tmp_path):
     f = Fraction
     brackets = {(0, 1): (0, 0, f(1), 0), (0, 2): (0, 0, 0, f(1)), (0, 3): (0, f(2), 0, 0)}
     alg = LieAlgebra(4, ("a", "x1", "x2", "x3"), brackets)
-    path = _doc_path(tmp_path, alg, SymBilinearForm(la.identity(4)), "cubic")
+    path = _doc_path(tmp_path, alg, SymBilinearForm(naive_identity(4)), "cubic")
     code, _, err = run(capsys, "obstruct", path, "--element", "a")
     assert code == 2
     assert "form is not invariant; witness triple (0, 1, 2)" in err
@@ -547,7 +547,7 @@ def test_reduction_preconditions_exit_2(capsys, tmp_path):
         assert code == 2, err
         assert "certificate failure" not in err
     ex = build_example42()
-    ident = _write_doc(tmp_path, "ident", ex.algebra, SymBilinearForm(la.identity(6)))
+    ident = _write_doc(tmp_path, "ident", ex.algebra, SymBilinearForm(naive_identity(6)))
     for argv in (("complete-reduce", ident), ("reduce", ident)):
         code, out, err = run(capsys, *argv)
         assert code == 2

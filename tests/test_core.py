@@ -26,6 +26,7 @@ from metriclie.reduction import build_example42
 
 from conftest import (
     naive_center,
+    naive_identity,
     naive_mat_add,
     naive_mat_pow,
     naive_mat_scale,
@@ -123,7 +124,7 @@ def test_killing_sl2():
 
 def test_killing_su2_negative_definite():
     kappa = killing_matrix(su2().algebra)
-    assert kappa == naive_mat_scale(Fraction(-2), la.identity(3))
+    assert kappa == naive_mat_scale(Fraction(-2), naive_identity(3))
 
 
 def test_nilradical_heis3_is_everything():
@@ -150,7 +151,7 @@ def test_nilradical_of_random_solvable_is_nilpotent_ideal():
 
 def _is_polynomial_in(target: la.Mat, a: la.Mat) -> bool:
     n = len(a)
-    powers = [la.identity(n)]
+    powers = [naive_identity(n)]
     for _ in range(n - 1):
         powers.append(la.mat_mul(powers[-1], a))
     rows = la.transpose(
@@ -179,7 +180,7 @@ def test_jordan_chevalley_known_block():
     f = Fraction
     a = ((f(1), f(1)), (f(0), f(1)))
     pair = jordan_chevalley(LinearMap(a))
-    assert pair.semisimple.matrix == la.identity(2)
+    assert pair.semisimple.matrix == naive_identity(2)
     assert pair.nilpotent.matrix == ((f(0), f(1)), (f(0), f(0)))
 
 

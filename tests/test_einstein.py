@@ -42,6 +42,7 @@ from metriclie.reduction import (
 
 from conftest import (
     draw_forms,
+    naive_identity,
     naive_mat_scale,
     naive_poly_monic,
     naive_trace,
@@ -196,7 +197,7 @@ def test_skewness_check():
     base = build_ab(4, 1)
     _, _, witness = _map_pairing(la.mat_mul(la.inverse(base.form.matrix), _skew4()), base.form)
     assert witness is None
-    _, _, witness = _map_pairing(la.identity(4), base.form)
+    _, _, witness = _map_pairing(naive_identity(4), base.form)
     assert witness == (0, 0)
 
 
@@ -217,7 +218,7 @@ def test_einstein_check_forms_no_scaled_difference(monkeypatch):
     monkeypatch.setattr(la, "mat_sub", forbidden)
     rep = einstein_check(sl2())
     assert rep.einstein and rep.constant == Fraction(-1, 4)
-    assert not einstein_check(MetricLieAlgebra(sl2().algebra, SymBilinearForm(la.identity(3))))
+    assert not einstein_check(MetricLieAlgebra(sl2().algebra, SymBilinearForm(naive_identity(3))))
 
 
 def _skew4():

@@ -33,6 +33,7 @@ from metriclie.semisimple import compact_split, split_form_report
 from conftest import (
     apply_form,
     draw_forms,
+    naive_identity,
     naive_rank,
     pool_metrics,
     rand_fraction,
@@ -237,7 +238,7 @@ def test_nilradical_certificate_fires_on_a_non_nilpotent_candidate(monkeypatch):
     # the trace-row solve is the one SubspaceBasis.kernel call in the nilradical;
     # all of example42 contains [g, g] and is an ideal, but is not nilpotent
     fresh = core.LieAlgebra(alg.dim, alg.basis_names, alg.brackets)
-    monkeypatch.setattr(SubspaceBasis, "kernel", classmethod(lambda cls, n, rows: cls(n, la.identity(n))))
+    monkeypatch.setattr(SubspaceBasis, "kernel", classmethod(lambda cls, n, rows: cls(n, naive_identity(n))))
     with pytest.raises(CertificateError, match="not a nilpotent ideal"):
         nilradical(fresh)
     # the failure is not kept: nilpotency, read off the nilradical, fails again

@@ -71,6 +71,7 @@ from conftest import (
     naive_bracket_span,
     naive_centralizer,
     naive_commutant,
+    naive_identity,
     naive_in_span,
     naive_inverse,
     naive_kernel,
@@ -119,7 +120,7 @@ def fraction_intersect_spans(u, v):
 
 def fraction_series(alg):
     """(derived series, lower central series) as tuples of bases."""
-    full = la.identity(alg.dim)
+    full = naive_identity(alg.dim)
     first = naive_bracket_span(alg, full, full)
     derived, nxt = [full], first
     while len(nxt) < len(derived[-1]):
@@ -371,8 +372,8 @@ def test_int_span_membership_and_empty_kernel():
         for probe in random_vectors(rng, 4, n, 0.5) + vectors:
             assert (not span.reduce(reference_int_row(probe))) == naive_in_span(vectors, probe)
     for n in range(6):
-        assert SubspaceBasis.kernel(n, []).vectors == la.identity(n)
-        assert SubspaceBasis.kernel(n, [{}, {}]).vectors == la.identity(n)
+        assert SubspaceBasis.kernel(n, []).vectors == naive_identity(n)
+        assert SubspaceBasis.kernel(n, [{}, {}]).vectors == naive_identity(n)
     # a dense matrix without rows has no column count
     assert la.kernel(()) == ()
 
@@ -534,7 +535,7 @@ def test_full_space_runs_no_elimination(monkeypatch):
 
     monkeypatch.setattr(la.IntSpan, "add", counted)
     full = alg.full_space()
-    assert full.vectors == la.identity(3)
+    assert full.vectors == naive_identity(3)
     assert full.int_span.pivots == {i: {i: 1} for i in range(3)}
     assert all(alg.full_space() is full for _ in range(3))
     assert eliminations == []
@@ -787,7 +788,7 @@ def test_every_nilradical_is_an_ideal():
     assert len(algs) == 247
     for alg in algs:
         nil = nilradical(alg)
-        span = naive_bracket_span(alg, la.identity(alg.dim), nil.vectors)
+        span = naive_bracket_span(alg, naive_identity(alg.dim), nil.vectors)
         assert all(nil.contains(v) for v in span)
 
 
@@ -880,7 +881,7 @@ def test_nilradical_retries_are_bounded(monkeypatch):
 
     def whole(cls, nc, rows):
         calls.append(nc)
-        return cls(nc, la.identity(nc))
+        return cls(nc, naive_identity(nc))
 
     monkeypatch.setattr(SubspaceBasis, "kernel", classmethod(whole))
     with pytest.raises(CertificateError, match="not a nilpotent ideal"):
@@ -997,7 +998,7 @@ def test_signature_matches_diagonalization():
 def test_signature_pivots_stay_small():
     # with the content divided out after every step, the pivots of
     # 2 I are 2, 1, 1, ...; without it they would square at every step
-    form = SymBilinearForm(naive_mat_scale(2, la.identity(12)))
+    form = SymBilinearForm(naive_mat_scale(2, naive_identity(12)))
     assert _congruence(form)[0] == [2] + [1] * 11
     # a zero diagonal needs the hyperbolic step before any pivot
     hyp = SymBilinearForm(((0, 1, 0), (1, 0, 0), (0, 0, 0)))

@@ -50,6 +50,7 @@ from metriclie.reduction import (
 from conftest import (
     draw_forms,
     naive_basis_bracket,
+    naive_identity,
     naive_in_span,
     naive_inverse,
     naive_kernel,
@@ -108,7 +109,7 @@ def old_minimal_polynomial(a):
     """The rank-of-all-powers search, one full dense rank per degree."""
     n = la.nrows(a)
     powers = []
-    cur = la.identity(n)
+    cur = naive_identity(n)
     for d in range(n * n + 1):
         flat = tuple(x for row in cur for x in row)
         stacked = tuple(powers) + (flat,)
@@ -339,7 +340,7 @@ def elimination_cases():
     numerators and denominators up to 10^9."""
     rng = random.Random(52)
     out = [naive_zeros(3, 3), naive_zeros(1, 4), naive_zeros(4, 1), naive_zeros(1, 1)]
-    out += [((Fraction(7, 3),),), ((Fraction(-10**9, 10**9 - 1),),), la.identity(5)]
+    out += [((Fraction(7, 3),),), ((Fraction(-10**9, 10**9 - 1),),), naive_identity(5)]
     for _ in range(160):
         r, c = rng.randint(1, 7), rng.randint(1, 7)
         if rng.random() < 0.4:
@@ -412,7 +413,7 @@ def test_elimination_matches_naive_rref():
 
 def seeded_minpoly_inputs():
     rng = random.Random(45)
-    out = [naive_zeros(3, 3), la.identity(4), naive_mat_scale(3, la.identity(2))]
+    out = [naive_zeros(3, 3), naive_identity(4), naive_mat_scale(3, naive_identity(2))]
     for _ in range(25):
         n = rng.randint(1, 5)
         out.append(seeded_matrix(rng, n, n, rng.choice((0.2, 0.5, 1.0))))
@@ -510,7 +511,7 @@ def test_charpoly_and_poly_eval_mat_edge_cases():
     for n in (0, 1, 4):
         zero = naive_zeros(n, n)
         assert la.charpoly(zero) == reference_charpoly(zero) == (la.ONE,) + (ZERO,) * n
-        for a in (zero, la.identity(n)):
+        for a in (zero, naive_identity(n)):
             assert la.poly_eval_mat((), a) == reference_poly_eval_mat((), a) == zero
         assert_matches_reference(zero, [(), (ZERO,), (la.ONE,), (Fraction(-2, 3), ZERO, Fraction(5, 7))])
     assert la.charpoly(()) == (la.ONE,) and la.poly_eval_mat((la.ONE, la.ONE), ()) == ()
@@ -894,7 +895,7 @@ def dense_kernel(rows, c):
     """``naive_kernel`` of the dense system; a system without rows has no
     column count as a dense matrix, and its kernel is all of Q^c."""
     if not rows:
-        return la.identity(c)
+        return naive_identity(c)
     return naive_kernel(tuple(tuple(Fraction(row.get(j, 0)) for j in range(c)) for row in rows))
 
 
@@ -1012,7 +1013,7 @@ def _skew_kernel_inputs():
         cases.append((((entry,),), SymBilinearForm(((0,),))))
     cases.append(((), SymBilinearForm(())))
     ex = build_example42()
-    identity = SymBilinearForm(la.identity(6))
+    identity = SymBilinearForm(naive_identity(6))
     xs = [la.unit_vec(6, i) for i in range(6)]
     xs += [tuple(rand_fraction(rng) for _ in range(6)) for _ in range(4)]
     for x in xs:

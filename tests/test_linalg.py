@@ -4,6 +4,7 @@ from fractions import Fraction
 from metriclie import linalg as la
 
 from conftest import (
+    naive_identity,
     naive_in_span,
     naive_poly_deg,
     naive_poly_divmod,
@@ -21,7 +22,7 @@ from conftest import (
 
 
 def test_rref_identity():
-    m = la.identity(4)
+    m = naive_identity(4)
     assert naive_rref(m) == (m, (0, 1, 2, 3))
     span = la.IntSpan(4)
     for row in m:
@@ -52,8 +53,8 @@ def test_inverse_round_trip():
             continue
         count += 1
         inv = la.inverse(m)
-        assert la.mat_mul(m, inv) == la.identity(n)
-        assert la.mat_mul(inv, m) == la.identity(n)
+        assert la.mat_mul(m, inv) == naive_identity(n)
+        assert la.mat_mul(inv, m) == naive_identity(n)
 
 
 def test_solve_lex_solves():

@@ -39,6 +39,7 @@ from metriclie.reduction import (
 from conftest import (
     draw_forms,
     naive_basis_bracket,
+    naive_identity,
     naive_mat_add,
     naive_mat_scale,
     naive_zeros,
@@ -185,7 +186,7 @@ def test_double_extend_produces_metric_algebra():
 
 def test_double_extend_rejects_non_skew_delta():
     base = build_ab(3, 0)
-    not_skew = la.identity(3)
+    not_skew = naive_identity(3)
     with pytest.raises((PreconditionError, Exception)):
         double_extend(DoubleExtensionSpec(base, (not_skew,)))
 

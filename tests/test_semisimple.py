@@ -19,7 +19,7 @@ from metriclie.semisimple import (
     split_form_report,
 )
 
-from conftest import naive_commutant, reference_simple_ideals
+from conftest import naive_commutant, naive_identity, reference_simple_ideals
 
 
 def _sum_with_form(c: Fraction) -> MetricLieAlgebra:
@@ -61,7 +61,7 @@ def _changed_basis(rng, m):
     redrawn until it is a basis."""
     n = m.dim
     while True:
-        cols = [list(c) for c in la.identity(n)]
+        cols = [list(c) for c in naive_identity(n)]
         for _ in range(2 * n):
             cols[rng.randrange(n)][rng.randrange(n)] += rng.choice((1, -1, Fraction(1, 2), Fraction(-1, 2)))
         if la.IntSpan(n, map(dict, la.to_int_rows(cols)[1])).dim == n:

@@ -254,6 +254,29 @@ def _importers(package: str) -> dict[str, list[int]]:
     return found
 
 
+def _callers(name: str) -> dict[str, list[str]]:
+    """Module name -> the module-level definition around each call of
+    ``name``, bare or as an attribute (``<module>`` for a call outside
+    every definition)."""
+    found: dict[str, list[str]] = {}
+    for path in sorted(SRC.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            owner = getattr(top, "name", "<module>")
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call):
+                    func = node.func
+                    if (func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)) == name:
+                        found.setdefault(path.name, []).append(owner)
+    return found
+
+
+def test_only_the_bounds_certificate_calls_jordan_chevalley():
+    # nil-invariance of a solvable algebra is invariance (Baues and
+    # Globke), so no verdict needs a Jordan decomposition; certify-bounds
+    # prints sigma, the semisimple part of ad(a)
+    assert _callers("jordan_chevalley") == {"einstein.py": ["bounds_certificate"]}
+
+
 def test_no_module_imports_mpmath():
     # the integrality probe computes in owned fixed point, so no code
     # path needs mpmath, not even inside a function

@@ -46,7 +46,7 @@ from metriclie.reduction import (
     iterated_double_extension,
 )
 
-from conftest import naive_rank, rand_matrix, random_abelian_base, restrict_form
+from conftest import naive_identity, naive_rank, rand_matrix, random_abelian_base, restrict_form
 
 POOL = Path(__file__).parents[1] / "perfbench" / "pool" / "reduce.json.gz"
 
@@ -300,7 +300,7 @@ def test_from_rows_normalises_the_form_in_one_place():
     assert form.matrix is form.matrix
     before = form.matrix
     with pytest.raises(AttributeError):
-        form.matrix = la.identity(3)
+        form.matrix = naive_identity(3)
     assert form.matrix is before and form.int_rows == (6, (((0, 3),), (), ((2, -2),)))
 
 
@@ -321,9 +321,9 @@ def test_double_extension_specs_hold_integer_columns():
     same = DoubleExtensionSpec.from_columns(base, [(4, [[(1, 2)], [(0, 2)]])])
     assert same == spec and double_extend(same) == double_extend(spec)
     with pytest.raises(PreconditionError, match="delta matrix size does not match the base"):
-        DoubleExtensionSpec(base, (la.identity(3),))
+        DoubleExtensionSpec(base, (naive_identity(3),))
     with pytest.raises(PreconditionError, match="not skew with respect to the base form"):
-        double_extend(DoubleExtensionSpec(base, (la.identity(2),)))
+        double_extend(DoubleExtensionSpec(base, (naive_identity(2),)))
 
 
 def test_extend_errors_keep_their_messages(capsys, tmp_path):
