@@ -45,10 +45,11 @@ from .linalg import Mat, Vec
 from .quadratic import Quadratic, field_sum, is_owned
 from .reduction import (
     DoubleExtensionSpec,
+    _draw_skew_entries,
+    _skew_numerators,
     build_ab,
     double_extend,
     random_skew_derivation,
-    random_skew_numerators,
 )
 
 
@@ -419,11 +420,18 @@ def _traceless_skew_map(rng: random.Random, form: SymBilinearForm) -> tuple | No
 
     For a one-step extension of an abelian base the Killing form
     vanishes iff tr(delta^2) = 0. With delta = R / D drawn in integers
-    by ``random_skew_numerators``, that is tr(R^2) = 0, in int.
+    as ``random_skew_numerators`` draws it, R = P C for P the rows of
+    ``form.int_inverse`` and C skew with the drawn upper entries c_e,
+    that is tr(R^2) = sum_{e,f} T_ef c_e c_f = 0, with T_ef = P_jk P_li
+    - P_jl P_ki - P_ik P_lj + P_il P_kj for e = (i, j), f = (k, l)
+    (``form.skew_square_trace``; T_ee = -2 p_i p_j on a diagonal form).
+    The sum is decided on the drawn integers, so a rejected draw forms
+    no K and no product; only a kept one forms R and its columns.
     """
-    den, rows = random_skew_numerators(rng, form)
-    if la.trace_product(rows, rows):
+    lcm, entries = _draw_skew_entries(rng, form.dim)
+    if form.skew_square_trace(entries):
         return None
+    den, rows = _skew_numerators(form, lcm, entries)
     return la.normalised(den, (tuple(enumerate(col)) for col in zip(*rows)))
 
 
@@ -491,7 +499,12 @@ def sharpness_search(
     empty range or a negative budget raises ``PreconditionError``.
 
     A one-step sample is drawn, kept only if tr(delta^2) = 0, and
-    extended in integers (``_traceless_skew_map``). The abelian bases
+    extended in integers (``_traceless_skew_map``). The trace is the
+    quadratic form sum_{e,f} T_ef c_e c_f of the drawn skew entries c_e,
+    with T_ef = P_jk P_li - P_jl P_ki - P_ik P_lj + P_il P_kj for e =
+    (i, j), f = (k, l) and P the integer rows of B^{-1}, so a draw is
+    decided before any matrix product, and only the kept ones (about
+    19%) form delta. The abelian bases
     come from the memoised ``build_ab``, so they and their cached data
     are shared across calls.
 
@@ -505,7 +518,8 @@ def sharpness_search(
 
     A two-step sample draws delta_2 on the first step g_1 (the draw of
     ``random_double_extension``) and builds g_2 = a_2 + g_1 + z_2 only
-    if tr(delta_2^2) = 0, in integers: z_2 is central, so kappa(z_2, .)
+    if tr(delta_2^2) = 0, read off delta_2's integer columns
+    (``la.int_trace_square``): z_2 is central, so kappa(z_2, .)
     = 0, and with <a_2, z_2> = 1, Ric = lam <.,.> forces lam = 0 and
     then kappa = 0. ad(a_2) is delta_2 on g_1 and zero on a_2 and z_2,
     so kappa(a_2, a_2) = tr(delta_2^2), and a sample with tr(delta_2^2)
@@ -557,8 +571,7 @@ def sharpness_search(
             g = _extension(d - 4, s - 2, random_skew_derivation(rng, build_ab(d - 4, s - 2)))
             delta = random_skew_derivation(rng, g)
             # kappa(a2, a2) = tr(delta2^2) must vanish on a hit (see above)
-            r = la.dense(delta[1], g.dim)
-            if la.trace_product(r, r):
+            if la.int_trace_square(delta[1]):
                 continue
             g = double_extend(DoubleExtensionSpec.from_columns(g, (delta,)))
             rec = _record(g, f"iterated-2 dim {d}")

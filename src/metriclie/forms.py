@@ -12,8 +12,9 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from fractions import Fraction
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 from . import linalg as la
 from .core import (
@@ -97,6 +98,50 @@ class SymBilinearForm(Frozen):
         """B^{-1} held as ``int_rows`` holds B (``la.int_inverse``);
         ``ValueError`` for a degenerate form."""
         return la.int_inverse(*self.int_rows, self.dim)
+
+    @functools.cached_property
+    def skew_square_table(self) -> tuple[tuple[int, ...], tuple[tuple[int, int, int], ...]]:
+        """The quadratic form T of tr((P C)^2) = sum_{e,f} T_ef c_e c_f,
+        with P the integer rows of ``int_inverse`` and C skew-symmetric
+        with upper entries c_e, e = (i, j), i < j, in lexicographic
+        order: (diag, off), diag[e] = T_ee and off the triples (e, f,
+        2 T_ef) of the non-zero T_ef with e < f.
+
+        T_ef = P_jk P_li - P_jl P_ki - P_ik P_lj + P_il P_kj for f = (k,
+        l); it is 2 (Y_e)_lk for the skew Y_e = P (E_ij - E_ji) P = p_i
+        p_j^T - p_j p_i^T, so it is read off the pairs of the sparse rows
+        i and j of P. A diagonal form has T_ee = -2 p_i p_j and no
+        off-diagonal term."""
+        n = self.dim
+        rows = self.int_inverse[1]
+        index = {pair: e for e, pair in enumerate(itertools.combinations(range(n), 2))}
+        diag = [0] * len(index)
+        off = []
+        for (i, j), e in index.items():
+            y_e: dict[tuple[int, int], int] = {}
+            for a, x in rows[i]:
+                for b, z in rows[j]:
+                    # x z = P_ia P_jb sits at (a, b) of Y_e and -x z at (b, a)
+                    if a > b:
+                        y_e[b, a] = y_e.get((b, a), 0) + 2 * x * z
+                    elif a < b:
+                        y_e[a, b] = y_e.get((a, b), 0) - 2 * x * z
+            for pair, t in y_e.items():
+                f = index[pair]
+                if f == e:
+                    diag[e] = t
+                elif f > e and t:
+                    off.append((e, f, 2 * t))
+        return tuple(diag), tuple(off)
+
+    def skew_square_trace(self, entries: Sequence[int]) -> int:
+        """tr((P C)^2) = sum_{e,f} T_ef c_e c_f for the upper entries
+        c_e of C, read on ``skew_square_table``."""
+        diag, off = self.skew_square_table
+        trace = sum(map(operator.mul, diag, map(operator.mul, entries, entries)))
+        for e, f, t in off:
+            trace += t * entries[e] * entries[f]
+        return trace
 
     @functools.cached_property
     def inverse(self) -> Mat:

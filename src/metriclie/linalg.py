@@ -201,6 +201,14 @@ def trace_product(a: Mat, b: Mat) -> Fraction | int:
     return total
 
 
+def int_trace_square(rows: Sequence[IntRow]) -> int:
+    """tr(A^2) = sum_pq A_pq A_qp of the sparse integer rows of A (or of
+    its columns: tr(A^2) = tr((A^T)^2)), read off the pairs without a
+    dense matrix."""
+    entries = [dict(row) for row in rows]
+    return sum(x * entries[q].get(p, 0) for p, row in enumerate(rows) for q, x in row)
+
+
 def is_zero_mat(a: Mat) -> bool:
     return all(is_zero_vec(r) for r in a)
 

@@ -439,6 +439,71 @@ def build_example42() -> MetricLieAlgebra:
 # ---------------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=16)
+def _skew_draw_table(bound: int, max_denominator: int) -> tuple[int, int, tuple]:
+    """(L, bit length of max_denominator, per den: the numerator's width
+    w, its bit length, its offset and L / den) for ``_draw_skew_entries``,
+    built once per range."""
+    if bound < 0 or max_denominator < 1:
+        raise ValueError(f"empty draw range: bound {bound}, max_denominator {max_denominator}")
+    lcm = math.lcm(*range(1, max_denominator + 1))
+    widths = [2 * bound * den + 1 for den in range(1, max_denominator + 1)]
+    draws = tuple((w, w.bit_length(), bound * den, lcm // den) for den, w in enumerate(widths, 1))
+    return lcm, max_denominator.bit_length(), draws
+
+
+def _draw_skew_entries(
+    rng: random.Random, n: int, bound: int = 2, max_denominator: int = 4
+) -> tuple[int, list[int]]:
+    """The draw of an n x n skew-symmetric K: (L, c) with L = lcm(1..
+    max_denominator) and c the integers L K_ij, i < j in lexicographic
+    order. For each entry in turn, a denominator den is drawn from
+    [1, max_denominator], then a numerator from [-bound den, bound den],
+    and K_ij is their quotient. An empty range (bound < 0 or
+    max_denominator < 1) raises ``ValueError`` before any draw.
+
+    Each draw is the one ``rng.randint(a, b)`` makes on a
+    ``random.Random``: a + r, with r = ``getrandbits(k)`` for k the bit
+    length of w = b - a + 1, drawn again while r >= w. So the stream is
+    the same, without randint's wrapper layers.
+    """
+    lcm, k_den, draws = _skew_draw_table(bound, max_denominator)
+    bits = rng.getrandbits
+    entries = []
+    for _ in range(n * (n - 1) // 2):
+        r = bits(k_den)
+        while r >= max_denominator:
+            r = bits(k_den)
+        w, k_num, offset, scale = draws[r]
+        t = bits(k_num)
+        while t >= w:
+            t = bits(k_num)
+        entries.append((t - offset) * scale)
+    return lcm, entries
+
+
+def _skew_numerators(
+    form: SymBilinearForm, lcm: int, entries: Sequence[int]
+) -> tuple[int, list[list[int]]]:
+    """(L M, R) for R = P C the integer product, with (M, rows of P) =
+    ``form.int_inverse`` and C the skew-symmetric matrix whose upper
+    entries, i < j in lexicographic order, are the given integers L K_ij
+    (``_draw_skew_entries``): B^{-1} K = R / (L M)."""
+    n = form.dim
+    k = [[0] * n for _ in range(n)]
+    for (i, j), c in zip(itertools.combinations(range(n), 2), entries):
+        k[i][j] = c
+        k[j][i] = -c
+    out = []
+    for inv_row in form.int_inverse[1]:
+        acc = [0] * n
+        for r, x in inv_row:
+            for q, y in enumerate(k[r]):
+                acc[q] += x * y
+        out.append(acc)
+    return lcm * form.int_inverse[0], out
+
+
 def random_skew_numerators(
     rng: random.Random,
     form: SymBilinearForm,
@@ -448,50 +513,15 @@ def random_skew_numerators(
     """The draw of ``random_skew_map`` in integers: (D, R) with R an
     integer matrix and B^{-1} K = R / D.
 
-    K is skew-symmetric. For each i < j in turn, a denominator den is
-    drawn from [1, max_denominator], then a numerator from [-bound den,
-    bound den], and K_ij is their quotient. Over L = lcm(1..
-    max_denominator) every L K_ij is an integer; with (M, rows) =
-    ``form.int_inverse``, R is the product of the rows M B^{-1} with
-    L K, and D = L M. An empty range (bound < 0 or max_denominator < 1)
-    raises ``ValueError`` before any draw.
-
-    Each draw is the one ``rng.randint(a, b)`` makes on a
-    ``random.Random``: a + r, with r = ``getrandbits(k)`` for k the bit
-    length of w = b - a + 1, drawn again while r >= w. So the stream is
-    the same, without randint's wrapper layers.
+    K is skew-symmetric, its upper entries drawn by ``_draw_skew_entries``
+    as the integers L K_ij over L = lcm(1..max_denominator). With (M,
+    rows) = ``form.int_inverse``, R is the product of the rows M B^{-1}
+    with L K (``_skew_numerators``), and D = L M. Its trace
+    tr(R^2) is the quadratic form ``form.skew_square_trace`` of the
+    drawn entries, so a caller that needs only traceless draws can
+    decide before any product (``einstein._traceless_skew_map``).
     """
-    if bound < 0 or max_denominator < 1:
-        raise ValueError(f"empty draw range: bound {bound}, max_denominator {max_denominator}")
-    n = form.dim
-    lcm = math.lcm(*range(1, max_denominator + 1))
-    bits = rng.getrandbits
-    k_den = max_denominator.bit_length()
-    # per den: the numerator's width w, its bit length, its offset and L / den
-    widths = [2 * bound * den + 1 for den in range(1, max_denominator + 1)]
-    draws = [(w, w.bit_length(), bound * den, lcm // den) for den, w in enumerate(widths, 1)]
-    k = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            r = bits(k_den)
-            while r >= max_denominator:
-                r = bits(k_den)
-            w, k_num, offset, scale = draws[r]
-            t = bits(k_num)
-            while t >= w:
-                t = bits(k_num)
-            c = (t - offset) * scale
-            k[i][j] = c
-            k[j][i] = -c
-    m, inv_rows = form.int_inverse
-    out = []
-    for inv_row in inv_rows:
-        acc = [0] * n
-        for r, x in inv_row:
-            for q, y in enumerate(k[r]):
-                acc[q] += x * y
-        out.append(acc)
-    return lcm * m, out
+    return _skew_numerators(form, *_draw_skew_entries(rng, form.dim, bound, max_denominator))
 
 
 def random_skew_map(

@@ -2,6 +2,7 @@ import copy
 import hashlib
 import json
 import random
+import sys
 from collections import Counter
 from fractions import Fraction
 
@@ -346,6 +347,43 @@ def test_integer_prefilter_matches_fraction_trace(monkeypatch):
                     rejected += 1
     assert converted == []
     assert nonzero_kept > 10 and rejected > 100
+
+
+def test_search_rejects_a_draw_before_any_product(monkeypatch):
+    """Over seeded searches, the product R = P C of a one-step draw is
+    formed once per kept draw and never for a rejected one, most draws
+    are rejected, and no code of ``einstein`` densifies a matrix or sums
+    a dense trace: both prefilters read integers (the certificates of a
+    recorded hit may still do both)."""
+    draw, product = metriclie.einstein._traceless_skew_map, metriclie.einstein._skew_numerators
+    draws, products, dense_calls = [], [], []
+    dense, trace_product = la.dense, la.trace_product
+
+    def counted_draw(rng, form):
+        out = draw(rng, form)
+        draws.append(out is not None)
+        return out
+
+    def counted_product(form, lcm, entries):
+        products.append(entries)
+        return product(form, lcm, entries)
+
+    def caller_module(fn):
+        def wrapped(*args):
+            dense_calls.append(sys._getframe(1).f_globals["__name__"])
+            return fn(*args)
+
+        return wrapped
+
+    monkeypatch.setattr(metriclie.einstein, "_traceless_skew_map", counted_draw)
+    monkeypatch.setattr(metriclie.einstein, "_skew_numerators", counted_product)
+    monkeypatch.setattr(la, "dense", caller_module(dense))
+    monkeypatch.setattr(la, "trace_product", caller_module(trace_product))
+    for seed in range(1, 201):
+        sharpness_search((3, 8), (1, 2), 20, seed)
+    assert len(products) == sum(draws)
+    assert 10 < sum(draws) < len(draws) / 3
+    assert "metriclie.einstein" not in dense_calls
 
 
 # sha256 over the JSON outputs of sharpness_search((3, 8), (1, 2), 20,

@@ -146,3 +146,15 @@ def test_proportionality():
     assert la.proportionality(((0,),), ((0,),)) == 0
     assert la.proportionality(((5,),), ((0,),)) is None
     assert la.proportionality((), ()) == 0
+
+
+def test_int_trace_square_reads_the_sparse_rows():
+    """``la.int_trace_square`` of sparse integer rows is tr(A^2) of the
+    dense A, and of its transpose, as ``trace_product`` sums it."""
+    rng = random.Random(4)
+    for _ in range(200):
+        n = rng.randint(1, 7)
+        a = [[rng.choice((0, 0, rng.randint(-9, 9))) for _ in range(n)] for _ in range(n)]
+        rows = [tuple((q, x) for q, x in enumerate(row) if x) for row in a]
+        cols = [tuple((p, x) for p, x in enumerate(col) if x) for col in zip(*a)]
+        assert la.int_trace_square(rows) == la.int_trace_square(cols) == la.trace_product(a, a)

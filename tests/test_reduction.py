@@ -22,6 +22,8 @@ from metriclie.forms import (
 from metriclie.reduction import (
     DoubleExtensionSpec,
     _assemble,
+    _draw_skew_entries,
+    _skew_numerators,
     build_ab,
     build_example42,
     build_ko1,
@@ -119,6 +121,52 @@ def test_random_skew_numerators_keep_the_randint_stream():
         for form in forms:
             assert random_skew_numerators(rng, form) == reference_random_skew_numerators(ref_rng, form)
             assert rng.getstate() == ref_rng.getstate()
+
+
+def _naive_skew_square_entry(p, e, f):
+    """T_ef of tr((P C)^2) = sum_{e,f} T_ef c_e c_f, straight from its
+    formula on the dense P, for e = (i, j) and f = (k, l)."""
+    (i, j), (k, l) = e, f
+    return p[j][k] * p[l][i] - p[j][l] * p[k][i] - p[i][k] * p[l][j] + p[i][l] * p[k][j]
+
+
+def test_skew_square_table_is_the_trace_square():
+    """On every ``draw_forms`` form and a form of two hyperbolic planes,
+    the table of ``SymBilinearForm.skew_square_table`` is T_ef entry by
+    entry, and ``skew_square_trace`` of seeded skew integers c equals
+    tr(R^2) of R = P C, the product of ``random_skew_numerators``, also
+    on the stream that draw reads. A diagonal form's table has no
+    off-diagonal term; example42's, the non-integer form's and the
+    hyperbolic planes' have some, and a single hyperbolic plane's one
+    pair has T_ee = 2 P_01^2 where a diagonal form has -2 p_0 p_1."""
+    planes = SymBilinearForm(((0, 1, 0, 0), (1, 0, 0, 0), (0, 0, 0, 1), (0, 0, 1, 0)))
+    rng = random.Random(11)
+    with_off = []
+    for form in [*draw_forms(), planes]:
+        n = form.dim
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        p = la.dense(form.int_inverse[1], n)
+        diag, off = form.skew_square_table
+        table = {(e, f): t for e, f, t in off}
+        for a, e in enumerate(pairs):
+            assert diag[a] == _naive_skew_square_entry(p, e, e)
+            for b, f in enumerate(pairs[a + 1 :], a + 1):
+                assert table.get((a, b), 0) == 2 * _naive_skew_square_entry(p, e, f)
+        if off:
+            with_off.append(form)
+        for _ in range(20):
+            entries = [rng.choice((0, rng.randint(-30, 30))) for _ in pairs]
+            _, r = _skew_numerators(form, 12, entries)
+            assert form.skew_square_trace(entries) == la.trace_product(r, r)
+        state = rng.getstate()
+        _, entries = _draw_skew_entries(rng, n, 2, 4)
+        rng.setstate(state)
+        _, r = random_skew_numerators(rng, form, 2, 4)
+        assert form.skew_square_trace(entries) == la.trace_product(r, r)
+    diagonal = [build_ab(n, s).form for n in range(1, 9) for s in range(n + 1)]
+    assert all(f.skew_square_table[1] == () for f in diagonal)
+    assert all(f in with_off for f in (build_example42().form, planes, draw_forms()[-1]))
+    assert SymBilinearForm(((0, 1), (1, 0))).skew_square_table == ((2,), ())
 
 
 def test_random_skew_draw_rejects_an_empty_range():
