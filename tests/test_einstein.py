@@ -356,7 +356,7 @@ def test_search_rejects_a_draw_before_any_product(monkeypatch):
     a dense trace: both prefilters read integers (the certificates of a
     recorded hit may still do both)."""
     draw, product = metriclie.einstein._traceless_skew_map, metriclie.einstein._skew_numerators
-    draws, products, dense_calls = [], [], []
+    draws, products, dense_callers = [], [], []
     dense, trace_product = la.dense, la.trace_product
 
     def counted_draw(rng, form):
@@ -370,7 +370,7 @@ def test_search_rejects_a_draw_before_any_product(monkeypatch):
 
     def caller_module(fn):
         def wrapped(*args):
-            dense_calls.append(sys._getframe(1).f_globals["__name__"])
+            dense_callers.append(sys._getframe(1).f_globals["__name__"])
             return fn(*args)
 
         return wrapped
@@ -383,7 +383,7 @@ def test_search_rejects_a_draw_before_any_product(monkeypatch):
         sharpness_search((3, 8), (1, 2), 20, seed)
     assert len(products) == sum(draws)
     assert 10 < sum(draws) < len(draws) / 3
-    assert "metriclie.einstein" not in dense_calls
+    assert "metriclie.einstein" not in dense_callers
 
 
 # sha256 over the JSON outputs of sharpness_search((3, 8), (1, 2), 20,
