@@ -186,50 +186,106 @@ class MetricLieAlgebra(Frozen):
         return self.algebra.dim
 
     @functools.cached_property
+    def invariance(self) -> InvarianceReport:
+        """Whether <[x,y1],y2> = -<y1,[x,y2]> on all basis triples,
+        decided once per algebra.
+
+        For each basis x, ``int_table[x]`` holds the columns of L ad(b_x),
+        whose skewness ``_skew_pairing`` decides in ``int``; the witness is
+        the first (x, y1, y2) in lexicographic order.
+        """
+        _, rows = self.algebra.int_table
+        _, b_rows = self.form.int_rows
+        for x, cols in enumerate(rows):
+            _, witness = _skew_pairing(cols, b_rows)
+            if witness is not None:
+                return InvarianceReport(False, (x, *witness))
+        return InvarianceReport(True, None)
+
+    @functools.cached_property
     def skew_derivations(self) -> SubspaceBasis:
         """The derivations of the algebra that are skew for the form, in
-        Q^(n n) with d_pq at column p n + q: the kernel of
-        ``_skew_derivation_equations``, solved once per algebra (so the
-        memoised ``build_ab`` bases share it)."""
-        return SubspaceBasis.kernel(self.dim**2, _skew_derivation_equations(self))
+        Q^(n n) with d_pq at column p n + q, solved once per algebra (so
+        the memoised ``build_ab`` bases share it). The form must be
+        invariant and non-degenerate (``PreconditionError`` otherwise).
+
+        It is solved for S = B D. Let c be the structure constants and
+        phi(x, y, w) = <[x, y], w>.
+        - D is skew for B iff S is skew-symmetric, so the unknowns are
+          the upper entries s_e = S_ab, e = (a, b), a < b, in
+          lexicographic order: n (n - 1) / 2 of them.
+        - For a skew D, D is a derivation iff phi(Dx, y, w) +
+          phi(x, Dy, w) + phi(x, y, Dw) = 0 for all x, y, w: the sum is
+          <D[x, y] - [Dx, y] - [x, Dy], w> once skewness moves D off w,
+          and B is non-degenerate.
+        - B is invariant, so phi is alternating, and so is the sum (the
+          action of D on a 3-form). The triples e_i, e_j, e_k with
+          i < j < k are enough.
+        - phi(D e_i, e_j, e_k) = phi(e_j, e_k, D e_i) = <[e_j, e_k],
+          D e_i> = sum_q c_jk^q S_qi, and cyclically for the others.
+        So the system is E_ijk = sum_q (S_qi c_jk^q + S_qj c_ki^q +
+        S_qk c_ij^q) = 0 for i < j < k (``_skew_three_form_equations``),
+        read off ``int_table`` with no form. For n <= 2 it has no rows
+        and every skew map is a derivation.
+
+        Each kernel vector S is mapped to D = P S, P the integer rows of
+        ``form.int_inverse`` (its denominator dropped). The basis is that
+        of ``SubspaceBasis.kernel`` on the entries of D, which is e_f minus
+        RREF entries for each free column f: the one basis of the span
+        that is 1 on its own f, 0 on the other free columns and 0 after
+        f. That is the RREF of the span with the column order reversed,
+        so it is read off an ``IntSpan`` of the D vectors on the columns
+        c -> n^2 - 1 - c, each pivot row over the lcm of the leading
+        entries, listed by increasing f. The basis is the same, row for
+        row, as that of a solve on the n^2 entries of D with skewness and
+        derivation rows, and ``reduction.random_skew_derivation`` draws
+        one coefficient per basis vector in this order.
+        """
+        _require_invariant(self)
+        try:
+            _, p_rows = self.form.int_inverse
+        except ValueError:
+            raise PreconditionError("skew derivations need a non-degenerate form") from None
+        n = self.dim
+        pairs = list(itertools.combinations(range(n), 2))
+        _, solutions = la.IntSpan(len(pairs), _skew_three_form_equations(self)).int_kernel()
+        last = n * n - 1
+        span = la.IntSpan(n * n)
+        for sol in solutions:
+            # S_ab = s and S_ba = -s add P_pa s at (p, b) and -P_pb s at (p, a)
+            d: dict[int, int] = {}
+            for e, s in sol:
+                a, b = pairs[e]
+                for p, x in p_rows[a]:
+                    col = last - p * n - b
+                    d[col] = d.get(col, 0) + x * s
+                for p, x in p_rows[b]:
+                    col = last - p * n - a
+                    d[col] = d.get(col, 0) - x * s
+            span.add(d)
+        leads = sorted(span.pivots.items(), reverse=True)
+        den = math.lcm(*(r[c] for c, r in leads))
+        rows = (sorted((last - c, x * (den // r[lead])) for c, x in r.items()) for lead, r in leads)
+        return SubspaceBasis.from_rows(n * n, den, rows)
 
 
-def _skew_derivation_equations(base: MetricLieAlgebra) -> list[dict[int, int]]:
-    """The sparse integer rows of the system whose kernel is
-    ``MetricLieAlgebra.skew_derivations`` (see
-    ``reduction.skew_derivation_space``)."""
-    n = base.dim
-    _, b_rows = base.form.int_rows
-    _, table = base.algebra.int_table
-    eqs: list[dict[int, int]] = []
-
-    def add(row: dict[int, int], col: int, x: int) -> None:
-        row[col] = row.get(col, 0) + x
-
-    # skewness: sum_p d_{pk} B_{pl} + B_{kp} d_{pl} = 0; symmetric in
-    # (k, l), so k <= l only
-    for k in range(n):
-        for l in range(k, n):
-            row: dict[int, int] = {}
-            for p, x in b_rows[l]:
-                add(row, p * n + k, x)
-            for p, x in b_rows[k]:
-                add(row, p * n + l, x)
+def _skew_three_form_equations(m: MetricLieAlgebra) -> list[dict[int, int]]:
+    """The rows E_ijk, i < j < k, of ``MetricLieAlgebra.skew_derivations``
+    in the upper entries s_e of S = B D, scaled by the table's L: S_qi
+    is s_(q, i) for q < i, -s_(i, q) for q > i and 0 for q = i."""
+    _, table = m.algebra.int_table
+    index = {pair: e for e, pair in enumerate(itertools.combinations(range(m.dim), 2))}
+    eqs = []
+    for i, j, k in itertools.combinations(range(m.dim), 3):
+        row: dict[int, int] = {}
+        for col, terms in ((i, table[j][k]), (j, table[k][i]), (k, table[i][j])):
+            for q, c in terms:
+                if q < col:
+                    row[index[q, col]] = row.get(index[q, col], 0) + c
+                elif q > col:
+                    row[index[col, q]] = row.get(index[col, q], 0) - c
+        if row:
             eqs.append(row)
-    # derivation: d([e_i,e_j]) = [d e_i, e_j] + [e_i, d e_j], component k
-    for i in range(n):
-        for j in range(i + 1, n):
-            # only the components k that some term reaches get a row
-            rows: dict[int, dict[int, int]] = {}
-            for mth, c in table[i][j]:
-                for k in range(n):
-                    add(rows.setdefault(k, {}), k * n + mth, c)
-            for p in range(n):
-                for k, c in table[p][j]:
-                    add(rows.setdefault(k, {}), p * n + i, -c)
-                for k, c in table[i][p]:
-                    add(rows.setdefault(k, {}), p * n + j, -c)
-            eqs.extend(rows.values())
     return eqs
 
 
@@ -377,23 +433,14 @@ def _map_pairing(a: Mat, form: SymBilinearForm) -> tuple[int, list[list[int]], t
 
 
 def is_invariant(m: MetricLieAlgebra) -> InvarianceReport:
-    """Check <[x,y1],y2> = -<y1,[x,y2]> on all basis triples.
-
-    For each basis x, ``int_table[x]`` holds the columns of L ad(b_x),
-    whose skewness ``_skew_pairing`` decides in ``int``; the witness is
-    the first (x, y1, y2) in lexicographic order.
-    """
-    _, rows = m.algebra.int_table
-    _, b_rows = m.form.int_rows
-    for x, cols in enumerate(rows):
-        _, witness = _skew_pairing(cols, b_rows)
-        if witness is not None:
-            return InvarianceReport(False, (x, *witness))
-    return InvarianceReport(True, None)
+    """Check <[x,y1],y2> = -<y1,[x,y2]> on all basis triples: the
+    verdict m keeps as ``invariance``."""
+    return m.invariance
 
 
 def _require_invariant(m: MetricLieAlgebra) -> None:
-    """Raise ``PreconditionError`` unless the form is invariant."""
+    """Raise ``PreconditionError`` unless the form is invariant, on the
+    kept ``is_invariant`` verdict."""
     inv = is_invariant(m)
     if not inv.passed:
         raise PreconditionError(f"form is not invariant; witness triple {inv.witness}")

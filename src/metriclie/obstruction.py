@@ -12,6 +12,7 @@ tagged accordingly.
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
@@ -658,6 +659,10 @@ def _exp_charpoly(boxes: Sequence[Box], t: Fraction, precision_bits: int) -> tup
     g0 = precision_bits + GUARD_BITS
     extra = math.ceil(sum(max(-re[0], 0) for re, _ in zs) * _LOG2_E)
     g = g0 + extra
+    if g > sys.maxsize:
+        # beyond a shift count; t may have more digits than str prints
+        size = t.numerator.bit_length() - t.denominator.bit_length()
+        raise PreconditionError(f"t of about 2^{size} is too large to probe: e^(t lambda) overflows")
     coeffs = [(1 << g, 0, 0)]
     for re, im in zs:
         x, rx = _fixed(*re, g0)

@@ -542,11 +542,12 @@ def skew_derivation_space(base: MetricLieAlgebra) -> tuple[Mat, ...]:
     """Basis of the derivations of the base algebra that are skew with
     respect to the base form (the valid one-dimensional extension data).
 
-    The unknowns are the entries d_pq, column p n + q. The equations are
-    built as sparse integer rows from the form's integer rows (scaled by
-    M) and the structure table (scaled by L), and solved by
-    ``SubspaceBasis.kernel``, whose basis is ``la.kernel``'s. The basis
-    is the base's kept ``skew_derivations``.
+    The basis is the base's kept ``skew_derivations``: solved for S =
+    B D on the invariant 3-form <[x, y], z>, C(n, 3) rows in the n (n -
+    1) / 2 upper entries of S, then mapped to D = B^-1 S. Its vectors are
+    the reversed-column RREF of the span in the entries d_pq, column p n
+    + q, which is the basis ``SubspaceBasis.kernel`` gives a system in
+    the d_pq. The base form must be invariant and non-degenerate.
     """
     n = base.dim
     sols = base.skew_derivations.vectors
@@ -562,8 +563,10 @@ def random_skew_derivation(rng: random.Random, base: MetricLieAlgebra) -> tuple[
     drawn from [-2, 2], one ``rng.randint`` per basis vector (the zero
     map if the base admits no other). The basis, the base's kept
     ``skew_derivations``, is read in integers over its common
-    denominator L, and the sum of c_i w_i, the columns of L delta, is
-    returned as ``la.normalised`` integer columns (D, cols)."""
+    denominator L, in its order (by increasing free column, so the
+    coefficients fall on the vectors of a kernel solve in the d_pq),
+    and the sum of c_i w_i, the columns of L delta, is returned as
+    ``la.normalised`` integer columns (D, cols)."""
     n = base.dim
     den, rows = base.skew_derivations.int_rows
     acc: dict[int, int] = {}

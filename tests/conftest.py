@@ -420,6 +420,51 @@ def reference_subspace(n, vectors):
 
 
 # ---------------------------------------------------------------------------
+# skew derivations in the n^2 entries of D: the reference for the solve on
+# the invariant 3-form, whose basis must be this one row for row
+# ---------------------------------------------------------------------------
+
+
+def reference_skew_derivations(base):
+    """The skew derivations as the ``SubspaceBasis.kernel`` of sparse
+    integer rows in the entries d_pq at column p n + q, of the skewness
+    of D for the form and of the derivation identity: identity on the
+    free columns of that system."""
+    n = base.dim
+    _, b_rows = base.form.int_rows
+    _, table = base.algebra.int_table
+    eqs = []
+
+    def add(row, col, x):
+        row[col] = row.get(col, 0) + x
+
+    # skewness: sum_p d_{pk} B_{pl} + B_{kp} d_{pl} = 0; symmetric in
+    # (k, l), so k <= l only
+    for k in range(n):
+        for l in range(k, n):
+            row = {}
+            for p, x in b_rows[l]:
+                add(row, p * n + k, x)
+            for p, x in b_rows[k]:
+                add(row, p * n + l, x)
+            eqs.append(row)
+    # derivation: d([e_i,e_j]) = [d e_i, e_j] + [e_i, d e_j], component k
+    for i in range(n):
+        for j in range(i + 1, n):
+            rows = {}
+            for mth, c in table[i][j]:
+                for k in range(n):
+                    add(rows.setdefault(k, {}), k * n + mth, c)
+            for p in range(n):
+                for k, c in table[p][j]:
+                    add(rows.setdefault(k, {}), p * n + i, -c)
+                for k, c in table[i][p]:
+                    add(rows.setdefault(k, {}), p * n + j, -c)
+            eqs.extend(rows.values())
+    return SubspaceBasis.kernel(n * n, eqs)
+
+
+# ---------------------------------------------------------------------------
 # Fraction structure-constant code: the reference for ``bracket`` and the
 # centroid system, which now run on the integer structure table
 # ---------------------------------------------------------------------------

@@ -333,6 +333,19 @@ def test_probe_malformed_times_exits_2(capsys, times):
     assert err.startswith("error: bad --times value") and "Traceback" not in err
 
 
+def test_probe_with_an_absurd_time_exits_2(capsys):
+    """A t so large that the precision of e^(t lambda) would overflow a
+    shift count is a precondition error, not a traceback; it has a
+    million digits, so the message names it by its size."""
+    code, out, err = run(
+        capsys, "probe", "example42", "--element", "a", "--times", "1e999999"
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: t of about 2^") and "too large to probe" in err
+    assert "Traceback" not in err
+
+
 def test_split_semisimple(capsys):
     code, report, _ = run_json(capsys, "split-semisimple", "sl2")
     assert code == 0

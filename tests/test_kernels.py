@@ -34,6 +34,7 @@ from metriclie.core import (
     subspace_from_spanning,
     validate_structure,
 )
+from metriclie import einstein
 from metriclie.documents import document_to_algebra, parse_document
 from metriclie.forms import MetricLieAlgebra, SymBilinearForm, _map_pairing, is_invariant
 from metriclie.reduction import (
@@ -64,6 +65,7 @@ from conftest import (
     naive_solve_lex,
     naive_trace,
     naive_zeros,
+    pool_metrics,
     rand_fraction,
     random_abelian_base,
     rational_solve_lex,
@@ -72,6 +74,7 @@ from conftest import (
     reference_int_row,
     reference_killing_sums,
     reference_poly_eval_mat,
+    reference_skew_derivations,
     reference_skew_residual,
     reference_span_basis,
 )
@@ -845,6 +848,37 @@ def test_skew_derivation_space_matches_dense_system():
     bases += [random_abelian_base(rng, max_dim=8) for _ in range(8)]
     for base in bases:
         assert skew_derivation_space(base) == fraction_skew_derivation_space(base)
+
+
+def test_skew_derivations_keep_the_kernel_basis(monkeypatch):
+    """The solve on the invariant 3-form gives the basis of
+    ``reference_skew_derivations`` row for row, since
+    ``random_skew_derivation`` draws one coefficient per row: on every
+    first step g_1 that the search workload ((3, 8), (1, 2), 20, seeds
+    0..1500) draws a second step on, the reduce-pool documents, every
+    ``build_ab(n, s)`` with n <= 8, and, for forms that are neither
+    diagonal nor integer, seeded iterated extensions and example42
+    rebased."""
+    first_steps = {}
+    draw = einstein.random_skew_derivation
+
+    def recorded(rng, base):
+        if "a0" in base.algebra.basis_names:
+            first_steps[base] = None
+        return draw(rng, base)
+
+    monkeypatch.setattr(einstein, "random_skew_derivation", recorded)
+    for seed in range(1501):
+        einstein.sharpness_search((3, 8), (1, 2), 20, seed)
+    assert len(first_steps) > 300
+    rng = random.Random(51)
+    iterated = iterated_family(12, seed=1011, max_dim=10)
+    algs = list(first_steps) + pool_metrics(step=1) + iterated
+    algs += [build_ab(n, s) for n in range(9) for s in range(n + 1)]
+    small = [m for m in iterated if m.dim <= 6]
+    algs += [rebased(rng, m) for m in small + [build_example42()] * 2]
+    for m in algs:
+        assert m.skew_derivations.int_rows == reference_skew_derivations(m).int_rows
 
 
 def test_cached_inverse_matches_inverse():

@@ -1,10 +1,13 @@
+import functools
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
 from metriclie import linalg as la
 from metriclie.core import (
+    LieAlgebra,
     SubspaceBasis,
     nilradical,
     series,
@@ -50,6 +53,7 @@ from conftest import (
     reference_random_skew_map,
     reference_random_skew_numerators,
     reference_reduction_line,
+    reference_skew_derivations,
     reference_skew_residual,
 )
 
@@ -210,17 +214,65 @@ def test_random_double_extension_matches_reference():
 
 
 def test_skew_derivation_kernel_is_solved_once_per_base(monkeypatch):
-    counts = _count_calls(monkeypatch, "_skew_derivation_equations")
+    counts = _count_calls(monkeypatch, "_skew_three_form_equations")
     ab = build_ab(4, 1)
     base = MetricLieAlgebra(ab.algebra, ab.form)
     rng = random.Random(5)
     for _ in range(3):
         random_double_extension(rng, base)
     space = skew_derivation_space(base)
-    assert counts["_skew_derivation_equations"] == 1
+    assert counts["_skew_three_form_equations"] == 1
     # the memoised base keeps its own, equal, basis
     assert space == skew_derivation_space(ab)
     assert build_ab(4, 1).skew_derivations is ab.skew_derivations
+
+
+def test_double_extend_then_solve_decides_invariance_once(monkeypatch):
+    """``double_extend`` certifies the invariance of its output, and
+    the solve for the output's skew derivations, with the draws on
+    them, reads that verdict: each form is checked once, that of ext
+    and that of each extension of it."""
+    verdict = MetricLieAlgebra.__dict__["invariance"].func
+    decided = []
+
+    def counted(m):
+        decided.append(m)
+        return verdict(m)
+
+    prop = functools.cached_property(counted)
+    prop.__set_name__(MetricLieAlgebra, "invariance")
+    monkeypatch.setattr(MetricLieAlgebra, "invariance", prop)
+    ext = double_extend(DoubleExtensionSpec(build_ab(4, 1), (_rotation_boost(),)))
+    assert decided == [ext]
+    assert ext.skew_derivations.dim > 0
+    rng = random.Random(6)
+    built = [random_double_extension(rng, ext) for _ in range(3)]
+    assert decided == [ext, *built] and is_invariant(ext) is ext.invariance
+
+
+def test_skew_derivations_need_an_invariant_nondegenerate_form():
+    """The solve on the invariant 3-form answers for an invariant,
+    non-degenerate form only; any skew map of an abelian algebra is a
+    derivation, so there it gives all n (n - 1) / 2 of them."""
+    m = build_example42()
+    gram = [list(row) for row in m.form.matrix]
+    gram[1][1] += 1
+    broken = MetricLieAlgebra(m.algebra, SymBilinearForm(gram))
+    witness = is_invariant(broken).witness
+    assert witness is not None
+    with pytest.raises(PreconditionError, match=f"witness triple {re.escape(str(witness))}"):
+        broken.skew_derivations
+    abelian = build_ab(3, 1).algebra
+    degenerate = MetricLieAlgebra(abelian, SymBilinearForm(((1, 0, 0), (0, 0, 0), (0, 0, -1))))
+    with pytest.raises(PreconditionError, match="non-degenerate"):
+        degenerate.skew_derivations
+    forms = [build_ab(n, s).form for n in range(7) for s in range(n + 1)]
+    forms += [f for f in draw_forms() if f.dim <= 6]
+    for form in forms:
+        n = form.dim
+        m = MetricLieAlgebra(LieAlgebra(n, [f"e{i}" for i in range(n)]), form)
+        assert m.skew_derivations.dim == n * (n - 1) // 2
+        assert m.skew_derivations == reference_skew_derivations(m)
 
 
 def test_double_extend_produces_metric_algebra():
