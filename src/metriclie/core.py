@@ -11,7 +11,6 @@ All operations here are pure; every returned object is immutable.
 from __future__ import annotations
 
 import functools
-import math
 from fractions import Fraction
 from types import MappingProxyType
 from typing import Mapping, NamedTuple, Sequence
@@ -86,7 +85,8 @@ class SubspaceBasis(Frozen):
 
     ``SubspaceBasis(n, vectors)`` validates rational vectors; writers
     that hold integer rows use ``from_rows`` (rows they vouch are
-    independent) or ``kernel`` (the solutions of integer equations), and
+    independent), ``kernel`` (the solutions of integer equations) or
+    ``in_kernel_order`` (any span, on the basis ``kernel`` gives), and
     ``from_span`` keeps only an ``IntSpan``, whose RREF basis becomes
     ``int_rows`` on first read.
     """
@@ -125,16 +125,28 @@ class SubspaceBasis(Frozen):
         ``IntSpan.int_kernel``. No equations leave all of Q^n."""
         return cls.from_rows(n, *la.IntSpan(n, equations).int_kernel())
 
+    @classmethod
+    def in_kernel_order(cls, n: int, rows) -> "SubspaceBasis":
+        """The span of the integer rows {column: int} on the basis that
+        ``kernel`` gives, row for row, for any equations it solves.
+
+        ``kernel`` gives one w_f per free column f of the equations'
+        RREF, e_f minus the RREF entries in column f, which sit on leading
+        columns before f: 1 at f, 0 at the other free columns and 0 after
+        f. A solution x is sum_f x_f w_f, so no other basis of the span is
+        1 at its own f and 0 at the other free columns. On the reversed
+        columns c -> n - 1 - c, w_f leads at n - 1 - f with 1 and vanishes
+        on the other leading columns: it is a row of that RREF, read back
+        and listed by increasing f. Both bases are ``la.normalised``."""
+        last = n - 1
+        den, reversed_rows = la.IntSpan(n, ({last - c: x for c, x in r.items()} for r in rows)).rref()
+        return cls.from_rows(n, den, (tuple((last - c, x) for c, x in r[::-1]) for r in reversed_rows[::-1]))
+
     @functools.cached_property
     def int_rows(self) -> tuple[int, tuple[la.IntRow, ...]]:
-        """The RREF basis of ``int_span``: each pivot row over its
-        leading entry, over one denominator. Formed here only for a
-        subspace built ``from_span``; the other constructors store it."""
-        pivots = sorted(self.int_span.pivots.items())
-        den = math.lcm(*(r[p] for p, r in pivots))
-        return la.normalised(
-            den, (sorted((c, x * (den // r[p])) for c, x in r.items()) for p, r in pivots)
-        )
+        """``int_span.rref()``, formed only for a subspace built
+        ``from_span``; the other constructors store it."""
+        return self.int_span.rref()
 
     @functools.cached_property
     def vectors(self) -> tuple[Vec, ...]:
@@ -299,6 +311,10 @@ class LieAlgebra(Frozen):
             nxt = bracket_spans(self, nxt, nxt)
         return tuple(terms)
 
+    @property
+    def is_solvable(self) -> bool:
+        return not self.derived_series[-1].dim
+
     def bracket(self, x: Vec, y: Vec) -> Vec:
         """sum_ij x_i y_j [b_i, b_j], summed over the non-zero x_i, y_j
         on the rows of the structure table and divided by L once."""
@@ -327,10 +343,7 @@ class LieAlgebra(Frozen):
 
     @functools.cached_property
     def _full_space(self) -> SubspaceBasis:
-        # the unit rows are already the RREF of Q^dim
-        span = la.IntSpan(self.dim)
-        span.pivots = {i: {i: 1} for i in range(self.dim)}
-        return SubspaceBasis.from_span(span)
+        return SubspaceBasis.from_span(la.IntSpan.full(self.dim))
 
 
 class ValidationReport(NamedTuple):
@@ -532,10 +545,8 @@ def series(alg: LieAlgebra) -> SeriesReport:
       every ad(x) is nilpotent: Engel's theorem then makes ad(g) strictly
       triangular in one basis, and with it every ad(c) Y^k.
     """
-    derived = alg.derived_series
-    is_solvable = derived[-1].dim == 0
-    is_nilpotent = is_solvable and alg.nilradical.dim == alg.dim
-    return SeriesReport(derived, is_solvable, is_nilpotent, alg.is_abelian)
+    is_nilpotent = alg.is_solvable and alg.nilradical.dim == alg.dim
+    return SeriesReport(alg.derived_series, alg.is_solvable, is_nilpotent, alg.is_abelian)
 
 
 def killing_sums(alg: LieAlgebra) -> tuple[int, list[list[int]]]:
@@ -697,7 +708,7 @@ def _nilradical(alg: LieAlgebra) -> SubspaceBasis:
     row vanishes (Engel: ad(g) is strictly triangular in one basis), so
     K = g at t = 1, certified by g's own lower central series.
     """
-    if alg.derived_series[-1].dim:
+    if not alg.is_solvable:
         raise PreconditionError("nilradical requires a solvable Lie algebra")
     n = alg.dim
     derived = alg.derived

@@ -229,17 +229,9 @@ class MetricLieAlgebra(Frozen):
         and every skew map is a derivation.
 
         Each kernel vector S is mapped to D = P S, P the integer rows of
-        ``form.int_inverse`` (its denominator dropped). The basis is that
-        of ``SubspaceBasis.kernel`` on the entries of D, which is e_f minus
-        RREF entries for each free column f: the one basis of the span
-        that is 1 on its own f, 0 on the other free columns and 0 after
-        f. That is the RREF of the span with the column order reversed,
-        so it is read off an ``IntSpan`` of the D vectors on the columns
-        c -> n^2 - 1 - c, each pivot row over the lcm of the leading
-        entries, listed by increasing f. The basis is the same, row for
-        row, as that of a solve on the n^2 entries of D with skewness and
-        derivation rows, and ``reduction.random_skew_derivation`` draws
-        one coefficient per basis vector in this order.
+        ``form.int_inverse``, and ``SubspaceBasis.in_kernel_order`` gives
+        the basis of a solve on the n^2 entries of D, on which
+        ``reduction.random_skew_derivation`` draws one coefficient each.
         """
         _require_invariant(self)
         try:
@@ -249,24 +241,18 @@ class MetricLieAlgebra(Frozen):
         n = self.dim
         pairs = list(itertools.combinations(range(n), 2))
         _, solutions = la.IntSpan(len(pairs), _skew_three_form_equations(self)).int_kernel()
-        last = n * n - 1
-        span = la.IntSpan(n * n)
+        ds = []
         for sol in solutions:
             # S_ab = s and S_ba = -s add P_pa s at (p, b) and -P_pb s at (p, a)
             d: dict[int, int] = {}
             for e, s in sol:
                 a, b = pairs[e]
                 for p, x in p_rows[a]:
-                    col = last - p * n - b
-                    d[col] = d.get(col, 0) + x * s
+                    d[p * n + b] = d.get(p * n + b, 0) + x * s
                 for p, x in p_rows[b]:
-                    col = last - p * n - a
-                    d[col] = d.get(col, 0) - x * s
-            span.add(d)
-        leads = sorted(span.pivots.items(), reverse=True)
-        den = math.lcm(*(r[c] for c, r in leads))
-        rows = (sorted((last - c, x * (den // r[lead])) for c, x in r.items()) for lead, r in leads)
-        return SubspaceBasis.from_rows(n * n, den, rows)
+                    d[p * n + a] = d.get(p * n + a, 0) - x * s
+            ds.append(d)
+        return SubspaceBasis.in_kernel_order(n * n, ds)
 
 
 def _skew_three_form_equations(m: MetricLieAlgebra) -> list[dict[int, int]]:
@@ -477,7 +463,7 @@ def nilinvariance(m: MetricLieAlgebra) -> InvarianceReport:
     A failed verdict is certified by the triple, on which
     <[x, y1], y2> + <y1, [x, y2]> != 0, and this theorem.
     """
-    if m.algebra.derived_series[-1].dim:
+    if not m.algebra.is_solvable:
         raise PreconditionError(
             "nil-invariance is decided for solvable algebras only; "
             "the algebraic hull of a Levi factor is out of scope"
@@ -581,7 +567,7 @@ def j0_ideal(m: MetricLieAlgebra) -> SubspaceBasis:
 
     Totally isotropic whenever the form is invariant (asserted)."""
     alg = m.algebra
-    if alg.derived_series[-1].dim:
+    if not alg.is_solvable:
         raise PreconditionError("j0 is defined here for solvable algebras only")
     _require_invariant(m)
     nil = nilradical(alg)
@@ -619,7 +605,7 @@ def central_isotropic_ideal(m: MetricLieAlgebra) -> SubspaceBasis | None:
     A zero intersection can only come from a degenerate form.
     """
     alg = m.algebra
-    if alg.derived_series[-1].dim:
+    if not alg.is_solvable:
         raise PreconditionError("central isotropic ideal requires a solvable algebra")
     if alg.is_abelian:
         return None

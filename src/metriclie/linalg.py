@@ -264,6 +264,13 @@ class IntSpan:
         for row in rows:
             self.add(row)
 
+    @classmethod
+    def full(cls, nc: int) -> "IntSpan":
+        """Q^nc on its unit rows, which are its RREF: nothing is eliminated."""
+        span = cls(nc)
+        span.pivots = {i: {i: 1} for i in range(nc)}
+        return span
+
     @property
     def dim(self) -> int:
         return len(self.pivots)
@@ -310,12 +317,18 @@ class IntSpan:
         pivots[lead] = r
         return True
 
+    def rref(self) -> tuple[int, tuple[IntRow, ...]]:
+        """The RREF, ``normalised`` (L, rows) by increasing leading column:
+        each pivot row over its leading entry, over the lcm L of the
+        leading entries. The one readout of whole pivot rows."""
+        leads = sorted(self.pivots.items())
+        den = math.lcm(*(r[p] for p, r in leads))
+        return normalised(den, (sorted((c, x * (den // r[p])) for c, x in r.items()) for p, r in leads))
+
     def int_kernel(self) -> tuple[int, list[IntRow]]:
-        """Basis of the vectors orthogonal to every row, over one common
-        denominator L, the least common multiple of the leading entries:
-        per free column fc, the row L e_fc - sum (L x / lead) e_pc over
-        the pivot rows with entry x in column fc, lead at column pc. Over
-        L it is e_fc minus the RREF entries in column fc."""
+        """Basis of the vectors orthogonal to every row, over the lcm L of
+        the leading entries, as in ``rref``: per free column fc, L e_fc
+        minus L times the RREF entries in column fc."""
         pivots = self.pivots
         den = math.lcm(*(r[pc] for pc, r in pivots.items()))
         out = []
@@ -360,17 +373,14 @@ def int_solve_lex(nc: int, rows: Iterable[Mapping[int, int]]) -> tuple[int, IntR
 
 def int_inverse(den: int, rows: Sequence[IntRow], n: int) -> tuple[int, tuple[IntRow, ...]]:
     """(rows / den)^{-1} for n sparse integer rows, ``normalised``, from
-    one ``IntSpan`` over [rows | I]: the pivot row led by column i is
-    r = lambda (e_i, rows^{-1}_i), so row i of the inverse is
-    den r[n + j] / r[i]. ``ValueError`` unless the pivots are exactly
-    the first n columns."""
+    one ``IntSpan`` over [rows | I]: its RREF over L is [L I | L rows^{-1}],
+    so the inverse is den times the right half over L. ``ValueError``
+    unless the pivots are exactly the first n columns."""
     span = IntSpan(2 * n, ({**dict(row), n + i: 1} for i, row in enumerate(rows)))
     if set(span.pivots) != set(range(n)):
         raise ValueError("matrix is singular")
-    leads = sorted(span.pivots.items())
-    lcm = math.lcm(*(r[i] for i, r in leads))
-    rows = ([(j, den * r.get(n + j, 0) * (lcm // r[i])) for j in range(n)] for i, r in leads)
-    return normalised(lcm, rows)
+    lcm, rows = span.rref()
+    return normalised(lcm, ([(c - n, den * x) for c, x in r[1:]] for r in rows))
 
 
 def inverse(a: Mat) -> Mat:

@@ -12,7 +12,6 @@ tagged accordingly.
 from __future__ import annotations
 
 import math
-import sys
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
@@ -564,6 +563,8 @@ PRECISION_BITS = 256
 GUARD_BITS = 32
 # an upper bound for log2(e) = 1.44269...
 _LOG2_E = Fraction(14427, 10000)
+# most bits log2(e) sum |Re t lambda| (integer bits and E) may add
+_EXP_BITS = 1 << 16
 
 # (a, b, r) at precision g: the box of the complex z with |Re z - a 2^-g|
 # <= r 2^-g and |Im z - b 2^-g| <= r 2^-g; r counts ulps of 2^-g
@@ -583,7 +584,9 @@ def integer_exponential_probe(m: MetricLieAlgebra, element: Vec, t_grid: Sequenc
     and the arithmetic is fixed point at g0 = p + ``GUARD_BITS`` bits up to the
     series of step 2, and at g = g0 + E bits from there, where 2^-E
     bounds from below the product of the exponentials of negative real
-    part, so that such a product is still resolved. A ``_Fixed``
+    part, so that such a product is still resolved. A t with log2(e)
+    sum |Re t lambda| over 2^16 bits is refused (``PreconditionError``)
+    before any series is summed. A ``_Fixed``
     (a, b, r) is a box; every step below returns a box that holds the
     exact result for every point of its input boxes, rounding the centre
     down by a shift and the radius outward (Moore, Kearfott and Cloud,
@@ -656,13 +659,13 @@ def _exp_charpoly(boxes: Sequence[Box], t: Fraction, precision_bits: int) -> tup
     order) for the eigenvalue boxes, at the precision g of
     ``integer_exponential_probe``."""
     zs = [[sorted((t * lo, t * hi)) for lo, hi in box] for box in boxes]
+    if math.ceil(sum(max(-re[0], re[1]) for re, _ in zs) * _LOG2_E) > _EXP_BITS:
+        # t may have more digits than str prints
+        size = t.numerator.bit_length() - t.denominator.bit_length()
+        raise PreconditionError(f"t of about 2^{size} is too large to probe: e^(t lambda) exceeds 2^16 bits")
     g0 = precision_bits + GUARD_BITS
     extra = math.ceil(sum(max(-re[0], 0) for re, _ in zs) * _LOG2_E)
     g = g0 + extra
-    if g > sys.maxsize:
-        # beyond a shift count; t may have more digits than str prints
-        size = t.numerator.bit_length() - t.denominator.bit_length()
-        raise PreconditionError(f"t of about 2^{size} is too large to probe: e^(t lambda) overflows")
     coeffs = [(1 << g, 0, 0)]
     for re, im in zs:
         x, rx = _fixed(*re, g0)

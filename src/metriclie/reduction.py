@@ -229,7 +229,7 @@ def _certify_metric(m: MetricLieAlgebra, solvable: bool = False) -> None:
     if not signature(m.form).is_nondegenerate:
         raise PreconditionError("reduction requires a non-degenerate form")
     _require_invariant(m)
-    if solvable and m.algebra.derived_series[-1].dim:
+    if solvable and not m.algebra.is_solvable:
         raise PreconditionError("reduction along central lines requires a solvable algebra")
 
 
@@ -540,15 +540,10 @@ def random_skew_map(
 
 def skew_derivation_space(base: MetricLieAlgebra) -> tuple[Mat, ...]:
     """Basis of the derivations of the base algebra that are skew with
-    respect to the base form (the valid one-dimensional extension data).
-
-    The basis is the base's kept ``skew_derivations``: solved for S =
-    B D on the invariant 3-form <[x, y], z>, C(n, 3) rows in the n (n -
-    1) / 2 upper entries of S, then mapped to D = B^-1 S. Its vectors are
-    the reversed-column RREF of the span in the entries d_pq, column p n
-    + q, which is the basis ``SubspaceBasis.kernel`` gives a system in
-    the d_pq. The base form must be invariant and non-degenerate.
-    """
+    respect to the base form (the valid one-dimensional extension data):
+    the base's kept ``skew_derivations``, solved on the invariant 3-form
+    and put in kernel order (``SubspaceBasis.in_kernel_order``). The base
+    form must be invariant and non-degenerate."""
     n = base.dim
     sols = base.skew_derivations.vectors
     return tuple(
@@ -563,8 +558,8 @@ def random_skew_derivation(rng: random.Random, base: MetricLieAlgebra) -> tuple[
     drawn from [-2, 2], one ``rng.randint`` per basis vector (the zero
     map if the base admits no other). The basis, the base's kept
     ``skew_derivations``, is read in integers over its common
-    denominator L, in its order (by increasing free column, so the
-    coefficients fall on the vectors of a kernel solve in the d_pq),
+    denominator L, in its order (``SubspaceBasis.in_kernel_order``, so
+    the coefficients fall on the vectors of a kernel solve in the d_pq),
     and the sum of c_i w_i, the columns of L delta, is returned as
     ``la.normalised`` integer columns (D, cols)."""
     n = base.dim

@@ -43,7 +43,8 @@ class SplitFormReport(NamedTuple):
 def _centroid(alg: LieAlgebra, kappa: SymBilinearForm) -> SubspaceBasis:
     """The centroid {M : M ad(x) = ad(x) M for all x} of an algebra with
     non-degenerate Killing form K, M flattened row by row, on the basis
-    ``SubspaceBasis.kernel`` gives for those n^3 commutation equations.
+    ``SubspaceBasis.kernel`` gives for those n^3 commutation equations
+    (``SubspaceBasis.in_kernel_order``).
 
     It is K^{-1} {S symmetric : S([x, y], z) + S(y, [x, z]) = 0}, for
     S = K M, that is S(y, z) = K(y, M z):
@@ -56,12 +57,8 @@ def _centroid(alg: LieAlgebra, kappa: SymBilinearForm) -> SubspaceBasis:
       semisimple).
     So the unknowns are S_pq, p <= q, with one equation per x = b_i and
     pair y = b_j, z = b_k, j <= k: n(n+1)/2 unknowns and n^2(n+1)/2
-    equations. The commutation kernel's basis is the one that is the
-    identity on the columns that are not pivots of the commutation
-    equations. Those are the last non-zero columns of the centroid's
-    elements, so the basis is the RREF of the span of the K^{-1} S with
-    the columns in reverse order, its rows taken by free column."""
-    n, nn = alg.dim, alg.dim * alg.dim
+    equations."""
+    n = alg.dim
     _, table = alg.int_table
     pairs = [(p, q) for p in range(n) for q in range(p, n)]
     pos = [[0] * n for _ in range(n)]
@@ -80,26 +77,23 @@ def _centroid(alg: LieAlgebra, kappa: SymBilinearForm) -> SubspaceBasis:
                 for p, t in row_i[k]:
                     u = pos_j[p]
                     eq[u] = eq.get(u, 0) + t
-                if eq:
-                    span.add(eq)
+                span.add(eq)
     _, s_rows = span.int_kernel()
     _, inv = kappa.int_inverse
-    span = la.IntSpan(nn)
+    flats = []
     for s_row in s_rows:
         s = [{} for _ in range(n)]
         for u, t in s_row:
             p, q = pairs[u]
             s[p][q] = s[q][p] = t
-        # (K^{-1} S)_kl = sum_p K^{-1}_kp S_pl, at the reversed column
+        # (K^{-1} S)_kl = sum_p K^{-1}_kp S_pl, at column k n + l
         flat: dict[int, int] = {}
         for k, inv_k in enumerate(inv):
             for p, a in inv_k:
                 for l, t in s[p].items():
-                    c = nn - 1 - k * n - l
-                    flat[c] = flat.get(c, 0) + a * t
-        span.add(flat)
-    den, rows = SubspaceBasis.from_span(span).int_rows
-    return SubspaceBasis.from_rows(nn, den, (sorted((nn - 1 - c, x) for c, x in r) for r in reversed(rows)))
+                    flat[k * n + l] = flat.get(k * n + l, 0) + a * t
+        flats.append(flat)
+    return SubspaceBasis.in_kernel_order(n * n, flats)
 
 
 def _scaled(p: la.Poly, s) -> la.Poly:

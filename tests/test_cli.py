@@ -1,6 +1,7 @@
 import gzip
 import hashlib
 import json
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -344,6 +345,25 @@ def test_probe_with_an_absurd_time_exits_2(capsys):
     assert out == ""
     assert err.startswith("error: t of about 2^") and "too large to probe" in err
     assert "Traceback" not in err
+
+
+def test_probe_refuses_a_t_beyond_the_fixed_point_width(capsys):
+    """A t whose exponentials need log2(e) sum |Re t lambda| > 2^16 bits
+    exits 2 before any series is summed. example42's a has eigenvalues
+    1, -1, 0, 0 and +-i, so the bound is t <= 2^16 / (2 log2(e)): 22712
+    is probed and 22713 is not, and t = 10^6 (a minute of series before
+    the bound) is refused at once."""
+    start = time.process_time()
+    code, out, err = run(capsys, "probe", "example42", "--element", "a", "--times", "1000000")
+    assert time.process_time() - start < 1
+    assert (code, out) == (2, "")
+    assert err.startswith("error: t of about 2^19 is too large to probe")
+    for t in ("10000", "22712"):
+        code, report, _ = run_json(capsys, "probe", "example42", "--element", "a", "--times", t)
+        assert code == 0
+        assert [p["t"] for p in report["results"]["points"]] == [t]
+    code, out, err = run(capsys, "probe", "example42", "--element", "a", "--times", "22713")
+    assert (code, out) == (2, "") and "too large to probe" in err
 
 
 def test_split_semisimple(capsys):

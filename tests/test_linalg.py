@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 from metriclie import linalg as la
+from metriclie.core import SubspaceBasis
 
 from conftest import (
     naive_identity,
@@ -158,3 +159,71 @@ def test_int_trace_square_reads_the_sparse_rows():
         rows = [tuple((q, x) for q, x in enumerate(row) if x) for row in a]
         cols = [tuple((p, x) for p, x in enumerate(col) if x) for col in zip(*a)]
         assert la.int_trace_square(rows) == la.int_trace_square(cols) == la.trace_product(a, a)
+
+
+def test_int_span_rref_matches_the_dense_rref():
+    """``IntSpan.rref`` is the dense reference RREF over its L, by
+    increasing leading column, L at each lead, ``normalised``, on seeded
+    integer matrices: zero, rank-deficient, of full rank, and with more
+    rows than columns."""
+    rng = random.Random(4001)
+    cases = [[[0] * nc for _ in range(nr)] for nr, nc in ((1, 1), (3, 4), (5, 2))]
+    for _ in range(120):
+        nc = rng.randint(1, 6)
+        nr = rng.choice((max(nc - 2, 1), nc, nc + 3))
+        a = [[rng.choice((0, rng.randint(-5, 5))) for _ in range(nc)] for _ in range(nr)]
+        if nr > 2 and rng.random() < 0.4:
+            a[-1] = [2 * x - 3 * y for x, y in zip(a[0], a[1])]
+        cases.append(a)
+    kinds = set()
+    for a in cases:
+        nr, nc = len(a), len(a[0])
+        den, rows = la.IntSpan(nc, (dict(enumerate(r)) for r in a)).rref()
+        reduced, pivots = naive_rref(tuple(tuple(Fraction(x) for x in r) for r in a))
+        assert la.mat_over(la.dense(rows, nc), den) == reduced[: len(pivots)]
+        assert [r[0] for r in rows] == [(p, den) for p in pivots]
+        assert la.normalised(den, rows) == (den, rows)
+        rank = len(pivots)
+        kinds.add("zero" if not rank else "full" if rank == min(nr, nc) else "deficient")
+        kinds.add("tall" if nr > nc else "wide")
+    assert kinds == {"zero", "full", "deficient", "tall", "wide"}
+
+
+def test_in_kernel_order_is_the_kernel_basis():
+    """``SubspaceBasis.in_kernel_order`` of any rows spanning the
+    solutions of seeded integer systems is ``SubspaceBasis.kernel`` of
+    the system, row for row: the solutions fed shuffled, each scaled,
+    and as mixed combinations with a dependent and a zero row."""
+    rng = random.Random(4002)
+    seen = set()
+    for _ in range(150):
+        n = rng.randint(1, 8)
+        eqs = [
+            {c: rng.randint(-4, 4) for c in rng.sample(range(n), rng.randint(1, n))}
+            for _ in range(rng.randint(0, n))
+        ]
+        expected = SubspaceBasis.kernel(n, eqs)
+        sols = [dict(r) for r in expected.int_rows[1]]
+        rng.shuffle(sols)
+        scaled = [{c: k * x for c, x in s.items()} for s, k in zip(sols, (rng.choice((-6, -1, 2, 5)) for _ in sols))]
+        # row i is k s_i plus combinations of the rows before it: an
+        # invertible change of basis
+        mixed = []
+        for i, s in enumerate(sols):
+            k = rng.choice((-3, 2, 7))
+            acc = {c: k * x for c, x in s.items()}
+            for earlier in sols[:i]:
+                k = rng.randint(-2, 2)
+                for c, x in earlier.items():
+                    acc[c] = acc.get(c, 0) + k * x
+            mixed.append(acc)
+        if len(mixed) > 1:
+            mixed.insert(rng.randrange(len(mixed)), {c: mixed[0].get(c, 0) - mixed[1].get(c, 0) for c in range(n)})
+        mixed.append({})
+        for rows in (sols, scaled, mixed):
+            assert SubspaceBasis.in_kernel_order(n, rows).int_rows == expected.int_rows
+        seen.add(min(expected.dim, 2))
+        # the kernel basis of any system with these solutions is the same
+        other = la.IntSpan(n, eqs).rref()[1]
+        assert SubspaceBasis.kernel(n, map(dict, other)).int_rows == expected.int_rows
+    assert seen == {0, 1, 2}

@@ -376,3 +376,105 @@ def test_only_the_search_draws_random_numbers():
     # generator passed in; every decision (invariance, nil-invariance,
     # reduction, obstruction) is exact and takes no seed
     assert sorted(_importers("random")) == ["einstein.py", "reduction.py"]
+
+
+def _functions(tree: ast.AST):
+    """(qualified name, node) of each function, methods as ``Class.name``."""
+    for top in tree.body:
+        if isinstance(top, ast.ClassDef):
+            for node in top.body:
+                if isinstance(node, ast.FunctionDef):
+                    yield f"{top.name}.{node.name}", node
+        elif isinstance(top, ast.FunctionDef):
+            yield top.name, top
+
+
+def _pivots_access(tree: ast.AST) -> tuple[list[str], list[str], list[str]]:
+    """(functions that read ``.pivots``, functions outside ``IntSpan``
+    that assign it or one of its entries, functions that read it and
+    take an ``lcm``: a readout of the pivot rows over the lcm of their
+    leading entries)."""
+    reads, writes, lcms = [], [], []
+    for name, fn in _functions(tree):
+        nodes = list(ast.walk(fn))
+        attrs = [n for n in nodes if isinstance(n, ast.Attribute) and n.attr == "pivots"]
+        stored = [n for n in attrs if isinstance(n.ctx, (ast.Store, ast.Del))]
+        stored += [
+            n for n in nodes
+            if isinstance(n, ast.Subscript) and isinstance(n.ctx, (ast.Store, ast.Del)) and n.value in attrs
+        ]
+        if attrs:
+            reads.append(name)
+        if stored and not name.startswith("IntSpan."):
+            writes.append(name)
+        calls = (n.func for n in nodes if isinstance(n, ast.Call))
+        if attrs and any((f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)) == "lcm" for f in calls):
+            lcms.append(name)
+    return reads, writes, lcms
+
+
+def test_only_linalg_and_core_read_the_pivot_rows():
+    # the RREF format is linalg's: ``IntSpan.rref`` is the one readout of
+    # whole pivot rows over the lcm of their leading entries, and the
+    # kernel and the lexicographic solve read one column per pivot row
+    # over the same lcm; core brackets and reduces pivot rows
+    found = {p.name: _pivots_access(ast.parse(p.read_text())) for p in sorted(SRC.glob("*.py"))}
+    assert sorted(name for name, (reads, _, _) in found.items() if reads) == ["core.py", "linalg.py"]
+    assert {name: writes for name, (_, writes, _) in found.items() if writes} == {}
+    assert {name: lcms for name, (_, _, lcms) in found.items() if lcms} == {
+        "linalg.py": ["IntSpan.rref", "IntSpan.int_kernel", "int_solve_lex"]
+    }
+    probe = ast.parse(
+        "class IntSpan:\n    def full(self):\n        self.pivots = {}\n"
+        "def f(s):\n    s.pivots = {}\n"
+        "def g(s):\n    s.pivots[0] = {0: 1}\n"
+        "def h(s):\n    return math.lcm(*(r[p] for p, r in s.pivots.items()))\n"
+    )
+    assert _pivots_access(probe) == (["IntSpan.full", "f", "g", "h"], ["f", "g"], ["h"])
+
+
+def _column_reversals(tree: ast.AST) -> list[str]:
+    """The functions that subtract from ``n - 1``, directly or through a
+    name bound to it (``last - c``): a column order reversed."""
+
+    def minus_one(node):
+        return (
+            isinstance(node, ast.BinOp)
+            and isinstance(node.op, ast.Sub)
+            and isinstance(node.right, ast.Constant)
+            and node.right.value == 1
+        )
+
+    out = []
+    for name, fn in _functions(tree):
+        nodes = list(ast.walk(fn))
+        lasts = {
+            t.id
+            for n in nodes
+            if isinstance(n, ast.Assign) and minus_one(n.value)
+            for t in n.targets
+            if isinstance(t, ast.Name)
+        }
+        if any(
+            isinstance(n, ast.BinOp)
+            and isinstance(n.op, ast.Sub)
+            and (minus_one(n.left) or (isinstance(n.left, ast.Name) and n.left.id in lasts))
+            for n in nodes
+        ):
+            out.append(name)
+    return out
+
+
+def test_only_the_kernel_order_reverses_columns():
+    # a span is put on the basis ``SubspaceBasis.kernel`` gives by one
+    # constructor, ``in_kernel_order``; linalg's polynomials reverse
+    # coefficient order, which is not a column order
+    found = {
+        p.name: _column_reversals(ast.parse(p.read_text()))
+        for p in sorted(SRC.glob("*.py"))
+        if p.name != "linalg.py"
+    }
+    assert {name: fns for name, fns in found.items() if fns} == {"core.py": ["SubspaceBasis.in_kernel_order"]}
+    probe = ast.parse("def f(n, c):\n    return n - 1 - c\ndef g(n, c):\n    last = n - 1\n    return last - c\n"
+                      "def h(n, c):\n    return n - c - 1\n")
+    assert _column_reversals(probe) == ["f", "g"]
