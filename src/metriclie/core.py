@@ -140,7 +140,7 @@ class SubspaceBasis(Frozen):
         and listed by increasing f. Both bases are ``la.normalised``."""
         last = n - 1
         den, reversed_rows = la.IntSpan(n, ({last - c: x for c, x in r.items()} for r in rows)).rref()
-        return cls.from_rows(n, den, (tuple((last - c, x) for c, x in r[::-1]) for r in reversed_rows[::-1]))
+        return cls.from_rows(n, den, ([(last - c, x) for c, x in r[::-1]] for r in reversed_rows[::-1]))
 
     @functools.cached_property
     def int_rows(self) -> tuple[int, tuple[la.IntRow, ...]]:

@@ -76,11 +76,11 @@ def dense(rows: Iterable[IntRow], nc: int) -> list[list[int]]:
 def normalised(den: int, rows: Iterable) -> tuple[int, tuple[IntRow, ...]]:
     """The one normalisation of sparse integer rows over den > 0: zero
     entries dropped, and den and every entry divided by their gcd."""
-    rows = [tuple((q, t) for q, t in row if t) for row in rows]
-    g = math.gcd(den, *(t for row in rows for _, t in row))
+    rows = [tuple([(q, t) for q, t in row if t]) for row in rows]
+    g = math.gcd(den, *[t for row in rows for _, t in row])
     if g == 1:
         return den, tuple(rows)
-    return den // g, tuple(tuple((q, t // g) for q, t in row) for row in rows)
+    return den // g, tuple(tuple([(q, t // g) for q, t in row]) for row in rows)
 
 
 def to_int_rows(rows: Iterable[Iterable]) -> tuple[int, tuple[IntRow, ...]]:
@@ -323,7 +323,7 @@ class IntSpan:
         leading entries. The one readout of whole pivot rows."""
         leads = sorted(self.pivots.items())
         den = math.lcm(*(r[p] for p, r in leads))
-        return normalised(den, (sorted((c, x * (den // r[p])) for c, x in r.items()) for p, r in leads))
+        return normalised(den, ([(c, x * (den // r[p])) for c, x in sorted(r.items())] for p, r in leads))
 
     def int_kernel(self) -> tuple[int, list[IntRow]]:
         """Basis of the vectors orthogonal to every row, over the lcm L of

@@ -585,13 +585,12 @@ def integer_exponential_probe(m: MetricLieAlgebra, element: Vec, t_grid: Sequenc
     series of step 2, and at g = g0 + E bits from there, where 2^-E
     bounds from below the product of the exponentials of negative real
     part, so that such a product is still resolved. A t with log2(e)
-    sum |Re t lambda| over 2^16 bits is refused (``PreconditionError``)
-    before any series is summed. A ``_Fixed``
-    (a, b, r) is a box; every step below returns a box that holds the
-    exact result for every point of its input boxes, rounding the centre
-    down by a shift and the radius outward (Moore, Kearfott and Cloud,
-    *Introduction to Interval Analysis*, 2009, ch. 2-3). Errors are in
-    ulps of the step's precision.
+    sum |Re t lambda| over 2^16 bits is refused before any series is
+    summed. A ``_Fixed`` (a, b, r) is a box; every step below returns a
+    box that holds the exact result for every point of its input boxes,
+    rounding the centre down by a shift and the radius outward (Moore,
+    Kearfott and Cloud, *Introduction to Interval Analysis*, 2009, ch.
+    2-3). Errors are in ulps of the step's precision.
 
     1. Input (``_fixed``, at g0): the box of t lambda, an interval per
        part, has its endpoints rounded outward to ulps and m the floor of
