@@ -350,9 +350,9 @@ def test_probe_with_an_absurd_time_exits_2(capsys):
 def test_probe_refuses_a_t_beyond_the_fixed_point_width(capsys):
     """A t whose exponentials need log2(e) sum |Re t lambda| > 2^16 bits
     exits 2 before any series is summed. example42's a has eigenvalues
-    1, -1, 0, 0 and +-i, so the bound is t <= 2^16 / (2 log2(e)): 22712
-    is probed and 22713 is not, and t = 10^6 (a minute of series before
-    the bound) is refused at once."""
+    1, -1, 0, 0 and +-i, so with log2(e) bounded by 1.4427 the bound is
+    t <= 2^16 / (2 1.4427): 22712 is probed and 22713 is not, and t =
+    10^6 (a minute of series before the bound) is refused at once."""
     start = time.process_time()
     code, out, err = run(capsys, "probe", "example42", "--element", "a", "--times", "1000000")
     assert time.process_time() - start < 1
