@@ -144,9 +144,9 @@ class SubspaceBasis(Frozen):
 
     @functools.cached_property
     def int_rows(self) -> tuple[int, tuple[la.IntRow, ...]]:
-        """``int_span.rref()``, formed only for a subspace built
-        ``from_span``; the other constructors store it."""
-        return self.int_span.rref()
+        """``int_span.rref()``, stored through ``la.normalised`` as by every
+        constructor; formed here only for a subspace built ``from_span``."""
+        return la.normalised(*self.int_span.rref())
 
     @functools.cached_property
     def vectors(self) -> tuple[Vec, ...]:

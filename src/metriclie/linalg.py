@@ -318,12 +318,13 @@ class IntSpan:
         return True
 
     def rref(self) -> tuple[int, tuple[IntRow, ...]]:
-        """The RREF, ``normalised`` (L, rows) by increasing leading column:
-        each pivot row over its leading entry, over the lcm L of the
-        leading entries. The one readout of whole pivot rows."""
+        """The RREF as (L, rows) by increasing leading column: each pivot
+        row over its leading entry, over the lcm L of the leading entries;
+        the one readout of whole pivot rows. Rows of content 1 make it
+        ``normalised``: for each prime some L / lead is prime to it."""
         leads = sorted(self.pivots.items())
         den = math.lcm(*(r[p] for p, r in leads))
-        return normalised(den, ([(c, x * (den // r[p])) for c, x in sorted(r.items())] for p, r in leads))
+        return den, tuple(tuple([(c, x * (den // r[p])) for c, x in sorted(r.items())]) for p, r in leads)
 
     def int_kernel(self) -> tuple[int, list[IntRow]]:
         """Basis of the vectors orthogonal to every row, over the lcm L of
